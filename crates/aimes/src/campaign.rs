@@ -742,6 +742,110 @@ mod tests {
     }
 
     #[test]
+    fn campaign_driver_reports_every_job_once_and_routes_failures_to_their_arm() {
+        use crate::experiment::{run_campaign, CampaignHooks, CampaignJob};
+        use crate::middleware::RunOptions;
+        use crate::profile::ProfileAccumulator;
+        use aimes_cluster::ClusterConfig;
+        use aimes_sim::SimTime;
+        use aimes_strategy::ExecutionStrategy;
+
+        let resources: Vec<ClusterConfig> = ["a", "b"]
+            .iter()
+            .map(|n| ClusterConfig::test(n, 512))
+            .collect();
+        let app = aimes_skeleton::paper_bag(8, aimes_skeleton::TaskDurationSpec::Uniform15Min);
+        let strategy = ExecutionStrategy::paper_late(2);
+        let arms = ["left", "right"];
+        let reps = 2;
+        let path = std::env::temp_dir().join(format!("aimes-driver-{}.jsonl", std::process::id()));
+        let recorder =
+            CampaignRecorder::create(&path, &CampaignMeta::new("driver", 1, 4), false).unwrap();
+        let sender = recorder.sender();
+        let progress = Progress::new(4);
+        let profile = ProfileAccumulator::new();
+        let hooks = CampaignHooks {
+            recorder: Some(&sender),
+            progress: Some(&progress),
+            profile: Some(&profile),
+        };
+        let outcomes = run_campaign(
+            hooks,
+            "driver",
+            &arms,
+            reps,
+            |arm, rep| CampaignJob {
+                arm: arm.to_string(),
+                // Job 3 (right, rep 1) has no resources: Unplannable.
+                resources: if *arm == "right" && rep == 1 {
+                    &[]
+                } else {
+                    &resources
+                },
+                app: &app,
+                strategy: &strategy,
+                options: RunOptions {
+                    seed: 100 + rep as u64,
+                    submit_at: SimTime::from_secs(600.0),
+                    ..Default::default()
+                },
+            },
+            |r, options| (r.breakdown.ttc.as_secs(), options.seed),
+        );
+        drop(sender);
+        recorder.close(None).unwrap();
+
+        // Grouped per arm, repetitions in order; the projection saw the
+        // job's own options.
+        assert_eq!(outcomes.len(), 2);
+        for (arm, runs) in arms.iter().zip(&outcomes) {
+            assert_eq!(runs.len(), reps);
+            for (rep, out) in runs.iter().enumerate() {
+                assert_eq!(
+                    (out.arm.as_str(), out.rep, out.seed),
+                    (*arm, rep, 100 + rep as u64)
+                );
+            }
+        }
+        let failed: Vec<_> = outcomes
+            .iter()
+            .flatten()
+            .filter(|o| o.result.is_err())
+            .map(|o| (o.arm.as_str(), o.rep))
+            .collect();
+        assert_eq!(failed, vec![("right", 1)]);
+        assert!(matches!(
+            outcomes[1][1].result,
+            Err(RunError::Unplannable(_))
+        ));
+        assert_eq!(outcomes[0][1].result.as_ref().unwrap().1, 101);
+
+        // Exactly one manifest record, progress tick and profile report
+        // per job.
+        let manifest = read_manifest(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        manifest.validate().unwrap();
+        let keys: Vec<_> = manifest
+            .runs
+            .iter()
+            .map(|r| (r.arm.as_str(), r.rep, r.n_tasks, r.is_failed()))
+            .collect();
+        assert_eq!(
+            keys,
+            vec![
+                ("left", 0, 8, false),
+                ("left", 1, 8, false),
+                ("right", 0, 8, false),
+                ("right", 1, 8, true),
+            ]
+        );
+        assert_eq!(manifest.runs[3].error_kind.as_deref(), Some("unplannable"));
+        assert_eq!(progress.done.load(Ordering::Relaxed), 4);
+        assert_eq!(progress.failed.load(Ordering::Relaxed), 1);
+        assert_eq!(profile.runs(), 4);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn progress_line_renders_rate_and_failures() {
         let p = Progress::new(10);
         p.done.store(4, Ordering::Relaxed);

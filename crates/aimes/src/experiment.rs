@@ -25,6 +25,7 @@ use aimes_skeleton::{paper_bag, SkeletonConfig, TaskDurationSpec};
 use aimes_strategy::ExecutionStrategy;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::time::Instant;
 
 /// One experiment: a strategy × a skeleton family × sizes × repetitions.
 #[derive(Clone, Debug)]
@@ -116,13 +117,15 @@ const EMPTY_SUMMARY: Summary = Summary {
     ci95: f64::NAN,
 };
 
-/// Observability hooks for a campaign: where each run reports its record
-/// and progress tick. Both default to off; `run_experiment` passes the
-/// empty set.
+/// Observability hooks for a campaign: where each run reports its record,
+/// progress tick and engine profile. All default to off;
+/// `run_experiment` passes the empty set.
 #[derive(Clone, Copy, Default)]
 pub struct CampaignHooks<'a> {
     /// Manifest channel; each run sends one [`RunRecord`] keyed by its
-    /// job index (arm = the experiment id).
+    /// job index.
+    ///
+    /// [`RunRecord`]: crate::campaign::RunRecord
     pub recorder: Option<&'a CampaignSender>,
     /// Live stderr status line; ticked once per finished run.
     pub progress: Option<&'a Progress>,
@@ -132,39 +135,77 @@ pub struct CampaignHooks<'a> {
     pub profile: Option<&'a ProfileAccumulator>,
 }
 
-/// Run every (size × repetition) combination in parallel.
-pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
-    run_experiment_with(config, CampaignHooks::default())
+/// The inputs of one campaign run. A sweep's build closure makes it
+/// inside the worker — [`RunOptions`] holds per-run `Rc` handles
+/// (journal, telemetry, profiler) that never cross threads — and the
+/// driver times that closure as the run's build phase.
+pub struct CampaignJob<'a> {
+    /// Arm label: the manifest record's `arm` and the failure line's key.
+    pub arm: String,
+    pub resources: &'a [ClusterConfig],
+    pub app: &'a SkeletonConfig,
+    pub strategy: &'a ExecutionStrategy,
+    /// The run's options; `options.seed` is the seed the record carries.
+    pub options: RunOptions,
 }
 
-/// [`run_experiment`] with campaign observability attached.
-pub fn run_experiment_with(config: &ExperimentConfig, hooks: CampaignHooks) -> ExperimentResult {
-    let jobs: Vec<(usize, u32, usize)> = config
-        .task_counts
+/// One finished campaign run, as handed back by [`run_campaign`].
+pub struct JobOutcome<T> {
+    pub arm: String,
+    pub rep: usize,
+    pub seed: u64,
+    /// The caller's projection of the run, or why it failed.
+    pub result: Result<T, RunError>,
+}
+
+/// Run every (arm × repetition) job of a campaign across the worker pool.
+///
+/// Job `i` is arm `i / reps`, repetition `i % reps`. `build` makes one
+/// job's inputs; `project` reduces a completed run to what the caller
+/// aggregates, with the job's options at hand so per-run handles such as
+/// a journal can be read back. Every job reports one manifest record, one
+/// progress tick and (when profiling) one profile report through `hooks`,
+/// keyed by its job index. Outcomes come back grouped per arm, repetitions
+/// in order, so whatever the caller folds from them is byte-identical at
+/// any worker count.
+pub fn run_campaign<'a, A: Sync, T: Send>(
+    hooks: CampaignHooks,
+    sweep: &str,
+    arms: &'a [A],
+    reps: usize,
+    build: impl Fn(&'a A, usize) -> CampaignJob<'a> + Sync,
+    project: impl Fn(RunResult, &RunOptions) -> T + Sync,
+) -> Vec<Vec<JobOutcome<T>>> {
+    let jobs: Vec<(u64, &A, usize)> = arms
         .iter()
-        .flat_map(|n| (0..config.repetitions).map(move |r| (*n, r)))
+        .flat_map(|arm| (0..reps).map(move |rep| (arm, rep)))
         .enumerate()
-        .map(|(job, (n, rep))| (job, n, rep))
+        .map(|(job, (arm, rep))| (job as u64, arm, rep))
         .collect();
     let mut outcomes = jobs
         .par_iter()
-        .map(|(job, n, rep)| {
+        .map(|&(job, arm, rep)| {
             let started = hooks.recorder.map_or(0.0, |s| s.elapsed_secs());
-            let seed = config.run_seed(*n, *rep);
+            let t_build = Instant::now();
+            let mut run = build(arm, rep);
             // The profiler handle is created inside the worker closure and
             // never crosses threads; only its plain-data report does.
-            let profiler = hooks.profile.map(|_| Profiler::new());
-            let (outcome, build_secs, simulate_secs) = run_one(config, *n, seed, profiler.clone());
-            if let (Some(acc), Some(prof)) = (hooks.profile, &profiler) {
-                acc.record(*job as u64, prof.report());
+            run.options.profiler = hooks.profile.map(|_| Profiler::new());
+            let build_secs = t_build.elapsed().as_secs_f64();
+            let t_sim = Instant::now();
+            let outcome = run_application(run.resources, run.app, run.strategy, &run.options);
+            let simulate_secs = t_sim.elapsed().as_secs_f64();
+            let seed = run.options.seed;
+            if let (Some(acc), Some(prof)) = (hooks.profile, &run.options.profiler) {
+                acc.record(job, prof.report());
             }
             if let Some(sender) = hooks.recorder {
                 sender.record_outcome(
-                    *job as u64,
-                    &config.id,
-                    &config.id,
-                    *rep as u64,
-                    *n,
+                    job,
+                    sweep,
+                    &run.arm,
+                    rep as u64,
+                    run.app.total_tasks() as u32,
                     seed,
                     &outcome,
                     started,
@@ -175,24 +216,66 @@ pub fn run_experiment_with(config: &ExperimentConfig, hooks: CampaignHooks) -> E
             if let Some(progress) = hooks.progress {
                 progress.tick(outcome.is_err());
             }
-            outcome.map_err(|e| e.to_string())
+            JobOutcome {
+                result: outcome.map(|r| project(r, &run.options)),
+                arm: run.arm,
+                rep,
+                seed,
+            }
         })
-        .collect::<Vec<Result<RunResult, String>>>()
+        .collect::<Vec<_>>()
         .into_iter();
+    arms.iter()
+        .map(|_| outcomes.by_ref().take(reps).collect())
+        .collect()
+}
 
-    // The pool returns outcomes in job order — repetitions contiguous per
-    // size — so each point consumes its own chunk in one pass, moving
-    // every RunResult and error instead of re-scanning and cloning.
+/// Run every (size × repetition) combination in parallel.
+pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
+    run_experiment_with(config, CampaignHooks::default())
+}
+
+/// [`run_experiment`] with campaign observability attached: one campaign
+/// arm per application size, every arm labelled with the experiment id.
+pub fn run_experiment_with(config: &ExperimentConfig, hooks: CampaignHooks) -> ExperimentResult {
+    let sizes: Vec<(u32, SkeletonConfig)> = config
+        .task_counts
+        .iter()
+        .map(|&n| (n, config.skeleton(n)))
+        .collect();
+    let outcomes = run_campaign(
+        hooks,
+        &config.id,
+        &sizes,
+        config.repetitions,
+        |(n, skeleton), rep| {
+            let seed = config.run_seed(*n, rep);
+            CampaignJob {
+                arm: config.id.clone(),
+                resources: &config.resources,
+                app: skeleton,
+                strategy: &config.strategy,
+                options: RunOptions {
+                    seed,
+                    submit_at: config.submit_instant(seed),
+                    ..Default::default()
+                },
+            }
+        },
+        |r, _| r,
+    );
+
     let points = config
         .task_counts
         .iter()
-        .map(|n| {
-            let mut runs = Vec::with_capacity(config.repetitions);
+        .zip(outcomes)
+        .map(|(n, outcomes)| {
+            let mut runs = Vec::with_capacity(outcomes.len());
             let mut errors = Vec::new();
-            for out in outcomes.by_ref().take(config.repetitions) {
-                match out {
+            for out in outcomes {
+                match out.result {
                     Ok(r) => runs.push(r),
-                    Err(e) => errors.push(e),
+                    Err(e) => errors.push(e.to_string()),
                 }
             }
             let summarize = |f: &dyn Fn(&RunResult) -> f64| {
@@ -217,29 +300,6 @@ pub fn run_experiment_with(config: &ExperimentConfig, hooks: CampaignHooks) -> E
         duration_label: config.duration_spec.label().to_string(),
         points,
     }
-}
-
-/// Execute one repetition, returning the outcome plus the wall split
-/// between scenario construction (skeleton + options) and simulation.
-fn run_one(
-    config: &ExperimentConfig,
-    n_tasks: u32,
-    seed: u64,
-    profiler: Option<Profiler>,
-) -> (Result<RunResult, RunError>, f64, f64) {
-    let t_build = std::time::Instant::now();
-    let submit_at = config.submit_instant(seed);
-    let skeleton = config.skeleton(n_tasks);
-    let options = RunOptions {
-        seed,
-        submit_at,
-        profiler,
-        ..Default::default()
-    };
-    let build_secs = t_build.elapsed().as_secs_f64();
-    let t_sim = std::time::Instant::now();
-    let outcome = run_application(&config.resources, &skeleton, &config.strategy, &options);
-    (outcome, build_secs, t_sim.elapsed().as_secs_f64())
 }
 
 #[cfg(test)]

@@ -54,11 +54,11 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Instant;
 
-use aimes::experiment::{run_experiment_with, CampaignHooks};
+use aimes::experiment::run_experiment_with;
 use aimes::middleware::{run_application, RunOptions};
 use aimes::paper;
-use aimes::profile::{AllocSection, ProfileAccumulator, ProfileDoc, TimingInputs};
 use aimes_bench::alloc::{self as heap, CountingAlloc};
+use aimes_bench::observatory::{CampaignFlags, Observatory};
 use aimes_cluster::{Cluster, ClusterConfig};
 use aimes_sim::{EventId, SimDuration, SimTime, Simulation, Tracer};
 use aimes_workload::WorkloadConfig;
@@ -107,16 +107,9 @@ struct Options {
     emit_metrics: Option<std::path::PathBuf>,
     /// Worker count for pool-backed campaigns (default: all cores).
     jobs: Option<usize>,
-    /// Campaign manifest path for `campaign_throughput` (the one
+    /// Campaign observability for `campaign_throughput` (the one
     /// pool-backed campaign here).
-    campaign_out: Option<std::path::PathBuf>,
-    /// Record volatile wall-clock fields + pool record in the manifest.
-    campaign_timing: bool,
-    /// Live status line on stderr for `campaign_throughput`.
-    progress: bool,
-    /// Merged `aimes-profile-v1` document for `campaign_throughput`'s
-    /// per-run engine profiles (timing gated by `--campaign-timing`).
-    profile_out: Option<std::path::PathBuf>,
+    campaign: CampaignFlags,
 }
 
 fn parse_args() -> Options {
@@ -130,10 +123,7 @@ fn parse_args() -> Options {
         only: None,
         emit_metrics: None,
         jobs: None,
-        campaign_out: None,
-        campaign_timing: false,
-        progress: false,
-        profile_out: None,
+        campaign: CampaignFlags::default(),
     };
     let mut i = 0;
     while i < args.len() {
@@ -167,16 +157,7 @@ fn parse_args() -> Options {
                 i += 1;
                 opts.jobs = Some(args[i].parse().expect("--jobs takes an integer"));
             }
-            "--campaign-out" => {
-                i += 1;
-                opts.campaign_out = Some(args[i].clone().into());
-            }
-            "--campaign-timing" => opts.campaign_timing = true,
-            "--progress" => opts.progress = true,
-            "--profile-out" => {
-                i += 1;
-                opts.profile_out = Some(args[i].clone().into());
-            }
+            _ if opts.campaign.parse(&args, &mut i) => {}
             other => {
                 eprintln!("unknown argument `{other}`");
                 eprintln!(
@@ -402,42 +383,18 @@ fn campaign_throughput(seed: u64, quick: bool, opts: &Options) -> CampaignStat {
     let reps = if quick { 96 } else { 384 };
     let mut cfg = paper::experiment(1, reps, seed, Some(vec![64]));
     cfg.id = "campaign-throughput".into();
-    let total_jobs = (cfg.task_counts.len() * cfg.repetitions) as u64;
-    let recorder = opts.campaign_out.as_ref().map(|path| {
-        let meta = aimes::CampaignMeta::new("campaign-throughput", seed, total_jobs);
-        // Fresh pool accounting so a timing-mode pool record covers
-        // exactly this campaign's fan-out.
-        rayon::reset_pool_stats();
-        aimes::CampaignRecorder::create(path, &meta, opts.campaign_timing).unwrap_or_else(|e| {
-            eprintln!("cannot create campaign manifest {}: {e}", path.display());
-            std::process::exit(2);
-        })
-    });
-    let sender = recorder.as_ref().map(|r| r.sender());
-    let progress = opts.progress.then(|| aimes::Progress::new(total_jobs));
-    let profile = opts.profile_out.as_ref().map(|_| ProfileAccumulator::new());
-    let hooks = CampaignHooks {
-        recorder: sender.as_ref(),
-        progress: progress.as_ref(),
-        profile: profile.as_ref(),
-    };
-    let alloc_before = heap::snapshot();
+    let total_jobs = cfg.task_counts.len() * cfg.repetitions;
+    let obs = Observatory::open(
+        &opts.campaign,
+        "campaign-throughput",
+        "campaign_throughput",
+        seed,
+        total_jobs,
+    );
     let start = Instant::now();
-    let result = run_experiment_with(&cfg, hooks);
+    let result = run_experiment_with(&cfg, obs.hooks());
     let wall = start.elapsed().as_secs_f64();
-    if let Some(progress) = &progress {
-        progress.finish();
-    }
-    drop(sender);
-    if let Some(recorder) = recorder {
-        let pool = opts
-            .campaign_timing
-            .then(|| aimes::campaign::PoolRecord::from_stats(&rayon::pool_stats()));
-        if let Err(e) = recorder.close(pool.as_ref()) {
-            eprintln!("cannot finalize campaign manifest: {e}");
-            std::process::exit(2);
-        }
-    }
+    obs.close();
     let point = &result.points[0];
     assert!(
         point.errors.is_empty(),
@@ -445,41 +402,6 @@ fn campaign_throughput(seed: u64, quick: bool, opts: &Options) -> CampaignStat {
         point.errors.first()
     );
     let runs = point.runs.len() as u64;
-    if let (Some(path), Some(acc)) = (&opts.profile_out, &profile) {
-        let merged = acc.merged();
-        // Timing is volatile (depends on host + worker count), so it is
-        // gated exactly like the campaign manifest's wall-clock fields.
-        let timing = opts.campaign_timing.then(|| {
-            let delta = heap::snapshot().since(&alloc_before);
-            let events = merged.engine.events_processed;
-            TimingInputs {
-                total_wall_secs: wall,
-                sequential: false,
-                run_walls: Vec::new(),
-                alloc: Some(AllocSection {
-                    allocs: delta.allocs,
-                    bytes_allocated: delta.bytes_allocated,
-                    peak_bytes: delta.peak_bytes,
-                    allocs_per_event: if events > 0 {
-                        delta.allocs as f64 / events as f64
-                    } else {
-                        0.0
-                    },
-                }),
-            }
-        });
-        let doc = ProfileDoc::build("campaign_throughput", seed, acc.runs(), &merged, timing);
-        doc.validate().unwrap_or_else(|e| {
-            eprintln!("internal error: produced invalid profile doc: {e}");
-            std::process::exit(2);
-        });
-        let json = serde_json::to_string_pretty(&doc).expect("profile doc serializes");
-        std::fs::write(path, format!("{json}\n")).unwrap_or_else(|e| {
-            eprintln!("cannot write profile doc {}: {e}", path.display());
-            std::process::exit(2);
-        });
-        eprintln!("wrote profile doc {}", path.display());
-    }
     CampaignStat {
         label: "campaign_throughput".to_string(),
         events: 0,

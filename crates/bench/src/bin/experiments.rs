@@ -39,9 +39,11 @@
 //! ```
 //!
 //! `--quick` restricts sizes to {8, 64, 512} and 3 repetitions for a fast
-//! shape check. `--fail-on-error` makes `ablation-faults` exit non-zero
-//! if any healing arm (oracle or detection) fails a run — the chaos-smoke
-//! CI gate. `--jobs N` caps the worker pool the sweeps fan out on
+//! shape check. `--fail-on-error` makes the parallel sweeps (faults,
+//! detection, info, cascade) exit non-zero if a run fails — for
+//! `ablation-faults`, a run of a healing arm (oracle or detection) — the
+//! chaos-smoke CI gate; `--dump-dir DIR` leaves flight-recorder snapshots
+//! of their failed runs there. `--jobs N` caps the worker pool the sweeps fan out on
 //! (default: all cores; every run owns its seed and results aggregate in
 //! job order, so output is byte-identical at any worker count).
 //!
@@ -66,18 +68,21 @@
 //! `metrics.json` (the summary), and `metrics.csv` (gauge timelines);
 //! `--trace-out <path>` streams the full event trace as JSON.
 
-use aimes::experiment::{run_experiment, ExperimentConfig, ExperimentResult};
-use aimes::middleware::{run_application, RunOptions};
+use aimes::experiment::{
+    run_campaign, run_experiment, CampaignJob, ExperimentConfig, ExperimentResult, JobOutcome,
+};
+use aimes::middleware::{run_application, RunError, RunOptions, RunResult};
 use aimes::paper;
-use aimes::profile::{self, AllocSection, ProfileAccumulator, ProfileDoc, TimingInputs};
+use aimes::profile::{self, AllocSection, ProfileDoc, TimingInputs};
 use aimes::report;
 use aimes::stats::Summary;
 use aimes_bench::alloc::{self as heap, CountingAlloc};
+use aimes_bench::observatory::{CampaignFlags, Observatory};
 use aimes_sim::{EngineStats, Profiler, SimRng, SimTime};
-use aimes_skeleton::{bag_of_tasks, paper_task_counts, TaskDurationSpec};
+use aimes_skeleton::{bag_of_tasks, TaskDurationSpec};
 use aimes_strategy::ExecutionStrategy;
 use aimes_workload::Distribution;
-use rayon::prelude::*;
+use std::collections::BTreeMap;
 
 /// Heap accounting for profile documents: every allocation in this
 /// binary is counted (relaxed atomics, peak via atomic max).
@@ -102,29 +107,16 @@ struct Options {
     /// Positional file arguments after the command (journal/analysis
     /// paths for `analyze` and `analytics-diff`).
     files: Vec<std::path::PathBuf>,
-    /// Flight-recorder dump directory for the chaos arms (`ablation-info`,
-    /// `ablation-faults`): failed runs leave checksummed post-mortem
-    /// snapshots here for CI to collect as artifacts.
+    /// Flight-recorder dump directory for the parallel sweeps (faults,
+    /// detection, info, cascade): failed runs leave checksummed
+    /// post-mortem snapshots here for CI to collect as artifacts.
     dump_dir: Option<std::path::PathBuf>,
     /// Worker-pool size for the parallel sweeps (default: all cores).
     jobs: Option<usize>,
-    /// Campaign manifest path (`campaign.jsonl`) for the parallel sweeps
-    /// (faults / detection / info / cascade): one record per run,
-    /// canonicalized to job order at close.
-    campaign_out: Option<std::path::PathBuf>,
-    /// Record volatile wall-clock fields (worker index, wall offsets,
-    /// phase split, pool record) in the manifest. Off by default — the
-    /// default manifest is byte-identical at any worker count.
-    campaign_timing: bool,
-    /// Live status line on stderr. Off by default so sweep stderr stays
-    /// byte-identical across worker counts.
-    progress: bool,
-    /// `aimes-profile-v1` output path: for the parallel sweeps, the
-    /// merged per-run engine profile (host timing gated by
-    /// `--campaign-timing`, so the default document is byte-identical at
-    /// any `--jobs`); for the `profile` command, where the document goes
-    /// instead of stdout.
-    profile_out: Option<std::path::PathBuf>,
+    /// Campaign observability for the parallel sweeps. Its
+    /// `--profile-out` is also where the `profile` command writes its
+    /// document instead of stdout.
+    campaign: CampaignFlags,
 }
 
 fn parse_args() -> (String, Options) {
@@ -144,10 +136,7 @@ fn parse_args() -> (String, Options) {
         files: Vec::new(),
         dump_dir: None,
         jobs: None,
-        campaign_out: None,
-        campaign_timing: false,
-        progress: false,
-        profile_out: None,
+        campaign: CampaignFlags::default(),
     };
     let mut i = 0;
     while i < args.len() {
@@ -194,16 +183,7 @@ fn parse_args() -> (String, Options) {
                 i += 1;
                 opts.jobs = Some(args[i].parse().expect("--jobs takes a number"));
             }
-            "--campaign-out" => {
-                i += 1;
-                opts.campaign_out = Some(args[i].clone().into());
-            }
-            "--campaign-timing" => opts.campaign_timing = true,
-            "--progress" => opts.progress = true,
-            "--profile-out" => {
-                i += 1;
-                opts.profile_out = Some(args[i].clone().into());
-            }
+            _ if opts.campaign.parse(&args, &mut i) => {}
             c if !c.starts_with("--") => {
                 if command == "help" {
                     command = c.to_string();
@@ -885,168 +865,101 @@ fn ablation_queue(opts: &Options) {
     );
 }
 
+/// Fan a sweep's (arm × rep) jobs across the worker pool through the
+/// shared campaign driver, under the observatory the campaign flags ask
+/// for. Once the pool is done, every failed run of an arm `gate` accepts
+/// prints the shared failure line — with the same `arm=.. rep=.. seed=..`
+/// keys the manifest's failure records carry — in job order; the count
+/// comes back for [`exit_on_failures`].
+fn sweep<'a, A: Sync, T: Send>(
+    opts: &Options,
+    name: &str,
+    arms: &'a [A],
+    gate: impl Fn(&A) -> bool,
+    build: impl Fn(&'a A, usize) -> CampaignJob<'a> + Sync,
+    project: impl Fn(RunResult, &RunOptions) -> T + Sync,
+) -> (Vec<Vec<JobOutcome<T>>>, usize) {
+    let obs = Observatory::open(
+        &opts.campaign,
+        name,
+        name,
+        opts.seed,
+        arms.len() * opts.reps,
+    );
+    let outcomes = run_campaign(obs.hooks(), name, arms, opts.reps, build, project);
+    obs.close();
+    let mut failures = 0;
+    for (arm, runs) in arms.iter().zip(&outcomes) {
+        if !gate(arm) {
+            continue;
+        }
+        for out in runs {
+            if let Err(e) = &out.result {
+                eprintln!(
+                    "{name} arm failed: arm={} rep={} seed={}: {e}",
+                    out.arm, out.rep, out.seed
+                );
+                failures += 1;
+            }
+        }
+    }
+    (outcomes, failures)
+}
+
+/// The shared `--fail-on-error` exit, taken after the sweep has printed
+/// its table.
+fn exit_on_failures(opts: &Options, label: &str, failures: usize) {
+    if opts.fail_on_error && failures > 0 {
+        eprintln!("{failures} {label} run(s) failed under --fail-on-error");
+        std::process::exit(1);
+    }
+}
+
+/// The completed runs of one arm, repetitions in order.
+fn completed<T>(runs: &[JobOutcome<T>]) -> Vec<&T> {
+    runs.iter().filter_map(|o| o.result.as_ref().ok()).collect()
+}
+
+/// Arithmetic mean, 0 for an empty slice.
+fn mean(v: &[f64]) -> f64 {
+    if v.is_empty() {
+        0.0
+    } else {
+        v.iter().sum::<f64>() / v.len() as f64
+    }
+}
+
+/// [`mean`] of `f` over `runs`.
+fn mean_of<T>(runs: &[&T], f: impl Fn(&T) -> f64) -> f64 {
+    mean(&runs.iter().map(|r| f(r)).collect::<Vec<_>>())
+}
+
+/// One arm's failures by coarse class, for the sweeps' JSON points.
+fn error_classes<T>(runs: &[JobOutcome<T>]) -> BTreeMap<String, usize> {
+    let mut classes = BTreeMap::new();
+    for out in runs {
+        if let Err(e) = &out.result {
+            let class = match e {
+                RunError::PilotsDrained { .. } => "drained",
+                RunError::ResourceLost { .. } => "lost",
+                RunError::DeadlineExceeded { .. } => "deadline",
+                _ => "other",
+            };
+            *classes.entry(class.to_string()).or_insert(0) += 1;
+        }
+    }
+    classes
+}
+
 /// Fault sweep: failure rate on the x-axis, measuring what self-healing
 /// costs and what it saves. Each rate drives both the per-unit fault
 /// chance and the expected random-outage count per resource; every
 /// schedule is replayed three ways — oracle recovery (reacts at the
-/// injection instant, PR 1 behavior), detection-driven recovery (reacts
-/// only to missed heartbeats and tripped breakers), and no recovery.
-/// Emits the markdown table plus a JSON block for downstream plotting.
-/// With `--fail-on-error`, any failed run in a healing arm (oracle or
-/// detect) exits non-zero — the chaos-smoke CI gate.
-/// Coarse failure class for sweep error tallies.
-fn error_class(e: &aimes::middleware::RunError) -> &'static str {
-    match e {
-        aimes::middleware::RunError::PilotsDrained { .. } => "drained",
-        aimes::middleware::RunError::ResourceLost { .. } => "lost",
-        aimes::middleware::RunError::DeadlineExceeded { .. } => "deadline",
-        _ => "other",
-    }
-}
-
-/// The one per-run failure line every sweep prints, with the same
-/// `arm=.. rep=.. seed=..` keys the manifest's failure records carry —
-/// stderr and `campaign.jsonl` always agree on what failed and why.
-fn report_arm_failure(sweep: &str, arm: &str, rep: usize, seed: u64, err: &str) {
-    eprintln!("{sweep} arm failed: arm={arm} rep={rep} seed={seed}: {err}");
-}
-
-/// The shared `--fail-on-error` exit for every sweep.
-fn exit_fail_on_error(sweep: &str, failures: usize) -> ! {
-    eprintln!("{failures} {sweep} run(s) failed under --fail-on-error");
-    std::process::exit(1);
-}
-
-/// Campaign observability for one sweep: the `campaign.jsonl` recorder
-/// (when `--campaign-out`), the live progress line (when `--progress`),
-/// and the merged engine profile (when `--profile-out`). All default
-/// off, so sweep output at defaults is untouched by this layer.
-struct Observatory {
-    recorder: Option<aimes::campaign::CampaignRecorder>,
-    sender: Option<aimes::campaign::CampaignSender>,
-    progress: Option<aimes::campaign::Progress>,
-    timing: bool,
-    /// Per-run profile collection point, merged in job order at close.
-    profile: Option<(std::path::PathBuf, ProfileAccumulator)>,
-    command: String,
-    seed: u64,
-    alloc_before: heap::AllocSnapshot,
-    wall_started: std::time::Instant,
-}
-
-impl Observatory {
-    /// Open the manifest (writing its meta line) and reset the pool's
-    /// accounting so a timing-mode pool record covers exactly this sweep.
-    fn open(opts: &Options, command: &str, total_jobs: usize) -> Observatory {
-        let recorder = opts.campaign_out.as_ref().map(|path| {
-            aimes::campaign::CampaignRecorder::create(
-                path,
-                &aimes::campaign::CampaignMeta::new(command, opts.seed, total_jobs as u64),
-                opts.campaign_timing,
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("cannot create campaign manifest {}: {e}", path.display());
-                std::process::exit(2);
-            })
-        });
-        if recorder.is_some() {
-            rayon::reset_pool_stats();
-        }
-        let sender = recorder.as_ref().map(|r| r.sender());
-        let progress = opts
-            .progress
-            .then(|| aimes::campaign::Progress::new(total_jobs as u64));
-        let profile = opts
-            .profile_out
-            .as_ref()
-            .map(|path| (path.clone(), ProfileAccumulator::new()));
-        Observatory {
-            recorder,
-            sender,
-            progress,
-            timing: opts.campaign_timing,
-            profile,
-            command: command.to_string(),
-            seed: opts.seed,
-            alloc_before: heap::snapshot(),
-            wall_started: std::time::Instant::now(),
-        }
-    }
-
-    /// The borrows the worker closures capture. When profiling is on,
-    /// each worker makes a fresh per-run [`Profiler`] (the handle is
-    /// `!Send`) and records its report into the accumulator by job index.
-    fn handles(
-        &self,
-    ) -> (
-        Option<&aimes::campaign::CampaignSender>,
-        Option<&aimes::campaign::Progress>,
-        Option<&ProfileAccumulator>,
-    ) {
-        (
-            self.sender.as_ref(),
-            self.progress.as_ref(),
-            self.profile.as_ref().map(|(_, acc)| acc),
-        )
-    }
-
-    /// Finish the progress line, canonicalize the manifest (in timing
-    /// mode the pool's accounting goes in as the final record), and write
-    /// the merged profile document.
-    fn close(self) {
-        if let Some(progress) = &self.progress {
-            progress.finish();
-        }
-        drop(self.sender);
-        if let Some(recorder) = self.recorder {
-            let pool = self
-                .timing
-                .then(|| aimes::campaign::PoolRecord::from_stats(&rayon::pool_stats()));
-            if let Err(e) = recorder.close(pool.as_ref()) {
-                eprintln!("cannot finalize campaign manifest: {e}");
-                std::process::exit(2);
-            }
-        }
-        let Some((path, acc)) = self.profile else {
-            return;
-        };
-        let merged = acc.merged();
-        // Host timing and allocator counters are volatile (worker-count
-        // and host dependent), so they are gated exactly like the
-        // manifest's wall-clock fields: only present in timing mode.
-        let timing = self.timing.then(|| {
-            let delta = heap::snapshot().since(&self.alloc_before);
-            let events = merged.engine.events_processed;
-            TimingInputs {
-                total_wall_secs: self.wall_started.elapsed().as_secs_f64(),
-                sequential: false,
-                run_walls: Vec::new(),
-                alloc: Some(AllocSection {
-                    allocs: delta.allocs,
-                    bytes_allocated: delta.bytes_allocated,
-                    peak_bytes: delta.peak_bytes,
-                    allocs_per_event: if events > 0 {
-                        delta.allocs as f64 / events as f64
-                    } else {
-                        0.0
-                    },
-                }),
-            }
-        });
-        let doc = ProfileDoc::build(&self.command, self.seed, acc.runs(), &merged, timing);
-        if let Err(e) = doc.validate() {
-            eprintln!("internal error: produced invalid profile doc: {e}");
-            std::process::exit(2);
-        }
-        let json = serde_json::to_string_pretty(&doc).expect("profile doc serializes");
-        if let Err(e) = std::fs::write(&path, format!("{json}\n")) {
-            eprintln!("cannot write profile doc {}: {e}", path.display());
-            std::process::exit(2);
-        }
-        eprintln!("wrote profile doc {}", path.display());
-    }
-}
-
+/// injection instant), detection-driven recovery (reacts only to missed
+/// heartbeats and tripped breakers), and no recovery. Emits the markdown
+/// table plus a JSON block for downstream plotting. With
+/// `--fail-on-error`, any failed run in a healing arm (oracle or detect)
+/// exits non-zero — the chaos-smoke CI gate.
 fn ablation_faults(opts: &Options) {
     use aimes_fault::{FaultSpec, RecoveryPolicy};
 
@@ -1064,7 +977,7 @@ fn ablation_faults(opts: &Options) {
         replacements: u64,
         replans: u64,
         false_suspicions: u64,
-        errors: std::collections::BTreeMap<String, usize>,
+        errors: BTreeMap<String, usize>,
     }
 
     println!("## Ablation — fault injection & self-healing (late binding, 2 pilots)\n");
@@ -1087,42 +1000,18 @@ fn ablation_faults(opts: &Options) {
     // and walltime underestimation is the walltime ablation's topic.
     strategy.walltime = aimes_strategy::WalltimePolicy::FixedSecs(6 * 3600);
 
-    let rates = [0.0, 0.05, 0.1, 0.2, 0.4];
-    let modes = ["oracle", "detect", "off"];
-
-    // Fan the whole (rate × mode × rep) cross product across the worker
-    // pool. Each run returns a plain Send value; aggregation and every
-    // print (stdout table, stderr failure lines) happen below in job
-    // order, so the sweep's output is byte-identical at any --jobs.
-    struct FaultsRun {
-        ttc: f64,
-        tr: f64,
-        td: f64,
-        wasted: f64,
-        restarts: u64,
-        replacements: u64,
-        replans: u64,
-        false_suspicions: u64,
-    }
-    let reps_n = opts.reps;
-    let jobs: Vec<(usize, f64, &str, usize)> = rates
-        .iter()
-        .flat_map(|&rate| {
-            modes
-                .into_iter()
-                .flat_map(move |mode| (0..reps_n).map(move |rep| (rate, mode, rep)))
-        })
-        .enumerate()
-        .map(|(job, (rate, mode, rep))| (job, rate, mode, rep))
+    let arms: Vec<(f64, &str)> = [0.0, 0.05, 0.1, 0.2, 0.4]
+        .into_iter()
+        .flat_map(|rate| ["oracle", "detect", "off"].map(|mode| (rate, mode)))
         .collect();
-    let obs = Observatory::open(opts, "ablation-faults", jobs.len());
-    let (sender, progress, profile) = obs.handles();
-    type FaultsOutcome = (u64, Result<FaultsRun, (&'static str, String)>);
-    let outcomes: Vec<FaultsOutcome> = jobs
-        .par_iter()
-        .map(|&(job, rate, mode, rep)| {
-            let started = sender.map_or(0.0, |s| s.elapsed_secs());
-            let t_build = std::time::Instant::now();
+    let (outcomes, healing_errors) = sweep(
+        opts,
+        "ablation-faults",
+        &arms,
+        // Only the healing arms must survive; the unhealed arm's failures
+        // are its result.
+        |&(_, mode)| mode != "off",
+        |&(rate, mode), rep| {
             // Outages are placed inside the first hour after submission —
             // the window the run actually occupies — so the rate axis
             // genuinely exercises pilot death, not just unit faults.
@@ -1145,142 +1034,69 @@ fn ablation_faults(opts: &Options) {
                 "detect" => Some(RecoveryPolicy::with_detection()),
                 _ => None,
             };
-            let profiler = profile.map(|_| Profiler::new());
-            let options = RunOptions {
-                seed,
-                submit_at,
-                faults: Some(faults),
-                recovery,
-                recorder_dump_dir: opts.dump_dir.clone(),
-                run_tag: Some(format!("faults-{rate}-{mode}-r{rep}")),
-                profiler: profiler.clone(),
-                ..Default::default()
-            };
-            let build_secs = t_build.elapsed().as_secs_f64();
-            let t_sim = std::time::Instant::now();
-            let outcome = run_application(&pool, &app, &strategy, &options);
-            let simulate_secs = t_sim.elapsed().as_secs_f64();
-            if let (Some(acc), Some(prof)) = (profile, &profiler) {
-                acc.record(job as u64, prof.report());
-            }
-            if let Some(sender) = sender {
-                sender.record_outcome(
-                    job as u64,
-                    "ablation-faults",
-                    &format!("{rate:.2}/{mode}"),
-                    rep as u64,
-                    n_tasks,
+            CampaignJob {
+                arm: format!("{rate:.2}/{mode}"),
+                resources: &pool,
+                app: &app,
+                strategy: &strategy,
+                options: RunOptions {
                     seed,
-                    &outcome,
-                    started,
-                    build_secs,
-                    simulate_secs,
-                );
+                    submit_at,
+                    faults: Some(faults),
+                    recovery,
+                    recorder_dump_dir: opts.dump_dir.clone(),
+                    run_tag: Some(format!("faults-{rate}-{mode}-r{rep}")),
+                    ..Default::default()
+                },
             }
-            if let Some(progress) = progress {
-                progress.tick(outcome.is_err());
-            }
-            let outcome = outcome
-                .map(|r| FaultsRun {
-                    ttc: r.breakdown.ttc.as_secs(),
-                    tr: r.breakdown.tr.as_secs(),
-                    td: r.breakdown.td.as_secs(),
-                    wasted: r.wasted_core_hours,
-                    restarts: r.restarts,
-                    replacements: r.replacements,
-                    replans: r.replans,
-                    false_suspicions: r.false_suspicions,
-                })
-                .map_err(|e| (error_class(&e), e.to_string()));
-            (seed, outcome)
-        })
-        .collect();
-    obs.close();
+        },
+        |r, _| r,
+    );
 
     let mut rows = Vec::new();
     let mut points: Vec<SweepPoint> = Vec::new();
-    let mut healing_errors = 0usize;
-    let mut outcome_iter = outcomes.into_iter();
-    for &rate in &rates {
-        for mode in modes {
-            let mut ttcs = Vec::new();
-            let mut trs = Vec::new();
-            let mut tds = Vec::new();
-            let mut wasted = Vec::new();
-            let mut restarts = 0u64;
-            let mut replacements = 0u64;
-            let mut replans = 0u64;
-            let mut false_suspicions = 0u64;
-            let mut errors: std::collections::BTreeMap<String, usize> =
-                std::collections::BTreeMap::new();
-            for rep in 0..opts.reps {
-                let (seed, out) = outcome_iter.next().expect("one outcome per job");
-                match out {
-                    Ok(r) => {
-                        ttcs.push(r.ttc);
-                        trs.push(r.tr);
-                        tds.push(r.td);
-                        wasted.push(r.wasted);
-                        restarts += r.restarts;
-                        replacements += r.replacements;
-                        replans += r.replans;
-                        false_suspicions += r.false_suspicions;
-                    }
-                    Err((class, e)) => {
-                        *errors.entry(class.to_string()).or_insert(0) += 1;
-                        if mode != "off" {
-                            healing_errors += 1;
-                            report_arm_failure(
-                                "ablation-faults",
-                                &format!("{rate:.2}/{mode}"),
-                                rep,
-                                seed,
-                                &e,
-                            );
-                        }
-                    }
-                }
-            }
-            let mean = |v: &[f64]| {
-                if v.is_empty() {
-                    0.0
-                } else {
-                    v.iter().sum::<f64>() / v.len() as f64
-                }
-            };
-            rows.push(vec![
-                format!("{rate:.2}"),
-                mode.to_string(),
-                format!("{}/{}", ttcs.len(), opts.reps),
-                if ttcs.is_empty() {
-                    "-".into()
-                } else {
-                    format!("{:.0}", mean(&ttcs))
-                },
-                format!("{:.0}", mean(&trs)),
-                format!("{:.0}", mean(&tds)),
-                format!("{:.2}", mean(&wasted)),
-                restarts.to_string(),
-                replacements.to_string(),
-                replans.to_string(),
-                false_suspicions.to_string(),
-            ]);
-            points.push(SweepPoint {
-                failure_rate: rate,
-                recovery: mode.to_string(),
-                reps: opts.reps,
-                completed: ttcs.len(),
-                ttc_mean_secs: mean(&ttcs),
-                tr_mean_secs: mean(&trs),
-                td_mean_secs: mean(&tds),
-                wasted_core_hours_mean: mean(&wasted),
-                restarts,
-                replacements,
-                replans,
-                false_suspicions,
-                errors,
-            });
-        }
+    for (&(rate, mode), runs) in arms.iter().zip(&outcomes) {
+        let done = completed(runs);
+        let ttc = mean_of(&done, |r| r.breakdown.ttc.as_secs());
+        let tr = mean_of(&done, |r| r.breakdown.tr.as_secs());
+        let td = mean_of(&done, |r| r.breakdown.td.as_secs());
+        let wasted = mean_of(&done, |r| r.wasted_core_hours);
+        let restarts: u64 = done.iter().map(|r| r.restarts).sum();
+        let replacements: u64 = done.iter().map(|r| r.replacements).sum();
+        let replans: u64 = done.iter().map(|r| r.replans).sum();
+        let false_suspicions: u64 = done.iter().map(|r| r.false_suspicions).sum();
+        rows.push(vec![
+            format!("{rate:.2}"),
+            mode.to_string(),
+            format!("{}/{}", done.len(), opts.reps),
+            if done.is_empty() {
+                "-".into()
+            } else {
+                format!("{ttc:.0}")
+            },
+            format!("{tr:.0}"),
+            format!("{td:.0}"),
+            format!("{wasted:.2}"),
+            restarts.to_string(),
+            replacements.to_string(),
+            replans.to_string(),
+            false_suspicions.to_string(),
+        ]);
+        points.push(SweepPoint {
+            failure_rate: rate,
+            recovery: mode.to_string(),
+            reps: opts.reps,
+            completed: done.len(),
+            ttc_mean_secs: ttc,
+            tr_mean_secs: tr,
+            td_mean_secs: td,
+            wasted_core_hours_mean: wasted,
+            restarts,
+            replacements,
+            replans,
+            false_suspicions,
+            errors: error_classes(runs),
+        });
     }
     println!(
         "{}",
@@ -1305,9 +1121,7 @@ fn ablation_faults(opts: &Options) {
         "\n### JSON\n```json\n{}\n```",
         serde_json::to_string_pretty(&points).expect("sweep points serialize")
     );
-    if opts.fail_on_error && healing_errors > 0 {
-        exit_fail_on_error("ablation-faults healing-arm", healing_errors);
-    }
+    exit_on_failures(opts, "ablation-faults healing-arm", healing_errors);
 }
 
 /// Correlated-failure ablation: a two-domain pool where a permanent
@@ -1337,7 +1151,7 @@ fn ablation_cascade(opts: &Options) {
         evacuations: u64,
         checkpoints: u64,
         resumes: u64,
-        errors: std::collections::BTreeMap<String, usize>,
+        errors: BTreeMap<String, usize>,
     }
 
     println!("## Ablation — correlated-failure domains: evacuation & checkpointed salvage\n");
@@ -1388,36 +1202,13 @@ fn ablation_cascade(opts: &Options) {
         ..FaultSpec::none()
     };
 
-    // One (arm × rep) run on the pool. The journal Rc and the analytics
-    // reconstruction both live inside the closure; only plain Send data
-    // crosses back. Aggregation and printing run sequentially in job
-    // order, so output is byte-identical at any --jobs.
-    struct CascadeRun {
-        ttc: f64,
-        wasted: f64,
-        salvaged: f64,
-        lead: Option<f64>,
-        domain_alarms: u64,
-        evacuations: u64,
-        checkpoints: u64,
-        resumes: u64,
-    }
     let arms = ["reactive", "evacuate", "evac+ckpt"];
-    let reps_n = opts.reps;
-    let jobs: Vec<(usize, &str, usize)> = arms
-        .iter()
-        .flat_map(|&arm| (0..reps_n).map(move |rep| (arm, rep)))
-        .enumerate()
-        .map(|(job, (arm, rep))| (job, arm, rep))
-        .collect();
-    let obs = Observatory::open(opts, "ablation-cascade", jobs.len());
-    let (sender, progress, profile) = obs.handles();
-    type CascadeOutcome = (u64, Result<CascadeRun, (&'static str, String)>);
-    let outcomes: Vec<CascadeOutcome> = jobs
-        .par_iter()
-        .map(|&(job, arm, rep)| {
-            let started = sender.map_or(0.0, |s| s.elapsed_secs());
-            let t_build = std::time::Instant::now();
+    let (outcomes, arm_errors) = sweep(
+        opts,
+        "ablation-cascade",
+        &arms,
+        |_| true,
+        |&arm, rep| {
             // Same seed across all three arms: identical cascade
             // schedules, the only difference is how the run survives.
             let seed = SimRng::new(opts.seed)
@@ -1432,122 +1223,65 @@ fn ablation_cascade(opts: &Options) {
             if arm == "evac+ckpt" {
                 recovery.checkpoint_interval = aimes_sim::SimDuration::from_secs(120.0);
             }
-            let journal =
-                std::rc::Rc::new(std::cell::RefCell::new(aimes::journal::RunJournal::new()));
-            let profiler = profile.map(|_| Profiler::new());
-            let options = RunOptions {
-                seed,
-                submit_at,
-                faults: Some(faults.clone()),
-                recovery: Some(recovery),
-                journal: Some(journal.clone()),
-                recorder_dump_dir: opts.dump_dir.clone(),
-                run_tag: Some(format!("cascade-{arm}-r{rep}")),
-                profiler: profiler.clone(),
-                ..Default::default()
-            };
-            let build_secs = t_build.elapsed().as_secs_f64();
-            let t_sim = std::time::Instant::now();
-            let outcome = run_application(&pool, &app, &strategy, &options);
-            let simulate_secs = t_sim.elapsed().as_secs_f64();
-            if let (Some(acc), Some(prof)) = (profile, &profiler) {
-                acc.record(job as u64, prof.report());
-            }
-            if let Some(sender) = sender {
-                sender.record_outcome(
-                    job as u64,
-                    "ablation-cascade",
-                    arm,
-                    rep as u64,
-                    n_tasks,
+            CampaignJob {
+                arm: arm.to_string(),
+                resources: &pool,
+                app: &app,
+                strategy: &strategy,
+                options: RunOptions {
                     seed,
-                    &outcome,
-                    started,
-                    build_secs,
-                    simulate_secs,
-                );
+                    submit_at,
+                    faults: Some(faults.clone()),
+                    recovery: Some(recovery),
+                    journal: Some(Default::default()),
+                    recorder_dump_dir: opts.dump_dir.clone(),
+                    run_tag: Some(format!("cascade-{arm}-r{rep}")),
+                    ..Default::default()
+                },
             }
-            if let Some(progress) = progress {
-                progress.tick(outcome.is_err());
-            }
-            let outcome = outcome
-                .map(|r| {
-                    // The lead time comes from the journal via analytics,
-                    // cross-checking the simulator's own counters.
-                    let tl = aimes_analytics::timeline::reconstruct(&journal.borrow())
-                        .expect("completed runs leave a well-formed journal");
-                    CascadeRun {
-                        ttc: r.breakdown.ttc.as_secs(),
-                        wasted: r.wasted_core_hours,
-                        salvaged: r.salvaged_core_hours,
-                        lead: tl.evacuation_lead_secs,
-                        domain_alarms: tl.domain_alarms as u64,
-                        evacuations: tl.evacuations as u64,
-                        checkpoints: tl.checkpoints as u64,
-                        resumes: tl.resumes as u64,
-                    }
-                })
-                .map_err(|e| (error_class(&e), e.to_string()));
-            (seed, outcome)
-        })
-        .collect();
-    obs.close();
+        },
+        // The journal stays on its worker; its analytics reconstruction
+        // crosses back, cross-checking the simulator's own counters.
+        |r, options| {
+            let journal = options
+                .journal
+                .as_ref()
+                .expect("cascade runs keep a journal");
+            let tl = aimes_analytics::timeline::reconstruct(&journal.borrow())
+                .expect("completed runs leave a well-formed journal");
+            (r, tl)
+        },
+    );
 
     let mut rows = Vec::new();
     let mut points: Vec<SweepPoint> = Vec::new();
-    let mut arm_errors = 0usize;
-    let mut outcome_iter = outcomes.into_iter();
-    for arm in arms {
-        let mut ttcs = Vec::new();
-        let mut wasted = Vec::new();
-        let mut salvaged = Vec::new();
-        let mut leads = Vec::new();
-        let mut domain_alarms = 0u64;
-        let mut evacuations = 0u64;
-        let mut checkpoints = 0u64;
-        let mut resumes = 0u64;
-        let mut errors: std::collections::BTreeMap<String, usize> =
-            std::collections::BTreeMap::new();
-        for rep in 0..opts.reps {
-            let (seed, out) = outcome_iter.next().expect("one outcome per job");
-            match out {
-                Ok(r) => {
-                    ttcs.push(r.ttc);
-                    wasted.push(r.wasted);
-                    salvaged.push(r.salvaged);
-                    if let Some(lead) = r.lead {
-                        leads.push(lead);
-                    }
-                    domain_alarms += r.domain_alarms;
-                    evacuations += r.evacuations;
-                    checkpoints += r.checkpoints;
-                    resumes += r.resumes;
-                }
-                Err((class, e)) => {
-                    *errors.entry(class.to_string()).or_insert(0) += 1;
-                    arm_errors += 1;
-                    report_arm_failure("ablation-cascade", arm, rep, seed, &e);
-                }
-            }
-        }
-        let mean = |v: &[f64]| {
-            if v.is_empty() {
-                0.0
-            } else {
-                v.iter().sum::<f64>() / v.len() as f64
-            }
-        };
+    for (arm, runs) in arms.iter().zip(&outcomes) {
+        let done = completed(runs);
+        let ttc = mean_of(&done, |(r, _)| r.breakdown.ttc.as_secs());
+        let wasted = mean_of(&done, |(r, _)| r.wasted_core_hours);
+        let salvaged = mean_of(&done, |(r, _)| r.salvaged_core_hours);
+        let leads: Vec<f64> = done
+            .iter()
+            .filter_map(|(_, tl)| tl.evacuation_lead_secs)
+            .collect();
         let lead_mean = (!leads.is_empty()).then(|| mean(&leads));
+        let count = |f: fn(&aimes_analytics::timeline::SessionTimelines) -> u32| -> u64 {
+            done.iter().map(|(_, tl)| u64::from(f(tl))).sum()
+        };
+        let domain_alarms = count(|tl| tl.domain_alarms);
+        let evacuations = count(|tl| tl.evacuations);
+        let checkpoints = count(|tl| tl.checkpoints);
+        let resumes = count(|tl| tl.resumes);
         rows.push(vec![
             arm.to_string(),
-            format!("{}/{}", ttcs.len(), opts.reps),
-            if ttcs.is_empty() {
+            format!("{}/{}", done.len(), opts.reps),
+            if done.is_empty() {
                 "-".into()
             } else {
-                format!("{:.0}", mean(&ttcs))
+                format!("{ttc:.0}")
             },
-            format!("{:.2}", mean(&wasted)),
-            format!("{:.2}", mean(&salvaged)),
+            format!("{wasted:.2}"),
+            format!("{salvaged:.2}"),
             lead_mean.map_or("-".into(), |l| format!("{l:.0}")),
             domain_alarms.to_string(),
             evacuations.to_string(),
@@ -1557,16 +1291,16 @@ fn ablation_cascade(opts: &Options) {
         points.push(SweepPoint {
             arm: arm.to_string(),
             reps: opts.reps,
-            completed: ttcs.len(),
-            ttc_mean_secs: mean(&ttcs),
-            wasted_core_hours_mean: mean(&wasted),
-            salvaged_core_hours_mean: mean(&salvaged),
+            completed: done.len(),
+            ttc_mean_secs: ttc,
+            wasted_core_hours_mean: wasted,
+            salvaged_core_hours_mean: salvaged,
             evacuation_lead_mean_secs: lead_mean,
             domain_alarms,
             evacuations,
             checkpoints,
             resumes,
-            errors,
+            errors: error_classes(runs),
         });
     }
     println!(
@@ -1591,9 +1325,7 @@ fn ablation_cascade(opts: &Options) {
         "\n### JSON\n```json\n{}\n```",
         serde_json::to_string_pretty(&points).expect("sweep points serialize")
     );
-    if opts.fail_on_error && arm_errors > 0 {
-        exit_fail_on_error("ablation-cascade", arm_errors);
-    }
+    exit_on_failures(opts, "ablation-cascade", arm_errors);
 }
 
 /// Information-degradation ablation: the same workload executed under
@@ -1621,7 +1353,7 @@ fn ablation_info(opts: &Options) {
         ttc_max_secs: f64,
         info_fallbacks: u64,
         stale_decision_secs: f64,
-        counters: std::collections::BTreeMap<String, u64>,
+        counters: BTreeMap<String, u64>,
     }
 
     println!("## Ablation — degraded-information execution (late binding, 3 pilots)\n");
@@ -1634,6 +1366,7 @@ fn ablation_info(opts: &Options) {
         0.002,
     );
     let strategy = paper::late_strategy(3);
+    let testbed = paper::testbed();
     let streaming = InfoConfig {
         base_refresh_secs: 300.0,
         ..InfoConfig::default()
@@ -1668,30 +1401,12 @@ fn ablation_info(opts: &Options) {
         ("blackout", streaming, Some(blackout_faults)),
     ];
 
-    // One (arm × rep) run on the pool; each run builds its own Telemetry
-    // inside the closure and hands back only the `bundle.info.*` counter
-    // slice. Aggregation and printing stay sequential in job order, so
-    // output is byte-identical at any --jobs.
-    struct InfoRun {
-        ttc: f64,
-        info_fallbacks: u64,
-        stale_secs: f64,
-        counters: Vec<(String, u64)>,
-    }
-    let reps_n = opts.reps;
-    let jobs: Vec<(usize, usize, usize)> = (0..arms.len())
-        .flat_map(|ai| (0..reps_n).map(move |rep| (ai, rep)))
-        .enumerate()
-        .map(|(job, (ai, rep))| (job, ai, rep))
-        .collect();
-    let obs = Observatory::open(opts, "ablation-info", jobs.len());
-    let (sender, progress, profile) = obs.handles();
-    let outcomes: Vec<(u64, Result<InfoRun, String>)> = jobs
-        .par_iter()
-        .map(|&(job, ai, rep)| {
-            let started = sender.map_or(0.0, |s| s.elapsed_secs());
-            let t_build = std::time::Instant::now();
-            let (arm, info, faults) = &arms[ai];
+    let (outcomes, failures) = sweep(
+        opts,
+        "ablation-info",
+        &arms,
+        |_| true,
+        |(arm, info, faults), rep| {
             // Same seed across arms: identical workload, background load,
             // and submission instant — only the information regime moves.
             let seed = SimRng::new(opts.seed)
@@ -1699,90 +1414,43 @@ fn ablation_info(opts: &Options) {
                 .root_seed();
             let mut rng = SimRng::new(seed).fork("submit");
             let submit_at = SimTime::from_secs(rng.uniform(4.0, 16.0) * 3600.0);
-            let telemetry = Telemetry::new();
-            let profiler = profile.map(|_| Profiler::new());
-            let options = RunOptions {
-                seed,
-                submit_at,
-                faults: faults.clone(),
-                info: info.clone(),
-                telemetry: Some(telemetry.clone()),
-                recorder_dump_dir: opts.dump_dir.clone(),
-                run_tag: Some(format!("info-{arm}-r{rep}")),
-                profiler: profiler.clone(),
-                ..Default::default()
-            };
-            let testbed = paper::testbed();
-            let build_secs = t_build.elapsed().as_secs_f64();
-            let t_sim = std::time::Instant::now();
-            let outcome = run_application(&testbed, &app, &strategy, &options);
-            let simulate_secs = t_sim.elapsed().as_secs_f64();
-            if let (Some(acc), Some(prof)) = (profile, &profiler) {
-                acc.record(job as u64, prof.report());
-            }
-            if let Some(sender) = sender {
-                sender.record_outcome(
-                    job as u64,
-                    "ablation-info",
-                    arm,
-                    rep as u64,
-                    n_tasks,
+            CampaignJob {
+                arm: arm.to_string(),
+                resources: &testbed,
+                app: &app,
+                strategy: &strategy,
+                options: RunOptions {
                     seed,
-                    &outcome,
-                    started,
-                    build_secs,
-                    simulate_secs,
-                );
+                    submit_at,
+                    faults: faults.clone(),
+                    info: info.clone(),
+                    // Each run's own registry; the `bundle.info.*`
+                    // counters come back in `RunResult::metrics`.
+                    telemetry: Some(Telemetry::new()),
+                    recorder_dump_dir: opts.dump_dir.clone(),
+                    run_tag: Some(format!("info-{arm}-r{rep}")),
+                    ..Default::default()
+                },
             }
-            if let Some(progress) = progress {
-                progress.tick(outcome.is_err());
-            }
-            let outcome = outcome
-                .map(|r| InfoRun {
-                    ttc: r.breakdown.ttc.as_secs(),
-                    info_fallbacks: r.info_fallbacks,
-                    stale_secs: r.stale_decision_secs,
-                    counters: r
-                        .metrics
-                        .iter()
-                        .flat_map(|summary| summary.counters.iter())
-                        .filter_map(|(name, v)| {
-                            name.strip_prefix("bundle.info.")
-                                .map(|short| (short.to_string(), *v))
-                        })
-                        .collect(),
-                })
-                .map_err(|e| e.to_string());
-            (seed, outcome)
-        })
-        .collect();
-    obs.close();
+        },
+        |r, _| r,
+    );
 
     let mut rows = Vec::new();
     let mut points = Vec::new();
-    let mut failures = 0usize;
-    let mut outcome_iter = outcomes.into_iter();
-    for (arm, _, _) in &arms {
-        let mut ttcs = Vec::new();
-        let mut info_fallbacks = 0u64;
-        let mut stale_secs = 0.0f64;
-        let mut counters: std::collections::BTreeMap<String, u64> =
-            std::collections::BTreeMap::new();
-        for rep in 0..opts.reps {
-            let (seed, out) = outcome_iter.next().expect("one outcome per job");
-            match out {
-                Ok(r) => {
-                    ttcs.push(r.ttc);
-                    info_fallbacks += r.info_fallbacks;
-                    stale_secs += r.stale_secs;
-                    for (short, v) in r.counters {
-                        *counters.entry(short).or_insert(0) += v;
-                    }
-                }
-                Err(e) => {
-                    failures += 1;
-                    report_arm_failure("ablation-info", arm, rep, seed, &e);
-                }
+    for ((arm, _, _), runs) in arms.iter().zip(&outcomes) {
+        let done = completed(runs);
+        let ttcs: Vec<f64> = done.iter().map(|r| r.breakdown.ttc.as_secs()).collect();
+        let info_fallbacks: u64 = done.iter().map(|r| r.info_fallbacks).sum();
+        let stale_secs = done.iter().fold(0.0, |acc, r| acc + r.stale_decision_secs);
+        let mut counters: BTreeMap<String, u64> = BTreeMap::new();
+        for (name, v) in done
+            .iter()
+            .flat_map(|r| r.metrics.iter())
+            .flat_map(|summary| summary.counters.iter())
+        {
+            if let Some(short) = name.strip_prefix("bundle.info.") {
+                *counters.entry(short.to_string()).or_insert(0) += v;
             }
         }
         let (mean, max) = match Summary::of(&ttcs) {
@@ -1792,7 +1460,7 @@ fn ablation_info(opts: &Options) {
         let c = |k: &str| counters.get(k).copied().unwrap_or(0);
         rows.push(vec![
             arm.to_string(),
-            format!("{}/{}", ttcs.len(), opts.reps),
+            format!("{}/{}", done.len(), opts.reps),
             format!("{mean:.0}"),
             format!("{max:.0}"),
             c("fresh").to_string(),
@@ -1807,7 +1475,7 @@ fn ablation_info(opts: &Options) {
         points.push(InfoPoint {
             arm: arm.to_string(),
             reps: opts.reps,
-            completed: ttcs.len(),
+            completed: done.len(),
             ttc_mean_secs: mean,
             ttc_max_secs: max,
             info_fallbacks,
@@ -1844,17 +1512,17 @@ fn ablation_info(opts: &Options) {
          the fallback ladder (stale cache, predictor, static floor) and \
          slows selection down, but never panics or loses work."
     );
-    if opts.fail_on_error && failures > 0 {
-        exit_fail_on_error("ablation-info", failures);
-    }
+    exit_on_failures(opts, "ablation-info", failures);
 }
 
 /// Detection-latency ablation: how the failure detector's tuning trades
 /// detection delay Td against false positives and end-to-end TTC, scored
-/// against the PR 1 oracle that reacts at the injection instant. The
-/// scenario is pinned — a permanent outage takes down the only selected
-/// resource shortly after the pilots start — so every arm recovers from
-/// the same loss and differs only in how long it takes to notice.
+/// against the oracle that reacts at the injection instant. The scenario
+/// is pinned — a permanent outage takes down the only selected resource
+/// shortly after the pilots start — so every arm recovers from the same
+/// loss and differs only in how long it takes to notice. Failed runs
+/// don't count toward the table means; with `--fail-on-error` any failed
+/// run exits non-zero.
 fn ablation_detection(opts: &Options) {
     use aimes_fault::{DetectionSpec, FaultSpec, OutageKind, OutageSpec, PhiSpec, RecoveryPolicy};
 
@@ -1910,33 +1578,12 @@ fn ablation_detection(opts: &Options) {
         ),
     ];
 
-    // One (detector-config × rep) run on the pool. Failed runs don't
-    // count toward the table means, but — unlike the pre-observatory
-    // version that swallowed them — they now print the shared failure
-    // line and land in the campaign manifest. Aggregation in job order
-    // keeps the output byte-identical at any --jobs.
-    struct DetectionRun {
-        ttc: f64,
-        tr: f64,
-        td: f64,
-        mean_td: f64,
-        replans: u64,
-        false_suspicions: u64,
-    }
-    let reps_n = opts.reps;
-    let jobs: Vec<(usize, usize, usize)> = (0..configs.len())
-        .flat_map(|ci| (0..reps_n).map(move |rep| (ci, rep)))
-        .enumerate()
-        .map(|(job, (ci, rep))| (job, ci, rep))
-        .collect();
-    let obs = Observatory::open(opts, "ablation-detection", jobs.len());
-    let (sender, progress, profile) = obs.handles();
-    let outcomes: Vec<(u64, Result<DetectionRun, String>)> = jobs
-        .par_iter()
-        .map(|&(job, ci, rep)| {
-            let started = sender.map_or(0.0, |s| s.elapsed_secs());
-            let t_build = std::time::Instant::now();
-            let (label, det) = &configs[ci];
+    let (outcomes, failures) = sweep(
+        opts,
+        "ablation-detection",
+        &configs,
+        |_| true,
+        |(label, det), rep| {
             let recovery = RecoveryPolicy {
                 detection: det.clone(),
                 ..RecoveryPolicy::default()
@@ -1948,96 +1595,40 @@ fn ablation_detection(opts: &Options) {
                 .root_seed();
             let mut rng = SimRng::new(seed).fork("submit");
             let submit_at = SimTime::from_secs(rng.uniform(4.0, 16.0) * 3600.0);
-            let profiler = profile.map(|_| Profiler::new());
-            let options = RunOptions {
-                seed,
-                submit_at,
-                faults: Some(faults.clone()),
-                recovery: Some(recovery),
-                run_tag: Some(format!("detection-{label}-r{rep}")),
-                profiler: profiler.clone(),
-                ..Default::default()
-            };
-            let build_secs = t_build.elapsed().as_secs_f64();
-            let t_sim = std::time::Instant::now();
-            let outcome = run_application(&pool, &app, &strategy, &options);
-            let simulate_secs = t_sim.elapsed().as_secs_f64();
-            if let (Some(acc), Some(prof)) = (profile, &profiler) {
-                acc.record(job as u64, prof.report());
-            }
-            if let Some(sender) = sender {
-                sender.record_outcome(
-                    job as u64,
-                    "ablation-detection",
-                    label,
-                    rep as u64,
-                    n_tasks,
+            CampaignJob {
+                arm: label.to_string(),
+                resources: &pool,
+                app: &app,
+                strategy: &strategy,
+                options: RunOptions {
                     seed,
-                    &outcome,
-                    started,
-                    build_secs,
-                    simulate_secs,
-                );
+                    submit_at,
+                    faults: Some(faults.clone()),
+                    recovery: Some(recovery),
+                    recorder_dump_dir: opts.dump_dir.clone(),
+                    run_tag: Some(format!("detection-{label}-r{rep}")),
+                    ..Default::default()
+                },
             }
-            if let Some(progress) = progress {
-                progress.tick(outcome.is_err());
-            }
-            let outcome = outcome
-                .map(|r| DetectionRun {
-                    ttc: r.breakdown.ttc.as_secs(),
-                    tr: r.breakdown.tr.as_secs(),
-                    td: r.breakdown.td.as_secs(),
-                    mean_td: r.mean_detection_secs,
-                    replans: r.replans,
-                    false_suspicions: r.false_suspicions,
-                })
-                .map_err(|e| e.to_string());
-            (seed, outcome)
-        })
-        .collect();
-    obs.close();
+        },
+        |r, _| r,
+    );
 
     let mut rows = Vec::new();
-    let mut outcome_iter = outcomes.into_iter();
-    for (label, _) in &configs {
-        let mut ttcs = Vec::new();
-        let mut trs = Vec::new();
-        let mut tds = Vec::new();
-        let mut mean_tds = Vec::new();
-        let mut replans = 0u64;
-        let mut false_suspicions = 0u64;
-        let mut completed = 0usize;
-        for rep in 0..opts.reps {
-            let (seed, out) = outcome_iter.next().expect("one outcome per job");
-            match out {
-                Ok(r) => {
-                    completed += 1;
-                    ttcs.push(r.ttc);
-                    trs.push(r.tr);
-                    tds.push(r.td);
-                    mean_tds.push(r.mean_td);
-                    replans += r.replans;
-                    false_suspicions += r.false_suspicions;
-                }
-                Err(e) => report_arm_failure("ablation-detection", label, rep, seed, &e),
-            }
-        }
-        let mean = |v: &[f64]| {
-            if v.is_empty() {
-                0.0
-            } else {
-                v.iter().sum::<f64>() / v.len() as f64
-            }
-        };
+    for ((label, _), runs) in configs.iter().zip(&outcomes) {
+        let done = completed(runs);
         rows.push(vec![
             label.to_string(),
-            format!("{completed}/{}", opts.reps),
-            format!("{:.0}", mean(&ttcs)),
-            format!("{:.0}", mean(&trs)),
-            format!("{:.0}", mean(&tds)),
-            format!("{:.0}", mean(&mean_tds)),
-            replans.to_string(),
-            false_suspicions.to_string(),
+            format!("{}/{}", done.len(), opts.reps),
+            format!("{:.0}", mean_of(&done, |r| r.breakdown.ttc.as_secs())),
+            format!("{:.0}", mean_of(&done, |r| r.breakdown.tr.as_secs())),
+            format!("{:.0}", mean_of(&done, |r| r.breakdown.td.as_secs())),
+            format!("{:.0}", mean_of(&done, |r| r.mean_detection_secs)),
+            done.iter().map(|r| r.replans).sum::<u64>().to_string(),
+            done.iter()
+                .map(|r| r.false_suspicions)
+                .sum::<u64>()
+                .to_string(),
         ]);
     }
     println!(
@@ -2061,6 +1652,7 @@ fn ablation_detection(opts: &Options) {
          detector row pays a Td set by its heartbeat period and declare \
          timeout before the same re-planning path runs."
     );
+    exit_on_failures(opts, "ablation-detection", failures);
 }
 
 /// Predictor evaluation: the Bundle's predictive machinery (QBETS-style
@@ -2591,7 +2183,7 @@ fn profile_cmd(opts: &Options) {
         alloc.allocs_per_event
     );
     let json = serde_json::to_string_pretty(&doc).expect("profile doc serializes");
-    match opts.profile_out.as_ref().or(opts.out.as_ref()) {
+    match opts.campaign.profile_out.as_ref().or(opts.out.as_ref()) {
         Some(path) => {
             if let Err(e) = std::fs::write(path, format!("{json}\n")) {
                 eprintln!("cannot write profile doc {}: {e}", path.display());
@@ -2690,12 +2282,3 @@ fn main() {
         }
     }
 }
-
-// The paper-sizes helper is exercised by `fig2` by default; keep the
-// import used in all configurations.
-#[allow(unused_imports)]
-use paper_task_counts as _paper_sizes;
-#[allow(unused_imports)]
-use ExecutionStrategy as _Strategy;
-#[allow(unused_imports)]
-use TaskDurationSpec as _Spec;

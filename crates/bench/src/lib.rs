@@ -17,6 +17,8 @@ pub fn quick_sizes() -> Vec<u32> {
     vec![8, 64, 512]
 }
 
+pub mod observatory;
+
 pub mod alloc {
     //! Opt-in heap accounting: a counting [`GlobalAlloc`] shim.
     //!

@@ -2,6 +2,8 @@
 //! end: same command at `--jobs 1` and `--jobs 4` ⇒ byte-identical stdout
 //! (tables + JSON blocks) and stderr (failure lines), and — when a
 //! campaign manifest is requested — a byte-identical `campaign.jsonl`.
+//! Every sweep's outputs are also pinned by digest, so a change to the
+//! shared sweep plumbing cannot move them unnoticed.
 //! This drives the real CLI, so it covers flag parsing, pool
 //! configuration, the fanned-out run loop, the order-sensitive
 //! aggregation/printing path, and the manifest canonicalization.
@@ -42,24 +44,134 @@ fn assert_no_progress_output(command: &str, stderr: &str) {
     );
 }
 
+/// Same sweep at `--jobs 1` and `--jobs 4`: byte-identical stdout and
+/// stderr, `sanity` rendered, and no progress output at defaults.
+fn assert_jobs_invariant(command: &str, sanity: &str) {
+    let (out1, err1) = run_sweep(command, "1");
+    let (out4, err4) = run_sweep(command, "4");
+    assert!(
+        out1.contains(sanity),
+        "{command}: sanity: {sanity:?} rendered"
+    );
+    assert_eq!(
+        out1, out4,
+        "{command}: stdout diverged between --jobs 1 and 4"
+    );
+    assert_eq!(
+        err1, err4,
+        "{command}: stderr diverged between --jobs 1 and 4"
+    );
+    assert_no_progress_output(command, &err1);
+}
+
 #[test]
 fn ablation_detection_output_is_byte_identical_across_jobs() {
-    let (out1, err1) = run_sweep("ablation-detection", "1");
-    let (out4, err4) = run_sweep("ablation-detection", "4");
-    assert!(out1.contains("| Detector"), "sanity: table rendered");
-    assert_eq!(out1, out4, "stdout diverged between --jobs 1 and 4");
-    assert_eq!(err1, err4, "stderr diverged between --jobs 1 and 4");
-    assert_no_progress_output("ablation-detection", &err1);
+    assert_jobs_invariant("ablation-detection", "| Detector");
 }
 
 #[test]
 fn ablation_cascade_output_is_byte_identical_across_jobs() {
-    let (out1, err1) = run_sweep("ablation-cascade", "1");
-    let (out4, err4) = run_sweep("ablation-cascade", "4");
-    assert!(out1.contains("### JSON"), "sanity: JSON block rendered");
-    assert_eq!(out1, out4, "stdout diverged between --jobs 1 and 4");
-    assert_eq!(err1, err4, "stderr diverged between --jobs 1 and 4");
-    assert_no_progress_output("ablation-cascade", &err1);
+    assert_jobs_invariant("ablation-cascade", "### JSON");
+}
+
+#[test]
+fn ablation_faults_output_is_byte_identical_across_jobs() {
+    assert_jobs_invariant("ablation-faults", "### JSON");
+}
+
+#[test]
+fn ablation_info_output_is_byte_identical_across_jobs() {
+    assert_jobs_invariant("ablation-info", "### JSON");
+}
+
+/// FNV-1a 64 over arbitrary bytes (the digest the golden-journal suite
+/// uses).
+fn fnv(bytes: &[u8]) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("{h:016x}")
+}
+
+/// Digests of each sweep's stdout, stderr (both at default flags), its
+/// `--campaign-out` manifest and its `--profile-out` document at
+/// `--quick --reps 2 --seed 42`, captured before the four sweeps shared
+/// one campaign driver. A refactor of the sweep plumbing must leave
+/// every one of them unchanged; a deliberate output change re-pins them
+/// and says why.
+const PARENT_DIGESTS: [(&str, [&str; 4]); 4] = [
+    (
+        "ablation-faults",
+        [
+            "04d2120e942adb18",
+            "cbf29ce484222325",
+            "f79ec488eaa74a46",
+            "b04b7596390d54ef",
+        ],
+    ),
+    (
+        "ablation-detection",
+        [
+            "11fb8eb031c9229d",
+            "cbf29ce484222325",
+            "409e2023a45c02ba",
+            "d5d1054600a69697",
+        ],
+    ),
+    (
+        "ablation-info",
+        [
+            "5321ff7cdec4d547",
+            "cbf29ce484222325",
+            "7b52bf186f0cd376",
+            "50a42a5cf5f23884",
+        ],
+    ),
+    (
+        "ablation-cascade",
+        [
+            "a07c662629dacda1",
+            "cbf29ce484222325",
+            "35fc560a85d69ebf",
+            "45c5c377bd3f4de3",
+        ],
+    ),
+];
+
+#[test]
+fn sweep_outputs_match_pinned_digests_at_any_jobs() {
+    let dir = std::env::temp_dir().join(format!("aimes-sweep-parity-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    for (command, want) in PARENT_DIGESTS {
+        for jobs in ["1", "4"] {
+            let (out, err) = run_sweep(command, jobs);
+            let manifest = dir.join(format!("{command}-j{jobs}.jsonl"));
+            let profile = dir.join(format!("{command}-j{jobs}-profile.json"));
+            run_sweep_with(
+                command,
+                jobs,
+                &[
+                    "--campaign-out",
+                    manifest.to_str().unwrap(),
+                    "--profile-out",
+                    profile.to_str().unwrap(),
+                ],
+            );
+            let got = [
+                fnv(out.as_bytes()),
+                fnv(err.as_bytes()),
+                fnv(&std::fs::read(&manifest).expect("manifest written")),
+                fnv(&std::fs::read(&profile).expect("profile doc written")),
+            ];
+            assert_eq!(
+                got, want,
+                "{command} --jobs {jobs}: [stdout, stderr, manifest, profile] digests moved"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -17,9 +17,6 @@ use crate::trace::Tracer;
 /// Callback invoked when an event fires.
 pub type Callback = Box<dyn FnOnce(&mut Simulation)>;
 
-/// Alias kept for API clarity: callbacks receive the engine itself.
-pub type EventContext = Simulation;
-
 /// Outcome of running the event loop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RunOutcome {
@@ -338,45 +335,10 @@ impl Simulation {
         outcome
     }
 
-    /// Run until the queue drains. Branches on instrumentation once per
-    /// run, like [`Simulation::run_until`].
+    /// Run until the queue drains: [`Simulation::run_until`] with an
+    /// unbounded horizon.
     pub fn run_to_completion(&mut self) -> RunOutcome {
-        if self.profiled {
-            self.run_to_completion_impl::<true>()
-        } else {
-            self.run_to_completion_impl::<false>()
-        }
-    }
-
-    fn run_to_completion_impl<const PROFILED: bool>(&mut self) -> RunOutcome {
-        let mut mark = 0;
-        let mut pending = 0;
-        if PROFILED {
-            mark = self.profiler.mark();
-            self.profiler.open_root(self.dispatch_label);
-        }
-        let outcome = loop {
-            if self.events_processed >= self.event_budget {
-                break RunOutcome::BudgetExhausted;
-            }
-            match self.queue.pop() {
-                Some(ev) => {
-                    if PROFILED {
-                        self.dispatch_marked(ev, &mut mark, &mut pending);
-                    } else {
-                        self.dispatch::<false>(ev);
-                    }
-                }
-                None => break RunOutcome::Drained,
-            }
-        };
-        if PROFILED {
-            if pending > 0 {
-                self.profiler.finish_root_n(&mut mark, pending);
-            }
-            self.profiler.close_root();
-        }
-        outcome
+        self.run_until(SimTime::from_secs(f64::INFINITY))
     }
 }
 

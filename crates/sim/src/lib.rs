@@ -32,7 +32,7 @@ pub mod telemetry;
 pub mod time;
 pub mod trace;
 
-pub use engine::{EventContext, Simulation};
+pub use engine::Simulation;
 pub use event::{EventId, EventQueue, ScheduledEvent};
 pub use profile::{EngineStats, LabelProfile, ProfileGuard, ProfileLabel, ProfileReport, Profiler};
 pub use rng::{SimRng, StreamId};
