@@ -11,24 +11,24 @@
 //! queued units simply flow to whichever pilot activates first, original
 //! or reinforcement.
 
-use crate::middleware::RunOptions;
-use crate::ttc::{decompose, TtcBreakdown};
+use crate::middleware::{RunError, RunOptions, RunWorld};
+use crate::ttc::TtcBreakdown;
 use aimes_bundle::{Bundle, QueryMode};
-use aimes_cluster::{Cluster, ClusterConfig};
-use aimes_pilot::{PilotDescription, PilotManager, PilotState, UnitManager};
-use aimes_saga::Session;
-use aimes_sim::{ManagerPhase, SimDuration, SimTime, Simulation, TraceKind, Tracer};
-use aimes_skeleton::{SkeletonApp, SkeletonConfig};
-use aimes_strategy::{ExecutionManager, ExecutionStrategy};
+use aimes_cluster::ClusterConfig;
+use aimes_pilot::{Binding, PilotDescription, PilotManager, PilotState};
+use aimes_sim::{ManagerPhase, SimDuration, Simulation, TraceKind};
+use aimes_skeleton::SkeletonConfig;
+use aimes_strategy::ExecutionStrategy;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::collections::HashSet;
 use std::rc::Rc;
 
 /// Adaptation policy.
 #[derive(Clone, Debug)]
 pub struct AdaptiveConfig {
     /// The initial strategy (must be late binding for reinforcements to
-    /// be useful; asserted).
+    /// be useful; an early-binding base is refused as unplannable).
     pub base: ExecutionStrategy,
     /// How long to wait for the first activation before reinforcing.
     pub patience: SimDuration,
@@ -62,159 +62,103 @@ pub struct AdaptiveRunResult {
     pub units_failed: usize,
 }
 
-/// Execute with in-flight strategy revision.
+/// Execute with in-flight strategy revision: the middleware's own run
+/// phases (build, plan, enact, arm recovery, drive) with the patience
+/// check armed before the drive, so every [`RunOptions`] field means here
+/// what it means to [`crate::middleware::run_application`].
 pub fn run_adaptive(
     resources: &[ClusterConfig],
     app_config: &SkeletonConfig,
     config: &AdaptiveConfig,
     options: &RunOptions,
-) -> Result<AdaptiveRunResult, String> {
-    assert_eq!(
-        config.base.binding,
-        aimes_pilot::Binding::Late,
-        "adaptive reinforcement requires late binding"
-    );
-    options
-        .info
-        .validate()
-        .map_err(|e| format!("invalid info config: {e}"))?;
-    let tracer = if options.trace {
-        Tracer::new()
-    } else {
-        Tracer::disabled()
-    };
-    let mut sim = Simulation::with_tracer(options.seed, tracer);
-
-    let mut session = Session::new();
-    // The patience check re-ranks with *current* information, so its
-    // queries flow through the same information plane (hot pool,
-    // staleness ladder) as the initial derivation.
-    let bundle = Rc::new(RefCell::new(Bundle::with_info_config(options.info.clone())));
-    for cfg in resources {
-        let cluster = Cluster::new(cfg.clone());
-        cluster.install(&mut sim);
-        session.add_resource(&sim, cluster.clone());
-        bundle.borrow_mut().add(cluster);
+) -> Result<AdaptiveRunResult, RunError> {
+    if config.base.binding != Binding::Late {
+        return Err(RunError::Unplannable(format!(
+            "adaptive reinforcement requires late binding, but the base strategy {} binds early",
+            config.base.label()
+        )));
     }
-    let session = Rc::new(session);
-
-    let mut app_rng = sim.fork_rng("skeleton");
-    let app = SkeletonApp::generate(app_config, &mut app_rng)?;
-    let n_tasks = app.tasks().len() as u32;
-
-    sim.schedule_at(options.submit_at, |_| {});
-    sim.run_until(options.submit_at);
-    let submitted = sim.now();
-
-    let em = ExecutionManager::default();
-    let mut selection_rng = sim.fork_rng("resource-selection");
-    let plan = em.derive_plan_with_rng(
-        submitted,
-        &app,
-        &mut bundle.borrow_mut(),
-        &config.base,
-        &mut selection_rng,
-    )?;
-
-    let pm = PilotManager::new(session);
-    let um = UnitManager::new(pm.clone(), plan.um_config.clone());
-    let finished: Rc<RefCell<Option<SimTime>>> = Rc::new(RefCell::new(None));
-    {
-        let pm2 = pm.clone();
-        let fin = finished.clone();
-        um.on_all_done(move |sim| {
-            *fin.borrow_mut() = Some(sim.now());
-            pm2.cancel_all(sim);
-        });
-    }
-    pm.submit(&mut sim, plan.pilots.clone());
-    um.submit_units(&mut sim, app.tasks());
+    let mut world = RunWorld::build(resources, app_config, &config.base, options)?;
+    let plan = world.plan()?;
+    let crew = world.enact(&plan)?;
+    let ledger = world.arm_recovery(&crew);
 
     // The adaptation loop: periodic patience checks.
-    let reinforcements: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(vec![]));
-    let rounds: Rc<RefCell<u32>> = Rc::new(RefCell::new(0));
-    schedule_patience_check(
-        &mut sim,
-        pm.clone(),
-        bundle.clone(),
-        config.clone(),
-        plan.pilots[0].cores,
-        plan.pilots[0].walltime,
-        reinforcements.clone(),
-        rounds.clone(),
-    );
+    let reinforcer = Rc::new(Reinforcer {
+        pm: crew.pm.clone(),
+        bundle: world.bundle.clone(),
+        config: config.clone(),
+        cores: plan.pilots[0].cores,
+        walltime: plan.pilots[0].walltime,
+        added: RefCell::default(),
+        rounds: Cell::default(),
+    });
+    schedule_patience_check(&mut world.sim, reinforcer.clone());
 
-    let deadline = submitted + options.deadline;
-    while finished.borrow().is_none() {
-        if sim.now() > deadline {
-            return Err(format!(
-                "adaptive run missed its deadline ({} tasks, stats {:?})",
-                n_tasks,
-                um.stats()
-            ));
-        }
-        if !sim.step() {
-            break;
-        }
-    }
-    let finished_at = finished
-        .borrow()
-        .ok_or_else(|| format!("drained before completion ({:?})", um.stats()))?;
-
-    let stats = um.stats();
-    let breakdown = decompose(&um.units(), &pm.pilots(), submitted, finished_at);
-    let reinforcement_resources = reinforcements.borrow().clone();
-    let reinforcement_rounds = *rounds.borrow();
+    let finished_at = world.drive(&crew, &ledger)?;
+    let run = world.assemble(&crew, &ledger, plan.resources, finished_at);
     Ok(AdaptiveRunResult {
-        breakdown,
-        initial_resources: plan.resources,
-        reinforcement_resources,
-        reinforcement_rounds,
-        units_done: stats.done,
-        units_failed: stats.failed,
+        breakdown: run.breakdown,
+        initial_resources: run.resources_used,
+        reinforcement_resources: reinforcer.added.take(),
+        reinforcement_rounds: reinforcer.rounds.get(),
+        units_done: run.units_done,
+        units_failed: run.units_failed,
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn schedule_patience_check(
-    sim: &mut Simulation,
+/// The patience check's state: the pilot manager it reinforces, the
+/// bundle it re-ranks with, and what it has added so far. Reinforcement
+/// pilots take the shape of the base plan's first pilot.
+struct Reinforcer {
     pm: PilotManager,
     bundle: Rc<RefCell<Bundle>>,
     config: AdaptiveConfig,
     cores: u32,
     walltime: SimDuration,
-    reinforcements: Rc<RefCell<Vec<String>>>,
-    rounds: Rc<RefCell<u32>>,
-) {
-    let patience = config.patience;
-    sim.schedule_in(patience, move |sim| {
-        let pilots = pm.pilots();
+    added: RefCell<Vec<String>>,
+    rounds: Cell<u32>,
+}
+
+/// Check again after the patience window, and keep watching until a
+/// pilot activates, the run is over or the round budget is spent.
+fn schedule_patience_check(sim: &mut Simulation, r: Rc<Reinforcer>) {
+    sim.schedule_in(r.config.patience, move |sim| {
+        if r.check(sim) {
+            schedule_patience_check(sim, r);
+        }
+    });
+}
+
+impl Reinforcer {
+    /// One patience check; returns whether to keep watching.
+    fn check(&self, sim: &mut Simulation) -> bool {
+        let pilots = self.pm.pilots();
         let any_active = pilots
             .iter()
             .any(|p| p.state == PilotState::Active || p.time_of(PilotState::Active).is_some());
         let all_terminal = pilots.iter().all(|p| p.state.is_terminal());
-        if any_active || all_terminal {
-            return; // activation achieved (or run already over): stop adapting
+        if any_active || all_terminal || self.rounds.get() >= self.config.max_rounds {
+            return false;
         }
-        if *rounds.borrow() >= config.max_rounds {
-            return;
-        }
-        *rounds.borrow_mut() += 1;
+        self.rounds.set(self.rounds.get() + 1);
         // Re-rank with *current* information, excluding resources that
         // already host one of our pilots.
-        let used: std::collections::HashSet<String> = pilots
+        let used: HashSet<String> = pilots
             .iter()
             .map(|p| p.description.resource.clone())
             .collect();
-        let ranked =
-            bundle
-                .borrow_mut()
-                .rank_by_setup_time(sim.now(), cores, walltime, QueryMode::OnDemand);
+        let ranked = self.bundle.borrow_mut().rank_by_setup_time(
+            sim.now(),
+            self.cores,
+            self.walltime,
+            QueryMode::OnDemand,
+        );
         let fresh: Vec<String> = ranked
             .into_iter()
             .map(|(name, _)| name)
             .filter(|name| !used.contains(name))
-            .take(config.reinforce_by as usize)
+            .take(self.config.reinforce_by as usize)
             .collect();
         if !fresh.is_empty() {
             sim.tracer().record_with(sim.now(), || {
@@ -228,29 +172,20 @@ fn schedule_patience_check(
                 .inc(|| "middleware.adaptive.reinforcements".into());
             let descs: Vec<PilotDescription> = fresh
                 .iter()
-                .map(|r| PilotDescription::new(r.clone(), cores, walltime))
+                .map(|r| PilotDescription::new(r.clone(), self.cores, self.walltime))
                 .collect();
-            reinforcements.borrow_mut().extend(fresh);
-            pm.submit(sim, descs);
+            self.added.borrow_mut().extend(fresh);
+            self.pm.submit(sim, descs);
         }
-        // Keep watching until activation or round budget exhausted.
-        schedule_patience_check(
-            sim,
-            pm,
-            bundle,
-            config,
-            cores,
-            walltime,
-            reinforcements,
-            rounds,
-        );
-    });
+        true
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use aimes_cluster::ClusterConfig;
+    use aimes_sim::SimTime;
     use aimes_skeleton::{paper_bag, TaskDurationSpec};
     use aimes_strategy::{PilotSizing, ResourceSelection};
 
@@ -358,10 +293,89 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "late binding")]
     fn early_binding_rejected() {
         let app = paper_bag(8, TaskDurationSpec::Uniform15Min);
         let config = AdaptiveConfig::patient(ExecutionStrategy::paper_early());
-        let _ = run_adaptive(&skewed_pool(), &app, &config, &opts(7));
+        let err = run_adaptive(&skewed_pool(), &app, &config, &opts(7)).unwrap_err();
+        assert!(matches!(err, RunError::Unplannable(_)), "{err:?}");
+        assert!(
+            err.to_string()
+                .starts_with("adaptive reinforcement requires late binding"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn journal_option_records_the_whole_run() {
+        use crate::journal::{JournalEvent, RunJournal};
+        let app = paper_bag(16, TaskDurationSpec::Uniform15Min);
+        let config = AdaptiveConfig {
+            base: pinned_strategy("blocked"),
+            patience: SimDuration::from_mins(10.0),
+            reinforce_by: 1,
+            max_rounds: 2,
+        };
+        let journal = Rc::new(RefCell::new(RunJournal::new()));
+        let o = RunOptions {
+            journal: Some(journal.clone()),
+            ..opts(4)
+        };
+        let r = run_adaptive(&skewed_pool(), &app, &config, &o).unwrap();
+        assert!(r.reinforcement_rounds >= 1);
+        let j = journal.borrow();
+        assert!(j.verify().is_ok());
+        let entries = j.entries();
+        assert!(matches!(
+            &entries[0].event,
+            JournalEvent::RunStarted {
+                seed: 4,
+                n_tasks: 16,
+                ..
+            }
+        ));
+        match &entries.last().unwrap().event {
+            JournalEvent::RunFinished { ttc_secs } => {
+                assert_eq!(*ttc_secs, r.breakdown.ttc.as_secs())
+            }
+            other => panic!("last entry is {other:?}, not RunFinished"),
+        }
+        // The reinforcement pilot's transitions are journaled too.
+        assert!(entries.iter().any(|e| matches!(
+            &e.event,
+            JournalEvent::PilotTransition { resource, .. } if resource == "open"
+        )));
+    }
+
+    #[test]
+    fn telemetry_option_gets_pilot_and_unit_spans() {
+        use aimes_sim::Telemetry;
+        let app = paper_bag(16, TaskDurationSpec::Uniform15Min);
+        let config = AdaptiveConfig {
+            base: pinned_strategy("blocked"),
+            patience: SimDuration::from_mins(10.0),
+            reinforce_by: 1,
+            max_rounds: 2,
+        };
+        let telemetry = Telemetry::new();
+        let o = RunOptions {
+            telemetry: Some(telemetry.clone()),
+            ..opts(4)
+        };
+        let r = run_adaptive(&skewed_pool(), &app, &config, &o).unwrap();
+        assert_eq!(r.units_done, 16);
+        let spans = telemetry.spans();
+        // Both the stuck original pilot and the reinforcement get a span;
+        // the units ran on the reinforcement.
+        for resource in ["blocked", "open"] {
+            assert!(
+                spans
+                    .iter()
+                    .any(|s| s.category == "pilot" && s.track == resource),
+                "no pilot span on {resource}"
+            );
+        }
+        assert!(spans
+            .iter()
+            .any(|s| s.category == "unit" && s.track == "open"));
     }
 }

@@ -10,20 +10,22 @@
 use crate::journal::{JournalEvent, RunJournal};
 use crate::recorder::{FlightRecorder, DEFAULT_RECORDER_CAPACITY};
 use crate::ttc::{decompose, interval_union, salvage_split, TtcBreakdown};
-use aimes_bundle::{Bundle, InfoConfig, InfoDisposition};
+use aimes_bundle::{Bundle, InfoChannel, InfoConfig, InfoDisposition};
 use aimes_cluster::{Cluster, ClusterConfig};
-use aimes_fault::{FaultSpec, InfoOutcome, OutageKind, RecoveryPolicy};
-use aimes_pilot::{
-    DetectionMode, DetectionPolicy, DetectorEvent, Pilot, PilotId, PilotManager, PilotRecovery,
-    PilotState, SalvageEvent, UnitManager, UnitManagerStats, UnitState,
+use aimes_fault::{
+    DetectionSpec, FaultSchedule, FaultSpec, InfoOutcome, OutageKind, RecoveryPolicy,
 };
-use aimes_saga::{BreakerConfig, Session};
+use aimes_pilot::{
+    ComputeUnit, DetectionMode, DetectionPolicy, DetectorEvent, Pilot, PilotId, PilotManager,
+    PilotRecovery, PilotState, SalvageEvent, UnitManager, UnitManagerStats, UnitState,
+};
+use aimes_saga::{BreakerConfig, JobService, Session};
 use aimes_sim::{
-    ManagerPhase, MetricsSummary, Profiler, SimDuration, SimTime, Simulation, Span, Telemetry,
-    TraceKind, Tracer,
+    ManagerPhase, MetricsSummary, Profiler, SimDuration, SimRng, SimTime, Simulation, Span,
+    Telemetry, TraceKind, Tracer,
 };
 use aimes_skeleton::{SkeletonApp, SkeletonConfig};
-use aimes_strategy::{ExecutionManager, ExecutionStrategy, ResourceSelection};
+use aimes_strategy::{ExecutionManager, ExecutionPlan, ExecutionStrategy, ResourceSelection};
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
@@ -340,6 +342,9 @@ impl RunResult {
 /// Returns an error if the plan cannot be derived or the run misses its
 /// deadline.
 ///
+/// The run is the middleware's named phases called in order: validate
+/// and build, plan, enact, arm recovery, drive, assemble.
+///
 /// ```
 /// use aimes::middleware::{run_application, RunOptions};
 /// use aimes::paper;
@@ -367,9 +372,92 @@ pub fn run_application(
     strategy: &ExecutionStrategy,
     options: &RunOptions,
 ) -> Result<RunResult, RunError> {
-    // Construction-time validation, mirroring FaultSpec::validate: a
-    // zero-capacity recorder or an inverted staleness ladder cannot mean
-    // what it says, so refuse to run it.
+    let mut world = RunWorld::build(resources, app_config, strategy, options)?;
+    let plan = world.plan()?;
+    let crew = world.enact(&plan)?;
+    let ledger = world.arm_recovery(&crew);
+    let finished_at = world.drive(&crew, &ledger)?;
+    Ok(world.assemble(&crew, &ledger, plan.resources, finished_at))
+}
+
+/// The run's one event sink. Every journal-shaped fact goes through
+/// [`RunLog::emit`] to the always-on flight recorder and, when the caller
+/// asked for one, the run journal — so a recorder snapshot's tail is
+/// always comparable line for line with the journal's.
+struct RunLog {
+    recorder: RefCell<FlightRecorder>,
+    journal: Option<Rc<RefCell<RunJournal>>>,
+    dump_dir: Option<PathBuf>,
+    run_tag: Option<String>,
+    seed: u64,
+}
+
+impl RunLog {
+    /// Record one event. The recorder line is the event's JSON.
+    fn emit(&self, at: SimTime, event: JournalEvent) {
+        self.recorder
+            .borrow_mut()
+            .record_with(at, || serde_json::to_string(&event).unwrap_or_default());
+        if let Some(journal) = &self.journal {
+            journal.borrow_mut().record(at, event);
+        }
+    }
+
+    /// Post-mortem: write a checksummed snapshot of the recorder's tail,
+    /// named after the death `reason`, into the dump dir (no-op when
+    /// unset). Dump failures are swallowed: post-mortem writing must
+    /// never turn a diagnosable death into a different one.
+    ///
+    /// Concurrent runs (the worker pool) may share the dir, and
+    /// paired-seed sweep arms may even share the seed; the run tag keeps
+    /// their filenames apart, and the write goes to a unique temp file
+    /// followed by an atomic rename so a reader never observes a
+    /// half-written or interleaved dump.
+    fn dump(&self, reason: &str) {
+        let Some(dir) = &self.dump_dir else { return };
+        let snapshot = self.recorder.borrow().snapshot(reason);
+        fn sanitize(s: &str) -> String {
+            s.chars()
+                .map(|c| {
+                    if c.is_ascii_alphanumeric() || c == '-' {
+                        c
+                    } else {
+                        '-'
+                    }
+                })
+                .collect()
+        }
+        let seed = self.seed;
+        let name = match &self.run_tag {
+            Some(tag) => format!("flight-{}-{seed}-{}.txt", sanitize(tag), sanitize(reason)),
+            None => format!("flight-{seed}-{}.txt", sanitize(reason)),
+        };
+        let _ = std::fs::create_dir_all(dir);
+        static DUMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let tmp = dir.join(format!(
+            "{name}.tmp-{}-{}",
+            std::process::id(),
+            DUMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        ));
+        match std::fs::write(&tmp, snapshot.to_text()) {
+            Ok(()) => {
+                if std::fs::rename(&tmp, dir.join(&name)).is_err() {
+                    let _ = std::fs::remove_file(&tmp);
+                }
+            }
+            Err(_) => {
+                let _ = std::fs::remove_file(&tmp);
+            }
+        }
+    }
+}
+
+/// Phase 1 — construction-time validation, mirroring
+/// `FaultSpec::validate`: a config that cannot mean what it says (an
+/// inverted staleness ladder, a self-contradictory recovery policy, a
+/// zero-capacity recorder, an empty duration range) is refused before
+/// anything runs. Hands back the run's log around the validated recorder.
+fn validate(options: &RunOptions) -> Result<RunLog, RunError> {
     options
         .info
         .validate()
@@ -377,242 +465,315 @@ pub fn run_application(
     if let Some(rec) = &options.recovery {
         rec.validate().map_err(RunError::InvalidRecoveryPolicy)?;
     }
-    let recorder = Rc::new(RefCell::new(
-        FlightRecorder::new(options.recorder_capacity).map_err(RunError::InvalidRecorderConfig)?,
-    ));
-    let seed = options.seed;
-    let dump_dir = options.recorder_dump_dir.clone();
-    let run_tag = options.run_tag.clone();
-    // Post-mortem hook: freeze the recorder's tail into a checksummed
-    // snapshot file, named after the death reason.
-    let dump = {
-        let recorder = recorder.clone();
-        let dump_dir = dump_dir.clone();
-        let run_tag = run_tag.clone();
-        move |reason: &str| {
-            dump_snapshot(
-                dump_dir.as_deref(),
-                run_tag.as_deref(),
-                seed,
-                &recorder.borrow(),
-                reason,
-            )
-        }
-    };
-
-    let tracer = match &options.tracer {
-        Some(t) => t.clone(),
-        None if options.trace => Tracer::new(),
-        None => Tracer::disabled(),
-    };
-    let mut sim = Simulation::with_tracer(options.seed, tracer);
-    if let Some(telemetry) = &options.telemetry {
-        sim.attach_metrics(telemetry.registry().clone());
-    }
-    if let Some(profiler) = &options.profiler {
-        sim.attach_profiler(profiler.clone());
-    }
-
-    // Resource layer: clusters with background load, SAGA session, bundle.
-    let mut session = Session::new();
-    let mut bundle = Bundle::with_info_config(options.info.clone());
-    let mut clusters: Vec<Cluster> = Vec::new();
-    for cfg in resources {
-        let cluster = Cluster::new(cfg.clone());
-        cluster.install(&mut sim);
-        session.add_resource(&sim, cluster.clone());
-        bundle.add(cluster.clone());
-        clusters.push(cluster);
-    }
-    let session = Rc::new(session);
-    // Keep a handle to the bundle's information channel: the bundle
-    // itself may move into the re-planner below, but the fallback
-    // counters must still be readable at run end.
-    let info_handle = bundle.info_handle();
-    info_handle.borrow_mut().set_metrics(sim.metrics().clone());
-    info_handle
-        .borrow_mut()
-        .set_profiler(sim.profiler().clone());
-
-    // Compile the fault model against the run seed. Everything below is
-    // gated on `schedule` so a fault-free run replays the exact event and
-    // RNG streams of a build without fault support.
+    let recorder =
+        FlightRecorder::new(options.recorder_capacity).map_err(RunError::InvalidRecorderConfig)?;
     if let Some(spec) = &options.faults {
         spec.validate().map_err(RunError::InvalidFaultSpec)?;
     }
-    let schedule = options
-        .faults
-        .as_ref()
-        .filter(|spec| !spec.is_noop())
-        .map(|spec| {
-            let names: Vec<String> = clusters.iter().map(|c| c.name()).collect();
-            let mut fault_rng = sim.fork_rng("faults");
-            spec.compile(&names, &mut fault_rng)
-        });
-    if let Some(sched) = &schedule {
-        if sched.launch_transient_chance > 0.0 || sched.launch_permanent_chance > 0.0 {
-            for cluster in &clusters {
-                if let Some(svc) = session.service(&cluster.name()) {
-                    svc.inject_launch_faults(
-                        sched.launch_transient_chance,
-                        sched.launch_permanent_chance,
-                    );
-                }
+    Ok(RunLog {
+        recorder: RefCell::new(recorder),
+        journal: options.journal.clone(),
+        dump_dir: options.recorder_dump_dir.clone(),
+        run_tag: options.run_tag.clone(),
+        seed: options.seed,
+    })
+}
+
+/// Each cluster's SAGA job service, in pool order.
+fn services<'s>(
+    clusters: &'s [Cluster],
+    session: &'s Session,
+) -> impl Iterator<Item = JobService> + 's {
+    clusters.iter().filter_map(|c| session.service(&c.name()))
+}
+
+/// The managers a plan is enacted through, and when they finished.
+pub(crate) struct Crew {
+    pub(crate) pm: PilotManager,
+    pub(crate) um: UnitManager,
+    finished: Rc<Cell<Option<SimTime>>>,
+}
+
+/// What the recovery machinery did, read back when the run ends.
+#[derive(Default)]
+pub(crate) struct Ledger {
+    /// Resources permanently lost, in loss order (error classification).
+    lost: Vec<String>,
+    replans: u64,
+    domain_alarms: u64,
+    evacuations: u64,
+    first_alarm: Option<SimTime>,
+    evacuation_lead_secs: Option<f64>,
+}
+
+type SharedLedger = Rc<RefCell<Ledger>>;
+/// Re-derive the strategy after losing `resource`, rebuilding capacity
+/// for `doomed` pilots.
+type Replan = Rc<dyn Fn(&mut Simulation, &str, usize)>;
+/// Resources already re-planned around (one re-plan per resource).
+type Replanned = Rc<RefCell<HashSet<String>>>;
+
+/// Everything one middleware run is made of, assembled in named phases
+/// (build, plan, enact, arm recovery, drive, assemble). [`run_application`]
+/// calls them in order; [`crate::adaptive::run_adaptive`] slots its
+/// patience check in before the drive and assembles its own result.
+pub(crate) struct RunWorld<'a> {
+    options: &'a RunOptions,
+    strategy: &'a ExecutionStrategy,
+    pub(crate) sim: Simulation,
+    log: Rc<RunLog>,
+    clusters: Vec<Cluster>,
+    session: Rc<Session>,
+    /// Shared with the re-planner and the adaptive patience check.
+    pub(crate) bundle: Rc<RefCell<Bundle>>,
+    /// The bundle's information channel, kept for its fallback counters.
+    info: Rc<RefCell<InfoChannel>>,
+    /// The fault model compiled against the run seed. Everything below is
+    /// gated on it, so a fault-free run replays the exact event and RNG
+    /// streams of a build without fault support.
+    schedule: Option<FaultSchedule>,
+    app: SkeletonApp,
+    n_tasks: u32,
+    submitted: SimTime,
+}
+
+impl<'a> RunWorld<'a> {
+    /// Phases 1–2 — validate the options, build engine, resources, fault
+    /// model, application and info plane, advance to submission and
+    /// journal `RunStarted`.
+    pub(crate) fn build(
+        resources: &[ClusterConfig],
+        app_config: &SkeletonConfig,
+        strategy: &'a ExecutionStrategy,
+        options: &'a RunOptions,
+    ) -> Result<Self, RunError> {
+        let log = Rc::new(validate(options)?);
+        let tracer = match &options.tracer {
+            Some(t) => t.clone(),
+            None if options.trace => Tracer::new(),
+            None => Tracer::disabled(),
+        };
+        let mut sim = Simulation::with_tracer(options.seed, tracer);
+        if let Some(telemetry) = &options.telemetry {
+            sim.attach_metrics(telemetry.registry().clone());
+        }
+        if let Some(profiler) = &options.profiler {
+            sim.attach_profiler(profiler.clone());
+        }
+
+        // Resource layer: clusters with background load, SAGA session, bundle.
+        let mut session = Session::new();
+        let mut bundle = Bundle::with_info_config(options.info.clone());
+        let mut clusters: Vec<Cluster> = Vec::new();
+        for cfg in resources {
+            let cluster = Cluster::new(cfg.clone());
+            cluster.install(&mut sim);
+            session.add_resource(&sim, cluster.clone());
+            bundle.add(cluster.clone());
+            clusters.push(cluster);
+        }
+        let info = bundle.info_handle();
+        info.borrow_mut().set_metrics(sim.metrics().clone());
+        info.borrow_mut().set_profiler(sim.profiler().clone());
+
+        let schedule = options
+            .faults
+            .as_ref()
+            .filter(|spec| !spec.is_noop())
+            .map(|spec| {
+                let names: Vec<String> = clusters.iter().map(|c| c.name()).collect();
+                spec.compile(&names, &mut sim.fork_rng("faults"))
+            });
+        if let Some(sched) = schedule
+            .as_ref()
+            .filter(|s| s.launch_transient_chance > 0.0 || s.launch_permanent_chance > 0.0)
+        {
+            for svc in services(&clusters, &session) {
+                svc.inject_launch_faults(
+                    sched.launch_transient_chance,
+                    sched.launch_permanent_chance,
+                );
             }
         }
-    }
 
-    // Generate the application (same seed → same workload across
-    // strategies with the same experiment seed).
-    let mut app_rng = sim.fork_rng("skeleton");
-    let app = SkeletonApp::generate(app_config, &mut app_rng)
-        .map_err(|e| RunError::Skeleton(e.to_string()))?;
-    let n_tasks = app.tasks().len() as u32;
+        // Generate the application (same seed → same workload across
+        // strategies with the same experiment seed).
+        let app = SkeletonApp::generate(app_config, &mut sim.fork_rng("skeleton"))
+            .map_err(|e| RunError::Skeleton(e.to_string()))?;
 
-    // Let the resource pool evolve to the submission instant. The marker
-    // event pins the clock there even if the pool is idle.
-    sim.schedule_at(options.submit_at, |_| {});
-    sim.run_until(options.submit_at);
-    let submitted = options.submit_at.max(sim.now());
-    debug_assert_eq!(submitted, sim.now());
+        // Let the resource pool evolve to the submission instant. The
+        // marker event pins the clock there even if the pool is idle.
+        sim.schedule_at(options.submit_at, |_| {});
+        sim.run_until(options.submit_at);
+        let submitted = options.submit_at.max(sim.now());
+        debug_assert_eq!(submitted, sim.now());
 
-    // Information-plane wiring. The sink journals and flight-records
-    // every degraded decision (it never fires on a healthy channel); the
-    // disposition closure answers "what shape is the channel in" from the
-    // compiled info-fault model, on its own per-resource forked streams
-    // so queries neither consume nor disturb any other stream.
-    {
-        let jr = options.journal.clone();
-        let rec = recorder.clone();
-        info_handle.borrow_mut().set_sink(Box::new(move |at, d| {
-            let event = JournalEvent::InfoFallback {
-                resource: d.resource.clone(),
-                class: d.class.label().to_string(),
-                rung: d.rung.label().to_string(),
-                age_secs: d.age.as_secs(),
-                wait_secs: d.wait.map(|w| w.as_secs()),
-            };
-            record_event(at, event, &rec, &jr);
-        }));
-    }
-    if let Some(sched) = &schedule {
-        if !sched.info.is_noop() {
-            let info_faults = sched.info.clone();
-            let info_rng = sim.fork_rng("info");
-            let submitted_secs = submitted.as_secs();
-            let mut streams: BTreeMap<String, aimes_sim::SimRng> = BTreeMap::new();
-            info_handle
-                .borrow_mut()
-                .set_disposition(Box::new(move |resource, now| {
-                    let rng = streams
-                        .entry(resource.to_string())
-                        .or_insert_with(|| info_rng.fork(&format!("info.{resource}")));
-                    match info_faults.outcome(resource, now.as_secs() - submitted_secs, rng) {
-                        InfoOutcome::Ok => InfoDisposition::Ok,
-                        InfoOutcome::Corrupt => InfoDisposition::Corrupt,
-                        InfoOutcome::Unavailable => InfoDisposition::Unavailable,
-                    }
-                }));
-        }
-    }
-    record_event(
-        sim.now(),
-        JournalEvent::RunStarted {
-            seed: options.seed,
-            strategy: strategy.label(),
-            n_tasks,
-        },
-        &recorder,
-        &options.journal,
-    );
-
-    // Steps 1–4: derive the plan at submission time.
-    let em = ExecutionManager::default();
-    let mut selection_rng = sim.fork_rng("resource-selection");
-    let plan = {
-        let _prof = sim.profiler().scope("middleware.plan");
-        em.derive_plan_with_rng(submitted, &app, &mut bundle, strategy, &mut selection_rng)
-            .map_err(RunError::Unplannable)?
-    };
-
-    // Step 5–6: enact. Fault chances and recovery knobs are threaded into
-    // the unit manager's config; the pilot manager gets its healing policy.
-    let mut um_config = plan.um_config.clone();
-    if let Some(sched) = &schedule {
-        um_config.unit_fault_chance = sched.unit_failure_chance;
-        um_config.unit_fault_permanent_chance = sched.unit_permanent_chance;
-    }
-    if let Some(rec) = &options.recovery {
-        um_config.retry_backoff = rec.unit_retry_backoff;
-        um_config.retry_backoff_cap = rec.replacement_backoff_cap;
-        um_config.checkpoint_interval = rec.checkpoint_interval;
-    }
-    um_config.validate().map_err(RunError::InvalidUnitConfig)?;
-    let pm = PilotManager::new(session.clone());
-    if let Some(rec) = options.recovery.as_ref().filter(|r| r.pilot_replacement) {
-        pm.set_recovery(PilotRecovery {
-            max_replacements: rec.max_replacements_per_pilot,
-            backoff: rec.replacement_backoff,
-            backoff_cap: rec.replacement_backoff_cap,
-            blacklist_after: rec.blacklist_after,
-            // Exactly one layer owns cross-resource recovery: with
-            // re-planning on, pilot replacement stays on-resource.
-            reroute: !rec.replan_on_resource_loss,
-        });
-    }
-    // The detection layer (when configured) is the only failure oracle
-    // the rest of this function may consult: agents heartbeat, the
-    // manager suspects and declares, and each resource's SAGA service
-    // trips a circuit breaker on repeated transient failures. Injection
-    // ground truth stops feeding the recovery path below.
-    let detection = options.recovery.as_ref().and_then(|r| r.detection.clone());
-    if let Some(det) = &detection {
-        let mode = match det.phi {
-            Some(phi) => DetectionMode::PhiAccrual {
-                suspect_phi: phi.suspect_phi,
-                declare_phi: phi.declare_phi,
-                window: phi.window,
-            },
-            None => DetectionMode::Timeout,
+        let world = RunWorld {
+            options,
+            strategy,
+            sim,
+            log,
+            clusters,
+            session: Rc::new(session),
+            bundle: Rc::new(RefCell::new(bundle)),
+            info,
+            schedule,
+            n_tasks: app.tasks().len() as u32,
+            app,
+            submitted,
         };
-        pm.set_detection(DetectionPolicy {
-            heartbeat_interval: SimDuration::from_secs(det.heartbeat_secs),
-            suspect_after: SimDuration::from_secs(det.suspect_after_secs),
-            declare_after: SimDuration::from_secs(det.declare_after_secs),
-            mode,
-            confirm_with_status_query: det.confirm_with_status_query,
-        });
-        for cluster in &clusters {
-            if let Some(svc) = session.service(&cluster.name()) {
+        world.wire_info_plane();
+        world.log.emit(
+            submitted,
+            JournalEvent::RunStarted {
+                seed: options.seed,
+                strategy: strategy.label(),
+                n_tasks: world.n_tasks,
+            },
+        );
+        Ok(world)
+    }
+
+    /// The information plane's two hooks. The sink logs every degraded
+    /// decision (it never fires on a healthy channel); the disposition
+    /// answers "what shape is the channel in" from the compiled
+    /// info-fault model, on its own per-resource forked streams so
+    /// queries neither consume nor disturb any other stream.
+    fn wire_info_plane(&self) {
+        let log = self.log.clone();
+        self.info.borrow_mut().set_sink(Box::new(move |at, d| {
+            log.emit(
+                at,
+                JournalEvent::InfoFallback {
+                    resource: d.resource.clone(),
+                    class: d.class.label().to_string(),
+                    rung: d.rung.label().to_string(),
+                    age_secs: d.age.as_secs(),
+                    wait_secs: d.wait.map(|w| w.as_secs()),
+                },
+            );
+        }));
+        let info_faults = self.schedule.as_ref().map(|s| &s.info);
+        let Some(info_faults) = info_faults.filter(|i| !i.is_noop()).cloned() else {
+            return;
+        };
+        let info_rng = self.sim.fork_rng("info");
+        let submitted_secs = self.submitted.as_secs();
+        let mut streams: BTreeMap<String, SimRng> = BTreeMap::new();
+        self.info
+            .borrow_mut()
+            .set_disposition(Box::new(move |resource, now| {
+                let rng = streams
+                    .entry(resource.to_string())
+                    .or_insert_with(|| info_rng.fork(&format!("info.{resource}")));
+                match info_faults.outcome(resource, now.as_secs() - submitted_secs, rng) {
+                    InfoOutcome::Ok => InfoDisposition::Ok,
+                    InfoOutcome::Corrupt => InfoDisposition::Corrupt,
+                    InfoOutcome::Unavailable => InfoDisposition::Unavailable,
+                }
+            }));
+    }
+
+    /// The detection layer, when the recovery policy configures one.
+    fn detection(&self) -> Option<&'a DetectionSpec> {
+        self.options.recovery.as_ref()?.detection.as_ref()
+    }
+
+    /// Phase 3 — steps 1–4 of Figure 1: derive the plan at submission
+    /// time.
+    pub(crate) fn plan(&mut self) -> Result<ExecutionPlan, RunError> {
+        let mut selection_rng = self.sim.fork_rng("resource-selection");
+        let _prof = self.sim.profiler().scope("middleware.plan");
+        ExecutionManager::default()
+            .derive_plan_with_rng(
+                self.submitted,
+                &self.app,
+                &mut self.bundle.borrow_mut(),
+                self.strategy,
+                &mut selection_rng,
+            )
+            .map_err(RunError::Unplannable)
+    }
+
+    /// Phase 4 — steps 5–6: thread fault chances and recovery knobs into
+    /// the managers, wire the log, submit.
+    pub(crate) fn enact(&mut self, plan: &ExecutionPlan) -> Result<Crew, RunError> {
+        let recovery = self.options.recovery.as_ref();
+        let mut um_config = plan.um_config.clone();
+        if let Some(sched) = &self.schedule {
+            um_config.unit_fault_chance = sched.unit_failure_chance;
+            um_config.unit_fault_permanent_chance = sched.unit_permanent_chance;
+        }
+        if let Some(rec) = recovery {
+            um_config.retry_backoff = rec.unit_retry_backoff;
+            um_config.retry_backoff_cap = rec.replacement_backoff_cap;
+            um_config.checkpoint_interval = rec.checkpoint_interval;
+        }
+        um_config.validate().map_err(RunError::InvalidUnitConfig)?;
+        let pm = PilotManager::new(self.session.clone());
+        if let Some(rec) = recovery.filter(|r| r.pilot_replacement) {
+            pm.set_recovery(PilotRecovery {
+                max_replacements: rec.max_replacements_per_pilot,
+                backoff: rec.replacement_backoff,
+                backoff_cap: rec.replacement_backoff_cap,
+                blacklist_after: rec.blacklist_after,
+                // Exactly one layer owns cross-resource recovery: with
+                // re-planning on, pilot replacement stays on-resource.
+                reroute: !rec.replan_on_resource_loss,
+            });
+        }
+        // The detection layer (when configured) is the only failure oracle
+        // the recovery path may consult: agents heartbeat, the manager
+        // suspects and declares, and each resource's SAGA service trips a
+        // circuit breaker on repeated transient failures. Injection ground
+        // truth stops feeding recovery.
+        if let Some(det) = self.detection() {
+            let mode = match det.phi {
+                Some(phi) => DetectionMode::PhiAccrual {
+                    suspect_phi: phi.suspect_phi,
+                    declare_phi: phi.declare_phi,
+                    window: phi.window,
+                },
+                None => DetectionMode::Timeout,
+            };
+            pm.set_detection(DetectionPolicy {
+                heartbeat_interval: SimDuration::from_secs(det.heartbeat_secs),
+                suspect_after: SimDuration::from_secs(det.suspect_after_secs),
+                declare_after: SimDuration::from_secs(det.declare_after_secs),
+                mode,
+                confirm_with_status_query: det.confirm_with_status_query,
+            });
+            for svc in services(&self.clusters, &self.session) {
                 svc.enable_breaker(BreakerConfig {
                     failure_threshold: det.breaker_failure_threshold,
                     cooldown: SimDuration::from_secs(det.breaker_cooldown_secs),
                 });
             }
         }
-    }
-    let um = UnitManager::new(pm.clone(), um_config);
-    let finished: Rc<RefCell<Option<SimTime>>> = Rc::new(RefCell::new(None));
-    {
-        let pm2 = pm.clone();
-        let fin = finished.clone();
+        let um = UnitManager::new(pm.clone(), um_config);
+        let finished = Rc::new(Cell::new(None));
+        let (pm2, fin) = (pm.clone(), finished.clone());
         um.on_all_done(move |sim| {
-            *fin.borrow_mut() = Some(sim.now());
+            fin.set(Some(sim.now()));
             pm2.cancel_all(sim);
         });
+        let crew = Crew { pm, um, finished };
+        self.wire_log(&crew);
+        crew.pm.submit(&mut self.sim, plan.pilots.clone());
+        crew.um.submit_units(&mut self.sim, self.app.tasks());
+        Ok(crew)
     }
-    // Journal + flight-recorder wiring: subscribe before anything is
-    // submitted so the very first transitions are captured. The recorder
-    // is always on; the journal only when the caller asked for one.
-    // Entry order within one instant is fixed by subscription order,
-    // hence deterministic.
-    {
-        let jr = options.journal.clone();
-        let rec = recorder.clone();
-        let pm2 = pm.clone();
+
+    /// Journal + flight-recorder wiring: subscribe before anything is
+    /// submitted so the very first transitions are captured. Entry order
+    /// within one instant is fixed by subscription order, hence
+    /// deterministic.
+    fn wire_log(&self, crew: &Crew) {
+        let (pm, um) = (&crew.pm, &crew.um);
+        let (log, pm2) = (self.log.clone(), pm.clone());
         pm.subscribe(move |sim, pilot, state| {
             let desc = pm2.pilot(pilot).description;
-            record_event(
+            log.emit(
                 sim.now(),
                 JournalEvent::PilotTransition {
                     pilot: pilot.0,
@@ -620,16 +781,12 @@ pub fn run_application(
                     resource: desc.resource,
                     cores: desc.cores,
                 },
-                &rec,
-                &jr,
             );
         });
-        let jr = options.journal.clone();
-        let rec = recorder.clone();
-        let um2 = um.clone();
+        let (log, um2) = (self.log.clone(), um.clone());
         um.subscribe(move |sim, unit, state| {
             let u = um2.unit(unit);
-            record_event(
+            log.emit(
                 sim.now(),
                 JournalEvent::UnitTransition {
                     unit: unit.0,
@@ -637,12 +794,9 @@ pub fn run_application(
                     pilot: u.pilot.map(|p| p.0),
                     cores: u.task.cores,
                 },
-                &rec,
-                &jr,
             );
         });
-        let jr = options.journal.clone();
-        let rec = recorder.clone();
+        let log = self.log.clone();
         um.on_salvage(move |sim, unit, ev| {
             let event = match ev {
                 SalvageEvent::Checkpoint { progress_secs } => JournalEvent::Checkpoint {
@@ -654,789 +808,649 @@ pub fn run_application(
                     salvaged_secs,
                 },
             };
-            record_event(sim.now(), event, &rec, &jr);
+            log.emit(sim.now(), event);
         });
-        let jr = options.journal.clone();
-        let rec = recorder.clone();
-        let dump_dir2 = dump_dir.clone();
-        let run_tag2 = run_tag.clone();
+        let log = self.log.clone();
         pm.on_detector_event(move |sim, ev| {
-            let event = match ev {
-                DetectorEvent::Suspected {
-                    pilot,
-                    resource,
-                    silent_for,
-                } => JournalEvent::Detector {
-                    pilot: pilot.0,
-                    resource: resource.clone(),
-                    verdict: "Suspected".into(),
-                    silent_secs: silent_for.as_secs(),
-                },
-                DetectorEvent::Recovered {
-                    pilot,
-                    resource,
-                    suspected_for,
-                } => JournalEvent::Detector {
-                    pilot: pilot.0,
-                    resource: resource.clone(),
-                    verdict: "Recovered".into(),
-                    silent_secs: suspected_for.as_secs(),
-                },
-                DetectorEvent::DeclaredDead {
-                    pilot,
-                    resource,
-                    silent_for,
-                } => JournalEvent::Detector {
-                    pilot: pilot.0,
-                    resource: resource.clone(),
-                    verdict: "DeclaredDead".into(),
-                    silent_secs: silent_for.as_secs(),
-                },
-                DetectorEvent::StaleSignal {
-                    pilot,
-                    resource,
-                    detail,
-                } => JournalEvent::StaleSignal {
-                    pilot: pilot.0,
-                    resource: resource.clone(),
-                    detail: detail.clone(),
-                },
-            };
-            record_event(sim.now(), event, &rec, &jr);
+            log.emit(sim.now(), detector_entry(ev));
             // A Declared-Dead verdict is a death certificate: snapshot
             // the tail now, while the evidence is still in the ring.
             if let DetectorEvent::DeclaredDead { resource, .. } = ev {
-                dump_snapshot(
-                    dump_dir2.as_deref(),
-                    run_tag2.as_deref(),
-                    seed,
-                    &rec.borrow(),
-                    &format!("declared-dead-{resource}"),
-                );
+                log.dump(&format!("declared-dead-{resource}"));
             }
         });
-        let jr = options.journal.clone();
-        let rec = recorder.clone();
+        let log = self.log.clone();
         pm.on_blacklist(move |sim, resource| {
-            record_event(
-                sim.now(),
-                JournalEvent::Blacklist {
-                    resource: resource.to_string(),
-                },
-                &rec,
-                &jr,
-            );
+            let resource = resource.to_string();
+            log.emit(sim.now(), JournalEvent::Blacklist { resource });
         });
-        for cluster in &clusters {
-            let Some(svc) = session.service(&cluster.name()) else {
-                continue;
-            };
-            let jr = options.journal.clone();
-            let rec = recorder.clone();
+        for svc in services(&self.clusters, &self.session) {
+            let log = self.log.clone();
             svc.on_breaker_trip(move |sim, resource| {
-                record_event(
-                    sim.now(),
-                    JournalEvent::BreakerTrip {
-                        resource: resource.to_string(),
-                    },
-                    &rec,
-                    &jr,
-                );
+                let resource = resource.to_string();
+                log.emit(sim.now(), JournalEvent::BreakerTrip { resource });
             });
         }
     }
-    pm.submit(&mut sim, plan.pilots.clone());
-    um.submit_units(&mut sim, app.tasks());
 
-    // Arm the fault schedule and the recovery machinery. All times are
-    // relative to submission. The re-plan support is shared by the
-    // scheduled fault model and the signal-driven path (breaker trips),
-    // so it sits outside the schedule gate; a fault-free, detection-free
-    // run skips all of it and replays the legacy event stream exactly.
-    let lost: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
-    let replans: Rc<Cell<u64>> = Rc::new(Cell::new(0));
-    let domain_alarms: Rc<Cell<u64>> = Rc::new(Cell::new(0));
-    let evacuations: Rc<Cell<u64>> = Rc::new(Cell::new(0));
-    let evacuation_lead: Rc<RefCell<Option<f64>>> = Rc::new(RefCell::new(None));
-    if schedule.is_some() || detection.is_some() {
-        let replanner = options
-            .recovery
-            .as_ref()
-            .filter(|r| r.replan_on_resource_loss)
-            .map(|_| {
-                (
-                    Rc::new(RefCell::new(bundle)),
-                    Rc::new(RefCell::new(sim.fork_rng("replan"))),
-                    app.clone(),
-                    strategy.clone(),
-                )
-            });
-        // Re-derive the strategy over the resources the pilot manager can
-        // still route to, rebuilding capacity for `doomed` pilots. Shared
-        // by the two ways a resource drops out: a scheduled Permanent
-        // outage, and manager-initiated blacklisting after repeated
-        // launch failures.
-        let all_names: Vec<String> = clusters.iter().map(|c| c.name()).collect();
-        type Replan = Rc<dyn Fn(&mut Simulation, &str, usize)>;
-        let do_replan: Replan = {
-            let pm2 = pm.clone();
-            let replans2 = replans.clone();
-            let journal2 = options.journal.clone();
-            Rc::new(move |sim: &mut Simulation, resource: &str, doomed: usize| {
-                let Some((bundle, rng, app, strategy)) = &replanner else {
-                    return;
-                };
-                if doomed == 0 {
-                    return;
-                }
-                let blacklisted = pm2.blacklisted();
-                let survivors: Vec<String> = all_names
-                    .iter()
-                    .filter(|n| !blacklisted.contains(n))
-                    .cloned()
-                    .collect();
-                if survivors.is_empty() {
-                    sim.tracer().record(
-                        sim.now(),
-                        "middleware",
-                        TraceKind::Manager(ManagerPhase::ReplanFailed),
-                        "no surviving resources",
-                    );
-                    sim.metrics()
-                        .inc(|| "middleware.recovery.replan_failed".into());
-                    return;
-                }
-                let mut replan_strategy = strategy.clone();
-                replan_strategy.pilot_count = (doomed as u32).min(survivors.len() as u32).max(1);
-                replan_strategy.selection = ResourceSelection::Fixed(survivors.clone());
-                let _prof = sim.profiler().scope("middleware.plan");
-                let em = ExecutionManager::default();
-                match em.derive_plan_with_rng(
-                    sim.now(),
-                    app,
-                    &mut bundle.borrow_mut(),
-                    &replan_strategy,
-                    &mut rng.borrow_mut(),
-                ) {
-                    Ok(plan2) => {
-                        sim.tracer().record_with(sim.now(), || {
-                            (
-                                "middleware".into(),
-                                TraceKind::Manager(ManagerPhase::Replan),
-                                format!(
-                                    "lost {resource}: {} pilots over [{}]",
-                                    plan2.pilots.len(),
-                                    survivors.join(", ")
-                                ),
-                            )
-                        });
-                        sim.metrics().inc(|| "middleware.recovery.replans".into());
-                        if let Some(jr) = &journal2 {
-                            jr.borrow_mut().record(
-                                sim.now(),
-                                JournalEvent::Replan {
-                                    resource: resource.to_string(),
-                                    pilots: plan2.pilots.len() as u32,
-                                },
-                            );
-                        }
-                        pm2.submit(sim, plan2.pilots);
-                        replans2.set(replans2.get() + 1);
-                    }
-                    Err(e) => {
-                        sim.tracer().record(
-                            sim.now(),
-                            "middleware",
-                            TraceKind::Manager(ManagerPhase::ReplanFailed),
-                            e,
-                        );
-                        sim.metrics()
-                            .inc(|| "middleware.recovery.replan_failed".into());
-                    }
-                }
-            })
-        };
+    /// Phase 5 — arm the fault schedule and the recovery machinery. All
+    /// times are relative to submission. The re-plan support is shared by
+    /// the scheduled fault model and the signal-driven path (breaker
+    /// trips), so it sits outside the schedule gate; a fault-free,
+    /// detection-free run skips all of it and replays the legacy event
+    /// stream exactly.
+    pub(crate) fn arm_recovery(&mut self, crew: &Crew) -> SharedLedger {
+        let ledger = SharedLedger::default();
+        if self.schedule.is_none() && self.detection().is_none() {
+            return ledger;
+        }
+        let replan = self.replanner(crew, &ledger);
         // Two signal-driven triggers can condemn the same resource (a
         // tripped breaker and manager-initiated blacklisting); one
         // re-plan per resource is enough.
-        let replanned: Rc<RefCell<HashSet<String>>> = Rc::new(RefCell::new(HashSet::new()));
+        let replanned = Replanned::default();
+        // Re-plan around a resource a signal condemned, once: any pilot
+        // still alive there is doomed; rebuild at least one elsewhere
+        // (the trigger pilot is already terminal).
+        let condemn = {
+            let (pm, replan, replanned) = (crew.pm.clone(), replan.clone(), replanned.clone());
+            Rc::new(
+                move |sim: &mut Simulation, resource: &str, blacklist: bool| {
+                    if replanned.borrow_mut().insert(resource.to_string()) {
+                        let doomed = pm.live_on(resource).len().max(1);
+                        if blacklist {
+                            pm.blacklist(resource);
+                        }
+                        replan(sim, resource, doomed);
+                    }
+                },
+            )
+        };
         // A resource blacklisted for eating launches is as gone as a
         // decommissioned one, but arrives through the pilot manager, not
         // the outage schedule — and with re-planning enabled the pilot
         // layer deliberately skips rerouting. Re-plan here too, or nobody
         // recovers and the pool drains.
-        {
-            let pm2 = pm.clone();
-            let do_replan = do_replan.clone();
-            let replanned2 = replanned.clone();
-            pm.on_blacklist(move |sim, resource| {
-                if !replanned2.borrow_mut().insert(resource.to_string()) {
-                    return;
-                }
-                // Any pilot still alive there is doomed; rebuild at least
-                // one elsewhere (the trigger pilot is already terminal).
-                let doomed = pm2
-                    .pilots()
-                    .iter()
-                    .filter(|p| p.description.resource == resource && !p.state.is_terminal())
-                    .count()
-                    .max(1);
-                do_replan(sim, resource, doomed);
-            });
-        }
+        let condemned = condemn.clone();
+        crew.pm
+            .on_blacklist(move |sim, resource| condemned(sim, resource, false));
         // Breaker-driven recovery: with detection on, an open breaker IS
         // the verdict that a resource eats every request. Stop routing
         // to it and rebuild the lost capacity over the survivors — no
         // peeking at the outage schedule.
-        if detection.is_some() {
-            for cluster in &clusters {
-                let Some(svc) = session.service(&cluster.name()) else {
-                    continue;
-                };
-                let pm2 = pm.clone();
-                let do_replan = do_replan.clone();
-                let replanned2 = replanned.clone();
-                svc.on_breaker_trip(move |sim, resource| {
-                    if !replanned2.borrow_mut().insert(resource.to_string()) {
-                        return;
-                    }
-                    let doomed = pm2
-                        .pilots()
-                        .iter()
-                        .filter(|p| p.description.resource == resource && !p.state.is_terminal())
-                        .count()
-                        .max(1);
-                    pm2.blacklist(resource);
-                    do_replan(sim, resource, doomed);
-                });
+        if self.detection().is_some() {
+            for svc in services(&self.clusters, &self.session) {
+                let condemned = condemn.clone();
+                svc.on_breaker_trip(move |sim, resource| condemned(sim, resource, true));
             }
         }
-        // Proactive evacuation: enough failure signals inside one declared
-        // failure domain within the alarm window predict a cascade. The
-        // alarmed domain's surviving pilots are drained and their capacity
-        // rebuilt on unaffected domains, instead of waiting for each pilot
-        // to be individually declared dead. Armed only when the fault
-        // model declares domains AND the recovery policy opts in.
-        let evac_spec = options.recovery.as_ref().and_then(|r| r.evacuation);
-        let evac_domains = options
+        self.arm_evacuation(crew, &replan, &replanned, &ledger);
+        self.arm_schedule(crew, &replan, &ledger);
+        ledger
+    }
+
+    /// Re-derive the strategy over the resources the pilot manager can
+    /// still route to, rebuilding capacity for `doomed` pilots — shared by
+    /// every way a resource drops out. A no-op unless the recovery policy
+    /// re-plans on resource loss.
+    fn replanner(&self, crew: &Crew, ledger: &SharedLedger) -> Replan {
+        let context = self
+            .options
+            .recovery
+            .as_ref()
+            .filter(|r| r.replan_on_resource_loss)
+            .map(|_| {
+                (
+                    self.bundle.clone(),
+                    RefCell::new(self.sim.fork_rng("replan")),
+                    self.app.clone(),
+                    self.strategy.clone(),
+                )
+            });
+        let all_names: Vec<String> = self.clusters.iter().map(|c| c.name()).collect();
+        let (pm, ledger, log) = (crew.pm.clone(), ledger.clone(), self.log.clone());
+        Rc::new(move |sim: &mut Simulation, resource: &str, doomed: usize| {
+            let Some((bundle, rng, app, strategy)) = &context else {
+                return;
+            };
+            if doomed == 0 {
+                return;
+            }
+            let blacklisted = pm.blacklisted();
+            let survivors: Vec<String> = all_names
+                .iter()
+                .filter(|n| !blacklisted.contains(n))
+                .cloned()
+                .collect();
+            if survivors.is_empty() {
+                replan_failed(sim, "no surviving resources".into());
+                return;
+            }
+            let mut replan_strategy = strategy.clone();
+            replan_strategy.pilot_count = (doomed as u32).min(survivors.len() as u32).max(1);
+            replan_strategy.selection = ResourceSelection::Fixed(survivors.clone());
+            let _prof = sim.profiler().scope("middleware.plan");
+            let plan = ExecutionManager::default().derive_plan_with_rng(
+                sim.now(),
+                app,
+                &mut bundle.borrow_mut(),
+                &replan_strategy,
+                &mut rng.borrow_mut(),
+            );
+            let plan = match plan {
+                Ok(plan) => plan,
+                Err(e) => return replan_failed(sim, e),
+            };
+            sim.tracer().record_with(sim.now(), || {
+                (
+                    "middleware".into(),
+                    TraceKind::Manager(ManagerPhase::Replan),
+                    format!(
+                        "lost {resource}: {} pilots over [{}]",
+                        plan.pilots.len(),
+                        survivors.join(", ")
+                    ),
+                )
+            });
+            sim.metrics().inc(|| "middleware.recovery.replans".into());
+            log.emit(
+                sim.now(),
+                JournalEvent::Replan {
+                    resource: resource.to_string(),
+                    pilots: plan.pilots.len() as u32,
+                },
+            );
+            pm.submit(sim, plan.pilots);
+            ledger.borrow_mut().replans += 1;
+        })
+    }
+
+    /// Proactive evacuation: enough failure signals inside one declared
+    /// failure domain within the alarm window predict a cascade. The
+    /// alarmed domain's surviving pilots are drained and their capacity
+    /// rebuilt on unaffected domains, instead of waiting for each pilot
+    /// to be individually declared dead. Armed only when the fault model
+    /// declares domains AND the recovery policy opts in.
+    fn arm_evacuation(
+        &self,
+        crew: &Crew,
+        replan: &Replan,
+        replanned: &Replanned,
+        ledger: &SharedLedger,
+    ) {
+        let evac_spec = self.options.recovery.as_ref().and_then(|r| r.evacuation);
+        let domains = self
+            .options
             .faults
             .as_ref()
-            .and_then(|f| f.cascade.as_ref())
-            .map(|c| c.domains.clone());
-        if let (Some(espec), Some(domains)) = (evac_spec, evac_domains) {
-            let domain_of: Rc<HashMap<String, String>> = Rc::new(
-                domains
-                    .iter()
-                    .flat_map(|d| d.members.iter().map(move |m| (m.clone(), d.name.clone())))
-                    .collect(),
-            );
-            let members_of: HashMap<String, Vec<String>> = domains
-                .iter()
-                .map(|d| (d.name.clone(), d.members.clone()))
-                .collect();
-            let window = SimDuration::from_secs(espec.alarm_window_secs);
-            let threshold = espec.alarm_threshold as usize;
-            // Pilots drained by an alarm, awaiting their Canceled
-            // transition (the drain goes through SAGA, so it lands later).
-            let evacuating: Rc<RefCell<HashMap<PilotId, (String, String)>>> =
-                Rc::new(RefCell::new(HashMap::new()));
-            // Per-domain sliding window of failure-signal times + the
-            // domains already alarmed (one alarm per domain is enough).
-            type AlarmState = (HashMap<String, VecDeque<SimTime>>, HashSet<String>);
-            let alarm_state: Rc<RefCell<AlarmState>> = Default::default();
-            let first_alarm: Rc<RefCell<Option<SimTime>>> = Rc::new(RefCell::new(None));
-            type SignalHook = Rc<dyn Fn(&mut Simulation, &str)>;
-            let on_signal: SignalHook = {
-                let domain_of = domain_of.clone();
-                let alarm_state = alarm_state.clone();
-                let pm2 = pm.clone();
-                let do_replan = do_replan.clone();
-                let replanned2 = replanned.clone();
-                let evacuating2 = evacuating.clone();
-                let jr = options.journal.clone();
-                let rec = recorder.clone();
-                let dump_dir2 = dump_dir.clone();
-                let run_tag2 = run_tag.clone();
-                let alarms2 = domain_alarms.clone();
-                let first_alarm2 = first_alarm.clone();
-                Rc::new(move |sim: &mut Simulation, resource: &str| {
-                    let Some(domain) = domain_of.get(resource) else {
-                        return;
-                    };
-                    let fire = {
-                        let mut st = alarm_state.borrow_mut();
-                        let (windows, alarmed) = &mut *st;
-                        if alarmed.contains(domain) {
-                            return;
-                        }
-                        let q = windows.entry(domain.clone()).or_default();
-                        q.push_back(sim.now());
-                        while let Some(&t) = q.front() {
-                            if sim.now().since(t) > window {
-                                q.pop_front();
-                            } else {
-                                break;
-                            }
-                        }
-                        q.len() >= threshold && alarmed.insert(domain.clone())
-                    };
-                    if !fire {
-                        return;
-                    }
-                    let members = members_of.get(domain).cloned().unwrap_or_default();
-                    alarms2.set(alarms2.get() + 1);
-                    first_alarm2.borrow_mut().get_or_insert(sim.now());
-                    sim.metrics().inc(|| "middleware.domain_alarms".into());
-                    sim.tracer().record_with(sim.now(), || {
-                        (
-                            "middleware".into(),
-                            TraceKind::Manager(ManagerPhase::Replan),
-                            format!("domain alarm {domain}: evacuating [{}]", members.join(", ")),
-                        )
-                    });
-                    record_event(
-                        sim.now(),
-                        JournalEvent::DomainAlarm {
-                            domain: domain.clone(),
-                            members: members.clone(),
-                        },
-                        &rec,
-                        &jr,
-                    );
-                    // A cascade verdict is a death certificate for the
-                    // whole domain: snapshot now, with the alarmed domain
-                    // and its members in the header.
-                    dump_snapshot(
-                        dump_dir2.as_deref(),
-                        run_tag2.as_deref(),
-                        seed,
-                        &rec.borrow(),
-                        &format!("domain-alarm-{domain} members={}", members.join(",")),
-                    );
-                    for member in &members {
-                        // Mark as handled first so the generic breaker/
-                        // blacklist hooks don't replan the same loss again.
-                        replanned2.borrow_mut().insert(member.clone());
-                        let doomed: Vec<PilotId> = pm2
-                            .pilots()
-                            .iter()
-                            .filter(|p| &p.description.resource == member && !p.state.is_terminal())
-                            .map(|p| p.id)
-                            .collect();
-                        pm2.blacklist(member);
-                        for pid in &doomed {
-                            evacuating2
-                                .borrow_mut()
-                                .insert(*pid, (domain.clone(), member.clone()));
-                        }
-                        for pid in &doomed {
-                            pm2.cancel(sim, *pid);
-                        }
-                        do_replan(sim, member, doomed.len());
-                    }
-                })
-            };
-            // Feed the alarm from the failure signals this run actually
-            // has: detector verdicts when detection is on, pilot deaths
-            // (the oracle path) otherwise. Never both — a DeclaredDead
-            // pilot also transitions to Failed, and one death is one
-            // signal.
-            if detection.is_some() {
-                let on_signal2 = on_signal.clone();
-                pm.on_detector_event(move |sim, ev| {
-                    let resource = match ev {
-                        DetectorEvent::Suspected { resource, .. }
-                        | DetectorEvent::DeclaredDead { resource, .. } => resource.clone(),
-                        _ => return,
-                    };
-                    on_signal2(sim, &resource);
-                });
-            } else {
-                let pm2 = pm.clone();
-                let on_signal2 = on_signal.clone();
-                pm.subscribe(move |sim, pilot, state| {
-                    if state == PilotState::Failed {
-                        let resource = pm2.pilot(pilot).description.resource;
-                        on_signal2(sim, &resource);
-                    }
-                });
-            }
-            // The drain watcher: an evacuated pilot reaching Canceled is
-            // the evacuation taking effect — journal it and measure the
-            // alarm → first-drain lead.
-            {
-                let evacuating2 = evacuating.clone();
-                let jr = options.journal.clone();
-                let rec = recorder.clone();
-                let evacs2 = evacuations.clone();
-                let first_alarm2 = first_alarm.clone();
-                let lead2 = evacuation_lead.clone();
-                pm.subscribe(move |sim, pilot, state| {
-                    if state != PilotState::Canceled {
-                        return;
-                    }
-                    let Some((domain, resource)) = evacuating2.borrow_mut().remove(&pilot) else {
-                        return;
-                    };
-                    evacs2.set(evacs2.get() + 1);
-                    sim.metrics().inc(|| "middleware.evacuations".into());
-                    record_event(
-                        sim.now(),
-                        JournalEvent::Evacuation {
-                            domain,
-                            resource,
-                            pilot: pilot.0,
-                        },
-                        &rec,
-                        &jr,
-                    );
-                    if lead2.borrow().is_none() {
-                        if let Some(alarm_at) = *first_alarm2.borrow() {
-                            *lead2.borrow_mut() = Some(sim.now().since(alarm_at).as_secs());
-                        }
-                    }
-                });
-            }
-        }
-        if let Some(sched) = &schedule {
-            if let Some(sf) = sched.staging.filter(|s| s.duration_secs > 0.0) {
-                let start = submitted + SimDuration::from_secs(sf.at_secs.max(0.0));
-                let factor = sf.bandwidth_factor.clamp(0.001, 1.0);
-                let um2 = um.clone();
-                sim.schedule_at(start, move |_| um2.set_origin_bandwidth_factor(factor));
-                let um3 = um.clone();
-                sim.schedule_at(
-                    start + SimDuration::from_secs(sf.duration_secs),
-                    move |_| um3.set_origin_bandwidth_factor(1.0),
-                );
-            }
-            // Signal-level fault injection: heartbeats emitted inside each
-            // window are delivered late, exercising the detector's
-            // false-positive and stale-signal handling.
-            for hd in &sched.heartbeat_delays {
-                let from = submitted + SimDuration::from_secs(hd.at_secs.max(0.0));
-                pm.inject_heartbeat_delay(
-                    &hd.resource,
-                    from,
-                    from + SimDuration::from_secs(hd.duration_secs),
-                    SimDuration::from_secs(hd.delay_secs),
-                );
-            }
-            for o in &sched.outages {
-                let Some(cluster) = clusters.iter().find(|c| c.name() == o.resource).cloned()
-                else {
-                    continue; // the spec may name resources outside this pool
+            .and_then(|f| f.cascade.as_ref());
+        let (Some(espec), Some(cascade)) = (evac_spec, domains) else {
+            return;
+        };
+        let domain_of: HashMap<String, String> = cascade
+            .domains
+            .iter()
+            .flat_map(|d| d.members.iter().map(move |m| (m.clone(), d.name.clone())))
+            .collect();
+        let members_of: HashMap<String, Vec<String>> = cascade
+            .domains
+            .iter()
+            .map(|d| (d.name.clone(), d.members.clone()))
+            .collect();
+        let window = SimDuration::from_secs(espec.alarm_window_secs);
+        let threshold = espec.alarm_threshold as usize;
+        // Pilots drained by an alarm, awaiting their Canceled transition
+        // (the drain goes through SAGA, so it lands later).
+        let evacuating: Rc<RefCell<HashMap<PilotId, (String, String)>>> = Default::default();
+        // Per-domain sliding window of failure-signal times + the domains
+        // already alarmed (one alarm per domain is enough).
+        type AlarmState = (HashMap<String, VecDeque<SimTime>>, HashSet<String>);
+        let alarm_state = RefCell::<AlarmState>::default();
+        let on_signal = {
+            let (pm, replan, replanned) = (crew.pm.clone(), replan.clone(), replanned.clone());
+            let (evacuating, log, ledger) = (evacuating.clone(), self.log.clone(), ledger.clone());
+            move |sim: &mut Simulation, resource: &str| {
+                let Some(domain) = domain_of.get(resource) else {
+                    return;
                 };
-                let at = submitted + SimDuration::from_secs(o.at.as_secs().max(0.0));
-                match o.kind {
-                    OutageKind::Outage | OutageKind::Drain => {
-                        let kill = o.kind == OutageKind::Outage;
-                        let duration = o.duration;
-                        sim.schedule_at(at, move |sim| {
-                            cluster.inject_outage(sim, duration, kill);
-                        });
+                let fire = {
+                    let mut st = alarm_state.borrow_mut();
+                    let (windows, alarmed) = &mut *st;
+                    if alarmed.contains(domain) {
+                        return;
                     }
-                    OutageKind::Permanent if detection.is_some() => {
-                        // No oracle: decommission the cluster and walk away.
-                        // Recovery must come entirely from missed heartbeats
-                        // and tripped breakers. `lost` still feeds error
-                        // classification if the run cannot finish.
-                        let lost2 = lost.clone();
-                        let resource = o.resource.clone();
-                        sim.schedule_at(at, move |sim| {
-                            cluster.decommission(sim);
-                            lost2.borrow_mut().push(resource.clone());
-                        });
+                    let q = windows.entry(domain.clone()).or_default();
+                    q.push_back(sim.now());
+                    while let Some(&t) = q.front() {
+                        if sim.now().since(t) > window {
+                            q.pop_front();
+                        } else {
+                            break;
+                        }
                     }
-                    OutageKind::Permanent => {
-                        let pm2 = pm.clone();
-                        let lost2 = lost.clone();
-                        let do_replan = do_replan.clone();
-                        let resource = o.resource.clone();
-                        sim.schedule_at(at, move |sim| {
-                            // Count live pilots before the axe falls so the
-                            // re-plan knows how much capacity to rebuild.
-                            let doomed = pm2
-                                .pilots()
-                                .iter()
-                                .filter(|p| {
-                                    p.description.resource == resource && !p.state.is_terminal()
-                                })
-                                .count();
-                            // Blacklist first: replacement logic triggered by
-                            // the kills below must not resubmit to a corpse.
-                            pm2.blacklist(&resource);
-                            cluster.decommission(sim);
-                            lost2.borrow_mut().push(resource.clone());
-                            do_replan(sim, &resource, doomed);
-                        });
+                    q.len() >= threshold && alarmed.insert(domain.clone())
+                };
+                if !fire {
+                    return;
+                }
+                let members = members_of.get(domain).cloned().unwrap_or_default();
+                {
+                    let mut ledger = ledger.borrow_mut();
+                    ledger.domain_alarms += 1;
+                    ledger.first_alarm.get_or_insert(sim.now());
+                }
+                sim.metrics().inc(|| "middleware.domain_alarms".into());
+                sim.tracer().record_with(sim.now(), || {
+                    (
+                        "middleware".into(),
+                        TraceKind::Manager(ManagerPhase::Replan),
+                        format!("domain alarm {domain}: evacuating [{}]", members.join(", ")),
+                    )
+                });
+                log.emit(
+                    sim.now(),
+                    JournalEvent::DomainAlarm {
+                        domain: domain.clone(),
+                        members: members.clone(),
+                    },
+                );
+                // A cascade verdict is a death certificate for the whole
+                // domain: snapshot now, with the alarmed domain and its
+                // members in the header.
+                log.dump(&format!(
+                    "domain-alarm-{domain} members={}",
+                    members.join(",")
+                ));
+                for member in &members {
+                    // Mark as handled first so the generic breaker/
+                    // blacklist hooks don't replan the same loss again.
+                    replanned.borrow_mut().insert(member.clone());
+                    let doomed = pm.live_on(member);
+                    pm.blacklist(member);
+                    for pid in &doomed {
+                        evacuating
+                            .borrow_mut()
+                            .insert(*pid, (domain.clone(), member.clone()));
                     }
+                    for pid in &doomed {
+                        pm.cancel(sim, *pid);
+                    }
+                    replan(sim, member, doomed.len());
+                }
+            }
+        };
+        // Feed the alarm from the failure signals this run actually has:
+        // detector verdicts when detection is on, pilot deaths (the oracle
+        // path) otherwise. Never both — a DeclaredDead pilot also
+        // transitions to Failed, and one death is one signal.
+        if self.detection().is_some() {
+            crew.pm.on_detector_event(move |sim, ev| {
+                if let DetectorEvent::Suspected { resource, .. }
+                | DetectorEvent::DeclaredDead { resource, .. } = ev
+                {
+                    on_signal(sim, resource);
+                }
+            });
+        } else {
+            let pm = crew.pm.clone();
+            crew.pm.subscribe(move |sim, pilot, state| {
+                if state == PilotState::Failed {
+                    on_signal(sim, &pm.pilot(pilot).description.resource);
+                }
+            });
+        }
+        // The drain watcher: an evacuated pilot reaching Canceled is the
+        // evacuation taking effect — journal it and measure the alarm →
+        // first-drain lead.
+        let (log, ledger) = (self.log.clone(), ledger.clone());
+        crew.pm.subscribe(move |sim, pilot, state| {
+            if state != PilotState::Canceled {
+                return;
+            }
+            let Some((domain, resource)) = evacuating.borrow_mut().remove(&pilot) else {
+                return;
+            };
+            sim.metrics().inc(|| "middleware.evacuations".into());
+            log.emit(
+                sim.now(),
+                JournalEvent::Evacuation {
+                    domain,
+                    resource,
+                    pilot: pilot.0,
+                },
+            );
+            let mut ledger = ledger.borrow_mut();
+            ledger.evacuations += 1;
+            if ledger.evacuation_lead_secs.is_none() {
+                if let Some(alarm_at) = ledger.first_alarm {
+                    ledger.evacuation_lead_secs = Some(sim.now().since(alarm_at).as_secs());
+                }
+            }
+        });
+    }
+
+    /// The compiled schedule's timed faults: the staging bandwidth dip,
+    /// heartbeat-delay windows and outages.
+    fn arm_schedule(&mut self, crew: &Crew, replan: &Replan, ledger: &SharedLedger) {
+        let Some(sched) = &self.schedule else { return };
+        let submitted = self.submitted;
+        if let Some(sf) = sched.staging.filter(|s| s.duration_secs > 0.0) {
+            let start = submitted + SimDuration::from_secs(sf.at_secs.max(0.0));
+            let factor = sf.bandwidth_factor.clamp(0.001, 1.0);
+            let um = crew.um.clone();
+            self.sim
+                .schedule_at(start, move |_| um.set_origin_bandwidth_factor(factor));
+            let um = crew.um.clone();
+            self.sim.schedule_at(
+                start + SimDuration::from_secs(sf.duration_secs),
+                move |_| um.set_origin_bandwidth_factor(1.0),
+            );
+        }
+        // Signal-level fault injection: heartbeats emitted inside each
+        // window are delivered late, exercising the detector's
+        // false-positive and stale-signal handling.
+        for hd in &sched.heartbeat_delays {
+            let from = submitted + SimDuration::from_secs(hd.at_secs.max(0.0));
+            crew.pm.inject_heartbeat_delay(
+                &hd.resource,
+                from,
+                from + SimDuration::from_secs(hd.duration_secs),
+                SimDuration::from_secs(hd.delay_secs),
+            );
+        }
+        let oracle = self.detection().is_none();
+        for o in &sched.outages {
+            let Some(cluster) = self
+                .clusters
+                .iter()
+                .find(|c| c.name() == o.resource)
+                .cloned()
+            else {
+                continue; // the spec may name resources outside this pool
+            };
+            let at = submitted + SimDuration::from_secs(o.at.as_secs().max(0.0));
+            let (kill, duration) = (o.kind == OutageKind::Outage, o.duration);
+            let (resource, ledger) = (o.resource.clone(), ledger.clone());
+            match o.kind {
+                OutageKind::Outage | OutageKind::Drain => {
+                    self.sim.schedule_at(at, move |sim| {
+                        cluster.inject_outage(sim, duration, kill);
+                    });
+                }
+                // No oracle: decommission the cluster and walk away.
+                // Recovery must come entirely from missed heartbeats and
+                // tripped breakers. `lost` still feeds error
+                // classification if the run cannot finish.
+                OutageKind::Permanent if !oracle => {
+                    self.sim.schedule_at(at, move |sim| {
+                        cluster.decommission(sim);
+                        ledger.borrow_mut().lost.push(resource);
+                    });
+                }
+                OutageKind::Permanent => {
+                    let (pm, replan) = (crew.pm.clone(), replan.clone());
+                    self.sim.schedule_at(at, move |sim| {
+                        // Count live pilots before the axe falls so the
+                        // re-plan knows how much capacity to rebuild.
+                        let doomed = pm.live_on(&resource).len();
+                        // Blacklist first: replacement logic triggered by
+                        // the kills below must not resubmit to a corpse.
+                        pm.blacklist(&resource);
+                        cluster.decommission(sim);
+                        ledger.borrow_mut().lost.push(resource.clone());
+                        replan(sim, &resource, doomed);
+                    });
                 }
             }
         }
     }
 
-    // Run until the application completes or the deadline passes.
-    let deadline = submitted + options.deadline;
-    let interrupt_at = options.interrupt_at.map(|d| submitted + d);
-    while finished.borrow().is_none() {
-        if let Some(t) = interrupt_at {
+    /// Phase 6 — run until the application completes, the deadline
+    /// passes, the interrupt fires or the queue drains. One exit: engine
+    /// queue-health counters are published on every exit (passive on
+    /// both sinks), and a death leaves a post-mortem dump named after its
+    /// reason before its typed error is returned.
+    pub(crate) fn drive(
+        &mut self,
+        crew: &Crew,
+        ledger: &SharedLedger,
+    ) -> Result<SimTime, RunError> {
+        let deadline = self.submitted + self.options.deadline;
+        let interrupt_at = self.options.interrupt_at.map(|d| self.submitted + d);
+        let outcome: Result<SimTime, (String, RunError)> = loop {
+            if let Some(t) = crew.finished.get() {
+                break Ok(t);
+            }
+            let at = self.sim.now();
             // Simulated middleware crash: stop dead. Whatever the journal
             // holds now is exactly what a crashed writer would have
             // persisted.
-            if sim.now() >= t {
-                dump("interrupted");
-                sim.publish_engine_stats();
-                return Err(RunError::Interrupted {
-                    at: sim.now(),
-                    stats: um.stats(),
+            if interrupt_at.is_some_and(|t| at >= t) {
+                let stats = crew.um.stats();
+                break Err(("interrupted".into(), RunError::Interrupted { at, stats }));
+            }
+            if at > deadline {
+                let err = RunError::DeadlineExceeded {
+                    n_tasks: self.n_tasks,
+                    strategy_label: self.strategy.label(),
+                    at,
+                    stats: crew.um.stats(),
+                };
+                break Err(("deadline-exceeded".into(), err));
+            }
+            if !self.sim.step() {
+                let stats = crew.um.stats();
+                break Err(match ledger.borrow().lost.first() {
+                    Some(resource) => (
+                        format!("resource-lost-{resource}"),
+                        RunError::ResourceLost {
+                            resource: resource.clone(),
+                            stats,
+                        },
+                    ),
+                    None => ("pilots-drained".into(), RunError::PilotsDrained { stats }),
                 });
             }
-        }
-        if sim.now() > deadline {
-            dump("deadline-exceeded");
-            sim.publish_engine_stats();
-            return Err(RunError::DeadlineExceeded {
-                n_tasks,
-                strategy_label: strategy.label(),
-                at: sim.now(),
-                stats: um.stats(),
-            });
-        }
-        if !sim.step() {
-            break;
+        };
+        self.sim.publish_engine_stats();
+        outcome.map_err(|(reason, err)| {
+            self.log.dump(&reason);
+            err
+        })
+    }
+
+    /// Phase 7 — the measured outcome: TTC decomposition, allocation
+    /// accounting (§V: charged = active pilot spans, used = task
+    /// execution core time), recovery and info-plane counters, and the
+    /// telemetry summary with its pilot/unit spans.
+    pub(crate) fn assemble(
+        self,
+        crew: &Crew,
+        ledger: &SharedLedger,
+        resources_used: Vec<String>,
+        finished_at: SimTime,
+    ) -> RunResult {
+        let stats = crew.um.stats();
+        let units = crew.um.units();
+        let pilots = crew.pm.pilots();
+        let mut breakdown = decompose(&units, &pilots, self.submitted, finished_at);
+        // Td: union of the silent → declared windows. Only the detector
+        // knows when silence began, so decompose cannot derive this from
+        // unit/pilot timestamps.
+        breakdown.td = interval_union(crew.pm.detection_windows());
+        let ttc_secs = breakdown.ttc.as_secs();
+        self.log
+            .emit(finished_at, JournalEvent::RunFinished { ttc_secs });
+        let charged_core_hours: f64 = pilots
+            .iter()
+            .filter_map(|p| {
+                let active = p.time_of(PilotState::Active)?;
+                let span = pilot_end(p, finished_at).saturating_since(active);
+                Some(f64::from(p.description.cores) * span.as_hours())
+            })
+            .sum();
+        let used_core_hours: f64 = units
+            .iter()
+            .filter_map(|u| {
+                u.execution_span()
+                    .map(|d| f64::from(u.task.cores) * d.as_hours())
+            })
+            .sum();
+        let metrics = self.options.telemetry.as_ref().map(|telemetry| {
+            add_spans(telemetry, &pilots, &units, finished_at);
+            telemetry.summary()
+        });
+        let info_stats = self.info.borrow().stats();
+        let (wasted, salvaged) = salvage_split(&units);
+        let ledger = ledger.borrow();
+        RunResult {
+            metrics,
+            info_fallbacks: info_stats.info_fallbacks(),
+            stale_decision_secs: info_stats.stale_decision_secs,
+            charged_core_hours,
+            used_core_hours,
+            replacements: crew.pm.replacements(),
+            replans: ledger.replans,
+            wasted_core_hours: wasted,
+            salvaged_core_hours: salvaged,
+            domain_alarms: ledger.domain_alarms,
+            evacuations: ledger.evacuations,
+            evacuation_lead_secs: ledger.evacuation_lead_secs,
+            mean_recovery_secs: mean_secs(&crew.pm.recovery_times()),
+            mean_detection_secs: mean_secs(&crew.pm.detection_times()),
+            false_suspicions: crew.pm.false_suspicions(),
+            strategy_label: self.strategy.label(),
+            n_tasks: self.n_tasks,
+            breakdown,
+            resources_used,
+            units_done: stats.done,
+            units_failed: stats.failed,
+            restarts: stats.restarts,
+            pilot_setup_secs: pilots
+                .iter()
+                .filter_map(|p| p.setup_time().map(|d| d.as_secs()))
+                .collect(),
         }
     }
-    // Queue-health counters go to the metrics registry and profiler on
-    // every exit, success or not — passive on both sinks.
-    sim.publish_engine_stats();
-    let finished_at = match *finished.borrow() {
-        Some(t) => t,
-        None => {
-            let stats = um.stats();
-            return Err(match lost.borrow().first() {
-                Some(resource) => {
-                    dump(&format!("resource-lost-{resource}"));
-                    RunError::ResourceLost {
-                        resource: resource.clone(),
-                        stats,
-                    }
-                }
-                None => {
-                    dump("pilots-drained");
-                    RunError::PilotsDrained { stats }
-                }
-            });
+}
+
+/// A tracer line and a metrics tick for a re-plan that found no way out.
+fn replan_failed(sim: &mut Simulation, why: String) {
+    sim.tracer().record(
+        sim.now(),
+        "middleware",
+        TraceKind::Manager(ManagerPhase::ReplanFailed),
+        why,
+    );
+    sim.metrics()
+        .inc(|| "middleware.recovery.replan_failed".into());
+}
+
+/// The journal entry for one detector verdict or dropped signal.
+fn detector_entry(ev: &DetectorEvent) -> JournalEvent {
+    let (pilot, resource, verdict, secs) = match ev {
+        DetectorEvent::Suspected {
+            pilot,
+            resource,
+            silent_for,
+        } => (pilot, resource, "Suspected", silent_for),
+        DetectorEvent::Recovered {
+            pilot,
+            resource,
+            suspected_for,
+        } => (pilot, resource, "Recovered", suspected_for),
+        DetectorEvent::DeclaredDead {
+            pilot,
+            resource,
+            silent_for,
+        } => (pilot, resource, "DeclaredDead", silent_for),
+        DetectorEvent::StaleSignal {
+            pilot,
+            resource,
+            detail,
+        } => {
+            return JournalEvent::StaleSignal {
+                pilot: pilot.0,
+                resource: resource.clone(),
+                detail: detail.clone(),
+            }
         }
     };
+    JournalEvent::Detector {
+        pilot: pilot.0,
+        resource: resource.clone(),
+        verdict: verdict.into(),
+        silent_secs: secs.as_secs(),
+    }
+}
 
-    let stats: UnitManagerStats = um.stats();
-    let units = um.units();
-    let pilots: Vec<Pilot> = pm.pilots();
-    let mut breakdown = decompose(&units, &pilots, submitted, finished_at);
-    // Td: union of the silent → declared windows. Only the detector
-    // knows when silence began, so decompose cannot derive this from
-    // unit/pilot timestamps.
-    breakdown.td = interval_union(pm.detection_windows());
-    record_event(
-        finished_at,
-        JournalEvent::RunFinished {
-            ttc_secs: breakdown.ttc.as_secs(),
-        },
-        &recorder,
-        &options.journal,
-    );
-    // Allocation accounting (§V metrics): charged = active pilot spans,
-    // used = task-execution core time.
-    let charged_core_hours: f64 = pilots
-        .iter()
-        .filter_map(|p| {
-            let active = p.time_of(aimes_pilot::PilotState::Active)?;
-            // Pilots still alive at run end (their cancellation lands just
-            // after the last unit finishes) are charged up to run end.
-            let end = if p.state.is_terminal() {
-                p.timestamps.last().map(|(_, t)| *t)?
-            } else {
-                finished_at
-            };
-            Some(f64::from(p.description.cores) * end.saturating_since(active).as_hours())
-        })
-        .sum();
-    let used_core_hours: f64 = units
-        .iter()
-        .filter_map(|u| {
-            u.execution_span()
-                .map(|d| f64::from(u.task.cores) * d.as_hours())
-        })
-        .sum();
-    let recovery_times = pm.recovery_times();
-    let mean_recovery_secs = if recovery_times.is_empty() {
-        0.0
-    } else {
-        recovery_times.iter().map(|d| d.as_secs()).sum::<f64>() / recovery_times.len() as f64
-    };
-    let detection_times = pm.detection_times();
-    let mean_detection_secs = if detection_times.is_empty() {
-        0.0
-    } else {
-        detection_times.iter().map(|d| d.as_secs()).sum::<f64>() / detection_times.len() as f64
-    };
-    // Span assembly: pilot lifetimes and unit Executing windows become
-    // complete events on per-resource tracks in the Chrome trace. Done
-    // here, after the run, because only now are all end times known.
-    let metrics = options.telemetry.as_ref().map(|telemetry| {
-        for p in &pilots {
-            let Some(&(_, start)) = p.timestamps.first() else {
+/// Mean of `durations` in seconds (0 when there are none).
+fn mean_secs(durations: &[SimDuration]) -> f64 {
+    if durations.is_empty() {
+        return 0.0;
+    }
+    durations.iter().map(|d| d.as_secs()).sum::<f64>() / durations.len() as f64
+}
+
+/// When a pilot stopped counting: its last transition once terminal;
+/// pilots still alive at run end (their cancellation lands just after
+/// the last unit finishes) count up to `run_end`.
+fn pilot_end(p: &Pilot, run_end: SimTime) -> SimTime {
+    match p.timestamps.last() {
+        Some(&(_, t)) if p.state.is_terminal() => t,
+        _ => run_end,
+    }
+}
+
+/// Span assembly: pilot lifetimes and unit Executing windows become
+/// complete events on per-resource tracks in the Chrome trace. Done after
+/// the run, because only then are all end times known.
+fn add_spans(telemetry: &Telemetry, pilots: &[Pilot], units: &[ComputeUnit], finished_at: SimTime) {
+    for p in pilots {
+        let Some(&(_, start)) = p.timestamps.first() else {
+            continue;
+        };
+        telemetry.add_span(Span {
+            track: p.description.resource.clone(),
+            lane: p.id.to_string(),
+            name: p.id.to_string(),
+            category: "pilot".into(),
+            start,
+            end: pilot_end(p, finished_at),
+            args: vec![
+                ("state".into(), format!("{:?}", p.state)),
+                ("cores".into(), p.description.cores.to_string()),
+            ],
+        });
+    }
+    for u in units {
+        let Some(pid) = u.pilot else { continue };
+        let Some(pilot) = pilots.iter().find(|p| p.id == pid) else {
+            continue;
+        };
+        // A restarted unit has several Executing entries; each window
+        // closes at the next transition (or run end if interrupted).
+        for (i, &(state, start)) in u.timestamps.iter().enumerate() {
+            if state != UnitState::Executing {
                 continue;
-            };
-            let end = if p.state.is_terminal() {
-                p.timestamps.last().map(|&(_, t)| t).unwrap_or(finished_at)
-            } else {
-                finished_at
-            };
+            }
+            let end = u
+                .timestamps
+                .get(i + 1)
+                .map(|&(_, t)| t)
+                .unwrap_or(finished_at);
             telemetry.add_span(Span {
-                track: p.description.resource.clone(),
-                lane: p.id.to_string(),
-                name: p.id.to_string(),
-                category: "pilot".into(),
+                track: pilot.description.resource.clone(),
+                lane: u.id.to_string(),
+                name: u.id.to_string(),
+                category: "unit".into(),
                 start,
                 end,
                 args: vec![
-                    ("state".into(), format!("{:?}", p.state)),
-                    ("cores".into(), p.description.cores.to_string()),
+                    ("pilot".into(), pid.to_string()),
+                    ("cores".into(), u.task.cores.to_string()),
                 ],
             });
-        }
-        for u in &units {
-            let Some(pid) = u.pilot else { continue };
-            let Some(pilot) = pilots.iter().find(|p| p.id == pid) else {
-                continue;
-            };
-            // A restarted unit has several Executing entries; each window
-            // closes at the next transition (or run end if interrupted).
-            for (i, &(state, start)) in u.timestamps.iter().enumerate() {
-                if state != UnitState::Executing {
-                    continue;
-                }
-                let end = u
-                    .timestamps
-                    .get(i + 1)
-                    .map(|&(_, t)| t)
-                    .unwrap_or(finished_at);
-                telemetry.add_span(Span {
-                    track: pilot.description.resource.clone(),
-                    lane: u.id.to_string(),
-                    name: u.id.to_string(),
-                    category: "unit".into(),
-                    start,
-                    end,
-                    args: vec![
-                        ("pilot".into(), pid.to_string()),
-                        ("cores".into(), u.task.cores.to_string()),
-                    ],
-                });
-            }
-        }
-        telemetry.summary()
-    });
-    let info_stats = info_handle.borrow().stats();
-    let (wasted, salvaged) = salvage_split(&units);
-    let evacuation_lead_secs = *evacuation_lead.borrow();
-    Ok(RunResult {
-        metrics,
-        info_fallbacks: info_stats.info_fallbacks(),
-        stale_decision_secs: info_stats.stale_decision_secs,
-        charged_core_hours,
-        used_core_hours,
-        replacements: pm.replacements(),
-        replans: replans.get(),
-        wasted_core_hours: wasted,
-        salvaged_core_hours: salvaged,
-        domain_alarms: domain_alarms.get(),
-        evacuations: evacuations.get(),
-        evacuation_lead_secs,
-        mean_recovery_secs,
-        mean_detection_secs,
-        false_suspicions: pm.false_suspicions(),
-        strategy_label: strategy.label(),
-        n_tasks,
-        breakdown,
-        resources_used: plan.resources,
-        units_done: stats.done,
-        units_failed: stats.failed,
-        restarts: stats.restarts,
-        pilot_setup_secs: pilots
-            .iter()
-            .filter_map(|p| p.setup_time().map(|d| d.as_secs()))
-            .collect(),
-    })
-}
-
-/// Feed one journal-shaped event to the always-on flight recorder and,
-/// when the caller asked for one, the run journal. The recorder line is
-/// the event's JSON, so a snapshot tail is directly comparable to the
-/// journal's tail.
-fn record_event(
-    at: SimTime,
-    event: JournalEvent,
-    recorder: &Rc<RefCell<FlightRecorder>>,
-    journal: &Option<Rc<RefCell<RunJournal>>>,
-) {
-    recorder
-        .borrow_mut()
-        .record_with(at, || serde_json::to_string(&event).unwrap_or_default());
-    if let Some(jr) = journal {
-        jr.borrow_mut().record(at, event);
-    }
-}
-
-/// Write a checksummed snapshot of the recorder into `dir` (no-op when
-/// unset). Dump failures are swallowed: post-mortem writing must never
-/// turn a diagnosable death into a different one.
-///
-/// Concurrent runs (the worker pool) may share `dir`, and paired-seed
-/// sweep arms may even share `seed`; the `tag` keeps their filenames
-/// apart, and the write goes to a unique temp file followed by an atomic
-/// rename so a reader never observes a half-written or interleaved dump.
-fn dump_snapshot(
-    dir: Option<&std::path::Path>,
-    tag: Option<&str>,
-    seed: u64,
-    recorder: &FlightRecorder,
-    reason: &str,
-) {
-    let Some(dir) = dir else { return };
-    let snapshot = recorder.snapshot(reason);
-    fn sanitize(s: &str) -> String {
-        s.chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() || c == '-' {
-                    c
-                } else {
-                    '-'
-                }
-            })
-            .collect()
-    }
-    let name = match tag {
-        Some(tag) => format!("flight-{}-{seed}-{}.txt", sanitize(tag), sanitize(reason)),
-        None => format!("flight-{seed}-{}.txt", sanitize(reason)),
-    };
-    let _ = std::fs::create_dir_all(dir);
-    static DUMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let tmp = dir.join(format!(
-        "{name}.tmp-{}-{}",
-        std::process::id(),
-        DUMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-    ));
-    match std::fs::write(&tmp, snapshot.to_text()) {
-        Ok(()) => {
-            if std::fs::rename(&tmp, dir.join(&name)).is_err() {
-                let _ = std::fs::remove_file(&tmp);
-            }
-        }
-        Err(_) => {
-            let _ = std::fs::remove_file(&tmp);
         }
     }
 }

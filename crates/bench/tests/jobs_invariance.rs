@@ -140,6 +140,23 @@ const PARENT_DIGESTS: [(&str, [&str; 4]); 4] = [
     ),
 ];
 
+/// Stdout digests of the two sequential ablations that run through
+/// `run_application`/`run_adaptive` directly (no campaign driver) at
+/// `--quick --reps 2 --seed 42`, captured before both runners shared one
+/// set of run phases. Restructuring a run must leave them unchanged.
+const SEQUENTIAL_DIGESTS: [(&str, &str); 2] = [
+    ("ablation-adaptive", "1ab077b695be0c82"),
+    ("ablation-walltime", "852bb7b9958cdc5e"),
+];
+
+#[test]
+fn sequential_ablation_outputs_match_pinned_digests() {
+    for (command, want) in SEQUENTIAL_DIGESTS {
+        let (out, _) = run_sweep(command, "1");
+        assert_eq!(fnv(out.as_bytes()), want, "{command}: stdout digest moved");
+    }
+}
+
 #[test]
 fn sweep_outputs_match_pinned_digests_at_any_jobs() {
     let dir = std::env::temp_dir().join(format!("aimes-sweep-parity-{}", std::process::id()));

@@ -1017,6 +1017,18 @@ impl PilotManager {
         self.inner.borrow().pilots.clone()
     }
 
+    /// The non-terminal pilots on `resource`, in submission order —
+    /// without snapshotting the whole pilot table.
+    pub fn live_on(&self, resource: &str) -> Vec<PilotId> {
+        self.inner
+            .borrow()
+            .pilots
+            .iter()
+            .filter(|p| p.description.resource == resource && !p.state.is_terminal())
+            .map(|p| p.id)
+            .collect()
+    }
+
     /// The SAGA session (shared).
     pub fn session(&self) -> Rc<Session> {
         self.inner.borrow().session.clone()

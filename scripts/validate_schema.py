@@ -1,12 +1,21 @@
 #!/usr/bin/env python3
 """Unified schema validator for the repo's machine-readable artifacts.
 
-One entry point for the three JSON families CI gates on, replacing the
-hand-rolled inline validators that used to live in each workflow job:
+One entry point for every artifact check CI gates on, replacing the
+hand-rolled inline validators that used to live in each workflow job.
+Three JSON families:
 
     validate_schema.py bench BENCH_quick.json
     validate_schema.py campaign campaign.jsonl --timing --command ablation-cascade
     validate_schema.py profile profile.json [--timing]
+
+and four gates over what the binaries emit:
+
+    validate_schema.py speedup BENCH_jobs1.json BENCH_jobs4.json
+    validate_schema.py closure analytics-out/exp1-analysis.json ...
+    validate_schema.py campaign-report campaign-report.md --command ablation-cascade \\
+        --arms reactive evacuate evac+ckpt
+    validate_schema.py telemetry telemetry-out
 
 Exits non-zero with a diagnostic on the first violation. Volatile fields
 (walls, rates) are type- and range-checked only; deterministic fields are
@@ -14,7 +23,9 @@ checked structurally so the validator stays seed-independent.
 """
 
 import argparse
+import csv
 import json
+import os
 import sys
 
 
@@ -193,26 +204,121 @@ def validate_profile(path, args):
     print(f"profile OK: {len(labels)} labels, {doc['runs']} runs{cov}")
 
 
+# ---------------------------------------------------------------- gates
+
+
+def check_speedup(args):
+    """Worker-pool scaling: campaign_throughput runs/s at --jobs 4 over --jobs 1."""
+    rps = {}
+    for jobs, path in ((1, args.jobs1), (4, args.jobs4)):
+        r = json.load(open(path))
+        c = next(c for c in r["campaigns"] if c["label"] == "campaign_throughput")
+        rps[jobs] = c["runs_per_sec"]
+        print(f"--jobs {jobs}: {c['runs']} runs, {c['runs_per_sec']:.2f} runs/s")
+    speedup = rps[4] / rps[1]
+    print(f"speedup: {speedup:.2f}x")
+    require(speedup >= 1.8, f"worker pool must scale: {speedup:.2f}x < 1.8x")
+
+
+def check_closure(args):
+    """Each `analyze` report closes and its critical path spans the TTC."""
+    for path in args.paths:
+        name = os.path.basename(path).removesuffix("-analysis.json")
+        r = json.load(open(path))
+        c = r["closure"]
+        require(c["holds"], f"{name}: closure broken ({c['error_secs']}s)")
+        require(abs(c["error_secs"]) <= 1e-6, f"{name}: {c['error_secs']}")
+        cp = r["critical_path"]
+        require(
+            abs(cp["total_secs"] - r["ttc_reported_secs"]) <= 1e-6,
+            f"{name}: critical path {cp['total_secs']}s != TTC {r['ttc_reported_secs']}s",
+        )
+        print(
+            f"{name}: TTC {r['ttc_reported_secs']:.3f}s, "
+            f"closure error {c['error_secs']:.2e}, "
+            f"{len(cp['segments'])} path segments"
+        )
+
+
+def check_campaign_report(args):
+    """`campaign-report` markdown (of a timing manifest) carries every
+    section and arm row."""
+    text = open(args.path).read()
+    for heading in (
+        f"## Campaign report — {args.command}",
+        "### TTC percentiles by arm",
+        "### Straggler runs (Tukey fence per arm)",
+        "### Failures",
+    ):
+        require(heading in text, f"missing section: {heading}")
+    require("### Pool utilization" in text, "timing manifest renders pool section")
+    for arm in args.arms:
+        require(f"| {arm} |" in text, f"missing arm row: {arm}")
+    print(f"campaign report OK: {len(args.arms)} arms")
+
+
+def check_telemetry(args):
+    """`telemetry --emit-metrics DIR --trace-out DIR/events.json` output:
+    Chrome trace, metrics JSON + CSV, and the event trace."""
+    trace = json.load(open(os.path.join(args.dir, "trace.json")))
+    events = trace["traceEvents"]
+    require(events, "empty Chrome trace")
+    require(any(e["ph"] == "X" for e in events), "no spans")
+    require(any(e["ph"] == "C" for e in events), "no counter samples")
+    metrics = json.load(open(os.path.join(args.dir, "metrics.json")))
+    require(metrics["counters"], "no counters")
+    require(metrics["gauges"], "no gauges")
+    require(metrics["histograms"], "no histograms")
+    rows = list(csv.DictReader(open(os.path.join(args.dir, "metrics.csv"))))
+    require(rows, "empty metrics CSV")
+    float(rows[0]["time_secs"])
+    float(rows[0]["value"])
+    json.load(open(os.path.join(args.dir, "events.json")))
+    print(f"{len(events)} trace events, {len(rows)} CSV samples OK")
+
+
 # ------------------------------------------------------------------ cli
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("family", choices=("bench", "campaign", "profile"))
-    parser.add_argument("path")
-    parser.add_argument(
-        "--timing",
-        action="store_true",
-        help="require the volatile timing sections (campaign/profile families)",
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
-    parser.add_argument(
-        "--command",
-        help="expected producing command recorded in the document (campaign family)",
-    )
+    sub = parser.add_subparsers(dest="family", required=True)
+    for family, validate in (
+        ("bench", validate_bench),
+        ("campaign", validate_campaign),
+        ("profile", validate_profile),
+    ):
+        p = sub.add_parser(family)
+        p.add_argument("path")
+        p.add_argument(
+            "--timing",
+            action="store_true",
+            help="require the volatile timing sections (campaign/profile families)",
+        )
+        p.add_argument(
+            "--command",
+            help="expected producing command recorded in the document (campaign family)",
+        )
+        p.set_defaults(run=lambda a, validate=validate: validate(a.path, a))
+    p = sub.add_parser("speedup", help=check_speedup.__doc__)
+    p.add_argument("jobs1", help="bench-report --only campaign_throughput --jobs 1 output")
+    p.add_argument("jobs4", help="the same at --jobs 4")
+    p.set_defaults(run=check_speedup)
+    p = sub.add_parser("closure", help=check_closure.__doc__)
+    p.add_argument("paths", nargs="+", help="`analyze --out` reports")
+    p.set_defaults(run=check_closure)
+    p = sub.add_parser("campaign-report", help=check_campaign_report.__doc__)
+    p.add_argument("path", help="the report's markdown")
+    p.add_argument("--command", required=True, help="the sweep the manifest came from")
+    p.add_argument("--arms", nargs="+", required=True, help="arm rows that must appear")
+    p.set_defaults(run=check_campaign_report)
+    p = sub.add_parser("telemetry", help=check_telemetry.__doc__)
+    p.add_argument("dir", help="the --emit-metrics directory, holding events.json")
+    p.set_defaults(run=check_telemetry)
     args = parser.parse_args()
-    {"bench": validate_bench, "campaign": validate_campaign, "profile": validate_profile}[
-        args.family
-    ](args.path, args)
+    args.run(args)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ use aimes_repro::cluster::ClusterConfig;
 use aimes_repro::fault::{FaultSpec, OutageKind, OutageSpec, RecoveryPolicy};
 use aimes_repro::middleware::paper;
 use aimes_repro::middleware::{
-    run_application, RecorderSnapshot, RunError, RunJournal, RunOptions,
+    run_application, JournalEvent, RecorderSnapshot, RunError, RunJournal, RunOptions,
 };
 use aimes_repro::sim::{SimDuration, SimTime};
 use aimes_repro::skeleton::{paper_bag, TaskDurationSpec};
@@ -61,9 +61,12 @@ fn interrupted_run_dumps_a_verifiable_snapshot_matching_the_journal_tail() {
     assert!(!snap.events.is_empty(), "the ring saw the run's events");
     assert!(snap.events.len() <= capacity);
 
-    // The tail reconstructs the journal's last N events exactly: same
-    // count, same order, byte-identical JSON per event.
-    let journal = journal.borrow();
+    assert_tail_matches_journal(&snap, &journal.borrow());
+}
+
+/// The tail reconstructs the journal's last N events exactly: same
+/// count, same order, byte-identical JSON per event.
+fn assert_tail_matches_journal(snap: &RecorderSnapshot, journal: &RunJournal) {
     let entries = journal.entries();
     assert_eq!(snap.total_events, entries.len() as u64);
     let tail = &entries[entries.len() - snap.events.len()..];
@@ -77,6 +80,60 @@ fn interrupted_run_dumps_a_verifiable_snapshot_matching_the_journal_tail() {
         // The dump format keeps millisecond precision.
         assert!((rec.at_secs - entry.at_secs).abs() < 0.001);
     }
+}
+
+#[test]
+fn replans_reach_the_recorder_like_every_other_journal_event() {
+    // Oracle recovery: "one" is decommissioned at t+300 s and the run
+    // re-plans onto "two". The Replan entry must land in the recorder
+    // too, or every dump after a re-plan disagrees with the journal.
+    let dir = dump_dir("replan");
+    let app = paper_bag(16, TaskDurationSpec::Uniform15Min);
+    let pool = vec![
+        ClusterConfig::test("one", 256),
+        ClusterConfig::test("two", 256),
+    ];
+    let mut strategy = paper::late_strategy(1);
+    strategy.selection = ResourceSelection::Fixed(vec!["one".into()]);
+    let journal = Rc::new(RefCell::new(RunJournal::new()));
+    let err = run_application(
+        &pool,
+        &app,
+        &strategy,
+        &RunOptions {
+            seed: 13,
+            submit_at: SimTime::from_secs(600.0),
+            faults: Some(FaultSpec {
+                outages: vec![OutageSpec {
+                    resource: "one".into(),
+                    at_secs: 300.0,
+                    duration_secs: 600.0,
+                    kind: OutageKind::Permanent,
+                }],
+                ..FaultSpec::none()
+            }),
+            recovery: Some(RecoveryPolicy::default()),
+            journal: Some(journal.clone()),
+            interrupt_at: Some(SimDuration::from_secs(1200.0)),
+            recorder_dump_dir: Some(dir.clone()),
+            ..Default::default()
+        },
+    )
+    .expect_err("the run is killed after the re-plan");
+    assert!(matches!(err, RunError::Interrupted { .. }), "got {err}");
+    let journal = journal.borrow();
+    assert!(
+        journal
+            .entries()
+            .iter()
+            .any(|e| matches!(e.event, JournalEvent::Replan { .. })),
+        "the scenario must re-plan before the interrupt"
+    );
+
+    let text = std::fs::read_to_string(dir.join("flight-13-interrupted.txt"))
+        .expect("dump written on interrupt");
+    let snap = RecorderSnapshot::from_text(&text).expect("dump verifies");
+    assert_tail_matches_journal(&snap, &journal);
 }
 
 #[test]
