@@ -16,7 +16,7 @@ use crate::ttc::TtcBreakdown;
 use aimes_bundle::{Bundle, QueryMode};
 use aimes_cluster::ClusterConfig;
 use aimes_pilot::{Binding, PilotDescription, PilotManager, PilotState};
-use aimes_sim::{ManagerPhase, SimDuration, Simulation, TraceKind};
+use aimes_sim::{ManagerPhase, SimDuration, Simulation};
 use aimes_skeleton::SkeletonConfig;
 use aimes_strategy::ExecutionStrategy;
 use serde::{Deserialize, Serialize};
@@ -164,7 +164,7 @@ impl Reinforcer {
             sim.tracer().record_with(sim.now(), || {
                 (
                     "adaptive".into(),
-                    TraceKind::Manager(ManagerPhase::Reinforce),
+                    ManagerPhase::Reinforce.name(),
                     fresh.join(","),
                 )
             });

@@ -17,6 +17,27 @@
 use aimes_sim::SimTime;
 use serde::{Deserialize, Serialize};
 
+pub use aimes_pilot::{PilotState, UnitState};
+
+/// A suspicion-detector verdict as journaled.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Verdict {
+    Suspected,
+    Recovered,
+    DeclaredDead,
+}
+
+impl Verdict {
+    /// Wire name: the journal and serde string for this verdict.
+    pub fn name(self) -> &'static str {
+        match self {
+            Verdict::Suspected => "Suspected",
+            Verdict::Recovered => "Recovered",
+            Verdict::DeclaredDead => "DeclaredDead",
+        }
+    }
+}
+
 /// One journaled middleware event.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 #[serde(tag = "type")]
@@ -34,7 +55,7 @@ pub enum JournalEvent {
     /// existed.
     PilotTransition {
         pilot: u32,
-        state: String,
+        state: PilotState,
         #[serde(default)]
         resource: String,
         #[serde(default)]
@@ -45,17 +66,16 @@ pub enum JournalEvent {
     /// `cores` is the task's core request (defaults for old journals).
     UnitTransition {
         unit: u32,
-        state: String,
+        state: UnitState,
         pilot: Option<u32>,
         #[serde(default)]
         cores: u32,
     },
-    /// A suspicion-detector verdict (Suspected / Recovered /
-    /// DeclaredDead) with the silence that justified it.
+    /// A suspicion-detector verdict with the silence that justified it.
     Detector {
         pilot: u32,
         resource: String,
-        verdict: String,
+        verdict: Verdict,
         silent_secs: f64,
     },
     /// A signal arrived for a decommissioned or terminal target and was
@@ -281,7 +301,7 @@ mod tests {
             t(12.5),
             JournalEvent::PilotTransition {
                 pilot: 0,
-                state: "Active".into(),
+                state: PilotState::Active,
                 resource: "alpha".into(),
                 cores: 64,
             },
@@ -290,7 +310,7 @@ mod tests {
             t(13.0),
             JournalEvent::UnitTransition {
                 unit: 3,
-                state: "StagingInput".into(),
+                state: UnitState::StagingInput,
                 pilot: Some(0),
                 cores: 1,
             },
@@ -300,7 +320,7 @@ mod tests {
             JournalEvent::Detector {
                 pilot: 0,
                 resource: "alpha".into(),
-                verdict: "DeclaredDead".into(),
+                verdict: Verdict::DeclaredDead,
                 silent_secs: 300.0,
             },
         );
@@ -357,12 +377,12 @@ mod tests {
         match event {
             JournalEvent::PilotTransition {
                 pilot,
-                ref state,
+                state,
                 ref resource,
                 cores,
             } => {
                 assert_eq!(pilot, 1);
-                assert_eq!(state, "Active");
+                assert_eq!(state, PilotState::Active);
                 assert_eq!(resource, "");
                 assert_eq!(cores, 0);
             }

@@ -7,7 +7,7 @@
 //! pilots with input/output staging (6). All pilots are cancelled when the
 //! application completes "so as not to waste resources".
 
-use crate::journal::{JournalEvent, RunJournal};
+use crate::journal::{JournalEvent, RunJournal, Verdict};
 use crate::recorder::{FlightRecorder, DEFAULT_RECORDER_CAPACITY};
 use crate::ttc::{decompose, interval_union, salvage_split, TtcBreakdown};
 use aimes_bundle::{Bundle, InfoChannel, InfoConfig, InfoDisposition};
@@ -22,7 +22,7 @@ use aimes_pilot::{
 use aimes_saga::{BreakerConfig, JobService, Session};
 use aimes_sim::{
     ManagerPhase, MetricsSummary, Profiler, SimDuration, SimRng, SimTime, Simulation, Span,
-    Telemetry, TraceKind, Tracer,
+    Telemetry, Tracer,
 };
 use aimes_skeleton::{SkeletonApp, SkeletonConfig};
 use aimes_strategy::{ExecutionManager, ExecutionPlan, ExecutionStrategy, ResourceSelection};
@@ -777,7 +777,7 @@ impl<'a> RunWorld<'a> {
                 sim.now(),
                 JournalEvent::PilotTransition {
                     pilot: pilot.0,
-                    state: format!("{state:?}"),
+                    state,
                     resource: desc.resource,
                     cores: desc.cores,
                 },
@@ -790,7 +790,7 @@ impl<'a> RunWorld<'a> {
                 sim.now(),
                 JournalEvent::UnitTransition {
                     unit: unit.0,
-                    state: format!("{state:?}"),
+                    state,
                     pilot: u.pilot.map(|p| p.0),
                     cores: u.task.cores,
                 },
@@ -944,7 +944,7 @@ impl<'a> RunWorld<'a> {
             sim.tracer().record_with(sim.now(), || {
                 (
                     "middleware".into(),
-                    TraceKind::Manager(ManagerPhase::Replan),
+                    ManagerPhase::Replan.name(),
                     format!(
                         "lost {resource}: {} pilots over [{}]",
                         plan.pilots.len(),
@@ -1043,7 +1043,7 @@ impl<'a> RunWorld<'a> {
                 sim.tracer().record_with(sim.now(), || {
                     (
                         "middleware".into(),
-                        TraceKind::Manager(ManagerPhase::Replan),
+                        ManagerPhase::Replan.name(),
                         format!("domain alarm {domain}: evacuating [{}]", members.join(", ")),
                     )
                 });
@@ -1339,7 +1339,7 @@ fn replan_failed(sim: &mut Simulation, why: String) {
     sim.tracer().record(
         sim.now(),
         "middleware",
-        TraceKind::Manager(ManagerPhase::ReplanFailed),
+        ManagerPhase::ReplanFailed.name(),
         why,
     );
     sim.metrics()
@@ -1353,17 +1353,17 @@ fn detector_entry(ev: &DetectorEvent) -> JournalEvent {
             pilot,
             resource,
             silent_for,
-        } => (pilot, resource, "Suspected", silent_for),
+        } => (pilot, resource, Verdict::Suspected, silent_for),
         DetectorEvent::Recovered {
             pilot,
             resource,
             suspected_for,
-        } => (pilot, resource, "Recovered", suspected_for),
+        } => (pilot, resource, Verdict::Recovered, suspected_for),
         DetectorEvent::DeclaredDead {
             pilot,
             resource,
             silent_for,
-        } => (pilot, resource, "DeclaredDead", silent_for),
+        } => (pilot, resource, Verdict::DeclaredDead, silent_for),
         DetectorEvent::StaleSignal {
             pilot,
             resource,
@@ -1379,7 +1379,7 @@ fn detector_entry(ev: &DetectorEvent) -> JournalEvent {
     JournalEvent::Detector {
         pilot: pilot.0,
         resource: resource.clone(),
-        verdict: verdict.into(),
+        verdict,
         silent_secs: secs.as_secs(),
     }
 }
@@ -1418,7 +1418,7 @@ fn add_spans(telemetry: &Telemetry, pilots: &[Pilot], units: &[ComputeUnit], fin
             start,
             end: pilot_end(p, finished_at),
             args: vec![
-                ("state".into(), format!("{:?}", p.state)),
+                ("state".into(), p.state.name().into()),
                 ("cores".into(), p.description.cores.to_string()),
             ],
         });
@@ -1643,9 +1643,15 @@ mod tests {
         assert!(j.verify().is_ok());
         let pos =
             |pred: &dyn Fn(&JournalEvent) -> bool| j.entries().iter().position(|e| pred(&e.event));
-        let declared = pos(
-            &|e| matches!(e, JournalEvent::Detector { verdict, .. } if verdict == "DeclaredDead"),
-        )
+        let declared = pos(&|e| {
+            matches!(
+                e,
+                JournalEvent::Detector {
+                    verdict: Verdict::DeclaredDead,
+                    ..
+                }
+            )
+        })
         .expect("a DeclaredDead verdict is journaled");
         let tripped = pos(&|e| matches!(e, JournalEvent::BreakerTrip { .. }))
             .expect("a breaker trip is journaled");

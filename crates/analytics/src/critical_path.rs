@@ -18,7 +18,8 @@
 //! stable digest — pinned in the golden tests exactly like the journal
 //! digests.
 
-use crate::timeline::{SessionTimelines, UnitPhase, UnitTimeline};
+use crate::timeline::{SessionTimelines, UnitTimeline};
+use aimes::journal::UnitState;
 use serde::{Deserialize, Serialize};
 
 /// One attributed span of the critical path, in time order.
@@ -139,17 +140,17 @@ pub fn extract(tl: &SessionTimelines) -> CriticalPath {
                 .map(|p| p.resource.clone())
                 .unwrap_or_default();
             match iv.phase {
-                UnitPhase::Executing => {
+                UnitState::Executing => {
                     segments.push(Segment {
                         start_secs: start,
                         end_secs: end,
                         component: if iv.recovery { "recovery" } else { "execution" }.into(),
                         entity,
                         resource,
-                        detail: "Executing".into(),
+                        detail: UnitState::Executing.name().into(),
                     });
                 }
-                UnitPhase::StagingInput | UnitPhase::StagingOutput => {
+                UnitState::StagingInput | UnitState::StagingOutput => {
                     segments.push(Segment {
                         start_secs: start,
                         end_secs: end,
@@ -157,13 +158,13 @@ pub fn extract(tl: &SessionTimelines) -> CriticalPath {
                         entity,
                         resource,
                         detail: if iv.recovery {
-                            format!("{} (retry)", iv.phase)
+                            format!("{} (retry)", iv.phase.name())
                         } else {
-                            iv.phase.to_string()
+                            iv.phase.name().into()
                         },
                     });
                 }
-                UnitPhase::PendingExecution => {
+                UnitState::PendingExecution => {
                     // Where did this pending spell land? The binding that
                     // took effect when the unit left the spell names the
                     // pilot; its activation splits the wait.
@@ -233,7 +234,7 @@ pub fn extract(tl: &SessionTimelines) -> CriticalPath {
                         }
                     }
                 }
-                UnitPhase::New => {
+                UnitState::New => {
                     // Dependency wait: jump to the predecessor that
                     // released this unit, if one finished inside the wait.
                     match predecessor_of(tl, unit.id, end + 1e-9) {
@@ -267,7 +268,8 @@ pub fn extract(tl: &SessionTimelines) -> CriticalPath {
                         }
                     }
                 }
-                _ => {}
+                // Filtered out above: the walk never crosses a terminal state.
+                UnitState::Done | UnitState::Failed | UnitState::Canceled => {}
             }
         }
         break;
@@ -297,19 +299,19 @@ pub fn extract(tl: &SessionTimelines) -> CriticalPath {
 mod tests {
     use super::*;
     use crate::timeline::reconstruct;
-    use aimes::journal::{JournalEvent, RunJournal};
+    use aimes::journal::{JournalEvent, PilotState, RunJournal};
     use aimes_sim::SimTime;
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)
     }
 
-    fn unit_ev(j: &mut RunJournal, at: f64, unit: u32, state: &str, pilot: Option<u32>) {
+    fn unit_ev(j: &mut RunJournal, at: f64, unit: u32, state: UnitState, pilot: Option<u32>) {
         j.record(
             t(at),
             JournalEvent::UnitTransition {
                 unit,
-                state: state.into(),
+                state,
                 pilot,
                 cores: 1,
             },
@@ -333,7 +335,7 @@ mod tests {
             t(0.0),
             JournalEvent::PilotTransition {
                 pilot: 0,
-                state: "PendingLaunch".into(),
+                state: PilotState::PendingLaunch,
                 resource: "alpha".into(),
                 cores: 8,
             },
@@ -342,23 +344,23 @@ mod tests {
             t(10.0),
             JournalEvent::PilotTransition {
                 pilot: 0,
-                state: "Active".into(),
+                state: PilotState::Active,
                 resource: "alpha".into(),
                 cores: 8,
             },
         );
         // Unit 0: root.
-        unit_ev(&mut j, 0.0, 0, "PendingExecution", None);
-        unit_ev(&mut j, 10.0, 0, "StagingInput", Some(0));
-        unit_ev(&mut j, 12.0, 0, "Executing", Some(0));
-        unit_ev(&mut j, 50.0, 0, "StagingOutput", Some(0));
-        unit_ev(&mut j, 52.0, 0, "Done", Some(0));
+        unit_ev(&mut j, 0.0, 0, UnitState::PendingExecution, None);
+        unit_ev(&mut j, 10.0, 0, UnitState::StagingInput, Some(0));
+        unit_ev(&mut j, 12.0, 0, UnitState::Executing, Some(0));
+        unit_ev(&mut j, 50.0, 0, UnitState::StagingOutput, Some(0));
+        unit_ev(&mut j, 52.0, 0, UnitState::Done, Some(0));
         // Unit 1: released when unit 0 finishes.
-        unit_ev(&mut j, 52.0, 1, "PendingExecution", None);
-        unit_ev(&mut j, 53.0, 1, "StagingInput", Some(0));
-        unit_ev(&mut j, 55.0, 1, "Executing", Some(0));
-        unit_ev(&mut j, 95.0, 1, "StagingOutput", Some(0));
-        unit_ev(&mut j, 96.0, 1, "Done", Some(0));
+        unit_ev(&mut j, 52.0, 1, UnitState::PendingExecution, None);
+        unit_ev(&mut j, 53.0, 1, UnitState::StagingInput, Some(0));
+        unit_ev(&mut j, 55.0, 1, UnitState::Executing, Some(0));
+        unit_ev(&mut j, 95.0, 1, UnitState::StagingOutput, Some(0));
+        unit_ev(&mut j, 96.0, 1, UnitState::Done, Some(0));
         j.record(t(96.0), JournalEvent::RunFinished { ttc_secs: 96.0 });
 
         let tl = reconstruct(&j).unwrap();
@@ -408,7 +410,7 @@ mod tests {
             t(0.0),
             JournalEvent::PilotTransition {
                 pilot: 0,
-                state: "PendingLaunch".into(),
+                state: PilotState::PendingLaunch,
                 resource: "beta".into(),
                 cores: 4,
             },
@@ -417,16 +419,16 @@ mod tests {
             t(30.0),
             JournalEvent::PilotTransition {
                 pilot: 0,
-                state: "Active".into(),
+                state: PilotState::Active,
                 resource: "beta".into(),
                 cores: 4,
             },
         );
-        unit_ev(&mut j, 0.0, 0, "PendingExecution", None);
-        unit_ev(&mut j, 40.0, 0, "StagingInput", Some(0));
-        unit_ev(&mut j, 41.0, 0, "Executing", Some(0));
-        unit_ev(&mut j, 61.0, 0, "StagingOutput", Some(0));
-        unit_ev(&mut j, 62.0, 0, "Done", Some(0));
+        unit_ev(&mut j, 0.0, 0, UnitState::PendingExecution, None);
+        unit_ev(&mut j, 40.0, 0, UnitState::StagingInput, Some(0));
+        unit_ev(&mut j, 41.0, 0, UnitState::Executing, Some(0));
+        unit_ev(&mut j, 61.0, 0, UnitState::StagingOutput, Some(0));
+        unit_ev(&mut j, 62.0, 0, UnitState::Done, Some(0));
         j.record(t(62.0), JournalEvent::RunFinished { ttc_secs: 62.0 });
 
         let cp = extract(&reconstruct(&j).unwrap());

@@ -23,7 +23,8 @@
 //! journal is torn, or if the simulator's TTC claim disagrees with its
 //! own event record.
 
-use crate::timeline::{SessionTimelines, UnitPhase};
+use crate::timeline::SessionTimelines;
+use aimes::journal::{PilotState, UnitState};
 use serde::{Deserialize, Serialize};
 
 /// Seconds per exclusive component. Fields sum to the reported TTC when
@@ -136,7 +137,7 @@ pub fn decompose(tl: &SessionTimelines, epsilon_secs: f64) -> (ExclusiveTtc, Opt
     for u in tl.units.values() {
         for iv in &u.intervals {
             match iv.phase {
-                UnitPhase::Executing => {
+                UnitState::Executing => {
                     // Split the execution interval against the bound
                     // pilot's suspicion windows: execution on a suspected
                     // pilot is time-at-risk, not guaranteed progress.
@@ -161,22 +162,22 @@ pub fn decompose(tl: &SessionTimelines, epsilon_secs: f64) -> (ExclusiveTtc, Opt
                         edge(cursor, iv.end_secs, EXEC_HEALTHY);
                     }
                 }
-                UnitPhase::StagingInput | UnitPhase::StagingOutput => {
+                UnitState::StagingInput | UnitState::StagingOutput => {
                     edge(iv.start_secs, iv.end_secs, STAGING);
                 }
-                UnitPhase::New | UnitPhase::PendingExecution => {
+                UnitState::New | UnitState::PendingExecution => {
                     edge(iv.start_secs, iv.end_secs, PENDING);
                     if iv.recovery {
                         edge(iv.start_secs, iv.end_secs, PENDING_RECOVERY);
                     }
                 }
-                _ => {}
+                UnitState::Done | UnitState::Failed | UnitState::Canceled => {}
             }
         }
     }
     for p in tl.pilots.values() {
         for iv in &p.intervals {
-            if iv.phase == crate::timeline::PilotPhase::Active {
+            if iv.phase == PilotState::Active {
                 edge(iv.start_secs, iv.end_secs, PILOT_ACTIVE);
             }
         }
@@ -245,7 +246,7 @@ pub fn decompose(tl: &SessionTimelines, epsilon_secs: f64) -> (ExclusiveTtc, Opt
 mod tests {
     use super::*;
     use crate::timeline::reconstruct;
-    use aimes::journal::{JournalEvent, RunJournal};
+    use aimes::journal::{JournalEvent, RunJournal, Verdict};
     use aimes_sim::SimTime;
 
     fn t(s: f64) -> SimTime {
@@ -266,7 +267,7 @@ mod tests {
             t(0.0),
             JournalEvent::PilotTransition {
                 pilot: 0,
-                state: "PendingLaunch".into(),
+                state: PilotState::PendingLaunch,
                 resource: "alpha".into(),
                 cores: 8,
             },
@@ -275,7 +276,7 @@ mod tests {
             t(0.0),
             JournalEvent::UnitTransition {
                 unit: 0,
-                state: "PendingExecution".into(),
+                state: UnitState::PendingExecution,
                 pilot: None,
                 cores: 1,
             },
@@ -284,7 +285,7 @@ mod tests {
             t(100.0),
             JournalEvent::PilotTransition {
                 pilot: 0,
-                state: "Active".into(),
+                state: PilotState::Active,
                 resource: "alpha".into(),
                 cores: 8,
             },
@@ -293,7 +294,7 @@ mod tests {
             t(110.0),
             JournalEvent::UnitTransition {
                 unit: 0,
-                state: "StagingInput".into(),
+                state: UnitState::StagingInput,
                 pilot: Some(0),
                 cores: 1,
             },
@@ -302,7 +303,7 @@ mod tests {
             t(120.0),
             JournalEvent::UnitTransition {
                 unit: 0,
-                state: "Executing".into(),
+                state: UnitState::Executing,
                 pilot: Some(0),
                 cores: 1,
             },
@@ -311,7 +312,7 @@ mod tests {
             t(200.0),
             JournalEvent::UnitTransition {
                 unit: 0,
-                state: "StagingOutput".into(),
+                state: UnitState::StagingOutput,
                 pilot: Some(0),
                 cores: 1,
             },
@@ -320,7 +321,7 @@ mod tests {
             t(210.0),
             JournalEvent::UnitTransition {
                 unit: 0,
-                state: "Done".into(),
+                state: UnitState::Done,
                 pilot: Some(0),
                 cores: 1,
             },
@@ -362,7 +363,7 @@ mod tests {
             JournalEvent::Detector {
                 pilot: 0,
                 resource: "alpha".into(),
-                verdict: "Suspected".into(),
+                verdict: Verdict::Suspected,
                 silent_secs: 30.0,
             },
         );
@@ -371,7 +372,7 @@ mod tests {
             JournalEvent::Detector {
                 pilot: 0,
                 resource: "alpha".into(),
-                verdict: "Recovered".into(),
+                verdict: Verdict::Recovered,
                 silent_secs: 20.0,
             },
         );
@@ -404,7 +405,7 @@ mod tests {
             t(5.0),
             JournalEvent::UnitTransition {
                 unit: 0,
-                state: "PendingExecution".into(),
+                state: UnitState::PendingExecution,
                 pilot: None,
                 cores: 1,
             },

@@ -158,7 +158,7 @@ pub fn analyze_jsonl(text: &str, epsilon_secs: f64) -> Result<AnalysisReport, Re
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aimes::journal::JournalEvent;
+    use aimes::journal::{JournalEvent, PilotState, UnitState};
     use aimes_sim::SimTime;
 
     fn sample_journal() -> RunJournal {
@@ -176,7 +176,7 @@ mod tests {
             t(0.0),
             JournalEvent::PilotTransition {
                 pilot: 0,
-                state: "PendingLaunch".into(),
+                state: PilotState::PendingLaunch,
                 resource: "alpha".into(),
                 cores: 4,
             },
@@ -185,7 +185,7 @@ mod tests {
             t(20.0),
             JournalEvent::PilotTransition {
                 pilot: 0,
-                state: "Active".into(),
+                state: PilotState::Active,
                 resource: "alpha".into(),
                 cores: 4,
             },
@@ -194,7 +194,7 @@ mod tests {
             t(0.0),
             JournalEvent::UnitTransition {
                 unit: 0,
-                state: "PendingExecution".into(),
+                state: UnitState::PendingExecution,
                 pilot: None,
                 cores: 2,
             },
@@ -203,7 +203,7 @@ mod tests {
             t(21.0),
             JournalEvent::UnitTransition {
                 unit: 0,
-                state: "StagingInput".into(),
+                state: UnitState::StagingInput,
                 pilot: Some(0),
                 cores: 2,
             },
@@ -212,7 +212,7 @@ mod tests {
             t(22.0),
             JournalEvent::UnitTransition {
                 unit: 0,
-                state: "Executing".into(),
+                state: UnitState::Executing,
                 pilot: Some(0),
                 cores: 2,
             },
@@ -221,7 +221,7 @@ mod tests {
             t(52.0),
             JournalEvent::UnitTransition {
                 unit: 0,
-                state: "StagingOutput".into(),
+                state: UnitState::StagingOutput,
                 pilot: Some(0),
                 cores: 2,
             },
@@ -230,7 +230,7 @@ mod tests {
             t(53.0),
             JournalEvent::UnitTransition {
                 unit: 0,
-                state: "Done".into(),
+                state: UnitState::Done,
                 pilot: Some(0),
                 cores: 2,
             },

@@ -193,7 +193,7 @@ pub fn render_diff(d: &DiffReport) -> String {
 mod tests {
     use super::*;
     use crate::timeline::reconstruct;
-    use aimes::journal::{JournalEvent, RunJournal};
+    use aimes::journal::{JournalEvent, RunJournal, UnitState};
     use aimes_sim::SimTime;
 
     #[test]
@@ -211,7 +211,7 @@ mod tests {
             SimTime::from_secs(1.0),
             JournalEvent::UnitTransition {
                 unit: 0,
-                state: "Executing".into(),
+                state: UnitState::Executing,
                 pilot: Some(0),
                 cores: 1,
             },
@@ -220,7 +220,7 @@ mod tests {
             SimTime::from_secs(11.0),
             JournalEvent::UnitTransition {
                 unit: 0,
-                state: "Done".into(),
+                state: UnitState::Done,
                 pilot: Some(0),
                 cores: 1,
             },

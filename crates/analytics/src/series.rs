@@ -2,7 +2,8 @@
 //! reconstructed timelines — no metrics registry involved, so these series
 //! cross-validate PR 4's gauge timelines instead of restating them.
 
-use crate::timeline::{PilotPhase, SessionTimelines, UnitPhase};
+use crate::timeline::SessionTimelines;
+use aimes::journal::{PilotState, UnitState};
 use serde::{Deserialize, Serialize};
 
 /// One point of a step function over simulated time: the value holds from
@@ -87,7 +88,7 @@ pub fn executing_units(tl: &SessionTimelines) -> StepSeries {
         for iv in u
             .intervals
             .iter()
-            .filter(|iv| iv.phase == UnitPhase::Executing)
+            .filter(|iv| iv.phase == UnitState::Executing)
         {
             edges.push((iv.start_secs, 1.0));
             edges.push((iv.end_secs, -1.0));
@@ -104,7 +105,7 @@ pub fn busy_cores(tl: &SessionTimelines) -> StepSeries {
         for iv in u
             .intervals
             .iter()
-            .filter(|iv| iv.phase == UnitPhase::Executing)
+            .filter(|iv| iv.phase == UnitState::Executing)
         {
             edges.push((iv.start_secs, cores));
             edges.push((iv.end_secs, -cores));
@@ -122,7 +123,7 @@ pub fn active_pilot_cores(tl: &SessionTimelines) -> StepSeries {
         for iv in p
             .intervals
             .iter()
-            .filter(|iv| iv.phase == PilotPhase::Active)
+            .filter(|iv| iv.phase == PilotState::Active)
         {
             edges.push((iv.start_secs, cores));
             edges.push((iv.end_secs, -cores));

@@ -3,7 +3,8 @@
 //! Tukey fence (p75 + 1.5 × IQR). The responsible component is named so
 //! a straggler report reads as a diagnosis, not just a ranking.
 
-use crate::timeline::{SessionTimelines, UnitPhase};
+use crate::timeline::SessionTimelines;
+use aimes::journal::UnitState;
 use aimes::stats::percentile;
 use serde::{Deserialize, Serialize};
 
@@ -37,14 +38,14 @@ pub fn tukey_upper_fence(sample: &[f64]) -> Option<f64> {
     Some(p75 + 1.5 * (p75 - p25))
 }
 
-fn component_for(phase: UnitPhase, restarted: bool) -> &'static str {
+fn component_for(phase: UnitState, restarted: bool) -> &'static str {
     match phase {
-        UnitPhase::PendingExecution if restarted => "recovery",
-        UnitPhase::PendingExecution => "queue-wait",
-        UnitPhase::StagingInput | UnitPhase::StagingOutput => "staging",
-        UnitPhase::Executing => "execution",
-        UnitPhase::New => "queue-wait",
-        _ => "other",
+        UnitState::PendingExecution if restarted => "recovery",
+        UnitState::PendingExecution => "queue-wait",
+        UnitState::StagingInput | UnitState::StagingOutput => "staging",
+        UnitState::Executing => "execution",
+        UnitState::New => "queue-wait",
+        UnitState::Done | UnitState::Failed | UnitState::Canceled => "other",
     }
 }
 
@@ -53,10 +54,10 @@ fn component_for(phase: UnitPhase, restarted: bool) -> &'static str {
 /// quartiles of 3 points fence nothing meaningfully.
 pub fn detect(tl: &SessionTimelines) -> Vec<Straggler> {
     let states = [
-        UnitPhase::PendingExecution,
-        UnitPhase::StagingInput,
-        UnitPhase::Executing,
-        UnitPhase::StagingOutput,
+        UnitState::PendingExecution,
+        UnitState::StagingInput,
+        UnitState::Executing,
+        UnitState::StagingOutput,
     ];
     let mut out = Vec::new();
     for phase in states {
@@ -78,7 +79,7 @@ pub fn detect(tl: &SessionTimelines) -> Vec<Straggler> {
             if dwell > bound + 1e-9 {
                 out.push(Straggler {
                     unit,
-                    state: phase.to_string(),
+                    state: phase.name().into(),
                     component: component_for(phase, restarted).into(),
                     dwell_secs: dwell,
                     bound_secs: bound,
@@ -127,7 +128,7 @@ mod tests {
                 t(1.0),
                 JournalEvent::UnitTransition {
                     unit: u,
-                    state: "Executing".into(),
+                    state: UnitState::Executing,
                     pilot: Some(0),
                     cores: 1,
                 },
@@ -136,7 +137,7 @@ mod tests {
                 t(1.0 + dur),
                 JournalEvent::UnitTransition {
                     unit: u,
-                    state: "Done".into(),
+                    state: UnitState::Done,
                     pilot: Some(0),
                     cores: 1,
                 },
@@ -176,7 +177,7 @@ mod tests {
                 t(0.0),
                 JournalEvent::UnitTransition {
                     unit: u,
-                    state: "Executing".into(),
+                    state: UnitState::Executing,
                     pilot: Some(0),
                     cores: 1,
                 },
@@ -185,7 +186,7 @@ mod tests {
                 t(dur),
                 JournalEvent::UnitTransition {
                     unit: u,
-                    state: "Done".into(),
+                    state: UnitState::Done,
                     pilot: Some(0),
                     cores: 1,
                 },

@@ -20,91 +20,9 @@
 //! intervals from there until the unit next reaches `Executing` carry
 //! `recovery = true`.
 
-use aimes::journal::{JournalEvent, RunJournal};
+use aimes::journal::{JournalEvent, PilotState, RunJournal, UnitState, Verdict};
 use std::collections::BTreeMap;
 use std::fmt;
-
-/// Unit states as recorded in the journal (Debug names of
-/// `aimes_pilot::UnitState`). Unknown strings map to [`UnitPhase::Other`]
-/// so a newer journal never panics an older analyzer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum UnitPhase {
-    New,
-    PendingExecution,
-    StagingInput,
-    Executing,
-    StagingOutput,
-    Done,
-    Failed,
-    Canceled,
-    Other,
-}
-
-impl UnitPhase {
-    pub fn parse(s: &str) -> UnitPhase {
-        match s {
-            "New" => UnitPhase::New,
-            "PendingExecution" => UnitPhase::PendingExecution,
-            "StagingInput" => UnitPhase::StagingInput,
-            "Executing" => UnitPhase::Executing,
-            "StagingOutput" => UnitPhase::StagingOutput,
-            "Done" => UnitPhase::Done,
-            "Failed" => UnitPhase::Failed,
-            "Canceled" => UnitPhase::Canceled,
-            _ => UnitPhase::Other,
-        }
-    }
-
-    pub fn is_terminal(self) -> bool {
-        matches!(
-            self,
-            UnitPhase::Done | UnitPhase::Failed | UnitPhase::Canceled
-        )
-    }
-}
-
-impl fmt::Display for UnitPhase {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{self:?}")
-    }
-}
-
-/// Pilot states as recorded in the journal (Debug names of
-/// `aimes_pilot::PilotState`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum PilotPhase {
-    New,
-    PendingLaunch,
-    Launching,
-    PendingActive,
-    Active,
-    Done,
-    Failed,
-    Canceled,
-    Other,
-}
-
-impl PilotPhase {
-    pub fn parse(s: &str) -> PilotPhase {
-        match s {
-            "New" => PilotPhase::New,
-            "PendingLaunch" => PilotPhase::PendingLaunch,
-            "Launching" => PilotPhase::Launching,
-            "PendingActive" => PilotPhase::PendingActive,
-            "Active" => PilotPhase::Active,
-            "Done" => PilotPhase::Done,
-            "Failed" => PilotPhase::Failed,
-            "Canceled" => PilotPhase::Canceled,
-            _ => PilotPhase::Other,
-        }
-    }
-}
-
-impl fmt::Display for PilotPhase {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{self:?}")
-    }
-}
 
 /// One closed state interval `[start, end)` on an entity's timeline.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -129,7 +47,7 @@ pub struct UnitTimeline {
     pub id: u32,
     pub cores: u32,
     /// Contiguous state intervals, in time order.
-    pub intervals: Vec<Interval<UnitPhase>>,
+    pub intervals: Vec<Interval<UnitState>>,
     /// Binding history: `(at_secs, pilot)` as of each transition.
     pub bindings: Vec<(f64, Option<u32>)>,
     /// Restarts observed (transitions back into `PendingExecution` from an
@@ -152,12 +70,12 @@ impl UnitTimeline {
     pub fn done_at(&self) -> Option<f64> {
         self.intervals
             .iter()
-            .find(|iv| iv.phase == UnitPhase::Done)
+            .find(|iv| iv.phase == UnitState::Done)
             .map(|iv| iv.start_secs)
     }
 
     /// Total dwell in one phase across all visits.
-    pub fn dwell_in(&self, phase: UnitPhase) -> f64 {
+    pub fn dwell_in(&self, phase: UnitState) -> f64 {
         self.intervals
             .iter()
             .filter(|iv| iv.phase == phase)
@@ -172,7 +90,7 @@ pub struct PilotTimeline {
     pub id: u32,
     pub resource: String,
     pub cores: u32,
-    pub intervals: Vec<Interval<PilotPhase>>,
+    pub intervals: Vec<Interval<PilotState>>,
 }
 
 impl PilotTimeline {
@@ -180,7 +98,7 @@ impl PilotTimeline {
     pub fn active_at(&self) -> Option<f64> {
         self.intervals
             .iter()
-            .find(|iv| iv.phase == PilotPhase::Active)
+            .find(|iv| iv.phase == PilotState::Active)
             .map(|iv| iv.start_secs)
     }
 
@@ -188,7 +106,7 @@ impl PilotTimeline {
     pub fn is_active_at(&self, t: f64) -> bool {
         self.intervals
             .iter()
-            .any(|iv| iv.phase == PilotPhase::Active && iv.start_secs <= t && t < iv.end_secs)
+            .any(|iv| iv.phase == PilotState::Active && iv.start_secs <= t && t < iv.end_secs)
     }
 }
 
@@ -199,9 +117,9 @@ pub struct DetectionWindow {
     pub resource: String,
     pub start_secs: f64,
     pub end_secs: f64,
-    /// Closing verdict: `Recovered`, `DeclaredDead`, or `Unresolved` when
-    /// the run ended with the window still open.
-    pub verdict: String,
+    /// Closing verdict (`Recovered` or `DeclaredDead`); `None` when the
+    /// run ended with the window still open (unresolved).
+    pub verdict: Option<Verdict>,
 }
 
 /// Everything reconstructed from one journal: the session frame plus every
@@ -286,9 +204,9 @@ pub fn reconstruct(journal: &RunJournal) -> Result<SessionTimelines, Reconstruct
     };
 
     let mut units: BTreeMap<u32, UnitTimeline> = BTreeMap::new();
-    let mut unit_open: BTreeMap<u32, OpenState<UnitPhase>> = BTreeMap::new();
+    let mut unit_open: BTreeMap<u32, OpenState<UnitState>> = BTreeMap::new();
     let mut pilots: BTreeMap<u32, PilotTimeline> = BTreeMap::new();
-    let mut pilot_open: BTreeMap<u32, OpenState<PilotPhase>> = BTreeMap::new();
+    let mut pilot_open: BTreeMap<u32, OpenState<PilotState>> = BTreeMap::new();
     let mut detections: Vec<DetectionWindow> = Vec::new();
     let mut suspicion_open: BTreeMap<u32, (String, f64)> = BTreeMap::new();
     let mut finished_at = None;
@@ -317,7 +235,7 @@ pub fn reconstruct(journal: &RunJournal) -> Result<SessionTimelines, Reconstruct
                 resource,
                 cores,
             } => {
-                let phase = PilotPhase::parse(state);
+                let phase = *state;
                 let tl = pilots.entry(*pilot).or_insert_with(|| PilotTimeline {
                     id: *pilot,
                     resource: resource.clone(),
@@ -346,9 +264,9 @@ pub fn reconstruct(journal: &RunJournal) -> Result<SessionTimelines, Reconstruct
                     None => {
                         // Implicit birth: the pilot existed in New since
                         // run start.
-                        if phase != PilotPhase::New && at > started_at {
+                        if phase != PilotState::New && at > started_at {
                             tl.intervals.push(Interval {
-                                phase: PilotPhase::New,
+                                phase: PilotState::New,
                                 start_secs: started_at,
                                 end_secs: at,
                                 recovery: false,
@@ -371,7 +289,7 @@ pub fn reconstruct(journal: &RunJournal) -> Result<SessionTimelines, Reconstruct
                 pilot,
                 cores,
             } => {
-                let phase = UnitPhase::parse(state);
+                let phase = *state;
                 let tl = units.entry(*unit).or_insert_with(|| UnitTimeline {
                     id: *unit,
                     cores: *cores,
@@ -388,12 +306,12 @@ pub fn reconstruct(journal: &RunJournal) -> Result<SessionTimelines, Reconstruct
                         // A return to PendingExecution from an in-flight
                         // state is a restart; the recovery tag sticks
                         // until the unit executes again.
-                        let restarted = phase == UnitPhase::PendingExecution
+                        let restarted = phase == UnitState::PendingExecution
                             && matches!(
                                 open.phase,
-                                UnitPhase::StagingInput
-                                    | UnitPhase::Executing
-                                    | UnitPhase::StagingOutput
+                                UnitState::StagingInput
+                                    | UnitState::Executing
+                                    | UnitState::StagingOutput
                             );
                         tl.intervals.push(Interval {
                             phase: open.phase,
@@ -404,16 +322,16 @@ pub fn reconstruct(journal: &RunJournal) -> Result<SessionTimelines, Reconstruct
                         if restarted {
                             tl.restarts += 1;
                             open.recovery = true;
-                        } else if phase == UnitPhase::Executing {
+                        } else if phase == UnitState::Executing {
                             open.recovery = false;
                         }
                         open.phase = phase;
                         open.since = at;
                     }
                     None => {
-                        if phase != UnitPhase::New && at > started_at {
+                        if phase != UnitState::New && at > started_at {
                             tl.intervals.push(Interval {
-                                phase: UnitPhase::New,
+                                phase: UnitState::New,
                                 start_secs: started_at,
                                 end_secs: at,
                                 recovery: false,
@@ -435,24 +353,23 @@ pub fn reconstruct(journal: &RunJournal) -> Result<SessionTimelines, Reconstruct
                 resource,
                 verdict,
                 ..
-            } => match verdict.as_str() {
-                "Suspected" => {
+            } => match verdict {
+                Verdict::Suspected => {
                     suspicion_open
                         .entry(*pilot)
                         .or_insert_with(|| (resource.clone(), at));
                 }
-                "Recovered" | "DeclaredDead" => {
+                Verdict::Recovered | Verdict::DeclaredDead => {
                     if let Some((res, since)) = suspicion_open.remove(pilot) {
                         detections.push(DetectionWindow {
                             pilot: *pilot,
                             resource: res,
                             start_secs: since,
                             end_secs: at,
-                            verdict: verdict.clone(),
+                            verdict: Some(*verdict),
                         });
                     }
                 }
-                _ => {}
             },
             JournalEvent::StaleSignal { .. } => stale_signals += 1,
             JournalEvent::InfoFallback { .. } => info_fallbacks += 1,
@@ -505,7 +422,7 @@ pub fn reconstruct(journal: &RunJournal) -> Result<SessionTimelines, Reconstruct
             resource: res,
             start_secs: since,
             end_secs: horizon.max(since),
-            verdict: "Unresolved".into(),
+            verdict: None,
         });
     }
     detections.sort_by(|a, b| {
@@ -559,24 +476,24 @@ mod tests {
         );
     }
 
-    fn unit(j: &mut RunJournal, at: f64, unit: u32, state: &str, pilot: Option<u32>) {
+    fn unit(j: &mut RunJournal, at: f64, unit: u32, state: UnitState, pilot: Option<u32>) {
         j.record(
             t(at),
             JournalEvent::UnitTransition {
                 unit,
-                state: state.into(),
+                state,
                 pilot,
                 cores: 2,
             },
         );
     }
 
-    fn pilot(j: &mut RunJournal, at: f64, pilot: u32, state: &str) {
+    fn pilot(j: &mut RunJournal, at: f64, pilot: u32, state: PilotState) {
         j.record(
             t(at),
             JournalEvent::PilotTransition {
                 pilot,
-                state: state.into(),
+                state,
                 resource: "alpha".into(),
                 cores: 8,
             },
@@ -587,13 +504,13 @@ mod tests {
     fn reconstructs_contiguous_intervals() {
         let mut j = RunJournal::new();
         started(&mut j);
-        pilot(&mut j, 1.0, 0, "PendingLaunch");
-        pilot(&mut j, 10.0, 0, "Active");
-        unit(&mut j, 0.5, 7, "PendingExecution", None);
-        unit(&mut j, 10.0, 7, "StagingInput", Some(0));
-        unit(&mut j, 12.0, 7, "Executing", Some(0));
-        unit(&mut j, 40.0, 7, "StagingOutput", Some(0));
-        unit(&mut j, 41.0, 7, "Done", Some(0));
+        pilot(&mut j, 1.0, 0, PilotState::PendingLaunch);
+        pilot(&mut j, 10.0, 0, PilotState::Active);
+        unit(&mut j, 0.5, 7, UnitState::PendingExecution, None);
+        unit(&mut j, 10.0, 7, UnitState::StagingInput, Some(0));
+        unit(&mut j, 12.0, 7, UnitState::Executing, Some(0));
+        unit(&mut j, 40.0, 7, UnitState::StagingOutput, Some(0));
+        unit(&mut j, 41.0, 7, UnitState::Done, Some(0));
         j.record(t(41.0), JournalEvent::RunFinished { ttc_secs: 41.0 });
 
         let tl = reconstruct(&j).unwrap();
@@ -603,16 +520,16 @@ mod tests {
 
         let u = &tl.units[&7];
         assert_eq!(u.cores, 2);
-        let phases: Vec<UnitPhase> = u.intervals.iter().map(|iv| iv.phase).collect();
+        let phases: Vec<UnitState> = u.intervals.iter().map(|iv| iv.phase).collect();
         assert_eq!(
             phases,
             vec![
-                UnitPhase::New,
-                UnitPhase::PendingExecution,
-                UnitPhase::StagingInput,
-                UnitPhase::Executing,
-                UnitPhase::StagingOutput,
-                UnitPhase::Done,
+                UnitState::New,
+                UnitState::PendingExecution,
+                UnitState::StagingInput,
+                UnitState::Executing,
+                UnitState::StagingOutput,
+                UnitState::Done,
             ]
         );
         // Contiguity: each interval starts where the previous ended.
@@ -622,7 +539,7 @@ mod tests {
         assert_eq!(u.done_at(), Some(41.0));
         assert_eq!(u.pilot_at(12.5), Some(0));
         assert_eq!(u.pilot_at(0.7), None);
-        assert!((u.dwell_in(UnitPhase::Executing) - 28.0).abs() < 1e-12);
+        assert!((u.dwell_in(UnitState::Executing) - 28.0).abs() < 1e-12);
 
         let p = &tl.pilots[&0];
         assert_eq!(p.resource, "alpha");
@@ -636,31 +553,31 @@ mod tests {
     fn restart_tags_recovery_until_next_execution() {
         let mut j = RunJournal::new();
         started(&mut j);
-        unit(&mut j, 1.0, 0, "PendingExecution", None);
-        unit(&mut j, 2.0, 0, "StagingInput", Some(0));
-        unit(&mut j, 3.0, 0, "Executing", Some(0));
-        unit(&mut j, 50.0, 0, "PendingExecution", None); // restart
-        unit(&mut j, 60.0, 0, "StagingInput", Some(1));
-        unit(&mut j, 61.0, 0, "Executing", Some(1));
-        unit(&mut j, 90.0, 0, "StagingOutput", Some(1));
-        unit(&mut j, 91.0, 0, "Done", Some(1));
+        unit(&mut j, 1.0, 0, UnitState::PendingExecution, None);
+        unit(&mut j, 2.0, 0, UnitState::StagingInput, Some(0));
+        unit(&mut j, 3.0, 0, UnitState::Executing, Some(0));
+        unit(&mut j, 50.0, 0, UnitState::PendingExecution, None); // restart
+        unit(&mut j, 60.0, 0, UnitState::StagingInput, Some(1));
+        unit(&mut j, 61.0, 0, UnitState::Executing, Some(1));
+        unit(&mut j, 90.0, 0, UnitState::StagingOutput, Some(1));
+        unit(&mut j, 91.0, 0, UnitState::Done, Some(1));
         j.record(t(91.0), JournalEvent::RunFinished { ttc_secs: 91.0 });
 
         let tl = reconstruct(&j).unwrap();
         let u = &tl.units[&0];
         assert_eq!(u.restarts, 1);
-        let rec: Vec<(UnitPhase, bool)> = u
+        let rec: Vec<(UnitState, bool)> = u
             .intervals
             .iter()
             .map(|iv| (iv.phase, iv.recovery))
             .collect();
-        assert!(rec.contains(&(UnitPhase::PendingExecution, true)));
-        assert!(rec.contains(&(UnitPhase::StagingInput, true)));
+        assert!(rec.contains(&(UnitState::PendingExecution, true)));
+        assert!(rec.contains(&(UnitState::StagingInput, true)));
         // Post-restart execution is real work again, not recovery.
         let second_exec = u
             .intervals
             .iter()
-            .filter(|iv| iv.phase == UnitPhase::Executing)
+            .filter(|iv| iv.phase == UnitState::Executing)
             .nth(1)
             .unwrap();
         assert!(!second_exec.recovery);
@@ -670,8 +587,8 @@ mod tests {
     fn torn_journal_closes_at_last_event() {
         let mut j = RunJournal::new();
         started(&mut j);
-        unit(&mut j, 1.0, 0, "PendingExecution", None);
-        unit(&mut j, 5.0, 0, "StagingInput", Some(0));
+        unit(&mut j, 1.0, 0, UnitState::PendingExecution, None);
+        unit(&mut j, 5.0, 0, UnitState::StagingInput, Some(0));
         let tl = reconstruct(&j).unwrap();
         assert_eq!(tl.finished_at, None);
         assert_eq!(tl.horizon, 5.0);
@@ -688,7 +605,7 @@ mod tests {
             JournalEvent::Detector {
                 pilot: 0,
                 resource: "alpha".into(),
-                verdict: "Suspected".into(),
+                verdict: Verdict::Suspected,
                 silent_secs: 45.0,
             },
         );
@@ -697,7 +614,7 @@ mod tests {
             JournalEvent::Detector {
                 pilot: 0,
                 resource: "alpha".into(),
-                verdict: "DeclaredDead".into(),
+                verdict: Verdict::DeclaredDead,
                 silent_secs: 105.0,
             },
         );
@@ -706,16 +623,16 @@ mod tests {
             JournalEvent::Detector {
                 pilot: 1,
                 resource: "beta".into(),
-                verdict: "Suspected".into(),
+                verdict: Verdict::Suspected,
                 silent_secs: 30.0,
             },
         );
         j.record(t(300.0), JournalEvent::RunFinished { ttc_secs: 300.0 });
         let tl = reconstruct(&j).unwrap();
         assert_eq!(tl.detections.len(), 2);
-        assert_eq!(tl.detections[0].verdict, "DeclaredDead");
+        assert_eq!(tl.detections[0].verdict, Some(Verdict::DeclaredDead));
         assert_eq!(tl.detections[0].end_secs, 160.0);
-        assert_eq!(tl.detections[1].verdict, "Unresolved");
+        assert_eq!(tl.detections[1].verdict, None);
         assert_eq!(tl.detections[1].end_secs, 300.0);
     }
 
@@ -777,7 +694,7 @@ mod tests {
             ReconstructError::EmptyJournal
         );
         let mut j = RunJournal::new();
-        unit(&mut j, 1.0, 0, "PendingExecution", None);
+        unit(&mut j, 1.0, 0, UnitState::PendingExecution, None);
         assert_eq!(reconstruct(&j).unwrap_err(), ReconstructError::NoRunStarted);
     }
 }

@@ -59,6 +59,7 @@ use aimes::middleware::{run_application, RunOptions};
 use aimes::paper;
 use aimes_bench::alloc::{self as heap, CountingAlloc};
 use aimes_bench::observatory::{CampaignFlags, Observatory};
+use aimes_bench::{flag_parse, flag_value};
 use aimes_cluster::{Cluster, ClusterConfig};
 use aimes_sim::{EventId, SimDuration, SimTime, Simulation, Tracer};
 use aimes_workload::WorkloadConfig;
@@ -129,34 +130,13 @@ fn parse_args() -> Options {
     while i < args.len() {
         match args[i].as_str() {
             "--quick" => opts.quick = true,
-            "--seed" => {
-                i += 1;
-                opts.seed = args[i].parse().expect("--seed takes an integer");
-            }
-            "--out" => {
-                i += 1;
-                opts.out = args[i].clone();
-            }
-            "--check" => {
-                i += 1;
-                opts.check = Some(args[i].clone());
-            }
-            "--tolerance" => {
-                i += 1;
-                opts.tolerance = args[i].parse().expect("--tolerance takes a float");
-            }
-            "--only" => {
-                i += 1;
-                opts.only = Some(args[i].clone());
-            }
-            "--emit-metrics" => {
-                i += 1;
-                opts.emit_metrics = Some(args[i].clone().into());
-            }
-            "--jobs" => {
-                i += 1;
-                opts.jobs = Some(args[i].parse().expect("--jobs takes an integer"));
-            }
+            "--seed" => opts.seed = flag_parse(&args, &mut i),
+            "--out" => opts.out = flag_value(&args, &mut i).into(),
+            "--check" => opts.check = Some(flag_value(&args, &mut i).into()),
+            "--tolerance" => opts.tolerance = flag_parse(&args, &mut i),
+            "--only" => opts.only = Some(flag_value(&args, &mut i).into()),
+            "--emit-metrics" => opts.emit_metrics = Some(flag_value(&args, &mut i).into()),
+            "--jobs" => opts.jobs = Some(flag_parse(&args, &mut i)),
             _ if opts.campaign.parse(&args, &mut i) => {}
             other => {
                 eprintln!("unknown argument `{other}`");

@@ -78,6 +78,7 @@ use aimes::report;
 use aimes::stats::Summary;
 use aimes_bench::alloc::{self as heap, CountingAlloc};
 use aimes_bench::observatory::{CampaignFlags, Observatory};
+use aimes_bench::{flag_parse, flag_value};
 use aimes_sim::{EngineStats, Profiler, SimRng, SimTime};
 use aimes_skeleton::{bag_of_tasks, TaskDurationSpec};
 use aimes_strategy::ExecutionStrategy;
@@ -119,6 +120,22 @@ struct Options {
     campaign: CampaignFlags,
 }
 
+const USAGE: &str = "commands: table1 | fig2 | fig3 | fig4 | ablation-pilots | \
+     ablation-sched | ablation-select | ablation-data | \
+     ablation-crossover | ablation-throughput | ablation-hetero | \n\
+     ablation-adaptive | ablation-walltime | ablation-queue | \n\
+     ablation-predictor | ablation-faults | ablation-detection | \n\
+     ablation-info | ablation-cascade | telemetry | profile | journal | analyze | \n\
+     analytics-diff | campaign-report | all\n\
+     flags: --reps N --seed S --quick --jobs N --fail-on-error \
+     --emit-metrics DIR --trace-out PATH --dump-dir DIR\n\
+     campaign flags: --campaign-out PATH --campaign-timing --progress \
+     --profile-out PATH\n\
+     journal flags: --scenario exp1|exp4|faulty --out PATH\n\
+     analyze: <journal.jsonl> --epsilon E --out report.json\n\
+     analytics-diff: <run-a> <run-b> --threshold T\n\
+     campaign-report: <campaign.jsonl>";
+
 fn parse_args() -> (String, Options) {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut command = String::from("help");
@@ -141,48 +158,18 @@ fn parse_args() -> (String, Options) {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--reps" => {
-                i += 1;
-                opts.reps = args[i].parse().expect("--reps takes a number");
-            }
-            "--seed" => {
-                i += 1;
-                opts.seed = args[i].parse().expect("--seed takes a number");
-            }
+            "--reps" => opts.reps = flag_parse(&args, &mut i),
+            "--seed" => opts.seed = flag_parse(&args, &mut i),
             "--quick" => opts.quick = true,
             "--fail-on-error" => opts.fail_on_error = true,
-            "--emit-metrics" => {
-                i += 1;
-                opts.emit_metrics = Some(args[i].clone().into());
-            }
-            "--trace-out" => {
-                i += 1;
-                opts.trace_out = Some(args[i].clone().into());
-            }
-            "--scenario" => {
-                i += 1;
-                opts.scenario = args[i].clone();
-            }
-            "--out" => {
-                i += 1;
-                opts.out = Some(args[i].clone().into());
-            }
-            "--epsilon" => {
-                i += 1;
-                opts.epsilon = args[i].parse().expect("--epsilon takes a number");
-            }
-            "--threshold" => {
-                i += 1;
-                opts.threshold = args[i].parse().expect("--threshold takes a number");
-            }
-            "--dump-dir" => {
-                i += 1;
-                opts.dump_dir = Some(args[i].clone().into());
-            }
-            "--jobs" => {
-                i += 1;
-                opts.jobs = Some(args[i].parse().expect("--jobs takes a number"));
-            }
+            "--emit-metrics" => opts.emit_metrics = Some(flag_value(&args, &mut i).into()),
+            "--trace-out" => opts.trace_out = Some(flag_value(&args, &mut i).into()),
+            "--scenario" => opts.scenario = flag_value(&args, &mut i).into(),
+            "--out" => opts.out = Some(flag_value(&args, &mut i).into()),
+            "--epsilon" => opts.epsilon = flag_parse(&args, &mut i),
+            "--threshold" => opts.threshold = flag_parse(&args, &mut i),
+            "--dump-dir" => opts.dump_dir = Some(flag_value(&args, &mut i).into()),
+            "--jobs" => opts.jobs = Some(flag_parse(&args, &mut i)),
             _ if opts.campaign.parse(&args, &mut i) => {}
             c if !c.starts_with("--") => {
                 if command == "help" {
@@ -191,9 +178,16 @@ fn parse_args() -> (String, Options) {
                     opts.files.push(c.into());
                 }
             }
-            other => panic!("unknown flag {other}"),
+            other => {
+                eprintln!("unknown flag `{other}`\n{USAGE}");
+                std::process::exit(2);
+            }
         }
         i += 1;
+    }
+    if opts.reps == 0 {
+        eprintln!("`--reps` must be at least 1");
+        std::process::exit(2);
     }
     if opts.quick {
         opts.reps = opts.reps.min(3);
@@ -2261,24 +2255,10 @@ fn main() {
             ablation_info(&opts);
             ablation_cascade(&opts);
         }
-        _ => {
-            println!(
-                "commands: table1 | fig2 | fig3 | fig4 | ablation-pilots | \
-                 ablation-sched | ablation-select | ablation-data | \
-                 ablation-crossover | ablation-throughput | ablation-hetero | \n\
-                 ablation-adaptive | ablation-walltime | ablation-queue | \n\
-                 ablation-predictor | ablation-faults | ablation-detection | \n\
-                 ablation-info | ablation-cascade | telemetry | profile | journal | analyze | \n\
-                 analytics-diff | campaign-report | all\n\
-                 flags: --reps N --seed S --quick --jobs N --fail-on-error \
-                 --emit-metrics DIR --trace-out PATH --dump-dir DIR\n\
-                 campaign flags: --campaign-out PATH --campaign-timing --progress \
-                 --profile-out PATH\n\
-                 journal flags: --scenario exp1|exp4|faulty --out PATH\n\
-                 analyze: <journal.jsonl> --epsilon E --out report.json\n\
-                 analytics-diff: <run-a> <run-b> --threshold T\n\
-                 campaign-report: <campaign.jsonl>"
-            );
+        "help" => println!("{USAGE}"),
+        other => {
+            eprintln!("unknown command `{other}`\n{USAGE}");
+            std::process::exit(2);
         }
     }
 }

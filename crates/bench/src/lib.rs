@@ -19,6 +19,30 @@ pub fn quick_sizes() -> Vec<u32> {
 
 pub mod observatory;
 
+/// The value after the flag at `args[*i]`, advancing `*i` onto it. A
+/// flag given without a value exits 2 with "`--flag` needs a value".
+pub fn flag_value<'a>(args: &'a [String], i: &mut usize) -> &'a str {
+    let flag = &args[*i];
+    *i += 1;
+    match args.get(*i) {
+        Some(value) => value,
+        None => {
+            eprintln!("`{flag}` needs a value");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// [`flag_value`] parsed as `T`; a value that does not parse exits 2.
+pub fn flag_parse<T: std::str::FromStr>(args: &[String], i: &mut usize) -> T {
+    let flag = &args[*i];
+    let value = flag_value(args, i);
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("`{flag}` takes a number, got `{value}`");
+        std::process::exit(2);
+    })
+}
+
 pub mod alloc {
     //! Opt-in heap accounting: a counting [`GlobalAlloc`] shim.
     //!

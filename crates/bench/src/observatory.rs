@@ -31,19 +31,14 @@ pub struct CampaignFlags {
 
 impl CampaignFlags {
     /// Consume `args[*i]` (and its value, advancing `*i`) when it is one
-    /// of the campaign flags; `false` leaves it to the caller.
+    /// of the campaign flags; `false` leaves it to the caller. A value
+    /// flag given last exits 2.
     pub fn parse(&mut self, args: &[String], i: &mut usize) -> bool {
         match args[*i].as_str() {
-            "--campaign-out" => {
-                *i += 1;
-                self.campaign_out = Some(args[*i].clone().into());
-            }
+            "--campaign-out" => self.campaign_out = Some(crate::flag_value(args, i).into()),
             "--campaign-timing" => self.campaign_timing = true,
             "--progress" => self.progress = true,
-            "--profile-out" => {
-                *i += 1;
-                self.profile_out = Some(args[*i].clone().into());
-            }
+            "--profile-out" => self.profile_out = Some(crate::flag_value(args, i).into()),
             _ => return false,
         }
         true

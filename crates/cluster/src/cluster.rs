@@ -13,24 +13,13 @@
 use crate::job::{Job, JobId, JobOwner, JobRequest, JobState};
 use crate::policy::{select_starts, QueuedJobView, RunningJobView, SchedulingPolicy};
 use crate::profile::AvailabilityProfile;
-use aimes_sim::{EventId, JobPhase, ResourcePhase, SimDuration, SimTime, Simulation, TraceKind};
+use aimes_sim::{EventId, ResourcePhase, SimDuration, SimTime, Simulation};
 use aimes_workload::{BackgroundWorkload, WorkloadConfig};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
-
-/// The typed trace phase for a batch-job state.
-fn job_phase(state: JobState) -> JobPhase {
-    match state {
-        JobState::Queued => JobPhase::Queued,
-        JobState::Running => JobPhase::Running,
-        JobState::Completed => JobPhase::Completed,
-        JobState::Killed => JobPhase::Killed,
-        JobState::Cancelled => JobPhase::Cancelled,
-    }
-}
 
 /// One named submission queue of a resource. Real batch systems expose
 /// several (e.g. `normal`, `debug`, `large`) with different priorities and
@@ -537,7 +526,7 @@ impl Cluster {
                 sim.tracer().record_with(sim.now(), || {
                     (
                         format!("cluster.{}.{}", st.config.name, id),
-                        TraceKind::Job(JobPhase::Queued),
+                        JobState::Queued.name(),
                         job.request.tag.clone(),
                     )
                 });
@@ -597,7 +586,7 @@ impl Cluster {
                 sim.tracer().record_with(sim.now(), || {
                     (
                         format!("cluster.{}.{}", st.config.name, id),
-                        TraceKind::Job(JobPhase::Cancelled),
+                        JobState::Cancelled.name(),
                         st.jobs[&id].request.tag.clone(),
                     )
                 });
@@ -709,7 +698,7 @@ impl Cluster {
                     let name = self.inner.borrow().config.name.clone();
                     (
                         format!("cluster.{name}.{id}"),
-                        TraceKind::Job(JobPhase::Running),
+                        JobState::Running.name(),
                         tag,
                     )
                 });
@@ -757,11 +746,7 @@ impl Cluster {
         if owner == JobOwner::Pilot {
             sim.tracer().record_with(now, || {
                 let name = self.inner.borrow().config.name.clone();
-                (
-                    format!("cluster.{name}.{id}"),
-                    TraceKind::Job(job_phase(final_state)),
-                    tag,
-                )
+                (format!("cluster.{name}.{id}"), final_state.name(), tag)
             });
         }
         self.inc_job_counter(
@@ -805,11 +790,12 @@ impl Cluster {
         sim.tracer().record(
             now,
             format!("cluster.{name}"),
-            TraceKind::Resource(if kill_running {
+            if kill_running {
                 ResourcePhase::Outage
             } else {
                 ResourcePhase::Drain
-            }),
+            }
+            .name(),
             format!("{:.0}s window", duration.as_secs()),
         );
         if kill_running {
@@ -848,7 +834,7 @@ impl Cluster {
         sim.tracer().record(
             now,
             format!("cluster.{name}"),
-            TraceKind::Resource(ResourcePhase::Decommission),
+            ResourcePhase::Decommission.name(),
             "permanent loss",
         );
         self.kill_running_jobs(sim, &name);
@@ -887,11 +873,7 @@ impl Cluster {
             sim.cancel(ev);
             if owner == JobOwner::Pilot {
                 sim.tracer().record_with(now, || {
-                    (
-                        format!("cluster.{name}.{id}"),
-                        TraceKind::Job(JobPhase::Killed),
-                        tag,
-                    )
+                    (format!("cluster.{name}.{id}"), JobState::Killed.name(), tag)
                 });
             }
             self.notify(sim, id, JobState::Killed);

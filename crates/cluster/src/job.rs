@@ -43,6 +43,18 @@ pub enum JobState {
 }
 
 impl JobState {
+    /// Wire name: the trace event, journal and serde string for this
+    /// state.
+    pub fn name(self) -> &'static str {
+        match self {
+            JobState::Queued => "Queued",
+            JobState::Running => "Running",
+            JobState::Completed => "Completed",
+            JobState::Killed => "Killed",
+            JobState::Cancelled => "Cancelled",
+        }
+    }
+
     /// True for states a job can never leave.
     pub fn is_terminal(self) -> bool {
         matches!(

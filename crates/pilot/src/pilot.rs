@@ -48,6 +48,21 @@ pub enum PilotState {
 }
 
 impl PilotState {
+    /// Wire name: the trace event, journal and serde string for this
+    /// state.
+    pub fn name(self) -> &'static str {
+        match self {
+            PilotState::New => "New",
+            PilotState::PendingLaunch => "PendingLaunch",
+            PilotState::Launching => "Launching",
+            PilotState::PendingActive => "PendingActive",
+            PilotState::Active => "Active",
+            PilotState::Done => "Done",
+            PilotState::Failed => "Failed",
+            PilotState::Canceled => "Canceled",
+        }
+    }
+
     /// True for states a pilot never leaves.
     pub fn is_terminal(self) -> bool {
         matches!(

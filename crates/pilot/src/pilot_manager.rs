@@ -5,27 +5,10 @@ use crate::description::PilotDescription;
 use crate::detector::{DetectionPolicy, DetectorEvent, HealthState, SuspicionDetector};
 use crate::pilot::{Pilot, PilotId, PilotState};
 use aimes_saga::{JobDescription, SagaJobState, Session};
-use aimes_sim::{
-    DetectorPhase, ManagerPhase, PilotPhase, SimDuration, SimRng, SimTime, Simulation, TraceKind,
-};
+use aimes_sim::{DetectorPhase, ManagerPhase, SimDuration, SimRng, SimTime, Simulation};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
-
-/// The typed trace kind for a pilot state (names match the legacy
-/// free-string events byte for byte).
-fn pilot_phase(state: PilotState) -> PilotPhase {
-    match state {
-        PilotState::New => PilotPhase::New,
-        PilotState::PendingLaunch => PilotPhase::PendingLaunch,
-        PilotState::Launching => PilotPhase::Launching,
-        PilotState::PendingActive => PilotPhase::PendingActive,
-        PilotState::Active => PilotPhase::Active,
-        PilotState::Done => PilotPhase::Done,
-        PilotState::Failed => PilotPhase::Failed,
-        PilotState::Canceled => PilotPhase::Canceled,
-    }
-}
 
 /// Dwell-time histogram name for time spent *in* `state`.
 fn dwell_metric(state: PilotState) -> String {
@@ -413,7 +396,7 @@ impl PilotManager {
                     sim.tracer().record_with(sim.now(), || {
                         (
                             id.to_string(),
-                            TraceKind::Detector(DetectorPhase::WentSilent),
+                            DetectorPhase::WentSilent.name(),
                             self.pilot(id).description.resource.clone(),
                         )
                     });
@@ -450,7 +433,7 @@ impl PilotManager {
         sim.tracer().record_with(sim.now(), || {
             (
                 id.to_string(),
-                TraceKind::Pilot(pilot_phase(next)),
+                next.name(),
                 self.pilot(id).description.resource.clone(),
             )
         });
@@ -570,7 +553,7 @@ impl PilotManager {
             let pilot = &st.pilots[id.0 as usize];
             let resource = pilot.description.resource.clone();
             if pilot.state.is_terminal() {
-                let detail = format!("pilot already {:?}", pilot.state);
+                let detail = format!("pilot already {}", pilot.state.name());
                 (resource, Disposition::Stale(detail))
             } else if st.blacklist.contains(&resource) {
                 let detail = format!("resource {resource} blacklisted");
@@ -586,7 +569,7 @@ impl PilotManager {
                 sim.tracer().record_with(now, || {
                     (
                         id.to_string(),
-                        TraceKind::Detector(DetectorPhase::StaleHeartbeat),
+                        DetectorPhase::StaleHeartbeat.name(),
                         detail.clone(),
                     )
                 });
@@ -614,7 +597,7 @@ impl PilotManager {
                     sim.tracer().record_with(now, || {
                         (
                             id.to_string(),
-                            TraceKind::Detector(DetectorPhase::SuspicionCleared),
+                            DetectorPhase::SuspicionCleared.name(),
                             format!("heartbeat resumed after {:.0}s", suspected_for.as_secs()),
                         )
                     });
@@ -680,7 +663,7 @@ impl PilotManager {
                 sim.tracer().record_with(now, || {
                     (
                         id.to_string(),
-                        TraceKind::Detector(DetectorPhase::Suspected),
+                        DetectorPhase::Suspected.name(),
                         format!("{resource}: silent {:.0}s", silent_for.as_secs()),
                     )
                 });
@@ -731,8 +714,8 @@ impl PilotManager {
                     sim.tracer().record_with(sim.now(), || {
                         (
                             id.to_string(),
-                            TraceKind::Detector(DetectorPhase::StatusConfirmedDead),
-                            format!("front end reports {state:?}"),
+                            DetectorPhase::StatusConfirmedDead.name(),
+                            format!("front end reports {}", state.name()),
                         )
                     });
                     let declared = {
@@ -780,7 +763,7 @@ impl PilotManager {
         sim.tracer().record_with(now, || {
             (
                 id.to_string(),
-                TraceKind::Detector(DetectorPhase::DeclaredDead),
+                DetectorPhase::DeclaredDead.name(),
                 format!("{resource}: silent {:.0}s", silent_for.as_secs()),
             )
         });
@@ -864,7 +847,7 @@ impl PilotManager {
             sim.tracer().record_with(now, || {
                 (
                     "pilot-manager".into(),
-                    TraceKind::Manager(ManagerPhase::Blacklist),
+                    ManagerPhase::Blacklist.name(),
                     format!("{resource}: repeated launch failures"),
                 )
             });
@@ -890,7 +873,7 @@ impl PilotManager {
                 sim.tracer().record_with(now, || {
                     (
                         "pilot-manager".into(),
-                        TraceKind::Manager(ManagerPhase::RecoveryExhausted),
+                        ManagerPhase::RecoveryExhausted.name(),
                         format!("{id} on {resource}: replacement cap reached"),
                     )
                 });
@@ -899,7 +882,7 @@ impl PilotManager {
                 sim.tracer().record_with(now, || {
                     (
                         "pilot-manager".into(),
-                        TraceKind::Manager(ManagerPhase::ScheduleReplacement),
+                        ManagerPhase::ScheduleReplacement.name(),
                         format!("{id} gen {generation} in {:.0}s", delay.as_secs()),
                     )
                 });
@@ -946,7 +929,7 @@ impl PilotManager {
                         sim.tracer().record_with(sim.now(), || {
                             (
                                 "pilot-manager".into(),
-                                TraceKind::Manager(ManagerPhase::RecoveryExhausted),
+                                ManagerPhase::RecoveryExhausted.name(),
                                 format!("{failed}: every resource blacklisted"),
                             )
                         });

@@ -47,6 +47,21 @@ pub enum UnitState {
 }
 
 impl UnitState {
+    /// Wire name: the trace event, journal and serde string for this
+    /// state.
+    pub fn name(self) -> &'static str {
+        match self {
+            UnitState::New => "New",
+            UnitState::PendingExecution => "PendingExecution",
+            UnitState::StagingInput => "StagingInput",
+            UnitState::Executing => "Executing",
+            UnitState::StagingOutput => "StagingOutput",
+            UnitState::Done => "Done",
+            UnitState::Failed => "Failed",
+            UnitState::Canceled => "Canceled",
+        }
+    }
+
     /// True for states a unit never leaves.
     pub fn is_terminal(self) -> bool {
         matches!(

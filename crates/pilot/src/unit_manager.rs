@@ -12,7 +12,7 @@ use crate::pilot::{PilotId, PilotState};
 use crate::pilot_manager::PilotManager;
 use crate::scheduler::{assign, Binding, PilotView, UnitScheduler, UnitView};
 use crate::unit::{ComputeUnit, UnitId, UnitState};
-use aimes_sim::{EventId, ManagerPhase, SimDuration, SimTime, Simulation, TraceKind, UnitPhase};
+use aimes_sim::{EventId, ManagerPhase, SimDuration, SimTime, Simulation, UnitVerb};
 use aimes_skeleton::TaskSpec;
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -387,7 +387,7 @@ impl UnitManager {
         sim.tracer().record_with(sim.now(), || {
             (
                 uid.to_string(),
-                TraceKind::Unit(UnitPhase::PendingExecution),
+                UnitState::PendingExecution.name(),
                 String::new(),
             )
         });
@@ -477,7 +477,7 @@ impl UnitManager {
             sim.tracer().record_with(sim.now(), || {
                 (
                     "unit_manager".into(),
-                    TraceKind::Manager(ManagerPhase::UnitsStranded),
+                    ManagerPhase::UnitsStranded.name(),
                     format!("{stranded} on silent {pilot}"),
                 )
             });
@@ -507,7 +507,7 @@ impl UnitManager {
             sim.tracer().record_with(sim.now(), || {
                 (
                     uid.to_string(),
-                    TraceKind::Unit(UnitPhase::Failed),
+                    UnitState::Failed.name(),
                     "restarts exhausted".into(),
                 )
             });
@@ -604,17 +604,13 @@ impl UnitManager {
         sim.metrics().inc(|| "unit.manager.restarts".into());
         if backoff.is_zero() {
             sim.tracer().record_with(sim.now(), || {
-                (
-                    uid.to_string(),
-                    TraceKind::Unit(UnitPhase::Restart),
-                    String::new(),
-                )
+                (uid.to_string(), UnitVerb::Restart.name(), String::new())
             });
         } else {
             sim.tracer().record_with(sim.now(), || {
                 (
                     uid.to_string(),
-                    TraceKind::Unit(UnitPhase::Restart),
+                    UnitVerb::Restart.name(),
                     format!("backoff {:.0}s", backoff.as_secs()),
                 )
             });
@@ -728,7 +724,7 @@ impl UnitManager {
         sim.tracer().record_with(now, || {
             (
                 uid.to_string(),
-                TraceKind::Unit(UnitPhase::StagingInput),
+                UnitState::StagingInput.name(),
                 format!("{pid} {resource}"),
             )
         });
@@ -777,7 +773,7 @@ impl UnitManager {
         sim.tracer().record_with(now, || {
             (
                 uid.to_string(),
-                TraceKind::Unit(UnitPhase::Executing),
+                UnitState::Executing.name(),
                 resumed_from.map_or_else(String::new, |s| format!("resume from {s:.0}s")),
             )
         });
@@ -817,7 +813,7 @@ impl UnitManager {
         sim.tracer().record_with(now, || {
             (
                 uid.to_string(),
-                TraceKind::Unit(UnitPhase::Fault),
+                UnitVerb::Fault.name(),
                 if permanent { "permanent" } else { "transient" }.into(),
             )
         });
@@ -830,7 +826,7 @@ impl UnitManager {
             sim.tracer().record_with(now, || {
                 (
                     uid.to_string(),
-                    TraceKind::Unit(UnitPhase::Failed),
+                    UnitState::Failed.name(),
                     "permanent fault".into(),
                 )
             });
@@ -866,7 +862,7 @@ impl UnitManager {
         sim.tracer().record_with(now, || {
             (
                 uid.to_string(),
-                TraceKind::Unit(UnitPhase::StagingOutput),
+                UnitState::StagingOutput.name(),
                 String::new(),
             )
         });
@@ -895,11 +891,7 @@ impl UnitManager {
             ready
         };
         sim.tracer().record_with(now, || {
-            (
-                uid.to_string(),
-                TraceKind::Unit(UnitPhase::Done),
-                String::new(),
-            )
+            (uid.to_string(), UnitState::Done.name(), String::new())
         });
         self.fire_transition(sim, uid, UnitState::Done);
         for dep in newly_ready {
@@ -921,7 +913,7 @@ impl UnitManager {
         sim.tracer().record_with(sim.now(), || {
             (
                 "unit_manager".into(),
-                TraceKind::Manager(ManagerPhase::AllDone),
+                ManagerPhase::AllDone.name(),
                 format!("{:?}", self.stats()),
             )
         });

@@ -35,6 +35,19 @@ pub enum SagaJobState {
 }
 
 impl SagaJobState {
+    /// Wire name: the trace event, journal and serde string for this
+    /// state.
+    pub fn name(self) -> &'static str {
+        match self {
+            SagaJobState::New => "New",
+            SagaJobState::Pending => "Pending",
+            SagaJobState::Running => "Running",
+            SagaJobState::Done => "Done",
+            SagaJobState::Failed => "Failed",
+            SagaJobState::Canceled => "Canceled",
+        }
+    }
+
     /// True for states a job never leaves.
     pub fn is_terminal(self) -> bool {
         matches!(

@@ -12,7 +12,7 @@ use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use crate::error::{SagaError, SagaOp};
 use crate::job_api::{JobDescription, SagaJobId, SagaJobState};
 use aimes_cluster::{Cluster, JobId as BackendJobId, JobRequest, JobState};
-use aimes_sim::{SagaPhase, SimDuration, SimRng, Simulation, TraceKind};
+use aimes_sim::{SagaVerb, SimDuration, SimRng, Simulation};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -37,19 +37,6 @@ const BACKOFF_CAP_SECS: f64 = 120.0;
 fn backoff(lat: SimDuration, attempts: u32) -> SimDuration {
     let factor = f64::from(2u32.saturating_pow(attempts.saturating_sub(1)).min(1 << 16));
     (lat * factor).min(SimDuration::from_secs(BACKOFF_CAP_SECS))
-}
-
-/// The typed trace kind for a SAGA job state (names match the legacy
-/// free-string events byte for byte).
-fn saga_phase(state: SagaJobState) -> SagaPhase {
-    match state {
-        SagaJobState::New => SagaPhase::New,
-        SagaJobState::Pending => SagaPhase::Pending,
-        SagaJobState::Running => SagaPhase::Running,
-        SagaJobState::Done => SagaPhase::Done,
-        SagaJobState::Failed => SagaPhase::Failed,
-        SagaJobState::Canceled => SagaPhase::Canceled,
-    }
 }
 
 struct JobRecord {
@@ -154,7 +141,7 @@ impl JobService {
         sim.tracer().record_with(sim.now(), || {
             (
                 format!("saga.breaker.{resource}"),
-                TraceKind::Saga(SagaPhase::BreakerTrip),
+                SagaVerb::BreakerTrip.name(),
                 "circuit open".into(),
             )
         });
@@ -227,7 +214,7 @@ impl JobService {
         sim.tracer().record_with(sim.now(), || {
             (
                 format!("saga.{}", id.0),
-                TraceKind::Saga(SagaPhase::New),
+                SagaJobState::New.name(),
                 self.resource(),
             )
         });
@@ -328,7 +315,7 @@ impl JobService {
                 sim.tracer().record_with(sim.now(), || {
                     (
                         format!("saga.{}", id.0),
-                        TraceKind::Saga(SagaPhase::RetrySubmission),
+                        SagaVerb::RetrySubmission.name(),
                         self.resource(),
                     )
                 });
@@ -374,11 +361,7 @@ impl JobService {
             (rec.callback.take(), resource)
         };
         sim.tracer().record_with(sim.now(), || {
-            (
-                format!("saga.{}", id.0),
-                TraceKind::Saga(saga_phase(next)),
-                resource,
-            )
+            (format!("saga.{}", id.0), next.name(), resource)
         });
         if let Some(mut cb) = cb {
             cb(sim, next);
@@ -482,7 +465,7 @@ impl JobService {
                 sim.tracer().record_with(sim.now(), || {
                     (
                         format!("saga.{}", id.0),
-                        TraceKind::Saga(SagaPhase::RetryCancel),
+                        SagaVerb::RetryCancel.name(),
                         self.resource(),
                     )
                 });
@@ -494,7 +477,7 @@ impl JobService {
                 sim.tracer().record_with(sim.now(), || {
                     (
                         format!("saga.{}", id.0),
-                        TraceKind::Saga(SagaPhase::CancelAbandoned),
+                        SagaVerb::CancelAbandoned.name(),
                         self.resource(),
                     )
                 });
@@ -603,7 +586,7 @@ impl JobService {
                 sim.tracer().record_with(sim.now(), || {
                     (
                         format!("saga.{}", id.0),
-                        TraceKind::Saga(SagaPhase::RetryStatusQuery),
+                        SagaVerb::RetryStatusQuery.name(),
                         self.resource(),
                     )
                 });

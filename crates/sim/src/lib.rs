@@ -39,6 +39,6 @@ pub use rng::{SimRng, StreamId};
 pub use telemetry::{MetricsRegistry, MetricsSummary, Span, Telemetry};
 pub use time::{SimDuration, SimTime};
 pub use trace::{
-    ComponentId, DetectorPhase, JobPhase, ManagerPhase, PilotPhase, ResourcePhase, SagaPhase,
-    TraceEvent, TraceKind, TraceRecord, TraceSink, Tracer, UnitPhase,
+    ComponentId, DetectorPhase, ManagerPhase, ResourcePhase, SagaVerb, TraceEvent, TraceRecord,
+    TraceSink, Tracer, UnitVerb,
 };

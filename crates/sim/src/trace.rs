@@ -7,9 +7,12 @@
 //! [`TraceEvent`]s to a shared [`Tracer`]; the analysis layer (crate
 //! `aimes`) replays the trace to compute time components.
 //!
-//! Events are typed, not stringly: the emitting component is interned to a
-//! [`ComponentId`] and the transition is a [`TraceKind`] covering the
-//! pilot/unit/job/saga/detector state machines. The legacy wire shape — a
+//! The emitting component is interned to a [`ComponentId`]; the event is a
+//! `&'static str` from one name table. States are named by their own
+//! domain enums (`PilotState::name`, `UnitState::name`, `JobState::name`,
+//! `SagaJobState::name`); annotations that are not states are named by
+//! the verb enums here ([`UnitVerb`], [`SagaVerb`], [`DetectorPhase`],
+//! [`ResourcePhase`], [`ManagerPhase`]). The legacy wire shape — a
 //! `{time, component, event, detail}` object with string fields — is
 //! preserved by [`TraceRecord`], which every read API resolves to, so JSON
 //! dumps and string comparisons made by downstream consumers are unchanged.
@@ -35,98 +38,27 @@ impl ComponentId {
     }
 }
 
-/// Pilot state-machine phases (see `aimes-pilot`'s `PilotState`).
+/// Unit-manager annotations around the unit state machine (the states
+/// themselves are named by `aimes-pilot`'s `UnitState`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PilotPhase {
-    New,
-    PendingLaunch,
-    Launching,
-    PendingActive,
-    Active,
-    Done,
-    Failed,
-    Canceled,
-}
-
-impl PilotPhase {
-    pub fn name(self) -> &'static str {
-        match self {
-            PilotPhase::New => "New",
-            PilotPhase::PendingLaunch => "PendingLaunch",
-            PilotPhase::Launching => "Launching",
-            PilotPhase::PendingActive => "PendingActive",
-            PilotPhase::Active => "Active",
-            PilotPhase::Done => "Done",
-            PilotPhase::Failed => "Failed",
-            PilotPhase::Canceled => "Canceled",
-        }
-    }
-}
-
-/// Compute-unit state-machine phases plus the restart/fault annotations the
-/// unit manager emits around them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum UnitPhase {
-    New,
-    PendingExecution,
-    StagingInput,
-    Executing,
-    StagingOutput,
-    Done,
-    Failed,
-    Canceled,
+pub enum UnitVerb {
     Restart,
     Fault,
 }
 
-impl UnitPhase {
+impl UnitVerb {
     pub fn name(self) -> &'static str {
         match self {
-            UnitPhase::New => "New",
-            UnitPhase::PendingExecution => "PendingExecution",
-            UnitPhase::StagingInput => "StagingInput",
-            UnitPhase::Executing => "Executing",
-            UnitPhase::StagingOutput => "StagingOutput",
-            UnitPhase::Done => "Done",
-            UnitPhase::Failed => "Failed",
-            UnitPhase::Canceled => "Canceled",
-            UnitPhase::Restart => "Restart",
-            UnitPhase::Fault => "Fault",
+            UnitVerb::Restart => "Restart",
+            UnitVerb::Fault => "Fault",
         }
     }
 }
 
-/// Cluster batch-job lifecycle (see `aimes-cluster`'s `JobState`).
+/// SAGA resilience annotations: retries and the circuit breaker (the job
+/// states are named by `aimes-saga`'s `SagaJobState`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum JobPhase {
-    Queued,
-    Running,
-    Completed,
-    Killed,
-    Cancelled,
-}
-
-impl JobPhase {
-    pub fn name(self) -> &'static str {
-        match self {
-            JobPhase::Queued => "Queued",
-            JobPhase::Running => "Running",
-            JobPhase::Completed => "Completed",
-            JobPhase::Killed => "Killed",
-            JobPhase::Cancelled => "Cancelled",
-        }
-    }
-}
-
-/// SAGA job-API phases plus the resilience annotations (retries, breaker).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SagaPhase {
-    New,
-    Pending,
-    Running,
-    Done,
-    Failed,
-    Canceled,
+pub enum SagaVerb {
     RetrySubmission,
     RetryCancel,
     RetryStatusQuery,
@@ -134,20 +66,14 @@ pub enum SagaPhase {
     BreakerTrip,
 }
 
-impl SagaPhase {
+impl SagaVerb {
     pub fn name(self) -> &'static str {
         match self {
-            SagaPhase::New => "New",
-            SagaPhase::Pending => "Pending",
-            SagaPhase::Running => "Running",
-            SagaPhase::Done => "Done",
-            SagaPhase::Failed => "Failed",
-            SagaPhase::Canceled => "Canceled",
-            SagaPhase::RetrySubmission => "RetrySubmission",
-            SagaPhase::RetryCancel => "RetryCancel",
-            SagaPhase::RetryStatusQuery => "RetryStatusQuery",
-            SagaPhase::CancelAbandoned => "CancelAbandoned",
-            SagaPhase::BreakerTrip => "BreakerTrip",
+            SagaVerb::RetrySubmission => "RetrySubmission",
+            SagaVerb::RetryCancel => "RetryCancel",
+            SagaVerb::RetryStatusQuery => "RetryStatusQuery",
+            SagaVerb::CancelAbandoned => "CancelAbandoned",
+            SagaVerb::BreakerTrip => "BreakerTrip",
         }
     }
 }
@@ -222,73 +148,17 @@ impl ManagerPhase {
     }
 }
 
-/// A typed transition or annotation. Every state machine in the stack has
-/// its own phase enum; [`TraceKind::Mark`] covers ad-hoc annotations (and
-/// keeps free-form literals usable in tests).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraceKind {
-    Pilot(PilotPhase),
-    Unit(UnitPhase),
-    Job(JobPhase),
-    Saga(SagaPhase),
-    Detector(DetectorPhase),
-    Resource(ResourcePhase),
-    Manager(ManagerPhase),
-    Mark(&'static str),
-}
-
-impl TraceKind {
-    /// The event name as it appears on the wire — byte-identical to the
-    /// strings the pre-typed tracer recorded.
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceKind::Pilot(p) => p.name(),
-            TraceKind::Unit(p) => p.name(),
-            TraceKind::Job(p) => p.name(),
-            TraceKind::Saga(p) => p.name(),
-            TraceKind::Detector(p) => p.name(),
-            TraceKind::Resource(p) => p.name(),
-            TraceKind::Manager(p) => p.name(),
-            TraceKind::Mark(s) => s,
-        }
-    }
-
-    /// Which state machine the event belongs to (exporters group by this).
-    pub fn category(self) -> &'static str {
-        match self {
-            TraceKind::Pilot(_) => "pilot",
-            TraceKind::Unit(_) => "unit",
-            TraceKind::Job(_) => "job",
-            TraceKind::Saga(_) => "saga",
-            TraceKind::Detector(_) => "detector",
-            TraceKind::Resource(_) => "resource",
-            TraceKind::Manager(_) => "manager",
-            TraceKind::Mark(_) => "mark",
-        }
-    }
-}
-
-impl From<&'static str> for TraceKind {
-    fn from(s: &'static str) -> Self {
-        TraceKind::Mark(s)
-    }
-}
-
-impl fmt::Display for TraceKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// One recorded transition, as stored: component interned, kind typed.
+/// One recorded transition, as stored: component interned, event name
+/// static.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceEvent {
     /// Virtual time at which the transition happened.
     pub time: SimTime,
     /// Interned component (resolve via the owning [`TraceSink`]).
     pub component: ComponentId,
-    /// Typed transition or annotation.
-    pub kind: TraceKind,
+    /// Transition or annotation name: a domain state's `name()` or one of
+    /// the verb enums' above.
+    pub event: &'static str,
     /// Free-form detail (resource name, core count, error text, ...).
     pub detail: String,
 }
@@ -365,17 +235,17 @@ impl TraceSink {
         TraceRecord {
             time: event.time,
             component: self.component_name(event.component).to_string(),
-            event: event.kind.name().to_string(),
+            event: event.event.to_string(),
             detail: event.detail.clone(),
         }
     }
 
-    fn push(&mut self, time: SimTime, component: String, kind: TraceKind, detail: String) {
+    fn push(&mut self, time: SimTime, component: String, event: &'static str, detail: String) {
         let component = self.intern(component);
         self.events.push(TraceEvent {
             time,
             component,
-            kind,
+            event,
             detail,
         });
     }
@@ -422,7 +292,7 @@ impl Tracer {
         &self,
         time: SimTime,
         component: impl Into<String>,
-        kind: impl Into<TraceKind>,
+        event: &'static str,
         detail: impl Into<String>,
     ) {
         if !self.enabled {
@@ -430,7 +300,7 @@ impl Tracer {
         }
         self.sink
             .lock()
-            .push(time, component.into(), kind.into(), detail.into());
+            .push(time, component.into(), event, detail.into());
     }
 
     /// Record a state transition, building the component/detail strings
@@ -441,13 +311,13 @@ impl Tracer {
     #[inline]
     pub fn record_with<F>(&self, time: SimTime, f: F)
     where
-        F: FnOnce() -> (String, TraceKind, String),
+        F: FnOnce() -> (String, &'static str, String),
     {
         if !self.enabled {
             return;
         }
-        let (component, kind, detail) = f();
-        self.sink.lock().push(time, component, kind, detail);
+        let (component, event, detail) = f();
+        self.sink.lock().push(time, component, event, detail);
     }
 
     /// Snapshot of all events recorded so far, resolved to the legacy wire
@@ -486,7 +356,7 @@ impl Tracer {
         let id = sink.lookup(component)?;
         sink.events
             .iter()
-            .find(|e| e.component == id && e.kind.name() == event)
+            .find(|e| e.component == id && e.event == event)
             .map(|e| e.time)
     }
 
@@ -530,18 +400,8 @@ mod tests {
     #[test]
     fn records_in_order() {
         let tr = Tracer::new();
-        tr.record(
-            t(1.0),
-            "pilot.0",
-            TraceKind::Pilot(PilotPhase::Launching),
-            "",
-        );
-        tr.record(
-            t(5.0),
-            "pilot.0",
-            TraceKind::Pilot(PilotPhase::Active),
-            "stampede",
-        );
+        tr.record(t(1.0), "pilot.0", "Launching", "");
+        tr.record(t(5.0), "pilot.0", "Active", "stampede");
         let evs = tr.snapshot();
         assert_eq!(evs.len(), 2);
         assert_eq!(evs[0].event, "Launching");
@@ -584,8 +444,8 @@ mod tests {
     #[test]
     fn first_time_of_finds_earliest() {
         let tr = Tracer::new();
-        tr.record(t(1.0), "u", TraceKind::Unit(UnitPhase::Executing), "");
-        tr.record(t(4.0), "u", TraceKind::Unit(UnitPhase::Executing), "");
+        tr.record(t(1.0), "u", "Executing", "");
+        tr.record(t(4.0), "u", "Executing", "");
         assert_eq!(tr.first_time_of("u", "Executing"), Some(t(1.0)));
         assert_eq!(tr.first_time_of("u", "Missing"), None);
     }
@@ -601,12 +461,7 @@ mod tests {
     #[test]
     fn json_roundtrip() {
         let tr = Tracer::new();
-        tr.record(
-            t(1.5),
-            "pilot.0",
-            TraceKind::Pilot(PilotPhase::Active),
-            "gordon",
-        );
+        tr.record(t(1.5), "pilot.0", "Active", "gordon");
         let json = tr.to_json();
         let back: Vec<TraceRecord> = serde_json::from_str(&json).unwrap();
         assert_eq!(back, tr.snapshot());
@@ -623,33 +478,12 @@ mod tests {
     }
 
     #[test]
-    fn kind_names_match_legacy_strings() {
-        assert_eq!(
-            TraceKind::Pilot(PilotPhase::PendingLaunch).name(),
-            "PendingLaunch"
-        );
-        assert_eq!(
-            TraceKind::Unit(UnitPhase::StagingOutput).name(),
-            "StagingOutput"
-        );
-        assert_eq!(TraceKind::Job(JobPhase::Cancelled).name(), "Cancelled");
-        assert_eq!(
-            TraceKind::Saga(SagaPhase::RetrySubmission).name(),
-            "RetrySubmission"
-        );
-        assert_eq!(
-            TraceKind::Detector(DetectorPhase::DeclaredDead).name(),
-            "DeclaredDead"
-        );
-        assert_eq!(
-            TraceKind::Manager(ManagerPhase::ReplanFailed).name(),
-            "ReplanFailed"
-        );
-        assert_eq!(TraceKind::from("ad-hoc").name(), "ad-hoc");
-        assert_eq!(
-            TraceKind::Detector(DetectorPhase::Suspected).category(),
-            "detector"
-        );
+    fn verb_names_match_legacy_strings() {
+        assert_eq!(UnitVerb::Restart.name(), "Restart");
+        assert_eq!(SagaVerb::RetrySubmission.name(), "RetrySubmission");
+        assert_eq!(DetectorPhase::DeclaredDead.name(), "DeclaredDead");
+        assert_eq!(ResourcePhase::Decommission.name(), "Decommission");
+        assert_eq!(ManagerPhase::ReplanFailed.name(), "ReplanFailed");
     }
 
     #[test]

@@ -159,7 +159,7 @@ fn analytics_timelines_cross_validate_telemetry() {
         let derived: f64 = tl
             .units
             .values()
-            .map(|u| u.dwell_in(analytics::timeline::UnitPhase::Executing))
+            .map(|u| u.dwell_in(aimes_repro::pilot::UnitState::Executing))
             .sum();
         let summary = captured.telemetry.summary();
         let hist = &summary.histograms["unit.dwell.executing"];
