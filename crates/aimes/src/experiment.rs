@@ -25,6 +25,7 @@ use aimes_skeleton::{paper_bag, SkeletonConfig, TaskDurationSpec};
 use aimes_strategy::ExecutionStrategy;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 /// One experiment: a strategy × a skeleton family × sizes × repetitions.
@@ -149,7 +150,8 @@ pub struct CampaignJob<'a> {
     pub options: RunOptions,
 }
 
-/// One finished campaign run, as handed back by [`run_campaign`].
+/// One finished campaign run, as handed back by [`run_campaign`]. A job
+/// whose build panicked reports an empty arm and seed 0.
 pub struct JobOutcome<T> {
     pub arm: String,
     pub rep: usize,
@@ -167,7 +169,9 @@ pub struct JobOutcome<T> {
 /// progress tick and (when profiling) one profile report through `hooks`,
 /// keyed by its job index. Outcomes come back grouped per arm, repetitions
 /// in order, so whatever the caller folds from them is byte-identical at
-/// any worker count.
+/// any worker count. A panic while building or running a job fails that
+/// job alone, as [`RunError::Panicked`]; the run's world frees its
+/// component graph as the panic unwinds.
 pub fn run_campaign<'a, A: Sync, T: Send>(
     hooks: CampaignHooks,
     sweep: &str,
@@ -186,26 +190,40 @@ pub fn run_campaign<'a, A: Sync, T: Send>(
         .par_iter()
         .map(|&(job, arm, rep)| {
             let started = hooks.recorder.map_or(0.0, |s| s.elapsed_secs());
-            let t_build = Instant::now();
-            let mut run = build(arm, rep);
-            // The profiler handle is created inside the worker closure and
-            // never crosses threads; only its plain-data report does.
-            run.options.profiler = hooks.profile.map(|_| Profiler::new());
-            let build_secs = t_build.elapsed().as_secs_f64();
-            let t_sim = Instant::now();
-            let outcome = run_application(run.resources, run.app, run.strategy, &run.options);
-            let simulate_secs = t_sim.elapsed().as_secs_f64();
-            let seed = run.options.seed;
-            if let (Some(acc), Some(prof)) = (hooks.profile, &run.options.profiler) {
+            let (mut build_secs, mut simulate_secs) = (0.0, 0.0);
+            let mut built: Option<CampaignJob> = None;
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                let t_build = Instant::now();
+                let run = built.insert(build(arm, rep));
+                // The profiler handle is created inside the worker closure
+                // and never crosses threads; only its plain-data report does.
+                run.options.profiler = hooks.profile.map(|_| Profiler::new());
+                build_secs = t_build.elapsed().as_secs_f64();
+                let t_sim = Instant::now();
+                let outcome = run_application(run.resources, run.app, run.strategy, &run.options);
+                simulate_secs = t_sim.elapsed().as_secs_f64();
+                outcome
+            }))
+            .unwrap_or_else(|payload| {
+                let message = payload.downcast_ref::<&str>().map(|s| s.to_string());
+                let message = message.or_else(|| payload.downcast_ref::<String>().cloned());
+                Err(RunError::Panicked {
+                    message: message.unwrap_or_default(),
+                })
+            });
+            let run = built.as_ref();
+            let seed = run.map_or(0, |r| r.options.seed);
+            let profiler = run.and_then(|r| r.options.profiler.as_ref());
+            if let (Some(acc), Some(prof)) = (hooks.profile, profiler) {
                 acc.record(job, prof.report());
             }
             if let Some(sender) = hooks.recorder {
                 sender.record_outcome(
                     job,
                     sweep,
-                    &run.arm,
+                    run.map_or("", |r| &r.arm),
                     rep as u64,
-                    run.app.total_tasks() as u32,
+                    run.map_or(0, |r| r.app.total_tasks() as u32),
                     seed,
                     &outcome,
                     started,
@@ -217,8 +235,9 @@ pub fn run_campaign<'a, A: Sync, T: Send>(
                 progress.tick(outcome.is_err());
             }
             JobOutcome {
-                result: outcome.map(|r| project(r, &run.options)),
-                arm: run.arm,
+                result: outcome
+                    .map(|r| project(r, &run.expect("only a built run returns").options)),
+                arm: built.map_or_else(String::new, |r| r.arm),
                 rep,
                 seed,
             }

@@ -180,6 +180,9 @@ pub enum RunError {
     /// strategy, fault) combination, and resuming would fabricate
     /// history. `seq` is the first diverging entry.
     JournalDiverged { seq: u64, detail: String },
+    /// The run panicked. The campaign driver catches the panic so the
+    /// rest of the sweep still runs; `message` is the panic's payload.
+    Panicked { message: String },
 }
 
 impl std::fmt::Display for RunError {
@@ -224,6 +227,7 @@ impl std::fmt::Display for RunError {
                     "resume diverged from the journal at entry {seq}: {detail}"
                 )
             }
+            RunError::Panicked { message } => write!(f, "run panicked: {message}"),
         }
     }
 }
@@ -254,6 +258,7 @@ impl RunError {
             RunError::ResourceLost { .. } => "resource_lost",
             RunError::Interrupted { .. } => "interrupted",
             RunError::JournalDiverged { .. } => "journal_diverged",
+            RunError::Panicked { .. } => "panicked",
         }
     }
 }
@@ -488,6 +493,7 @@ fn services<'s>(
 }
 
 /// The managers a plan is enacted through, and when they finished.
+#[derive(Clone)]
 pub(crate) struct Crew {
     pub(crate) pm: PilotManager,
     pub(crate) um: UnitManager,
@@ -517,6 +523,9 @@ type Replanned = Rc<RefCell<HashSet<String>>>;
 /// (build, plan, enact, arm recovery, drive, assemble). [`run_application`]
 /// calls them in order; [`crate::adaptive::run_adaptive`] slots its
 /// patience check in before the drive and assembles its own result.
+/// Dropping the world — after `assemble`, on an error return, or while a
+/// panic unwinds — clears every component's callback tables, which frees
+/// the `Rc` cycles they close.
 pub(crate) struct RunWorld<'a> {
     options: &'a RunOptions,
     strategy: &'a ExecutionStrategy,
@@ -535,6 +544,26 @@ pub(crate) struct RunWorld<'a> {
     app: SkeletonApp,
     n_tasks: u32,
     submitted: SimTime,
+    /// The managers, once `enact` has built them.
+    crew: Option<Crew>,
+}
+
+/// Teardown runs after the last event, so no stream moves, and in the
+/// run's outermost frame, where no borrow is held, so it cannot panic.
+impl Drop for RunWorld<'_> {
+    fn drop(&mut self) {
+        if let Some(crew) = &self.crew {
+            crew.pm.clear_callbacks();
+            crew.um.clear_callbacks();
+        }
+        for svc in services(&self.clusters, &self.session) {
+            svc.clear_callbacks();
+        }
+        for cluster in &self.clusters {
+            cluster.clear_callbacks();
+        }
+        self.info.borrow_mut().clear_callbacks();
+    }
 }
 
 impl<'a> RunWorld<'a> {
@@ -621,6 +650,7 @@ impl<'a> RunWorld<'a> {
             n_tasks: app.tasks().len() as u32,
             app,
             submitted,
+            crew: None,
         };
         world.wire_info_plane();
         world.log.emit(
@@ -758,6 +788,7 @@ impl<'a> RunWorld<'a> {
             pm2.cancel_all(sim);
         });
         let crew = Crew { pm, um, finished };
+        self.crew = Some(crew.clone());
         self.wire_log(&crew);
         crew.pm.submit(&mut self.sim, plan.pilots.clone());
         crew.um.submit_units(&mut self.sim, self.app.tasks());
@@ -771,7 +802,7 @@ impl<'a> RunWorld<'a> {
     fn wire_log(&self, crew: &Crew) {
         let (pm, um) = (&crew.pm, &crew.um);
         let (log, pm2) = (self.log.clone(), pm.clone());
-        pm.subscribe(move |sim, pilot, state| {
+        pm.subscribe(move |sim, &(pilot, state)| {
             let desc = pm2.pilot(pilot).description;
             log.emit(
                 sim.now(),
@@ -784,7 +815,7 @@ impl<'a> RunWorld<'a> {
             );
         });
         let (log, um2) = (self.log.clone(), um.clone());
-        um.subscribe(move |sim, unit, state| {
+        um.subscribe(move |sim, &(unit, state)| {
             let u = um2.unit(unit);
             log.emit(
                 sim.now(),
@@ -797,7 +828,7 @@ impl<'a> RunWorld<'a> {
             );
         });
         let log = self.log.clone();
-        um.on_salvage(move |sim, unit, ev| {
+        um.on_salvage(move |sim, &(unit, ev)| {
             let event = match ev {
                 SalvageEvent::Checkpoint { progress_secs } => JournalEvent::Checkpoint {
                     unit: unit.0,
@@ -1093,7 +1124,7 @@ impl<'a> RunWorld<'a> {
             });
         } else {
             let pm = crew.pm.clone();
-            crew.pm.subscribe(move |sim, pilot, state| {
+            crew.pm.subscribe(move |sim, &(pilot, state)| {
                 if state == PilotState::Failed {
                     on_signal(sim, &pm.pilot(pilot).description.resource);
                 }
@@ -1103,7 +1134,7 @@ impl<'a> RunWorld<'a> {
         // evacuation taking effect — journal it and measure the alarm →
         // first-drain lead.
         let (log, ledger) = (self.log.clone(), ledger.clone());
-        crew.pm.subscribe(move |sim, pilot, state| {
+        crew.pm.subscribe(move |sim, &(pilot, state)| {
             if state != PilotState::Canceled {
                 return;
             }

@@ -1689,7 +1689,7 @@ fn ablation_predictor(opts: &Options) {
             let id = cluster2.submit(sim, JobRequest::pilot(cores, walltime, "probe"));
             let cluster3 = cluster2.clone();
             let submit_time = sim.now();
-            cluster2.watch(id, move |sim, state| {
+            cluster2.watch(id, move |sim, &state| {
                 if state == aimes_cluster::JobState::Running {
                     let realized = sim.now().since(submit_time);
                     obs.borrow_mut().push((

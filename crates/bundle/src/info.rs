@@ -363,6 +363,12 @@ impl InfoChannel {
         self.sink = Some(f);
     }
 
+    /// Drop the sink and the disposition hook (run teardown).
+    pub fn clear_callbacks(&mut self) {
+        self.sink = None;
+        self.disposition = None;
+    }
+
     /// Attach a metrics registry; `bundle.info.*` counters are recorded
     /// through it (one branch per query when disabled).
     pub fn set_metrics(&mut self, metrics: MetricsRegistry) {

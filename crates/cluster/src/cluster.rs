@@ -13,7 +13,7 @@
 use crate::job::{Job, JobId, JobOwner, JobRequest, JobState};
 use crate::policy::{select_starts, QueuedJobView, RunningJobView, SchedulingPolicy};
 use crate::profile::AvailabilityProfile;
-use aimes_sim::{EventId, ResourcePhase, SimDuration, SimTime, Simulation};
+use aimes_sim::{EventId, Observers, ResourcePhase, SimDuration, SimTime, Simulation};
 use aimes_workload::{BackgroundWorkload, WorkloadConfig};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -172,7 +172,7 @@ struct ClusterState {
     // Recent job-start records for predictive bundle queries.
     wait_history: VecDeque<WaitRecord>,
     // Per-job state-change subscribers (the SAGA layer registers here).
-    watchers: HashMap<JobId, Vec<Watcher>>,
+    watchers: HashMap<JobId, Rc<Observers<JobState>>>,
     // Coalesces same-instant dispatch requests into one event.
     dispatch_scheduled: bool,
     // Fault injection: no job starts before this instant (outage/drain
@@ -196,8 +196,6 @@ struct ClusterState {
     /// `estimate_wait` memo; invalidated by epoch/instant mismatch.
     est_cache: Option<EstCache>,
 }
-
-type Watcher = Box<dyn FnMut(&mut Simulation, JobState)>;
 
 impl ClusterState {
     fn accrue_busy(&mut self, now: SimTime) {
@@ -935,29 +933,24 @@ impl Cluster {
     /// transition (Running, then a terminal state); it is dropped after a
     /// terminal notification. Callbacks may submit/cancel jobs and register
     /// further watchers.
-    pub fn watch(&self, id: JobId, cb: impl FnMut(&mut Simulation, JobState) + 'static) {
-        self.inner
-            .borrow_mut()
-            .watchers
-            .entry(id)
-            .or_default()
-            .push(Box::new(cb));
+    pub fn watch(&self, id: JobId, cb: impl FnMut(&mut Simulation, &JobState) + 'static) {
+        let mut st = self.inner.borrow_mut();
+        st.watchers.entry(id).or_default().add(cb);
+    }
+
+    /// Drop the watchers of jobs still live and what they captured (run
+    /// teardown).
+    pub fn clear_callbacks(&self) {
+        self.inner.borrow_mut().watchers.clear();
     }
 
     fn notify(&self, sim: &mut Simulation, id: JobId, state: JobState) {
-        let Some(mut ws) = self.inner.borrow_mut().watchers.remove(&id) else {
+        let Some(ws) = self.inner.borrow().watchers.get(&id).cloned() else {
             return;
         };
-        for w in ws.iter_mut() {
-            w(sim, state);
-        }
-        if !state.is_terminal() {
-            // Put watchers back, keeping any registered during callbacks.
-            let mut st = self.inner.borrow_mut();
-            if let Some(mut newly) = st.watchers.remove(&id) {
-                ws.append(&mut newly);
-            }
-            st.watchers.insert(id, ws);
+        ws.fire(sim, &state);
+        if state.is_terminal() {
+            self.inner.borrow_mut().watchers.remove(&id);
         }
     }
 
@@ -1466,7 +1459,7 @@ mod tests {
         let seen = Rc::new(RefCell::new(vec![]));
         let id = c.submit(&mut sim, JobRequest::background(8, d(60.0), d(120.0)));
         let s2 = seen.clone();
-        c.watch(id, move |_sim, st| s2.borrow_mut().push(st));
+        c.watch(id, move |_sim, &st| s2.borrow_mut().push(st));
         sim.run_to_completion();
         // Dispatch is deferred, so a watch registered right after submit
         // still observes the start.
@@ -1478,7 +1471,7 @@ mod tests {
         c.submit(&mut sim, JobRequest::background(8, d(60.0), d(60.0)));
         let id = c.submit(&mut sim, JobRequest::background(8, d(10.0), d(10.0)));
         let s2 = seen.clone();
-        c.watch(id, move |_sim, st| s2.borrow_mut().push(st));
+        c.watch(id, move |_sim, &st| s2.borrow_mut().push(st));
         sim.run_to_completion();
         assert_eq!(*seen.borrow(), vec![JobState::Running, JobState::Completed]);
     }
@@ -1491,7 +1484,7 @@ mod tests {
         let seen = Rc::new(RefCell::new(vec![]));
         let id = c.submit(&mut sim, JobRequest::background(8, d(1000.0), d(1000.0)));
         let s2 = seen.clone();
-        c.watch(id, move |_sim, st| s2.borrow_mut().push(st));
+        c.watch(id, move |_sim, &st| s2.borrow_mut().push(st));
         let c2 = c.clone();
         sim.schedule_at(SimTime::from_secs(5.0), move |sim| {
             c2.cancel(sim, id);
@@ -1509,7 +1502,7 @@ mod tests {
         let id = c.submit(&mut sim, JobRequest::background(8, d(30.0), d(30.0)));
         let c2 = c.clone();
         let ch = chained.clone();
-        c.watch(id, move |sim, st| {
+        c.watch(id, move |sim, &st| {
             if st == JobState::Completed {
                 let next = c2.submit(sim, JobRequest::background(4, d(10.0), d(10.0)));
                 *ch.borrow_mut() = Some(next);
@@ -1586,7 +1579,7 @@ mod tests {
         assert_eq!(c.job_state(victim), Some(JobState::Running));
         let seen = Rc::new(RefCell::new(None));
         let slot = Rc::clone(&seen);
-        c.watch(victim, move |_sim, s| *slot.borrow_mut() = Some(s));
+        c.watch(victim, move |_sim, &s| *slot.borrow_mut() = Some(s));
         c.inject_outage(&mut sim, d(300.0), true);
         // The kill is synchronous: state, watcher, and accounting all see it.
         assert_eq!(c.job_state(victim), Some(JobState::Killed));
@@ -1628,7 +1621,7 @@ mod tests {
         sim.run_until(SimTime::from_secs(100.0));
         let seen = Rc::new(RefCell::new(None));
         let slot = Rc::clone(&seen);
-        c.watch(queued, move |_sim, s| *slot.borrow_mut() = Some(s));
+        c.watch(queued, move |_sim, &s| *slot.borrow_mut() = Some(s));
         c.decommission(&mut sim);
         // Both jobs die at the decommission instant; the queued job's
         // watcher hears about it.

@@ -5,7 +5,7 @@ use crate::description::PilotDescription;
 use crate::detector::{DetectionPolicy, DetectorEvent, HealthState, SuspicionDetector};
 use crate::pilot::{Pilot, PilotId, PilotState};
 use aimes_saga::{JobDescription, SagaJobState, Session};
-use aimes_sim::{DetectorPhase, ManagerPhase, SimDuration, SimRng, SimTime, Simulation};
+use aimes_sim::{DetectorPhase, ManagerPhase, Observers, SimDuration, SimRng, SimTime, Simulation};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
@@ -24,20 +24,6 @@ fn dwell_metric(state: PilotState) -> String {
     }
     .to_string()
 }
-
-/// Subscriber to pilot state changes.
-pub type PilotCallback = Box<dyn FnMut(&mut Simulation, PilotId, PilotState)>;
-
-/// Subscriber to manager-initiated blacklisting (repeated launch failures).
-pub type BlacklistCallback = Box<dyn FnMut(&mut Simulation, &str)>;
-
-/// Subscriber to detector events (suspicions, declarations, recoveries,
-/// stale signals) — the middleware journals these.
-pub type DetectorCallback = Box<dyn FnMut(&mut Simulation, &DetectorEvent)>;
-
-/// Subscriber to *physical* agent death (environment side, not a client
-/// signal — see [`PilotManager::on_pilot_silent`]).
-pub type SilentCallback = Box<dyn FnMut(&mut Simulation, PilotId)>;
 
 /// An injected heartbeat-delivery delay window: signal-level fault
 /// injection for false-positive scenarios (congested WAN, overloaded
@@ -94,11 +80,6 @@ impl PilotRecovery {
 struct PmState {
     session: Rc<Session>,
     pilots: Vec<Pilot>,
-    subscribers: Vec<PilotCallback>,
-    /// Notified when the manager itself blacklists a resource after
-    /// repeated launch failures (not when [`PilotManager::blacklist`] is
-    /// called from outside — the caller already knows).
-    blacklist_subscribers: Vec<BlacklistCallback>,
     /// Agent bootstrap time once the backend job runs (the pilot's own
     /// startup: environment setup, agent launch).
     bootstrap_delay: SimDuration,
@@ -134,16 +115,24 @@ struct PmState {
     detection_windows: Vec<(SimTime, SimTime)>,
     /// Injected heartbeat-delivery delay windows.
     hb_delays: Vec<HeartbeatDelayWindow>,
-    detector_subscribers: Vec<DetectorCallback>,
-    silent_subscribers: Vec<SilentCallback>,
     /// Signals dropped because their target was terminal or blacklisted.
     stale_signals: u64,
+}
+
+/// The pilot manager's observers, outside its `RefCell` state.
+#[derive(Default)]
+struct PmObservers {
+    transition: Observers<(PilotId, PilotState)>,
+    blacklist: Observers<str>,
+    detector: Observers<DetectorEvent>,
+    silent: Observers<PilotId>,
 }
 
 /// Handle to the pilot manager.
 #[derive(Clone)]
 pub struct PilotManager {
     inner: Rc<RefCell<PmState>>,
+    obs: Rc<PmObservers>,
 }
 
 impl PilotManager {
@@ -153,8 +142,6 @@ impl PilotManager {
             inner: Rc::new(RefCell::new(PmState {
                 session,
                 pilots: Vec::new(),
-                subscribers: Vec::new(),
-                blacklist_subscribers: Vec::new(),
                 bootstrap_delay: SimDuration::from_secs(30.0),
                 recovery: None,
                 lineage: HashMap::new(),
@@ -169,10 +156,9 @@ impl PilotManager {
                 went_silent: HashMap::new(),
                 detection_windows: Vec::new(),
                 hb_delays: Vec::new(),
-                detector_subscribers: Vec::new(),
-                silent_subscribers: Vec::new(),
                 stale_signals: 0,
             })),
+            obs: Rc::default(),
         }
     }
 
@@ -202,10 +188,7 @@ impl PilotManager {
     /// Subscribe to detector events (suspicions, recoveries,
     /// declarations, stale signals).
     pub fn on_detector_event(&self, cb: impl FnMut(&mut Simulation, &DetectorEvent) + 'static) {
-        self.inner
-            .borrow_mut()
-            .detector_subscribers
-            .push(Box::new(cb));
+        self.obs.detector.add(cb);
     }
 
     /// Subscribe to *physical* agent death. This is the environment side
@@ -215,11 +198,8 @@ impl PilotManager {
     /// manager uses this to stop in-flight completions from firing on a
     /// dead machine; recovery decisions must key off the declared
     /// `Failed` transition instead.
-    pub fn on_pilot_silent(&self, cb: impl FnMut(&mut Simulation, PilotId) + 'static) {
-        self.inner
-            .borrow_mut()
-            .silent_subscribers
-            .push(Box::new(cb));
+    pub fn on_pilot_silent(&self, cb: impl FnMut(&mut Simulation, &PilotId) + 'static) {
+        self.obs.silent.add(cb);
     }
 
     /// Delay heartbeat *delivery* (not emission) for a resource inside
@@ -301,19 +281,25 @@ impl PilotManager {
     }
 
     /// Subscribe to all pilot state transitions.
-    pub fn subscribe(&self, cb: impl FnMut(&mut Simulation, PilotId, PilotState) + 'static) {
-        self.inner.borrow_mut().subscribers.push(Box::new(cb));
+    pub fn subscribe(&self, cb: impl FnMut(&mut Simulation, &(PilotId, PilotState)) + 'static) {
+        self.obs.transition.add(cb);
     }
 
     /// Subscribe to blacklist decisions the manager makes on its own
     /// (a resource ate [`PilotRecovery::blacklist_after`] consecutive
-    /// launches). Without `reroute`, recovery from such a resource is the
-    /// subscriber's job — the middleware uses this to trigger re-planning.
+    /// launches), not to calls of [`Self::blacklist`]. Without `reroute`,
+    /// recovery from such a resource is the subscriber's job — the
+    /// middleware uses this to trigger re-planning.
     pub fn on_blacklist(&self, cb: impl FnMut(&mut Simulation, &str) + 'static) {
-        self.inner
-            .borrow_mut()
-            .blacklist_subscribers
-            .push(Box::new(cb));
+        self.obs.blacklist.add(cb);
+    }
+
+    /// Drop every observer and what it captured (run teardown).
+    pub fn clear_callbacks(&self) {
+        self.obs.transition.clear();
+        self.obs.blacklist.clear();
+        self.obs.detector.clear();
+        self.obs.silent.clear();
     }
 
     /// Submit pilots. Each is described to the resource named in its
@@ -400,7 +386,7 @@ impl PilotManager {
                             self.pilot(id).description.resource.clone(),
                         )
                     });
-                    self.fire_pilot_silent(sim, id);
+                    self.obs.silent.fire(sim, &id);
                 } else if !current.is_terminal() {
                     self.transition(sim, id, PilotState::Failed);
                 }
@@ -437,17 +423,7 @@ impl PilotManager {
                 self.pilot(id).description.resource.clone(),
             )
         });
-        // Deliver to subscribers without holding the borrow.
-        let mut subs = std::mem::take(&mut self.inner.borrow_mut().subscribers);
-        for cb in subs.iter_mut() {
-            cb(sim, id, next);
-        }
-        {
-            let mut st = self.inner.borrow_mut();
-            let mut newly = std::mem::take(&mut st.subscribers);
-            st.subscribers = subs;
-            st.subscribers.append(&mut newly);
-        }
+        self.obs.transition.fire(sim, &(id, next));
         match next {
             PilotState::Active => {
                 self.on_pilot_active(sim, id);
@@ -456,30 +432,6 @@ impl PilotManager {
             PilotState::Failed => self.heal_pilot_failure(sim, id),
             _ => {}
         }
-    }
-
-    /// Deliver a detector event to subscribers (re-entrancy-safe).
-    fn fire_detector_event(&self, sim: &mut Simulation, event: &DetectorEvent) {
-        let mut subs = std::mem::take(&mut self.inner.borrow_mut().detector_subscribers);
-        for cb in subs.iter_mut() {
-            cb(sim, event);
-        }
-        let mut st = self.inner.borrow_mut();
-        let mut newly = std::mem::take(&mut st.detector_subscribers);
-        st.detector_subscribers = subs;
-        st.detector_subscribers.append(&mut newly);
-    }
-
-    /// Deliver a physical silent-death notification (re-entrancy-safe).
-    fn fire_pilot_silent(&self, sim: &mut Simulation, id: PilotId) {
-        let mut subs = std::mem::take(&mut self.inner.borrow_mut().silent_subscribers);
-        for cb in subs.iter_mut() {
-            cb(sim, id);
-        }
-        let mut st = self.inner.borrow_mut();
-        let mut newly = std::mem::take(&mut st.silent_subscribers);
-        st.silent_subscribers = subs;
-        st.silent_subscribers.append(&mut newly);
     }
 
     /// Start the heartbeat loop and suspicion clock for a freshly active
@@ -573,7 +525,7 @@ impl PilotManager {
                         detail.clone(),
                     )
                 });
-                self.fire_detector_event(
+                self.obs.detector.fire(
                     sim,
                     &DetectorEvent::StaleSignal {
                         pilot: id,
@@ -601,7 +553,7 @@ impl PilotManager {
                             format!("heartbeat resumed after {:.0}s", suspected_for.as_secs()),
                         )
                     });
-                    self.fire_detector_event(
+                    self.obs.detector.fire(
                         sim,
                         &DetectorEvent::Recovered {
                             pilot: id,
@@ -667,7 +619,7 @@ impl PilotManager {
                         format!("{resource}: silent {:.0}s", silent_for.as_secs()),
                     )
                 });
-                self.fire_detector_event(
+                self.obs.detector.fire(
                     sim,
                     &DetectorEvent::Suspected {
                         pilot: id,
@@ -767,7 +719,7 @@ impl PilotManager {
                 format!("{resource}: silent {:.0}s", silent_for.as_secs()),
             )
         });
-        self.fire_detector_event(
+        self.obs.detector.fire(
             sim,
             &DetectorEvent::DeclaredDead {
                 pilot: id,
@@ -852,18 +804,8 @@ impl PilotManager {
                 )
             });
             // Without reroute the verdict below is Skip: a higher layer
-            // must take over, so tell it the resource is gone. Delivered
-            // without holding the borrow; callbacks may submit pilots.
-            let mut subs = std::mem::take(&mut self.inner.borrow_mut().blacklist_subscribers);
-            for cb in subs.iter_mut() {
-                cb(sim, &resource);
-            }
-            {
-                let mut st = self.inner.borrow_mut();
-                let mut newly = std::mem::take(&mut st.blacklist_subscribers);
-                st.blacklist_subscribers = subs;
-                st.blacklist_subscribers.append(&mut newly);
-            }
+            // must take over, so tell it the resource is gone.
+            self.obs.blacklist.fire(sim, &resource);
         }
         match verdict {
             Verdict::Skip => {}
@@ -1098,7 +1040,7 @@ mod tests {
         let (mut sim, pm) = setup(64);
         let seen: Rc<RefCell<Vec<(PilotId, PilotState)>>> = Rc::new(RefCell::new(vec![]));
         let s2 = seen.clone();
-        pm.subscribe(move |_sim, id, st| s2.borrow_mut().push((id, st)));
+        pm.subscribe(move |_sim, &ev| s2.borrow_mut().push(ev));
         let ids = pm.submit(
             &mut sim,
             vec![PilotDescription::new("stampede", 8, d(60.0))],

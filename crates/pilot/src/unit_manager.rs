@@ -12,7 +12,7 @@ use crate::pilot::{PilotId, PilotState};
 use crate::pilot_manager::PilotManager;
 use crate::scheduler::{assign, Binding, PilotView, UnitScheduler, UnitView};
 use crate::unit::{ComputeUnit, UnitId, UnitState};
-use aimes_sim::{EventId, ManagerPhase, SimDuration, SimTime, Simulation, UnitVerb};
+use aimes_sim::{EventId, ManagerPhase, Observers, SimDuration, SimTime, Simulation, UnitVerb};
 use aimes_skeleton::TaskSpec;
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -156,13 +156,6 @@ impl UnitManagerStats {
 /// Callback fired once when every unit reaches a terminal state.
 type CompletionCallback = Box<dyn FnOnce(&mut Simulation)>;
 
-/// Observer fired after every unit state transition — the hook the
-/// middleware's run journal uses to record unit history.
-type UnitTransitionCallback = Box<dyn FnMut(&mut Simulation, UnitId, UnitState)>;
-
-/// Observer fired on checkpoint/resume salvage events.
-type SalvageCallback = Box<dyn FnMut(&mut Simulation, UnitId, SalvageEvent)>;
-
 struct UmState {
     config: UmConfig,
     units: Vec<ComputeUnit>,
@@ -184,17 +177,23 @@ struct UmState {
     fault_rng: Option<aimes_sim::SimRng>,
     rr_cursor: usize,
     stats: UnitManagerStats,
-    transition_subscribers: Vec<UnitTransitionCallback>,
-    salvage_subscribers: Vec<SalvageCallback>,
     on_all_done: Vec<CompletionCallback>,
     schedule_pending: bool,
     completion_fired: bool,
+}
+
+/// The unit manager's observers, outside its `RefCell` state.
+#[derive(Default)]
+struct UmObservers {
+    transition: Observers<(UnitId, UnitState)>,
+    salvage: Observers<(UnitId, SalvageEvent)>,
 }
 
 /// Handle to the unit manager.
 #[derive(Clone)]
 pub struct UnitManager {
     inner: Rc<RefCell<UmState>>,
+    obs: Rc<UmObservers>,
     pm: PilotManager,
 }
 
@@ -220,97 +219,46 @@ impl UnitManager {
                 fault_rng: None,
                 rr_cursor: 0,
                 stats: UnitManagerStats::default(),
-                transition_subscribers: Vec::new(),
-                salvage_subscribers: Vec::new(),
                 on_all_done: Vec::new(),
                 schedule_pending: false,
                 completion_fired: false,
             })),
+            obs: Rc::default(),
             pm: pm.clone(),
         };
-        let weak = Rc::downgrade(&um.inner);
-        let pm2 = pm.clone();
-        pm.subscribe(move |sim, pilot, state| {
-            if let Some(inner) = weak.upgrade() {
-                let um = UnitManager {
-                    inner,
-                    pm: pm2.clone(),
-                };
-                um.on_pilot_state(sim, pilot, state);
-            }
-        });
+        let um2 = um.clone();
+        pm.subscribe(move |sim, &(pilot, state)| um2.on_pilot_state(sim, pilot, state));
         // Environment-side channel: a pilot whose agent went silent can no
         // longer deliver completions, even though the client still sees it
         // as Active until the detector declares it dead.
-        let weak = Rc::downgrade(&um.inner);
-        let pm3 = pm.clone();
-        pm.on_pilot_silent(move |sim, pilot| {
-            if let Some(inner) = weak.upgrade() {
-                let um = UnitManager {
-                    inner,
-                    pm: pm3.clone(),
-                };
-                um.on_pilot_silent(sim, pilot);
-            }
-        });
+        let um2 = um.clone();
+        pm.on_pilot_silent(move |sim, &pilot| um2.on_pilot_silent(sim, pilot));
         um
     }
 
     /// Register an observer fired after every unit state transition (the
     /// middleware journal records unit history through this hook).
-    pub fn subscribe(&self, cb: impl FnMut(&mut Simulation, UnitId, UnitState) + 'static) {
-        self.inner
-            .borrow_mut()
-            .transition_subscribers
-            .push(Box::new(cb));
-    }
-
-    /// Fire transition observers with the state released (callbacks may
-    /// re-enter the manager). Subscribers added during the callbacks are
-    /// kept.
-    fn fire_transition(&self, sim: &mut Simulation, uid: UnitId, state: UnitState) {
-        let mut subs = std::mem::take(&mut self.inner.borrow_mut().transition_subscribers);
-        if subs.is_empty() {
-            return;
-        }
-        for cb in &mut subs {
-            cb(sim, uid, state);
-        }
-        let mut st = self.inner.borrow_mut();
-        let added = std::mem::take(&mut st.transition_subscribers);
-        st.transition_subscribers = subs;
-        st.transition_subscribers.extend(added);
+    pub fn subscribe(&self, cb: impl FnMut(&mut Simulation, &(UnitId, UnitState)) + 'static) {
+        self.obs.transition.add(cb);
     }
 
     /// Register an observer fired on checkpoint/resume salvage events
     /// (only ever fired when `checkpoint_interval` is non-zero).
-    pub fn on_salvage(&self, cb: impl FnMut(&mut Simulation, UnitId, SalvageEvent) + 'static) {
-        self.inner
-            .borrow_mut()
-            .salvage_subscribers
-            .push(Box::new(cb));
-    }
-
-    /// Fire salvage observers with the state released (callbacks may
-    /// re-enter the manager).
-    fn fire_salvage(&self, sim: &mut Simulation, uid: UnitId, event: SalvageEvent) {
-        let mut subs = std::mem::take(&mut self.inner.borrow_mut().salvage_subscribers);
-        if subs.is_empty() {
-            return;
-        }
-        for cb in &mut subs {
-            cb(sim, uid, event);
-        }
-        let mut st = self.inner.borrow_mut();
-        let added = std::mem::take(&mut st.salvage_subscribers);
-        st.salvage_subscribers = subs;
-        st.salvage_subscribers.extend(added);
+    pub fn on_salvage(&self, cb: impl FnMut(&mut Simulation, &(UnitId, SalvageEvent)) + 'static) {
+        self.obs.salvage.add(cb);
     }
 
     /// Register a callback fired once when every unit has reached a
     /// terminal state.
     pub fn on_all_done(&self, cb: impl FnOnce(&mut Simulation) + 'static) {
         self.inner.borrow_mut().on_all_done.push(Box::new(cb));
+    }
+
+    /// Drop every observer and completion callback (run teardown).
+    pub fn clear_callbacks(&self) {
+        self.obs.transition.clear();
+        self.obs.salvage.clear();
+        self.inner.borrow_mut().on_all_done.clear();
     }
 
     /// Submit the application's tasks as compute units. For early binding,
@@ -391,7 +339,9 @@ impl UnitManager {
                 String::new(),
             )
         });
-        self.fire_transition(sim, uid, UnitState::PendingExecution);
+        self.obs
+            .transition
+            .fire(sim, &(uid, UnitState::PendingExecution));
     }
 
     fn on_pilot_state(&self, sim: &mut Simulation, pilot: PilotId, state: PilotState) {
@@ -511,7 +461,7 @@ impl UnitManager {
                     "restarts exhausted".into(),
                 )
             });
-            self.fire_transition(sim, uid, UnitState::Failed);
+            self.obs.transition.fire(sim, &(uid, UnitState::Failed));
             self.check_completion(sim);
             return;
         }
@@ -560,15 +510,19 @@ impl UnitManager {
         };
         if let Some(progress) = checkpoint {
             sim.metrics().inc(|| "unit.manager.checkpoints".into());
-            self.fire_salvage(
+            self.obs.salvage.fire(
                 sim,
-                uid,
-                SalvageEvent::Checkpoint {
-                    progress_secs: progress,
-                },
+                &(
+                    uid,
+                    SalvageEvent::Checkpoint {
+                        progress_secs: progress,
+                    },
+                ),
             );
         }
-        self.fire_transition(sim, uid, UnitState::PendingExecution);
+        self.obs
+            .transition
+            .fire(sim, &(uid, UnitState::PendingExecution));
         if rebind {
             // Early-binding failover: rebind to any live pilot.
             let live = self
@@ -596,7 +550,7 @@ impl UnitManager {
                 if let Some(ev) = ev {
                     sim.cancel(ev);
                 }
-                self.fire_transition(sim, uid, UnitState::Failed);
+                self.obs.transition.fire(sim, &(uid, UnitState::Failed));
                 self.check_completion(sim);
                 return;
             }
@@ -728,7 +682,9 @@ impl UnitManager {
                 format!("{pid} {resource}"),
             )
         });
-        self.fire_transition(sim, uid, UnitState::StagingInput);
+        self.obs
+            .transition
+            .fire(sim, &(uid, UnitState::StagingInput));
         let this = self.clone();
         let ev = sim.schedule_at(staging_end, move |sim| this.on_input_staged(sim, uid));
         self.inner.borrow_mut().inflight.insert(uid, ev);
@@ -779,9 +735,11 @@ impl UnitManager {
         });
         if let Some(salvaged_secs) = resumed_from {
             sim.metrics().inc(|| "unit.manager.resumes".into());
-            self.fire_salvage(sim, uid, SalvageEvent::Resume { salvaged_secs });
+            self.obs
+                .salvage
+                .fire(sim, &(uid, SalvageEvent::Resume { salvaged_secs }));
         }
-        self.fire_transition(sim, uid, UnitState::Executing);
+        self.obs.transition.fire(sim, &(uid, UnitState::Executing));
         let this = self.clone();
         let ev = match fault {
             Some((at, permanent)) => {
@@ -830,7 +788,7 @@ impl UnitManager {
                     "permanent fault".into(),
                 )
             });
-            self.fire_transition(sim, uid, UnitState::Failed);
+            self.obs.transition.fire(sim, &(uid, UnitState::Failed));
             self.check_completion(sim);
         } else {
             self.restart_or_fail(sim, uid);
@@ -866,7 +824,9 @@ impl UnitManager {
                 String::new(),
             )
         });
-        self.fire_transition(sim, uid, UnitState::StagingOutput);
+        self.obs
+            .transition
+            .fire(sim, &(uid, UnitState::StagingOutput));
         let this = self.clone();
         sim.schedule_at(out_end, move |sim| this.on_done(sim, uid));
         self.request_schedule(sim);
@@ -893,7 +853,7 @@ impl UnitManager {
         sim.tracer().record_with(now, || {
             (uid.to_string(), UnitState::Done.name(), String::new())
         });
-        self.fire_transition(sim, uid, UnitState::Done);
+        self.obs.transition.fire(sim, &(uid, UnitState::Done));
         for dep in newly_ready {
             self.make_ready(sim, dep);
         }
@@ -1297,7 +1257,7 @@ mod tests {
             let salvage: Rc<RefCell<Vec<(UnitId, SalvageEvent)>>> =
                 Rc::new(RefCell::new(Vec::new()));
             let s2 = salvage.clone();
-            um.on_salvage(move |_, uid, ev| s2.borrow_mut().push((uid, ev)));
+            um.on_salvage(move |_, &ev| s2.borrow_mut().push(ev));
             pm.submit(
                 &mut sim,
                 vec![PilotDescription::new("stampede", 8, d(400.0))],
@@ -1433,6 +1393,20 @@ mod tests {
     }
 
     #[test]
+    fn clear_callbacks_releases_the_manager_cycle() {
+        let (_sim, pm) = setup(&[("stampede", 64)]);
+        let um = UnitManager::new(
+            pm.clone(),
+            UmConfig::new(Binding::Late, UnitScheduler::Backfill),
+        );
+        // The pilot manager's transition and silent-death observers each
+        // hold the unit manager.
+        assert_eq!(Rc::strong_count(&um.inner), 3);
+        pm.clear_callbacks();
+        assert_eq!(Rc::strong_count(&um.inner), 1);
+    }
+
+    #[test]
     fn transition_subscribers_observe_the_full_lifecycle() {
         let (mut sim, pm) = setup(&[("stampede", 64)]);
         let um = UnitManager::new(
@@ -1441,7 +1415,7 @@ mod tests {
         );
         let seen: Rc<RefCell<Vec<(UnitId, UnitState)>>> = Rc::new(RefCell::new(Vec::new()));
         let seen2 = seen.clone();
-        um.subscribe(move |_, uid, state| seen2.borrow_mut().push((uid, state)));
+        um.subscribe(move |_, &ev| seen2.borrow_mut().push(ev));
         pm.submit(
             &mut sim,
             vec![PilotDescription::new("stampede", 8, d(4000.0))],

@@ -12,16 +12,13 @@ use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use crate::error::{SagaError, SagaOp};
 use crate::job_api::{JobDescription, SagaJobId, SagaJobState};
 use aimes_cluster::{Cluster, JobId as BackendJobId, JobRequest, JobState};
-use aimes_sim::{SagaVerb, SimDuration, SimRng, Simulation};
+use aimes_sim::{Observers, SagaVerb, SimDuration, SimRng, Simulation};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Callback invoked on every SAGA state transition of a job.
 pub type StateCallback = Box<dyn FnMut(&mut Simulation, SagaJobState)>;
-
-/// Callback fired when a resource's circuit breaker trips open.
-pub type BreakerTripCallback = Box<dyn FnMut(&mut Simulation, &str)>;
 
 /// Callback receiving the answer of one status query.
 pub type StatusCallback = Box<dyn FnOnce(&mut Simulation, Result<SagaJobState, SagaError>)>;
@@ -66,13 +63,14 @@ struct ServiceState {
     // status queries. None (the default) keeps the legacy always-retry
     // behaviour and its exact event/RNG streams.
     breaker: Option<CircuitBreaker>,
-    trip_subscribers: Vec<BreakerTripCallback>,
 }
 
 /// Handle to the job service of one resource.
 #[derive(Clone)]
 pub struct JobService {
     inner: Rc<RefCell<ServiceState>>,
+    /// Breaker-trip observers; they may submit or cancel through here.
+    trips: Rc<Observers<str>>,
 }
 
 impl JobService {
@@ -94,8 +92,8 @@ impl JobService {
                 fault_transient: 0.0,
                 fault_permanent: 0.0,
                 breaker: None,
-                trip_subscribers: Vec::new(),
             })),
+            trips: Rc::default(),
         }
     }
 
@@ -109,7 +107,15 @@ impl JobService {
     /// Subscribe to breaker trips. The callback receives the resource name
     /// each time the breaker transitions to open.
     pub fn on_breaker_trip(&self, cb: impl FnMut(&mut Simulation, &str) + 'static) {
-        self.inner.borrow_mut().trip_subscribers.push(Box::new(cb));
+        self.trips.add(cb);
+    }
+
+    /// Drop the breaker-trip observers and the state callbacks of jobs
+    /// still live, and what they captured (run teardown).
+    pub fn clear_callbacks(&self) {
+        self.trips.clear();
+        let mut st = self.inner.borrow_mut();
+        st.jobs.values_mut().for_each(|rec| rec.callback = None);
     }
 
     /// Current breaker state, if one is armed.
@@ -126,16 +132,9 @@ impl JobService {
             .map_or(0, |b| b.trips())
     }
 
-    /// Deliver a breaker trip to subscribers (re-entrancy-safe: callbacks
-    /// may submit or cancel through this very service).
+    /// Count, trace and deliver a breaker trip.
     fn fire_breaker_trip(&self, sim: &mut Simulation) {
-        let (mut subs, resource) = {
-            let mut st = self.inner.borrow_mut();
-            (
-                std::mem::take(&mut st.trip_subscribers),
-                st.resource.clone(),
-            )
-        };
+        let resource = self.resource();
         sim.metrics()
             .inc(|| format!("saga.{resource}.breaker_trips"));
         sim.tracer().record_with(sim.now(), || {
@@ -145,13 +144,7 @@ impl JobService {
                 "circuit open".into(),
             )
         });
-        for cb in subs.iter_mut() {
-            cb(sim, &resource);
-        }
-        let mut st = self.inner.borrow_mut();
-        let added = std::mem::take(&mut st.trip_subscribers);
-        subs.extend(added);
-        st.trip_subscribers = subs;
+        self.trips.fire(sim, &resource);
     }
 
     /// The resource this service fronts.
@@ -329,7 +322,7 @@ impl JobService {
                 self.transition(sim, id, SagaJobState::Pending);
                 let this = self.clone();
                 let cluster = self.inner.borrow().cluster.clone();
-                cluster.watch(backend, move |sim, bstate| {
+                cluster.watch(backend, move |sim, &bstate| {
                     this.on_backend_change(sim, id, bstate);
                 });
             }

@@ -26,6 +26,7 @@
 
 pub mod engine;
 pub mod event;
+pub mod observers;
 pub mod profile;
 pub mod rng;
 pub mod telemetry;
@@ -34,6 +35,7 @@ pub mod trace;
 
 pub use engine::Simulation;
 pub use event::{EventId, EventQueue, ScheduledEvent};
+pub use observers::Observers;
 pub use profile::{EngineStats, LabelProfile, ProfileGuard, ProfileLabel, ProfileReport, Profiler};
 pub use rng::{SimRng, StreamId};
 pub use telemetry::{MetricsRegistry, MetricsSummary, Span, Telemetry};

@@ -12,9 +12,11 @@ use std::sync::Mutex;
 
 use aimes_repro::cluster::ClusterConfig;
 use aimes_repro::fault::{FaultSpec, OutageKind, OutageSpec, RecoveryPolicy};
-use aimes_repro::middleware::experiment::{run_experiment, ExperimentConfig};
+use aimes_repro::middleware::experiment::{
+    run_campaign, run_experiment, CampaignHooks, CampaignJob, ExperimentConfig,
+};
 use aimes_repro::middleware::paper;
-use aimes_repro::middleware::{run_application, RunJournal, RunOptions};
+use aimes_repro::middleware::{run_application, RunError, RunJournal, RunOptions};
 use aimes_repro::sim::SimTime;
 use aimes_repro::skeleton::{paper_bag, TaskDurationSpec};
 use rayon::prelude::*;
@@ -225,4 +227,65 @@ fn journal_digests_are_identical_across_worker_counts() {
         with_workers(4, || seeds.par_iter().map(|&s| chaos_digest(s)).collect());
     assert_eq!(sequential, pooled_1);
     assert_eq!(sequential, pooled_4, "worker count leaked into journals");
+}
+
+#[test]
+fn a_panicking_job_fails_alone_at_any_worker_count() {
+    let resources: Vec<ClusterConfig> = ["one", "two"]
+        .iter()
+        .map(|n| ClusterConfig::test(n, 256))
+        .collect();
+    let strategy = paper::late_strategy(2);
+    let apps: Vec<_> = [8, 16]
+        .iter()
+        .map(|&n| paper_bag(n, TaskDurationSpec::Uniform15Min))
+        .collect();
+    let campaign = || {
+        run_campaign(
+            CampaignHooks::default(),
+            "panic-isolation",
+            &apps,
+            3,
+            |app, rep| {
+                let n = app.total_tasks();
+                assert!(!(n == 16 && rep == 1), "injected build panic at {n} tasks");
+                CampaignJob {
+                    arm: format!("bag-{n}"),
+                    resources: &resources,
+                    app,
+                    strategy: &strategy,
+                    options: RunOptions {
+                        seed: 100 + rep as u64,
+                        submit_at: SimTime::from_secs(600.0),
+                        ..Default::default()
+                    },
+                }
+            },
+            |r, _| r.breakdown.ttc.as_secs(),
+        )
+        .into_iter()
+        .flatten()
+        .map(|o| (o.arm, o.rep, o.seed, o.result))
+        .collect::<Vec<_>>()
+    };
+    let one = with_workers(1, campaign);
+    let four = with_workers(4, campaign);
+    assert_eq!(one, four, "worker count leaked into outcomes");
+    assert_eq!(one.len(), 6);
+    for (arm, rep, seed, result) in &one {
+        if arm.is_empty() {
+            assert_eq!((*rep, *seed), (1, 0));
+            let err = result.as_ref().unwrap_err();
+            assert_eq!(err.kind(), "panicked");
+            assert_eq!(
+                err,
+                &RunError::Panicked {
+                    message: "injected build panic at 16 tasks".into()
+                }
+            );
+        } else {
+            assert!(result.is_ok(), "{arm} rep {rep}: {result:?}");
+        }
+    }
+    assert_eq!(one.iter().filter(|o| o.3.is_err()).count(), 1);
 }
