@@ -22,7 +22,7 @@
 //! taxonomy) — `timing` is `null` and no pool record is written. Wall
 //! times, worker indices, and pool stats are inherently worker-count
 //! dependent, so they only appear under the opt-in timing mode
-//! (`--campaign-timing` in the bench binaries).
+//! (`--campaign-timing` on the `experiments` sweeps).
 
 use crate::middleware::{RunError, RunResult};
 use serde::{Deserialize, Serialize};

@@ -66,10 +66,10 @@ impl ExperimentConfig {
 
 /// Stable per-run seed, independent of execution order.
 ///
-/// This is the one definition shared by the campaign engine and the bench
-/// binaries (`bench_report`'s e2e campaigns and metrics emission); any
-/// drift between them would silently change what the perf gate measures,
-/// so the formula is pinned by `per_run_seed_is_pinned` below.
+/// This is the one definition shared by the campaign engine and callers
+/// that replay an experiment's runs one by one (`experiments profile`);
+/// any drift between them would silently change what they measure, so the
+/// formula is pinned by `per_run_seed_is_pinned` below.
 pub fn per_run_seed(base_seed: u64, id: &str, n_tasks: u32, rep: usize) -> u64 {
     SimRng::new(base_seed)
         .fork_indexed(&format!("{id}-{n_tasks}"), rep as u64)
@@ -249,21 +249,16 @@ pub fn run_campaign<'a, A: Sync, T: Send>(
         .collect()
 }
 
-/// Run every (size × repetition) combination in parallel.
-pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
-    run_experiment_with(config, CampaignHooks::default())
-}
-
-/// [`run_experiment`] with campaign observability attached: one campaign
+/// Run every (size × repetition) combination in parallel: one campaign
 /// arm per application size, every arm labelled with the experiment id.
-pub fn run_experiment_with(config: &ExperimentConfig, hooks: CampaignHooks) -> ExperimentResult {
+pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
     let sizes: Vec<(u32, SkeletonConfig)> = config
         .task_counts
         .iter()
         .map(|&n| (n, config.skeleton(n)))
         .collect();
     let outcomes = run_campaign(
-        hooks,
+        CampaignHooks::default(),
         &config.id,
         &sizes,
         config.repetitions,
@@ -373,9 +368,8 @@ mod tests {
 
     #[test]
     fn per_run_seed_is_pinned() {
-        // The exact legacy derivation, inlined: bench_report used to
-        // duplicate this formula by hand, so the shared helper must keep
-        // producing byte-for-byte the same seeds forever.
+        // The exact legacy derivation, inlined: the shared helper must
+        // keep producing byte-for-byte the same seeds forever.
         for (base, id, n, rep) in [
             (42u64, "exp1", 8u32, 0usize),
             (42, "exp1", 2048, 7),

@@ -30,7 +30,8 @@ pub struct AllocSection {
     pub allocs: u64,
     /// Bytes passed to the allocator during the profiled region.
     pub bytes_allocated: u64,
-    /// Peak live heap bytes since process start (atomic-max tracked).
+    /// Peak resident set of the process since its start, in bytes
+    /// (`VmHWM`): the counting allocator keeps no exact live-heap peak.
     pub peak_bytes: u64,
     /// `allocs / engine.events_processed` (0 when no events ran).
     pub allocs_per_event: f64,

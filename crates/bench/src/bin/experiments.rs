@@ -86,7 +86,8 @@ use aimes_workload::Distribution;
 use std::collections::BTreeMap;
 
 /// Heap accounting for profile documents: every allocation in this
-/// binary is counted (relaxed atomics, peak via atomic max).
+/// binary is counted (per-thread sharded relaxed atomics; the peak is
+/// `VmHWM`).
 #[global_allocator]
 static GLOBAL_ALLOC: CountingAlloc = CountingAlloc;
 
@@ -873,13 +874,7 @@ fn sweep<'a, A: Sync, T: Send>(
     build: impl Fn(&'a A, usize) -> CampaignJob<'a> + Sync,
     project: impl Fn(RunResult, &RunOptions) -> T + Sync,
 ) -> (Vec<Vec<JobOutcome<T>>>, usize) {
-    let obs = Observatory::open(
-        &opts.campaign,
-        name,
-        name,
-        opts.seed,
-        arms.len() * opts.reps,
-    );
+    let obs = Observatory::open(&opts.campaign, name, opts.seed, arms.len() * opts.reps);
     let outcomes = run_campaign(obs.hooks(), name, arms, opts.reps, build, project);
     obs.close();
     let mut failures = 0;

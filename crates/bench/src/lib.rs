@@ -46,66 +46,112 @@ pub fn flag_parse<T: std::str::FromStr>(args: &[String], i: &mut usize) -> T {
 pub mod alloc {
     //! Opt-in heap accounting: a counting [`GlobalAlloc`] shim.
     //!
-    //! The bench binaries install this as their `#[global_allocator]`
-    //! (opt-in per binary — the library and tests never pay for it) so
-    //! perf reports can track allocation pressure and peak live heap
-    //! alongside events/sec. Counters are relaxed atomics (~2 ns per
-    //! allocation); the peak is maintained with an atomic max so it is
-    //! correct under the parallel campaign pool.
+    //! The `experiments` binary installs this as its `#[global_allocator]`
+    //! (opt-in per binary or test — the library never pays for it) so
+    //! profile documents can track allocation pressure alongside the
+    //! engine counters. The counters are sharded per thread, each shard on
+    //! its own cache lines, so pool workers allocating at once do not
+    //! contend on one counter and slow the campaign being measured.
+    //! Relaxed atomics: the counters publish no other data.
     //!
     //! Caveats: counts are process-global (all threads and worker pools
-    //! mix), and the peak never resets — per-region deltas come from
-    //! [`snapshot`] pairs, but `peak_bytes` is monotone like VmHWM.
+    //! mix; per-region deltas come from [`snapshot`] pairs), and there is
+    //! no exact live-heap peak, which would need one shared atomic max on
+    //! every allocation. `peak_bytes` is the process's peak resident set
+    //! (`VmHWM`) instead, monotone and host dependent.
 
     use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static ALLOCS: AtomicU64 = AtomicU64::new(0);
-    static BYTES_ALLOCATED: AtomicU64 = AtomicU64::new(0);
-    static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
-    static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
+    use std::cell::Cell;
+    use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 
     /// Counting pass-through to the system allocator.
     pub struct CountingAlloc;
 
-    fn on_alloc(size: u64) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES_ALLOCATED.fetch_add(size, Ordering::Relaxed);
-        let live = LIVE_BYTES.fetch_add(size, Ordering::Relaxed) + size;
-        PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+    const SHARDS: usize = 16;
+
+    #[repr(align(128))]
+    struct Shard {
+        allocs: AtomicU64,
+        bytes: AtomicU64,
+        /// Signed: a thread may free what another allocated.
+        live: AtomicI64,
     }
 
-    fn on_dealloc(size: u64) {
-        LIVE_BYTES.fetch_sub(size, Ordering::Relaxed);
+    static COUNTERS: [Shard; SHARDS] = [const {
+        Shard {
+            allocs: AtomicU64::new(0),
+            bytes: AtomicU64::new(0),
+            live: AtomicI64::new(0),
+        }
+    }; SHARDS];
+    static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
+
+    thread_local! {
+        /// This thread's shard; `usize::MAX` until its first allocation.
+        /// Const-initialised with no destructor, so reading it never
+        /// allocates.
+        static SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
     }
 
+    /// The calling thread's shard, dealt round-robin on first use (shard
+    /// 0 while the thread is being torn down).
+    fn shard() -> &'static Shard {
+        let i = SHARD
+            .try_with(|s| {
+                if s.get() == usize::MAX {
+                    s.set(NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % SHARDS);
+                }
+                s.get()
+            })
+            .unwrap_or(0);
+        &COUNTERS[i]
+    }
+
+    fn on_alloc(size: usize) {
+        let s = shard();
+        s.allocs.fetch_add(1, Ordering::Relaxed);
+        s.bytes.fetch_add(size as u64, Ordering::Relaxed);
+        s.live.fetch_add(size as i64, Ordering::Relaxed);
+    }
+
+    fn on_dealloc(size: usize) {
+        shard().live.fetch_sub(size as i64, Ordering::Relaxed);
+    }
+
+    // SAFETY: every method forwards to `System` with the caller's
+    // arguments unchanged and only updates counters, so `System`'s
+    // guarantees carry over.
     unsafe impl GlobalAlloc for CountingAlloc {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
             let p = unsafe { System.alloc(layout) };
             if !p.is_null() {
-                on_alloc(layout.size() as u64);
+                on_alloc(layout.size());
             }
             p
         }
 
         unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
             let p = unsafe { System.alloc_zeroed(layout) };
             if !p.is_null() {
-                on_alloc(layout.size() as u64);
+                on_alloc(layout.size());
             }
             p
         }
 
         unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr` came from this allocator with this `layout`.
             unsafe { System.dealloc(ptr, layout) };
-            on_dealloc(layout.size() as u64);
+            on_dealloc(layout.size());
         }
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
             let p = unsafe { System.realloc(ptr, layout, new_size) };
             if !p.is_null() {
-                on_dealloc(layout.size() as u64);
-                on_alloc(new_size as u64);
+                on_dealloc(layout.size());
+                on_alloc(new_size);
             }
             p
         }
@@ -118,9 +164,10 @@ pub mod alloc {
         pub allocs: u64,
         /// Bytes handed out since process start.
         pub bytes_allocated: u64,
-        /// Currently live heap bytes.
-        pub live_bytes: u64,
-        /// Peak live heap bytes since process start (monotone).
+        /// Currently live heap bytes, summed over the shards.
+        pub live_bytes: i64,
+        /// Peak resident set of the process since its start, in bytes
+        /// (Linux `VmHWM`; 0 where unavailable). Monotone.
         pub peak_bytes: u64,
     }
 
@@ -136,21 +183,33 @@ pub mod alloc {
         }
     }
 
-    /// Read the counters. All zeros unless a binary installed
-    /// [`CountingAlloc`] as its global allocator.
+    /// Read the counters, summed over every shard. The counts are all
+    /// zero unless a binary installed [`CountingAlloc`] as its global
+    /// allocator.
     pub fn snapshot() -> AllocSnapshot {
-        AllocSnapshot {
-            allocs: ALLOCS.load(Ordering::Relaxed),
-            bytes_allocated: BYTES_ALLOCATED.load(Ordering::Relaxed),
-            live_bytes: LIVE_BYTES.load(Ordering::Relaxed),
-            peak_bytes: PEAK_BYTES.load(Ordering::Relaxed),
+        let mut snap = AllocSnapshot {
+            peak_bytes: peak_rss_bytes(),
+            ..AllocSnapshot::default()
+        };
+        for s in &COUNTERS {
+            snap.allocs += s.allocs.load(Ordering::Relaxed);
+            snap.bytes_allocated += s.bytes.load(Ordering::Relaxed);
+            snap.live_bytes += s.live.load(Ordering::Relaxed);
         }
+        snap
     }
 
-    /// True when the shim has observed at least one allocation — i.e.
-    /// the running binary actually installed it.
-    pub fn is_active() -> bool {
-        ALLOCS.load(Ordering::Relaxed) > 0
+    /// Peak resident set of this process in bytes (Linux `VmHWM`; 0
+    /// where unavailable).
+    fn peak_rss_bytes() -> u64 {
+        let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
+            return 0;
+        };
+        status
+            .lines()
+            .find_map(|l| l.strip_prefix("VmHWM:"))
+            .and_then(|kb| kb.trim().trim_end_matches("kB").trim().parse::<u64>().ok())
+            .map_or(0, |kb| kb * 1024)
     }
 }
 

@@ -1,4 +1,4 @@
-//! Campaign observability shared by the bench binaries: the four campaign
+//! Campaign observability for the `experiments` sweeps: the four campaign
 //! flags and the [`Observatory`] that opens and closes what they ask for.
 
 use crate::alloc as heap;
@@ -55,24 +55,17 @@ pub struct Observatory {
     timing: bool,
     /// Per-run profile collection point, merged in job order at close.
     profile: Option<(PathBuf, ProfileAccumulator)>,
-    profile_command: String,
+    command: String,
     seed: u64,
     alloc_before: heap::AllocSnapshot,
     wall_started: Instant,
 }
 
 impl Observatory {
-    /// Open the manifest (writing its meta line under `command`) and reset
-    /// the pool's accounting so a timing-mode pool record covers exactly
-    /// this fan-out. `profile_command` names the profile document; the
-    /// sweeps pass `command` again.
-    pub fn open(
-        flags: &CampaignFlags,
-        command: &str,
-        profile_command: &str,
-        seed: u64,
-        total_jobs: usize,
-    ) -> Observatory {
+    /// Open the manifest (writing its meta line under `command`, which
+    /// also names the profile document) and reset the pool's accounting so
+    /// a timing-mode pool record covers exactly this fan-out.
+    pub fn open(flags: &CampaignFlags, command: &str, seed: u64, total_jobs: usize) -> Observatory {
         let recorder = flags.campaign_out.as_ref().map(|path| {
             CampaignRecorder::create(
                 path,
@@ -96,7 +89,7 @@ impl Observatory {
                 .profile_out
                 .as_ref()
                 .map(|path| (path.clone(), ProfileAccumulator::new())),
-            profile_command: profile_command.to_string(),
+            command: command.to_string(),
             seed,
             alloc_before: heap::snapshot(),
             wall_started: Instant::now(),
@@ -155,13 +148,7 @@ impl Observatory {
                 }),
             }
         });
-        let doc = ProfileDoc::build(
-            &self.profile_command,
-            self.seed,
-            acc.runs(),
-            &merged,
-            timing,
-        );
+        let doc = ProfileDoc::build(&self.command, self.seed, acc.runs(), &merged, timing);
         if let Err(e) = doc.validate() {
             eprintln!("internal error: produced invalid profile doc: {e}");
             std::process::exit(2);

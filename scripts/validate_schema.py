@@ -3,15 +3,15 @@
 
 One entry point for every artifact check CI gates on, replacing the
 hand-rolled inline validators that used to live in each workflow job.
-Three JSON families:
+Two JSON families:
 
-    validate_schema.py bench BENCH_quick.json
     validate_schema.py campaign campaign.jsonl --timing --command ablation-cascade
     validate_schema.py profile profile.json [--timing]
 
-and four gates over what the binaries emit:
+and five gates over what the binaries emit:
 
-    validate_schema.py speedup BENCH_jobs1.json BENCH_jobs4.json
+    validate_schema.py counters COUNTERS_baseline.json paper_mix.out ...
+    validate_schema.py speedup jobs1.jsonl jobs4.jsonl
     validate_schema.py closure analytics-out/exp1-analysis.json ...
     validate_schema.py campaign-report campaign-report.md --command ablation-cascade \\
         --arms reactive evacuate evac+ckpt
@@ -41,37 +41,6 @@ def require(cond, msg):
 
 def is_num(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-# ---------------------------------------------------------------- bench
-
-
-def validate_bench(path, args):
-    doc = json.load(open(path))
-    require(doc.get("schema") == "aimes-bench-v1", f"schema: {doc.get('schema')}")
-    require(isinstance(doc.get("seed"), int), "seed must be an integer")
-    require(isinstance(doc.get("quick"), bool), "quick must be a bool")
-    require(
-        isinstance(doc.get("peak_rss_bytes"), int) and doc["peak_rss_bytes"] > 0,
-        "top-level peak_rss_bytes must be a positive integer",
-    )
-    campaigns = doc.get("campaigns")
-    require(isinstance(campaigns, list) and campaigns, "campaigns must be non-empty")
-    for c in campaigns:
-        label = c.get("label")
-        require(isinstance(label, str) and label, "campaign label missing")
-        for key in ("events", "runs", "peak_rss_bytes"):
-            require(
-                isinstance(c.get(key), int) and c[key] >= 0,
-                f"{label}: {key} must be a non-negative integer",
-            )
-        for key in ("wall_secs", "events_per_sec", "runs_per_sec", "allocs_per_event"):
-            require(
-                is_num(c.get(key)) and c[key] >= 0,
-                f"{label}: {key} must be a non-negative number",
-            )
-        require(c["wall_secs"] > 0, f"{label}: wall_secs must be positive")
-    print(f"bench OK: {len(campaigns)} campaigns, seed {doc['seed']}")
 
 
 # ------------------------------------------------------------- campaign
@@ -206,16 +175,62 @@ def validate_profile(path, args):
 
 # ---------------------------------------------------------------- gates
 
+COUNTER_KEYS = ("sim.events", "sim.events_cancelled", "engine.dispatch.calls")
+
+
+def check_counters(args):
+    """Benchmark-of-record outputs (`--quick --passes 1 --trace 1`, one per
+    workload) against the committed counters: the engine counts, the
+    result digest and the run count must be exactly equal, and every
+    finished run must free its heap."""
+    baseline = json.load(open(args.baseline))
+    seen = set()
+    for path in args.outputs:
+        lines = open(path).read().splitlines()
+        require(lines and lines[0].startswith("workload "), f"{path}: no header line")
+        words = lines[0].split()
+        header = dict(zip(words[::2], words[1::2]))
+        name = header["workload"]
+        want = baseline["workloads"].get(name)
+        require(want is not None, f"{path}: workload {name} has no committed counters")
+        seen.add(name)
+        for key in ("seed", "passes"):
+            require(
+                int(header[key]) == baseline[key],
+                f"{name}: {key} {header[key]} != {baseline[key]}: run it as the baseline says",
+            )
+        metrics = json.loads(lines[-1])["metrics"]
+        got = {
+            "runs_per_pass": int(header["runs/pass"]),
+            "digest": header["digest"],
+            **{k: metrics[k]["value"] for k in COUNTER_KEYS},
+        }
+        for key, value in got.items():
+            require(value == want[key], f"{name}: {key} {value} != committed {want[key]}")
+        kb = metrics["alloc.heap_retained_kb_per_run"]["value"]
+        require(kb < 1.0, f"{name}: retained heap {kb:.4f} KB/run >= 1.0: finished runs leak")
+        print(
+            f"{name}: {got['runs_per_pass']} runs, {got['sim.events']:.0f} events, "
+            f"digest {got['digest']}, retained {kb:.4f} KB/run"
+        )
+    missing = sorted(set(baseline["workloads"]) - seen)
+    require(not missing, f"no output for workloads {missing}")
+
 
 def check_speedup(args):
-    """Worker-pool scaling: campaign_throughput runs/s at --jobs 4 over --jobs 1."""
-    rps = {}
+    """Worker-pool scaling: the pool wall of one timing-mode campaign
+    manifest at --jobs 1 over the same campaign's at --jobs 4."""
+    walls = {}
+    counts = {}
     for jobs, path in ((1, args.jobs1), (4, args.jobs4)):
-        r = json.load(open(path))
-        c = next(c for c in r["campaigns"] if c["label"] == "campaign_throughput")
-        rps[jobs] = c["runs_per_sec"]
-        print(f"--jobs {jobs}: {c['runs']} runs, {c['runs_per_sec']:.2f} runs/s")
-    speedup = rps[4] / rps[1]
+        lines = [json.loads(l) for l in open(path)]
+        counts[jobs] = sum(1 for l in lines if l.get("kind") == "run")
+        pools = [l for l in lines if l.get("kind") == "pool"]
+        require(len(pools) == 1, f"{path}: needs one pool record (--campaign-timing)")
+        walls[jobs] = pools[0]["wall_secs"]
+        print(f"--jobs {jobs}: {counts[jobs]} runs, pool wall {walls[jobs]:.3f}s")
+    require(counts[1] == counts[4], f"run counts differ: {counts[1]} vs {counts[4]}")
+    speedup = walls[1] / walls[4]
     print(f"speedup: {speedup:.2f}x")
     require(speedup >= 1.8, f"worker pool must scale: {speedup:.2f}x < 1.8x")
 
@@ -286,7 +301,6 @@ def main():
     )
     sub = parser.add_subparsers(dest="family", required=True)
     for family, validate in (
-        ("bench", validate_bench),
         ("campaign", validate_campaign),
         ("profile", validate_profile),
     ):
@@ -302,9 +316,13 @@ def main():
             help="expected producing command recorded in the document (campaign family)",
         )
         p.set_defaults(run=lambda a, validate=validate: validate(a.path, a))
+    p = sub.add_parser("counters", help=check_counters.__doc__)
+    p.add_argument("baseline", help="the committed COUNTERS_baseline.json")
+    p.add_argument("outputs", nargs="+", help="the benchmark's stdout, one file per workload")
+    p.set_defaults(run=check_counters)
     p = sub.add_parser("speedup", help=check_speedup.__doc__)
-    p.add_argument("jobs1", help="bench-report --only campaign_throughput --jobs 1 output")
-    p.add_argument("jobs4", help="the same at --jobs 4")
+    p.add_argument("jobs1", help="--campaign-out manifest of a --campaign-timing sweep at --jobs 1")
+    p.add_argument("jobs4", help="the same sweep's at --jobs 4")
     p.set_defaults(run=check_speedup)
     p = sub.add_parser("closure", help=check_closure.__doc__)
     p.add_argument("paths", nargs="+", help="`analyze --out` reports")

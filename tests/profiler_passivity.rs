@@ -8,10 +8,10 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-// The shipped binaries (`experiments`, `bench-report`) run under the
-// counting allocator, so the overhead gate below is measured in the same
-// environment they ship in — per-event cost includes the allocator shim
-// on both sides of the comparison.
+// The shipped `experiments` binary runs under the counting allocator, so
+// the overhead gate below is measured in the same environment it ships
+// in — per-event cost includes the allocator shim on both sides of the
+// comparison.
 #[global_allocator]
 static ALLOC: aimes_bench::alloc::CountingAlloc = aimes_bench::alloc::CountingAlloc;
 
@@ -116,9 +116,10 @@ fn profiled_chaos_journal_is_bit_identical_to_golden() {
     );
 }
 
-/// The `engine_heartbeat` benchmark workload at reduced size: every beat
-/// cancels and replaces a far-future timeout, then schedules the next
-/// beat — the detector's schedule + cancel churn. Returns events/sec.
+/// The heartbeat churn pattern (its counters are pinned in
+/// `crates/sim/tests/heartbeat_churn.rs`): every beat cancels and
+/// replaces a far-future timeout, then schedules the next beat — the
+/// detector's schedule + cancel churn. Returns events/sec.
 fn heartbeat_events_per_sec(profiled: bool) -> f64 {
     use aimes_repro::sim::EventId;
 
@@ -160,8 +161,8 @@ fn heartbeat_events_per_sec(profiled: bool) -> f64 {
 
 #[test]
 fn profiler_overhead_on_dispatch_is_bounded() {
-    // The issue's gate: engine_heartbeat events/sec with profiling within
-    // 10% of disabled. Best-of-3 on each side to shed scheduler noise on
+    // The gate: heartbeat-churn events/sec with profiling within 10% of
+    // disabled. Best-of-3 on each side to shed scheduler noise on
     // loaded CI hosts; the arms interleave so thermal drift hits both.
     let mut best_plain: f64 = 0.0;
     let mut best_profiled: f64 = 0.0;

@@ -174,13 +174,13 @@ fn finished_runs_leave_no_live_heap_behind() {
     let kinds: [fn(u64); 4] = [plain, chaos, failing, adaptive];
     // Warm-up: one run pays for any lazily built process state.
     plain(1);
-    let before = snapshot().live_bytes as i64;
+    let before = snapshot().live_bytes;
     for seed in 2..7 {
         for run in kinds {
             run(seed);
         }
     }
-    let grown = snapshot().live_bytes as i64 - before;
+    let grown = snapshot().live_bytes - before;
     assert!(
         grown < BUDGET_BYTES,
         "20 runs kept {grown} live heap bytes (budget {BUDGET_BYTES})"
