@@ -335,3 +335,95 @@ fn zero_recorder_capacity_is_rejected_before_the_run_starts() {
         "got {err}"
     );
 }
+
+/// FNV-1a 64 over a dump's full text, as hex.
+fn fnv(bytes: &[u8]) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("{h:016x}")
+}
+
+/// Read a dump, check it round-trips through the parser, and digest it.
+fn dump_digest(path: &std::path::Path) -> String {
+    let text = std::fs::read_to_string(path).expect("dump written");
+    let snap = RecorderSnapshot::from_text(&text).expect("dump verifies");
+    assert_eq!(snap.to_text(), text, "to_text reproduces the file");
+    fnv(text.as_bytes())
+}
+
+#[test]
+fn dump_bytes_are_pinned() {
+    // The differential test for the recorder's encoder: these digests
+    // were captured with the eager encoder that serialized every event
+    // as it was recorded. Any change to what a dump holds, or to how an
+    // event is rendered into it, moves them.
+    let dir = dump_dir("pinned");
+    let app = paper_bag(16, TaskDurationSpec::Uniform15Min);
+
+    // The interrupted run of the first test: its 16-slot ring wraps.
+    let pool = vec![
+        ClusterConfig::test("one", 256),
+        ClusterConfig::test("two", 256),
+    ];
+    let err = run_application(
+        &pool,
+        &app,
+        &paper::late_strategy(2),
+        &RunOptions {
+            seed: 4242,
+            submit_at: SimTime::from_secs(600.0),
+            interrupt_at: Some(SimDuration::from_secs(900.0)),
+            recorder_capacity: 16,
+            recorder_dump_dir: Some(dir.clone()),
+            ..Default::default()
+        },
+    )
+    .expect_err("the run is killed mid-flight");
+    assert!(matches!(err, RunError::Interrupted { .. }), "got {err}");
+
+    // A chaos run: a permanent outage caught by the detector, plus
+    // transient launch failures and unit faults.
+    let pool = vec![
+        ClusterConfig::test("one", 256),
+        ClusterConfig::test("two", 256),
+        ClusterConfig::test("three", 512),
+    ];
+    let mut strategy = paper::late_strategy(2);
+    strategy.selection = ResourceSelection::Fixed(vec!["one".into()]);
+    run_application(
+        &pool,
+        &app,
+        &strategy,
+        &RunOptions {
+            seed: 777,
+            submit_at: SimTime::from_secs(600.0),
+            faults: Some(FaultSpec {
+                outages: vec![OutageSpec {
+                    resource: "one".into(),
+                    at_secs: 300.0,
+                    duration_secs: 600.0,
+                    kind: OutageKind::Permanent,
+                }],
+                launch_transient_chance: 0.4,
+                unit_failure_chance: 0.2,
+                ..FaultSpec::none()
+            }),
+            recovery: Some(RecoveryPolicy::with_detection()),
+            recorder_dump_dir: Some(dir.clone()),
+            ..Default::default()
+        },
+    )
+    .expect("the chaos run recovers");
+
+    assert_eq!(
+        dump_digest(&dir.join("flight-4242-interrupted.txt")),
+        "73e42090415d22f1"
+    );
+    assert_eq!(
+        dump_digest(&dir.join("flight-777-declared-dead-one.txt")),
+        "b6b22190fc6a60a8"
+    );
+}
