@@ -133,21 +133,23 @@ fn schedule_patience_check(sim: &mut Simulation, r: Rc<Reinforcer>) {
 impl Reinforcer {
     /// One patience check; returns whether to keep watching.
     fn check(&self, sim: &mut Simulation) -> bool {
-        let pilots = self.pm.pilots();
-        let any_active = pilots
-            .iter()
-            .any(|p| p.state == PilotState::Active || p.time_of(PilotState::Active).is_some());
-        let all_terminal = pilots.iter().all(|p| p.state.is_terminal());
-        if any_active || all_terminal || self.rounds.get() >= self.config.max_rounds {
-            return false;
-        }
+        let used: HashSet<String> = {
+            let pilots = self.pm.pilots_ref();
+            let any_active = pilots
+                .iter()
+                .any(|p| p.state == PilotState::Active || p.time_of(PilotState::Active).is_some());
+            let all_terminal = pilots.iter().all(|p| p.state.is_terminal());
+            if any_active || all_terminal || self.rounds.get() >= self.config.max_rounds {
+                return false;
+            }
+            // Re-rank with *current* information, excluding resources
+            // that already host one of our pilots.
+            pilots
+                .iter()
+                .map(|p| p.description.resource.clone())
+                .collect()
+        };
         self.rounds.set(self.rounds.get() + 1);
-        // Re-rank with *current* information, excluding resources that
-        // already host one of our pilots.
-        let used: HashSet<String> = pilots
-            .iter()
-            .map(|p| p.description.resource.clone())
-            .collect();
         let ranked = self.bundle.borrow_mut().rank_by_setup_time(
             sim.now(),
             self.cores,

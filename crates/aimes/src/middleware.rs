@@ -398,14 +398,12 @@ struct RunLog {
 }
 
 impl RunLog {
-    /// Record one event. The recorder line is the event's JSON.
+    /// Record one event; it is copied only when a journal is attached.
     fn emit(&self, at: SimTime, event: JournalEvent) {
-        self.recorder
-            .borrow_mut()
-            .record_with(at, || serde_json::to_string(&event).unwrap_or_default());
         if let Some(journal) = &self.journal {
-            journal.borrow_mut().record(at, event);
+            journal.borrow_mut().record(at, event.clone());
         }
+        self.recorder.borrow_mut().record(at, event);
     }
 
     /// Post-mortem: write a checksummed snapshot of the recorder's tail,
@@ -803,20 +801,20 @@ impl<'a> RunWorld<'a> {
         let (pm, um) = (&crew.pm, &crew.um);
         let (log, pm2) = (self.log.clone(), pm.clone());
         pm.subscribe(move |sim, &(pilot, state)| {
-            let desc = pm2.pilot(pilot).description;
+            let desc = &pm2.pilot_ref(pilot).description;
             log.emit(
                 sim.now(),
                 JournalEvent::PilotTransition {
                     pilot: pilot.0,
                     state,
-                    resource: desc.resource,
+                    resource: desc.resource.clone(),
                     cores: desc.cores,
                 },
             );
         });
         let (log, um2) = (self.log.clone(), um.clone());
         um.subscribe(move |sim, &(unit, state)| {
-            let u = um2.unit(unit);
+            let u = um2.unit_ref(unit);
             log.emit(
                 sim.now(),
                 JournalEvent::UnitTransition {
@@ -1126,7 +1124,8 @@ impl<'a> RunWorld<'a> {
             let pm = crew.pm.clone();
             crew.pm.subscribe(move |sim, &(pilot, state)| {
                 if state == PilotState::Failed {
-                    on_signal(sim, &pm.pilot(pilot).description.resource);
+                    let resource = pm.pilot_ref(pilot).description.resource.clone();
+                    on_signal(sim, &resource);
                 }
             });
         }
@@ -1302,8 +1301,9 @@ impl<'a> RunWorld<'a> {
         finished_at: SimTime,
     ) -> RunResult {
         let stats = crew.um.stats();
-        let units = crew.um.units();
-        let pilots = crew.pm.pilots();
+        // Borrowed views: nothing below fires a manager callback.
+        let units = crew.um.units_ref();
+        let pilots = crew.pm.pilots_ref();
         let mut breakdown = decompose(&units, &pilots, self.submitted, finished_at);
         // Td: union of the silent → declared windows. Only the detector
         // knows when silence began, so decompose cannot derive this from

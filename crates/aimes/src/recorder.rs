@@ -4,11 +4,13 @@
 //!
 //! The journal ([`crate::journal`]) is opt-in and complete; the tracer is
 //! opt-in and verbose. The flight recorder is neither: it is *always on*,
-//! costs one `VecDeque` rotation plus one small string per event, and
-//! retains only the last N events — enough to reconstruct the final
-//! moments of a failed chaos run without full tracing. On any `RunError`
-//! or a detector Declared-Dead verdict the middleware snapshots the ring
-//! into a self-verifying text dump.
+//! costs one `VecDeque` rotation per event, and retains only the last N
+//! events — enough to reconstruct the final moments of a failed chaos run
+//! without full tracing. The ring holds the typed [`JournalEvent`]s
+//! themselves; nothing is rendered to text until a snapshot is taken, so
+//! the events that fall off the front are never serialized. On any
+//! `RunError` or a detector Declared-Dead verdict the middleware snapshots
+//! the ring into a self-verifying text dump.
 //!
 //! Recording is strictly passive: no simulation events, no RNG draws —
 //! an enabled recorder produces bit-identical journals to a disabled
@@ -32,13 +34,14 @@ use std::collections::VecDeque;
 
 use aimes_sim::SimTime;
 
+use crate::journal::JournalEvent;
+
 /// Default ring capacity: enough to hold the tail of a large run while
 /// staying cheap to snapshot.
 pub const DEFAULT_RECORDER_CAPACITY: usize = 256;
 
-/// One retained event: a monotone sequence number, the simulation time,
-/// and a one-line description (the journal event's JSON, for events that
-/// are journal-shaped).
+/// One snapshotted event: a monotone sequence number, the simulation
+/// time, and a one-line description (the journal event's JSON).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RecorderEvent {
     pub seq: u64,
@@ -52,7 +55,7 @@ pub struct RecorderEvent {
 pub struct FlightRecorder {
     capacity: usize,
     next_seq: u64,
-    ring: VecDeque<RecorderEvent>,
+    ring: VecDeque<(u64, SimTime, JournalEvent)>,
 }
 
 impl FlightRecorder {
@@ -68,17 +71,12 @@ impl FlightRecorder {
         })
     }
 
-    /// Record one event. The description closure runs unconditionally
-    /// (the recorder is always on); keep it to one cheap serialization.
-    pub fn record_with(&mut self, at: SimTime, what: impl FnOnce() -> String) {
+    /// Record one event, evicting the oldest when the ring is full.
+    pub fn record(&mut self, at: SimTime, event: JournalEvent) {
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
         }
-        self.ring.push_back(RecorderEvent {
-            seq: self.next_seq,
-            at_secs: at.as_secs(),
-            what: what(),
-        });
+        self.ring.push_back((self.next_seq, at, event));
         self.next_seq += 1;
     }
 
@@ -97,9 +95,18 @@ impl FlightRecorder {
         self.ring.is_empty()
     }
 
-    /// Freeze the ring into a checksummed snapshot.
+    /// Freeze the ring into a checksummed snapshot, rendering each
+    /// retained event as its journal JSON.
     pub fn snapshot(&self, reason: &str) -> RecorderSnapshot {
-        let events: Vec<RecorderEvent> = self.ring.iter().cloned().collect();
+        let events: Vec<RecorderEvent> = self
+            .ring
+            .iter()
+            .map(|(seq, at, event)| RecorderEvent {
+                seq: *seq,
+                at_secs: at.as_secs(),
+                what: serde_json::to_string(event).unwrap_or_default(),
+            })
+            .collect();
         let dropped = self.next_seq - events.len() as u64;
         RecorderSnapshot {
             reason: reason.to_string(),
@@ -259,9 +266,109 @@ impl RecorderSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::{PilotState, UnitState, Verdict};
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)
+    }
+
+    /// A small event whose JSON names `i`.
+    fn finished(i: u64) -> JournalEvent {
+        JournalEvent::RunFinished { ttc_secs: i as f64 }
+    }
+
+    fn json(event: &JournalEvent) -> String {
+        serde_json::to_string(event).unwrap()
+    }
+
+    /// One of every journal event, in declaration order.
+    fn every_variant() -> Vec<JournalEvent> {
+        vec![
+            JournalEvent::RunStarted {
+                seed: 7,
+                strategy: "late-backfill-2p".into(),
+                n_tasks: 16,
+            },
+            JournalEvent::PilotTransition {
+                pilot: 0,
+                state: PilotState::Active,
+                resource: "one".into(),
+                cores: 8,
+            },
+            JournalEvent::UnitTransition {
+                unit: 3,
+                state: UnitState::Executing,
+                pilot: Some(0),
+                cores: 1,
+            },
+            JournalEvent::Detector {
+                pilot: 1,
+                resource: "two".into(),
+                verdict: Verdict::DeclaredDead,
+                silent_secs: 301.5,
+            },
+            JournalEvent::StaleSignal {
+                pilot: 1,
+                resource: "two".into(),
+                detail: "heartbeat after death".into(),
+            },
+            JournalEvent::InfoFallback {
+                resource: "one".into(),
+                class: "stale".into(),
+                rung: "last-known".into(),
+                age_secs: 12.25,
+                wait_secs: None,
+            },
+            JournalEvent::BreakerTrip {
+                resource: "two".into(),
+            },
+            JournalEvent::Blacklist {
+                resource: "two".into(),
+            },
+            JournalEvent::Replan {
+                resource: "two".into(),
+                pilots: 2,
+            },
+            JournalEvent::DomainAlarm {
+                domain: "zone-a".into(),
+                members: vec!["one".into(), "two".into()],
+            },
+            JournalEvent::Evacuation {
+                domain: "zone-a".into(),
+                resource: "one".into(),
+                pilot: 0,
+            },
+            JournalEvent::Checkpoint {
+                unit: 3,
+                progress_secs: 450.0,
+            },
+            JournalEvent::ResumeFromCheckpoint {
+                unit: 3,
+                salvaged_secs: 450.0,
+            },
+            JournalEvent::RunFinished { ttc_secs: 1234.5 },
+        ]
+    }
+
+    /// Declaration index of a variant. The match has no wildcard, so a
+    /// new variant fails to compile here until `every_variant` lists it.
+    fn variant_index(event: &JournalEvent) -> usize {
+        match event {
+            JournalEvent::RunStarted { .. } => 0,
+            JournalEvent::PilotTransition { .. } => 1,
+            JournalEvent::UnitTransition { .. } => 2,
+            JournalEvent::Detector { .. } => 3,
+            JournalEvent::StaleSignal { .. } => 4,
+            JournalEvent::InfoFallback { .. } => 5,
+            JournalEvent::BreakerTrip { .. } => 6,
+            JournalEvent::Blacklist { .. } => 7,
+            JournalEvent::Replan { .. } => 8,
+            JournalEvent::DomainAlarm { .. } => 9,
+            JournalEvent::Evacuation { .. } => 10,
+            JournalEvent::Checkpoint { .. } => 11,
+            JournalEvent::ResumeFromCheckpoint { .. } => 12,
+            JournalEvent::RunFinished { .. } => 13,
+        }
     }
 
     #[test]
@@ -274,7 +381,7 @@ mod tests {
     fn ring_retains_only_the_tail() {
         let mut r = FlightRecorder::new(3).unwrap();
         for i in 0..10u64 {
-            r.record_with(t(i as f64), || format!("event-{i}"));
+            r.record(t(i as f64), finished(i));
         }
         assert_eq!(r.total(), 10);
         assert_eq!(r.len(), 3);
@@ -282,7 +389,7 @@ mod tests {
         assert_eq!(snap.dropped, 7);
         let seqs: Vec<u64> = snap.events.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![7, 8, 9]);
-        assert_eq!(snap.events[0].what, "event-7");
+        assert_eq!(snap.events[0].what, json(&finished(7)));
         snap.verify().expect("tail is contiguous");
     }
 
@@ -290,9 +397,13 @@ mod tests {
     fn snapshot_roundtrips_with_checksum() {
         let mut r = FlightRecorder::new(4).unwrap();
         for i in 0..6u64 {
-            r.record_with(t(100.0 + i as f64), || {
-                format!("{{\"type\":\"demo\",\"i\":{i}}}")
-            });
+            r.record(
+                t(100.0 + i as f64),
+                JournalEvent::Checkpoint {
+                    unit: i as u32,
+                    progress_secs: 60.0 * i as f64,
+                },
+            );
         }
         let snap = r.snapshot("resource-lost-one");
         let text = snap.to_text();
@@ -305,10 +416,11 @@ mod tests {
     #[test]
     fn tampered_dumps_are_rejected() {
         let mut r = FlightRecorder::new(4).unwrap();
-        r.record_with(t(1.0), || "a".into());
-        r.record_with(t(2.0), || "b".into());
+        r.record(t(1.0), finished(1));
+        r.record(t(2.0), finished(2));
         let text = r.snapshot("x").to_text();
-        let tampered = text.replace(" b\n", " c\n");
+        let tampered = text.replace(&json(&finished(2)), &json(&finished(3)));
+        assert_ne!(tampered, text);
         assert!(
             RecorderSnapshot::from_text(&tampered)
                 .unwrap_err()
@@ -333,5 +445,27 @@ mod tests {
         assert_eq!(snap.total_events, 0);
         let back = RecorderSnapshot::from_text(&snap.to_text()).unwrap();
         assert_eq!(back.events.len(), 0);
+    }
+
+    #[test]
+    fn every_event_variant_snapshots_as_its_journal_json() {
+        let events = every_variant();
+        let indices: Vec<usize> = events.iter().map(variant_index).collect();
+        assert_eq!(indices, (0..events.len()).collect::<Vec<_>>());
+
+        let mut r = FlightRecorder::new(events.len()).unwrap();
+        for (i, event) in events.iter().enumerate() {
+            r.record(t(600.0 + 0.125 * i as f64), event.clone());
+        }
+        let snap = r.snapshot("every-variant");
+        assert_eq!(snap.dropped, 0);
+        assert_eq!(snap.events.len(), events.len());
+        for (i, (line, event)) in snap.events.iter().zip(&events).enumerate() {
+            assert_eq!(line.seq, i as u64);
+            assert_eq!(line.at_secs, 600.0 + 0.125 * i as f64);
+            assert_eq!(line.what, json(event));
+        }
+        let back = RecorderSnapshot::from_text(&snap.to_text()).expect("parses and verifies");
+        assert_eq!(back, snap);
     }
 }

@@ -6,7 +6,7 @@ use crate::detector::{DetectionPolicy, DetectorEvent, HealthState, SuspicionDete
 use crate::pilot::{Pilot, PilotId, PilotState};
 use aimes_saga::{JobDescription, SagaJobState, Session};
 use aimes_sim::{DetectorPhase, ManagerPhase, Observers, SimDuration, SimRng, SimTime, Simulation};
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
@@ -383,7 +383,7 @@ impl PilotManager {
                         (
                             id.to_string(),
                             DetectorPhase::WentSilent.name(),
-                            self.pilot(id).description.resource.clone(),
+                            self.pilot_ref(id).description.resource.clone(),
                         )
                     });
                     self.obs.silent.fire(sim, &id);
@@ -420,7 +420,7 @@ impl PilotManager {
             (
                 id.to_string(),
                 next.name(),
-                self.pilot(id).description.resource.clone(),
+                self.pilot_ref(id).description.resource.clone(),
             )
         });
         self.obs.transition.fire(sim, &(id, next));
@@ -793,7 +793,7 @@ impl PilotManager {
             };
             (verdict, newly_blacklisted)
         };
-        let resource = self.pilot(id).description.resource.clone();
+        let resource = self.pilot_ref(id).description.resource.clone();
         if newly_blacklisted {
             sim.metrics().inc(|| "pilot.manager.blacklists".into());
             sim.tracer().record_with(now, || {
@@ -894,16 +894,11 @@ impl PilotManager {
 
     /// Cancel a pilot (drains through SAGA; the state model follows).
     pub fn cancel(&self, sim: &mut Simulation, id: PilotId) {
-        let saga = self.pilot(id).saga_job;
-        let (service, desc_resource) = {
+        let (service, saga) = {
             let st = self.inner.borrow();
             let p = &st.pilots[id.0 as usize];
-            (
-                st.session.service(&p.description.resource),
-                p.description.resource.clone(),
-            )
+            (st.session.service(&p.description.resource), p.saga_job)
         };
-        let _ = desc_resource;
         if let (Some(service), Some(saga)) = (service, saga) {
             service.cancel(sim, saga);
         }
@@ -927,9 +922,10 @@ impl PilotManager {
         }
     }
 
-    /// Snapshot of one pilot.
-    pub fn pilot(&self, id: PilotId) -> Pilot {
-        self.inner.borrow().pilots[id.0 as usize].clone()
+    /// A borrowed view of one pilot. Drop it before anything that can
+    /// fire a manager callback: the manager mutates its pilots then.
+    pub fn pilot_ref(&self, id: PilotId) -> Ref<'_, Pilot> {
+        Ref::map(self.inner.borrow(), |st| &st.pilots[id.0 as usize])
     }
 
     /// Current state of one pilot.
@@ -937,9 +933,10 @@ impl PilotManager {
         self.inner.borrow().pilots[id.0 as usize].state
     }
 
-    /// All pilots (snapshot).
-    pub fn pilots(&self) -> Vec<Pilot> {
-        self.inner.borrow().pilots.clone()
+    /// A borrowed view of all pilots, in submission order; the same
+    /// rule as [`PilotManager::pilot_ref`] applies.
+    pub fn pilots_ref(&self) -> Ref<'_, [Pilot]> {
+        Ref::map(self.inner.borrow(), |st| st.pilots.as_slice())
     }
 
     /// The non-terminal pilots on `resource`, in submission order —
@@ -987,7 +984,7 @@ mod tests {
             vec![PilotDescription::new("stampede", 64, d(600.0))],
         );
         sim.run_to_completion();
-        let p = pm.pilot(ids[0]);
+        let p = pm.pilot_ref(ids[0]);
         assert_eq!(p.state, PilotState::Done);
         let states: Vec<PilotState> = p.timestamps.iter().map(|(s, _)| *s).collect();
         assert_eq!(
@@ -1026,7 +1023,7 @@ mod tests {
             vec![PilotDescription::new("stampede", 64, d(100.0))],
         );
         sim.run_to_completion();
-        let p = pm.pilot(ids[0]);
+        let p = pm.pilot_ref(ids[0]);
         assert_eq!(p.state, PilotState::Done);
         let qw = p.queue_wait().unwrap();
         assert!(
@@ -1084,7 +1081,7 @@ mod tests {
         sim.run_to_completion();
         assert_eq!(pm.state(id), PilotState::Canceled);
         // Cancelled long before the blocking job ended.
-        let p = pm.pilot(id);
+        let p = pm.pilot_ref(id);
         let cancelled = p.time_of(PilotState::Canceled).unwrap();
         assert!(cancelled.as_secs() < 100.0);
     }
@@ -1104,7 +1101,7 @@ mod tests {
             pm2.cancel_all(sim);
         });
         sim.run_to_completion();
-        for p in pm.pilots() {
+        for p in pm.pilots_ref().iter() {
             assert_eq!(p.state, PilotState::Canceled);
         }
         assert!(sim.now().as_secs() < 1000.0);
@@ -1141,7 +1138,7 @@ mod tests {
         // after the 60 s backoff, waited out the window, and went Active.
         assert_eq!(pm.state(ids[0]), PilotState::Failed);
         assert_eq!(pm.replacements(), 1);
-        let pilots = pm.pilots();
+        let pilots = pm.pilots_ref();
         assert_eq!(pilots.len(), 2);
         assert_eq!(pilots[1].state, PilotState::Done);
         let ttr = pm.recovery_times();
@@ -1179,7 +1176,7 @@ mod tests {
         // replacement reroutes to `solid` and completes.
         assert_eq!(pm.blacklisted(), vec!["flaky".to_string()]);
         assert_eq!(pm.replacements(), 3);
-        let pilots = pm.pilots();
+        let pilots = pm.pilots_ref();
         assert_eq!(pilots.len(), 4);
         let last = &pilots[3];
         assert_eq!(last.description.resource, "solid");
@@ -1208,7 +1205,7 @@ mod tests {
         // Original + 2 replacements, all Failed; then the cap stops it —
         // the run drains instead of looping forever.
         assert_eq!(pm.replacements(), 2);
-        let pilots = pm.pilots();
+        let pilots = pm.pilots_ref();
         assert_eq!(pilots.len(), 3);
         assert!(pilots.iter().all(|p| p.state == PilotState::Failed));
         assert_eq!(pm.recovery_times().len(), 0);

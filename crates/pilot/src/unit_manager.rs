@@ -14,7 +14,7 @@ use crate::scheduler::{assign, Binding, PilotView, UnitScheduler, UnitView};
 use crate::unit::{ComputeUnit, UnitId, UnitState};
 use aimes_sim::{EventId, ManagerPhase, Observers, SimDuration, SimTime, Simulation, UnitVerb};
 use aimes_skeleton::TaskSpec;
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
@@ -286,7 +286,7 @@ impl UnitManager {
                 }
             }
             if st.config.binding == Binding::Early {
-                let pilots = self.pm.pilots();
+                let pilots = self.pm.pilots_ref();
                 assert!(
                     !pilots.is_empty(),
                     "early binding requires pilots to be described first"
@@ -347,20 +347,22 @@ impl UnitManager {
     fn on_pilot_state(&self, sim: &mut Simulation, pilot: PilotId, state: PilotState) {
         match state {
             PilotState::Active => {
-                let p = self.pm.pilot(pilot);
-                let cluster = self
-                    .pm
-                    .session()
-                    .service(&p.description.resource)
-                    .expect("resource exists")
-                    .cluster();
-                let agent = Agent::new(
-                    pilot,
-                    cluster,
-                    p.description.cores,
-                    sim.now(),
-                    p.description.walltime,
-                );
+                let agent = {
+                    let p = self.pm.pilot_ref(pilot);
+                    let cluster = self
+                        .pm
+                        .session()
+                        .service(&p.description.resource)
+                        .expect("resource exists")
+                        .cluster();
+                    Agent::new(
+                        pilot,
+                        cluster,
+                        p.description.cores,
+                        sim.now(),
+                        p.description.walltime,
+                    )
+                };
                 self.inner.borrow_mut().agents.insert(pilot, agent);
                 self.request_schedule(sim);
             }
@@ -527,8 +529,8 @@ impl UnitManager {
             // Early-binding failover: rebind to any live pilot.
             let live = self
                 .pm
-                .pilots()
-                .into_iter()
+                .pilots_ref()
+                .iter()
                 .find(|p| !p.state.is_terminal())
                 .map(|p| p.id);
             self.inner.borrow_mut().bound[uid.0 as usize] = live;
@@ -897,14 +899,16 @@ impl UnitManager {
         st.origin_channel.bandwidth_mbps = (base * factor).max(1e-6);
     }
 
-    /// Snapshot of one unit.
-    pub fn unit(&self, uid: UnitId) -> ComputeUnit {
-        self.inner.borrow().units[uid.0 as usize].clone()
+    /// A borrowed view of one unit. Drop it before anything that can
+    /// fire a manager callback: the manager mutates its units then.
+    pub fn unit_ref(&self, uid: UnitId) -> Ref<'_, ComputeUnit> {
+        Ref::map(self.inner.borrow(), |st| &st.units[uid.0 as usize])
     }
 
-    /// Snapshot of all units.
-    pub fn units(&self) -> Vec<ComputeUnit> {
-        self.inner.borrow().units.clone()
+    /// A borrowed view of all units, in id order; the same rule as
+    /// [`UnitManager::unit_ref`] applies.
+    pub fn units_ref(&self) -> Ref<'_, [ComputeUnit]> {
+        Ref::map(self.inner.borrow(), |st| st.units.as_slice())
     }
 
     /// The pilot manager this unit manager feeds.
@@ -967,7 +971,7 @@ mod tests {
         // All 16 ran concurrently: executing spans overlap; total time
         // roughly setup + staging + 900 s.
         assert!(sim.now().as_secs() < 1200.0, "took {}", sim.now());
-        for u in um.units() {
+        for u in um.units_ref().iter() {
             assert_eq!(u.state, UnitState::Done);
             assert_eq!(u.attempts, 1);
         }
@@ -991,12 +995,12 @@ mod tests {
         sim.run_to_completion();
         assert_eq!(um.stats().done, 24);
         // All three pilots should have executed something.
-        let mut used: Vec<PilotId> = um.units().iter().filter_map(|u| u.pilot).collect();
+        let mut used: Vec<PilotId> = um.units_ref().iter().filter_map(|u| u.pilot).collect();
         used.sort();
         used.dedup();
         assert_eq!(used.len(), 3, "all pilots should run units");
         // Pilots were cancelled after completion, not run to walltime.
-        for p in pm.pilots() {
+        for p in pm.pilots_ref().iter() {
             assert_eq!(p.state, PilotState::Canceled);
         }
     }
@@ -1044,7 +1048,7 @@ mod tests {
         assert_eq!(um.stats().done, 10);
         // Each reduce must start staging only after *its own* maps are
         // done (many-to-one fan-in of 4 maps per reduce).
-        let units = um.units();
+        let units = um.units_ref();
         for r in &units[8..] {
             let deps_done = r
                 .task
@@ -1126,7 +1130,7 @@ mod tests {
         assert!(stats.restarts > 0, "50 % fault rate must restart some");
         // Cores were handed back after every fault: nothing leaked, every
         // retried unit found a free slot again.
-        for u in um.units() {
+        for u in um.units_ref().iter() {
             assert_eq!(u.state, UnitState::Done);
         }
     }
@@ -1172,11 +1176,13 @@ mod tests {
             let stats = um.stats();
             assert!(stats.finished());
             assert_eq!(stats.failed, 4, "{stats:?}");
-            um.units()
+            let last_failure = um
+                .units_ref()
                 .iter()
                 .filter_map(|u| u.last_time_of(UnitState::Failed))
                 .max()
-                .unwrap()
+                .unwrap();
+            last_failure
         };
         // Same fault pattern (same seed), but each of the 3 retries per
         // unit waits 100/200/400 s: the backoff run must finish at least
@@ -1274,7 +1280,8 @@ mod tests {
             assert_eq!(stats.done, 8, "{stats:?}");
             assert!(stats.restarts > 0, "short pilot must interrupt units");
             let events = salvage.borrow().clone();
-            (sim.now(), um.units(), events)
+            let units = um.units_ref().to_vec();
+            (sim.now(), units, events)
         };
         let (plain_ttc, plain_units, plain_events) = run(0.0);
         assert!(plain_units.iter().all(|u| u.salvaged.is_zero()));
@@ -1360,7 +1367,7 @@ mod tests {
         let stats = um.stats();
         assert_eq!(stats.done, 8);
         assert_eq!(stats.restarts, 0, "backfill should avoid the short pilot");
-        for u in um.units() {
+        for u in um.units_ref().iter() {
             assert_eq!(u.pilot, Some(PilotId(1)));
         }
     }
@@ -1383,7 +1390,7 @@ mod tests {
         // Execution starts must be staggered by ~1.1 s (serialized
         // staging), even though all cores were free.
         let mut starts: Vec<f64> = um
-            .units()
+            .units_ref()
             .iter()
             .map(|u| u.last_time_of(UnitState::Executing).unwrap().as_secs())
             .collect();

@@ -93,7 +93,7 @@ fn silent_death_is_declared_and_recovered_without_an_oracle() {
     // During the silent window the client-visible unit states froze:
     // every stranded unit restarted exactly at declaration, not before.
     let declared = pm.detection_windows()[0].1;
-    for u in um.units() {
+    for u in um.units_ref().iter() {
         assert_eq!(u.state, UnitState::Done);
         if u.attempts > 1 {
             assert_eq!(u.last_time_of(UnitState::PendingExecution), Some(declared));
@@ -134,7 +134,7 @@ fn delayed_heartbeats_recover_without_replacement() {
     assert_eq!(pm.replacements(), 0);
     assert!(pm.detection_times().is_empty());
     assert_eq!(stats.restarts, 0);
-    assert_eq!(pm.pilots()[0].state, PilotState::Canceled);
+    assert_eq!(pm.pilots_ref()[0].state, PilotState::Canceled);
 }
 
 #[test]
@@ -172,6 +172,6 @@ fn stale_heartbeats_after_declaration_do_not_resurrect_the_pilot() {
     );
     // The falsely-declared pilot stays terminal; its replacement (whose
     // heartbeats start after the window) finishes the run untouched.
-    assert!(pm.pilots()[0].state.is_terminal());
+    assert!(pm.pilots_ref()[0].state.is_terminal());
     assert_eq!(pm.false_suspicions(), 0, "it never recovered in time");
 }

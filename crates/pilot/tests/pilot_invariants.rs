@@ -100,7 +100,7 @@ proptest! {
         prop_assert_eq!(stats.done, app.tasks().len(), "{:?}", stats);
         prop_assert_eq!(stats.failed, 0);
         prop_assert_eq!(stats.restarts, 0);
-        for u in um.units() {
+        for u in um.units_ref().iter() {
             prop_assert_eq!(u.state, UnitState::Done);
             prop_assert_eq!(u.attempts, 1);
         }
@@ -116,8 +116,8 @@ proptest! {
     ) {
         let app = random_app(&widths, seed);
         let (um, _pm, _sim) = run_fleet(&app, &pilots, UnitScheduler::Backfill, seed);
-        let units = um.units();
-        for u in &units {
+        let units = um.units_ref();
+        for u in units.iter() {
             let staged = u.last_time_of(UnitState::StagingInput).expect("ran");
             for dep in &u.task.dependencies {
                 let dep_done = units[dep.0 as usize]
@@ -143,10 +143,10 @@ proptest! {
     ) {
         let app = random_app(&widths, seed);
         let (um, pm, _sim) = run_fleet(&app, &pilots, UnitScheduler::RoundRobin, seed);
-        for pilot in pm.pilots() {
+        for pilot in pm.pilots_ref().iter() {
             let cap = i64::from(pilot.description.cores);
             let mut events: Vec<(f64, i64)> = Vec::new();
-            for u in um.units() {
+            for u in um.units_ref().iter() {
                 if u.pilot == Some(pilot.id) {
                     let start = u.last_time_of(UnitState::StagingInput);
                     let end = u.last_time_of(UnitState::StagingOutput);
@@ -176,7 +176,7 @@ fn backfill_full_paper_shape_smoke() {
     let (um, pm, sim) = run_fleet(&app, &[5, 5, 5], UnitScheduler::Backfill, 7);
     assert!(um.stats().finished());
     assert_eq!(um.stats().done, app.tasks().len());
-    for p in pm.pilots() {
+    for p in pm.pilots_ref().iter() {
         assert!(p.state.is_terminal());
     }
     assert!(sim.now().as_secs() > 0.0);

@@ -181,8 +181,10 @@ COUNTER_KEYS = ("sim.events", "sim.events_cancelled", "engine.dispatch.calls")
 def check_counters(args):
     """Benchmark-of-record outputs (`--quick --passes 1 --trace 1`, one per
     workload) against the committed counters: the engine counts, the
-    result digest and the run count must be exactly equal, and every
-    finished run must free its heap."""
+    result digest and the run count must be exactly equal, every
+    finished run must free its heap, and allocations per run must stay
+    under the committed ceiling (a ceiling, not an exact value: the count
+    moves slightly with the worker count)."""
     baseline = json.load(open(args.baseline))
     seen = set()
     for path in args.outputs:
@@ -209,9 +211,16 @@ def check_counters(args):
             require(value == want[key], f"{name}: {key} {value} != committed {want[key]}")
         kb = metrics["alloc.heap_retained_kb_per_run"]["value"]
         require(kb < 1.0, f"{name}: retained heap {kb:.4f} KB/run >= 1.0: finished runs leak")
+        allocs = metrics["alloc.allocs_per_run"]["value"]
+        ceiling = want["alloc.allocs_per_run.ceiling"]
+        require(
+            allocs <= ceiling,
+            f"{name}: {allocs:.0f} allocs/run > committed ceiling {ceiling}",
+        )
         print(
             f"{name}: {got['runs_per_pass']} runs, {got['sim.events']:.0f} events, "
-            f"digest {got['digest']}, retained {kb:.4f} KB/run"
+            f"digest {got['digest']}, retained {kb:.4f} KB/run, "
+            f"{allocs:.0f} allocs/run (ceiling {ceiling})"
         )
     missing = sorted(set(baseline["workloads"]) - seen)
     require(not missing, f"no output for workloads {missing}")

@@ -122,10 +122,10 @@ fn skeleton_dag_order_is_respected_by_the_pilot_layer() {
     let pm2 = pm.clone();
     um.on_all_done(move |sim| pm2.cancel_all(sim));
     sim.run_to_completion();
-    let units = um.units();
+    let units = um.units_ref();
     assert!(units.iter().all(|u| u.state == UnitState::Done));
     // Every unit started staging only after all its dependencies were done.
-    for u in &units {
+    for u in units.iter() {
         let staged = u.last_time_of(UnitState::StagingInput).unwrap();
         for dep in &u.task.dependencies {
             let dep_done = units[dep.0 as usize].last_time_of(UnitState::Done).unwrap();

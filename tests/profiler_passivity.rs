@@ -7,6 +7,7 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::{Mutex, MutexGuard};
 
 // The shipped `experiments` binary runs under the counting allocator, so
 // the overhead gate below is measured in the same environment it ships
@@ -27,6 +28,18 @@ use aimes_repro::strategy::ResourceSelection;
 // on the identical bytes.
 const GOLDEN_EXP1: &str = "3d15343bf1674af7";
 const GOLDEN_FAULTY: &str = "978899a2c7723d7d";
+
+/// The tests in this file run one at a time: the overhead gate times
+/// dispatch, and a golden replay on a sibling thread would steal its CPU.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Hold the file's lock; a test that panicked while holding it does not
+/// fail the others.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn pool() -> Vec<ClusterConfig> {
     vec![
@@ -49,6 +62,7 @@ fn digest(journal: &RunJournal) -> String {
 
 #[test]
 fn profiled_exp1_journal_is_bit_identical_to_golden() {
+    let _serial = serial();
     let app = paper_bag(32, TaskDurationSpec::Uniform15Min);
     let journal = Rc::new(RefCell::new(RunJournal::new()));
     let profiler = Profiler::new();
@@ -82,6 +96,7 @@ fn profiled_exp1_journal_is_bit_identical_to_golden() {
 
 #[test]
 fn profiled_chaos_journal_is_bit_identical_to_golden() {
+    let _serial = serial();
     // The faulty-recovery scenario exercises detection, kill ordering,
     // blacklisting, and re-planning — the paths where a non-passive
     // observer would most plausibly perturb event order.
@@ -161,6 +176,7 @@ fn heartbeat_events_per_sec(profiled: bool) -> f64 {
 
 #[test]
 fn profiler_overhead_on_dispatch_is_bounded() {
+    let _serial = serial();
     // The gate: heartbeat-churn events/sec with profiling within 10% of
     // disabled. Best-of-3 on each side to shed scheduler noise on
     // loaded CI hosts; the arms interleave so thermal drift hits both.
