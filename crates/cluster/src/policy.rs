@@ -123,6 +123,99 @@ fn easy_backfill(
     starts
 }
 
+/// The profile-based passes that [`select_starts`] is checked against:
+/// each builds an [`AvailabilityProfile`] from the releases and reserves
+/// into it, exactly as the scheduler did before the closed-form pass.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+    use crate::profile::AvailabilityProfile;
+
+    /// Profile-based reference for [`super::select_starts`].
+    pub(crate) fn select_starts(
+        policy: SchedulingPolicy,
+        now: SimTime,
+        free_cores: u32,
+        running: &[RunningJobView],
+        queue: &[QueuedJobView],
+    ) -> Vec<JobId> {
+        match policy {
+            SchedulingPolicy::Fcfs => fcfs(free_cores, queue),
+            SchedulingPolicy::EasyBackfill => easy_backfill(now, free_cores, running, queue),
+        }
+    }
+
+    fn fcfs(mut free: u32, queue: &[QueuedJobView]) -> Vec<JobId> {
+        let mut starts = Vec::new();
+        for job in queue {
+            if job.cores <= free {
+                free -= job.cores;
+                starts.push(job.id);
+            } else {
+                break; // strict: no overtaking
+            }
+        }
+        starts
+    }
+
+    fn easy_backfill(
+        now: SimTime,
+        free: u32,
+        running: &[RunningJobView],
+        queue: &[QueuedJobView],
+    ) -> Vec<JobId> {
+        let releases: Vec<(SimTime, u32)> = running.iter().map(|r| (r.deadline, r.cores)).collect();
+        let mut profile = AvailabilityProfile::new(now, free, &releases);
+        let mut starts = Vec::new();
+        let mut rest = queue;
+
+        // Phase 1: start the queue head while it fits right now.
+        while let Some((head, tail)) = rest.split_first() {
+            if profile.min_free_over(now, head.walltime) >= head.cores {
+                profile.reserve(now, head.walltime, head.cores);
+                starts.push(head.id);
+                rest = tail;
+            } else {
+                break;
+            }
+        }
+
+        // Phase 2: reserve the blocked head at its earliest feasible ("shadow")
+        // time, then backfill any later job that can run now without touching
+        // that reservation.
+        if let Some((head, tail)) = rest.split_first() {
+            if let Some(shadow) = profile.earliest_fit(head.cores, head.walltime, now) {
+                profile.reserve(shadow, head.walltime, head.cores);
+            }
+            // If even the empty machine can't fit the head (earliest_fit None),
+            // it sits in the queue forever; the cluster rejects such jobs at
+            // submit time, so this branch is defensive.
+            //
+            // `free_now` bounds min_free_over(now, ·) from above: the head's
+            // shadow is strictly after `now` (otherwise phase 1 would have
+            // started it), so only the backfill reservations — all at `now` —
+            // lower free cores at `now`. Candidates wider than free_now can
+            // therefore skip the O(segments) window scan, and once free_now
+            // reaches zero no further candidate can start.
+            let mut free_now = profile.free_at(now);
+            for job in tail {
+                if free_now == 0 {
+                    break;
+                }
+                if job.cores > free_now {
+                    continue;
+                }
+                if profile.min_free_over(now, job.walltime) >= job.cores {
+                    profile.reserve(now, job.walltime, job.cores);
+                    free_now -= job.cores;
+                    starts.push(job.id);
+                }
+            }
+        }
+        starts
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,6 +326,112 @@ mod tests {
         }
     }
 
+    /// The pass's and the profile oracle's starts on the same inputs.
+    /// `releases` are `(deadline, cores)` in any order.
+    fn pass_and_oracle(
+        policy: SchedulingPolicy,
+        now: f64,
+        free: u32,
+        releases: &[(f64, u32)],
+        queue: &[QueuedJobView],
+    ) -> (Vec<JobId>, Vec<JobId>) {
+        let running: Vec<RunningJobView> = releases.iter().map(|&(dl, c)| r(c, dl)).collect();
+        (
+            select_starts(policy, t(now), free, &running, queue),
+            oracle::select_starts(policy, t(now), free, &running, queue),
+        )
+    }
+
+    /// EASY starts, asserting that the pass and the oracle agree.
+    fn easy(now: f64, free: u32, releases: &[(f64, u32)], queue: &[QueuedJobView]) -> Vec<JobId> {
+        let (got, want) =
+            pass_and_oracle(SchedulingPolicy::EasyBackfill, now, free, releases, queue);
+        assert_eq!(got, want, "pass and oracle disagree");
+        got
+    }
+
+    #[test]
+    fn head_wider_than_the_machine_holds_nothing_back() {
+        // 4 free + 4 released = 8 cores ever; the 16-core head never fits,
+        // so it reserves nothing and both later jobs start now, however
+        // long they run.
+        let queue = [q(1, 16, 100.0), q(2, 2, 1000.0), q(3, 2, 10.0)];
+        assert_eq!(
+            easy(0.0, 4, &[(100.0, 4)], &queue),
+            vec![JobId(2), JobId(3)]
+        );
+    }
+
+    #[test]
+    fn backfill_may_end_exactly_at_the_shadow() {
+        // Head needs 10: shadow t=100 with no spare cores. A 6-core job
+        // running past it would delay the head; one ending at t=100
+        // hands its cores back just in time.
+        let queue = [q(1, 10, 1000.0), q(2, 6, 101.0), q(3, 6, 100.0)];
+        assert_eq!(easy(0.0, 6, &[(100.0, 4)], &queue), vec![JobId(3)]);
+    }
+
+    #[test]
+    fn phase1_end_and_release_at_the_same_instant_both_count() {
+        // Job 1 starts (4 of 8 free) and ends at t=50, when a 4-core
+        // release also lands: 4 + 4 + 4 = 12 free then, so the 10-core
+        // head's shadow is t=50 with 2 spare. Job 3 outlives the shadow on
+        // those 2 spare cores; job 4 cannot (spare used up); job 5 ends at
+        // the shadow.
+        let queue = [
+            q(1, 4, 50.0),
+            q(2, 10, 1000.0),
+            q(3, 2, 100.0),
+            q(4, 2, 60.0),
+            q(5, 2, 50.0),
+        ];
+        assert_eq!(
+            easy(0.0, 8, &[(50.0, 4)], &queue),
+            vec![JobId(1), JobId(3), JobId(5)]
+        );
+    }
+
+    #[test]
+    fn zero_length_head_reservation_holds_nothing_back() {
+        // The blocked head's shadow is t=100, but a 0 s reservation holds
+        // no cores there, so a long 2-core job may start now.
+        let queue = [q(1, 10, 0.0), q(2, 2, 1000.0)];
+        assert_eq!(easy(0.0, 2, &[(100.0, 8)], &queue), vec![JobId(2)]);
+    }
+
+    #[test]
+    fn releases_at_or_before_now_count_as_free() {
+        // The 4 cores due back at t=10 count at t=20 even though the
+        // completion has not been processed yet.
+        let queue = [q(1, 6, 10.0)];
+        assert_eq!(easy(20.0, 2, &[(10.0, 4)], &queue), vec![JobId(1)]);
+    }
+
+    /// One generated pass: `(now, free, releases, queue)` with times in
+    /// whole seconds. Walltimes are at least 1 s: a 0 s start holds its
+    /// cores at `now` in the pass but not in the oracle's profile, the one
+    /// intended divergence (it made the profile pass oversubscribe).
+    type Pass = (u32, u32, Vec<(u32, u32)>, Vec<(u32, u32)>);
+
+    fn check_pass((now, free, releases, queue): Pass) -> Result<(), String> {
+        let releases: Vec<(f64, u32)> =
+            releases.iter().map(|&(dl, c)| (f64::from(dl), c)).collect();
+        let queue: Vec<QueuedJobView> = queue
+            .iter()
+            .enumerate()
+            .map(|(i, &(c, w))| q(i as u64, c, f64::from(w)))
+            .collect();
+        for policy in [SchedulingPolicy::Fcfs, SchedulingPolicy::EasyBackfill] {
+            let (got, want) = pass_and_oracle(policy, f64::from(now), free, &releases, &queue);
+            prop_assert_eq!(
+                got,
+                want,
+                "{policy:?} now={now} free={free} releases={releases:?} queue={queue:?}"
+            );
+        }
+        Ok(())
+    }
+
     /// Reference model for the EASY invariant: simulate the head's shadow
     /// time with and without the backfilled jobs; it must not move later.
     fn shadow_time(
@@ -252,6 +451,39 @@ mod tests {
         }
         let p = AvailabilityProfile::new(now, free, &rel);
         p.earliest_fit(head.cores, head.walltime, now)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+        /// The pass agrees with the profile oracle on small integer
+        /// inputs, including releases already due at `now`.
+        #[test]
+        fn prop_pass_matches_oracle_small(
+            now in 0u32..=50,
+            free in 0u32..=40,
+            releases in proptest::collection::vec((0u32..=400, 1u32..=16), 0..=12),
+            queue in proptest::collection::vec((1u32..=48, 1u32..=300), 0..=12),
+        ) {
+            check_pass((now, free, releases, queue))?;
+        }
+
+        /// The pass agrees with the profile oracle when every instant sits
+        /// on a 10 s grid, so releases, phase-1 ends, the shadow and
+        /// backfill ends tie often.
+        #[test]
+        fn prop_pass_matches_oracle_ties(
+            now in 0u32..=5,
+            free in 0u32..=100,
+            releases in proptest::collection::vec((0u32..=30, 1u32..=16), 0..=60),
+            queue in proptest::collection::vec((1u32..=64, 1u32..=30), 0..=40),
+        ) {
+            let grid = |v: Vec<(u32, u32)>, scale_first: bool| -> Vec<(u32, u32)> {
+                v.into_iter()
+                    .map(|(a, b)| if scale_first { (a * 10, b) } else { (a, b * 10) })
+                    .collect()
+            };
+            check_pass((now * 10, free, grid(releases, true), grid(queue, false)))?;
+        }
     }
 
     proptest! {
