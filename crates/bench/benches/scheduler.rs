@@ -3,22 +3,25 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use aimes_cluster::policy::{select_starts, QueuedJobView, RunningJobView};
+use aimes_cluster::policy::{select_starts, QueuedJobView};
 use aimes_cluster::{AvailabilityProfile, Cluster, ClusterConfig, JobId, SchedulingPolicy};
 use aimes_sim::{SimDuration, SimRng, SimTime, Simulation, Tracer};
 use aimes_workload::WorkloadConfig;
 
+/// `n_running` releases as `(deadline, cores)`, soonest first (the order
+/// the cluster's release index yields them), and `n_queued` queued jobs.
 fn mk_state(
     rng: &mut SimRng,
     n_running: usize,
     n_queued: usize,
-) -> (Vec<RunningJobView>, Vec<QueuedJobView>) {
-    let running = (0..n_running)
-        .map(|_| RunningJobView {
-            cores: rng.below(64) as u32 + 1,
-            deadline: SimTime::from_secs(rng.uniform(10.0, 1e5)),
+) -> (Vec<(SimTime, u32)>, Vec<QueuedJobView>) {
+    let mut releases: Vec<(SimTime, u32)> = (0..n_running)
+        .map(|_| {
+            let cores = rng.below(64) as u32 + 1;
+            (SimTime::from_secs(rng.uniform(10.0, 1e5)), cores)
         })
         .collect();
+    releases.sort_by_key(|&(deadline, _)| deadline);
     let queued = (0..n_queued)
         .map(|i| QueuedJobView {
             id: JobId(i as u64),
@@ -26,21 +29,21 @@ fn mk_state(
             walltime: SimDuration::from_secs(rng.uniform(60.0, 4.0 * 3600.0)),
         })
         .collect();
-    (running, queued)
+    (releases, queued)
 }
 
 fn bench_backfill_pass(c: &mut Criterion) {
     let mut group = c.benchmark_group("backfill_pass");
     for depth in [32usize, 256, 1024] {
         let mut rng = SimRng::new(11);
-        let (running, queued) = mk_state(&mut rng, 128, depth);
+        let (releases, queued) = mk_state(&mut rng, 128, depth);
         group.bench_with_input(BenchmarkId::new("queue_depth", depth), &depth, |b, _| {
             b.iter(|| {
                 black_box(select_starts(
                     SchedulingPolicy::EasyBackfill,
                     SimTime::from_secs(5.0),
                     black_box(100),
-                    &running,
+                    releases.iter().copied(),
                     &queued,
                 ))
             })

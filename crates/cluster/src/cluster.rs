@@ -11,7 +11,7 @@
 //!   queue composition, start-time estimation, wait history).
 
 use crate::job::{Job, JobId, JobOwner, JobRequest, JobState};
-use crate::policy::{select_starts, QueuedJobView, RunningJobView, SchedulingPolicy};
+use crate::policy::{select_starts, QueuedJobView, SchedulingPolicy};
 use crate::profile::AvailabilityProfile;
 use aimes_sim::{EventId, Observers, ResourcePhase, SimDuration, SimTime, Simulation};
 use aimes_workload::{BackgroundWorkload, WorkloadConfig};
@@ -126,7 +126,8 @@ pub struct ClusterMetrics {
 pub struct QueueSnapshot {
     /// (cores, requested walltime seconds) per queued job, in queue order.
     pub queued: Vec<(u32, f64)>,
-    /// (cores, remaining walltime seconds) per running job.
+    /// (cores, remaining walltime seconds) per running job, soonest
+    /// walltime deadline first.
     pub running: Vec<(u32, f64)>,
 }
 
@@ -158,11 +159,16 @@ struct EstCache {
 struct ClusterState {
     config: ClusterConfig,
     jobs: HashMap<JobId, Job>,
-    /// Queued jobs in scheduler order (see [`QueueKey`]).
-    queue: BTreeMap<QueueKey, JobId>,
+    /// Queued jobs in scheduler order (see [`QueueKey`]), each with the
+    /// policy's view of it, so a pass walks the queue in place.
+    queue: BTreeMap<QueueKey, QueuedJobView>,
     /// Running job ids (iteration is JobId-sorted, hence deterministic)
     /// with their scheduled completion events.
     running: BTreeMap<JobId, EventId>,
+    /// The running jobs' cores keyed by walltime deadline (ties broken by
+    /// id): when each allocation comes back at the latest, in the order a
+    /// pass needs it.
+    releases: BTreeMap<(SimTime, JobId), u32>,
     free_cores: u32,
     next_job_id: u64,
     background: Option<BackgroundWorkload>,
@@ -187,10 +193,6 @@ struct ClusterState {
     /// arriving with `sched_epoch == last_dispatch_epoch` is a no-op and
     /// returns in O(1).
     last_dispatch_epoch: u64,
-    /// Cached policy inputs, rebuilt lazily when `views_dirty`.
-    queued_views_cache: Vec<QueuedJobView>,
-    running_views_cache: Vec<RunningJobView>,
-    views_dirty: bool,
     /// Incrementally maintained sum of cores requested by queued jobs.
     queued_cores: u64,
     /// `estimate_wait` memo; invalidated by epoch/instant mismatch.
@@ -219,49 +221,49 @@ impl ClusterState {
         (Reverse(self.jobs[&id].queue_priority), id.0)
     }
 
-    /// Mark a scheduling-relevant state change: bumps the epoch (so
-    /// no-change dispatches and stale `estimate_wait` memos are detected)
-    /// and invalidates the cached policy views.
+    /// Mark a scheduling-relevant state change: bumps the epoch, so
+    /// no-change dispatches and stale `estimate_wait` memos are detected.
     fn touch(&mut self) {
         self.sched_epoch += 1;
-        self.views_dirty = true;
     }
 
-    /// Rebuild the cached policy inputs if anything changed since the last
-    /// dispatch. Iteration order is the BTreeMaps' — deterministic: no
-    /// `HashMap` iteration order may reach scheduler inputs, traces, or
-    /// journals (it varies with the per-process hash seed, which would
-    /// make same-seed runs diverge).
-    fn ensure_views(&mut self) {
-        if !self.views_dirty {
+    /// The release index as `(deadline, cores)`, soonest first. The
+    /// policy inputs come from the BTreeMaps only: no `HashMap` iteration
+    /// order may reach scheduler inputs, traces, or journals (it varies
+    /// with the per-process hash seed, which would make same-seed runs
+    /// diverge).
+    fn release_iter(&self) -> impl Iterator<Item = (SimTime, u32)> + '_ {
+        self.releases.iter().map(|(&(at, _), &cores)| (at, cores))
+    }
+
+    /// Test builds check every pass against the profile-based oracle. A
+    /// queue holding a 0 s job is exempt: the pass holds such a start's
+    /// cores at `now`, the oracle's profile does not (and oversubscribed).
+    #[cfg(test)]
+    fn check_against_oracle(&self, now: SimTime, ids: &[JobId]) {
+        if self.queue.values().any(|j| j.walltime == SimDuration::ZERO) {
             return;
         }
-        let ClusterState {
-            queue,
-            running,
-            jobs,
-            queued_views_cache,
-            running_views_cache,
-            ..
-        } = self;
-        queued_views_cache.clear();
-        queued_views_cache.extend(queue.values().map(|id| {
-            let j = &jobs[id];
-            QueuedJobView {
-                id: *id,
-                cores: j.request.cores,
-                walltime: j.request.walltime_request,
-            }
-        }));
-        running_views_cache.clear();
-        running_views_cache.extend(running.keys().map(|id| {
-            let j = &jobs[id];
-            RunningJobView {
-                cores: j.request.cores,
-                deadline: j.walltime_deadline().expect("running job has start"),
-            }
-        }));
-        self.views_dirty = false;
+        let releases: Vec<(SimTime, u32)> = self.release_iter().collect();
+        let queue: Vec<QueuedJobView> = self.queue.values().copied().collect();
+        let want = crate::policy::oracle::select_starts(
+            self.config.policy,
+            now,
+            self.free_cores,
+            &releases,
+            &queue,
+        );
+        assert_eq!(ids, want, "pass diverged from the profile oracle");
+    }
+
+    /// Drop a running job's entry from the release index.
+    fn forget_release(&mut self, id: JobId) {
+        let deadline = self.jobs[&id]
+            .walltime_deadline()
+            .expect("running job has start");
+        self.releases
+            .remove(&(deadline, id))
+            .expect("running job has a release");
     }
 
     fn transition(&mut self, id: JobId, next: JobState) {
@@ -348,9 +350,7 @@ impl Cluster {
             down_until: None,
             sched_epoch: 1,
             last_dispatch_epoch: 0,
-            queued_views_cache: Vec::new(),
-            running_views_cache: Vec::new(),
-            views_dirty: true,
+            releases: BTreeMap::new(),
             queued_cores: 0,
             est_cache: None,
         };
@@ -533,9 +533,13 @@ impl Cluster {
             // behind equal priority (stable FIFO within a queue class) —
             // the QueueKey ordering, since ids grow monotonically.
             st.queued_cores += u64::from(job.request.cores);
+            let view = QueuedJobView {
+                id,
+                cores: job.request.cores,
+                walltime: job.request.walltime_request,
+            };
             st.jobs.insert(id, job);
-            let key = (Reverse(priority), id.0);
-            st.queue.insert(key, id);
+            st.queue.insert((Reverse(priority), id.0), view);
             st.touch();
             id
         };
@@ -567,6 +571,7 @@ impl Cluster {
                     st.transition(id, JobState::Cancelled);
                     st.jobs.get_mut(&id).expect("exists").end_time = Some(sim.now());
                     let ev = st.running.remove(&id).expect("running job has event");
+                    st.forget_release(id);
                     let cores = st.jobs[&id].request.cores;
                     st.free_cores += cores;
                     st.touch();
@@ -621,7 +626,8 @@ impl Cluster {
     /// Incremental: a pass that cannot change anything — nothing happened
     /// since the last completed pass, the queue is empty, or no cores are
     /// free (no policy can start a job on zero free cores) — returns
-    /// without rebuilding views or consulting the policy.
+    /// without consulting the policy. Otherwise the policy walks the queue
+    /// and the release index in place.
     fn dispatch(&self, sim: &mut Simulation) {
         let _prof = sim.profiler().scope("cluster.scheduler");
         let now = sim.now();
@@ -641,15 +647,16 @@ impl Cluster {
                 st.last_dispatch_epoch = st.sched_epoch;
                 return;
             }
-            st.ensure_views();
             let st = &mut *st;
             let ids = select_starts(
                 st.config.policy,
                 now,
                 st.free_cores,
-                &st.running_views_cache,
-                &st.queued_views_cache,
+                st.release_iter(),
+                st.queue.values(),
             );
+            #[cfg(test)]
+            st.check_against_oracle(now, &ids);
             if ids.is_empty() {
                 // The pass examined exactly this epoch's state and found
                 // nothing to start; until something changes, every further
@@ -672,6 +679,7 @@ impl Cluster {
                 st.transition(id, JobState::Running);
                 let job = st.jobs.get_mut(&id).expect("exists");
                 job.start_time = Some(now);
+                let deadline = job.walltime_deadline().expect("just started");
                 let end = now + job.occupancy();
                 let wait = job.queue_wait(now);
                 let owner = job.request.owner;
@@ -684,6 +692,7 @@ impl Cluster {
                 if st.wait_history.len() > 1024 {
                     st.wait_history.pop_front();
                 }
+                st.releases.insert((deadline, id), cores);
                 st.touch();
                 started.push((id, end, owner, tag, wait));
             }
@@ -726,6 +735,7 @@ impl Cluster {
             let mut st = self.inner.borrow_mut();
             st.accrue_busy(now);
             st.running.remove(&id);
+            st.forget_release(id);
             let job = &st.jobs[&id];
             let final_state = if job.request.runtime > job.request.walltime_request {
                 JobState::Killed
@@ -820,7 +830,10 @@ impl Cluster {
             st.down_until = Some(SimTime::from_secs(f64::INFINITY));
             // Queue order (priority, then FIFO): the order submitters are
             // notified in, as before.
-            let queued: Vec<JobId> = std::mem::take(&mut st.queue).into_values().collect();
+            let queued: Vec<JobId> = std::mem::take(&mut st.queue)
+                .into_values()
+                .map(|view| view.id)
+                .collect();
             st.queued_cores = 0;
             st.touch();
             for &id in &queued {
@@ -852,6 +865,7 @@ impl Cluster {
             // BTreeMap keys are JobId-sorted: deterministic kill (and
             // watcher-notification) order.
             let ids: Vec<JobId> = st.running.keys().copied().collect();
+            st.releases.clear();
             let mut out = Vec::with_capacity(ids.len());
             for id in ids {
                 st.accrue_busy(now);
@@ -984,19 +998,11 @@ impl Cluster {
             queued: st
                 .queue
                 .values()
-                .map(|id| {
-                    let j = &st.jobs[id];
-                    (j.request.cores, j.request.walltime_request.as_secs())
-                })
+                .map(|j| (j.cores, j.walltime.as_secs()))
                 .collect(),
             running: st
-                .running
-                .keys()
-                .map(|id| {
-                    let j = &st.jobs[id];
-                    let deadline = j.walltime_deadline().expect("running");
-                    (j.request.cores, deadline.saturating_since(now).as_secs())
-                })
+                .release_iter()
+                .map(|(deadline, cores)| (cores, deadline.saturating_since(now).as_secs()))
                 .collect(),
         }
     }
@@ -1039,22 +1045,11 @@ impl Cluster {
             .as_ref()
             .is_some_and(|c| c.epoch == st.sched_epoch && c.now == now);
         if stale {
-            let st = &mut *st;
-            let releases: Vec<(SimTime, u32)> = st
-                .running
-                .keys()
-                .map(|id| {
-                    let j = &st.jobs[id];
-                    (j.walltime_deadline().expect("running"), j.request.cores)
-                })
-                .collect();
+            let releases: Vec<(SimTime, u32)> = st.release_iter().collect();
             let mut profile = AvailabilityProfile::new(origin, st.free_cores, &releases);
-            for id in st.queue.values() {
-                let j = &st.jobs[id];
-                if let Some(start) =
-                    profile.earliest_fit(j.request.cores, j.request.walltime_request, origin)
-                {
-                    profile.reserve(start, j.request.walltime_request, j.request.cores);
+            for j in st.queue.values() {
+                if let Some(start) = profile.earliest_fit(j.cores, j.walltime, origin) {
+                    profile.reserve(start, j.walltime, j.cores);
                 }
             }
             st.est_cache = Some(EstCache {
@@ -1093,6 +1088,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn d(s: f64) -> SimDuration {
         SimDuration::from_secs(s)
@@ -1170,6 +1166,21 @@ mod tests {
         sim.run_to_completion();
         // Small starts only after the head does (t=100).
         assert!(c.job(small).unwrap().start_time.unwrap().as_secs() >= 100.0);
+    }
+
+    #[test]
+    fn zero_walltime_start_holds_its_cores() {
+        // Two whole-machine jobs at t=0, the first with a 0 s walltime.
+        // The 0 s job holds all 8 cores at its start instant, so the
+        // second waits for its completion instead of oversubscribing.
+        let (mut sim, c) = idle_cluster(8);
+        let a = c.submit(&mut sim, JobRequest::background(8, d(0.0), d(0.0)));
+        let b = c.submit(&mut sim, JobRequest::background(8, d(10.0), d(10.0)));
+        sim.run_to_completion();
+        assert_eq!(c.job_state(a), Some(JobState::Completed));
+        assert_eq!(c.job_state(b), Some(JobState::Completed));
+        assert_eq!(c.job(b).unwrap().end_time.unwrap().as_secs(), 10.0);
+        assert_eq!(c.metrics(sim.now()).free_cores, 8);
     }
 
     #[test]
@@ -1678,5 +1689,99 @@ mod tests {
             (m.queued_jobs, m.free_cores, sim.events_processed())
         };
         assert_eq!(run(5), run(5));
+    }
+
+    /// One scripted operation on a 32-core machine.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Submit {
+            cores: u32,
+            runtime: f64,
+            walltime: f64,
+        },
+        /// Cancel the job with this id, if it exists and is live.
+        Cancel(u64),
+        Outage(f64),
+        Drain(f64),
+        Decommission,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        (0u32..20, 1u32..=32, 0u32..=400, 1u32..=400, 0u64..40).prop_map(
+            |(kind, cores, runtime, walltime, id)| match kind {
+                0..=11 => Op::Submit {
+                    cores,
+                    runtime: f64::from(runtime),
+                    walltime: f64::from(walltime),
+                },
+                12..=15 => Op::Cancel(id),
+                16 | 17 => Op::Outage(f64::from(walltime)),
+                18 => Op::Drain(f64::from(walltime)),
+                _ => Op::Decommission,
+            },
+        )
+    }
+
+    /// The release index equals a rebuild from the running set.
+    fn releases_match_running(c: &Cluster) -> Result<(), String> {
+        let st = c.inner.borrow();
+        let rebuilt: BTreeMap<(SimTime, JobId), u32> = st
+            .running
+            .keys()
+            .map(|id| {
+                let j = &st.jobs[id];
+                (
+                    (j.walltime_deadline().expect("running"), *id),
+                    j.request.cores,
+                )
+            })
+            .collect();
+        if st.releases == rebuilt {
+            Ok(())
+        } else {
+            Err(format!("index {:?} != rebuilt {rebuilt:?}", st.releases))
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random submit/cancel/outage/drain/decommission sequences, with
+        /// every dispatch pass checked against the profile oracle (test
+        /// builds do so in `dispatch`) and the release index checked
+        /// against a rebuild after every event. Walltimes are at least 1 s
+        /// (see `check_against_oracle`).
+        #[test]
+        fn prop_release_index_tracks_running_jobs(
+            ops in proptest::collection::vec((0u32..=600, op()), 1..=40),
+            easy in any::<bool>(),
+        ) {
+            let mut cfg = ClusterConfig::test("prop", 32);
+            if !easy {
+                cfg.policy = SchedulingPolicy::Fcfs;
+            }
+            let mut sim = Simulation::with_tracer(3, aimes_sim::Tracer::disabled());
+            let c = Cluster::new(cfg);
+            for (at, op) in ops {
+                let c = c.clone();
+                sim.schedule_at(SimTime::from_secs(f64::from(at)), move |sim| match op {
+                    Op::Submit { cores, runtime, walltime } => {
+                        c.submit(sim, JobRequest::background(cores, d(runtime), d(walltime)));
+                    }
+                    Op::Cancel(id) => {
+                        c.cancel(sim, JobId(id));
+                    }
+                    Op::Outage(secs) => c.inject_outage(sim, d(secs), true),
+                    Op::Drain(secs) => c.inject_outage(sim, d(secs), false),
+                    Op::Decommission => c.decommission(sim),
+                });
+            }
+            while sim.step() {
+                releases_match_running(&c)?;
+            }
+            let m = c.metrics(sim.now());
+            prop_assert_eq!(m.running_jobs, 0);
+            prop_assert_eq!(m.free_cores, 32);
+        }
     }
 }

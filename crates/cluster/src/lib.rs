@@ -8,9 +8,8 @@
 //! that machinery:
 //!
 //! * [`job`] — batch-job lifecycle (queued → running → completed/killed).
-//! * [`profile`] — core-availability profiles over future time, the shared
-//!   engine behind EASY-backfill reservations and bundle-level queue-wait
-//!   prediction.
+//! * [`profile`] — core-availability profiles over future time, the
+//!   engine behind bundle-level queue-wait prediction.
 //! * [`policy`] — scheduling policies: FCFS and EASY backfill (the
 //!   production standard; Tsafrir et al. \[25\] in the paper).
 //! * [`cluster`] — the simulated resource: submission, dispatch, walltime

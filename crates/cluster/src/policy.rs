@@ -6,9 +6,17 @@
 //! is what makes Tw "notoriously unpredictable" (§IV-B, refs \[24\]\[25\]).
 //! Both policies here work purely on *requested* walltimes — actual
 //! runtimes are invisible to them, as in reality.
+//!
+//! EASY backfill needs no availability profile. Until the blocked head's
+//! reservation, every reservation starts at `now` and every release only
+//! adds cores, so free cores never decrease in time: the head's shadow is
+//! the first instant at which the cores free now plus those released by
+//! then reach its request, found by walking the deadline-ordered releases
+//! merged with the phase-1 starts' ends. A later job then cannot delay the
+//! head exactly when it fits now and either ends by the shadow or fits in
+//! the `extra` cores the head leaves spare at the shadow, which it uses up.
 
 use crate::job::JobId;
-use crate::profile::AvailabilityProfile;
 use aimes_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -30,30 +38,23 @@ pub struct QueuedJobView {
     pub walltime: SimDuration,
 }
 
-/// Scheduler's view of a running job: when its cores come back under the
-/// conservative walltime assumption.
-#[derive(Clone, Copy, Debug)]
-pub struct RunningJobView {
-    pub cores: u32,
-    pub deadline: SimTime,
-}
-
-/// Decide which queued jobs start *now*. `queue` is in priority order.
-/// Returns ids in start order.
-pub fn select_starts(
+/// Decide which queued jobs start *now*. `releases` are the running jobs'
+/// `(walltime deadline, cores)` in non-decreasing deadline order; `queue`
+/// is in priority order. Returns ids in start order.
+pub fn select_starts<'q>(
     policy: SchedulingPolicy,
     now: SimTime,
     free_cores: u32,
-    running: &[RunningJobView],
-    queue: &[QueuedJobView],
+    releases: impl IntoIterator<Item = (SimTime, u32)>,
+    queue: impl IntoIterator<Item = &'q QueuedJobView>,
 ) -> Vec<JobId> {
     match policy {
         SchedulingPolicy::Fcfs => fcfs(free_cores, queue),
-        SchedulingPolicy::EasyBackfill => easy_backfill(now, free_cores, running, queue),
+        SchedulingPolicy::EasyBackfill => easy_backfill(now, free_cores, releases, queue),
     }
 }
 
-fn fcfs(mut free: u32, queue: &[QueuedJobView]) -> Vec<JobId> {
+fn fcfs<'q>(mut free: u32, queue: impl IntoIterator<Item = &'q QueuedJobView>) -> Vec<JobId> {
     let mut starts = Vec::new();
     for job in queue {
         if job.cores <= free {
@@ -66,58 +67,86 @@ fn fcfs(mut free: u32, queue: &[QueuedJobView]) -> Vec<JobId> {
     starts
 }
 
-fn easy_backfill(
+fn easy_backfill<'q>(
     now: SimTime,
     free: u32,
-    running: &[RunningJobView],
-    queue: &[QueuedJobView],
+    releases: impl IntoIterator<Item = (SimTime, u32)>,
+    queue: impl IntoIterator<Item = &'q QueuedJobView>,
 ) -> Vec<JobId> {
-    let releases: Vec<(SimTime, u32)> = running.iter().map(|r| (r.deadline, r.cores)).collect();
-    let mut profile = AvailabilityProfile::new(now, free, &releases);
+    let mut releases = releases.into_iter().peekable();
+    let mut queue = queue.into_iter();
+    // Releases at or before `now` are due at this instant: their cores
+    // count as free.
+    let mut free_now = free;
+    while let Some((_, cores)) = releases.next_if(|&(at, _)| at <= now) {
+        free_now += cores;
+    }
     let mut starts = Vec::new();
-    let mut rest = queue;
+    let mut ends = Vec::new();
 
-    // Phase 1: start the queue head while it fits right now.
-    while let Some((head, tail)) = rest.split_first() {
-        if profile.min_free_over(now, head.walltime) >= head.cores {
-            profile.reserve(now, head.walltime, head.cores);
-            starts.push(head.id);
-            rest = tail;
-        } else {
+    // Phase 1: start the queue head while it fits right now. Every start
+    // holds its cores at `now`, whatever its length.
+    let head = loop {
+        let Some(job) = queue.next() else {
+            return starts;
+        };
+        if job.cores > free_now {
+            break job;
+        }
+        free_now -= job.cores;
+        starts.push(job.id);
+        ends.push((now + job.walltime, job.cores));
+    };
+
+    // Phase 2: `hold` is the blocked head's shadow and the cores it leaves
+    // spare then. A head that never fits, or whose reservation is empty,
+    // holds nothing back.
+    ends.sort_unstable_by_key(|&(at, _)| at);
+    let mut ends = ends.into_iter().peekable();
+    let mut avail = free_now;
+    let mut hold = None;
+    loop {
+        let at = match (releases.peek(), ends.peek()) {
+            (Some(&(r, _)), Some(&(e, _))) => r.min(e),
+            (Some(&(r, _)), None) => r,
+            (None, Some(&(e, _))) => e,
+            (None, None) => break,
+        };
+        while let Some((_, cores)) = releases.next_if(|&(r, _)| r == at) {
+            avail += cores;
+        }
+        while let Some((_, cores)) = ends.next_if(|&(e, _)| e == at) {
+            avail += cores;
+        }
+        if avail >= head.cores {
+            if at + head.walltime > at {
+                hold = Some((at, avail - head.cores));
+            }
             break;
         }
     }
 
-    // Phase 2: reserve the blocked head at its earliest feasible ("shadow")
-    // time, then backfill any later job that can run now without touching
-    // that reservation.
-    if let Some((head, tail)) = rest.split_first() {
-        if let Some(shadow) = profile.earliest_fit(head.cores, head.walltime, now) {
-            profile.reserve(shadow, head.walltime, head.cores);
+    // Backfill: a later job starts now if it fits now and cannot delay
+    // the head — it ends by the shadow or runs on the spare cores.
+    for job in queue {
+        if free_now == 0 {
+            break;
         }
-        // If even the empty machine can't fit the head (earliest_fit None),
-        // it sits in the queue forever; the cluster rejects such jobs at
-        // submit time, so this branch is defensive.
-        //
-        // `free_now` bounds min_free_over(now, ·) from above: the head's
-        // shadow is strictly after `now` (otherwise phase 1 would have
-        // started it), so only the backfill reservations — all at `now` —
-        // lower free cores at `now`. Candidates wider than free_now can
-        // therefore skip the O(segments) window scan, and once free_now
-        // reaches zero no further candidate can start.
-        let mut free_now = profile.free_at(now);
-        for job in tail {
-            if free_now == 0 {
-                break;
+        if job.cores > free_now {
+            continue;
+        }
+        let fits = match &mut hold {
+            None => true,
+            Some((shadow, _)) if now + job.walltime <= *shadow => true,
+            Some((_, extra)) if job.cores <= *extra => {
+                *extra -= job.cores;
+                true
             }
-            if job.cores > free_now {
-                continue;
-            }
-            if profile.min_free_over(now, job.walltime) >= job.cores {
-                profile.reserve(now, job.walltime, job.cores);
-                free_now -= job.cores;
-                starts.push(job.id);
-            }
+            Some(_) => false,
+        };
+        if fits {
+            free_now -= job.cores;
+            starts.push(job.id);
         }
     }
     starts
@@ -131,17 +160,18 @@ pub(crate) mod oracle {
     use super::*;
     use crate::profile::AvailabilityProfile;
 
-    /// Profile-based reference for [`super::select_starts`].
+    /// Profile-based reference for [`super::select_starts`]; `releases`
+    /// are `(walltime deadline, cores)` in any order.
     pub(crate) fn select_starts(
         policy: SchedulingPolicy,
         now: SimTime,
         free_cores: u32,
-        running: &[RunningJobView],
+        releases: &[(SimTime, u32)],
         queue: &[QueuedJobView],
     ) -> Vec<JobId> {
         match policy {
             SchedulingPolicy::Fcfs => fcfs(free_cores, queue),
-            SchedulingPolicy::EasyBackfill => easy_backfill(now, free_cores, running, queue),
+            SchedulingPolicy::EasyBackfill => easy_backfill(now, free_cores, releases, queue),
         }
     }
 
@@ -161,11 +191,10 @@ pub(crate) mod oracle {
     fn easy_backfill(
         now: SimTime,
         free: u32,
-        running: &[RunningJobView],
+        releases: &[(SimTime, u32)],
         queue: &[QueuedJobView],
     ) -> Vec<JobId> {
-        let releases: Vec<(SimTime, u32)> = running.iter().map(|r| (r.deadline, r.cores)).collect();
-        let mut profile = AvailabilityProfile::new(now, free, &releases);
+        let mut profile = AvailabilityProfile::new(now, free, releases);
         let mut starts = Vec::new();
         let mut rest = queue;
 
@@ -219,6 +248,7 @@ pub(crate) mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::AvailabilityProfile;
     use proptest::prelude::*;
 
     fn t(s: f64) -> SimTime {
@@ -234,25 +264,22 @@ mod tests {
             walltime: d(wall),
         }
     }
-    fn r(cores: u32, deadline: f64) -> RunningJobView {
-        RunningJobView {
-            cores,
-            deadline: t(deadline),
-        }
+    fn r(cores: u32, deadline: f64) -> (SimTime, u32) {
+        (t(deadline), cores)
     }
 
     #[test]
     fn fcfs_starts_prefix_only() {
         let queue = [q(1, 4, 10.0), q(2, 8, 10.0), q(3, 1, 10.0)];
         // 6 free: job 1 fits, job 2 doesn't; job 3 must NOT overtake.
-        let starts = select_starts(SchedulingPolicy::Fcfs, t(0.0), 6, &[], &queue);
+        let starts = select_starts(SchedulingPolicy::Fcfs, t(0.0), 6, [], &queue);
         assert_eq!(starts, vec![JobId(1)]);
     }
 
     #[test]
     fn fcfs_starts_all_when_room() {
         let queue = [q(1, 2, 10.0), q(2, 2, 10.0)];
-        let starts = select_starts(SchedulingPolicy::Fcfs, t(0.0), 8, &[], &queue);
+        let starts = select_starts(SchedulingPolicy::Fcfs, t(0.0), 8, [], &queue);
         assert_eq!(starts, vec![JobId(1), JobId(2)]);
     }
 
@@ -262,7 +289,7 @@ mod tests {
         // Job 2 (2 cores, 50 s) ends at 50 < 100: backfills.
         let running = [r(4, 100.0)];
         let queue = [q(1, 10, 1000.0), q(2, 2, 50.0)];
-        let starts = select_starts(SchedulingPolicy::EasyBackfill, t(0.0), 6, &running, &queue);
+        let starts = select_starts(SchedulingPolicy::EasyBackfill, t(0.0), 6, running, &queue);
         assert_eq!(starts, vec![JobId(2)]);
     }
 
@@ -273,7 +300,7 @@ mod tests {
         // only 4 for the head → must NOT backfill.
         let running = [r(4, 100.0)];
         let queue = [q(1, 10, 1000.0), q(2, 6, 200.0)];
-        let starts = select_starts(SchedulingPolicy::EasyBackfill, t(0.0), 6, &running, &queue);
+        let starts = select_starts(SchedulingPolicy::EasyBackfill, t(0.0), 6, running, &queue);
         assert!(starts.is_empty());
     }
 
@@ -285,7 +312,7 @@ mod tests {
         // the shadow time.
         let running = [r(4, 100.0)];
         let queue = [q(1, 10, 1000.0), q(2, 2, 10_000.0)];
-        let starts = select_starts(SchedulingPolicy::EasyBackfill, t(0.0), 8, &running, &queue);
+        let starts = select_starts(SchedulingPolicy::EasyBackfill, t(0.0), 8, running, &queue);
         assert_eq!(starts, vec![JobId(2)]);
     }
 
@@ -299,21 +326,21 @@ mod tests {
             q(4, 2, 50.0),    // also fits
             q(5, 4, 50.0),    // only 2 cores left now → no
         ];
-        let starts = select_starts(SchedulingPolicy::EasyBackfill, t(0.0), 6, &running, &queue);
+        let starts = select_starts(SchedulingPolicy::EasyBackfill, t(0.0), 6, running, &queue);
         assert_eq!(starts, vec![JobId(3), JobId(4)]);
     }
 
     #[test]
     fn head_starts_immediately_when_it_fits() {
         let queue = [q(1, 4, 10.0), q(2, 4, 10.0), q(3, 4, 10.0)];
-        let starts = select_starts(SchedulingPolicy::EasyBackfill, t(0.0), 8, &[], &queue);
+        let starts = select_starts(SchedulingPolicy::EasyBackfill, t(0.0), 8, [], &queue);
         assert_eq!(starts, vec![JobId(1), JobId(2)]);
     }
 
     #[test]
     fn empty_queue_no_starts() {
         for p in [SchedulingPolicy::Fcfs, SchedulingPolicy::EasyBackfill] {
-            assert!(select_starts(p, t(0.0), 100, &[], &[]).is_empty());
+            assert!(select_starts(p, t(0.0), 100, [], &[]).is_empty());
         }
     }
 
@@ -322,7 +349,7 @@ mod tests {
         let queue = [q(1, 1, 10.0)];
         let running = [r(8, 50.0)];
         for p in [SchedulingPolicy::Fcfs, SchedulingPolicy::EasyBackfill] {
-            assert!(select_starts(p, t(0.0), 0, &running, &queue).is_empty());
+            assert!(select_starts(p, t(0.0), 0, running, &queue).is_empty());
         }
     }
 
@@ -335,11 +362,10 @@ mod tests {
         releases: &[(f64, u32)],
         queue: &[QueuedJobView],
     ) -> (Vec<JobId>, Vec<JobId>) {
-        let running: Vec<RunningJobView> = releases.iter().map(|&(dl, c)| r(c, dl)).collect();
-        (
-            select_starts(policy, t(now), free, &running, queue),
-            oracle::select_starts(policy, t(now), free, &running, queue),
-        )
+        let mut running: Vec<(SimTime, u32)> = releases.iter().map(|&(dl, c)| r(c, dl)).collect();
+        let oracle = oracle::select_starts(policy, t(now), free, &running, queue);
+        running.sort_by_key(|&(at, _)| at);
+        (select_starts(policy, t(now), free, running, queue), oracle)
     }
 
     /// EASY starts, asserting that the pass and the oracle agree.
@@ -437,11 +463,11 @@ mod tests {
     fn shadow_time(
         now: SimTime,
         free: u32,
-        running: &[RunningJobView],
+        running: &[(SimTime, u32)],
         extra: &[(u32, SimDuration)],
         head: &QueuedJobView,
     ) -> Option<SimTime> {
-        let mut rel: Vec<(SimTime, u32)> = running.iter().map(|r| (r.deadline, r.cores)).collect();
+        let mut rel = running.to_vec();
         let mut free = free;
         for (c, w) in extra {
             // Each backfilled job consumes free cores now, returns at now+w.
@@ -496,15 +522,16 @@ mod tests {
             jobs in proptest::collection::vec((1u32..24, 1.0f64..400.0), 1..10),
         ) {
             let now = t(0.0);
-            let running: Vec<RunningJobView> =
+            let mut running: Vec<(SimTime, u32)> =
                 running.iter().map(|(c, dl)| r(*c, *dl)).collect();
+            running.sort_by_key(|&(at, _)| at);
             let queue: Vec<QueuedJobView> = jobs
                 .iter()
                 .enumerate()
                 .map(|(i, (c, w))| q(i as u64, *c, *w))
                 .collect();
             let starts = select_starts(
-                SchedulingPolicy::EasyBackfill, now, free, &running, &queue);
+                SchedulingPolicy::EasyBackfill, now, free, running.iter().copied(), &queue);
             // Identify the first *non-started* job: the effective head.
             let started: std::collections::HashSet<JobId> =
                 starts.iter().copied().collect();
@@ -548,7 +575,7 @@ mod tests {
                 .map(|(i, (c, w))| q(i as u64, *c, *w))
                 .collect();
             for p in [SchedulingPolicy::Fcfs, SchedulingPolicy::EasyBackfill] {
-                let starts = select_starts(p, t(0.0), free, &[], &queue);
+                let starts = select_starts(p, t(0.0), free, [], &queue);
                 let used: u32 = queue
                     .iter()
                     .filter(|j| starts.contains(&j.id))

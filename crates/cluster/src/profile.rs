@@ -5,11 +5,11 @@
 //! *walltime request* (the scheduler cannot know actual runtimes — exactly
 //! the information asymmetry that Tsafrir et al. [paper ref 25] study).
 //!
-//! The same structure serves three masters:
-//! * EASY backfill's head-of-queue reservation,
-//! * backfill feasibility checks ("would this job delay the reservation?"),
-//! * the Bundle layer's predictive queue-wait estimates for hypothetical
-//!   pilot submissions.
+//! It serves the Bundle layer's predictive queue-wait estimates for
+//! hypothetical pilot submissions, which replay the whole queue as
+//! reservations at arbitrary future times. The dispatch pass itself needs
+//! no profile (see [`crate::policy`]); the profile-based pass it replaced
+//! is kept as its test oracle.
 
 use aimes_sim::{SimDuration, SimTime};
 

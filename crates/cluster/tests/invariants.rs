@@ -15,21 +15,25 @@ struct JobPlan {
     cancel_at: Option<f64>,
 }
 
+/// A random job; one in ten requests a 0 s walltime, which starts and
+/// ends at the same instant but still holds its cores at that instant.
 fn job_plan(max_cores: u32) -> impl Strategy<Value = JobPlan> {
     (
         0.0f64..5_000.0,
         1u32..=max_cores,
         1.0f64..3_000.0,
-        1.0f64..3_000.0,
+        (0u32..10, 1.0f64..3_000.0),
         proptest::option::of(0.0f64..8_000.0),
     )
-        .prop_map(|(arrival, cores, runtime, walltime, cancel_at)| JobPlan {
-            arrival,
-            cores,
-            runtime,
-            walltime,
-            cancel_at,
-        })
+        .prop_map(
+            |(arrival, cores, runtime, (zero, walltime), cancel_at)| JobPlan {
+                arrival,
+                cores,
+                runtime,
+                walltime: if zero == 0 { 0.0 } else { walltime },
+                cancel_at,
+            },
+        )
 }
 
 fn run_plan(

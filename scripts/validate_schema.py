@@ -175,16 +175,21 @@ def validate_profile(path, args):
 
 # ---------------------------------------------------------------- gates
 
-COUNTER_KEYS = ("sim.events", "sim.events_cancelled", "engine.dispatch.calls")
+COUNTER_KEYS = (
+    "sim.events",
+    "sim.events_cancelled",
+    "engine.dispatch.calls",
+    "cluster.scheduler.calls",
+)
 
 
 def check_counters(args):
     """Benchmark-of-record outputs (`--quick --passes 1 --trace 1`, one per
     workload) against the committed counters: the engine counts, the
-    result digest and the run count must be exactly equal, every
-    finished run must free its heap, and allocations per run must stay
-    under the committed ceiling (a ceiling, not an exact value: the count
-    moves slightly with the worker count)."""
+    cluster scheduler's pass count, the result digest and the run count
+    must be exactly equal, every finished run must free its heap, and
+    allocations per run must stay under the committed ceiling (a ceiling,
+    not an exact value: the count moves slightly with the worker count)."""
     baseline = json.load(open(args.baseline))
     seen = set()
     for path in args.outputs:
@@ -219,6 +224,7 @@ def check_counters(args):
         )
         print(
             f"{name}: {got['runs_per_pass']} runs, {got['sim.events']:.0f} events, "
+            f"{got['cluster.scheduler.calls']:.0f} scheduler passes, "
             f"digest {got['digest']}, retained {kb:.4f} KB/run, "
             f"{allocs:.0f} allocs/run (ceiling {ceiling})"
         )
