@@ -2,7 +2,10 @@
 //! one fixed-seed run with faults and recovery is byte-stable. The Chrome
 //! trace digest covers spans and metrics only; this one covers every
 //! tracer event — pilot, unit, batch-job, SAGA, detector and manager
-//! names, in emission order, with their components and details.
+//! names, in emission order, with their components and details. The same
+//! run's metrics summary (every counter, gauge and histogram) is pinned
+//! beside it, so moving a counter tick is checked as strictly as moving a
+//! trace line.
 
 use std::collections::BTreeSet;
 
@@ -10,7 +13,7 @@ use aimes_repro::cluster::ClusterConfig;
 use aimes_repro::fault::{FaultSpec, OutageKind, OutageSpec, RecoveryPolicy};
 use aimes_repro::middleware::paper;
 use aimes_repro::middleware::{run_application, RunOptions};
-use aimes_repro::sim::{SimTime, TraceRecord, Tracer};
+use aimes_repro::sim::{SimTime, Telemetry, TraceRecord, Tracer};
 use aimes_repro::skeleton::{paper_bag, TaskDurationSpec};
 use aimes_repro::strategy::ResourceSelection;
 
@@ -27,7 +30,9 @@ fn fnv(bytes: &[u8]) -> String {
 /// A permanent outage on the pinned resource, detected and recovered,
 /// plus transient launch failures (SAGA retries) and unit faults
 /// (restarts) — every state machine in the stack shows up in the trace.
-fn faulty_trace() -> Vec<u8> {
+/// Returns the tracer's JSON dump and the serialized metrics summary of
+/// the passive telemetry attached to the same run.
+fn faulty_run() -> (Vec<u8>, String) {
     let pool = vec![
         ClusterConfig::test("one", 256),
         ClusterConfig::test("two", 256),
@@ -47,19 +52,26 @@ fn faulty_trace() -> Vec<u8> {
         ..FaultSpec::none()
     };
     let tracer = Tracer::new();
+    let telemetry = Telemetry::new();
     let options = RunOptions {
         seed: 777,
         submit_at: SimTime::from_secs(600.0),
         faults: Some(faults),
         recovery: Some(RecoveryPolicy::with_detection()),
         tracer: Some(tracer.clone()),
+        telemetry: Some(telemetry.clone()),
         ..Default::default()
     };
     let app = paper_bag(16, TaskDurationSpec::Uniform15Min);
     run_application(&pool, &app, &strategy, &options).expect("faulty run completes");
     let mut buf = Vec::new();
     tracer.write_json(&mut buf).expect("writes");
-    buf
+    let summary = serde_json::to_string(&telemetry.summary()).expect("summary serializes");
+    (buf, summary)
+}
+
+fn faulty_trace() -> Vec<u8> {
+    faulty_run().0
 }
 
 #[test]
@@ -108,4 +120,14 @@ fn event_trace_golden_digest() {
     let digest = fnv(&trace);
     println!("event trace digest: {digest} ({} bytes)", trace.len());
     assert_eq!(digest, "c347f80bdeebc2e3");
+}
+
+#[test]
+fn metrics_summary_golden_digest() {
+    // Regenerate on an intended change with:
+    //   cargo test --test event_trace metrics_summary_golden_digest -- --nocapture
+    let (_, summary) = faulty_run();
+    let digest = fnv(summary.as_bytes());
+    println!("metrics summary digest: {digest} ({} bytes)", summary.len());
+    assert_eq!(digest, "660859dceb23a0d6");
 }
