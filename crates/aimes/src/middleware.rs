@@ -1072,7 +1072,7 @@ impl<'a> RunWorld<'a> {
                 sim.tracer().record_with(sim.now(), || {
                     (
                         "middleware".into(),
-                        ManagerPhase::Replan.name(),
+                        ManagerPhase::DomainAlarm.name(),
                         format!("domain alarm {domain}: evacuating [{}]", members.join(", ")),
                     )
                 });

@@ -130,6 +130,7 @@ pub enum ManagerPhase {
     AllDone,
     Replan,
     ReplanFailed,
+    DomainAlarm,
     Reinforce,
 }
 
@@ -143,6 +144,7 @@ impl ManagerPhase {
             ManagerPhase::AllDone => "AllDone",
             ManagerPhase::Replan => "Replan",
             ManagerPhase::ReplanFailed => "ReplanFailed",
+            ManagerPhase::DomainAlarm => "DomainAlarm",
             ManagerPhase::Reinforce => "Reinforce",
         }
     }
