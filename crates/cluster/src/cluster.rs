@@ -851,6 +851,20 @@ impl Cluster {
         self.kill_running_jobs(sim, &name);
         self.record_usage_gauges(sim);
         for id in queued {
+            {
+                let st = self.inner.borrow();
+                let job = &st.jobs[&id];
+                if job.request.owner == JobOwner::Pilot {
+                    sim.tracer().record_with(now, || {
+                        (
+                            format!("cluster.{name}.{id}"),
+                            JobState::Killed.name(),
+                            job.request.tag.clone(),
+                        )
+                    });
+                }
+            }
+            self.inc_job_counter(sim, "jobs_killed");
             self.notify(sim, id, JobState::Killed);
         }
     }
@@ -1361,6 +1375,28 @@ mod tests {
         let evs = sim.tracer().for_component(&comp);
         let names: Vec<&str> = evs.iter().map(|e| e.event.as_str()).collect();
         assert_eq!(names, vec!["Queued", "Running", "Completed"]);
+    }
+
+    #[test]
+    fn decommission_traces_and_counts_queued_pilot_jobs_as_killed() {
+        let (mut sim, c) = idle_cluster(8);
+        let metrics = aimes_sim::MetricsRegistry::new();
+        sim.attach_metrics(metrics.clone());
+        let running = c.submit(&mut sim, JobRequest::pilot(8, d(600.0), "pilot.a"));
+        let queued = c.submit(&mut sim, JobRequest::pilot(8, d(600.0), "pilot.b"));
+        sim.run_until(SimTime::from_secs(10.0));
+        assert_eq!(c.job_state(queued), Some(JobState::Queued));
+        c.decommission(&mut sim);
+        for id in [running, queued] {
+            assert_eq!(c.job_state(id), Some(JobState::Killed));
+            let evs = sim.tracer().for_component(&format!("cluster.testres.{id}"));
+            assert_eq!(
+                evs.last().map(|e| e.event.as_str()),
+                Some("Killed"),
+                "{id}: {evs:?}"
+            );
+        }
+        assert_eq!(metrics.summary().counters["cluster.testres.jobs_killed"], 2);
     }
 
     #[test]
