@@ -552,6 +552,20 @@ impl UnitManager {
                 if let Some(ev) = ev {
                     sim.cancel(ev);
                 }
+                sim.tracer().record_with(sim.now(), || {
+                    (
+                        uid.to_string(),
+                        UnitState::PendingExecution.name(),
+                        String::new(),
+                    )
+                });
+                sim.tracer().record_with(sim.now(), || {
+                    (
+                        uid.to_string(),
+                        UnitState::Failed.name(),
+                        "no live pilot".into(),
+                    )
+                });
                 self.obs.transition.fire(sim, &(uid, UnitState::Failed));
                 self.check_completion(sim);
                 return;
@@ -974,6 +988,44 @@ mod tests {
         for u in um.units_ref().iter() {
             assert_eq!(u.state, UnitState::Done);
             assert_eq!(u.attempts, 1);
+        }
+    }
+
+    #[test]
+    fn early_binding_unit_with_no_live_pilot_is_traced_failed() {
+        let (mut sim, pm) = setup(&[("stampede", 64)]);
+        let um = UnitManager::new(
+            pm.clone(),
+            UmConfig::new(Binding::Early, UnitScheduler::Direct),
+        );
+        // The only pilot's walltime ends mid-task: its units lose their
+        // attempt with restarts to spare, but no pilot is left to rebind to.
+        pm.submit(
+            &mut sim,
+            vec![PilotDescription::new("stampede", 4, d(400.0))],
+        );
+        um.submit_units(&mut sim, &bag_tasks(4));
+        sim.run_to_completion();
+        assert_eq!(um.stats().failed, 4);
+        assert_eq!(um.stats().restarts, 0);
+        for u in um.units_ref().iter() {
+            assert_eq!(u.state, UnitState::Failed);
+            assert_eq!(u.attempts, 1);
+            let trace = sim.tracer().for_component(&u.id.to_string());
+            let names: Vec<&str> = trace.iter().map(|r| r.event.as_str()).collect();
+            assert_eq!(
+                names,
+                [
+                    "PendingExecution",
+                    "StagingInput",
+                    "Executing",
+                    "PendingExecution",
+                    "Failed"
+                ],
+                "{}",
+                u.id
+            );
+            assert_eq!(trace.last().unwrap().detail, "no live pilot");
         }
     }
 
