@@ -11,12 +11,12 @@
 //! queued units simply flow to whichever pilot activates first, original
 //! or reinforcement.
 
-use crate::middleware::{RunError, RunOptions, RunWorld};
+use crate::middleware::{MiddlewareFact, RunError, RunOptions, RunWorld};
 use crate::ttc::TtcBreakdown;
 use aimes_bundle::{Bundle, QueryMode};
 use aimes_cluster::ClusterConfig;
 use aimes_pilot::{Binding, PilotDescription, PilotManager, PilotState};
-use aimes_sim::{ManagerPhase, SimDuration, Simulation};
+use aimes_sim::{SimDuration, Simulation};
 use aimes_skeleton::SkeletonConfig;
 use aimes_strategy::ExecutionStrategy;
 use serde::{Deserialize, Serialize};
@@ -163,15 +163,7 @@ impl Reinforcer {
             .take(self.config.reinforce_by as usize)
             .collect();
         if !fresh.is_empty() {
-            sim.tracer().record_with(sim.now(), || {
-                (
-                    "adaptive".into(),
-                    ManagerPhase::Reinforce.name(),
-                    fresh.join(","),
-                )
-            });
-            sim.metrics()
-                .inc(|| "middleware.adaptive.reinforcements".into());
+            sim.emit(&MiddlewareFact::Reinforce(&fresh));
             let descs: Vec<PilotDescription> = fresh
                 .iter()
                 .map(|r| PilotDescription::new(r.clone(), self.cores, self.walltime))

@@ -21,8 +21,8 @@ use aimes_pilot::{
 };
 use aimes_saga::{BreakerConfig, JobService, Session};
 use aimes_sim::{
-    ManagerPhase, MetricsSummary, Profiler, SimDuration, SimRng, SimTime, Simulation, Span,
-    Telemetry, Tracer,
+    Fact, MetricsSummary, Profiler, SimDuration, SimRng, SimTime, Simulation, Span, Telemetry,
+    TraceLine, Tracer,
 };
 use aimes_skeleton::{SkeletonApp, SkeletonConfig};
 use aimes_strategy::{ExecutionManager, ExecutionPlan, ExecutionStrategy, ResourceSelection};
@@ -385,6 +385,54 @@ pub fn run_application(
     Ok(world.assemble(&crew, &ledger, plan.resources, finished_at))
 }
 
+/// What the middleware itself decides. A re-plan, domain alarm or
+/// evacuation is journaled, so its fact is its journal entry; a re-plan's
+/// trace line also names the resources it rebuilt on.
+pub(crate) enum MiddlewareFact<'a> {
+    /// A journaled decision and, for a re-plan, the surviving resources.
+    Journaled(&'a JournalEvent, &'a [String]),
+    /// A re-plan found no way out, for this reason.
+    ReplanFailed(&'a str),
+    /// No pilot became active in time: reinforcements go to these resources.
+    Reinforce(&'a [String]),
+}
+
+impl Fact for MiddlewareFact<'_> {
+    fn trace(&self) -> Option<TraceLine> {
+        let (event, detail) = match self {
+            MiddlewareFact::Journaled(JournalEvent::Replan { resource, pilots }, survivors) => (
+                "Replan",
+                format!(
+                    "lost {resource}: {pilots} pilots over [{}]",
+                    survivors.join(", ")
+                ),
+            ),
+            MiddlewareFact::Journaled(JournalEvent::DomainAlarm { domain, members }, _) => (
+                "DomainAlarm",
+                format!("domain alarm {domain}: evacuating [{}]", members.join(", ")),
+            ),
+            MiddlewareFact::Journaled(..) => return None,
+            MiddlewareFact::ReplanFailed(why) => ("ReplanFailed", why.to_string()),
+            MiddlewareFact::Reinforce(resources) => {
+                return Some(("adaptive".into(), "Reinforce", resources.join(",")))
+            }
+        };
+        Some(("middleware".into(), event, detail))
+    }
+
+    fn counter(&self) -> Option<String> {
+        let name = match self {
+            MiddlewareFact::Journaled(JournalEvent::Replan { .. }, _) => "recovery.replans",
+            MiddlewareFact::Journaled(JournalEvent::DomainAlarm { .. }, _) => "domain_alarms",
+            MiddlewareFact::Journaled(JournalEvent::Evacuation { .. }, _) => "evacuations",
+            MiddlewareFact::Journaled(..) => return None,
+            MiddlewareFact::ReplanFailed(_) => "recovery.replan_failed",
+            MiddlewareFact::Reinforce(_) => "adaptive.reinforcements",
+        };
+        Some(format!("middleware.{name}"))
+    }
+}
+
 /// The run's one event sink. Every journal-shaped fact goes through
 /// [`RunLog::emit`] to the always-on flight recorder and, when the caller
 /// asked for one, the run journal — so a recorder snapshot's tail is
@@ -404,6 +452,13 @@ impl RunLog {
             journal.borrow_mut().record(at, event.clone());
         }
         self.recorder.borrow_mut().record(at, event);
+    }
+
+    /// Emit a middleware decision to the engine's sinks, then journal it;
+    /// `survivors` are the resources a re-plan rebuilt on.
+    fn decide(&self, sim: &Simulation, entry: JournalEvent, survivors: &[String]) {
+        sim.emit(&MiddlewareFact::Journaled(&entry, survivors));
+        self.emit(sim.now(), entry);
     }
 
     /// Post-mortem: write a checksummed snapshot of the recorder's tail,
@@ -952,8 +1007,8 @@ impl<'a> RunWorld<'a> {
                 .cloned()
                 .collect();
             if survivors.is_empty() {
-                replan_failed(sim, "no surviving resources".into());
-                return;
+                let why = "no surviving resources";
+                return sim.emit(&MiddlewareFact::ReplanFailed(why));
             }
             let mut replan_strategy = strategy.clone();
             replan_strategy.pilot_count = (doomed as u32).min(survivors.len() as u32).max(1);
@@ -968,27 +1023,13 @@ impl<'a> RunWorld<'a> {
             );
             let plan = match plan {
                 Ok(plan) => plan,
-                Err(e) => return replan_failed(sim, e),
+                Err(why) => return sim.emit(&MiddlewareFact::ReplanFailed(&why)),
             };
-            sim.tracer().record_with(sim.now(), || {
-                (
-                    "middleware".into(),
-                    ManagerPhase::Replan.name(),
-                    format!(
-                        "lost {resource}: {} pilots over [{}]",
-                        plan.pilots.len(),
-                        survivors.join(", ")
-                    ),
-                )
-            });
-            sim.metrics().inc(|| "middleware.recovery.replans".into());
-            log.emit(
-                sim.now(),
-                JournalEvent::Replan {
-                    resource: resource.to_string(),
-                    pilots: plan.pilots.len() as u32,
-                },
-            );
+            let entry = JournalEvent::Replan {
+                resource: resource.to_string(),
+                pilots: plan.pilots.len() as u32,
+            };
+            log.decide(sim, entry, &survivors);
             pm.submit(sim, plan.pilots);
             ledger.borrow_mut().replans += 1;
         })
@@ -1068,21 +1109,11 @@ impl<'a> RunWorld<'a> {
                     ledger.domain_alarms += 1;
                     ledger.first_alarm.get_or_insert(sim.now());
                 }
-                sim.metrics().inc(|| "middleware.domain_alarms".into());
-                sim.tracer().record_with(sim.now(), || {
-                    (
-                        "middleware".into(),
-                        ManagerPhase::DomainAlarm.name(),
-                        format!("domain alarm {domain}: evacuating [{}]", members.join(", ")),
-                    )
-                });
-                log.emit(
-                    sim.now(),
-                    JournalEvent::DomainAlarm {
-                        domain: domain.clone(),
-                        members: members.clone(),
-                    },
-                );
+                let entry = JournalEvent::DomainAlarm {
+                    domain: domain.clone(),
+                    members: members.clone(),
+                };
+                log.decide(sim, entry, &[]);
                 // A cascade verdict is a death certificate for the whole
                 // domain: snapshot now, with the alarmed domain and its
                 // members in the header.
@@ -1140,15 +1171,12 @@ impl<'a> RunWorld<'a> {
             let Some((domain, resource)) = evacuating.borrow_mut().remove(&pilot) else {
                 return;
             };
-            sim.metrics().inc(|| "middleware.evacuations".into());
-            log.emit(
-                sim.now(),
-                JournalEvent::Evacuation {
-                    domain,
-                    resource,
-                    pilot: pilot.0,
-                },
-            );
+            let entry = JournalEvent::Evacuation {
+                domain,
+                resource,
+                pilot: pilot.0,
+            };
+            log.decide(sim, entry, &[]);
             let mut ledger = ledger.borrow_mut();
             ledger.evacuations += 1;
             if ledger.evacuation_lead_secs.is_none() {
@@ -1363,18 +1391,6 @@ impl<'a> RunWorld<'a> {
                 .collect(),
         }
     }
-}
-
-/// A tracer line and a metrics tick for a re-plan that found no way out.
-fn replan_failed(sim: &mut Simulation, why: String) {
-    sim.tracer().record(
-        sim.now(),
-        "middleware",
-        ManagerPhase::ReplanFailed.name(),
-        why,
-    );
-    sim.metrics()
-        .inc(|| "middleware.recovery.replan_failed".into());
 }
 
 /// The journal entry for one detector verdict or dropped signal.

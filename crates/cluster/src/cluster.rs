@@ -13,7 +13,7 @@
 use crate::job::{Job, JobId, JobOwner, JobRequest, JobState};
 use crate::policy::{select_starts, QueuedJobView, SchedulingPolicy};
 use crate::profile::AvailabilityProfile;
-use aimes_sim::{EventId, Observers, ResourcePhase, SimDuration, SimTime, Simulation};
+use aimes_sim::{EventId, Fact, Observers, SimDuration, SimTime, Simulation, TraceLine};
 use aimes_workload::{BackgroundWorkload, WorkloadConfig};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -278,6 +278,67 @@ impl ClusterState {
     }
 }
 
+/// What a resource emits: batch-job transitions and availability
+/// windows. Every job ticks its per-resource counter; only pilot jobs are
+/// traced (background load would drown the trace).
+enum ClusterFact<'a> {
+    /// `job` just entered its current state.
+    Job { cluster: &'a str, job: &'a Job },
+    /// An outage (`kill_running`) or drain window of `window` began.
+    Outage {
+        cluster: &'a str,
+        window: SimDuration,
+        kill_running: bool,
+    },
+    /// The resource left service for good.
+    Decommission { cluster: &'a str },
+}
+
+impl Fact for ClusterFact<'_> {
+    fn trace(&self) -> Option<TraceLine> {
+        Some(match *self {
+            ClusterFact::Job { cluster, job } => {
+                if job.request.owner != JobOwner::Pilot {
+                    return None;
+                }
+                (
+                    format!("cluster.{cluster}.{}", job.id),
+                    job.state.name(),
+                    job.request.tag.clone(),
+                )
+            }
+            ClusterFact::Outage {
+                cluster,
+                window,
+                kill_running,
+            } => (
+                format!("cluster.{cluster}"),
+                if kill_running { "Outage" } else { "Drain" },
+                format!("{:.0}s window", window.as_secs()),
+            ),
+            ClusterFact::Decommission { cluster } => (
+                format!("cluster.{cluster}"),
+                "Decommission",
+                "permanent loss".into(),
+            ),
+        })
+    }
+
+    fn counter(&self) -> Option<String> {
+        let ClusterFact::Job { cluster, job } = *self else {
+            return None;
+        };
+        let which = match job.state {
+            JobState::Queued => "jobs_submitted",
+            JobState::Running => "jobs_dispatched",
+            JobState::Completed => "jobs_completed",
+            JobState::Killed => "jobs_killed",
+            JobState::Cancelled => "jobs_cancelled",
+        };
+        Some(format!("cluster.{cluster}.{which}"))
+    }
+}
+
 /// Handle to a simulated resource.
 ///
 /// ```
@@ -520,15 +581,10 @@ impl Cluster {
             let id = JobId(st.next_job_id);
             st.next_job_id += 1;
             let job = Job::new(id, request, sim.now(), priority);
-            if job.request.owner == JobOwner::Pilot {
-                sim.tracer().record_with(sim.now(), || {
-                    (
-                        format!("cluster.{}.{}", st.config.name, id),
-                        JobState::Queued.name(),
-                        job.request.tag.clone(),
-                    )
-                });
-            }
+            sim.emit(&ClusterFact::Job {
+                cluster: &st.config.name,
+                job: &job,
+            });
             // Priority insertion: ahead of strictly lower-priority jobs,
             // behind equal priority (stable FIFO within a queue class) —
             // the QueueKey ordering, since ids grow monotonically.
@@ -543,7 +599,6 @@ impl Cluster {
             st.touch();
             id
         };
-        self.inc_job_counter(sim, "jobs_submitted");
         self.record_usage_gauges(sim);
         self.schedule_dispatch(sim);
         id
@@ -584,18 +639,7 @@ impl Cluster {
             }
         };
         if cancelled {
-            let st = self.inner.borrow();
-            if st.jobs[&id].request.owner == JobOwner::Pilot {
-                sim.tracer().record_with(sim.now(), || {
-                    (
-                        format!("cluster.{}.{}", st.config.name, id),
-                        JobState::Cancelled.name(),
-                        st.jobs[&id].request.tag.clone(),
-                    )
-                });
-            }
-            drop(st);
-            self.inc_job_counter(sim, "jobs_cancelled");
+            self.emit_job(sim, id);
             self.record_usage_gauges(sim);
             self.notify(sim, id, JobState::Cancelled);
             self.schedule_dispatch(sim);
@@ -631,7 +675,7 @@ impl Cluster {
     fn dispatch(&self, sim: &mut Simulation) {
         let _prof = sim.profiler().scope("cluster.scheduler");
         let now = sim.now();
-        let starts: Vec<(JobId, SimTime, JobOwner, String, SimDuration)> = {
+        let starts: Vec<(JobId, SimTime)> = {
             let mut st = self.inner.borrow_mut();
             if st.down_until.is_some_and(|until| now < until) {
                 // Outage/drain window: the scheduler is paused. A dispatch
@@ -682,8 +726,6 @@ impl Cluster {
                 let deadline = job.walltime_deadline().expect("just started");
                 let end = now + job.occupancy();
                 let wait = job.queue_wait(now);
-                let owner = job.request.owner;
-                let tag = job.request.tag.clone();
                 st.wait_history.push_back(WaitRecord {
                     started_at: now,
                     wait,
@@ -694,22 +736,12 @@ impl Cluster {
                 }
                 st.releases.insert((deadline, id), cores);
                 st.touch();
-                started.push((id, end, owner, tag, wait));
+                started.push((id, end));
             }
             started
         };
-        let started = starts.len();
-        for (id, end, owner, tag, _wait) in starts {
-            if owner == JobOwner::Pilot {
-                sim.tracer().record_with(now, || {
-                    let name = self.inner.borrow().config.name.clone();
-                    (
-                        format!("cluster.{name}.{id}"),
-                        JobState::Running.name(),
-                        tag,
-                    )
-                });
-            }
+        for (id, end) in starts {
+            self.emit_job(sim, id);
             let this = self.clone();
             let ev = sim.schedule_at(end, move |sim| this.on_completion(sim, id));
             {
@@ -719,19 +751,13 @@ impl Cluster {
             }
             self.notify(sim, id, JobState::Running);
         }
-        sim.metrics().inc_by(started as u64, || {
-            format!(
-                "cluster.{}.jobs_dispatched",
-                self.inner.borrow().config.name
-            )
-        });
         self.record_usage_gauges(sim);
     }
 
     fn on_completion(&self, sim: &mut Simulation, id: JobId) {
         let _prof = sim.profiler().scope("cluster.scheduler");
         let now = sim.now();
-        let (owner, tag, final_state) = {
+        let final_state = {
             let mut st = self.inner.borrow_mut();
             st.accrue_busy(now);
             st.running.remove(&id);
@@ -748,23 +774,9 @@ impl Cluster {
             job.end_time = Some(now);
             st.free_cores += cores;
             st.touch();
-            let job = &st.jobs[&id];
-            (job.request.owner, job.request.tag.clone(), final_state)
+            final_state
         };
-        if owner == JobOwner::Pilot {
-            sim.tracer().record_with(now, || {
-                let name = self.inner.borrow().config.name.clone();
-                (format!("cluster.{name}.{id}"), final_state.name(), tag)
-            });
-        }
-        self.inc_job_counter(
-            sim,
-            if final_state == JobState::Killed {
-                "jobs_killed"
-            } else {
-                "jobs_completed"
-            },
-        );
+        self.emit_job(sim, id);
         self.record_usage_gauges(sim);
         self.notify(sim, id, final_state);
         self.schedule_dispatch(sim);
@@ -795,19 +807,13 @@ impl Cluster {
             st.touch();
             (st.config.name.clone(), end)
         };
-        sim.tracer().record(
-            now,
-            format!("cluster.{name}"),
-            if kill_running {
-                ResourcePhase::Outage
-            } else {
-                ResourcePhase::Drain
-            }
-            .name(),
-            format!("{:.0}s window", duration.as_secs()),
-        );
+        sim.emit(&ClusterFact::Outage {
+            cluster: &name,
+            window: duration,
+            kill_running,
+        });
         if kill_running {
-            self.kill_running_jobs(sim, &name);
+            self.kill_running_jobs(sim);
         }
         if end.as_secs().is_finite() {
             let this = self.clone();
@@ -842,29 +848,11 @@ impl Cluster {
             }
             (st.config.name.clone(), queued)
         };
-        sim.tracer().record(
-            now,
-            format!("cluster.{name}"),
-            ResourcePhase::Decommission.name(),
-            "permanent loss",
-        );
-        self.kill_running_jobs(sim, &name);
+        sim.emit(&ClusterFact::Decommission { cluster: &name });
+        self.kill_running_jobs(sim);
         self.record_usage_gauges(sim);
         for id in queued {
-            {
-                let st = self.inner.borrow();
-                let job = &st.jobs[&id];
-                if job.request.owner == JobOwner::Pilot {
-                    sim.tracer().record_with(now, || {
-                        (
-                            format!("cluster.{name}.{id}"),
-                            JobState::Killed.name(),
-                            job.request.tag.clone(),
-                        )
-                    });
-                }
-            }
-            self.inc_job_counter(sim, "jobs_killed");
+            self.emit_job(sim, id);
             self.notify(sim, id, JobState::Killed);
         }
     }
@@ -872,9 +860,9 @@ impl Cluster {
     /// Kill every running job: bookkeeping for all victims first, under
     /// one borrow; then cancel events and notify watchers
     /// re-entrancy-safely.
-    fn kill_running_jobs(&self, sim: &mut Simulation, name: &str) {
+    fn kill_running_jobs(&self, sim: &mut Simulation) {
         let now = sim.now();
-        let victims: Vec<(JobId, EventId, JobOwner, String)> = {
+        let victims: Vec<(JobId, EventId)> = {
             let mut st = self.inner.borrow_mut();
             // BTreeMap keys are JobId-sorted: deterministic kill (and
             // watcher-notification) order.
@@ -888,25 +876,16 @@ impl Cluster {
                 let cores = st.jobs[&id].request.cores;
                 st.free_cores += cores;
                 st.touch();
-                let job = st.jobs.get_mut(&id).expect("exists");
-                job.end_time = Some(now);
-                out.push((id, ev, job.request.owner, job.request.tag.clone()));
+                st.jobs.get_mut(&id).expect("exists").end_time = Some(now);
+                out.push((id, ev));
             }
             out
         };
-        let killed = victims.len();
-        for (id, ev, owner, tag) in victims {
+        for (id, ev) in victims {
             sim.cancel(ev);
-            if owner == JobOwner::Pilot {
-                sim.tracer().record_with(now, || {
-                    (format!("cluster.{name}.{id}"), JobState::Killed.name(), tag)
-                });
-            }
+            self.emit_job(sim, id);
             self.notify(sim, id, JobState::Killed);
         }
-        sim.metrics().inc_by(killed as u64, || {
-            format!("cluster.{}.jobs_killed", self.inner.borrow().config.name)
-        });
         self.record_usage_gauges(sim);
     }
 
@@ -928,11 +907,13 @@ impl Cluster {
             .is_some_and(|until| until.as_secs().is_infinite())
     }
 
-    /// Bump one per-resource job counter (`cluster.<name>.<which>`). One
-    /// branch when metrics are disabled.
-    fn inc_job_counter(&self, sim: &Simulation, which: &'static str) {
-        sim.metrics()
-            .inc(|| format!("cluster.{}.{which}", self.inner.borrow().config.name));
+    /// Emit the state job `id` just entered.
+    fn emit_job(&self, sim: &Simulation, id: JobId) {
+        let st = self.inner.borrow();
+        sim.emit(&ClusterFact::Job {
+            cluster: &st.config.name,
+            job: &st.jobs[&id],
+        });
     }
 
     /// Append one sample to the utilization and queue-depth timelines

@@ -12,6 +12,7 @@
 use crate::pilot::PilotId;
 use aimes_cluster::Cluster;
 use aimes_sim::{SimDuration, SimTime};
+use std::rc::Rc;
 
 /// A serialized transfer channel: transfers queue behind one another.
 #[derive(Clone, Debug)]
@@ -54,7 +55,7 @@ impl StagingChannel {
 #[derive(Clone, Debug)]
 pub struct Agent {
     pub pilot: PilotId,
-    pub resource: String,
+    pub resource: Rc<str>,
     /// Cluster handle, for resource-side transfer parameters.
     pub cluster: Cluster,
     pub total_cores: u32,
@@ -74,7 +75,7 @@ impl Agent {
     ) -> Self {
         Agent {
             pilot,
-            resource: cluster.name(),
+            resource: cluster.name().into(),
             cluster,
             total_cores: cores,
             free_cores: cores,

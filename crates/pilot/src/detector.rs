@@ -24,7 +24,7 @@
 //! for deadlines, owning all event scheduling.
 
 use crate::pilot::PilotId;
-use aimes_sim::{SimDuration, SimTime};
+use aimes_sim::{Fact, SimDuration, SimTime, TraceLine};
 use std::collections::{HashMap, VecDeque};
 
 /// How silence thresholds are derived.
@@ -145,6 +145,54 @@ pub enum DetectorEvent {
         /// Why the signal was dropped.
         detail: String,
     },
+}
+
+impl DetectorEvent {
+    /// The event's trace name and counter name.
+    fn names(&self) -> (&'static str, &'static str) {
+        match self {
+            DetectorEvent::Suspected { .. } => ("Suspected", "pilot.detector.suspected"),
+            DetectorEvent::Recovered { .. } => {
+                ("SuspicionCleared", "pilot.detector.suspicion_cleared")
+            }
+            DetectorEvent::DeclaredDead { .. } => ("DeclaredDead", "pilot.detector.declared_dead"),
+            DetectorEvent::StaleSignal { .. } => ("StaleHeartbeat", "pilot.heartbeat.stale"),
+        }
+    }
+}
+
+impl Fact for DetectorEvent {
+    fn trace(&self) -> Option<TraceLine> {
+        let (pilot, detail) = match self {
+            DetectorEvent::Suspected {
+                pilot,
+                resource,
+                silent_for,
+            }
+            | DetectorEvent::DeclaredDead {
+                pilot,
+                resource,
+                silent_for,
+            } => (
+                pilot,
+                format!("{resource}: silent {:.0}s", silent_for.as_secs()),
+            ),
+            DetectorEvent::Recovered {
+                pilot,
+                suspected_for,
+                ..
+            } => {
+                let secs = suspected_for.as_secs();
+                (pilot, format!("heartbeat resumed after {secs:.0}s"))
+            }
+            DetectorEvent::StaleSignal { pilot, detail, .. } => (pilot, detail.clone()),
+        };
+        Some((pilot.to_string(), self.names().0, detail))
+    }
+
+    fn counter(&self) -> Option<String> {
+        Some(self.names().1.into())
+    }
 }
 
 struct PilotHealth {

@@ -5,24 +5,77 @@ use crate::description::PilotDescription;
 use crate::detector::{DetectionPolicy, DetectorEvent, HealthState, SuspicionDetector};
 use crate::pilot::{Pilot, PilotId, PilotState};
 use aimes_saga::{JobDescription, SagaJobState, Session};
-use aimes_sim::{DetectorPhase, ManagerPhase, Observers, SimDuration, SimRng, SimTime, Simulation};
+use aimes_sim::{Fact, Observers, SimDuration, SimRng, SimTime, Simulation, TraceLine};
 use std::cell::{Ref, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
-/// Dwell-time histogram name for time spent *in* `state`.
-fn dwell_metric(state: PilotState) -> String {
-    match state {
-        PilotState::New => "pilot.dwell.new",
-        PilotState::PendingLaunch => "pilot.dwell.pending_launch",
-        PilotState::Launching => "pilot.dwell.launching",
-        PilotState::PendingActive => "pilot.dwell.pending_active",
-        PilotState::Active => "pilot.dwell.active",
-        PilotState::Done => "pilot.dwell.done",
-        PilotState::Failed => "pilot.dwell.failed",
-        PilotState::Canceled => "pilot.dwell.canceled",
+/// Dwell-time histogram name for time a `layer` object spent in the
+/// state named `state`: `pilot.dwell.pending_launch` for `PendingLaunch`.
+pub(crate) fn dwell_metric(layer: &str, state: &str) -> String {
+    let mut name = format!("{layer}.dwell.");
+    for (i, c) in state.char_indices() {
+        if i > 0 && c.is_ascii_uppercase() {
+            name.push('_');
+        }
+        name.push(c.to_ascii_lowercase());
     }
-    .to_string()
+    name
+}
+
+/// What the pilot manager emits besides detector verdicts (which are
+/// [`DetectorEvent`]s).
+enum PilotFact<'a> {
+    /// A pilot on a resource entered a state.
+    Pilot(PilotId, PilotState, &'a str),
+    /// A pilot's agent on a resource died without a client-visible signal.
+    WentSilent(PilotId, &'a str),
+    /// A status query on a suspect answered with this terminal state.
+    StatusConfirmedDead(PilotId, SagaJobState),
+    /// A resource failed too many launches in a row.
+    Blacklist(&'a str),
+    /// A failed pilot gets no replacement: its lineage reached the cap on
+    /// this resource, or (`None`) every resource is blacklisted.
+    RecoveryExhausted(PilotId, Option<&'a str>),
+    /// A replacement of this generation is due after a delay.
+    ScheduleReplacement(PilotId, u32, SimDuration),
+}
+
+impl Fact for PilotFact<'_> {
+    fn trace(&self) -> Option<TraceLine> {
+        let manager = |event, detail| Some(("pilot-manager".to_string(), event, detail));
+        let (id, event, detail) = match *self {
+            PilotFact::Pilot(id, state, resource) => (id, state.name(), resource.into()),
+            PilotFact::WentSilent(id, resource) => (id, "WentSilent", resource.into()),
+            PilotFact::StatusConfirmedDead(id, answer) => {
+                let detail = format!("front end reports {}", answer.name());
+                (id, "StatusConfirmedDead", detail)
+            }
+            PilotFact::Blacklist(resource) => {
+                return manager("Blacklist", format!("{resource}: repeated launch failures"))
+            }
+            PilotFact::RecoveryExhausted(id, cap_on) => {
+                let detail = match cap_on {
+                    Some(resource) => format!("{id} on {resource}: replacement cap reached"),
+                    None => format!("{id}: every resource blacklisted"),
+                };
+                return manager("RecoveryExhausted", detail);
+            }
+            PilotFact::ScheduleReplacement(id, generation, delay) => {
+                let detail = format!("{id} gen {generation} in {:.0}s", delay.as_secs());
+                return manager("ScheduleReplacement", detail);
+            }
+        };
+        Some((id.to_string(), event, detail))
+    }
+
+    fn counter(&self) -> Option<String> {
+        match self {
+            PilotFact::Blacklist(_) => Some("pilot.manager.blacklists".into()),
+            PilotFact::RecoveryExhausted(..) => Some("pilot.manager.recovery_exhausted".into()),
+            _ => None,
+        }
+    }
 }
 
 /// An injected heartbeat-delivery delay window: signal-level fault
@@ -374,18 +427,11 @@ impl PilotManager {
                 let suppress =
                     self.inner.borrow().detector.is_some() && current == PilotState::Active;
                 if suppress {
-                    self.inner
-                        .borrow_mut()
-                        .went_silent
-                        .entry(id)
-                        .or_insert(sim.now());
-                    sim.tracer().record_with(sim.now(), || {
-                        (
-                            id.to_string(),
-                            DetectorPhase::WentSilent.name(),
-                            self.pilot_ref(id).description.resource.clone(),
-                        )
-                    });
+                    let mut st = self.inner.borrow_mut();
+                    st.went_silent.entry(id).or_insert(sim.now());
+                    let resource = &st.pilots[id.0 as usize].description.resource;
+                    sim.emit(&PilotFact::WentSilent(id, resource));
+                    drop(st);
                     self.obs.silent.fire(sim, &id);
                 } else if !current.is_terminal() {
                     self.transition(sim, id, PilotState::Failed);
@@ -407,7 +453,7 @@ impl PilotManager {
             if let Some(&(_, entered)) = pilot.timestamps.last() {
                 let dwell = sim.now().saturating_since(entered);
                 sim.metrics()
-                    .observe(dwell.as_secs(), || dwell_metric(prev));
+                    .observe(dwell.as_secs(), || dwell_metric("pilot", prev.name()));
             }
             pilot.transition(next, sim.now());
             if next.is_terminal() {
@@ -415,14 +461,9 @@ impl PilotManager {
                     det.deregister(id);
                 }
             }
+            let resource = &st.pilots[id.0 as usize].description.resource;
+            sim.emit(&PilotFact::Pilot(id, next, resource));
         }
-        sim.tracer().record_with(sim.now(), || {
-            (
-                id.to_string(),
-                next.name(),
-                self.pilot_ref(id).description.resource.clone(),
-            )
-        });
         self.obs.transition.fire(sim, &(id, next));
         match next {
             PilotState::Active => {
@@ -432,6 +473,12 @@ impl PilotManager {
             PilotState::Failed => self.heal_pilot_failure(sim, id),
             _ => {}
         }
+    }
+
+    /// Emit a detector event, then deliver it to the subscribers.
+    fn detector_event(&self, sim: &mut Simulation, event: DetectorEvent) {
+        sim.emit(&event);
+        self.obs.detector.fire(sim, &event);
     }
 
     /// Start the heartbeat loop and suspicion clock for a freshly active
@@ -517,17 +564,9 @@ impl PilotManager {
         match disposition {
             Disposition::Stale(detail) => {
                 self.inner.borrow_mut().stale_signals += 1;
-                sim.metrics().inc(|| "pilot.heartbeat.stale".into());
-                sim.tracer().record_with(now, || {
-                    (
-                        id.to_string(),
-                        DetectorPhase::StaleHeartbeat.name(),
-                        detail.clone(),
-                    )
-                });
-                self.obs.detector.fire(
+                self.detector_event(
                     sim,
-                    &DetectorEvent::StaleSignal {
+                    DetectorEvent::StaleSignal {
                         pilot: id,
                         resource,
                         detail,
@@ -544,18 +583,9 @@ impl PilotManager {
                     det.heartbeat(id, now).and_then(|o| o.recovered)
                 };
                 if let Some(suspected_for) = recovered {
-                    sim.metrics()
-                        .inc(|| "pilot.detector.suspicion_cleared".into());
-                    sim.tracer().record_with(now, || {
-                        (
-                            id.to_string(),
-                            DetectorPhase::SuspicionCleared.name(),
-                            format!("heartbeat resumed after {:.0}s", suspected_for.as_secs()),
-                        )
-                    });
-                    self.obs.detector.fire(
+                    self.detector_event(
                         sim,
-                        &DetectorEvent::Recovered {
+                        DetectorEvent::Recovered {
                             pilot: id,
                             resource,
                             suspected_for,
@@ -611,17 +641,9 @@ impl PilotManager {
                         det.policy().confirm_with_status_query,
                     )
                 };
-                sim.metrics().inc(|| "pilot.detector.suspected".into());
-                sim.tracer().record_with(now, || {
-                    (
-                        id.to_string(),
-                        DetectorPhase::Suspected.name(),
-                        format!("{resource}: silent {:.0}s", silent_for.as_secs()),
-                    )
-                });
-                self.obs.detector.fire(
+                self.detector_event(
                     sim,
-                    &DetectorEvent::Suspected {
+                    DetectorEvent::Suspected {
                         pilot: id,
                         resource,
                         silent_for,
@@ -663,13 +685,7 @@ impl PilotManager {
             }
             match answer {
                 Ok(state) if state.is_terminal() => {
-                    sim.tracer().record_with(sim.now(), || {
-                        (
-                            id.to_string(),
-                            DetectorPhase::StatusConfirmedDead.name(),
-                            format!("front end reports {}", state.name()),
-                        )
-                    });
+                    sim.emit(&PilotFact::StatusConfirmedDead(id, state));
                     let declared = {
                         let mut st = this.inner.borrow_mut();
                         let det = st.detector.as_mut().expect("still suspect");
@@ -711,17 +727,9 @@ impl PilotManager {
                 .unwrap_or(SimDuration::ZERO);
             (resource, silent_for)
         };
-        sim.metrics().inc(|| "pilot.detector.declared_dead".into());
-        sim.tracer().record_with(now, || {
-            (
-                id.to_string(),
-                DetectorPhase::DeclaredDead.name(),
-                format!("{resource}: silent {:.0}s", silent_for.as_secs()),
-            )
-        });
-        self.obs.detector.fire(
+        self.detector_event(
             sim,
-            &DetectorEvent::DeclaredDead {
+            DetectorEvent::DeclaredDead {
                 pilot: id,
                 resource,
                 silent_for,
@@ -795,39 +803,16 @@ impl PilotManager {
         };
         let resource = self.pilot_ref(id).description.resource.clone();
         if newly_blacklisted {
-            sim.metrics().inc(|| "pilot.manager.blacklists".into());
-            sim.tracer().record_with(now, || {
-                (
-                    "pilot-manager".into(),
-                    ManagerPhase::Blacklist.name(),
-                    format!("{resource}: repeated launch failures"),
-                )
-            });
+            sim.emit(&PilotFact::Blacklist(&resource));
             // Without reroute the verdict below is Skip: a higher layer
             // must take over, so tell it the resource is gone.
             self.obs.blacklist.fire(sim, &resource);
         }
         match verdict {
             Verdict::Skip => {}
-            Verdict::Exhausted => {
-                sim.metrics()
-                    .inc(|| "pilot.manager.recovery_exhausted".into());
-                sim.tracer().record_with(now, || {
-                    (
-                        "pilot-manager".into(),
-                        ManagerPhase::RecoveryExhausted.name(),
-                        format!("{id} on {resource}: replacement cap reached"),
-                    )
-                });
-            }
+            Verdict::Exhausted => sim.emit(&PilotFact::RecoveryExhausted(id, Some(&resource))),
             Verdict::Replace { delay, generation } => {
-                sim.tracer().record_with(now, || {
-                    (
-                        "pilot-manager".into(),
-                        ManagerPhase::ScheduleReplacement.name(),
-                        format!("{id} gen {generation} in {:.0}s", delay.as_secs()),
-                    )
-                });
+                sim.emit(&PilotFact::ScheduleReplacement(id, generation, delay));
                 let this = self.clone();
                 sim.schedule_in(delay, move |sim| {
                     this.submit_replacement(sim, id, generation, now);
@@ -865,16 +850,7 @@ impl PilotManager {
                         desc.queue = None;
                     }
                     None => {
-                        drop(st);
-                        sim.metrics()
-                            .inc(|| "pilot.manager.recovery_exhausted".into());
-                        sim.tracer().record_with(sim.now(), || {
-                            (
-                                "pilot-manager".into(),
-                                ManagerPhase::RecoveryExhausted.name(),
-                                format!("{failed}: every resource blacklisted"),
-                            )
-                        });
+                        sim.emit(&PilotFact::RecoveryExhausted(failed, None));
                         return;
                     }
                 }
@@ -965,6 +941,37 @@ mod tests {
 
     fn d(s: f64) -> SimDuration {
         SimDuration::from_secs(s)
+    }
+
+    #[test]
+    fn dwell_metrics_snake_case_the_state_names() {
+        use crate::UnitState;
+        let pilot = [
+            (PilotState::New, "pilot.dwell.new"),
+            (PilotState::PendingLaunch, "pilot.dwell.pending_launch"),
+            (PilotState::Launching, "pilot.dwell.launching"),
+            (PilotState::PendingActive, "pilot.dwell.pending_active"),
+            (PilotState::Active, "pilot.dwell.active"),
+            (PilotState::Done, "pilot.dwell.done"),
+            (PilotState::Failed, "pilot.dwell.failed"),
+            (PilotState::Canceled, "pilot.dwell.canceled"),
+        ];
+        for (state, name) in pilot {
+            assert_eq!(dwell_metric("pilot", state.name()), name);
+        }
+        let unit = [
+            (UnitState::New, "unit.dwell.new"),
+            (UnitState::PendingExecution, "unit.dwell.pending_execution"),
+            (UnitState::StagingInput, "unit.dwell.staging_input"),
+            (UnitState::Executing, "unit.dwell.executing"),
+            (UnitState::StagingOutput, "unit.dwell.staging_output"),
+            (UnitState::Done, "unit.dwell.done"),
+            (UnitState::Failed, "unit.dwell.failed"),
+            (UnitState::Canceled, "unit.dwell.canceled"),
+        ];
+        for (state, name) in unit {
+            assert_eq!(dwell_metric("unit", state.name()), name);
+        }
     }
 
     fn setup(cores: u32) -> (Simulation, PilotManager) {

@@ -9,39 +9,98 @@
 
 use crate::agent::{Agent, StagingChannel};
 use crate::pilot::{PilotId, PilotState};
-use crate::pilot_manager::PilotManager;
+use crate::pilot_manager::{dwell_metric, PilotManager};
 use crate::scheduler::{assign, Binding, PilotView, UnitScheduler, UnitView};
 use crate::unit::{ComputeUnit, UnitId, UnitState};
-use aimes_sim::{EventId, ManagerPhase, Observers, SimDuration, SimTime, Simulation, UnitVerb};
+use aimes_sim::{EventId, Fact, Observers, SimDuration, SimTime, Simulation, TraceLine};
 use aimes_skeleton::TaskSpec;
 use std::cell::{Ref, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
-/// Dwell-time histogram name for time spent *in* `state`.
-fn unit_dwell_metric(state: UnitState) -> String {
-    match state {
-        UnitState::New => "unit.dwell.new",
-        UnitState::PendingExecution => "unit.dwell.pending_execution",
-        UnitState::StagingInput => "unit.dwell.staging_input",
-        UnitState::Executing => "unit.dwell.executing",
-        UnitState::StagingOutput => "unit.dwell.staging_output",
-        UnitState::Done => "unit.dwell.done",
-        UnitState::Failed => "unit.dwell.failed",
-        UnitState::Canceled => "unit.dwell.canceled",
-    }
-    .to_string()
+/// What a unit's trace line says about a transition beyond its state.
+#[derive(Clone, Copy)]
+enum UnitDetail<'a> {
+    /// Nothing.
+    Plain,
+    /// Placed on a pilot at a resource (entering StagingInput).
+    Placed(PilotId, &'a str),
+    /// Executing from a checkpoint this many seconds into the task.
+    Resumed(f64),
+    /// Back to PendingExecution after a lost attempt, re-queued after this
+    /// backoff. Traced as `Restart`, not as the state it enters.
+    Restart(SimDuration),
+    /// Entering Failed, for this reason.
+    Failed(&'static str),
 }
 
-/// Transition `unit`, first observing how long it dwelled in its current
-/// state (no-op histogram update when metrics are disabled).
-fn transition_unit(sim: &Simulation, unit: &mut ComputeUnit, next: UnitState, now: SimTime) {
-    if let Some(&(prev, entered)) = unit.timestamps.last() {
-        let dwell = now.saturating_since(entered);
-        sim.metrics()
-            .observe(dwell.as_secs(), || unit_dwell_metric(prev));
+/// What the unit manager emits.
+enum UnitFact<'a> {
+    /// Unit `uid` entered `state`.
+    Unit {
+        uid: UnitId,
+        state: UnitState,
+        detail: UnitDetail<'a>,
+    },
+    /// An execution attempt of `uid` died partway.
+    Fault { uid: UnitId, permanent: bool },
+    /// `count` in-flight units lost their agent when `pilot` went silent.
+    Stranded { count: usize, pilot: PilotId },
+    /// Every unit reached a terminal state.
+    AllDone(UnitManagerStats),
+}
+
+impl Fact for UnitFact<'_> {
+    fn trace(&self) -> Option<TraceLine> {
+        Some(match *self {
+            UnitFact::Unit { uid, state, detail } => {
+                let event = match detail {
+                    UnitDetail::Restart(_) => "Restart",
+                    _ => state.name(),
+                };
+                let detail = match detail {
+                    UnitDetail::Plain => String::new(),
+                    UnitDetail::Placed(pilot, resource) => format!("{pilot} {resource}"),
+                    UnitDetail::Resumed(secs) => format!("resume from {secs:.0}s"),
+                    UnitDetail::Restart(backoff) if backoff.is_zero() => String::new(),
+                    UnitDetail::Restart(backoff) => format!("backoff {:.0}s", backoff.as_secs()),
+                    UnitDetail::Failed(why) => why.into(),
+                };
+                (uid.to_string(), event, detail)
+            }
+            UnitFact::Fault { uid, permanent } => (
+                uid.to_string(),
+                "Fault",
+                if permanent { "permanent" } else { "transient" }.into(),
+            ),
+            UnitFact::Stranded { count, pilot } => (
+                "unit_manager".into(),
+                "UnitsStranded",
+                format!("{count} on silent {pilot}"),
+            ),
+            UnitFact::AllDone(stats) => ("unit_manager".into(), "AllDone", format!("{stats:?}")),
+        })
     }
-    unit.transition(next, now);
+
+    fn counter(&self) -> Option<String> {
+        let name = match self {
+            UnitFact::Unit {
+                detail: UnitDetail::Restart(_),
+                ..
+            } => "unit.manager.restarts",
+            UnitFact::Fault { .. } => "unit.manager.faults",
+            UnitFact::Stranded { .. } => "unit.manager.stranded",
+            UnitFact::Unit { .. } | UnitFact::AllDone(_) => return None,
+        };
+        Some(name.into())
+    }
+
+    fn count(&self) -> u64 {
+        match *self {
+            UnitFact::Stranded { count, .. } => count as u64,
+            _ => 1,
+        }
+    }
 }
 
 /// Unit-manager configuration.
@@ -135,6 +194,22 @@ pub enum SalvageEvent {
     /// A new attempt is starting from the last checkpoint instead of
     /// from zero; `salvaged_secs` of execution need not be redone.
     Resume { salvaged_secs: f64 },
+}
+
+impl Fact for SalvageEvent {
+    fn trace(&self) -> Option<TraceLine> {
+        None
+    }
+
+    fn counter(&self) -> Option<String> {
+        Some(
+            match self {
+                SalvageEvent::Checkpoint { .. } => "unit.manager.checkpoints",
+                SalvageEvent::Resume { .. } => "unit.manager.resumes",
+            }
+            .into(),
+        )
+    }
 }
 
 /// Progress counters.
@@ -322,26 +397,37 @@ impl UnitManager {
     }
 
     fn make_ready(&self, sim: &mut Simulation, uid: UnitId) {
+        self.inner.borrow_mut().ready.push_back(uid);
+        self.transition(sim, uid, UnitState::PendingExecution, UnitDetail::Plain);
+    }
+
+    /// Move `uid` to `next`, the only place a unit changes state: observe
+    /// how long it dwelled in the state it leaves, emit the transition,
+    /// then tell the subscribers.
+    fn transition(&self, sim: &mut Simulation, uid: UnitId, next: UnitState, detail: UnitDetail) {
+        let now = sim.now();
         {
             let mut st = self.inner.borrow_mut();
-            transition_unit(
-                sim,
-                &mut st.units[uid.0 as usize],
-                UnitState::PendingExecution,
-                sim.now(),
-            );
-            st.ready.push_back(uid);
+            let unit = &mut st.units[uid.0 as usize];
+            if let Some(&(prev, entered)) = unit.timestamps.last() {
+                let dwell = now.saturating_since(entered);
+                sim.metrics()
+                    .observe(dwell.as_secs(), || dwell_metric("unit", prev.name()));
+            }
+            unit.transition(next, now);
         }
-        sim.tracer().record_with(sim.now(), || {
-            (
-                uid.to_string(),
-                UnitState::PendingExecution.name(),
-                String::new(),
-            )
+        sim.emit(&UnitFact::Unit {
+            uid,
+            state: next,
+            detail,
         });
-        self.obs
-            .transition
-            .fire(sim, &(uid, UnitState::PendingExecution));
+        self.obs.transition.fire(sim, &(uid, next));
+    }
+
+    /// Emit a salvage event, then deliver it to the subscribers.
+    fn salvage(&self, sim: &mut Simulation, uid: UnitId, event: SalvageEvent) {
+        sim.emit(&event);
+        self.obs.salvage.fire(sim, &(uid, event));
     }
 
     fn on_pilot_state(&self, sim: &mut Simulation, pilot: PilotId, state: PilotState) {
@@ -424,52 +510,38 @@ impl UnitManager {
             sim.cancel(ev);
         }
         if stranded > 0 {
-            sim.metrics()
-                .inc_by(stranded as u64, || "unit.manager.stranded".into());
-            sim.tracer().record_with(sim.now(), || {
-                (
-                    "unit_manager".into(),
-                    ManagerPhase::UnitsStranded.name(),
-                    format!("{stranded} on silent {pilot}"),
-                )
+            sim.emit(&UnitFact::Stranded {
+                count: stranded,
+                pilot,
             });
         }
     }
 
     fn restart_or_fail(&self, sim: &mut Simulation, uid: UnitId) {
         let (give_up, rebind) = {
-            let mut st = self.inner.borrow_mut();
-            let max = st.config.max_attempts;
-            let unit = &mut st.units[uid.0 as usize];
-            let give_up = unit.attempts >= max;
-            let rebind = st.config.binding == Binding::Early;
-            (give_up, rebind)
+            let st = self.inner.borrow();
+            let give_up = st.units[uid.0 as usize].attempts >= st.config.max_attempts;
+            (give_up, st.config.binding == Binding::Early)
         };
         if give_up {
-            {
-                let mut st = self.inner.borrow_mut();
-                transition_unit(
-                    sim,
-                    &mut st.units[uid.0 as usize],
-                    UnitState::Failed,
-                    sim.now(),
-                );
-                st.stats.failed += 1;
-            }
-            sim.tracer().record_with(sim.now(), || {
-                (
-                    uid.to_string(),
-                    UnitState::Failed.name(),
-                    "restarts exhausted".into(),
-                )
-            });
-            self.obs.transition.fire(sim, &(uid, UnitState::Failed));
+            self.inner.borrow_mut().stats.failed += 1;
+            let why = UnitDetail::Failed("restarts exhausted");
+            self.transition(sim, uid, UnitState::Failed, why);
             self.check_completion(sim);
             return;
         }
+        // Early-binding failover: rebind to any live pilot. With none
+        // left, no pilot can ever run the unit.
+        let live = rebind.then(|| {
+            self.pm
+                .pilots_ref()
+                .iter()
+                .find(|p| !p.state.is_terminal())
+                .map(|p| p.id)
+        });
+        let retract = live == Some(None);
         let (backoff, checkpoint) = {
             let mut st = self.inner.borrow_mut();
-            st.stats.restarts += 1;
             let interval = st.config.checkpoint_interval;
             let unit = &mut st.units[uid.0 as usize];
             // Checkpoint salvage: bank the aborted attempt's progress at
@@ -498,92 +570,33 @@ impl UnitManager {
                 None
             };
             let attempts = unit.attempts;
-            transition_unit(
-                sim,
-                &mut st.units[uid.0 as usize],
-                UnitState::PendingExecution,
-                sim.now(),
-            );
             let backoff = st.config.retry_delay(attempts);
-            if backoff.is_zero() {
-                st.ready.push_back(uid);
+            if let Some(live) = live {
+                st.bound[uid.0 as usize] = live;
+            }
+            if !retract {
+                st.stats.restarts += 1;
+                if backoff.is_zero() {
+                    st.ready.push_back(uid);
+                }
             }
             (backoff, checkpoint)
         };
-        if let Some(progress) = checkpoint {
-            sim.metrics().inc(|| "unit.manager.checkpoints".into());
-            self.obs.salvage.fire(
-                sim,
-                &(
-                    uid,
-                    SalvageEvent::Checkpoint {
-                        progress_secs: progress,
-                    },
-                ),
-            );
+        if let Some(progress_secs) = checkpoint {
+            self.salvage(sim, uid, SalvageEvent::Checkpoint { progress_secs });
         }
-        self.obs
-            .transition
-            .fire(sim, &(uid, UnitState::PendingExecution));
-        if rebind {
-            // Early-binding failover: rebind to any live pilot.
-            let live = self
-                .pm
-                .pilots_ref()
-                .iter()
-                .find(|p| !p.state.is_terminal())
-                .map(|p| p.id);
-            self.inner.borrow_mut().bound[uid.0 as usize] = live;
-            if live.is_none() {
-                // No pilot can ever run it: fail all its attempts now.
-                let ev = {
-                    let mut st = self.inner.borrow_mut();
-                    st.ready.retain(|u| *u != uid);
-                    transition_unit(
-                        sim,
-                        &mut st.units[uid.0 as usize],
-                        UnitState::Failed,
-                        sim.now(),
-                    );
-                    st.stats.failed += 1;
-                    st.stats.restarts -= 1;
-                    st.inflight.remove(&uid)
-                };
-                if let Some(ev) = ev {
-                    sim.cancel(ev);
-                }
-                sim.tracer().record_with(sim.now(), || {
-                    (
-                        uid.to_string(),
-                        UnitState::PendingExecution.name(),
-                        String::new(),
-                    )
-                });
-                sim.tracer().record_with(sim.now(), || {
-                    (
-                        uid.to_string(),
-                        UnitState::Failed.name(),
-                        "no live pilot".into(),
-                    )
-                });
-                self.obs.transition.fire(sim, &(uid, UnitState::Failed));
-                self.check_completion(sim);
-                return;
-            }
+        if retract {
+            // Back in the pool it can never leave: fail it outright.
+            self.transition(sim, uid, UnitState::PendingExecution, UnitDetail::Plain);
+            self.inner.borrow_mut().stats.failed += 1;
+            let why = UnitDetail::Failed("no live pilot");
+            self.transition(sim, uid, UnitState::Failed, why);
+            self.check_completion(sim);
+            return;
         }
-        sim.metrics().inc(|| "unit.manager.restarts".into());
-        if backoff.is_zero() {
-            sim.tracer().record_with(sim.now(), || {
-                (uid.to_string(), UnitVerb::Restart.name(), String::new())
-            });
-        } else {
-            sim.tracer().record_with(sim.now(), || {
-                (
-                    uid.to_string(),
-                    UnitVerb::Restart.name(),
-                    format!("backoff {:.0}s", backoff.as_secs()),
-                )
-            });
+        let restart = UnitDetail::Restart(backoff);
+        self.transition(sim, uid, UnitState::PendingExecution, restart);
+        if !backoff.is_zero() {
             let this = self.clone();
             sim.schedule_in(backoff, move |sim| {
                 {
@@ -688,19 +701,10 @@ impl UnitManager {
             let (_t0, staging_end) = st
                 .origin_channel
                 .enqueue(st.overhead_busy_until, unit.task.input_mb());
-            transition_unit(sim, unit, UnitState::StagingInput, now);
             (staging_end, agent.resource.clone())
         };
-        sim.tracer().record_with(now, || {
-            (
-                uid.to_string(),
-                UnitState::StagingInput.name(),
-                format!("{pid} {resource}"),
-            )
-        });
-        self.obs
-            .transition
-            .fire(sim, &(uid, UnitState::StagingInput));
+        let placed = UnitDetail::Placed(pid, &resource);
+        self.transition(sim, uid, UnitState::StagingInput, placed);
         let this = self.clone();
         let ev = sim.schedule_at(staging_end, move |sim| this.on_input_staged(sim, uid));
         self.inner.borrow_mut().inflight.insert(uid, ev);
@@ -708,12 +712,10 @@ impl UnitManager {
 
     fn on_input_staged(&self, sim: &mut Simulation, uid: UnitId) {
         let _prof = sim.profiler().scope("unit.manager");
-        let now = sim.now();
         let (duration, fault, resumed_from) = {
             let mut st = self.inner.borrow_mut();
             let st = &mut *st;
-            let unit = &mut st.units[uid.0 as usize];
-            transition_unit(sim, unit, UnitState::Executing, now);
+            let unit = &st.units[uid.0 as usize];
             // Resume from the last checkpoint boundary: only the
             // remaining work runs. With checkpointing off, `checkpointed`
             // is always zero and this is exactly the task duration.
@@ -742,20 +744,11 @@ impl UnitManager {
             };
             (duration, fault, resumed_from)
         };
-        sim.tracer().record_with(now, || {
-            (
-                uid.to_string(),
-                UnitState::Executing.name(),
-                resumed_from.map_or_else(String::new, |s| format!("resume from {s:.0}s")),
-            )
-        });
         if let Some(salvaged_secs) = resumed_from {
-            sim.metrics().inc(|| "unit.manager.resumes".into());
-            self.obs
-                .salvage
-                .fire(sim, &(uid, SalvageEvent::Resume { salvaged_secs }));
+            self.salvage(sim, uid, SalvageEvent::Resume { salvaged_secs });
         }
-        self.obs.transition.fire(sim, &(uid, UnitState::Executing));
+        let detail = resumed_from.map_or(UnitDetail::Plain, UnitDetail::Resumed);
+        self.transition(sim, uid, UnitState::Executing, detail);
         let this = self.clone();
         let ev = match fault {
             Some((at, permanent)) => {
@@ -770,7 +763,6 @@ impl UnitManager {
     /// survives: its cores must be handed back before the unit is retried
     /// or written off.
     fn on_unit_fault(&self, sim: &mut Simulation, uid: UnitId, permanent: bool) {
-        let now = sim.now();
         {
             let mut st = self.inner.borrow_mut();
             let st = &mut *st;
@@ -783,28 +775,11 @@ impl UnitManager {
                 }
             }
         }
-        sim.metrics().inc(|| "unit.manager.faults".into());
-        sim.tracer().record_with(now, || {
-            (
-                uid.to_string(),
-                UnitVerb::Fault.name(),
-                if permanent { "permanent" } else { "transient" }.into(),
-            )
-        });
+        sim.emit(&UnitFact::Fault { uid, permanent });
         if permanent {
-            {
-                let mut st = self.inner.borrow_mut();
-                transition_unit(sim, &mut st.units[uid.0 as usize], UnitState::Failed, now);
-                st.stats.failed += 1;
-            }
-            sim.tracer().record_with(now, || {
-                (
-                    uid.to_string(),
-                    UnitState::Failed.name(),
-                    "permanent fault".into(),
-                )
-            });
-            self.obs.transition.fire(sim, &(uid, UnitState::Failed));
+            self.inner.borrow_mut().stats.failed += 1;
+            let why = UnitDetail::Failed("permanent fault");
+            self.transition(sim, uid, UnitState::Failed, why);
             self.check_completion(sim);
         } else {
             self.restart_or_fail(sim, uid);
@@ -819,8 +794,7 @@ impl UnitManager {
             let mut st = self.inner.borrow_mut();
             let st = &mut *st;
             st.inflight.remove(&uid);
-            let unit = &mut st.units[uid.0 as usize];
-            transition_unit(sim, unit, UnitState::StagingOutput, now);
+            let unit = &st.units[uid.0 as usize];
             // Execution done: the core goes back to the pilot; output
             // staging runs over the wide-area channel, off the core.
             let cores = unit.task.cores;
@@ -833,16 +807,7 @@ impl UnitManager {
             let (_t0, out_end) = st.origin_channel.enqueue(now, out_mb);
             out_end
         };
-        sim.tracer().record_with(now, || {
-            (
-                uid.to_string(),
-                UnitState::StagingOutput.name(),
-                String::new(),
-            )
-        });
-        self.obs
-            .transition
-            .fire(sim, &(uid, UnitState::StagingOutput));
+        self.transition(sim, uid, UnitState::StagingOutput, UnitDetail::Plain);
         let this = self.clone();
         sim.schedule_at(out_end, move |sim| this.on_done(sim, uid));
         self.request_schedule(sim);
@@ -850,11 +815,9 @@ impl UnitManager {
 
     fn on_done(&self, sim: &mut Simulation, uid: UnitId) {
         let _prof = sim.profiler().scope("unit.manager");
-        let now = sim.now();
         let newly_ready: Vec<UnitId> = {
             let mut st = self.inner.borrow_mut();
             let st = &mut *st;
-            transition_unit(sim, &mut st.units[uid.0 as usize], UnitState::Done, now);
             st.stats.done += 1;
             let mut ready = Vec::new();
             for dep in std::mem::take(&mut st.dependents[uid.0 as usize]) {
@@ -866,10 +829,7 @@ impl UnitManager {
             }
             ready
         };
-        sim.tracer().record_with(now, || {
-            (uid.to_string(), UnitState::Done.name(), String::new())
-        });
-        self.obs.transition.fire(sim, &(uid, UnitState::Done));
+        self.transition(sim, uid, UnitState::Done, UnitDetail::Plain);
         for dep in newly_ready {
             self.make_ready(sim, dep);
         }
@@ -886,13 +846,7 @@ impl UnitManager {
             st.completion_fired = true;
             std::mem::take(&mut st.on_all_done)
         };
-        sim.tracer().record_with(sim.now(), || {
-            (
-                "unit_manager".into(),
-                ManagerPhase::AllDone.name(),
-                format!("{:?}", self.stats()),
-            )
-        });
+        sim.emit(&UnitFact::AllDone(self.stats()));
         for cb in callbacks {
             cb(sim);
         }

@@ -12,10 +12,65 @@ use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use crate::error::{SagaError, SagaOp};
 use crate::job_api::{JobDescription, SagaJobId, SagaJobState};
 use aimes_cluster::{Cluster, JobId as BackendJobId, JobRequest, JobState};
-use aimes_sim::{Observers, SagaVerb, SimDuration, SimRng, Simulation};
+use aimes_sim::{Fact, Observers, SimDuration, SimRng, Simulation, TraceLine};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
+
+/// What a job service emits about its resource.
+#[derive(Clone, Copy)]
+enum SagaEvent {
+    /// A job entered a state; entering `New` is a submission.
+    Job(SagaJobId, SagaJobState),
+    /// A job's failed round-trip is retried after a backoff.
+    Retry(SagaJobId, SagaOp),
+    /// A job's cancellation ran out of attempts (or hit an open breaker).
+    CancelAbandoned(SagaJobId),
+    /// The circuit breaker opened.
+    BreakerTrip,
+}
+
+/// A [`SagaEvent`] on the resource it happened at.
+struct SagaFact<'a>(SagaEvent, &'a str);
+
+impl Fact for SagaFact<'_> {
+    fn trace(&self) -> Option<TraceLine> {
+        let SagaFact(event, resource) = *self;
+        let (name, _) = event.names();
+        Some(match event {
+            SagaEvent::BreakerTrip => (
+                format!("saga.breaker.{resource}"),
+                name,
+                "circuit open".into(),
+            ),
+            SagaEvent::Job(id, _) | SagaEvent::Retry(id, _) | SagaEvent::CancelAbandoned(id) => {
+                (format!("saga.{}", id.0), name, resource.into())
+            }
+        })
+    }
+
+    fn counter(&self) -> Option<String> {
+        let which = self.0.names().1?;
+        Some(format!("saga.{}.{which}", self.1))
+    }
+}
+
+impl SagaEvent {
+    /// The trace name and, for a counted event, its counter's last segment.
+    fn names(self) -> (&'static str, Option<&'static str>) {
+        match self {
+            SagaEvent::Job(_, state) => {
+                let counted = state == SagaJobState::New;
+                (state.name(), counted.then_some("submissions"))
+            }
+            SagaEvent::Retry(_, SagaOp::Submit) => ("RetrySubmission", Some("retry_submission")),
+            SagaEvent::Retry(_, SagaOp::Cancel) => ("RetryCancel", Some("retry_cancel")),
+            SagaEvent::Retry(_, SagaOp::StatusQuery) => ("RetryStatusQuery", Some("retry_status")),
+            SagaEvent::CancelAbandoned(_) => ("CancelAbandoned", Some("cancel_abandoned")),
+            SagaEvent::BreakerTrip => ("BreakerTrip", Some("breaker_trips")),
+        }
+    }
+}
 
 /// Callback invoked on every SAGA state transition of a job.
 pub type StateCallback = Box<dyn FnMut(&mut Simulation, SagaJobState)>;
@@ -132,19 +187,15 @@ impl JobService {
             .map_or(0, |b| b.trips())
     }
 
-    /// Count, trace and deliver a breaker trip.
+    /// Emit and deliver a breaker trip.
     fn fire_breaker_trip(&self, sim: &mut Simulation) {
-        let resource = self.resource();
-        sim.metrics()
-            .inc(|| format!("saga.{resource}.breaker_trips"));
-        sim.tracer().record_with(sim.now(), || {
-            (
-                format!("saga.breaker.{resource}"),
-                SagaVerb::BreakerTrip.name(),
-                "circuit open".into(),
-            )
-        });
-        self.trips.fire(sim, &resource);
+        self.emit(sim, SagaEvent::BreakerTrip);
+        self.trips.fire(sim, &self.resource());
+    }
+
+    /// Emit `event` on this service's resource.
+    fn emit(&self, sim: &Simulation, event: SagaEvent) {
+        sim.emit(&SagaFact(event, &self.inner.borrow().resource));
     }
 
     /// The resource this service fronts.
@@ -202,15 +253,7 @@ impl JobService {
             );
             (id, latency)
         };
-        sim.metrics()
-            .inc(|| format!("saga.{}.submissions", self.resource()));
-        sim.tracer().record_with(sim.now(), || {
-            (
-                format!("saga.{}", id.0),
-                SagaJobState::New.name(),
-                self.resource(),
-            )
-        });
+        self.emit(sim, SagaEvent::Job(id, SagaJobState::New));
         let this = self.clone();
         sim.schedule_in(latency, move |sim| this.attempt_submission(sim, id));
         id
@@ -303,15 +346,7 @@ impl JobService {
             Outcome::Fail => self.transition(sim, id, SagaJobState::Failed),
             Outcome::Retry(delay) => {
                 let this = self.clone();
-                sim.metrics()
-                    .inc(|| format!("saga.{}.retry_submission", self.resource()));
-                sim.tracer().record_with(sim.now(), || {
-                    (
-                        format!("saga.{}", id.0),
-                        SagaVerb::RetrySubmission.name(),
-                        self.resource(),
-                    )
-                });
+                self.emit(sim, SagaEvent::Retry(id, SagaOp::Submit));
                 sim.schedule_in(delay, move |sim| this.attempt_submission(sim, id));
             }
             Outcome::Submitted(backend) => {
@@ -337,9 +372,8 @@ impl JobService {
 
     /// Apply a state transition and deliver the callback.
     fn transition(&self, sim: &mut Simulation, id: SagaJobId, next: SagaJobState) {
-        let (cb, resource) = {
+        let cb = {
             let mut st = self.inner.borrow_mut();
-            let resource = st.resource.clone();
             let rec = st.jobs.get_mut(&id).expect("job exists");
             if rec.state == next || rec.state.is_terminal() {
                 return;
@@ -351,11 +385,9 @@ impl JobService {
                 next
             );
             rec.state = next;
-            (rec.callback.take(), resource)
+            rec.callback.take()
         };
-        sim.tracer().record_with(sim.now(), || {
-            (format!("saga.{}", id.0), next.name(), resource)
-        });
+        self.emit(sim, SagaEvent::Job(id, next));
         if let Some(mut cb) = cb {
             cb(sim, next);
             if !next.is_terminal() {
@@ -453,27 +485,11 @@ impl JobService {
             Outcome::Settled => {}
             Outcome::Retry(delay) => {
                 let this = self.clone();
-                sim.metrics()
-                    .inc(|| format!("saga.{}.retry_cancel", self.resource()));
-                sim.tracer().record_with(sim.now(), || {
-                    (
-                        format!("saga.{}", id.0),
-                        SagaVerb::RetryCancel.name(),
-                        self.resource(),
-                    )
-                });
+                self.emit(sim, SagaEvent::Retry(id, SagaOp::Cancel));
                 sim.schedule_in(delay, move |sim| this.attempt_cancel(sim, id, attempt + 1));
             }
             Outcome::GiveUp => {
-                sim.metrics()
-                    .inc(|| format!("saga.{}.cancel_abandoned", self.resource()));
-                sim.tracer().record_with(sim.now(), || {
-                    (
-                        format!("saga.{}", id.0),
-                        SagaVerb::CancelAbandoned.name(),
-                        self.resource(),
-                    )
-                });
+                self.emit(sim, SagaEvent::CancelAbandoned(id));
             }
             Outcome::Cancel(backend, cluster) => {
                 cluster.cancel(sim, backend);
@@ -574,15 +590,7 @@ impl JobService {
             ),
             Outcome::Retry(delay) => {
                 let this = self.clone();
-                sim.metrics()
-                    .inc(|| format!("saga.{}.retry_status", self.resource()));
-                sim.tracer().record_with(sim.now(), || {
-                    (
-                        format!("saga.{}", id.0),
-                        SagaVerb::RetryStatusQuery.name(),
-                        self.resource(),
-                    )
-                });
+                self.emit(sim, SagaEvent::Retry(id, SagaOp::StatusQuery));
                 sim.schedule_in(delay, move |sim| {
                     this.attempt_status(sim, id, attempt + 1, cb)
                 });

@@ -12,7 +12,7 @@ use crate::profile::{EngineStats, ProfileLabel, Profiler};
 use crate::rng::SimRng;
 use crate::telemetry::MetricsRegistry;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::Tracer;
+use crate::trace::{Fact, Tracer};
 
 /// Callback invoked when an event fires.
 pub type Callback = Box<dyn FnOnce(&mut Simulation)>;
@@ -95,6 +95,23 @@ impl Simulation {
     /// Shared tracer handle.
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
+    }
+
+    /// Hand `fact` to every engine sink that is on: its trace line to the
+    /// tracer and its tick to the metrics registry. A sink that is off
+    /// costs one branch, and the fact renders nothing for it.
+    #[inline]
+    pub fn emit(&self, fact: &impl Fact) {
+        if self.tracer.is_enabled() {
+            if let Some((component, event, detail)) = fact.trace() {
+                self.tracer.record(self.now, component, event, detail);
+            }
+        }
+        if self.metrics.is_enabled() {
+            if let Some(counter) = fact.counter() {
+                self.metrics.inc_by(fact.count(), || counter);
+            }
+        }
     }
 
     /// Shared metrics registry (disabled unless [`Simulation::attach_metrics`]
@@ -355,7 +372,8 @@ impl std::fmt::Debug for Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
+    use crate::trace::TraceLine;
+    use std::cell::{Cell, RefCell};
     use std::rc::Rc;
 
     fn t(s: f64) -> SimTime {
@@ -528,15 +546,44 @@ mod tests {
         assert!(summary.gauges.contains_key("sim.engine.pending_events_hwm"));
     }
 
+    /// A fact that counts how often it is rendered.
+    struct Fired<'a>(&'a Cell<u32>);
+
+    impl Fact for Fired<'_> {
+        fn trace(&self) -> Option<TraceLine> {
+            self.0.set(self.0.get() + 1);
+            Some(("c".into(), "fired", String::new()))
+        }
+
+        fn counter(&self) -> Option<String> {
+            self.0.set(self.0.get() + 1);
+            Some("c.fired".into())
+        }
+    }
+
     #[test]
-    fn tracer_reachable_from_callbacks() {
+    fn emit_reaches_both_sinks_from_callbacks() {
         let mut sim = Simulation::new(1);
+        sim.attach_metrics(MetricsRegistry::new());
         sim.schedule_in(d(2.0), |s| {
-            let now = s.now();
-            s.tracer().record(now, "c", "fired", "");
+            let renders = Cell::new(0);
+            s.emit(&Fired(&renders));
+            s.emit(&Fired(&renders));
+            assert_eq!(renders.get(), 4);
         });
         sim.run_to_completion();
-        assert_eq!(sim.tracer().len(), 1);
+        assert_eq!(sim.tracer().len(), 2);
         assert_eq!(sim.tracer().snapshot()[0].time, t(2.0));
+        assert_eq!(sim.tracer().snapshot()[0].event, "fired");
+        assert_eq!(sim.metrics().summary().counters["c.fired"], 2);
+    }
+
+    #[test]
+    fn emit_renders_nothing_when_the_sinks_are_off() {
+        let sim = Simulation::with_tracer(1, Tracer::disabled());
+        let renders = Cell::new(0);
+        sim.emit(&Fired(&renders));
+        assert_eq!(renders.get(), 0);
+        assert!(sim.tracer().is_empty());
     }
 }

@@ -14,8 +14,9 @@
 //! * **Virtual time.** All durations are virtual seconds ([`SimTime`],
 //!   [`SimDuration`]); a year of simulated queue waits costs milliseconds
 //!   of host time, which is what makes many-repetition experiments cheap.
-//! * **Introspection.** Every component can emit structured
-//!   [`trace::TraceEvent`]s; the paper stresses that AIMES is "instrumented
+//! * **Introspection.** Every component emits typed [`Fact`]s through
+//!   [`Simulation::emit`], which become structured [`trace::TraceEvent`]s
+//!   and metrics counter ticks; the paper stresses that AIMES is "instrumented
 //!   to produce complete traces of an application execution" and the TTC
 //!   decomposition in the evaluation depends on it.
 //!
@@ -40,7 +41,4 @@ pub use profile::{EngineStats, LabelProfile, ProfileGuard, ProfileLabel, Profile
 pub use rng::{SimRng, StreamId};
 pub use telemetry::{MetricsRegistry, MetricsSummary, Span, Telemetry};
 pub use time::{SimDuration, SimTime};
-pub use trace::{
-    ComponentId, DetectorPhase, ManagerPhase, ResourcePhase, SagaVerb, TraceEvent, TraceRecord,
-    TraceSink, Tracer, UnitVerb,
-};
+pub use trace::{ComponentId, Fact, TraceEvent, TraceLine, TraceRecord, TraceSink, Tracer};

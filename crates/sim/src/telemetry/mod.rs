@@ -4,7 +4,11 @@
 //! much, how long, and how busy*. Three primitives, all against simulated
 //! time:
 //!
-//! * **Counters** — monotone event totals (`saga.alpha.retries_submit`).
+//! * **Counters** — monotone event totals (`saga.alpha.retry_submission`).
+//!   A counter that counts a traced fact is ticked by the same
+//!   [`Simulation::emit`](crate::Simulation::emit) call that writes its
+//!   trace line: the fact's [`Fact::counter`](crate::Fact::counter) names
+//!   it, so the two sinks cannot drift apart.
 //! * **Gauges** — step-function timelines (`cluster.alpha.busy_cores`).
 //! * **Log-scale histograms** — dwell-time distributions
 //!   (`unit.dwell.executing`) with bucket-interpolated p50/p95/p99.
@@ -12,8 +16,9 @@
 //! Metric names follow `layer.component.metric`. Recording is strictly
 //! passive: no events are scheduled and no RNG streams are drawn, so an
 //! instrumented run produces bit-identical journals and traces to an
-//! uninstrumented one. A disabled registry costs one branch per call —
-//! the same contract as [`crate::trace::Tracer::record_with`].
+//! uninstrumented one. A disabled registry costs one branch per call, the
+//! same contract as a disabled [`Tracer`](crate::Tracer): a fact renders
+//! nothing for a sink that is off.
 //!
 //! A [`Telemetry`] handle bundles the registry with a span list assembled
 //! after the run (pilot lifetimes, unit `Executing` windows) and exposes

@@ -3,19 +3,23 @@
 //! The paper's middleware is "instrumented to produce complete traces of an
 //! application execution"; the entire evaluation (the TTC decomposition into
 //! Tw/Tx/Ts) is computed from recorded state transitions. This module is the
-//! reproduction of that instrumentation: components append typed
-//! [`TraceEvent`]s to a shared [`Tracer`]; the analysis layer (crate
-//! `aimes`) replays the trace to compute time components.
+//! reproduction of that instrumentation: components describe what happened
+//! as typed [`Fact`]s and hand each one to
+//! [`Simulation::emit`](crate::Simulation::emit), which appends its line to
+//! the shared [`Tracer`] and ticks its counter in the metrics registry; the
+//! analysis layer (crate `aimes`) replays the trace to compute time
+//! components.
 //!
-//! The emitting component is interned to a [`ComponentId`]; the event is a
-//! `&'static str` from one name table. States are named by their own
-//! domain enums (`PilotState::name`, `UnitState::name`, `JobState::name`,
-//! `SagaJobState::name`); annotations that are not states are named by
-//! the verb enums here ([`UnitVerb`], [`SagaVerb`], [`DetectorPhase`],
-//! [`ResourcePhase`], [`ManagerPhase`]). The legacy wire shape — a
-//! `{time, component, event, detail}` object with string fields — is
-//! preserved by [`TraceRecord`], which every read API resolves to, so JSON
-//! dumps and string comparisons made by downstream consumers are unchanged.
+//! Each component owns one fact type, and that type's [`Fact`] impl is the
+//! only place its trace names and counter names are written. States are
+//! named by their own domain enums (`PilotState::name`, `UnitState::name`,
+//! `JobState::name`, `SagaJobState::name`). The emitting component is
+//! interned to a [`ComponentId`]; the event is a `&'static str`. The legacy
+//! wire shape — a `{time, component, event, detail}` object with string
+//! fields — is preserved by [`TraceRecord`], which every read API resolves
+//! to, so JSON dumps and string comparisons made by downstream consumers are
+//! unchanged. Recording is crate-private: outside this crate a trace line
+//! can only come from a [`Fact`].
 
 use crate::time::SimTime;
 use parking_lot::Mutex;
@@ -38,115 +42,27 @@ impl ComponentId {
     }
 }
 
-/// Unit-manager annotations around the unit state machine (the states
-/// themselves are named by `aimes-pilot`'s `UnitState`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum UnitVerb {
-    Restart,
-    Fault,
-}
+/// One trace line as a fact renders it: emitting component, event name,
+/// detail.
+pub type TraceLine = (String, &'static str, String);
 
-impl UnitVerb {
-    pub fn name(self) -> &'static str {
-        match self {
-            UnitVerb::Restart => "Restart",
-            UnitVerb::Fault => "Fault",
-        }
+/// One thing that happened, described by the component that saw it.
+///
+/// [`Simulation::emit`](crate::Simulation::emit) hands a fact to each engine
+/// sink that is on. Each method is called only when its sink records, so a
+/// run with tracing and metrics off formats and allocates nothing for it.
+pub trait Fact {
+    /// The fact's trace line, or `None` when it is not traced.
+    fn trace(&self) -> Option<TraceLine>;
+
+    /// The counter the fact ticks, or `None` when it counts nothing.
+    fn counter(&self) -> Option<String> {
+        None
     }
-}
 
-/// SAGA resilience annotations: retries and the circuit breaker (the job
-/// states are named by `aimes-saga`'s `SagaJobState`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SagaVerb {
-    RetrySubmission,
-    RetryCancel,
-    RetryStatusQuery,
-    CancelAbandoned,
-    BreakerTrip,
-}
-
-impl SagaVerb {
-    pub fn name(self) -> &'static str {
-        match self {
-            SagaVerb::RetrySubmission => "RetrySubmission",
-            SagaVerb::RetryCancel => "RetryCancel",
-            SagaVerb::RetryStatusQuery => "RetryStatusQuery",
-            SagaVerb::CancelAbandoned => "CancelAbandoned",
-            SagaVerb::BreakerTrip => "BreakerTrip",
-        }
-    }
-}
-
-/// Failure-detector verdicts and heartbeat-path annotations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DetectorPhase {
-    WentSilent,
-    StaleHeartbeat,
-    Suspected,
-    SuspicionCleared,
-    StatusConfirmedDead,
-    DeclaredDead,
-}
-
-impl DetectorPhase {
-    pub fn name(self) -> &'static str {
-        match self {
-            DetectorPhase::WentSilent => "WentSilent",
-            DetectorPhase::StaleHeartbeat => "StaleHeartbeat",
-            DetectorPhase::Suspected => "Suspected",
-            DetectorPhase::SuspicionCleared => "SuspicionCleared",
-            DetectorPhase::StatusConfirmedDead => "StatusConfirmedDead",
-            DetectorPhase::DeclaredDead => "DeclaredDead",
-        }
-    }
-}
-
-/// Resource-level availability events emitted by the cluster layer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ResourcePhase {
-    Outage,
-    Drain,
-    Decommission,
-}
-
-impl ResourcePhase {
-    pub fn name(self) -> &'static str {
-        match self {
-            ResourcePhase::Outage => "Outage",
-            ResourcePhase::Drain => "Drain",
-            ResourcePhase::Decommission => "Decommission",
-        }
-    }
-}
-
-/// Orchestration decisions made by the managers and the middleware.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ManagerPhase {
-    Blacklist,
-    RecoveryExhausted,
-    ScheduleReplacement,
-    UnitsStranded,
-    AllDone,
-    Replan,
-    ReplanFailed,
-    DomainAlarm,
-    Reinforce,
-}
-
-impl ManagerPhase {
-    pub fn name(self) -> &'static str {
-        match self {
-            ManagerPhase::Blacklist => "Blacklist",
-            ManagerPhase::RecoveryExhausted => "RecoveryExhausted",
-            ManagerPhase::ScheduleReplacement => "ScheduleReplacement",
-            ManagerPhase::UnitsStranded => "UnitsStranded",
-            ManagerPhase::AllDone => "AllDone",
-            ManagerPhase::Replan => "Replan",
-            ManagerPhase::ReplanFailed => "ReplanFailed",
-            ManagerPhase::DomainAlarm => "DomainAlarm",
-            ManagerPhase::Reinforce => "Reinforce",
-        }
+    /// How much the fact adds to its counter.
+    fn count(&self) -> u64 {
+        1
     }
 }
 
@@ -158,8 +74,8 @@ pub struct TraceEvent {
     pub time: SimTime,
     /// Interned component (resolve via the owning [`TraceSink`]).
     pub component: ComponentId,
-    /// Transition or annotation name: a domain state's `name()` or one of
-    /// the verb enums' above.
+    /// Transition or annotation name: a domain state's `name()` or a
+    /// name from the emitting component's [`Fact`] impl.
     pub event: &'static str,
     /// Free-form detail (resource name, core count, error text, ...).
     pub detail: String,
@@ -227,11 +143,6 @@ impl TraceSink {
         &self.events
     }
 
-    /// Consume the sink, returning the events.
-    pub fn into_events(self) -> Vec<TraceEvent> {
-        self.events
-    }
-
     /// Resolve a stored event to the legacy wire shape.
     pub fn resolve(&self, event: &TraceEvent) -> TraceRecord {
         TraceRecord {
@@ -288,9 +199,10 @@ impl Tracer {
         self.enabled
     }
 
-    /// Record a state transition.
+    /// Record a state transition. Crate-private: components trace through
+    /// [`Simulation::emit`](crate::Simulation::emit).
     #[inline]
-    pub fn record(
+    pub(crate) fn record(
         &self,
         time: SimTime,
         component: impl Into<String>,
@@ -303,23 +215,6 @@ impl Tracer {
         self.sink
             .lock()
             .push(time, component.into(), event, detail.into());
-    }
-
-    /// Record a state transition, building the component/detail strings
-    /// only when tracing is enabled. Hot paths pay for `record`'s arguments
-    /// (typically `format!` calls) even when the tracer drops everything;
-    /// this variant makes a disabled tracer genuinely zero-cost — one
-    /// branch.
-    #[inline]
-    pub fn record_with<F>(&self, time: SimTime, f: F)
-    where
-        F: FnOnce() -> (String, &'static str, String),
-    {
-        if !self.enabled {
-            return;
-        }
-        let (component, event, detail) = f();
-        self.sink.lock().push(time, component, event, detail);
     }
 
     /// Snapshot of all events recorded so far, resolved to the legacy wire
@@ -352,20 +247,9 @@ impl Tracer {
             .collect()
     }
 
-    /// First occurrence time of `event` on `component`, if any.
-    pub fn first_time_of(&self, component: &str, event: &str) -> Option<SimTime> {
-        let sink = self.sink.lock();
-        let id = sink.lookup(component)?;
-        sink.events
-            .iter()
-            .find(|e| e.component == id && e.event == event)
-            .map(|e| e.time)
-    }
-
     /// Stream the whole trace as a JSON array of [`TraceRecord`]s, one
-    /// event per line. Unlike the old `to_json`, this never materializes
-    /// the serialized trace as a single in-memory string and surfaces
-    /// write failures instead of panicking.
+    /// event per line, without materializing it as one string; write
+    /// failures are returned.
     pub fn write_json<W: io::Write>(&self, out: &mut W) -> io::Result<()> {
         let sink = self.sink.lock();
         out.write_all(b"[")?;
@@ -379,15 +263,6 @@ impl Tracer {
             out.write_all(line.as_bytes())?;
         }
         out.write_all(b"\n]\n")
-    }
-
-    /// Serialize the whole trace as JSON (convenience wrapper over
-    /// [`Tracer::write_json`]).
-    pub fn to_json(&self) -> String {
-        let mut buf = Vec::new();
-        self.write_json(&mut buf)
-            .expect("writing to a Vec cannot fail");
-        String::from_utf8(buf).expect("serialized JSON is UTF-8")
     }
 }
 
@@ -444,15 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn first_time_of_finds_earliest() {
-        let tr = Tracer::new();
-        tr.record(t(1.0), "u", "Executing", "");
-        tr.record(t(4.0), "u", "Executing", "");
-        assert_eq!(tr.first_time_of("u", "Executing"), Some(t(1.0)));
-        assert_eq!(tr.first_time_of("u", "Missing"), None);
-    }
-
-    #[test]
     fn clones_share_sink() {
         let tr = Tracer::new();
         let tr2 = tr.clone();
@@ -464,8 +330,10 @@ mod tests {
     fn json_roundtrip() {
         let tr = Tracer::new();
         tr.record(t(1.5), "pilot.0", "Active", "gordon");
-        let json = tr.to_json();
-        let back: Vec<TraceRecord> = serde_json::from_str(&json).unwrap();
+        let mut json = Vec::new();
+        tr.write_json(&mut json).unwrap();
+        let back: Vec<TraceRecord> =
+            serde_json::from_str(std::str::from_utf8(&json).unwrap()).unwrap();
         assert_eq!(back, tr.snapshot());
     }
 
@@ -477,15 +345,6 @@ mod tests {
         let back: Vec<TraceRecord> =
             serde_json::from_str(std::str::from_utf8(&buf).unwrap()).unwrap();
         assert!(back.is_empty());
-    }
-
-    #[test]
-    fn verb_names_match_legacy_strings() {
-        assert_eq!(UnitVerb::Restart.name(), "Restart");
-        assert_eq!(SagaVerb::RetrySubmission.name(), "RetrySubmission");
-        assert_eq!(DetectorPhase::DeclaredDead.name(), "DeclaredDead");
-        assert_eq!(ResourcePhase::Decommission.name(), "Decommission");
-        assert_eq!(ManagerPhase::ReplanFailed.name(), "ReplanFailed");
     }
 
     #[test]
