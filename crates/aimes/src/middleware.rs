@@ -45,8 +45,6 @@ pub struct RunOptions {
     pub submit_at: SimTime,
     /// Hard cap on simulated time after submission (runaway guard).
     pub deadline: SimDuration,
-    /// Record a full trace (costs memory; off for sweeps).
-    pub trace: bool,
     /// Deterministic fault model, compiled against the run seed. `None`
     /// (the default) injects nothing and leaves every event stream
     /// byte-identical to a build without fault support.
@@ -69,9 +67,9 @@ pub struct RunOptions {
     /// result. `None` (the default) costs one branch per metric site and
     /// changes nothing observable.
     pub telemetry: Option<Telemetry>,
-    /// Use this tracer (a cheap shared handle) instead of building one
-    /// from [`RunOptions::trace`] — the way for a caller to keep hold of
-    /// the trace and stream it out after the run.
+    /// Record the run's trace into this tracer (a cheap shared handle),
+    /// which the caller keeps to read or stream out after the run. `None`
+    /// (the default) traces nothing.
     pub tracer: Option<Tracer>,
     /// Information-plane tuning (hot-pool size, refresh, staleness
     /// thresholds, fallback floor). The default is oracle-equivalent:
@@ -109,7 +107,6 @@ impl Default for RunOptions {
             seed: 0,
             submit_at: SimTime::from_secs(6.0 * 3600.0),
             deadline: SimDuration::from_hours(96.0),
-            trace: false,
             faults: None,
             recovery: None,
             journal: None,
@@ -630,11 +627,7 @@ impl<'a> RunWorld<'a> {
         options: &'a RunOptions,
     ) -> Result<Self, RunError> {
         let log = Rc::new(validate(options)?);
-        let tracer = match &options.tracer {
-            Some(t) => t.clone(),
-            None if options.trace => Tracer::new(),
-            None => Tracer::disabled(),
-        };
+        let tracer = options.tracer.clone().unwrap_or_else(Tracer::disabled);
         let mut sim = Simulation::with_tracer(options.seed, tracer);
         if let Some(telemetry) = &options.telemetry {
             sim.attach_metrics(telemetry.registry().clone());

@@ -4,7 +4,7 @@
 
 use aimes_repro::middleware::paper;
 use aimes_repro::middleware::{run_application, RunOptions};
-use aimes_repro::sim::SimTime;
+use aimes_repro::sim::{SimTime, Tracer};
 use aimes_repro::skeleton::{paper_bag, TaskDurationSpec};
 
 fn opts(seed: u64) -> RunOptions {
@@ -92,7 +92,7 @@ fn different_seeds_face_different_queues() {
 #[test]
 fn trace_records_full_pilot_and_unit_lifecycles() {
     let app = paper_bag(8, TaskDurationSpec::Uniform15Min);
-    // trace: true exercises the instrumented path end to end.
+    let tracer = Tracer::new();
     let r = run_application(
         &paper::testbed(),
         &app,
@@ -100,12 +100,39 @@ fn trace_records_full_pilot_and_unit_lifecycles() {
         &RunOptions {
             seed: 3,
             submit_at: SimTime::from_secs(6.0 * 3600.0),
-            trace: true,
+            tracer: Some(tracer.clone()),
             ..Default::default()
         },
     )
     .unwrap();
     assert_eq!(r.units_done, 8);
+    for unit in 0..8 {
+        let component = format!("unit.{unit:05}");
+        let states: Vec<String> = tracer
+            .for_component(&component)
+            .into_iter()
+            .map(|rec| rec.event)
+            .collect();
+        assert_eq!(
+            states,
+            [
+                "PendingExecution",
+                "StagingInput",
+                "Executing",
+                "StagingOutput",
+                "Done"
+            ],
+            "{component}"
+        );
+    }
+    for pilot in 0..2 {
+        let component = format!("pilot.{pilot}");
+        let states = tracer.for_component(&component);
+        assert!(
+            states.iter().any(|rec| rec.event == "Active"),
+            "{component} never became active: {states:?}"
+        );
+    }
 }
 
 #[test]
