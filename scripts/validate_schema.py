@@ -303,8 +303,18 @@ def check_telemetry(args):
     require(rows, "empty metrics CSV")
     float(rows[0]["time_secs"])
     float(rows[0]["value"])
-    json.load(open(os.path.join(args.dir, "events.json")))
-    print(f"{len(events)} trace events, {len(rows)} CSV samples OK")
+    records = json.load(open(os.path.join(args.dir, "events.json")))
+    require(isinstance(records, list) and records, "event trace is not a non-empty array")
+    last = None
+    for i, r in enumerate(records):
+        require(
+            isinstance(r, dict) and {"time", "component", "event", "detail"} <= r.keys(),
+            f"event trace record {i} lacks time/component/event/detail: {r}",
+        )
+        require(is_num(r["time"]), f"event trace record {i}: time {r['time']!r} is not a number")
+        require(last is None or r["time"] >= last, f"event trace time goes back at record {i}")
+        last = r["time"]
+    print(f"{len(events)} trace events, {len(rows)} CSV samples, {len(records)} trace records OK")
 
 
 # ------------------------------------------------------------------ cli
