@@ -282,8 +282,8 @@ impl ClusterState {
 /// windows. Every job ticks its per-resource counter; only pilot jobs are
 /// traced (background load would drown the trace).
 enum ClusterFact<'a> {
-    /// `job` just entered its current state.
-    Job { cluster: &'a str, job: &'a Job },
+    /// A job just entered its current state.
+    Job(&'a ClusterState, JobId),
     /// An outage (`kill_running`) or drain window of `window` began.
     Outage {
         cluster: &'a str,
@@ -297,12 +297,13 @@ enum ClusterFact<'a> {
 impl Fact for ClusterFact<'_> {
     fn trace(&self) -> Option<TraceLine> {
         Some(match *self {
-            ClusterFact::Job { cluster, job } => {
+            ClusterFact::Job(st, id) => {
+                let job = &st.jobs[&id];
                 if job.request.owner != JobOwner::Pilot {
                     return None;
                 }
                 (
-                    format!("cluster.{cluster}.{}", job.id),
+                    format!("cluster.{}.{id}", st.config.name),
                     job.state.name(),
                     job.request.tag.clone(),
                 )
@@ -325,17 +326,17 @@ impl Fact for ClusterFact<'_> {
     }
 
     fn counter(&self) -> Option<String> {
-        let ClusterFact::Job { cluster, job } = *self else {
+        let ClusterFact::Job(st, id) = *self else {
             return None;
         };
-        let which = match job.state {
+        let which = match st.jobs[&id].state {
             JobState::Queued => "jobs_submitted",
             JobState::Running => "jobs_dispatched",
             JobState::Completed => "jobs_completed",
             JobState::Killed => "jobs_killed",
             JobState::Cancelled => "jobs_cancelled",
         };
-        Some(format!("cluster.{cluster}.{which}"))
+        Some(format!("cluster.{}.{which}", st.config.name))
     }
 }
 
@@ -581,10 +582,6 @@ impl Cluster {
             let id = JobId(st.next_job_id);
             st.next_job_id += 1;
             let job = Job::new(id, request, sim.now(), priority);
-            sim.emit(&ClusterFact::Job {
-                cluster: &st.config.name,
-                job: &job,
-            });
             // Priority insertion: ahead of strictly lower-priority jobs,
             // behind equal priority (stable FIFO within a queue class) —
             // the QueueKey ordering, since ids grow monotonically.
@@ -597,6 +594,7 @@ impl Cluster {
             st.jobs.insert(id, job);
             st.queue.insert((Reverse(priority), id.0), view);
             st.touch();
+            sim.emit(&ClusterFact::Job(&st, id));
             id
         };
         self.record_usage_gauges(sim);
@@ -639,7 +637,7 @@ impl Cluster {
             }
         };
         if cancelled {
-            self.emit_job(sim, id);
+            sim.emit(&ClusterFact::Job(&self.inner.borrow(), id));
             self.record_usage_gauges(sim);
             self.notify(sim, id, JobState::Cancelled);
             self.schedule_dispatch(sim);
@@ -741,7 +739,7 @@ impl Cluster {
             started
         };
         for (id, end) in starts {
-            self.emit_job(sim, id);
+            sim.emit(&ClusterFact::Job(&self.inner.borrow(), id));
             let this = self.clone();
             let ev = sim.schedule_at(end, move |sim| this.on_completion(sim, id));
             {
@@ -776,7 +774,7 @@ impl Cluster {
             st.touch();
             final_state
         };
-        self.emit_job(sim, id);
+        sim.emit(&ClusterFact::Job(&self.inner.borrow(), id));
         self.record_usage_gauges(sim);
         self.notify(sim, id, final_state);
         self.schedule_dispatch(sim);
@@ -852,7 +850,7 @@ impl Cluster {
         self.kill_running_jobs(sim);
         self.record_usage_gauges(sim);
         for id in queued {
-            self.emit_job(sim, id);
+            sim.emit(&ClusterFact::Job(&self.inner.borrow(), id));
             self.notify(sim, id, JobState::Killed);
         }
     }
@@ -883,7 +881,7 @@ impl Cluster {
         };
         for (id, ev) in victims {
             sim.cancel(ev);
-            self.emit_job(sim, id);
+            sim.emit(&ClusterFact::Job(&self.inner.borrow(), id));
             self.notify(sim, id, JobState::Killed);
         }
         self.record_usage_gauges(sim);
@@ -905,15 +903,6 @@ impl Cluster {
             .borrow()
             .down_until
             .is_some_and(|until| until.as_secs().is_infinite())
-    }
-
-    /// Emit the state job `id` just entered.
-    fn emit_job(&self, sim: &Simulation, id: JobId) {
-        let st = self.inner.borrow();
-        sim.emit(&ClusterFact::Job {
-            cluster: &st.config.name,
-            job: &st.jobs[&id],
-        });
     }
 
     /// Append one sample to the utilization and queue-depth timelines
