@@ -869,7 +869,7 @@ impl<'a> RunWorld<'a> {
                     unit: unit.0,
                     state,
                     pilot: u.pilot.map(|p| p.0),
-                    cores: u.task.cores,
+                    cores: u.work.cores,
                 },
             );
         });
@@ -1345,7 +1345,7 @@ impl<'a> RunWorld<'a> {
             .iter()
             .filter_map(|u| {
                 u.execution_span()
-                    .map(|d| f64::from(u.task.cores) * d.as_hours())
+                    .map(|d| f64::from(u.work.cores) * d.as_hours())
             })
             .sum();
         let metrics = self.options.telemetry.as_ref().map(|telemetry| {
@@ -1488,7 +1488,7 @@ fn add_spans(telemetry: &Telemetry, pilots: &[Pilot], units: &[ComputeUnit], fin
                 end,
                 args: vec![
                     ("pilot".into(), pid.to_string()),
-                    ("cores".into(), u.task.cores.to_string()),
+                    ("cores".into(), u.work.cores.to_string()),
                 ],
             });
         }

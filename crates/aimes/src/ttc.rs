@@ -64,44 +64,6 @@ pub fn interval_union(mut intervals: Vec<(SimTime, SimTime)>) -> SimDuration {
     total
 }
 
-/// Successive state-pair intervals of a unit, restart-aware: pairs each
-/// occurrence of `from` with the next transition after it.
-fn unit_intervals(unit: &ComputeUnit, from: UnitState) -> Vec<(SimTime, SimTime)> {
-    let ts = &unit.timestamps;
-    let mut out = Vec::new();
-    for (i, (state, time)) in ts.iter().enumerate() {
-        if *state == from {
-            if let Some((_, end)) = ts.get(i + 1) {
-                out.push((*time, *end));
-            }
-        }
-    }
-    out
-}
-
-/// Recovery windows of one unit: every re-entry to PendingExecution (a
-/// restart) opens a window that closes when the unit next executes, or at
-/// its terminal transition, or — if neither happened — at `finished`.
-fn recovery_intervals(unit: &ComputeUnit, finished: SimTime) -> Vec<(SimTime, SimTime)> {
-    let ts = &unit.timestamps;
-    let mut out = Vec::new();
-    let mut pending_seen = 0u32;
-    for (i, (state, time)) in ts.iter().enumerate() {
-        if *state == UnitState::PendingExecution {
-            pending_seen += 1;
-            if pending_seen >= 2 {
-                let end = ts[i + 1..]
-                    .iter()
-                    .find(|(s, _)| *s == UnitState::Executing || s.is_terminal())
-                    .map(|(_, t)| *t)
-                    .unwrap_or(finished);
-                out.push((*time, end));
-            }
-        }
-    }
-    out
-}
-
 /// Core-hours burned on execution attempts that never delivered: every
 /// Executing interval whose successor is not StagingOutput was aborted (a
 /// pilot death or an injected unit fault), and its reserved cores were
@@ -116,7 +78,7 @@ pub fn wasted_core_hours(units: &[ComputeUnit]) -> f64 {
             }
             if let Some((next, end)) = ts.get(i + 1) {
                 if *next != UnitState::StagingOutput {
-                    total += f64::from(u.task.cores) * end.since(*time).as_secs() / 3600.0;
+                    total += f64::from(u.work.cores) * end.since(*time).as_secs() / 3600.0;
                 }
             }
         }
@@ -152,7 +114,7 @@ pub fn salvage_split(units: &[ComputeUnit]) -> (f64, f64) {
         } else {
             0.0
         };
-        let cores = f64::from(u.task.cores);
+        let cores = f64::from(u.work.cores);
         salvaged += cores * salvaged_secs / 3600.0;
         wasted += cores * (aborted_secs - salvaged_secs) / 3600.0;
     }
@@ -177,14 +139,33 @@ pub fn decompose(
         Some(t) => t.saturating_since(submitted),
         None => finished.saturating_since(submitted),
     };
-    let mut exec: Vec<(SimTime, SimTime)> = Vec::new();
-    let mut staging: Vec<(SimTime, SimTime)> = Vec::new();
-    let mut recovery: Vec<(SimTime, SimTime)> = Vec::new();
+    // One walk over each unit's history, restart-aware. Each Executing,
+    // StagingInput and StagingOutput entry pairs with the next transition
+    // after it. Every re-entry to PendingExecution (a restart) opens a
+    // recovery window that closes when the unit next executes, or at its
+    // terminal transition, or — if neither happened — at `finished`.
+    let mut exec = Vec::with_capacity(units.len());
+    let mut staging = Vec::with_capacity(2 * units.len());
+    let mut recovery = Vec::new();
     for u in units {
-        exec.extend(unit_intervals(u, UnitState::Executing));
-        staging.extend(unit_intervals(u, UnitState::StagingInput));
-        staging.extend(unit_intervals(u, UnitState::StagingOutput));
-        recovery.extend(recovery_intervals(u, finished));
+        let ts = &u.timestamps;
+        let mut pending_seen = false;
+        for (i, &(state, start)) in ts.iter().enumerate() {
+            let next = ts.get(i + 1).map(|&(_, t)| (start, t));
+            match state {
+                UnitState::Executing => exec.extend(next),
+                UnitState::StagingInput | UnitState::StagingOutput => staging.extend(next),
+                UnitState::PendingExecution if pending_seen => {
+                    let end = ts[i + 1..]
+                        .iter()
+                        .find(|(s, _)| *s == UnitState::Executing || s.is_terminal())
+                        .map_or(finished, |&(_, t)| t);
+                    recovery.push((start, end));
+                }
+                UnitState::PendingExecution => pending_seen = true,
+                _ => {}
+            }
+        }
     }
     TtcBreakdown {
         ttc: finished.saturating_since(submitted),
@@ -196,11 +177,89 @@ pub fn decompose(
     }
 }
 
+/// The per-unit `Vec`-returning decomposition [`decompose`] replaced,
+/// kept as its differential oracle.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    /// Successive state-pair intervals of a unit, restart-aware: pairs
+    /// each occurrence of `from` with the next transition after it.
+    fn unit_intervals(unit: &ComputeUnit, from: UnitState) -> Vec<(SimTime, SimTime)> {
+        let ts = &unit.timestamps;
+        let mut out = Vec::new();
+        for (i, (state, time)) in ts.iter().enumerate() {
+            if *state == from {
+                if let Some((_, end)) = ts.get(i + 1) {
+                    out.push((*time, *end));
+                }
+            }
+        }
+        out
+    }
+
+    /// Recovery windows of one unit: every re-entry to PendingExecution
+    /// (a restart) opens a window that closes when the unit next
+    /// executes, or at its terminal transition, or — if neither
+    /// happened — at `finished`.
+    fn recovery_intervals(unit: &ComputeUnit, finished: SimTime) -> Vec<(SimTime, SimTime)> {
+        let ts = &unit.timestamps;
+        let mut out = Vec::new();
+        let mut pending_seen = 0u32;
+        for (i, (state, time)) in ts.iter().enumerate() {
+            if *state == UnitState::PendingExecution {
+                pending_seen += 1;
+                if pending_seen >= 2 {
+                    let end = ts[i + 1..]
+                        .iter()
+                        .find(|(s, _)| *s == UnitState::Executing || s.is_terminal())
+                        .map(|(_, t)| *t)
+                        .unwrap_or(finished);
+                    out.push((*time, end));
+                }
+            }
+        }
+        out
+    }
+
+    pub(super) fn decompose(
+        units: &[ComputeUnit],
+        pilots: &[Pilot],
+        submitted: SimTime,
+        finished: SimTime,
+    ) -> TtcBreakdown {
+        let first_active = pilots
+            .iter()
+            .filter_map(|p| p.time_of(PilotState::Active))
+            .min();
+        let tw = match first_active {
+            Some(t) => t.saturating_since(submitted),
+            None => finished.saturating_since(submitted),
+        };
+        let mut exec: Vec<(SimTime, SimTime)> = Vec::new();
+        let mut staging: Vec<(SimTime, SimTime)> = Vec::new();
+        let mut recovery: Vec<(SimTime, SimTime)> = Vec::new();
+        for u in units {
+            exec.extend(unit_intervals(u, UnitState::Executing));
+            staging.extend(unit_intervals(u, UnitState::StagingInput));
+            staging.extend(unit_intervals(u, UnitState::StagingOutput));
+            recovery.extend(recovery_intervals(u, finished));
+        }
+        TtcBreakdown {
+            ttc: finished.saturating_since(submitted),
+            tw,
+            tx: interval_union(exec),
+            ts: interval_union(staging),
+            tr: interval_union(recovery),
+            td: SimDuration::ZERO,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aimes_pilot::{PilotDescription, PilotId, UnitId};
-    use aimes_skeleton::{FileSpec, TaskId, TaskSpec};
+    use aimes_pilot::{PilotDescription, PilotId, UnitId, UnitWork};
     use proptest::prelude::*;
 
     fn t(s: f64) -> SimTime {
@@ -234,26 +293,16 @@ mod tests {
     }
 
     fn mk_unit(id: u32, events: &[(UnitState, f64)]) -> ComputeUnit {
-        let task = TaskSpec {
-            id: TaskId(id),
-            stage: 0,
-            stage_name: "s".into(),
+        let work = UnitWork {
             cores: 1,
             duration: d(900.0),
-            inputs: vec![FileSpec {
-                name: "in".into(),
-                size_mb: 1.0,
-            }],
-            outputs: vec![FileSpec {
-                name: "out".into(),
-                size_mb: 0.002,
-            }],
-            dependencies: vec![],
+            input_mb: 1.0,
+            output_mb: 0.002,
         };
         // Construct through the public-ish surface: replay transitions.
         let mut unit = ComputeUnit {
             id: UnitId(id),
-            task,
+            work,
             state: events.last().map(|(s, _)| *s).unwrap_or(UnitState::New),
             pilot: Some(PilotId(0)),
             attempts: 1,
@@ -492,7 +541,77 @@ mod tests {
         assert_eq!(s, 0.0);
     }
 
+    /// One random legal unit history: a walk over the unit state model
+    /// from New. `steps` picks each move and its delay (a zero delay
+    /// makes a zero-length interval); the walk may stop in any state, so
+    /// some units never finish.
+    fn random_history(steps: &[(u8, u8)]) -> Vec<(UnitState, f64)> {
+        use UnitState::*;
+        let mut state = New;
+        let mut now = 0.0;
+        let mut out = Vec::new();
+        for &(pick, delay) in steps {
+            let moves: &[UnitState] = match state {
+                New => &[PendingExecution, Canceled],
+                PendingExecution => &[StagingInput, StagingInput, Failed, Canceled],
+                // A restart from every in-flight state.
+                StagingInput => &[Executing, Executing, PendingExecution, Failed, Canceled],
+                Executing => &[StagingOutput, StagingOutput, PendingExecution, Failed],
+                StagingOutput => &[Done, Done, PendingExecution, Canceled],
+                Done | Failed | Canceled => break,
+            };
+            state = moves[usize::from(pick) % moves.len()];
+            now += f64::from(delay % 4) * 2.5;
+            out.push((state, now));
+        }
+        out
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The single-pass decomposition matches the per-unit `Vec` one
+        /// it replaced, bit for bit.
+        #[test]
+        fn prop_decompose_matches_oracle(
+            histories in proptest::collection::vec(
+                proptest::collection::vec((any::<u8>(), any::<u8>()), 0..16),
+                0..12,
+            ),
+            active in proptest::collection::vec(proptest::option::of(0.0f64..50.0), 0..3),
+            submitted in 0.0f64..10.0,
+            tail in 0.0f64..20.0,
+        ) {
+            let units: Vec<ComputeUnit> = histories
+                .iter()
+                .enumerate()
+                .map(|(i, steps)| mk_unit(i as u32, &random_history(steps)))
+                .collect();
+            let pilots: Vec<Pilot> = active
+                .iter()
+                .map(|at| {
+                    let mut p = mk_pilot(at.unwrap_or(0.0));
+                    if at.is_none() {
+                        p.timestamps.truncate(1);
+                    }
+                    p
+                })
+                .collect();
+            let last = units
+                .iter()
+                .filter_map(|u| u.timestamps.last())
+                .map(|&(_, at)| at.as_secs())
+                .fold(submitted, f64::max);
+            let finished = t(last + tail);
+            prop_assert_eq!(
+                decompose(&units, &pilots, t(submitted), finished),
+                oracle::decompose(&units, &pilots, t(submitted), finished)
+            );
+        }
+    }
+
+    proptest! {
+
         /// Union is monotone and bounded by the enclosing span.
         #[test]
         fn prop_union_bounds(

@@ -55,7 +55,9 @@ pub struct UnitView {
 
 /// Compute assignments for this scheduling pass. `units` is in queue
 /// order; `pilots` lists *active* pilots only. Returns `(unit, pilot)`
-/// pairs; unassigned units simply stay queued for the next pass.
+/// pairs in `units` order, each unit at most once: a subsequence of the
+/// queue, which the unit manager removes with one cursor. Unassigned
+/// units simply stay queued for the next pass.
 pub fn assign(
     scheduler: UnitScheduler,
     units: &[UnitView],
@@ -264,10 +266,10 @@ mod tests {
                 .collect();
             let mut cur = 0;
             let a = assign(scheduler, &units, &pilots, &mut cur);
-            // Unique units.
-            let mut seen = std::collections::HashSet::new();
-            for (u, _) in &a {
-                prop_assert!(seen.insert(*u));
+            // Each unit at most once, in queue order (ids are queue
+            // positions here).
+            for w in a.windows(2) {
+                prop_assert!(w[0].0 < w[1].0);
             }
             // Capacity per pilot.
             for p in &pilots {

@@ -97,11 +97,40 @@ impl UnitState {
     }
 }
 
+/// What the unit manager reads of a unit's task: its shape, its run time
+/// and its staging volumes. Computed once at submission, so a unit holds
+/// four numbers instead of a copy of the task's names and file lists.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct UnitWork {
+    pub cores: u32,
+    pub duration: SimDuration,
+    /// Total input volume in MB ([`TaskSpec::input_mb`]).
+    pub input_mb: f64,
+    /// Total output volume in MB ([`TaskSpec::output_mb`]).
+    pub output_mb: f64,
+}
+
+impl UnitWork {
+    /// The work of `task`.
+    pub fn of(task: &TaskSpec) -> Self {
+        UnitWork {
+            cores: task.cores,
+            duration: task.duration,
+            input_mb: task.input_mb(),
+            output_mb: task.output_mb(),
+        }
+    }
+}
+
+/// States a unit passes through on a run without restarts: New,
+/// PendingExecution, StagingInput, Executing, StagingOutput and Done.
+const HAPPY_PATH_STATES: usize = 6;
+
 /// A unit tracked by the unit manager.
 #[derive(Clone, Debug)]
 pub struct ComputeUnit {
     pub id: UnitId,
-    pub task: TaskSpec,
+    pub work: UnitWork,
     pub state: UnitState,
     /// Pilot currently (or last) executing this unit.
     pub pilot: Option<PilotId>,
@@ -118,16 +147,18 @@ pub struct ComputeUnit {
 }
 
 impl ComputeUnit {
-    pub(crate) fn new(id: UnitId, task: TaskSpec, now: SimTime) -> Self {
+    pub(crate) fn new(id: UnitId, work: UnitWork, now: SimTime) -> Self {
+        let mut timestamps = Vec::with_capacity(HAPPY_PATH_STATES);
+        timestamps.push((UnitState::New, now));
         ComputeUnit {
             id,
-            task,
+            work,
             state: UnitState::New,
             pilot: None,
             attempts: 0,
             checkpointed: SimDuration::ZERO,
             salvaged: SimDuration::ZERO,
-            timestamps: vec![(UnitState::New, now)],
+            timestamps,
         }
     }
 
@@ -152,15 +183,6 @@ impl ComputeUnit {
             .map(|(_, t)| *t)
     }
 
-    /// All `(state, time)` pairs for `state` in order (restart-aware).
-    pub fn times_of(&self, state: UnitState) -> Vec<SimTime> {
-        self.timestamps
-            .iter()
-            .filter(|(s, _)| *s == state)
-            .map(|(_, t)| *t)
-            .collect()
-    }
-
     /// Wall time spent executing in the successful attempt.
     pub fn execution_span(&self) -> Option<SimDuration> {
         let start = self.last_time_of(UnitState::Executing)?;
@@ -178,8 +200,8 @@ mod tests {
         SimTime::from_secs(s)
     }
 
-    fn task() -> TaskSpec {
-        TaskSpec {
+    fn task() -> UnitWork {
+        UnitWork::of(&TaskSpec {
             id: TaskId(0),
             stage: 0,
             stage_name: "bag".into(),
@@ -194,7 +216,16 @@ mod tests {
                 size_mb: 0.002,
             }],
             dependencies: vec![],
-        }
+        })
+    }
+
+    #[test]
+    fn work_sums_the_task_files() {
+        let w = task();
+        assert_eq!(w.cores, 1);
+        assert_eq!(w.duration, SimDuration::from_mins(15.0));
+        assert_eq!(w.input_mb, 1.0);
+        assert_eq!(w.output_mb, 0.002);
     }
 
     #[test]
@@ -206,7 +237,8 @@ mod tests {
         u.transition(UnitState::StagingOutput, t(912.0));
         u.transition(UnitState::Done, t(913.0));
         assert_eq!(u.execution_span(), Some(SimDuration::from_secs(900.0)));
-        assert_eq!(u.timestamps.len(), 6);
+        assert_eq!(u.timestamps.len(), HAPPY_PATH_STATES);
+        assert_eq!(u.timestamps.capacity(), HAPPY_PATH_STATES);
     }
 
     #[test]
@@ -221,7 +253,13 @@ mod tests {
         u.transition(UnitState::Executing, t(202.0));
         u.transition(UnitState::StagingOutput, t(1102.0));
         u.transition(UnitState::Done, t(1103.0));
-        assert_eq!(u.times_of(UnitState::Executing), vec![t(4.0), t(202.0)]);
+        let executing: Vec<SimTime> = u
+            .timestamps
+            .iter()
+            .filter(|(s, _)| *s == UnitState::Executing)
+            .map(|(_, at)| *at)
+            .collect();
+        assert_eq!(executing, [t(4.0), t(202.0)]);
         assert_eq!(u.execution_span(), Some(SimDuration::from_secs(900.0)));
     }
 

@@ -11,11 +11,11 @@ use crate::agent::{Agent, StagingChannel};
 use crate::pilot::{PilotId, PilotState};
 use crate::pilot_manager::{dwell_metric, PilotManager};
 use crate::scheduler::{assign, Binding, PilotView, UnitScheduler, UnitView};
-use crate::unit::{ComputeUnit, UnitId, UnitState};
+use crate::unit::{ComputeUnit, UnitId, UnitState, UnitWork};
 use aimes_sim::{EventId, Fact, Observers, SimDuration, SimTime, Simulation, TraceLine};
 use aimes_skeleton::TaskSpec;
 use std::cell::{Ref, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 /// What a unit's trace line says about a transition beyond its state.
@@ -242,9 +242,12 @@ struct UmState {
     ready: VecDeque<UnitId>,
     /// Early-binding assignment per unit.
     bound: Vec<Option<PilotId>>,
-    agents: HashMap<PilotId, Agent>,
-    /// Cancellable pending event for units in StagingInput/Executing.
-    inflight: HashMap<UnitId, EventId>,
+    /// Agents of the active pilots, in pilot-id order: the order the
+    /// schedulers see them in.
+    agents: BTreeMap<PilotId, Agent>,
+    /// Cancellable pending event per unit, indexed by unit id; `Some`
+    /// only while the unit is in StagingInput or Executing.
+    inflight: Vec<Option<EventId>>,
     origin_channel: StagingChannel,
     overhead_busy_until: SimTime,
     /// Lazily forked stream for unit-fault draws; stays unforked (and the
@@ -288,8 +291,8 @@ impl UnitManager {
                 dependents: Vec::new(),
                 ready: VecDeque::new(),
                 bound: Vec::new(),
-                agents: HashMap::new(),
-                inflight: HashMap::new(),
+                agents: BTreeMap::new(),
+                inflight: Vec::new(),
                 overhead_busy_until: SimTime::ZERO,
                 fault_rng: None,
                 rr_cursor: 0,
@@ -350,16 +353,21 @@ impl UnitManager {
             st.dep_count = vec![0; n];
             st.dependents = vec![Vec::new(); n];
             st.bound = vec![None; n];
+            st.inflight = vec![None; n];
             st.stats.total = n;
+            let mut roots = 0;
             for (i, task) in tasks.iter().enumerate() {
                 assert_eq!(task.id.0 as usize, i, "task ids must be dense and in order");
                 let uid = UnitId(i as u32);
-                st.units.push(ComputeUnit::new(uid, task.clone(), now));
+                st.units
+                    .push(ComputeUnit::new(uid, UnitWork::of(task), now));
                 st.dep_count[i] = task.dependencies.len();
+                roots += usize::from(task.dependencies.is_empty());
                 for dep in &task.dependencies {
                     st.dependents[dep.0 as usize].push(uid);
                 }
             }
+            st.ready.reserve(roots);
             if st.config.binding == Binding::Early {
                 let pilots = self.pm.pilots_ref();
                 assert!(
@@ -383,15 +391,10 @@ impl UnitManager {
             }
         }
         // Move dependency-free units to PendingExecution.
-        let ready_now: Vec<UnitId> = {
-            let st = self.inner.borrow();
-            (0..st.units.len() as u32)
-                .map(UnitId)
-                .filter(|u| st.dep_count[u.0 as usize] == 0)
-                .collect()
-        };
-        for uid in ready_now {
-            self.make_ready(sim, uid);
+        for (i, task) in tasks.iter().enumerate() {
+            if task.dependencies.is_empty() {
+                self.make_ready(sim, UnitId(i as u32));
+            }
         }
         self.request_schedule(sim);
     }
@@ -471,7 +474,7 @@ impl UnitManager {
                 .collect()
         };
         for uid in victims {
-            let ev = self.inner.borrow_mut().inflight.remove(&uid);
+            let ev = self.inner.borrow_mut().inflight[uid.0 as usize].take();
             if let Some(ev) = ev {
                 sim.cancel(ev);
             }
@@ -502,7 +505,7 @@ impl UnitManager {
                 .collect();
             let events: Vec<EventId> = stranded
                 .iter()
-                .filter_map(|uid| st.inflight.remove(uid))
+                .filter_map(|uid| st.inflight[uid.0 as usize].take())
                 .collect();
             (events, stranded.len())
         };
@@ -556,7 +559,7 @@ impl UnitManager {
                     .unwrap_or_else(|| sim.now());
                 let elapsed = sim.now().saturating_since(entered).as_secs();
                 let total =
-                    (unit.checkpointed.as_secs() + elapsed).min(unit.task.duration.as_secs());
+                    (unit.checkpointed.as_secs() + elapsed).min(unit.work.duration.as_secs());
                 let boundary = (total / interval.as_secs()).floor() * interval.as_secs();
                 if boundary > unit.checkpointed.as_secs() {
                     let delta = boundary - unit.checkpointed.as_secs();
@@ -640,19 +643,13 @@ impl UnitManager {
             if st.ready.is_empty() || st.agents.is_empty() {
                 return;
             }
-            // Sort by pilot id: the scheduler's tie-breaking must not
-            // depend on HashMap iteration order.
-            let mut agent_ids: Vec<PilotId> = st.agents.keys().copied().collect();
-            agent_ids.sort_unstable();
-            let pilots: Vec<PilotView> = agent_ids
-                .iter()
-                .map(|pid| {
-                    let a = &st.agents[pid];
-                    PilotView {
-                        id: a.pilot,
-                        free_cores: a.free_cores,
-                        remaining_walltime: a.remaining_walltime(now),
-                    }
+            let pilots: Vec<PilotView> = st
+                .agents
+                .values()
+                .map(|a| PilotView {
+                    id: a.pilot,
+                    free_cores: a.free_cores,
+                    remaining_walltime: a.remaining_walltime(now),
                 })
                 .collect();
             let units: Vec<UnitView> = st
@@ -662,8 +659,8 @@ impl UnitManager {
                     let u = &st.units[uid.0 as usize];
                     UnitView {
                         id: *uid,
-                        cores: u.task.cores,
-                        est_duration: u.task.duration,
+                        cores: u.work.cores,
+                        est_duration: u.work.duration,
                         bound_to: st.bound[uid.0 as usize],
                     }
                 })
@@ -674,10 +671,18 @@ impl UnitManager {
             return;
         }
         {
+            // `assign` places units in queue order, so the placed units
+            // are a subsequence of the queue: one cursor walks both.
             let mut st = self.inner.borrow_mut();
-            let placed: std::collections::HashSet<UnitId> =
-                assignments.iter().map(|(u, _)| *u).collect();
-            st.ready.retain(|u| !placed.contains(u));
+            let mut placed = assignments.iter().map(|&(u, _)| u).peekable();
+            st.ready.retain(|&u| {
+                let hit = placed.peek() == Some(&u);
+                if hit {
+                    placed.next();
+                }
+                !hit
+            });
+            assert!(placed.next().is_none(), "assignments out of queue order");
         }
         for (uid, pid) in assignments {
             self.start_unit(sim, uid, pid);
@@ -693,21 +698,21 @@ impl UnitManager {
             unit.pilot = Some(pid);
             unit.attempts += 1;
             let agent = st.agents.get_mut(&pid).expect("agent exists");
-            agent.reserve(unit.task.cores);
+            agent.reserve(unit.work.cores);
             // Serialized middleware dispatch overhead, then the shared
             // origin staging channel.
             let overhead_start = now.max(st.overhead_busy_until);
             st.overhead_busy_until = overhead_start + st.config.dispatch_overhead;
             let (_t0, staging_end) = st
                 .origin_channel
-                .enqueue(st.overhead_busy_until, unit.task.input_mb());
+                .enqueue(st.overhead_busy_until, unit.work.input_mb);
             (staging_end, agent.resource.clone())
         };
         let placed = UnitDetail::Placed(pid, &resource);
         self.transition(sim, uid, UnitState::StagingInput, placed);
         let this = self.clone();
         let ev = sim.schedule_at(staging_end, move |sim| this.on_input_staged(sim, uid));
-        self.inner.borrow_mut().inflight.insert(uid, ev);
+        self.inner.borrow_mut().inflight[uid.0 as usize] = Some(ev);
     }
 
     fn on_input_staged(&self, sim: &mut Simulation, uid: UnitId) {
@@ -720,9 +725,9 @@ impl UnitManager {
             // remaining work runs. With checkpointing off, `checkpointed`
             // is always zero and this is exactly the task duration.
             let duration = if unit.checkpointed.is_zero() {
-                unit.task.duration
+                unit.work.duration
             } else {
-                unit.task.duration.saturating_sub(unit.checkpointed)
+                unit.work.duration.saturating_sub(unit.checkpointed)
             };
             let resumed_from = (!unit.checkpointed.is_zero()).then(|| unit.checkpointed.as_secs());
             // Fault draw happens up front so the failure instant is part
@@ -756,7 +761,7 @@ impl UnitManager {
             }
             None => sim.schedule_in(duration, move |sim| this.on_executed(sim, uid)),
         };
-        self.inner.borrow_mut().inflight.insert(uid, ev);
+        self.inner.borrow_mut().inflight[uid.0 as usize] = Some(ev);
     }
 
     /// An execution attempt died partway. Unlike pilot death, the agent
@@ -766,9 +771,9 @@ impl UnitManager {
         {
             let mut st = self.inner.borrow_mut();
             let st = &mut *st;
-            st.inflight.remove(&uid);
+            st.inflight[uid.0 as usize] = None;
             let unit = &st.units[uid.0 as usize];
-            let cores = unit.task.cores;
+            let cores = unit.work.cores;
             if let Some(pid) = unit.pilot {
                 if let Some(agent) = st.agents.get_mut(&pid) {
                     agent.release(cores);
@@ -793,12 +798,12 @@ impl UnitManager {
         let out_end = {
             let mut st = self.inner.borrow_mut();
             let st = &mut *st;
-            st.inflight.remove(&uid);
+            st.inflight[uid.0 as usize] = None;
             let unit = &st.units[uid.0 as usize];
             // Execution done: the core goes back to the pilot; output
             // staging runs over the wide-area channel, off the core.
-            let cores = unit.task.cores;
-            let out_mb = unit.task.output_mb();
+            let cores = unit.work.cores;
+            let out_mb = unit.work.output_mb;
             if let Some(pid) = unit.pilot {
                 if let Some(agent) = st.agents.get_mut(&pid) {
                     agent.release(cores);
@@ -1056,8 +1061,7 @@ mod tests {
         // done (many-to-one fan-in of 4 maps per reduce).
         let units = um.units_ref();
         for r in &units[8..] {
-            let deps_done = r
-                .task
+            let deps_done = app.tasks()[r.id.0 as usize]
                 .dependencies
                 .iter()
                 .map(|d| units[d.0 as usize].last_time_of(UnitState::Done).unwrap())

@@ -119,7 +119,7 @@ proptest! {
         let units = um.units_ref();
         for u in units.iter() {
             let staged = u.last_time_of(UnitState::StagingInput).expect("ran");
-            for dep in &u.task.dependencies {
+            for dep in &app.tasks()[u.id.0 as usize].dependencies {
                 let dep_done = units[dep.0 as usize]
                     .last_time_of(UnitState::Done)
                     .expect("dep ran");

@@ -38,7 +38,8 @@ impl SkeletonApp {
     pub fn generate(config: &SkeletonConfig, rng: &mut SimRng) -> Result<SkeletonApp, String> {
         config.validate()?;
         let expanded = expand_stages(config);
-        let mut tasks: Vec<TaskSpec> = Vec::new();
+        let total: usize = expanded.iter().map(|(c, _)| c.task_count as usize).sum();
+        let mut tasks: Vec<TaskSpec> = Vec::with_capacity(total);
         let mut stage_ranges = Vec::with_capacity(expanded.len());
         let mut stage_names = Vec::with_capacity(expanded.len());
         let mut prev_range: Option<(usize, usize)> = None;
@@ -534,6 +535,8 @@ mod tests {
         let app = SkeletonApp::generate(&cfg, &mut rng()).unwrap();
         assert_eq!(app.stage_count(), 4);
         assert_eq!(app.tasks().len(), 16);
+        // Sized once for every expanded stage's tasks.
+        assert_eq!(app.tasks.capacity(), 16);
         assert_eq!(
             app.stage_names(),
             &["gen", "step.iter0", "step.iter1", "step.iter2"]

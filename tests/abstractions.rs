@@ -127,7 +127,7 @@ fn skeleton_dag_order_is_respected_by_the_pilot_layer() {
     // Every unit started staging only after all its dependencies were done.
     for u in units.iter() {
         let staged = u.last_time_of(UnitState::StagingInput).unwrap();
-        for dep in &u.task.dependencies {
+        for dep in &app.tasks()[u.id.0 as usize].dependencies {
             let dep_done = units[dep.0 as usize].last_time_of(UnitState::Done).unwrap();
             assert!(
                 staged >= dep_done,
