@@ -140,13 +140,19 @@ const PARENT_DIGESTS: [(&str, [&str; 4]); 4] = [
     ),
 ];
 
-/// Stdout digests of the two sequential ablations that run through
-/// `run_application`/`run_adaptive` directly (no campaign driver) at
-/// `--quick --reps 2 --seed 42`, captured before both runners shared one
-/// set of run phases. Restructuring a run must leave them unchanged.
-const SEQUENTIAL_DIGESTS: [(&str, &str); 2] = [
+/// Stdout digests of the sequential ablations (no campaign driver) at
+/// `--quick --reps 2 --seed 42`: the adaptive and walltime pins were
+/// captured before `run_application` and `run_adaptive` shared one set of
+/// run phases, the rest before the sequential loops moved onto the shared
+/// sweep driver. Restructuring a run or a sweep must leave them unchanged.
+const SEQUENTIAL_DIGESTS: [(&str, &str); 7] = [
     ("ablation-adaptive", "1ab077b695be0c82"),
     ("ablation-walltime", "852bb7b9958cdc5e"),
+    ("ablation-data", "6b3bd392e9a15282"),
+    ("ablation-crossover", "f346bbb35b9e5f6a"),
+    ("ablation-hetero", "70605002005fa6dc"),
+    ("ablation-queue", "17a501386b73b6e4"),
+    ("ablation-predictor", "35bcd9ff8bd799ac"),
 ];
 
 #[test]
