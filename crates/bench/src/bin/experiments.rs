@@ -80,7 +80,7 @@ use aimes_bench::alloc::{self as heap, CountingAlloc};
 use aimes_bench::observatory::{CampaignFlags, Observatory};
 use aimes_bench::{flag_parse, flag_value};
 use aimes_sim::{EngineStats, Profiler, SimRng, SimTime};
-use aimes_skeleton::{bag_of_tasks, TaskDurationSpec};
+use aimes_skeleton::{bag_of_tasks, SkeletonConfig, TaskDurationSpec};
 use aimes_strategy::ExecutionStrategy;
 use aimes_workload::Distribution;
 use std::collections::BTreeMap;
@@ -198,6 +198,38 @@ fn parse_args() -> (String, Options) {
 
 fn sizes(opts: &Options) -> Option<Vec<u32>> {
     opts.quick.then(aimes_bench::quick_sizes)
+}
+
+/// One repetition's seed and submission instant (§IV-A: every repetition
+/// faces its own background load, submitted 4-16 h into the simulation).
+/// Arms that share a `key` share seeds, so they are compared paired.
+fn run_seed(opts: &Options, key: &str, rep: usize) -> (u64, SimTime) {
+    let seed = SimRng::new(opts.seed)
+        .fork_indexed(key, rep as u64)
+        .root_seed();
+    let mut rng = SimRng::new(seed).fork("submit");
+    (seed, SimTime::from_secs(rng.uniform(4.0, 16.0) * 3600.0))
+}
+
+/// A bag of `n_tasks` single-core tasks of `secs` each, reading
+/// `input_mb` and writing 0.002 MB per task.
+fn bag(name: &str, n_tasks: u32, secs: f64, input_mb: f64) -> SkeletonConfig {
+    bag_of_tasks(
+        name,
+        n_tasks,
+        Distribution::Constant { value: secs },
+        input_mb,
+        0.002,
+    )
+}
+
+/// Idle 4,096-core test machines: no background load, so queue waits
+/// stay out of what the sweep measures.
+fn idle_pool(names: &[&str]) -> Vec<aimes_cluster::ClusterConfig> {
+    names
+        .iter()
+        .map(|n| aimes_cluster::ClusterConfig::test(n, 4096))
+        .collect()
 }
 
 fn run(cfg: &ExperimentConfig) -> ExperimentResult {
@@ -395,40 +427,40 @@ fn ablation_select(opts: &Options) {
 fn ablation_data(opts: &Options) {
     println!("## Ablation — data-heavy regime: per-task input size sweep\n");
     let n_tasks = if opts.quick { 64 } else { 256 };
-    let mut rows = Vec::new();
-    for input_mb in [1.0, 10.0, 50.0, 200.0] {
-        let app = bag_of_tasks(
-            &format!("data-{input_mb}"),
-            n_tasks,
-            Distribution::Constant { value: 900.0 },
-            input_mb,
-            0.002,
-        );
-        let mut ttcs = Vec::new();
-        let mut ts_fracs = Vec::new();
-        for rep in 0..opts.reps {
-            let seed = SimRng::new(opts.seed)
-                .fork_indexed("ablation-data", (input_mb as u64) << 8 | rep as u64)
-                .root_seed();
-            let mut rng = SimRng::new(seed).fork("submit");
-            let submit_at = SimTime::from_secs(rng.uniform(4.0, 16.0) * 3600.0);
-            let result = run_application(
-                &paper::testbed(),
-                &app,
-                &paper::late_strategy(3),
-                &RunOptions {
+    let testbed = paper::testbed();
+    let strategy = paper::late_strategy(3);
+    let arms = [1.0, 10.0, 50.0, 200.0]
+        .map(|mb: f64| (mb, bag(&format!("data-{mb}"), n_tasks, 900.0, mb)));
+    let (outcomes, failures) = sweep(
+        opts,
+        "ablation-data",
+        &arms,
+        |_| true,
+        |(input_mb, app), rep| {
+            let (seed, submit_at) =
+                run_seed(opts, "ablation-data", (*input_mb as usize) << 8 | rep);
+            CampaignJob {
+                arm: format!("{input_mb}MB"),
+                resources: &testbed,
+                app,
+                strategy: &strategy,
+                options: RunOptions {
                     seed,
                     submit_at,
                     ..Default::default()
                 },
-            );
-            if let Ok(r) = result {
-                ttcs.push(r.breakdown.ttc.as_secs());
-                ts_fracs.push(r.breakdown.ts.as_secs() / r.breakdown.ttc.as_secs());
             }
-        }
-        let ttc = Summary::of(&ttcs).expect("runs succeeded");
-        let frac = Summary::of(&ts_fracs).expect("runs succeeded");
+        },
+        |r, _| {
+            let ttc = r.breakdown.ttc.as_secs();
+            (ttc, r.breakdown.ts.as_secs() / ttc)
+        },
+    );
+    let mut rows = Vec::new();
+    for ((input_mb, _), runs) in arms.iter().zip(&outcomes) {
+        let done = completed(runs);
+        let ttc = summary_of(&done, |r| r.0).expect("runs succeeded");
+        let frac = summary_of(&done, |r| r.1).expect("runs succeeded");
         rows.push(vec![
             format!("{input_mb:.0}"),
             format!("{:.0}", ttc.mean),
@@ -442,6 +474,7 @@ fn ablation_data(opts: &Options) {
             &rows
         )
     );
+    exit_on_failures(opts, "ablation-data", failures);
 }
 
 /// Long-task crossover: with Tx ≫ Tw, early binding's bigger pilot wins
@@ -450,50 +483,49 @@ fn ablation_data(opts: &Options) {
 fn ablation_crossover(opts: &Options) {
     println!("## Ablation — task-duration crossover: early vs late binding\n");
     let n_tasks = if opts.quick { 64 } else { 256 };
-    let mut rows = Vec::new();
-    for task_mins in [15.0, 60.0, 240.0] {
-        for (label, strategy) in [
-            ("early-1p", paper::early_strategy()),
-            ("late-3p", paper::late_strategy(3)),
-        ] {
-            let app = bag_of_tasks(
-                &format!("cross-{task_mins}"),
-                n_tasks,
-                Distribution::Constant {
-                    value: task_mins * 60.0,
+    let testbed = paper::testbed();
+    let arms: Vec<(f64, &str, ExecutionStrategy, SkeletonConfig)> = [15.0, 60.0, 240.0]
+        .into_iter()
+        .flat_map(|mins: f64| {
+            let app = bag(&format!("cross-{mins}"), n_tasks, mins * 60.0, 1.0);
+            [
+                ("early-1p", paper::early_strategy()),
+                ("late-3p", paper::late_strategy(3)),
+            ]
+            .map(|(label, strategy)| (mins, label, strategy, app.clone()))
+        })
+        .collect();
+    let (outcomes, failures) = sweep(
+        opts,
+        "ablation-crossover",
+        &arms,
+        |_| true,
+        |(task_mins, label, strategy, app), rep| {
+            let (seed, submit_at) = run_seed(opts, &format!("crossover-{label}-{task_mins}"), rep);
+            CampaignJob {
+                arm: format!("{task_mins}m/{label}"),
+                resources: &testbed,
+                app,
+                strategy,
+                options: RunOptions {
+                    seed,
+                    submit_at,
+                    ..Default::default()
                 },
-                1.0,
-                0.002,
-            );
-            let mut ttcs = Vec::new();
-            for rep in 0..opts.reps {
-                let seed = SimRng::new(opts.seed)
-                    .fork_indexed(&format!("crossover-{label}-{task_mins}"), rep as u64)
-                    .root_seed();
-                let mut rng = SimRng::new(seed).fork("submit");
-                let submit_at = SimTime::from_secs(rng.uniform(4.0, 16.0) * 3600.0);
-                if let Ok(r) = run_application(
-                    &paper::testbed(),
-                    &app,
-                    &strategy,
-                    &RunOptions {
-                        seed,
-                        submit_at,
-                        ..Default::default()
-                    },
-                ) {
-                    ttcs.push(r.breakdown.ttc.as_secs());
-                }
             }
-            if let Some(s) = Summary::of(&ttcs) {
-                rows.push(vec![
-                    format!("{task_mins:.0}"),
-                    label.to_string(),
-                    format!("{:.0}", s.mean),
-                    format!("{:.0}", s.stdev),
-                    s.n.to_string(),
-                ]);
-            }
+        },
+        |r, _| r.breakdown.ttc.as_secs(),
+    );
+    let mut rows = Vec::new();
+    for ((task_mins, label, _, _), runs) in arms.iter().zip(&outcomes) {
+        if let Some(s) = summary_of(&completed(runs), |&ttc| ttc) {
+            rows.push(vec![
+                format!("{task_mins:.0}"),
+                label.to_string(),
+                format!("{:.0}", s.mean),
+                format!("{:.0}", s.stdev),
+                s.n.to_string(),
+            ]);
         }
     }
     println!(
@@ -503,6 +535,7 @@ fn ablation_crossover(opts: &Options) {
             &rows
         )
     );
+    exit_on_failures(opts, "ablation-crossover", failures);
 }
 
 /// Throughput metric (§V: "generalizing to investigate different metrics
@@ -559,7 +592,9 @@ fn ablation_throughput(opts: &Options) {
 fn ablation_hetero(opts: &Options) {
     println!("## Ablation — heterogeneous task-duration mixes (late, 3 pilots)\n");
     let n_tasks = if opts.quick { 64 } else { 256 };
-    let mixes: Vec<(&str, Distribution)> = vec![
+    let testbed = paper::testbed();
+    let strategy = paper::late_strategy(3);
+    let arms = [
         ("constant-15m", Distribution::Constant { value: 900.0 }),
         (
             "gaussian",
@@ -580,31 +615,35 @@ fn ablation_hetero(opts: &Options) {
                 sigma: 0.8,
             },
         ),
-    ];
-    let mut rows = Vec::new();
-    for (label, dist) in mixes {
+    ]
+    .map(|(label, dist)| {
         let app = bag_of_tasks(&format!("hetero-{label}"), n_tasks, dist, 1.0, 0.002);
-        let mut ttcs = Vec::new();
-        for rep in 0..opts.reps {
-            let seed = SimRng::new(opts.seed)
-                .fork_indexed(&format!("hetero-{label}"), rep as u64)
-                .root_seed();
-            let mut rng = SimRng::new(seed).fork("submit");
-            let submit_at = SimTime::from_secs(rng.uniform(4.0, 16.0) * 3600.0);
-            if let Ok(r) = run_application(
-                &paper::testbed(),
-                &app,
-                &paper::late_strategy(3),
-                &RunOptions {
+        (label, app)
+    });
+    let (outcomes, failures) = sweep(
+        opts,
+        "ablation-hetero",
+        &arms,
+        |_| true,
+        |(label, app), rep| {
+            let (seed, submit_at) = run_seed(opts, &format!("hetero-{label}"), rep);
+            CampaignJob {
+                arm: label.to_string(),
+                resources: &testbed,
+                app,
+                strategy: &strategy,
+                options: RunOptions {
                     seed,
                     submit_at,
                     ..Default::default()
                 },
-            ) {
-                ttcs.push(r.breakdown.ttc.as_secs());
             }
-        }
-        if let Some(s) = Summary::of(&ttcs) {
+        },
+        |r, _| r.breakdown.ttc.as_secs(),
+    );
+    let mut rows = Vec::new();
+    for ((label, _), runs) in arms.iter().zip(&outcomes) {
+        if let Some(s) = summary_of(&completed(runs), |&ttc| ttc) {
             rows.push(vec![
                 label.to_string(),
                 format!("{:.0}", s.mean),
@@ -617,22 +656,18 @@ fn ablation_hetero(opts: &Options) {
         "{}",
         report::markdown_table(&["Duration mix", "TTC mean(s)", "TTC stdev", "runs"], &rows)
     );
+    exit_on_failures(opts, "ablation-hetero", failures);
 }
 
 /// Adaptive vs static execution on a deliberately poor initial choice
-/// (§V: dynamic execution).
+/// (§V: dynamic execution). `run_adaptive` is its own runner, so this
+/// ablation keeps its own loop instead of the campaign driver.
 fn ablation_adaptive(opts: &Options) {
     use aimes::adaptive::{run_adaptive, AdaptiveConfig};
     use aimes_strategy::{PilotSizing, ResourceSelection};
     println!("## Ablation — dynamic execution: static vs adaptive strategy\n");
     let n_tasks = if opts.quick { 64 } else { 256 };
-    let app = bag_of_tasks(
-        "adaptive",
-        n_tasks,
-        Distribution::Constant { value: 900.0 },
-        1.0,
-        0.002,
-    );
+    let app = bag("adaptive", n_tasks, 900.0, 1.0);
     let mut base = ExecutionStrategy::paper_late(2);
     base.pilot_count = 1;
     base.sizing = PilotSizing::Fixed(n_tasks);
@@ -644,11 +679,7 @@ fn ablation_adaptive(opts: &Options) {
         for rep in 0..opts.reps {
             // Paired seeds: both modes face the same background load and
             // submission instant.
-            let seed = SimRng::new(opts.seed)
-                .fork_indexed("adaptive-pair", rep as u64)
-                .root_seed();
-            let mut rng = SimRng::new(seed).fork("submit");
-            let submit_at = SimTime::from_secs(rng.uniform(4.0, 16.0) * 3600.0);
+            let (seed, submit_at) = run_seed(opts, "adaptive-pair", rep);
             let run_opts = RunOptions {
                 seed,
                 submit_at,
@@ -699,78 +730,69 @@ fn ablation_adaptive(opts: &Options) {
 }
 
 /// Walltime-sensitivity: explicitly under/over-requested pilot walltimes
-/// (FixedSecs) under backfill vs round robin.
+/// (FixedSecs) under backfill vs round robin. No arm is gated: pilots a
+/// short walltime drains are this ablation's result, counted in its
+/// "degraded/failed" column.
 fn ablation_walltime(opts: &Options) {
+    use aimes_pilot::UnitScheduler;
     use aimes_strategy::{PilotSizing, WalltimePolicy};
     println!("## Ablation — walltime sensitivity (late binding, 2 pilots)\n");
     let n_tasks = if opts.quick { 32 } else { 64 };
     // 2 pilots x (n/4) cores → 2 waves of 900 s each per pilot, ~1900 s
     // needed; sweep the requested walltime across that boundary. An idle
     // pool isolates the walltime effect from queue-wait noise.
-    let pool: Vec<aimes_cluster::ClusterConfig> = ["wa", "wb", "wc"]
-        .iter()
-        .map(|n| aimes_cluster::ClusterConfig::test(n, 4096))
+    let pool = idle_pool(&["wa", "wb", "wc"]);
+    let app = bag("walltime", n_tasks, 900.0, 1.0);
+    let arms: Vec<(u64, UnitScheduler, ExecutionStrategy)> = [1000u64, 2000, 4000, 8000]
+        .into_iter()
+        .flat_map(|secs| {
+            [UnitScheduler::Backfill, UnitScheduler::RoundRobin].map(|scheduler| {
+                let mut strategy = paper::late_strategy(2);
+                strategy.scheduler = scheduler;
+                strategy.sizing = PilotSizing::Fixed(n_tasks / 4);
+                strategy.walltime = WalltimePolicy::FixedSecs(secs);
+                (secs, scheduler, strategy)
+            })
+        })
         .collect();
-    let app = bag_of_tasks(
-        "walltime",
-        n_tasks,
-        Distribution::Constant { value: 900.0 },
-        1.0,
-        0.002,
+    let (outcomes, _) = sweep(
+        opts,
+        "ablation-walltime",
+        &arms,
+        |_| false,
+        |(secs, scheduler, strategy), rep| {
+            let (seed, submit_at) = run_seed(opts, &format!("walltime-{secs}-{scheduler:?}"), rep);
+            CampaignJob {
+                arm: format!("{secs}/{scheduler:?}"),
+                resources: &pool,
+                app: &app,
+                strategy,
+                options: RunOptions {
+                    seed,
+                    submit_at,
+                    ..Default::default()
+                },
+            }
+        },
+        |r, _| (r.breakdown.ttc.as_secs(), r.restarts, r.units_failed > 0),
     );
     let mut rows = Vec::new();
-    for secs in [1000u64, 2000, 4000, 8000] {
-        for scheduler in [
-            aimes_pilot::UnitScheduler::Backfill,
-            aimes_pilot::UnitScheduler::RoundRobin,
-        ] {
-            let mut strategy = ExecutionStrategy::paper_late(2);
-            strategy.scheduler = scheduler;
-            strategy.sizing = PilotSizing::Fixed(n_tasks / 4);
-            strategy.walltime = WalltimePolicy::FixedSecs(secs);
-            strategy.selection = aimes_strategy::ResourceSelection::Random;
-            let mut ttcs = Vec::new();
-            let mut failures = 0usize;
-            let mut restarts = 0u64;
-            for rep in 0..opts.reps {
-                let seed = SimRng::new(opts.seed)
-                    .fork_indexed(&format!("walltime-{secs}-{scheduler:?}"), rep as u64)
-                    .root_seed();
-                let mut rng = SimRng::new(seed).fork("submit");
-                let submit_at = SimTime::from_secs(rng.uniform(4.0, 16.0) * 3600.0);
-                match run_application(
-                    &pool,
-                    &app,
-                    &strategy,
-                    &RunOptions {
-                        seed,
-                        submit_at,
-                        ..Default::default()
-                    },
-                ) {
-                    Ok(r) => {
-                        ttcs.push(r.breakdown.ttc.as_secs());
-                        restarts += r.restarts;
-                        if r.units_failed > 0 {
-                            failures += 1;
-                        }
-                    }
-                    Err(_) => failures += 1,
-                }
-            }
-            let (mean, n) = match Summary::of(&ttcs) {
-                Some(s) => (format!("{:.0}", s.mean), s.n),
-                None => ("-".into(), 0),
-            };
-            rows.push(vec![
-                secs.to_string(),
-                format!("{scheduler:?}"),
-                mean,
-                n.to_string(),
-                failures.to_string(),
-                restarts.to_string(),
-            ]);
-        }
+    for ((secs, scheduler, _), runs) in arms.iter().zip(&outcomes) {
+        let done = completed(runs);
+        let degraded = done.iter().filter(|r| r.2).count();
+        let restarts: u64 = done.iter().map(|r| r.1).sum();
+        let (mean, n) = match summary_of(&done, |r| r.0) {
+            Some(s) => (format!("{:.0}", s.mean), s.n),
+            None => ("-".into(), 0),
+        };
+        rows.push(vec![
+            secs.to_string(),
+            format!("{scheduler:?}"),
+            mean,
+            n.to_string(),
+            (runs.len() - done.len() + degraded).to_string(),
+            restarts.to_string(),
+        ]);
     }
     println!(
         "{}",
@@ -793,49 +815,45 @@ fn ablation_walltime(opts: &Options) {
 /// trick of exploiting queue structure (enabled by the Bundle knowing the
 /// queue composition).
 fn ablation_queue(opts: &Options) {
-    use aimes_strategy::ResourceSelection;
     println!("## Ablation — submission queue: normal vs debug (5-min tasks)\n");
     let n_tasks = if opts.quick { 16 } else { 48 };
+    let testbed = paper::testbed();
     // 5-minute tasks keep the late-3p walltime under the 30-min debug
     // ceiling; the pilots are small enough for the debug core caps.
-    let app = bag_of_tasks(
-        "queue",
-        n_tasks,
-        Distribution::Constant { value: 300.0 },
-        1.0,
-        0.002,
-    );
-    let mut rows = Vec::new();
-    for queue in [None, Some("debug".to_string())] {
-        let mut strategy = ExecutionStrategy::paper_late(3);
-        strategy.selection = ResourceSelection::Random;
-        strategy.queue = queue.clone();
-        let mut ttcs = Vec::new();
-        let mut tws = Vec::new();
-        for rep in 0..opts.reps {
+    let app = bag("queue", n_tasks, 300.0, 1.0);
+    let arms = [None, Some("debug")].map(|queue| {
+        let mut strategy = paper::late_strategy(3);
+        strategy.queue = queue.map(String::from);
+        (queue.unwrap_or("normal"), strategy)
+    });
+    let (outcomes, failures) = sweep(
+        opts,
+        "ablation-queue",
+        &arms,
+        |_| true,
+        |(queue, strategy), rep| {
             // Paired seeds across the two queue settings.
-            let seed = SimRng::new(opts.seed)
-                .fork_indexed("queue-pair", rep as u64)
-                .root_seed();
-            let mut rng = SimRng::new(seed).fork("submit");
-            let submit_at = SimTime::from_secs(rng.uniform(4.0, 16.0) * 3600.0);
-            if let Ok(r) = run_application(
-                &paper::testbed(),
-                &app,
-                &strategy,
-                &RunOptions {
+            let (seed, submit_at) = run_seed(opts, "queue-pair", rep);
+            CampaignJob {
+                arm: queue.to_string(),
+                resources: &testbed,
+                app: &app,
+                strategy,
+                options: RunOptions {
                     seed,
                     submit_at,
                     ..Default::default()
                 },
-            ) {
-                ttcs.push(r.breakdown.ttc.as_secs());
-                tws.push(r.breakdown.tw.as_secs());
             }
-        }
-        if let (Some(t), Some(w)) = (Summary::of(&ttcs), Summary::of(&tws)) {
+        },
+        |r, _| (r.breakdown.ttc.as_secs(), r.breakdown.tw.as_secs()),
+    );
+    let mut rows = Vec::new();
+    for ((queue, _), runs) in arms.iter().zip(&outcomes) {
+        let done = completed(runs);
+        if let (Some(t), Some(w)) = (summary_of(&done, |r| r.0), summary_of(&done, |r| r.1)) {
             rows.push(vec![
-                queue.unwrap_or_else(|| "normal".into()),
+                queue.to_string(),
                 format!("{:.0}", t.mean),
                 format!("{:.0}", t.max),
                 format!("{:.0}", w.mean),
@@ -858,14 +876,17 @@ fn ablation_queue(opts: &Options) {
             &rows
         )
     );
+    exit_on_failures(opts, "ablation-queue", failures);
 }
 
 /// Fan a sweep's (arm × rep) jobs across the worker pool through the
 /// shared campaign driver, under the observatory the campaign flags ask
-/// for. Once the pool is done, every failed run of an arm `gate` accepts
-/// prints the shared failure line — with the same `arm=.. rep=.. seed=..`
-/// keys the manifest's failure records carry — in job order; the count
-/// comes back for [`exit_on_failures`].
+/// for. Every run leaves its flight-recorder dumps in `--dump-dir`, tagged
+/// `{name}-{arm}-r{rep}` because paired arms share seeds. Once the pool is
+/// done, every failed run of an arm `gate` accepts prints the shared
+/// failure line — with the same `arm=.. rep=.. seed=..` keys the
+/// manifest's failure records carry — in job order; the count comes back
+/// for [`exit_on_failures`].
 fn sweep<'a, A: Sync, T: Send>(
     opts: &Options,
     name: &str,
@@ -875,6 +896,12 @@ fn sweep<'a, A: Sync, T: Send>(
     project: impl Fn(RunResult, &RunOptions) -> T + Sync,
 ) -> (Vec<Vec<JobOutcome<T>>>, usize) {
     let obs = Observatory::open(&opts.campaign, name, opts.seed, arms.len() * opts.reps);
+    let build = |arm, rep| {
+        let mut job = build(arm, rep);
+        job.options.recorder_dump_dir = opts.dump_dir.clone();
+        job.options.run_tag = Some(format!("{name}-{}-r{rep}", job.arm));
+        job
+    };
     let outcomes = run_campaign(obs.hooks(), name, arms, opts.reps, build, project);
     obs.close();
     let mut failures = 0;
@@ -921,6 +948,11 @@ fn mean(v: &[f64]) -> f64 {
 /// [`mean`] of `f` over `runs`.
 fn mean_of<T>(runs: &[&T], f: impl Fn(&T) -> f64) -> f64 {
     mean(&runs.iter().map(|r| f(r)).collect::<Vec<_>>())
+}
+
+/// [`Summary`] of `f` over `runs`; `None` when no run completed.
+fn summary_of<T>(runs: &[&T], f: impl Fn(&T) -> f64) -> Option<Summary> {
+    Summary::of(&runs.iter().map(|r| f(r)).collect::<Vec<_>>())
 }
 
 /// One arm's failures by coarse class, for the sweeps' JSON points.
@@ -971,19 +1003,9 @@ fn ablation_faults(opts: &Options) {
 
     println!("## Ablation — fault injection & self-healing (late binding, 2 pilots)\n");
     let n_tasks = if opts.quick { 32 } else { 64 };
-    let pool: Vec<aimes_cluster::ClusterConfig> = ["fa", "fb", "fc"]
-        .iter()
-        .map(|n| aimes_cluster::ClusterConfig::test(n, 4096))
-        .collect();
-    let app = bag_of_tasks(
-        "faults",
-        n_tasks,
-        Distribution::Constant { value: 900.0 },
-        1.0,
-        0.002,
-    );
-    let mut strategy = ExecutionStrategy::paper_late(2);
-    strategy.selection = aimes_strategy::ResourceSelection::Random;
+    let pool = idle_pool(&["fa", "fb", "fc"]);
+    let app = bag("faults", n_tasks, 900.0, 1.0);
+    let mut strategy = paper::late_strategy(2);
     // A generous fixed walltime keeps pilot lifetime out of the picture:
     // fault-driven retries stretch runs well past the fault-free estimate,
     // and walltime underestimation is the walltime ablation's topic.
@@ -1013,11 +1035,7 @@ fn ablation_faults(opts: &Options) {
             };
             // Same seed for all three recovery arms: identical fault
             // schedules, the only difference is how the run heals.
-            let seed = SimRng::new(opts.seed)
-                .fork_indexed(&format!("faults-{rate}"), rep as u64)
-                .root_seed();
-            let mut rng = SimRng::new(seed).fork("submit");
-            let submit_at = SimTime::from_secs(rng.uniform(4.0, 16.0) * 3600.0);
+            let (seed, submit_at) = run_seed(opts, &format!("faults-{rate}"), rep);
             let recovery = match mode {
                 "oracle" => Some(RecoveryPolicy::default()),
                 "detect" => Some(RecoveryPolicy::with_detection()),
@@ -1033,8 +1051,6 @@ fn ablation_faults(opts: &Options) {
                     submit_at,
                     faults: Some(faults),
                     recovery,
-                    recorder_dump_dir: opts.dump_dir.clone(),
-                    run_tag: Some(format!("faults-{rate}-{mode}-r{rep}")),
                     ..Default::default()
                 },
             }
@@ -1145,17 +1161,8 @@ fn ablation_cascade(opts: &Options) {
 
     println!("## Ablation — correlated-failure domains: evacuation & checkpointed salvage\n");
     let n_tasks = if opts.quick { 16 } else { 32 };
-    let pool: Vec<aimes_cluster::ClusterConfig> = ["ca", "cb", "cc", "cd", "ce", "cf"]
-        .iter()
-        .map(|n| aimes_cluster::ClusterConfig::test(n, 4096))
-        .collect();
-    let app = bag_of_tasks(
-        "cascade",
-        n_tasks,
-        Distribution::Constant { value: 900.0 },
-        1.0,
-        0.002,
-    );
+    let pool = idle_pool(&["ca", "cb", "cc", "cd", "ce", "cf"]);
+    let app = bag("cascade", n_tasks, 900.0, 1.0);
     // Pin all three pilots inside the doomed domain: the cascade takes
     // out the entire footprint, so survival hinges on the recovery arm.
     let mut strategy = ExecutionStrategy::paper_late(3);
@@ -1200,11 +1207,7 @@ fn ablation_cascade(opts: &Options) {
         |&arm, rep| {
             // Same seed across all three arms: identical cascade
             // schedules, the only difference is how the run survives.
-            let seed = SimRng::new(opts.seed)
-                .fork_indexed("cascade", rep as u64)
-                .root_seed();
-            let mut rng = SimRng::new(seed).fork("submit");
-            let submit_at = SimTime::from_secs(rng.uniform(4.0, 16.0) * 3600.0);
+            let (seed, submit_at) = run_seed(opts, "cascade", rep);
             let mut recovery = RecoveryPolicy::with_detection();
             if arm != "reactive" {
                 recovery.evacuation = Some(EvacuationSpec::default());
@@ -1223,8 +1226,6 @@ fn ablation_cascade(opts: &Options) {
                     faults: Some(faults.clone()),
                     recovery: Some(recovery),
                     journal: Some(Default::default()),
-                    recorder_dump_dir: opts.dump_dir.clone(),
-                    run_tag: Some(format!("cascade-{arm}-r{rep}")),
                     ..Default::default()
                 },
             }
@@ -1347,13 +1348,7 @@ fn ablation_info(opts: &Options) {
 
     println!("## Ablation — degraded-information execution (late binding, 3 pilots)\n");
     let n_tasks = if opts.quick { 32 } else { 128 };
-    let app = bag_of_tasks(
-        "info",
-        n_tasks,
-        Distribution::Constant { value: 900.0 },
-        1.0,
-        0.002,
-    );
+    let app = bag("info", n_tasks, 900.0, 1.0);
     let strategy = paper::late_strategy(3);
     let testbed = paper::testbed();
     let streaming = InfoConfig {
@@ -1398,11 +1393,7 @@ fn ablation_info(opts: &Options) {
         |(arm, info, faults), rep| {
             // Same seed across arms: identical workload, background load,
             // and submission instant — only the information regime moves.
-            let seed = SimRng::new(opts.seed)
-                .fork_indexed("info", rep as u64)
-                .root_seed();
-            let mut rng = SimRng::new(seed).fork("submit");
-            let submit_at = SimTime::from_secs(rng.uniform(4.0, 16.0) * 3600.0);
+            let (seed, submit_at) = run_seed(opts, "info", rep);
             CampaignJob {
                 arm: arm.to_string(),
                 resources: &testbed,
@@ -1416,8 +1407,6 @@ fn ablation_info(opts: &Options) {
                     // Each run's own registry; the `bundle.info.*`
                     // counters come back in `RunResult::metrics`.
                     telemetry: Some(Telemetry::new()),
-                    recorder_dump_dir: opts.dump_dir.clone(),
-                    run_tag: Some(format!("info-{arm}-r{rep}")),
                     ..Default::default()
                 },
             }
@@ -1429,7 +1418,6 @@ fn ablation_info(opts: &Options) {
     let mut points = Vec::new();
     for ((arm, _, _), runs) in arms.iter().zip(&outcomes) {
         let done = completed(runs);
-        let ttcs: Vec<f64> = done.iter().map(|r| r.breakdown.ttc.as_secs()).collect();
         let info_fallbacks: u64 = done.iter().map(|r| r.info_fallbacks).sum();
         let stale_secs = done.iter().fold(0.0, |acc, r| acc + r.stale_decision_secs);
         let mut counters: BTreeMap<String, u64> = BTreeMap::new();
@@ -1442,7 +1430,7 @@ fn ablation_info(opts: &Options) {
                 *counters.entry(short.to_string()).or_insert(0) += v;
             }
         }
-        let (mean, max) = match Summary::of(&ttcs) {
+        let (mean, max) = match summary_of(&done, |r| r.breakdown.ttc.as_secs()) {
             Some(s) => (s.mean, s.max),
             None => (0.0, 0.0),
         };
@@ -1517,17 +1505,8 @@ fn ablation_detection(opts: &Options) {
 
     println!("## Ablation — failure-detection latency vs oracle recovery\n");
     let n_tasks = if opts.quick { 16 } else { 48 };
-    let pool: Vec<aimes_cluster::ClusterConfig> = ["da", "db"]
-        .iter()
-        .map(|n| aimes_cluster::ClusterConfig::test(n, 4096))
-        .collect();
-    let app = bag_of_tasks(
-        "detection",
-        n_tasks,
-        Distribution::Constant { value: 900.0 },
-        1.0,
-        0.002,
-    );
+    let pool = idle_pool(&["da", "db"]);
+    let app = bag("detection", n_tasks, 900.0, 1.0);
     let mut strategy = ExecutionStrategy::paper_late(1);
     // Pin the initial placement so the permanent loss always hits the
     // resource actually in use; recovery must re-plan onto the survivor.
@@ -1579,11 +1558,7 @@ fn ablation_detection(opts: &Options) {
             };
             // Same seed across configs: the paired comparison isolates
             // detector tuning from schedule noise.
-            let seed = SimRng::new(opts.seed)
-                .fork_indexed("detection", rep as u64)
-                .root_seed();
-            let mut rng = SimRng::new(seed).fork("submit");
-            let submit_at = SimTime::from_secs(rng.uniform(4.0, 16.0) * 3600.0);
+            let (seed, submit_at) = run_seed(opts, "detection", rep);
             CampaignJob {
                 arm: label.to_string(),
                 resources: &pool,
@@ -1594,8 +1569,6 @@ fn ablation_detection(opts: &Options) {
                     submit_at,
                     faults: Some(faults.clone()),
                     recovery: Some(recovery),
-                    recorder_dump_dir: opts.dump_dir.clone(),
-                    run_tag: Some(format!("detection-{label}-r{rep}")),
                     ..Default::default()
                 },
             }

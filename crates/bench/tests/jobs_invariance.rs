@@ -45,8 +45,9 @@ fn assert_no_progress_output(command: &str, stderr: &str) {
 }
 
 /// Same sweep at `--jobs 1` and `--jobs 4`: byte-identical stdout and
-/// stderr, `sanity` rendered, and no progress output at defaults.
-fn assert_jobs_invariant(command: &str, sanity: &str) {
+/// stderr, `sanity` rendered, and no progress output at defaults. Returns
+/// the stdout.
+fn assert_jobs_invariant(command: &str, sanity: &str) -> String {
     let (out1, err1) = run_sweep(command, "1");
     let (out4, err4) = run_sweep(command, "4");
     assert!(
@@ -62,6 +63,7 @@ fn assert_jobs_invariant(command: &str, sanity: &str) {
         "{command}: stderr diverged between --jobs 1 and 4"
     );
     assert_no_progress_output(command, &err1);
+    out1
 }
 
 #[test]
@@ -140,25 +142,38 @@ const PARENT_DIGESTS: [(&str, [&str; 4]); 4] = [
     ),
 ];
 
-/// Stdout digests of the sequential ablations (no campaign driver) at
-/// `--quick --reps 2 --seed 42`: the adaptive and walltime pins were
-/// captured before `run_application` and `run_adaptive` shared one set of
-/// run phases, the rest before the sequential loops moved onto the shared
-/// sweep driver. Restructuring a run or a sweep must leave them unchanged.
-const SEQUENTIAL_DIGESTS: [(&str, &str); 7] = [
+/// Stdout digests of the two ablations that run outside the sweep driver
+/// at `--quick --reps 2 --seed 42`: `ablation-adaptive` (its own runner,
+/// pinned before `run_application` and `run_adaptive` shared one set of
+/// run phases) and `ablation-predictor` (no middleware at all).
+const OUTSIDE_SWEEP_DIGESTS: [(&str, &str); 2] = [
     ("ablation-adaptive", "1ab077b695be0c82"),
-    ("ablation-walltime", "852bb7b9958cdc5e"),
-    ("ablation-data", "6b3bd392e9a15282"),
-    ("ablation-crossover", "f346bbb35b9e5f6a"),
-    ("ablation-hetero", "70605002005fa6dc"),
-    ("ablation-queue", "17a501386b73b6e4"),
     ("ablation-predictor", "35bcd9ff8bd799ac"),
 ];
 
 #[test]
-fn sequential_ablation_outputs_match_pinned_digests() {
-    for (command, want) in SEQUENTIAL_DIGESTS {
+fn outside_sweep_ablation_outputs_match_pinned_digests() {
+    for (command, want) in OUTSIDE_SWEEP_DIGESTS {
         let (out, _) = run_sweep(command, "1");
+        assert_eq!(fnv(out.as_bytes()), want, "{command}: stdout digest moved");
+    }
+}
+
+/// Stdout digests (with a line each table renders) of the sweeps that ran
+/// their own sequential loops before they moved onto the shared campaign
+/// driver, at `--quick --reps 2 --seed 42`, captured before the move.
+const MOVED_SWEEP_DIGESTS: [(&str, &str, &str); 5] = [
+    ("ablation-data", "| Input MB/task", "6b3bd392e9a15282"),
+    ("ablation-crossover", "| Task mins", "f346bbb35b9e5f6a"),
+    ("ablation-hetero", "| Duration mix", "70605002005fa6dc"),
+    ("ablation-walltime", "| Walltime(s)", "852bb7b9958cdc5e"),
+    ("ablation-queue", "| Queue", "17a501386b73b6e4"),
+];
+
+#[test]
+fn moved_sweep_outputs_are_byte_identical_across_jobs_and_pinned() {
+    for (command, sanity, want) in MOVED_SWEEP_DIGESTS {
+        let out = assert_jobs_invariant(command, sanity);
         assert_eq!(fnv(out.as_bytes()), want, "{command}: stdout digest moved");
     }
 }
@@ -201,39 +216,31 @@ fn sweep_outputs_match_pinned_digests_at_any_jobs() {
 fn campaign_manifest_is_byte_identical_across_jobs() {
     let dir = std::env::temp_dir().join(format!("aimes-jobs-invariance-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
-    let path1 = dir.join("campaign-j1.jsonl");
-    let path4 = dir.join("campaign-j4.jsonl");
+    let moved = MOVED_SWEEP_DIGESTS.map(|(command, _, _)| command);
+    for command in std::iter::once("ablation-detection").chain(moved) {
+        let manifest_at = |jobs: &str| {
+            let path = dir.join(format!("{command}-j{jobs}.jsonl"));
+            run_sweep_with(command, jobs, &["--campaign-out", path.to_str().unwrap()]);
+            std::fs::read(&path).expect("manifest written")
+        };
+        let m1 = manifest_at("1");
+        let m4 = manifest_at("4");
+        assert!(!m1.is_empty(), "{command}: manifest not empty");
+        assert_eq!(
+            m1, m4,
+            "{command}: campaign.jsonl diverged between --jobs 1 and 4 — \
+             canonicalization or a volatile default field is broken"
+        );
 
-    run_sweep_with(
-        "ablation-detection",
-        "1",
-        &["--campaign-out", path1.to_str().unwrap()],
-    );
-    run_sweep_with(
-        "ablation-detection",
-        "4",
-        &["--campaign-out", path4.to_str().unwrap()],
-    );
-
-    let m1 = std::fs::read(&path1).expect("manifest at --jobs 1");
-    let m4 = std::fs::read(&path4).expect("manifest at --jobs 4");
-    assert!(!m1.is_empty(), "manifest not empty");
-    assert_eq!(
-        m1, m4,
-        "campaign.jsonl diverged between --jobs 1 and 4 — canonicalization \
-         or a volatile default field is broken"
-    );
-
-    // The canonical manifest parses, validates, and covers every job.
-    let text = String::from_utf8(m1).expect("utf8 manifest");
-    let manifest = aimes::campaign::read_manifest(&text).expect("manifest parses");
-    manifest.validate().expect("manifest validates");
-    assert_eq!(manifest.meta.command, "ablation-detection");
-    assert_eq!(manifest.runs.len() as u64, manifest.meta.total_jobs);
-    // Defaults are the deterministic mode: no timing, no pool record.
-    assert!(manifest.runs.iter().all(|r| r.timing.is_none()));
-    assert!(manifest.pool.is_none());
-
-    std::fs::remove_file(&path1).ok();
-    std::fs::remove_file(&path4).ok();
+        // The canonical manifest parses, validates, and covers every job.
+        let text = String::from_utf8(m1).expect("utf8 manifest");
+        let manifest = aimes::campaign::read_manifest(&text).expect("manifest parses");
+        manifest.validate().expect("manifest validates");
+        assert_eq!(manifest.meta.command, command);
+        assert_eq!(manifest.runs.len() as u64, manifest.meta.total_jobs);
+        // Defaults are the deterministic mode: no timing, no pool record.
+        assert!(manifest.runs.iter().all(|r| r.timing.is_none()));
+        assert!(manifest.pool.is_none());
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
