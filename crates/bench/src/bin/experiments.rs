@@ -1655,7 +1655,6 @@ fn ablation_predictor(opts: &Options) {
                 .estimate_wait(sim.now(), cores, walltime)
                 .map(|d| d.as_secs());
             let id = cluster2.submit(sim, JobRequest::pilot(cores, walltime, "probe"));
-            let cluster3 = cluster2.clone();
             let submit_time = sim.now();
             cluster2.watch(id, move |sim, &state| {
                 if state == aimes_cluster::JobState::Running {
@@ -1668,7 +1667,6 @@ fn ablation_predictor(opts: &Options) {
                     ));
                     qb.borrow_mut().observe(realized);
                     sm.borrow_mut().observe(realized);
-                    let _ = &cluster3;
                 }
             });
         });
