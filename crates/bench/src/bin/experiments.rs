@@ -130,12 +130,25 @@ const USAGE: &str = "commands: table1 | fig2 | fig3 | fig4 | ablation-pilots | \
      analytics-diff | campaign-report | all\n\
      flags: --reps N --seed S --quick --jobs N --fail-on-error \
      --emit-metrics DIR --trace-out PATH --dump-dir DIR\n\
-     campaign flags: --campaign-out PATH --campaign-timing --progress \
+     campaign flags (one sweep): --campaign-out PATH --campaign-timing --progress \
      --profile-out PATH\n\
      journal flags: --scenario exp1|exp4|faulty --out PATH\n\
      analyze: <journal.jsonl> --epsilon E --out report.json\n\
      analytics-diff: <run-a> <run-b> --threshold T\n\
      campaign-report: <campaign.jsonl>";
+
+/// The commands that run through [`sweep`], and so open a campaign.
+const SWEEPS: [&str; 9] = [
+    "ablation-data",
+    "ablation-crossover",
+    "ablation-hetero",
+    "ablation-walltime",
+    "ablation-queue",
+    "ablation-faults",
+    "ablation-detection",
+    "ablation-info",
+    "ablation-cascade",
+];
 
 fn parse_args() -> (String, Options) {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -189,6 +202,28 @@ fn parse_args() -> (String, Options) {
     if opts.reps == 0 {
         eprintln!("`--reps` must be at least 1");
         std::process::exit(2);
+    }
+    // A campaign flag on a command that opens no campaign would be
+    // ignored, or, under `all`, truncate its manifest once per sweep.
+    // `profile` writes its own document to `--profile-out`.
+    let c = &opts.campaign;
+    let stray = [
+        ("--campaign-out", c.campaign_out.is_some()),
+        ("--campaign-timing", c.campaign_timing),
+        ("--progress", c.progress),
+        (
+            "--profile-out",
+            c.profile_out.is_some() && command != "profile",
+        ),
+    ];
+    if let Some((flag, _)) = stray.iter().find(|(_, set)| *set) {
+        if !SWEEPS.contains(&command.as_str()) {
+            eprintln!(
+                "`{flag}` needs a command that runs one sweep ({}); `{command}` does not",
+                SWEEPS.join(", ")
+            );
+            std::process::exit(2);
+        }
     }
     if opts.quick {
         opts.reps = opts.reps.min(3);

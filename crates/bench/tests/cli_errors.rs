@@ -1,6 +1,7 @@
 //! The experiments CLI rejects mistakes with exit status 2 and a message
 //! on stderr instead of panicking or passing silently: a misspelled
-//! command, a value flag without its value, and zero repetitions. Running
+//! command, a value flag without its value, zero repetitions, and a
+//! campaign flag on a command that runs no single sweep. Running
 //! with no command (or `help`) still prints the usage and succeeds.
 
 use std::process::{Command, Output};
@@ -55,4 +56,22 @@ fn no_command_prints_usage_and_succeeds() {
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(stdout.starts_with("commands: table1"), "{args:?}: {stdout}");
     }
+}
+
+#[test]
+fn campaign_flags_without_a_campaign_exit_2() {
+    let manifest = std::env::temp_dir().join(format!("aimes-cli-{}.jsonl", std::process::id()));
+    let manifest = manifest.to_str().unwrap();
+    assert_rejected(
+        &["all", "--quick", "--campaign-out", manifest],
+        "`--campaign-out` needs a command that runs one sweep",
+    );
+    assert_rejected(&["fig2", "--campaign-timing"], "`--campaign-timing`");
+    assert_rejected(&["ablation-adaptive", "--progress"], "`--progress`");
+    assert_rejected(&["telemetry", "--profile-out", manifest], "`--profile-out`");
+    assert_rejected(&["profile", "--progress"], "`--progress`");
+    assert!(
+        !std::path::Path::new(manifest).exists(),
+        "no manifest written"
+    );
 }
