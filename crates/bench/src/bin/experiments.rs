@@ -150,8 +150,7 @@ const SWEEPS: [&str; 9] = [
     "ablation-cascade",
 ];
 
-fn parse_args() -> (String, Options) {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+fn parse_args(args: Vec<String>) -> (String, Options) {
     let mut command = String::from("help");
     let mut opts = Options {
         reps: aimes_bench::DEFAULT_REPETITIONS,
@@ -457,6 +456,16 @@ fn ablation_select(opts: &Options) {
     );
 }
 
+/// Per-task input sizes of the data-heavy sweep, in MB.
+const DATA_INPUT_MB: [f64; 4] = [1.0, 10.0, 50.0, 200.0];
+
+/// One data-sweep repetition's seed and submission instant. Each input
+/// size keys its own stream, so no two repetitions share a seed however
+/// many there are.
+fn data_run_seed(opts: &Options, input_mb: f64, rep: usize) -> (u64, SimTime) {
+    run_seed(opts, &format!("data-{input_mb}"), rep)
+}
+
 /// Data-heavy regime: grow per-task input until Ts dominates TTC
 /// (§IV-B: "Larger amounts of data could make Ts dominant").
 fn ablation_data(opts: &Options) {
@@ -464,16 +473,14 @@ fn ablation_data(opts: &Options) {
     let n_tasks = if opts.quick { 64 } else { 256 };
     let testbed = paper::testbed();
     let strategy = paper::late_strategy(3);
-    let arms = [1.0, 10.0, 50.0, 200.0]
-        .map(|mb: f64| (mb, bag(&format!("data-{mb}"), n_tasks, 900.0, mb)));
+    let arms = DATA_INPUT_MB.map(|mb| (mb, bag(&format!("data-{mb}"), n_tasks, 900.0, mb)));
     let (outcomes, failures) = sweep(
         opts,
         "ablation-data",
         &arms,
         |_| true,
         |(input_mb, app), rep| {
-            let (seed, submit_at) =
-                run_seed(opts, "ablation-data", (*input_mb as usize) << 8 | rep);
+            let (seed, submit_at) = data_run_seed(opts, *input_mb, rep);
             CampaignJob {
                 arm: format!("{input_mb}MB"),
                 resources: &testbed,
@@ -2191,7 +2198,7 @@ fn profile_cmd(opts: &Options) {
 }
 
 fn main() {
-    let (command, opts) = parse_args();
+    let (command, opts) = parse_args(std::env::args().skip(1).collect());
     if let Some(jobs) = opts.jobs {
         rayon::ThreadPoolBuilder::new()
             .num_threads(jobs)
@@ -2261,5 +2268,30 @@ fn main() {
             eprintln!("unknown command `{other}`\n{USAGE}");
             std::process::exit(2);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Packing (input MB, rep) into one index let rep 256 of the 1 MB arm
+    /// replay rep 0; every (arm, rep) of the data sweep must draw its own
+    /// seed.
+    #[test]
+    fn data_sweep_seeds_are_distinct_past_256_reps() {
+        let (_, opts) = parse_args(
+            ["ablation-data", "--reps", "600"]
+                .map(String::from)
+                .to_vec(),
+        );
+        let mut seeds = std::collections::BTreeSet::new();
+        for mb in DATA_INPUT_MB {
+            for rep in 0..opts.reps {
+                let (seed, _) = data_run_seed(&opts, mb, rep);
+                assert!(seeds.insert(seed), "{mb} MB rep {rep} reuses a seed");
+            }
+        }
+        assert_eq!(seeds.len(), DATA_INPUT_MB.len() * 600);
     }
 }
