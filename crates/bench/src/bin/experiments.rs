@@ -17,6 +17,11 @@
 //!   ablation-crossover  long tasks: where early binding becomes competitive
 //!   ablation-throughput tasks/hour under each strategy
 //!   ablation-hetero     heterogeneous task-duration mixes
+//!   ablation-adaptive   static vs adaptive strategy on a poor initial choice
+//!   ablation-walltime   under/over-requested pilot walltimes, backfill vs
+//!                       round robin
+//!   ablation-queue      normal vs debug submission queue
+//!   ablation-predictor  queue-wait predictors scored against realized waits
 //!   ablation-faults     failure-rate sweep: self-healing cost & payoff
 //!   ablation-detection  failure-detector tuning: Td vs oracle recovery
 //!   ablation-info       degraded-information arms: oracle / streaming /
@@ -39,19 +44,26 @@
 //! ```
 //!
 //! `--quick` restricts sizes to {8, 64, 512} and 3 repetitions for a fast
-//! shape check. `--fail-on-error` makes the parallel sweeps (faults,
-//! detection, info, cascade) exit non-zero if a run fails — for
-//! `ablation-faults`, a run of a healing arm (oracle or detection) — the
-//! chaos-smoke CI gate; `--dump-dir DIR` leaves flight-recorder snapshots
-//! of their failed runs there. `--jobs N` caps the worker pool the sweeps fan out on
-//! (default: all cores; every run owns its seed and results aggregate in
-//! job order, so output is byte-identical at any worker count).
+//! shape check.
 //!
-//! Campaign observability (the parallel sweeps — faults, detection, info,
-//! cascade): `--campaign-out PATH` writes a `campaign.jsonl` manifest with
-//! one record per run (arm, rep, seed, outcome, TTC components, recovery
-//! counters, error taxonomy), canonicalized to job order on close so it is
-//! byte-identical at any `--jobs`. `--campaign-timing` additionally records
+//! The sweeps — `ablation-data`, `-crossover`, `-hetero`, `-walltime`,
+//! `-queue`, `-faults`, `-detection`, `-info` and `-cascade` — fan their
+//! (arm × rep) runs out through one campaign driver. `--jobs N` caps the
+//! worker pool they and the figure experiments run on (default: all
+//! cores; every run owns its seed and results aggregate in job order, so
+//! output is byte-identical at any worker count). `--fail-on-error` makes a sweep exit non-zero if a
+//! gated run fails — every arm except `ablation-faults`' unhealed one and
+//! all of `ablation-walltime`, whose failures are their result — the
+//! chaos-smoke CI gate; `--dump-dir DIR` leaves flight-recorder snapshots
+//! of their failed runs there.
+//!
+//! Campaign observability, for one sweep at a time (any other command,
+//! `all` included, exits 2 on these flags; `profile` writes its own
+//! document to `--profile-out`): `--campaign-out PATH` writes a
+//! `campaign.jsonl` manifest with one record per run (arm, rep, seed,
+//! outcome, TTC components, recovery counters, error taxonomy),
+//! canonicalized to job order on close so it is byte-identical at any
+//! `--jobs`. `--campaign-timing` additionally records
 //! volatile wall-clock fields (worker index, per-phase wall split, a pool
 //! record) — useful, but worker-count dependent. `--progress` draws an
 //! opt-in live status line on stderr. `--profile-out PATH` attaches a
@@ -109,13 +121,13 @@ struct Options {
     /// Positional file arguments after the command (journal/analysis
     /// paths for `analyze` and `analytics-diff`).
     files: Vec<std::path::PathBuf>,
-    /// Flight-recorder dump directory for the parallel sweeps (faults,
-    /// detection, info, cascade): failed runs leave checksummed
-    /// post-mortem snapshots here for CI to collect as artifacts.
+    /// Flight-recorder dump directory for the sweeps: failed runs leave
+    /// checksummed post-mortem snapshots here for CI to collect as
+    /// artifacts.
     dump_dir: Option<std::path::PathBuf>,
-    /// Worker-pool size for the parallel sweeps (default: all cores).
+    /// Worker-pool size for the sweeps (default: all cores).
     jobs: Option<usize>,
-    /// Campaign observability for the parallel sweeps. Its
+    /// Campaign observability for the sweeps. Its
     /// `--profile-out` is also where the `profile` command writes its
     /// document instead of stdout.
     campaign: CampaignFlags,
@@ -137,17 +149,20 @@ const USAGE: &str = "commands: table1 | fig2 | fig3 | fig4 | ablation-pilots | \
      analytics-diff: <run-a> <run-b> --threshold T\n\
      campaign-report: <campaign.jsonl>";
 
+/// A command's entry point.
+type Command = fn(&Options);
+
 /// The commands that run through [`sweep`], and so open a campaign.
-const SWEEPS: [&str; 9] = [
-    "ablation-data",
-    "ablation-crossover",
-    "ablation-hetero",
-    "ablation-walltime",
-    "ablation-queue",
-    "ablation-faults",
-    "ablation-detection",
-    "ablation-info",
-    "ablation-cascade",
+const SWEEPS: [(&str, Command); 9] = [
+    ("ablation-data", ablation_data),
+    ("ablation-crossover", ablation_crossover),
+    ("ablation-hetero", ablation_hetero),
+    ("ablation-walltime", ablation_walltime),
+    ("ablation-queue", ablation_queue),
+    ("ablation-faults", ablation_faults),
+    ("ablation-detection", ablation_detection),
+    ("ablation-info", ablation_info),
+    ("ablation-cascade", ablation_cascade),
 ];
 
 fn parse_args(args: Vec<String>) -> (String, Options) {
@@ -202,27 +217,21 @@ fn parse_args(args: Vec<String>) -> (String, Options) {
         eprintln!("`--reps` must be at least 1");
         std::process::exit(2);
     }
-    // A campaign flag on a command that opens no campaign would be
-    // ignored, or, under `all`, truncate its manifest once per sweep.
-    // `profile` writes its own document to `--profile-out`.
+    // Campaign flags describe one campaign: on any other command they
+    // would be ignored, or under `all` recreate the manifest once per
+    // sweep. `profile` writes its own document to `--profile-out`.
     let c = &opts.campaign;
+    let profile_out = c.profile_out.is_some() && command != "profile";
     let stray = [
         ("--campaign-out", c.campaign_out.is_some()),
         ("--campaign-timing", c.campaign_timing),
         ("--progress", c.progress),
-        (
-            "--profile-out",
-            c.profile_out.is_some() && command != "profile",
-        ),
+        ("--profile-out", profile_out),
     ];
-    if let Some((flag, _)) = stray.iter().find(|(_, set)| *set) {
-        if !SWEEPS.contains(&command.as_str()) {
-            eprintln!(
-                "`{flag}` needs a command that runs one sweep ({}); `{command}` does not",
-                SWEEPS.join(", ")
-            );
-            std::process::exit(2);
-        }
+    let is_sweep = SWEEPS.iter().any(|(name, _)| *name == command);
+    if let Some((flag, _)) = stray.iter().find(|(_, set)| *set && !is_sweep) {
+        eprintln!("`{flag}` needs a command that runs one sweep; `{command}` does not");
+        std::process::exit(2);
     }
     if opts.quick {
         opts.reps = opts.reps.min(3);
@@ -234,15 +243,20 @@ fn sizes(opts: &Options) -> Option<Vec<u32>> {
     opts.quick.then(aimes_bench::quick_sizes)
 }
 
-/// One repetition's seed and submission instant (§IV-A: every repetition
-/// faces its own background load, submitted 4-16 h into the simulation).
-/// Arms that share a `key` share seeds, so they are compared paired.
-fn run_seed(opts: &Options, key: &str, rep: usize) -> (u64, SimTime) {
+/// One repetition's run options: its own seed (§IV-A: every repetition
+/// faces its own background load) and a submission instant drawn from it,
+/// 4-16 h into the simulation. Arms that share a `key` share both, so
+/// they are compared paired.
+fn run_options(opts: &Options, key: &str, rep: usize) -> RunOptions {
     let seed = SimRng::new(opts.seed)
         .fork_indexed(key, rep as u64)
         .root_seed();
     let mut rng = SimRng::new(seed).fork("submit");
-    (seed, SimTime::from_secs(rng.uniform(4.0, 16.0) * 3600.0))
+    RunOptions {
+        seed,
+        submit_at: SimTime::from_secs(rng.uniform(4.0, 16.0) * 3600.0),
+        ..Default::default()
+    }
 }
 
 /// A bag of `n_tasks` single-core tasks of `secs` each, reading
@@ -459,11 +473,10 @@ fn ablation_select(opts: &Options) {
 /// Per-task input sizes of the data-heavy sweep, in MB.
 const DATA_INPUT_MB: [f64; 4] = [1.0, 10.0, 50.0, 200.0];
 
-/// One data-sweep repetition's seed and submission instant. Each input
-/// size keys its own stream, so no two repetitions share a seed however
-/// many there are.
-fn data_run_seed(opts: &Options, input_mb: f64, rep: usize) -> (u64, SimTime) {
-    run_seed(opts, &format!("data-{input_mb}"), rep)
+/// One data-sweep repetition's run options: each input size keys its
+/// own stream, so no two runs share a seed.
+fn data_run_options(opts: &Options, input_mb: f64, rep: usize) -> RunOptions {
+    run_options(opts, &format!("data-{input_mb}"), rep)
 }
 
 /// Data-heavy regime: grow per-task input until Ts dominates TTC
@@ -479,19 +492,12 @@ fn ablation_data(opts: &Options) {
         "ablation-data",
         &arms,
         |_| true,
-        |(input_mb, app), rep| {
-            let (seed, submit_at) = data_run_seed(opts, *input_mb, rep);
-            CampaignJob {
-                arm: format!("{input_mb}MB"),
-                resources: &testbed,
-                app,
-                strategy: &strategy,
-                options: RunOptions {
-                    seed,
-                    submit_at,
-                    ..Default::default()
-                },
-            }
+        |(input_mb, app), rep| CampaignJob {
+            arm: format!("{input_mb}MB"),
+            resources: &testbed,
+            app,
+            strategy: &strategy,
+            options: data_run_options(opts, *input_mb, rep),
         },
         |r, _| {
             let ttc = r.breakdown.ttc.as_secs();
@@ -542,19 +548,12 @@ fn ablation_crossover(opts: &Options) {
         "ablation-crossover",
         &arms,
         |_| true,
-        |(task_mins, label, strategy, app), rep| {
-            let (seed, submit_at) = run_seed(opts, &format!("crossover-{label}-{task_mins}"), rep);
-            CampaignJob {
-                arm: format!("{task_mins}m/{label}"),
-                resources: &testbed,
-                app,
-                strategy,
-                options: RunOptions {
-                    seed,
-                    submit_at,
-                    ..Default::default()
-                },
-            }
+        |(task_mins, label, strategy, app), rep| CampaignJob {
+            arm: format!("{task_mins}m/{label}"),
+            resources: &testbed,
+            app,
+            strategy,
+            options: run_options(opts, &format!("crossover-{label}-{task_mins}"), rep),
         },
         |r, _| r.breakdown.ttc.as_secs(),
     );
@@ -667,19 +666,12 @@ fn ablation_hetero(opts: &Options) {
         "ablation-hetero",
         &arms,
         |_| true,
-        |(label, app), rep| {
-            let (seed, submit_at) = run_seed(opts, &format!("hetero-{label}"), rep);
-            CampaignJob {
-                arm: label.to_string(),
-                resources: &testbed,
-                app,
-                strategy: &strategy,
-                options: RunOptions {
-                    seed,
-                    submit_at,
-                    ..Default::default()
-                },
-            }
+        |(label, app), rep| CampaignJob {
+            arm: label.to_string(),
+            resources: &testbed,
+            app,
+            strategy: &strategy,
+            options: run_options(opts, &format!("hetero-{label}"), rep),
         },
         |r, _| r.breakdown.ttc.as_secs(),
     );
@@ -721,12 +713,7 @@ fn ablation_adaptive(opts: &Options) {
         for rep in 0..opts.reps {
             // Paired seeds: both modes face the same background load and
             // submission instant.
-            let (seed, submit_at) = run_seed(opts, "adaptive-pair", rep);
-            let run_opts = RunOptions {
-                seed,
-                submit_at,
-                ..Default::default()
-            };
+            let run_opts = run_options(opts, "adaptive-pair", rep);
             if adaptive {
                 let cfg = AdaptiveConfig {
                     base: base.clone(),
@@ -802,19 +789,12 @@ fn ablation_walltime(opts: &Options) {
         "ablation-walltime",
         &arms,
         |_| false,
-        |(secs, scheduler, strategy), rep| {
-            let (seed, submit_at) = run_seed(opts, &format!("walltime-{secs}-{scheduler:?}"), rep);
-            CampaignJob {
-                arm: format!("{secs}/{scheduler:?}"),
-                resources: &pool,
-                app: &app,
-                strategy,
-                options: RunOptions {
-                    seed,
-                    submit_at,
-                    ..Default::default()
-                },
-            }
+        |(secs, scheduler, strategy), rep| CampaignJob {
+            arm: format!("{secs}/{scheduler:?}"),
+            resources: &pool,
+            app: &app,
+            strategy,
+            options: run_options(opts, &format!("walltime-{secs}-{scheduler:?}"), rep),
         },
         |r, _| (r.breakdown.ttc.as_secs(), r.restarts, r.units_failed > 0),
     );
@@ -873,20 +853,13 @@ fn ablation_queue(opts: &Options) {
         "ablation-queue",
         &arms,
         |_| true,
-        |(queue, strategy), rep| {
+        |(queue, strategy), rep| CampaignJob {
+            arm: queue.to_string(),
+            resources: &testbed,
+            app: &app,
+            strategy,
             // Paired seeds across the two queue settings.
-            let (seed, submit_at) = run_seed(opts, "queue-pair", rep);
-            CampaignJob {
-                arm: queue.to_string(),
-                resources: &testbed,
-                app: &app,
-                strategy,
-                options: RunOptions {
-                    seed,
-                    submit_at,
-                    ..Default::default()
-                },
-            }
+            options: run_options(opts, "queue-pair", rep),
         },
         |r, _| (r.breakdown.ttc.as_secs(), r.breakdown.tw.as_secs()),
     );
@@ -1075,9 +1048,6 @@ fn ablation_faults(opts: &Options) {
                 horizon_secs: 3600.0,
                 ..FaultSpec::none()
             };
-            // Same seed for all three recovery arms: identical fault
-            // schedules, the only difference is how the run heals.
-            let (seed, submit_at) = run_seed(opts, &format!("faults-{rate}"), rep);
             let recovery = match mode {
                 "oracle" => Some(RecoveryPolicy::default()),
                 "detect" => Some(RecoveryPolicy::with_detection()),
@@ -1089,11 +1059,12 @@ fn ablation_faults(opts: &Options) {
                 app: &app,
                 strategy: &strategy,
                 options: RunOptions {
-                    seed,
-                    submit_at,
                     faults: Some(faults),
                     recovery,
-                    ..Default::default()
+                    // Same seed for all three recovery arms: identical
+                    // fault schedules, the only difference is how the run
+                    // heals.
+                    ..run_options(opts, &format!("faults-{rate}"), rep)
                 },
             }
         },
@@ -1247,9 +1218,6 @@ fn ablation_cascade(opts: &Options) {
         &arms,
         |_| true,
         |&arm, rep| {
-            // Same seed across all three arms: identical cascade
-            // schedules, the only difference is how the run survives.
-            let (seed, submit_at) = run_seed(opts, "cascade", rep);
             let mut recovery = RecoveryPolicy::with_detection();
             if arm != "reactive" {
                 recovery.evacuation = Some(EvacuationSpec::default());
@@ -1263,12 +1231,13 @@ fn ablation_cascade(opts: &Options) {
                 app: &app,
                 strategy: &strategy,
                 options: RunOptions {
-                    seed,
-                    submit_at,
                     faults: Some(faults.clone()),
                     recovery: Some(recovery),
                     journal: Some(Default::default()),
-                    ..Default::default()
+                    // Same seed across all three arms: identical cascade
+                    // schedules, the only difference is how the run
+                    // survives.
+                    ..run_options(opts, "cascade", rep)
                 },
             }
         },
@@ -1432,26 +1401,22 @@ fn ablation_info(opts: &Options) {
         "ablation-info",
         &arms,
         |_| true,
-        |(arm, info, faults), rep| {
-            // Same seed across arms: identical workload, background load,
-            // and submission instant — only the information regime moves.
-            let (seed, submit_at) = run_seed(opts, "info", rep);
-            CampaignJob {
-                arm: arm.to_string(),
-                resources: &testbed,
-                app: &app,
-                strategy: &strategy,
-                options: RunOptions {
-                    seed,
-                    submit_at,
-                    faults: faults.clone(),
-                    info: info.clone(),
-                    // Each run's own registry; the `bundle.info.*`
-                    // counters come back in `RunResult::metrics`.
-                    telemetry: Some(Telemetry::new()),
-                    ..Default::default()
-                },
-            }
+        |(arm, info, faults), rep| CampaignJob {
+            arm: arm.to_string(),
+            resources: &testbed,
+            app: &app,
+            strategy: &strategy,
+            options: RunOptions {
+                faults: faults.clone(),
+                info: info.clone(),
+                // Each run's own registry; the `bundle.info.*` counters
+                // come back in `RunResult::metrics`.
+                telemetry: Some(Telemetry::new()),
+                // Same seed across arms: identical workload, background
+                // load, and submission instant — only the information
+                // regime moves.
+                ..run_options(opts, "info", rep)
+            },
         },
         |r, _| r,
     );
@@ -1598,20 +1563,17 @@ fn ablation_detection(opts: &Options) {
                 detection: det.clone(),
                 ..RecoveryPolicy::default()
             };
-            // Same seed across configs: the paired comparison isolates
-            // detector tuning from schedule noise.
-            let (seed, submit_at) = run_seed(opts, "detection", rep);
             CampaignJob {
                 arm: label.to_string(),
                 resources: &pool,
                 app: &app,
                 strategy: &strategy,
                 options: RunOptions {
-                    seed,
-                    submit_at,
                     faults: Some(faults.clone()),
                     recovery: Some(recovery),
-                    ..Default::default()
+                    // Same seed across configs: the paired comparison
+                    // isolates detector tuning from schedule noise.
+                    ..run_options(opts, "detection", rep)
                 },
             }
         },
@@ -2205,6 +2167,9 @@ fn main() {
             .build_global()
             .expect("configure worker pool");
     }
+    if let Some((_, sweep)) = SWEEPS.iter().find(|(name, _)| *name == command) {
+        return sweep(&opts);
+    }
     match command.as_str() {
         "table1" => table1(),
         "fig2" => fig2(&opts),
@@ -2213,18 +2178,9 @@ fn main() {
         "ablation-pilots" => ablation_pilots(&opts),
         "ablation-sched" => ablation_sched(&opts),
         "ablation-select" => ablation_select(&opts),
-        "ablation-data" => ablation_data(&opts),
-        "ablation-crossover" => ablation_crossover(&opts),
         "ablation-throughput" => ablation_throughput(&opts),
-        "ablation-hetero" => ablation_hetero(&opts),
         "ablation-adaptive" => ablation_adaptive(&opts),
-        "ablation-walltime" => ablation_walltime(&opts),
-        "ablation-queue" => ablation_queue(&opts),
         "ablation-predictor" => ablation_predictor(&opts),
-        "ablation-faults" => ablation_faults(&opts),
-        "ablation-detection" => ablation_detection(&opts),
-        "ablation-info" => ablation_info(&opts),
-        "ablation-cascade" => ablation_cascade(&opts),
         "telemetry" => telemetry_run(&opts),
         "profile" => profile_cmd(&opts),
         "journal" => journal_cmd(&opts),
@@ -2275,23 +2231,16 @@ fn main() {
 mod tests {
     use super::*;
 
-    /// Packing (input MB, rep) into one index let rep 256 of the 1 MB arm
-    /// replay rep 0; every (arm, rep) of the data sweep must draw its own
-    /// seed.
+    /// The packed `(MB << 8) | rep` key gave rep 256 of the 1 MB arm rep
+    /// 0's seed; every (arm, rep) of the data sweep must draw its own.
     #[test]
     fn data_sweep_seeds_are_distinct_past_256_reps() {
-        let (_, opts) = parse_args(
-            ["ablation-data", "--reps", "600"]
-                .map(String::from)
-                .to_vec(),
-        );
-        let mut seeds = std::collections::BTreeSet::new();
-        for mb in DATA_INPUT_MB {
-            for rep in 0..opts.reps {
-                let (seed, _) = data_run_seed(&opts, mb, rep);
-                assert!(seeds.insert(seed), "{mb} MB rep {rep} reuses a seed");
-            }
-        }
+        let (_, opts) = parse_args(Vec::new());
+        let opts = &opts;
+        let seeds: std::collections::BTreeSet<u64> = DATA_INPUT_MB
+            .iter()
+            .flat_map(|&mb| (0..600).map(move |rep| data_run_options(opts, mb, rep).seed))
+            .collect();
         assert_eq!(seeds.len(), DATA_INPUT_MB.len() * 600);
     }
 }

@@ -64,7 +64,7 @@ fn campaign_flags_without_a_campaign_exit_2() {
     let manifest = manifest.to_str().unwrap();
     assert_rejected(
         &["all", "--quick", "--campaign-out", manifest],
-        "`--campaign-out` needs a command that runs one sweep",
+        "`--campaign-out` needs a command that runs one sweep; `all` does not",
     );
     assert_rejected(&["fig2", "--campaign-timing"], "`--campaign-timing`");
     assert_rejected(&["ablation-adaptive", "--progress"], "`--progress`");
