@@ -51,11 +51,11 @@
 //! (arm × rep) runs out through one campaign driver. `--jobs N` caps the
 //! worker pool they and the figure experiments run on (default: all
 //! cores; every run owns its seed and results aggregate in job order, so
-//! output is byte-identical at any worker count). `--fail-on-error` makes a sweep exit non-zero if a
-//! gated run fails — every arm except `ablation-faults`' unhealed one and
-//! all of `ablation-walltime`, whose failures are their result — the
-//! chaos-smoke CI gate; `--dump-dir DIR` leaves flight-recorder snapshots
-//! of their failed runs there.
+//! output is byte-identical at any worker count). `--fail-on-error` makes
+//! a sweep exit non-zero if a gated run fails — every arm except
+//! `ablation-faults`' unhealed one and all of `ablation-walltime`, whose
+//! failures are their result — the chaos-smoke CI gate; `--dump-dir DIR`
+//! leaves flight-recorder snapshots of their failed runs there.
 //!
 //! Campaign observability, for one sweep at a time (any other command,
 //! `all` included, exits 2 on these flags; `profile` writes its own
@@ -63,12 +63,12 @@
 //! `campaign.jsonl` manifest with one record per run (arm, rep, seed,
 //! outcome, TTC components, recovery counters, error taxonomy),
 //! canonicalized to job order on close so it is byte-identical at any
-//! `--jobs`. `--campaign-timing` additionally records
-//! volatile wall-clock fields (worker index, per-phase wall split, a pool
-//! record) — useful, but worker-count dependent. `--progress` draws an
-//! opt-in live status line on stderr. `--profile-out PATH` attaches a
-//! per-run engine profiler to every run of the sweep and writes the
-//! merged `aimes-profile-v1` document — scope counts and engine counters
+//! `--jobs`. `--campaign-timing` additionally records volatile wall-clock
+//! fields (worker index, per-phase wall split, a pool record) — useful,
+//! but worker-count dependent. `--progress` draws an opt-in live status
+//! line on stderr. `--profile-out PATH` attaches a per-run engine
+//! profiler to every run of the sweep and writes the merged
+//! `aimes-profile-v1` document — scope counts and engine counters
 //! always, host timing and allocator sections only with
 //! `--campaign-timing`, so the default document is byte-identical at any
 //! `--jobs`.
