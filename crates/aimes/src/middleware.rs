@@ -591,7 +591,8 @@ pub(crate) struct RunWorld<'a> {
     /// gated on it, so a fault-free run replays the exact event and RNG
     /// streams of a build without fault support.
     schedule: Option<FaultSchedule>,
-    app: SkeletonApp,
+    /// Shared with the re-planner, which re-derives plans for it.
+    app: Rc<SkeletonApp>,
     n_tasks: u32,
     submitted: SimTime,
     /// The managers, once `enact` has built them.
@@ -694,7 +695,7 @@ impl<'a> RunWorld<'a> {
             info,
             schedule,
             n_tasks: app.tasks().len() as u32,
-            app,
+            app: Rc::new(app),
             submitted,
             crew: None,
         };

@@ -106,7 +106,7 @@ pub struct UnitWork {
     pub duration: SimDuration,
     /// Total input volume in MB ([`TaskSpec::input_mb`]).
     pub input_mb: f64,
-    /// Total output volume in MB ([`TaskSpec::output_mb`]).
+    /// Output volume in MB ([`TaskSpec::output_mb`]).
     pub output_mb: f64,
 }
 
@@ -116,8 +116,8 @@ impl UnitWork {
         UnitWork {
             cores: task.cores,
             duration: task.duration,
-            input_mb: task.input_mb(),
-            output_mb: task.output_mb(),
+            input_mb: task.input_mb,
+            output_mb: task.output_mb,
         }
     }
 }
@@ -194,7 +194,7 @@ impl ComputeUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aimes_skeleton::{FileSpec, TaskId};
+    use aimes_skeleton::{TaskId, TaskInput};
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)
@@ -204,23 +204,16 @@ mod tests {
         UnitWork::of(&TaskSpec {
             id: TaskId(0),
             stage: 0,
-            stage_name: "bag".into(),
             cores: 1,
             duration: SimDuration::from_mins(15.0),
-            inputs: vec![FileSpec {
-                name: "in".into(),
-                size_mb: 1.0,
-            }],
-            outputs: vec![FileSpec {
-                name: "out".into(),
-                size_mb: 0.002,
-            }],
-            dependencies: vec![],
+            input: TaskInput::External { size_mb: 1.0 },
+            input_mb: 1.0,
+            output_mb: 0.002,
         })
     }
 
     #[test]
-    fn work_sums_the_task_files() {
+    fn work_reads_the_task_volumes() {
         let w = task();
         assert_eq!(w.cores, 1);
         assert_eq!(w.duration, SimDuration::from_mins(15.0));

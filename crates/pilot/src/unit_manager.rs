@@ -235,12 +235,12 @@ struct UmState {
     config: UmConfig,
     units: Vec<ComputeUnit>,
     /// Unresolved dependency count per unit.
-    dep_count: Vec<usize>,
+    dep_count: Vec<u32>,
     /// Reverse dependency edges.
-    dependents: Vec<Vec<UnitId>>,
+    dependents: Dependents,
     /// Eligible-but-unscheduled units, FIFO.
     ready: VecDeque<UnitId>,
-    /// Early-binding assignment per unit.
+    /// Early-binding assignment per unit; empty under late binding.
     bound: Vec<Option<PilotId>>,
     /// Agents of the active pilots, in pilot-id order: the order the
     /// schedulers see them in.
@@ -258,6 +258,51 @@ struct UmState {
     on_all_done: Vec<CompletionCallback>,
     schedule_pending: bool,
     completion_fired: bool,
+}
+
+/// Reverse dependency edges in one flat table: the dependents of unit `u`
+/// are `edges[offsets[u]..offsets[u + 1]]`, in id order. A bag has no
+/// edges and costs one offset per unit.
+#[derive(Default)]
+struct Dependents {
+    offsets: Vec<u32>,
+    edges: Vec<UnitId>,
+}
+
+impl Dependents {
+    fn new(tasks: &[TaskSpec]) -> Self {
+        let n = tasks.len();
+        let mut offsets = vec![0u32; n + 1];
+        for t in tasks {
+            for d in t.dependencies() {
+                offsets[d as usize] += 1;
+            }
+        }
+        // Running sum: `offsets[u]` becomes the end of `u`'s edges.
+        let mut end = 0u32;
+        for o in &mut offsets {
+            end = end
+                .checked_add(*o)
+                .expect("dependency edges fit in u32 offsets");
+            *o = end;
+        }
+        let mut edges = vec![UnitId(0); end as usize];
+        // Fill back to front, walking each end down to its start, so each
+        // unit's dependents come out in id order.
+        for t in tasks.iter().rev() {
+            for d in t.dependencies() {
+                let o = &mut offsets[d as usize];
+                *o -= 1;
+                edges[*o as usize] = UnitId(t.id.0);
+            }
+        }
+        Dependents { offsets, edges }
+    }
+
+    fn of(&self, uid: UnitId) -> &[UnitId] {
+        let u = uid.0 as usize;
+        &self.edges[self.offsets[u] as usize..self.offsets[u + 1] as usize]
+    }
 }
 
 /// The unit manager's observers, outside its `RefCell` state.
@@ -288,7 +333,7 @@ impl UnitManager {
                 config,
                 units: Vec::new(),
                 dep_count: Vec::new(),
-                dependents: Vec::new(),
+                dependents: Dependents::default(),
                 ready: VecDeque::new(),
                 bound: Vec::new(),
                 agents: BTreeMap::new(),
@@ -350,9 +395,7 @@ impl UnitManager {
             assert!(st.units.is_empty(), "submit_units may be called once");
             let n = tasks.len();
             st.units.reserve(n);
-            st.dep_count = vec![0; n];
-            st.dependents = vec![Vec::new(); n];
-            st.bound = vec![None; n];
+            st.dep_count = Vec::with_capacity(n);
             st.inflight = vec![None; n];
             st.stats.total = n;
             let mut roots = 0;
@@ -361,14 +404,13 @@ impl UnitManager {
                 let uid = UnitId(i as u32);
                 st.units
                     .push(ComputeUnit::new(uid, UnitWork::of(task), now));
-                st.dep_count[i] = task.dependencies.len();
-                roots += usize::from(task.dependencies.is_empty());
-                for dep in &task.dependencies {
-                    st.dependents[dep.0 as usize].push(uid);
-                }
+                st.dep_count.push(task.dependencies().len() as u32);
+                roots += usize::from(task.is_root());
             }
+            st.dependents = Dependents::new(tasks);
             st.ready.reserve(roots);
             if st.config.binding == Binding::Early {
+                st.bound = vec![None; n];
                 let pilots = self.pm.pilots_ref();
                 assert!(
                     !pilots.is_empty(),
@@ -391,10 +433,8 @@ impl UnitManager {
             }
         }
         // Move dependency-free units to PendingExecution.
-        for (i, task) in tasks.iter().enumerate() {
-            if task.dependencies.is_empty() {
-                self.make_ready(sim, UnitId(i as u32));
-            }
+        for task in tasks.iter().filter(|t| t.is_root()) {
+            self.make_ready(sim, UnitId(task.id.0));
         }
         self.request_schedule(sim);
     }
@@ -661,7 +701,7 @@ impl UnitManager {
                         id: *uid,
                         cores: u.work.cores,
                         est_duration: u.work.duration,
-                        bound_to: st.bound[uid.0 as usize],
+                        bound_to: st.bound.get(uid.0 as usize).copied().flatten(),
                     }
                 })
                 .collect();
@@ -825,7 +865,7 @@ impl UnitManager {
             let st = &mut *st;
             st.stats.done += 1;
             let mut ready = Vec::new();
-            for dep in std::mem::take(&mut st.dependents[uid.0 as usize]) {
+            for &dep in st.dependents.of(uid) {
                 let c = &mut st.dep_count[dep.0 as usize];
                 *c -= 1;
                 if *c == 0 {
@@ -1062,9 +1102,8 @@ mod tests {
         let units = um.units_ref();
         for r in &units[8..] {
             let deps_done = app.tasks()[r.id.0 as usize]
-                .dependencies
-                .iter()
-                .map(|d| units[d.0 as usize].last_time_of(UnitState::Done).unwrap())
+                .dependencies()
+                .map(|d| units[d as usize].last_time_of(UnitState::Done).unwrap())
                 .fold(SimTime::ZERO, SimTime::max);
             let staged = r.last_time_of(UnitState::StagingInput).unwrap();
             assert!(staged >= deps_done);

@@ -10,7 +10,7 @@ use aimes_saga::Session;
 use aimes_sim::SimRng;
 use aimes_sim::{SimDuration, Simulation, Tracer};
 use aimes_skeleton::config::TaskDurationConfig;
-use aimes_skeleton::{FileSizeSpec, SkeletonApp, SkeletonConfig, StageConfig, TaskMapping};
+use aimes_skeleton::{FileSizeSpec, SkeletonApp, SkeletonConfig, StageConfig, TaskId, TaskMapping};
 use aimes_workload::Distribution;
 use proptest::prelude::*;
 use std::rc::Rc;
@@ -119,7 +119,7 @@ proptest! {
         let units = um.units_ref();
         for u in units.iter() {
             let staged = u.last_time_of(UnitState::StagingInput).expect("ran");
-            for dep in &app.tasks()[u.id.0 as usize].dependencies {
+            for dep in app.tasks()[u.id.0 as usize].dependencies().map(TaskId) {
                 let dep_done = units[dep.0 as usize]
                     .last_time_of(UnitState::Done)
                     .expect("dep ran");

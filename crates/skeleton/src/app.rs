@@ -1,12 +1,18 @@
-//! Skeleton application generation and the paper's three output forms.
+//! Skeleton application generation and the paper's output forms.
 
 use crate::config::FileSizeSpec;
 use crate::config::{SkeletonConfig, StageConfig, TaskDurationConfig, TaskMapping};
-use crate::task::{FileSpec, TaskId, TaskSpec};
+use crate::task::{FileSpec, TaskId, TaskInput, TaskSpec};
 use aimes_sim::{SimDuration, SimRng};
+use serde::{Deserialize, Serialize};
 
 /// A generated skeleton application: concrete tasks with durations, files,
 /// and dependencies.
+///
+/// Tasks are plain data. A task's file names and its producers follow from
+/// its stage and its index in that stage, so the app builds names only when
+/// an output form asks for them, and generation allocates per stage, not
+/// per task.
 ///
 /// ```
 /// use aimes_sim::SimRng;
@@ -17,6 +23,7 @@ use aimes_sim::{SimDuration, SimRng};
 /// let app = SkeletonApp::generate(&config, &mut SimRng::new(1)).unwrap();
 /// assert_eq!(app.tasks().len(), 64);
 /// assert_eq!(app.critical_path().as_mins(), 15.0); // single stage
+/// assert_eq!(app.output_file(&app.tasks()[3]).name, "bag.00003.out");
 /// // The same seed regenerates the identical application.
 /// let again = SkeletonApp::generate(&config, &mut SimRng::new(1)).unwrap();
 /// assert_eq!(app.tasks(), again.tasks());
@@ -34,7 +41,9 @@ impl SkeletonApp {
     /// Expand a validated config into tasks, drawing all samples from
     /// `rng`. The same seed always yields the same application — the
     /// property that lets an experiment run the *same* workload under
-    /// different execution strategies.
+    /// different execution strategies. Each task draws its external input
+    /// size (external stages only), then its duration, then its output
+    /// size.
     pub fn generate(config: &SkeletonConfig, rng: &mut SimRng) -> Result<SkeletonApp, String> {
         config.validate()?;
         let expanded = expand_stages(config);
@@ -42,14 +51,39 @@ impl SkeletonApp {
         let mut tasks: Vec<TaskSpec> = Vec::with_capacity(total);
         let mut stage_ranges = Vec::with_capacity(expanded.len());
         let mut stage_names = Vec::with_capacity(expanded.len());
-        let mut prev_range: Option<(usize, usize)> = None;
+        let mut prev: Option<(usize, usize)> = None;
 
-        for (stage_idx, (cfg, name)) in expanded.iter().enumerate() {
+        for (stage, (cfg, name)) in expanded.into_iter().enumerate() {
+            let external = match (cfg.mapping, &cfg.input_size_mb) {
+                (TaskMapping::External, FileSizeSpec::Dist { dist }) => Some(dist),
+                (TaskMapping::External, other) => {
+                    return Err(format!(
+                        "external input size must be a distribution, got {other:?}"
+                    ));
+                }
+                _ => None,
+            };
+            let upstream = match (external, prev) {
+                (Some(_), _) => (0, 0),
+                (None, Some(range)) => range,
+                (None, None) => {
+                    return Err(format!("{:?} mapping with no previous stage", cfg.mapping));
+                }
+            };
             let start = tasks.len();
             for i in 0..cfg.task_count {
-                let id = TaskId(tasks.len() as u32);
-                let (inputs, dependencies) = make_inputs(cfg, i, prev_range, &tasks, name, rng)?;
-                let input_mb: f64 = inputs.iter().map(|f| f.size_mb).sum();
+                let (input, input_mb) = match external {
+                    Some(dist) => {
+                        let size_mb = dist.sample(rng).max(0.0);
+                        (TaskInput::External { size_mb }, size_mb)
+                    }
+                    None => {
+                        let (first, end) = upstream_range(cfg, i, upstream);
+                        let input_mb = tasks[first..end].iter().map(|t| t.output_mb).sum();
+                        let (first, end) = (first as u32, end as u32);
+                        (TaskInput::Upstream { first, end }, input_mb)
+                    }
+                };
                 let duration = match &cfg.duration {
                     TaskDurationConfig::Dist { dist } => {
                         SimDuration::from_secs(dist.sample(rng).max(0.0))
@@ -58,26 +92,21 @@ impl SkeletonApp {
                         SimDuration::from_secs((a * input_mb + b).max(0.0))
                     }
                 };
-                let out_mb = eval_size(&cfg.output_size_mb, input_mb, duration, rng)?;
-                let outputs = vec![FileSpec {
-                    name: format!("{name}.{i:05}.out"),
-                    size_mb: out_mb,
-                }];
+                let output_mb = eval_size(&cfg.output_size_mb, input_mb, duration, rng);
                 tasks.push(TaskSpec {
-                    id,
-                    stage: stage_idx,
-                    stage_name: name.clone(),
+                    id: TaskId(tasks.len() as u32),
+                    stage: stage as u32,
                     cores: cfg.cores_per_task,
                     duration,
-                    inputs,
-                    outputs,
-                    dependencies,
+                    input,
+                    input_mb,
+                    output_mb,
                 });
             }
             let range = (start, tasks.len());
             stage_ranges.push(range);
-            stage_names.push(name.clone());
-            prev_range = Some(range);
+            stage_names.push(name);
+            prev = Some(range);
         }
         Ok(SkeletonApp {
             name: config.name.clone(),
@@ -113,6 +142,37 @@ impl SkeletonApp {
         &self.stage_names
     }
 
+    /// The files `task` reads, in order: its one external input file, or
+    /// the output file of each task it depends on.
+    pub fn input_files(&self, task: &TaskSpec) -> impl Iterator<Item = FileSpec> + '_ {
+        let external = match task.input {
+            TaskInput::External { size_mb } => Some(FileSpec {
+                name: self.file_name(task, "in"),
+                size_mb,
+            }),
+            TaskInput::Upstream { .. } => None,
+        };
+        let upstream = task.dependencies();
+        external
+            .into_iter()
+            .chain(upstream.map(|d| self.output_file(&self.tasks[d as usize])))
+    }
+
+    /// The one file `task` writes.
+    pub fn output_file(&self, task: &TaskSpec) -> FileSpec {
+        FileSpec {
+            name: self.file_name(task, "out"),
+            size_mb: task.output_mb,
+        }
+    }
+
+    /// `{stage}.{index in stage:05}.{suffix}`.
+    fn file_name(&self, task: &TaskSpec, suffix: &str) -> String {
+        let stage = task.stage as usize;
+        let index = task.id.0 as usize - self.stage_ranges[stage].0;
+        format!("{}.{index:05}.{suffix}", self.stage_names[stage])
+    }
+
     /// Sum of all task durations (the total compute work).
     pub fn total_work(&self) -> SimDuration {
         self.tasks.iter().map(|t| t.duration).sum()
@@ -124,9 +184,8 @@ impl SkeletonApp {
         let mut finish = vec![SimDuration::ZERO; self.tasks.len()];
         for (i, t) in self.tasks.iter().enumerate() {
             let ready = t
-                .dependencies
-                .iter()
-                .map(|d| finish[d.0 as usize])
+                .dependencies()
+                .map(|d| finish[d as usize])
                 .fold(SimDuration::ZERO, SimDuration::max);
             finish[i] = ready + t.duration;
         }
@@ -147,31 +206,45 @@ impl SkeletonApp {
     pub fn external_input_mb(&self) -> f64 {
         self.tasks
             .iter()
-            .filter(|t| t.dependencies.is_empty())
-            .map(|t| t.input_mb())
+            .filter(|t| t.is_root())
+            .map(|t| t.input_mb)
             .sum()
     }
 
     /// Total final output volume (files not consumed by another task).
     pub fn final_output_mb(&self) -> f64 {
-        let consumed: std::collections::HashSet<&str> = self
-            .tasks
-            .iter()
-            .flat_map(|t| t.inputs.iter().map(|f| f.name.as_str()))
-            .collect();
+        let mut consumed = vec![false; self.tasks.len()];
+        for t in &self.tasks {
+            for d in t.dependencies() {
+                consumed[d as usize] = true;
+            }
+        }
         self.tasks
             .iter()
-            .flat_map(|t| t.outputs.iter())
-            .filter(|f| !consumed.contains(f.name.as_str()))
-            .map(|f| f.size_mb)
+            .zip(consumed)
+            .filter(|(_, consumed)| !consumed)
+            .map(|(t, _)| t.output_mb)
             .sum()
+    }
+
+    /// The shell-command rendering of one task (one of the paper's three
+    /// skeleton output forms).
+    pub fn shell_command(&self, task: &TaskSpec) -> String {
+        let ins: Vec<String> = self.input_files(task).map(|f| f.name).collect();
+        format!(
+            "skeleton-task --id {} --sleep {:.1} --inputs {} --outputs {}",
+            task.id,
+            task.duration.as_secs(),
+            ins.join(","),
+            self.output_file(task).name
+        )
     }
 
     /// Output form (a): sequential shell commands.
     pub fn to_shell_script(&self) -> String {
         let mut out = String::from("#!/bin/sh\n# generated skeleton application\n");
         for t in &self.tasks {
-            out.push_str(&t.as_shell_command());
+            out.push_str(&self.shell_command(t));
             out.push('\n');
         }
         out
@@ -181,13 +254,28 @@ impl SkeletonApp {
     pub fn to_dag(&self) -> Vec<(TaskId, TaskId)> {
         self.tasks
             .iter()
-            .flat_map(|t| t.dependencies.iter().map(move |d| (*d, t.id)))
+            .flat_map(|t| t.dependencies().map(move |d| (TaskId(d), t.id)))
             .collect()
     }
 
     /// Output form (d): the JSON structure consumed by the middleware.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(&self.tasks).expect("tasks serialize")
+        let tasks: Vec<TaskJson> = self.tasks.iter().map(|t| self.json_view(t)).collect();
+        serde_json::to_string_pretty(&tasks).expect("tasks serialize")
+    }
+
+    /// One task as the JSON form spells it out: names and file lists.
+    fn json_view(&self, task: &TaskSpec) -> TaskJson {
+        TaskJson {
+            id: task.id,
+            stage: task.stage,
+            stage_name: self.stage_names[task.stage as usize].clone(),
+            cores: task.cores,
+            duration: task.duration,
+            inputs: self.input_files(task).collect(),
+            outputs: vec![self.output_file(task)],
+            dependencies: task.dependencies().map(TaskId).collect(),
+        }
     }
 
     /// Preparation script (paper output group 1): creates the input/output
@@ -196,15 +284,13 @@ impl SkeletonApp {
         let mut out = String::from(
             "#!/bin/sh\n# prepares inputs for the skeleton application\nmkdir -p input output\n",
         );
-        for t in &self.tasks {
-            if t.dependencies.is_empty() {
-                for f in &t.inputs {
-                    out.push_str(&format!(
-                        "dd if=/dev/zero of=input/{} bs=1024 count={} 2>/dev/null\n",
-                        f.name,
-                        (f.size_mb * 1024.0).ceil() as u64
-                    ));
-                }
+        for t in self.tasks.iter().filter(|t| t.is_root()) {
+            for f in self.input_files(t) {
+                out.push_str(&format!(
+                    "dd if=/dev/zero of=input/{} bs=1024 count={} 2>/dev/null\n",
+                    f.name,
+                    (f.size_mb * 1024.0).ceil() as u64
+                ));
             }
         }
         out
@@ -218,10 +304,7 @@ impl SkeletonApp {
             "<adag name=\"{}\" jobCount=\"{}\" childCount=\"{}\">\n",
             self.name,
             self.tasks.len(),
-            self.tasks
-                .iter()
-                .filter(|t| !t.dependencies.is_empty())
-                .count()
+            self.tasks.iter().filter(|t| !t.is_root()).count()
         ));
         for t in &self.tasks {
             out.push_str(&format!(
@@ -229,28 +312,21 @@ impl SkeletonApp {
                 t.id.0,
                 t.duration.as_secs()
             ));
-            for f in &t.inputs {
+            let inputs = self.input_files(t).map(|f| (f, "input"));
+            for (f, link) in inputs.chain([(self.output_file(t), "output")]) {
                 out.push_str(&format!(
-                    "    <uses file=\"{}\" link=\"input\" size=\"{:.3}\"/>\n",
-                    f.name, f.size_mb
-                ));
-            }
-            for f in &t.outputs {
-                out.push_str(&format!(
-                    "    <uses file=\"{}\" link=\"output\" size=\"{:.3}\"/>\n",
+                    "    <uses file=\"{}\" link=\"{link}\" size=\"{:.3}\"/>\n",
                     f.name, f.size_mb
                 ));
             }
             out.push_str("  </job>\n");
         }
-        for t in &self.tasks {
-            if !t.dependencies.is_empty() {
-                out.push_str(&format!("  <child ref=\"ID{:05}\">\n", t.id.0));
-                for d in &t.dependencies {
-                    out.push_str(&format!("    <parent ref=\"ID{:05}\"/>\n", d.0));
-                }
-                out.push_str("  </child>\n");
+        for t in self.tasks.iter().filter(|t| !t.is_root()) {
+            out.push_str(&format!("  <child ref=\"ID{:05}\">\n", t.id.0));
+            for d in t.dependencies() {
+                out.push_str(&format!("    <parent ref=\"ID{d:05}\"/>\n"));
             }
+            out.push_str("  </child>\n");
         }
         out.push_str("</adag>\n");
         out
@@ -279,7 +355,7 @@ impl SkeletonApp {
             let mean_sleep: f64 =
                 tasks.iter().map(|t| t.duration.as_secs()).sum::<f64>() / tasks.len() as f64;
             // Input arrays: external files or the previous stage's outputs.
-            let inputs = if tasks[0].dependencies.is_empty() {
+            let inputs = if tasks[0].is_root() {
                 format!("input_files(\"{name}\", j)")
             } else {
                 let prev = self.stage_names[i - 1].replace(['.', '-'], "_");
@@ -293,111 +369,69 @@ impl SkeletonApp {
     }
 }
 
+/// A task as the JSON output form writes it: the fields of the paper's
+/// middleware structure, with stage name, file lists and dependencies
+/// spelled out.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct TaskJson {
+    id: TaskId,
+    stage: u32,
+    stage_name: String,
+    cores: u32,
+    duration: SimDuration,
+    inputs: Vec<FileSpec>,
+    outputs: Vec<FileSpec>,
+    dependencies: Vec<TaskId>,
+}
+
 /// Expand the iteration group into a flat stage list with suffixed names.
-fn expand_stages(config: &SkeletonConfig) -> Vec<(StageConfig, String)> {
-    let mut out = Vec::new();
-    match config.iteration {
-        None => {
-            for s in &config.stages {
-                out.push((s.clone(), s.name.clone()));
-            }
-        }
-        Some(it) => {
-            for s in &config.stages[..it.from_stage] {
-                out.push((s.clone(), s.name.clone()));
-            }
-            for k in 0..it.count {
-                for s in &config.stages[it.from_stage..=it.to_stage] {
-                    let name = if it.count > 1 {
-                        format!("{}.iter{k}", s.name)
-                    } else {
-                        s.name.clone()
-                    };
-                    let mut s = s.clone();
-                    // After the first iteration, an External first stage
-                    // re-reads external data; other mappings consume the
-                    // previous expanded stage (the group's last).
-                    if k > 0 && s.mapping == TaskMapping::External {
-                        // keep external
-                    }
-                    s.name = name.clone();
-                    out.push((s, name));
-                }
-            }
-            for s in &config.stages[it.to_stage + 1..] {
-                out.push((s.clone(), s.name.clone()));
-            }
-        }
+/// After the first iteration, an external first stage re-reads external
+/// data; other mappings consume the previous expanded stage (the group's
+/// last).
+fn expand_stages(config: &SkeletonConfig) -> Vec<(&StageConfig, String)> {
+    let own_name = |s: &StageConfig| s.name.clone();
+    let Some(it) = config.iteration else {
+        return config.stages.iter().map(|s| (s, own_name(s))).collect();
+    };
+    let group = &config.stages[it.from_stage..=it.to_stage];
+    let mut out = Vec::with_capacity(config.stages.len() + group.len() * (it.count as usize - 1));
+    out.extend(
+        config.stages[..it.from_stage]
+            .iter()
+            .map(|s| (s, own_name(s))),
+    );
+    for k in 0..it.count {
+        out.extend(group.iter().map(|s| {
+            let name = if it.count > 1 {
+                format!("{}.iter{k}", s.name)
+            } else {
+                own_name(s)
+            };
+            (s, name)
+        }));
     }
+    out.extend(
+        config.stages[it.to_stage + 1..]
+            .iter()
+            .map(|s| (s, own_name(s))),
+    );
     out
 }
 
-fn make_inputs(
-    cfg: &StageConfig,
-    task_index: u32,
-    prev_range: Option<(usize, usize)>,
-    tasks: &[TaskSpec],
-    stage_name: &str,
-    rng: &mut SimRng,
-) -> Result<(Vec<FileSpec>, Vec<TaskId>), String> {
-    match cfg.mapping {
-        TaskMapping::External => {
-            let size = match &cfg.input_size_mb {
-                FileSizeSpec::Dist { dist } => dist.sample(rng).max(0.0),
-                other => {
-                    return Err(format!(
-                        "external input size must be a distribution, got {other:?}"
-                    ));
-                }
-            };
-            Ok((
-                vec![FileSpec {
-                    name: format!("{stage_name}.{task_index:05}.in"),
-                    size_mb: size,
-                }],
-                vec![],
-            ))
-        }
-        TaskMapping::OneToOne => {
-            let (a, b) = prev_range.ok_or("one-to-one with no previous stage")?;
-            debug_assert_eq!(b - a, cfg.task_count as usize);
-            let src = &tasks[a + task_index as usize];
-            Ok((src.outputs.clone(), vec![src.id]))
-        }
-        TaskMapping::AllToAll => {
-            let (a, b) = prev_range.ok_or("all-to-all with no previous stage")?;
-            let mut files = Vec::with_capacity(b - a);
-            let mut deps = Vec::with_capacity(b - a);
-            for src in &tasks[a..b] {
-                files.extend(src.outputs.iter().cloned());
-                deps.push(src.id);
-            }
-            Ok((files, deps))
-        }
-        TaskMapping::ManyToOne => {
-            let (a, b) = prev_range.ok_or("many-to-one with no previous stage")?;
-            let prev_count = b - a;
-            let fan = prev_count / cfg.task_count as usize;
-            let lo = a + task_index as usize * fan;
-            let hi = lo + fan;
-            let mut files = Vec::with_capacity(fan);
-            let mut deps = Vec::with_capacity(fan);
-            for src in &tasks[lo..hi] {
-                files.extend(src.outputs.iter().cloned());
-                deps.push(src.id);
-            }
-            Ok((files, deps))
-        }
+/// Ids `first..end` of the upstream tasks task `i` of a non-external stage
+/// reads, given the previous expanded stage's id range `a..b`.
+fn upstream_range(cfg: &StageConfig, i: u32, (a, b): (usize, usize)) -> (usize, usize) {
+    if cfg.mapping == TaskMapping::AllToAll {
+        return (a, b);
     }
+    // One-to-one is many-to-one with a fan-in of 1.
+    let fan = (b - a) / cfg.task_count as usize;
+    let lo = a + i as usize * fan;
+    (lo, lo + fan)
 }
 
-fn eval_size(
-    spec: &FileSizeSpec,
-    input_mb: f64,
-    duration: SimDuration,
-    rng: &mut SimRng,
-) -> Result<f64, String> {
-    Ok(match spec {
+fn eval_size(spec: &FileSizeSpec, input_mb: f64, duration: SimDuration, rng: &mut SimRng) -> f64 {
+    match spec {
         FileSizeSpec::Dist { dist } => dist.sample(rng).max(0.0),
         FileSizeSpec::LinearOfInput { a, b } => (a * input_mb + b).max(0.0),
         FileSizeSpec::PolyOfRuntime { coeffs } => {
@@ -409,7 +443,7 @@ fn eval_size(
                 .sum::<f64>()
                 .max(0.0)
         }
-    })
+    }
 }
 
 #[cfg(test)]
@@ -447,7 +481,7 @@ mod tests {
         let app = SkeletonApp::generate(&cfg, &mut rng()).unwrap();
         assert_eq!(app.tasks().len(), 16);
         assert_eq!(app.stage_count(), 1);
-        assert!(app.tasks().iter().all(|t| t.dependencies.is_empty()));
+        assert!(app.tasks().iter().all(|t| t.is_root()));
         assert!(app.tasks().iter().all(|t| t.duration.as_mins() == 15.0));
         assert!((app.external_input_mb() - 16.0).abs() < 1e-9);
         assert!((app.final_output_mb() - 16.0 * 0.002).abs() < 1e-9);
@@ -469,10 +503,12 @@ mod tests {
         let app = SkeletonApp::generate(&cfg, &mut rng()).unwrap();
         assert_eq!(app.tasks().len(), 8);
         for (i, t) in app.stage_tasks(1).iter().enumerate() {
-            assert_eq!(t.dependencies, vec![TaskId(i as u32)]);
-            assert_eq!(t.inputs.len(), 1);
-            assert_eq!(t.inputs[0].name, format!("a.{i:05}.out"));
-            assert!((t.input_mb() - 0.002).abs() < 1e-12);
+            assert_eq!(t.dependencies(), i as u32..i as u32 + 1);
+            let inputs: Vec<FileSpec> = app.input_files(t).collect();
+            assert_eq!(inputs.len(), 1);
+            assert_eq!(inputs[0].name, format!("a.{i:05}.out"));
+            assert_eq!(app.output_file(t).name, format!("b.{i:05}.out"));
+            assert!((t.input_mb - 0.002).abs() < 1e-12);
         }
         assert_eq!(app.critical_path(), SimDuration::from_mins(30.0));
     }
@@ -489,8 +525,8 @@ mod tests {
         };
         let app = SkeletonApp::generate(&cfg, &mut rng()).unwrap();
         for t in app.stage_tasks(1) {
-            assert_eq!(t.dependencies.len(), 4);
-            assert_eq!(t.inputs.len(), 4);
+            assert_eq!(t.dependencies(), 0..4);
+            assert_eq!(app.input_files(t).count(), 4);
         }
     }
 
@@ -507,15 +543,8 @@ mod tests {
         let app = SkeletonApp::generate(&cfg, &mut rng()).unwrap();
         let r0 = &app.stage_tasks(1)[0];
         let r1 = &app.stage_tasks(1)[1];
-        assert_eq!(r0.dependencies, (0..4).map(TaskId).collect::<Vec<_>>());
-        assert_eq!(r1.dependencies, (4..8).map(TaskId).collect::<Vec<_>>());
-        // Partition: no overlap, full coverage.
-        let all: Vec<_> = r0
-            .dependencies
-            .iter()
-            .chain(r1.dependencies.iter())
-            .collect();
-        assert_eq!(all.len(), 8);
+        assert_eq!(r0.dependencies(), 0..4);
+        assert_eq!(r1.dependencies(), 4..8);
     }
 
     #[test]
@@ -576,7 +605,7 @@ mod tests {
         let app = SkeletonApp::generate(&cfg, &mut rng()).unwrap();
         for t in app.tasks() {
             // 1 + 0.5*10 + 0.01*100 = 7.
-            assert!((t.output_mb() - 7.0).abs() < 1e-9);
+            assert!((t.output_mb - 7.0).abs() < 1e-9);
         }
     }
 
@@ -619,8 +648,29 @@ mod tests {
         assert_eq!(dag.len(), 2);
         assert!(dag.contains(&(TaskId(0), TaskId(2))));
         let json = app.to_json();
-        let back: Vec<TaskSpec> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, app.tasks());
+        let back: Vec<TaskJson> = serde_json::from_str(&json).unwrap();
+        let views: Vec<TaskJson> = app.tasks().iter().map(|t| app.json_view(t)).collect();
+        assert_eq!(back, views);
+        assert_eq!(back[2].stage_name, "b");
+        assert_eq!(back[2].dependencies, vec![TaskId(0)]);
+    }
+
+    #[test]
+    fn shell_command_contains_everything() {
+        let cfg = SkeletonConfig {
+            name: "cmd".into(),
+            stages: vec![
+                stage("map", 2, TaskMapping::External),
+                stage("reduce", 1, TaskMapping::AllToAll),
+            ],
+            iteration: None,
+        };
+        let app = SkeletonApp::generate(&cfg, &mut rng()).unwrap();
+        let cmd = app.shell_command(&app.tasks()[2]);
+        assert!(cmd.contains("--id task.00002"));
+        assert!(cmd.contains("--sleep 900.0"));
+        assert!(cmd.contains("--inputs map.00000.out,map.00001.out"));
+        assert!(cmd.ends_with("--outputs reduce.00000.out"));
     }
 
     #[test]
@@ -696,8 +746,8 @@ mod tests {
             let cfg = SkeletonConfig { name: "p".into(), stages, iteration: None };
             let app = SkeletonApp::generate(&cfg, &mut SimRng::new(seed)).unwrap();
             for t in app.tasks() {
-                for d in &t.dependencies {
-                    prop_assert!(d.0 < t.id.0);
+                for d in t.dependencies() {
+                    prop_assert!(d < t.id.0);
                 }
             }
             prop_assert_eq!(

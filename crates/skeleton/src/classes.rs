@@ -195,8 +195,8 @@ mod tests {
             assert_eq!(app.tasks().len(), 64);
             for t in app.tasks() {
                 assert_eq!(t.cores, 1);
-                assert!((t.input_mb() - 1.0).abs() < 1e-12);
-                assert!((t.output_mb() - 0.002).abs() < 1e-12);
+                assert!((t.input_mb - 1.0).abs() < 1e-12);
+                assert!((t.output_mb - 0.002).abs() < 1e-12);
                 let mins = t.duration.as_mins();
                 match spec {
                     TaskDurationSpec::Uniform15Min => assert_eq!(mins, 15.0),
@@ -230,7 +230,7 @@ mod tests {
         assert_eq!(app.stage_tasks(0).len(), 16);
         assert_eq!(app.stage_tasks(1).len(), 4);
         for r in app.stage_tasks(1) {
-            assert_eq!(r.dependencies.len(), 4);
+            assert_eq!(r.dependencies().len(), 4);
         }
     }
 

@@ -11,11 +11,13 @@
 //!
 //! * [`config`] — the declarative skeleton description (serde, so it also
 //!   round-trips through the JSON representation the paper's tool emits).
-//! * [`task`] — the generated task objects with input/output files and
-//!   dependencies.
+//! * [`task`] — the generated tasks: plain `Copy` data. A task's inputs
+//!   are one external file or a contiguous range of upstream tasks, and
+//!   that range is also its dependency list.
 //! * [`app`] — [`app::SkeletonApp`]: expansion of a config into concrete
-//!   tasks via a seeded RNG, plus the paper's output forms (shell command
-//!   list, DAG, JSON structure for middleware).
+//!   tasks via a seeded RNG, file names built on demand, plus the paper's
+//!   output forms (shell command list, DAG, JSON structure for
+//!   middleware, preparation script, Pegasus DAX, Swift script).
 //! * [`classes`] — the three application classes the paper generalizes
 //!   (bag-of-tasks = 1 stage, map-reduce = 2 stages, multistage workflow),
 //!   including the exact Table I experiment workloads.
@@ -25,6 +27,8 @@
 pub mod app;
 pub mod classes;
 pub mod config;
+#[cfg(test)]
+mod oracle;
 pub mod profiles;
 pub mod task;
 
@@ -33,4 +37,4 @@ pub use classes::{
     bag_of_tasks, map_reduce, multistage_workflow, paper_bag, paper_task_counts, TaskDurationSpec,
 };
 pub use config::{FileSizeSpec, SkeletonConfig, StageConfig, TaskMapping};
-pub use task::{FileSpec, TaskId, TaskSpec};
+pub use task::{FileSpec, TaskId, TaskInput, TaskSpec};

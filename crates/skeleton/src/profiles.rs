@@ -184,11 +184,11 @@ mod tests {
         assert_eq!(app.tasks().len(), 32 + 32 + 1 + 1);
         // mProject duration is linear in its input size.
         for t in app.stage_tasks(0) {
-            let expect = 4.0 * t.input_mb() + 10.0;
+            let expect = 4.0 * t.input_mb + 10.0;
             assert!((t.duration.as_secs() - expect).abs() < 1e-9);
         }
         // The final mAdd consumes every mConcatFit output.
-        assert_eq!(app.stage_tasks(3)[0].dependencies.len(), 1);
+        assert_eq!(app.stage_tasks(3)[0].dependencies().len(), 1);
     }
 
     #[test]
@@ -198,7 +198,7 @@ mod tests {
         let app = SkeletonApp::generate(&cfg, &mut SimRng::new(2)).unwrap();
         assert_eq!(app.tasks().len(), 65);
         // Merge reads all 64 search outputs.
-        assert_eq!(app.stage_tasks(1)[0].dependencies.len(), 64);
+        assert_eq!(app.stage_tasks(1)[0].dependencies().len(), 64);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use aimes_sim::SimDuration;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Application-wide task identifier.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize, Deserialize)]
@@ -13,55 +14,64 @@ impl std::fmt::Display for TaskId {
     }
 }
 
-/// One file a task reads or writes.
+/// One file a task reads or writes, as the output forms render it.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FileSpec {
     pub name: String,
     pub size_mb: f64,
 }
 
+/// Where a task's input files come from.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum TaskInput {
+    /// One fresh file from outside the application, of this size.
+    External { size_mb: f64 },
+    /// The outputs of the upstream tasks with ids `first..end`, in id
+    /// order. One-to-one, many-to-one and all-to-all mappings all read a
+    /// contiguous range, so the range is also the dependency list.
+    Upstream { first: u32, end: u32 },
+}
+
 /// One generated task. The paper's task executables "copy the input files
 /// from the file system to RAM, sleep for some amount of time (specified as
 /// the runtime), and copy the output files from RAM to the file system" —
 /// i.e., a task is fully characterized by its duration and its files.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+///
+/// A task is plain data: its files' names and its producers follow from its
+/// stage and its index in that stage, so the [`SkeletonApp`] that generated
+/// it names them on demand ([`SkeletonApp::input_files`],
+/// [`SkeletonApp::output_file`]).
+///
+/// [`SkeletonApp`]: crate::SkeletonApp
+/// [`SkeletonApp::input_files`]: crate::SkeletonApp::input_files
+/// [`SkeletonApp::output_file`]: crate::SkeletonApp::output_file
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TaskSpec {
     pub id: TaskId,
     /// Index of the (expanded) stage this task belongs to.
-    pub stage: usize,
-    /// Stage name (with iteration suffix where applicable).
-    pub stage_name: String,
+    pub stage: u32,
     pub cores: u32,
     pub duration: SimDuration,
-    pub inputs: Vec<FileSpec>,
-    pub outputs: Vec<FileSpec>,
-    /// Tasks whose outputs this task consumes (empty for external input).
-    pub dependencies: Vec<TaskId>,
+    pub input: TaskInput,
+    /// Total input volume in MB, summed over the input files in order.
+    pub input_mb: f64,
+    /// Size of the task's one output file in MB.
+    pub output_mb: f64,
 }
 
 impl TaskSpec {
-    /// Total input volume in MB.
-    pub fn input_mb(&self) -> f64 {
-        self.inputs.iter().map(|f| f.size_mb).sum()
+    /// Ids of the tasks whose outputs this task consumes; empty for a root
+    /// task (external input).
+    pub fn dependencies(&self) -> Range<u32> {
+        match self.input {
+            TaskInput::External { .. } => 0..0,
+            TaskInput::Upstream { first, end } => first..end,
+        }
     }
 
-    /// Total output volume in MB.
-    pub fn output_mb(&self) -> f64 {
-        self.outputs.iter().map(|f| f.size_mb).sum()
-    }
-
-    /// The shell-command rendering of this task (one of the paper's three
-    /// skeleton output forms).
-    pub fn as_shell_command(&self) -> String {
-        let ins: Vec<&str> = self.inputs.iter().map(|f| f.name.as_str()).collect();
-        let outs: Vec<&str> = self.outputs.iter().map(|f| f.name.as_str()).collect();
-        format!(
-            "skeleton-task --id {} --sleep {:.1} --inputs {} --outputs {}",
-            self.id,
-            self.duration.as_secs(),
-            ins.join(","),
-            outs.join(",")
-        )
+    /// True for a task with no dependencies.
+    pub fn is_root(&self) -> bool {
+        self.dependencies().is_empty()
     }
 }
 
@@ -69,50 +79,31 @@ impl TaskSpec {
 mod tests {
     use super::*;
 
-    fn task() -> TaskSpec {
-        TaskSpec {
-            id: TaskId(3),
-            stage: 0,
-            stage_name: "map".into(),
-            cores: 1,
-            duration: SimDuration::from_mins(15.0),
-            inputs: vec![
-                FileSpec {
-                    name: "in.0".into(),
-                    size_mb: 1.0,
-                },
-                FileSpec {
-                    name: "in.1".into(),
-                    size_mb: 0.5,
-                },
-            ],
-            outputs: vec![FileSpec {
-                name: "out.0".into(),
-                size_mb: 0.002,
-            }],
-            dependencies: vec![TaskId(0)],
-        }
-    }
-
-    #[test]
-    fn volumes_sum() {
-        let t = task();
-        assert!((t.input_mb() - 1.5).abs() < 1e-12);
-        assert!((t.output_mb() - 0.002).abs() < 1e-12);
-    }
-
-    #[test]
-    fn shell_command_contains_everything() {
-        let cmd = task().as_shell_command();
-        assert!(cmd.contains("--id task.00003"));
-        assert!(cmd.contains("--sleep 900.0"));
-        assert!(cmd.contains("in.0,in.1"));
-        assert!(cmd.contains("out.0"));
-    }
-
     #[test]
     fn task_id_display_padded() {
         assert_eq!(TaskId(7).to_string(), "task.00007");
         assert_eq!(TaskId(12345).to_string(), "task.12345");
+    }
+
+    #[test]
+    fn a_task_is_plain_data() {
+        assert!(std::mem::size_of::<TaskSpec>() <= 56);
+        let t = TaskSpec {
+            id: TaskId(5),
+            stage: 1,
+            cores: 1,
+            duration: SimDuration::from_mins(15.0),
+            input: TaskInput::Upstream { first: 0, end: 4 },
+            input_mb: 0.008,
+            output_mb: 0.002,
+        };
+        assert_eq!(t.dependencies(), 0..4);
+        assert!(!t.is_root());
+        let root = TaskSpec {
+            input: TaskInput::External { size_mb: 1.0 },
+            ..t
+        };
+        assert!(root.dependencies().is_empty());
+        assert!(root.is_root());
     }
 }

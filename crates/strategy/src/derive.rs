@@ -45,7 +45,7 @@ impl AppInfo {
             .iter()
             .map(|t| t.duration)
             .fold(SimDuration::ZERO, SimDuration::max);
-        let staging: f64 = tasks.iter().map(|t| t.input_mb() + t.output_mb()).sum();
+        let staging: f64 = tasks.iter().map(|t| t.input_mb + t.output_mb).sum();
         AppInfo {
             n_tasks: tasks.len() as u32,
             max_task_duration: max,

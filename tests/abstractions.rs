@@ -6,7 +6,7 @@ use aimes_repro::cluster::{Cluster, ClusterConfig, JobRequest};
 use aimes_repro::middleware::paper;
 use aimes_repro::middleware::ttc::interval_union;
 use aimes_repro::sim::{SimDuration, SimTime, Simulation, Tracer};
-use aimes_repro::skeleton::{paper_bag, SkeletonApp, TaskDurationSpec};
+use aimes_repro::skeleton::{paper_bag, SkeletonApp, TaskDurationSpec, TaskId};
 use aimes_repro::strategy::{AppInfo, ExecutionManager, ExecutionStrategy};
 
 #[test]
@@ -127,7 +127,7 @@ fn skeleton_dag_order_is_respected_by_the_pilot_layer() {
     // Every unit started staging only after all its dependencies were done.
     for u in units.iter() {
         let staged = u.last_time_of(UnitState::StagingInput).unwrap();
-        for dep in &app.tasks()[u.id.0 as usize].dependencies {
+        for dep in app.tasks()[u.id.0 as usize].dependencies().map(TaskId) {
             let dep_done = units[dep.0 as usize].last_time_of(UnitState::Done).unwrap();
             assert!(
                 staged >= dep_done,
