@@ -963,6 +963,25 @@ mod tests {
     }
 
     #[test]
+    fn dependents_table_lists_consumers_in_id_order() {
+        use aimes_skeleton::multistage_workflow;
+        use aimes_workload::Distribution;
+        // 3 → 2 → 1, all-to-all: units 0–2 feed 3 and 4, which feed 5.
+        let dur = Distribution::Constant { value: 60.0 };
+        let cfg = multistage_workflow("w", &[3, 2, 1], dur, 1.0, 0.1);
+        let app = SkeletonApp::generate(&cfg, &mut SimRng::new(1)).unwrap();
+        let deps = Dependents::new(app.tasks());
+        let ids = |u: u32| -> Vec<u32> { deps.of(UnitId(u)).iter().map(|d| d.0).collect() };
+        for producer in 0..3 {
+            assert_eq!(ids(producer), [3, 4]);
+        }
+        assert_eq!(ids(3), [5]);
+        assert_eq!(ids(4), [5]);
+        assert!(ids(5).is_empty());
+        assert!(Dependents::new(&bag_tasks(4)).edges.is_empty());
+    }
+
+    #[test]
     fn early_binding_single_pilot_runs_bag() {
         let (mut sim, pm) = setup(&[("stampede", 64)]);
         let um = UnitManager::new(

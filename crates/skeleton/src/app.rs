@@ -4,7 +4,7 @@ use crate::config::FileSizeSpec;
 use crate::config::{SkeletonConfig, StageConfig, TaskDurationConfig, TaskMapping};
 use crate::task::{FileSpec, TaskId, TaskInput, TaskSpec};
 use aimes_sim::{SimDuration, SimRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A generated skeleton application: concrete tasks with durations, files,
 /// and dependencies.
@@ -63,13 +63,9 @@ impl SkeletonApp {
                 }
                 _ => None,
             };
-            let upstream = match (external, prev) {
-                (Some(_), _) => (0, 0),
-                (None, Some(range)) => range,
-                (None, None) => {
-                    return Err(format!("{:?} mapping with no previous stage", cfg.mapping));
-                }
-            };
+            // `validate` makes stage 0 external, so every stage that reads
+            // upstream outputs has a predecessor.
+            let upstream = prev.unwrap_or_default();
             let start = tasks.len();
             for i in 0..cfg.task_count {
                 let (input, input_mb) = match external {
@@ -372,7 +368,8 @@ impl SkeletonApp {
 /// A task as the JSON output form writes it: the fields of the paper's
 /// middleware structure, with stage name, file lists and dependencies
 /// spelled out.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Serialize)]
+#[cfg_attr(test, derive(Debug, PartialEq, serde::Deserialize))]
 struct TaskJson {
     id: TaskId,
     stage: u32,
