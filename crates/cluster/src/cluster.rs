@@ -1370,6 +1370,51 @@ mod tests {
     }
 
     #[test]
+    fn public_jobs_answer_after_every_ending() {
+        // A request of either owner whose runtime is `runtime` within a
+        // `walltime` request.
+        let request = |owner: JobOwner, cores: u32, runtime: f64, walltime: f64| {
+            let mut req = JobRequest::background(cores, d(runtime), d(walltime));
+            req.owner = owner;
+            req
+        };
+        for owner in [JobOwner::Background, JobOwner::Pilot] {
+            let (mut sim, c) = idle_cluster(16);
+            let completed = c.submit(&mut sim, request(owner, 4, 50.0, 100.0));
+            let walltime = c.submit(&mut sim, request(owner, 4, 300.0, 100.0));
+            let run_cancel = c.submit(&mut sim, request(owner, 4, 500.0, 600.0));
+            let blocker = c.submit(&mut sim, request(owner, 4, 500.0, 600.0));
+            let queue_cancel = c.submit(&mut sim, request(owner, 16, 50.0, 100.0));
+            sim.run_until(SimTime::from_secs(200.0));
+            assert!(c.cancel(&mut sim, run_cancel));
+            assert!(c.cancel(&mut sim, queue_cancel));
+            c.inject_outage(&mut sim, d(10.0), true);
+            sim.run_until(SimTime::from_secs(300.0));
+            let dec_running = c.submit(&mut sim, request(owner, 16, 500.0, 600.0));
+            let dec_queued = c.submit(&mut sim, request(owner, 16, 500.0, 600.0));
+            sim.run_until(SimTime::from_secs(310.0));
+            assert_eq!(c.job_state(dec_running), Some(JobState::Running));
+            c.decommission(&mut sim);
+            sim.run_to_completion();
+            for (id, end, how) in [
+                (completed, JobState::Completed, "completion"),
+                (walltime, JobState::Killed, "walltime kill"),
+                (run_cancel, JobState::Cancelled, "cancel while running"),
+                (queue_cancel, JobState::Cancelled, "cancel while queued"),
+                (blocker, JobState::Killed, "outage kill"),
+                (dec_running, JobState::Killed, "decommission (running)"),
+                (dec_queued, JobState::Killed, "decommission (queued)"),
+            ] {
+                assert_eq!(c.job_state(id), Some(end), "{owner:?}: {how}");
+                let job = c.job(id).expect("public job stays answerable");
+                assert_eq!(job.state, end, "{owner:?}: {how}");
+                assert!(job.end_time.is_some(), "{owner:?}: {how}");
+                assert!(!c.cancel(&mut sim, id), "{owner:?}: {how} then cancel");
+            }
+        }
+    }
+
+    #[test]
     fn transfer_time_uses_bandwidth_and_latency() {
         let (_sim, c) = idle_cluster(8);
         // 100 MB at 100 MB/s + 1 s latency = 2 s.
