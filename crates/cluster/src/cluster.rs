@@ -156,9 +156,20 @@ struct EstCache {
     results: HashMap<(u32, u64), Option<SimDuration>>,
 }
 
+/// A job in the table, with where it came from.
+struct Tracked {
+    job: Job,
+    /// Generated by the cluster itself (initial backlog, background
+    /// arrivals, trace replay): no caller holds its id, so the table
+    /// forgets it once it ends.
+    generated: bool,
+}
+
 struct ClusterState {
     config: ClusterConfig,
-    jobs: HashMap<JobId, Job>,
+    /// The live jobs, and every job [`Cluster::submit`] handed an id out
+    /// for; generated jobs leave at their terminal transition.
+    jobs: HashMap<JobId, Tracked>,
     /// Queued jobs in scheduler order (see [`QueueKey`]), each with the
     /// policy's view of it, so a pass walks the queue in place.
     queue: BTreeMap<QueueKey, QueuedJobView>,
@@ -216,9 +227,17 @@ impl ClusterState {
         (self.busy_core_secs + busy_now) / (f64::from(self.config.total_cores) * elapsed)
     }
 
+    fn job(&self, id: JobId) -> &Job {
+        &self.jobs[&id].job
+    }
+
+    fn job_mut(&mut self, id: JobId) -> &mut Job {
+        &mut self.jobs.get_mut(&id).expect("job exists").job
+    }
+
     /// Queue-order key for a job already stored in `jobs`.
     fn queue_key(&self, id: JobId) -> QueueKey {
-        (Reverse(self.jobs[&id].queue_priority), id.0)
+        (Reverse(self.job(id).queue_priority), id.0)
     }
 
     /// Mark a scheduling-relevant state change: bumps the epoch, so
@@ -258,7 +277,8 @@ impl ClusterState {
 
     /// Drop a running job's entry from the release index.
     fn forget_release(&mut self, id: JobId) {
-        let deadline = self.jobs[&id]
+        let deadline = self
+            .job(id)
             .walltime_deadline()
             .expect("running job has start");
         self.releases
@@ -267,7 +287,7 @@ impl ClusterState {
     }
 
     fn transition(&mut self, id: JobId, next: JobState) {
-        let job = self.jobs.get_mut(&id).expect("job exists");
+        let job = self.job_mut(id);
         assert!(
             job.state.can_transition_to(next),
             "illegal job transition {:?} -> {:?} for {id}",
@@ -275,6 +295,34 @@ impl ClusterState {
             next
         );
         job.state = next;
+    }
+
+    /// First half of a job's retirement, under the borrow: move a live
+    /// job to the terminal state `end` at `now` and give back what it
+    /// held — its queue slot and queued cores, or its cores, release
+    /// entry and completion event. Returns a running job's completion
+    /// event; the caller cancels it unless it is the one firing.
+    fn settle(&mut self, id: JobId, end: JobState, now: SimTime) -> Option<EventId> {
+        let cores = self.job(id).request.cores;
+        let completion = match self.job(id).state {
+            JobState::Queued => {
+                let key = self.queue_key(id);
+                self.queue.remove(&key).expect("queued job is in the queue");
+                self.queued_cores -= u64::from(cores);
+                None
+            }
+            JobState::Running => {
+                self.accrue_busy(now);
+                self.forget_release(id);
+                self.free_cores += cores;
+                self.running.remove(&id)
+            }
+            state => unreachable!("{id} already ended {state:?}"),
+        };
+        self.transition(id, end);
+        self.job_mut(id).end_time = Some(now);
+        self.touch();
+        completion
     }
 }
 
@@ -298,7 +346,7 @@ impl Fact for ClusterFact<'_> {
     fn trace(&self) -> Option<TraceLine> {
         Some(match *self {
             ClusterFact::Job(st, id) => {
-                let job = &st.jobs[&id];
+                let job = st.job(id);
                 if job.request.owner != JobOwner::Pilot {
                     return None;
                 }
@@ -329,7 +377,7 @@ impl Fact for ClusterFact<'_> {
         let ClusterFact::Job(st, id) = *self else {
             return None;
         };
-        let which = match st.jobs[&id].state {
+        let which = match st.job(id).state {
             JobState::Queued => "jobs_submitted",
             JobState::Running => "jobs_dispatched",
             JobState::Completed => "jobs_completed",
@@ -457,7 +505,7 @@ impl Cluster {
                 job.runtime,
                 job.walltime_request,
             ));
-            self.submit(sim, req);
+            self.enter(sim, req, true);
         }
         self.schedule_next_background(sim);
     }
@@ -489,7 +537,7 @@ impl Cluster {
             let this = self.clone();
             let at = job.arrival.max(sim.now());
             sim.schedule_at(at, move |sim| {
-                this.submit(sim, req);
+                this.enter(sim, req, true);
             });
         }
         installed
@@ -533,7 +581,7 @@ impl Cluster {
                 job.runtime,
                 job.walltime_request,
             ));
-            this.submit(sim, req);
+            this.enter(sim, req, true);
             this.schedule_next_background(sim);
         });
     }
@@ -541,7 +589,15 @@ impl Cluster {
     /// Submit a job. Panics if the request exceeds the machine (real batch
     /// systems reject those at submission too — callers must size pilots to
     /// the resource, which the Execution Manager does via bundle data).
+    /// The returned id stays answerable by [`Cluster::job`],
+    /// [`Cluster::job_state`] and [`Cluster::cancel`] after the job ends.
     pub fn submit(&self, sim: &mut Simulation, request: JobRequest) -> JobId {
+        self.enter(sim, request, false)
+    }
+
+    /// Queue a job. A `generated` job — one the cluster makes itself,
+    /// whose id nobody holds — leaves the table when it ends.
+    fn enter(&self, sim: &mut Simulation, request: JobRequest, generated: bool) -> JobId {
         let id = {
             let mut st = self.inner.borrow_mut();
             assert!(
@@ -591,7 +647,7 @@ impl Cluster {
                 cores: job.request.cores,
                 walltime: job.request.walltime_request,
             };
-            st.jobs.insert(id, job);
+            st.jobs.insert(id, Tracked { job, generated });
             st.queue.insert((Reverse(priority), id.0), view);
             st.touch();
             sim.emit(&ClusterFact::Job(&st, id));
@@ -604,45 +660,40 @@ impl Cluster {
 
     /// Cancel a job (queued or running). Returns true if it was live.
     pub fn cancel(&self, sim: &mut Simulation, id: JobId) -> bool {
-        let cancelled = {
+        let completion = {
             let mut st = self.inner.borrow_mut();
-            let Some(job) = st.jobs.get(&id) else {
+            let live = st.jobs.get(&id).is_some_and(|t| !t.job.state.is_terminal());
+            if !live {
                 return false;
-            };
-            match job.state {
-                JobState::Queued => {
-                    st.transition(id, JobState::Cancelled);
-                    st.jobs.get_mut(&id).expect("exists").end_time = Some(sim.now());
-                    let key = st.queue_key(id);
-                    st.queue.remove(&key).expect("queued job is in the queue");
-                    st.queued_cores -= u64::from(st.jobs[&id].request.cores);
-                    st.touch();
-                    true
-                }
-                JobState::Running => {
-                    st.accrue_busy(sim.now());
-                    st.transition(id, JobState::Cancelled);
-                    st.jobs.get_mut(&id).expect("exists").end_time = Some(sim.now());
-                    let ev = st.running.remove(&id).expect("running job has event");
-                    st.forget_release(id);
-                    let cores = st.jobs[&id].request.cores;
-                    st.free_cores += cores;
-                    st.touch();
-                    // Cancel the pending completion event.
-                    drop(st);
-                    sim.cancel(ev);
-                    true
-                }
-                _ => false,
             }
+            st.settle(id, JobState::Cancelled, sim.now())
         };
-        if cancelled {
-            sim.emit(&ClusterFact::Job(&self.inner.borrow(), id));
-            self.record_usage_gauges(sim);
-            self.notify(sim, id, JobState::Cancelled);
-            self.schedule_dispatch(sim);
+        self.record_usage_gauges(sim);
+        self.announce(sim, id, JobState::Cancelled, completion);
+        self.schedule_dispatch(sim);
+        true
+    }
+
+    /// Second half of a job's retirement, after [`ClusterState::settle`]:
+    /// cancel its pending completion event, emit the fact, notify the
+    /// watchers, then forget the job if the cluster generated it. Every
+    /// terminal path ends here, so none can keep a generated record.
+    fn announce(
+        &self,
+        sim: &mut Simulation,
+        id: JobId,
+        end: JobState,
+        completion: Option<EventId>,
+    ) {
+        if let Some(ev) = completion {
+            sim.cancel(ev);
         }
-        cancelled
+        sim.emit(&ClusterFact::Job(&self.inner.borrow(), id));
+        self.notify(sim, id, end);
+        let mut st = self.inner.borrow_mut();
+        if st.jobs[&id].generated {
+            st.jobs.remove(&id);
+        }
     }
 
     /// Request a dispatch pass. Deferred to a same-instant event so that
@@ -712,14 +763,14 @@ impl Cluster {
             let mut started = Vec::with_capacity(ids.len());
             for id in ids {
                 st.accrue_busy(now);
-                let cores = st.jobs[&id].request.cores;
+                let cores = st.job(id).request.cores;
                 assert!(st.free_cores >= cores, "policy oversubscribed cores");
                 st.free_cores -= cores;
                 let key = st.queue_key(id);
                 st.queue.remove(&key).expect("started job was queued");
                 st.queued_cores -= u64::from(cores);
                 st.transition(id, JobState::Running);
-                let job = st.jobs.get_mut(&id).expect("exists");
+                let job = st.job_mut(id);
                 job.start_time = Some(now);
                 let deadline = job.walltime_deadline().expect("just started");
                 let end = now + job.occupancy();
@@ -754,29 +805,20 @@ impl Cluster {
 
     fn on_completion(&self, sim: &mut Simulation, id: JobId) {
         let _prof = sim.profiler().scope("cluster.scheduler");
-        let now = sim.now();
-        let final_state = {
+        let end = {
             let mut st = self.inner.borrow_mut();
-            st.accrue_busy(now);
-            st.running.remove(&id);
-            st.forget_release(id);
-            let job = &st.jobs[&id];
-            let final_state = if job.request.runtime > job.request.walltime_request {
+            let request = &st.job(id).request;
+            let end = if request.runtime > request.walltime_request {
                 JobState::Killed
             } else {
                 JobState::Completed
             };
-            st.transition(id, final_state);
-            let cores = st.jobs[&id].request.cores;
-            let job = st.jobs.get_mut(&id).expect("exists");
-            job.end_time = Some(now);
-            st.free_cores += cores;
-            st.touch();
-            final_state
+            // The completion event is the one firing: nothing to cancel.
+            st.settle(id, end, sim.now());
+            end
         };
-        sim.emit(&ClusterFact::Job(&self.inner.borrow(), id));
         self.record_usage_gauges(sim);
-        self.notify(sim, id, final_state);
+        self.announce(sim, id, end, None);
         self.schedule_dispatch(sim);
     }
 
@@ -828,21 +870,15 @@ impl Cluster {
     /// are killed and dispatch never resumes. Watchers see `Killed`, so
     /// submitters learn their work died with the machine.
     pub fn decommission(&self, sim: &mut Simulation) {
-        let now = sim.now();
         let (name, queued) = {
             let mut st = self.inner.borrow_mut();
             st.down_until = Some(SimTime::from_secs(f64::INFINITY));
             // Queue order (priority, then FIFO): the order submitters are
-            // notified in, as before.
-            let queued: Vec<JobId> = std::mem::take(&mut st.queue)
-                .into_values()
-                .map(|view| view.id)
-                .collect();
-            st.queued_cores = 0;
+            // notified in.
+            let queued: Vec<JobId> = st.queue.values().map(|view| view.id).collect();
             st.touch();
             for &id in &queued {
-                st.transition(id, JobState::Killed);
-                st.jobs.get_mut(&id).expect("queued job exists").end_time = Some(now);
+                st.settle(id, JobState::Killed, sim.now());
             }
             (st.config.name.clone(), queued)
         };
@@ -850,39 +886,25 @@ impl Cluster {
         self.kill_running_jobs(sim);
         self.record_usage_gauges(sim);
         for id in queued {
-            sim.emit(&ClusterFact::Job(&self.inner.borrow(), id));
-            self.notify(sim, id, JobState::Killed);
+            self.announce(sim, id, JobState::Killed, None);
         }
     }
 
-    /// Kill every running job: bookkeeping for all victims first, under
-    /// one borrow; then cancel events and notify watchers
-    /// re-entrancy-safely.
+    /// Kill every running job: settle all victims first, under one
+    /// borrow, so every watcher sees the post-kill state; then announce
+    /// each re-entrancy-safely.
     fn kill_running_jobs(&self, sim: &mut Simulation) {
-        let now = sim.now();
-        let victims: Vec<(JobId, EventId)> = {
+        let victims: Vec<(JobId, Option<EventId>)> = {
             let mut st = self.inner.borrow_mut();
             // BTreeMap keys are JobId-sorted: deterministic kill (and
             // watcher-notification) order.
             let ids: Vec<JobId> = st.running.keys().copied().collect();
-            st.releases.clear();
-            let mut out = Vec::with_capacity(ids.len());
-            for id in ids {
-                st.accrue_busy(now);
-                st.transition(id, JobState::Killed);
-                let ev = st.running.remove(&id).expect("running job has event");
-                let cores = st.jobs[&id].request.cores;
-                st.free_cores += cores;
-                st.touch();
-                st.jobs.get_mut(&id).expect("exists").end_time = Some(now);
-                out.push((id, ev));
-            }
-            out
+            ids.into_iter()
+                .map(|id| (id, st.settle(id, JobState::Killed, sim.now())))
+                .collect()
         };
-        for (id, ev) in victims {
-            sim.cancel(ev);
-            sim.emit(&ClusterFact::Job(&self.inner.borrow(), id));
-            self.notify(sim, id, JobState::Killed);
+        for (id, completion) in victims {
+            self.announce(sim, id, JobState::Killed, completion);
         }
         self.record_usage_gauges(sim);
     }
@@ -952,14 +974,24 @@ impl Cluster {
         }
     }
 
-    /// Current state of a job.
+    /// Current state of a job: of any job [`Cluster::submit`] returned
+    /// the id of, ended or not, and of a job the cluster generated itself
+    /// (background load, trace replay) only while it is queued or
+    /// running.
     pub fn job_state(&self, id: JobId) -> Option<JobState> {
-        self.inner.borrow().jobs.get(&id).map(|j| j.state)
+        self.inner.borrow().jobs.get(&id).map(|t| t.job.state)
     }
 
-    /// Full job record (cloned).
+    /// Full job record (cloned), for the same ids as
+    /// [`Cluster::job_state`].
     pub fn job(&self, id: JobId) -> Option<Job> {
-        self.inner.borrow().jobs.get(&id).cloned()
+        self.inner.borrow().jobs.get(&id).map(|t| t.job.clone())
+    }
+
+    /// Jobs in the table.
+    #[cfg(test)]
+    fn table_len(&self) -> usize {
+        self.inner.borrow().jobs.len()
     }
 
     /// On-demand metrics (the Bundle's query interface reads this).
@@ -1415,6 +1447,29 @@ mod tests {
     }
 
     #[test]
+    fn generated_jobs_leave_the_table() {
+        let mut cfg = ClusterConfig::test("gen", 2048);
+        cfg.workload = Some(WorkloadConfig::production_like());
+        cfg.initial_backlog_factor = 2.0;
+        let mut sim = Simulation::new(11);
+        let c = Cluster::new(cfg);
+        c.install(&mut sim);
+        let public = [
+            c.submit(&mut sim, JobRequest::background(4, d(60.0), d(120.0))),
+            c.submit(&mut sim, JobRequest::pilot(8, d(600.0), "pilot.gen")),
+        ];
+        sim.run_until(SimTime::from_secs(48.0 * 3600.0));
+        let m = c.metrics(sim.now());
+        for id in public {
+            assert!(c.job_state(id).is_some_and(JobState::is_terminal), "{id}");
+        }
+        assert_eq!(c.table_len(), m.queued_jobs + m.running_jobs + public.len());
+        // Hundreds of generated jobs have come and gone.
+        let issued = c.inner.borrow().next_job_id as usize;
+        assert!(issued > 10 * c.table_len(), "{issued} ids issued");
+    }
+
+    #[test]
     fn transfer_time_uses_bandwidth_and_latency() {
         let (_sim, c) = idle_cluster(8);
         // 100 MB at 100 MB/s + 1 s latency = 2 s.
@@ -1603,11 +1658,17 @@ mod tests {
         assert_eq!(c.install_trace(&mut sim, &jobs), 2);
         sim.run_to_completion();
         // Job 1 runs 10..110; job 2 queues behind it, runs 110..160.
-        let j0 = c.job(JobId(0)).unwrap();
-        let j1 = c.job(JobId(1)).unwrap();
-        assert_eq!(j0.start_time.unwrap().as_secs(), 10.0);
-        assert_eq!(j1.start_time.unwrap().as_secs(), 110.0);
-        assert_eq!(j1.state, JobState::Completed);
+        let starts: Vec<(f64, u32)> = c
+            .wait_history()
+            .iter()
+            .map(|w| (w.started_at.as_secs(), w.cores))
+            .collect();
+        assert_eq!(starts, vec![(10.0, 16), (110.0, 8)]);
+        // Job 2 completes at its 50 s runtime: a walltime kill would end
+        // the run at 170 s.
+        assert_eq!(sim.now().as_secs(), 160.0);
+        let m = c.metrics(sim.now());
+        assert_eq!((m.running_jobs, m.queued_jobs, m.free_cores), (0, 0, 16));
     }
 
     #[test]
@@ -1780,7 +1841,7 @@ mod tests {
             .running
             .keys()
             .map(|id| {
-                let j = &st.jobs[id];
+                let j = st.job(*id);
                 (
                     (j.walltime_deadline().expect("running"), *id),
                     j.request.cores,
