@@ -149,6 +149,10 @@ pub enum RunError {
     /// The unit-manager config derived for this run is unusable (zero
     /// attempts, inverted retry cap).
     InvalidUnitConfig(String),
+    /// A resource's background-load config cannot be sampled (a
+    /// utilization or diurnal amplitude out of range, a distribution
+    /// `Distribution::validate` refuses); the message names the resource.
+    InvalidWorkloadConfig(String),
     /// The simulated deadline passed with units still unfinished.
     DeadlineExceeded {
         n_tasks: u32,
@@ -197,6 +201,9 @@ impl std::fmt::Display for RunError {
             }
             RunError::InvalidUnitConfig(msg) => {
                 write!(f, "invalid unit-manager config: {msg}")
+            }
+            RunError::InvalidWorkloadConfig(msg) => {
+                write!(f, "invalid background workload config: {msg}")
             }
             RunError::DeadlineExceeded {
                 n_tasks,
@@ -250,6 +257,7 @@ impl RunError {
             RunError::InvalidRecorderConfig(_) => "invalid_recorder_config",
             RunError::InvalidRecoveryPolicy(_) => "invalid_recovery_policy",
             RunError::InvalidUnitConfig(_) => "invalid_unit_config",
+            RunError::InvalidWorkloadConfig(_) => "invalid_workload_config",
             RunError::DeadlineExceeded { .. } => "deadline_exceeded",
             RunError::PilotsDrained { .. } => "pilots_drained",
             RunError::ResourceLost { .. } => "resource_lost",
@@ -628,6 +636,13 @@ impl<'a> RunWorld<'a> {
         options: &'a RunOptions,
     ) -> Result<Self, RunError> {
         let log = Rc::new(validate(options)?);
+        for cfg in resources {
+            if let Some(workload) = &cfg.workload {
+                workload
+                    .validate()
+                    .map_err(|e| RunError::InvalidWorkloadConfig(format!("{}: {e}", cfg.name)))?;
+            }
+        }
         let tracer = options.tracer.clone().unwrap_or_else(Tracer::disabled);
         let mut sim = Simulation::with_tracer(options.seed, tracer);
         if let Some(telemetry) = &options.telemetry {
@@ -1537,6 +1552,29 @@ mod tests {
             .iter()
             .map(|n| ClusterConfig::test(n, 4096))
             .collect()
+    }
+
+    #[test]
+    fn unsampleable_background_load_is_a_typed_error() {
+        let mut pool = idle_pool();
+        let mut workload = aimes_workload::WorkloadConfig::production_like();
+        workload.runtime_dist = aimes_workload::Distribution::Gamma {
+            shape: 0.0,
+            scale: 60.0,
+        };
+        pool[2].workload = Some(workload);
+        let err = run_application(
+            &pool,
+            &paper_bag(8, TaskDurationSpec::Uniform15Min),
+            &ExecutionStrategy::paper_early(),
+            &RunOptions::default(),
+        )
+        .unwrap_err();
+        assert_eq!(err.kind(), "invalid_workload_config");
+        assert_eq!(
+            err.to_string(),
+            "invalid background workload config: c: runtime_dist: gamma shape 0 must be positive"
+        );
     }
 
     #[test]

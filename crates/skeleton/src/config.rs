@@ -84,6 +84,25 @@ pub struct StageConfig {
     pub mapping: TaskMapping,
 }
 
+impl StageConfig {
+    /// Every distribution the stage samples from, checked by
+    /// [`Distribution::validate`].
+    fn validate_distributions(&self) -> Result<(), String> {
+        if let TaskDurationConfig::Dist { dist } = &self.duration {
+            dist.validate().map_err(|e| format!("duration: {e}"))?;
+        }
+        for (what, spec) in [
+            ("input size", &self.input_size_mb),
+            ("output size", &self.output_size_mb),
+        ] {
+            if let FileSizeSpec::Dist { dist } = spec {
+                dist.validate().map_err(|e| format!("{what}: {e}"))?;
+            }
+        }
+        Ok(())
+    }
+}
+
 fn default_cores() -> u32 {
     1
 }
@@ -123,6 +142,8 @@ impl SkeletonConfig {
             if st.cores_per_task == 0 {
                 return Err(format!("stage {i} ({}) has zero cores per task", st.name));
             }
+            st.validate_distributions()
+                .map_err(|e| format!("stage {i} ({}): {e}", st.name))?;
             match st.mapping {
                 TaskMapping::External => {}
                 _ if i == 0 => {
@@ -261,6 +282,36 @@ mod tests {
             iteration: None,
         };
         assert!(zero.validate().is_err());
+    }
+
+    #[test]
+    fn rejects_an_unsampleable_distribution_in_every_slot() {
+        let empty = || Distribution::Empirical { values: vec![] };
+        let mut duration = stage("s0", 8, TaskMapping::External);
+        duration.duration = TaskDurationConfig::Dist { dist: empty() };
+        let mut input = stage("s0", 8, TaskMapping::External);
+        input.input_size_mb = FileSizeSpec::Dist { dist: empty() };
+        let mut output = stage("s0", 8, TaskMapping::External);
+        output.output_size_mb = FileSizeSpec::Dist { dist: empty() };
+        for (bad, slot) in [
+            (duration, "duration"),
+            (input, "input size"),
+            (output, "output size"),
+        ] {
+            // The deserialize-then-validate path a config file takes.
+            let json = serde_json::to_string(&SkeletonConfig {
+                name: "bad".into(),
+                stages: vec![bad],
+                iteration: None,
+            })
+            .unwrap();
+            let cfg: SkeletonConfig = serde_json::from_str(&json).unwrap();
+            let err = cfg.validate().unwrap_err();
+            assert!(
+                err.starts_with(&format!("stage 0 (s0): {slot}: empirical")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -89,6 +89,48 @@ impl Distribution {
         }
     }
 
+    /// Reject parameters that `sample` cannot draw from without
+    /// panicking or overflowing: an empty `Empirical`, a non-positive
+    /// `Gamma` shape, an inverted or over-wide `PowerOfTwo` range, an
+    /// inverted `TruncatedGaussian` or `LogUniform` range (or one
+    /// starting at or below zero), and a `Mixture` weight outside
+    /// [0, 1], checked through both components. A deserialized config
+    /// skips the constructors' asserts, so configs holding a
+    /// distribution call this before sampling.
+    pub fn validate(&self) -> Result<(), String> {
+        match self {
+            Distribution::Empirical { values } if values.is_empty() => {
+                Err("empirical distribution needs at least one value".into())
+            }
+            Distribution::Gamma { shape, .. } if shape.is_nan() || *shape <= 0.0 => {
+                Err(format!("gamma shape {shape} must be positive"))
+            }
+            Distribution::PowerOfTwo { lo_exp, hi_exp } if hi_exp < lo_exp || *hi_exp > 31 => Err(
+                format!("power-of-two exponents {lo_exp}..={hi_exp} need lo <= hi <= 31"),
+            ),
+            Distribution::TruncatedGaussian { lo, hi, .. }
+                if lo.is_nan() || hi.is_nan() || lo > hi =>
+            {
+                Err(format!(
+                    "truncated gaussian bounds [{lo}, {hi}] need lo <= hi"
+                ))
+            }
+            Distribution::LogUniform { lo, hi } if !(*lo > 0.0 && hi > lo) => {
+                Err(format!("log-uniform range [{lo}, {hi}) needs 0 < lo < hi"))
+            }
+            Distribution::Mixture { p, .. } if !(0.0..=1.0).contains(p) => {
+                Err(format!("mixture weight {p} is outside [0, 1]"))
+            }
+            Distribution::Mixture { a, b, .. } => {
+                a.validate()
+                    .map_err(|e| format!("mixture component a: {e}"))?;
+                b.validate()
+                    .map_err(|e| format!("mixture component b: {e}"))
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Draw one sample.
     pub fn sample(&self, rng: &mut SimRng) -> f64 {
         match self {
@@ -474,6 +516,111 @@ mod tests {
         assert_eq!(d.mean(), 75.0);
         let m = sample_mean(&d, 50_000);
         assert!((m - 75.0).abs() < 1.0);
+    }
+
+    /// `d` fails validation with a message containing `needle`.
+    fn rejects(d: Distribution, needle: &str) {
+        let err = d.validate().expect_err("invalid distribution accepted");
+        assert!(err.contains(needle), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_an_empty_empirical() {
+        rejects(
+            Distribution::Empirical { values: vec![] },
+            "at least one value",
+        );
+    }
+
+    #[test]
+    fn validate_rejects_a_non_positive_gamma_shape() {
+        for shape in [0.0, -1.0, f64::NAN] {
+            rejects(Distribution::Gamma { shape, scale: 1.0 }, "gamma shape");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_inverted_or_overflowing_powers_of_two() {
+        let p2 = |lo_exp, hi_exp| Distribution::PowerOfTwo { lo_exp, hi_exp };
+        rejects(p2(4, 3), "lo <= hi <= 31");
+        rejects(p2(0, 32), "lo <= hi <= 31");
+        assert_eq!(p2(31, 31).validate(), Ok(()));
+        assert_eq!(p2(31, 31).mean(), 2f64.powi(31));
+    }
+
+    #[test]
+    fn validate_rejects_an_inverted_truncated_gaussian() {
+        let d = Distribution::TruncatedGaussian {
+            mean: 5.0,
+            stdev: 1.0,
+            lo: 10.0,
+            hi: 1.0,
+        };
+        rejects(d, "need lo <= hi");
+    }
+
+    #[test]
+    fn validate_rejects_a_log_uniform_at_or_below_zero_or_inverted() {
+        for (lo, hi) in [(0.0, 10.0), (-1.0, 10.0), (10.0, 10.0), (10.0, 1.0)] {
+            rejects(Distribution::LogUniform { lo, hi }, "0 < lo < hi");
+        }
+    }
+
+    #[test]
+    fn validate_checks_mixtures_recursively() {
+        let ok = || Box::new(Distribution::constant(1.0));
+        for p in [-0.1, 1.5, f64::NAN] {
+            let d = Distribution::Mixture {
+                p,
+                a: ok(),
+                b: ok(),
+            };
+            rejects(d, "outside [0, 1]");
+        }
+        let nested = Distribution::Mixture {
+            p: 0.5,
+            a: ok(),
+            b: Box::new(Distribution::Mixture {
+                p: 0.5,
+                a: Box::new(Distribution::Empirical { values: vec![] }),
+                b: ok(),
+            }),
+        };
+        rejects(
+            nested,
+            "mixture component b: mixture component a: empirical",
+        );
+    }
+
+    #[test]
+    fn validate_accepts_the_shipped_distributions() {
+        let all = [
+            Distribution::constant(900.0),
+            Distribution::truncated_gaussian(900.0, 300.0, 60.0, 1800.0),
+            Distribution::Uniform { lo: 2.0, hi: 10.0 },
+            Distribution::LogNormal {
+                mu: 8.2,
+                sigma: 1.4,
+            },
+            Distribution::PowerOfTwo {
+                lo_exp: 0,
+                hi_exp: 8,
+            },
+            Distribution::LogUniform { lo: 1.0, hi: 64.0 },
+            Distribution::Gamma {
+                shape: 0.5,
+                scale: 1.0,
+            },
+            Distribution::Empirical { values: vec![1.0] },
+            Distribution::Mixture {
+                p: 0.25,
+                a: Box::new(Distribution::constant(0.0)),
+                b: Box::new(Distribution::Exponential { mean: 60.0 }),
+            },
+        ];
+        for d in all {
+            assert_eq!(d.validate(), Ok(()), "{d:?}");
+        }
     }
 
     #[test]

@@ -74,6 +74,31 @@ impl WorkloadConfig {
         }
     }
 
+    /// Reject a config the generator would panic on: a target
+    /// utilization outside (0, 1.5), a diurnal amplitude outside [0, 1),
+    /// or a distribution [`Distribution::validate`] refuses. A
+    /// deserialized config reaches the generator unchecked otherwise.
+    pub fn validate(&self) -> Result<(), String> {
+        let u = self.target_utilization;
+        if !(u > 0.0 && u < 1.5) {
+            return Err(format!("target_utilization {u} is outside (0, 1.5)"));
+        }
+        if !(0.0..1.0).contains(&self.diurnal_amplitude) {
+            return Err(format!(
+                "diurnal_amplitude {} is outside [0, 1)",
+                self.diurnal_amplitude
+            ));
+        }
+        for (name, dist) in [
+            ("size_dist", &self.size_dist),
+            ("runtime_dist", &self.runtime_dist),
+            ("overestimate_dist", &self.overestimate_dist),
+        ] {
+            dist.validate().map_err(|e| format!("{name}: {e}"))?;
+        }
+        Ok(())
+    }
+
     /// Mean arrival interval needed to hit the target utilization on a
     /// cluster with `total_cores`.
     pub fn mean_interarrival(&self, total_cores: u32) -> SimDuration {
@@ -218,6 +243,24 @@ mod tests {
         let mut cfg = WorkloadConfig::production_like();
         cfg.target_utilization = util;
         BackgroundWorkload::new(cfg, cores, SimRng::new(99))
+    }
+
+    #[test]
+    fn validate_rejects_what_the_generator_would_panic_on() {
+        assert_eq!(WorkloadConfig::production_like().validate(), Ok(()));
+        let mut cfg = WorkloadConfig::production_like();
+        cfg.target_utilization = 1.5;
+        assert!(cfg.validate().unwrap_err().contains("target_utilization"));
+        let mut cfg = WorkloadConfig::production_like();
+        cfg.diurnal_amplitude = 1.0;
+        assert!(cfg.validate().unwrap_err().contains("diurnal_amplitude"));
+        let mut cfg = WorkloadConfig::production_like();
+        cfg.size_dist = Distribution::PowerOfTwo {
+            lo_exp: 8,
+            hi_exp: 0,
+        };
+        let err = cfg.validate().unwrap_err();
+        assert!(err.starts_with("size_dist: power-of-two"), "{err}");
     }
 
     #[test]
