@@ -188,8 +188,9 @@ def check_counters(args):
     workload) against the committed counters: the engine counts, the
     cluster scheduler's pass count, the result digest and the run count
     must be exactly equal, every finished run must free its heap, and
-    allocations per run must stay under the committed ceiling (a ceiling,
-    not an exact value: the count moves slightly with the worker count)."""
+    allocations and bytes allocated per run must stay under their
+    committed ceilings (ceilings, not exact values: both move slightly
+    with the worker count)."""
     baseline = json.load(open(args.baseline))
     seen = set()
     for path in args.outputs:
@@ -222,11 +223,18 @@ def check_counters(args):
             allocs <= ceiling,
             f"{name}: {allocs:.0f} allocs/run > committed ceiling {ceiling}",
         )
+        nbytes = metrics["alloc.bytes_per_run"]["value"]
+        bytes_ceiling = want["alloc.bytes_per_run.ceiling"]
+        require(
+            nbytes <= bytes_ceiling,
+            f"{name}: {nbytes:.0f} bytes/run > committed ceiling {bytes_ceiling}",
+        )
         print(
             f"{name}: {got['runs_per_pass']} runs, {got['sim.events']:.0f} events, "
             f"{got['cluster.scheduler.calls']:.0f} scheduler passes, "
             f"digest {got['digest']}, retained {kb:.4f} KB/run, "
-            f"{allocs:.0f} allocs/run (ceiling {ceiling})"
+            f"{allocs:.0f} allocs/run (ceiling {ceiling}), "
+            f"{nbytes:.0f} bytes/run (ceiling {bytes_ceiling})"
         )
     missing = sorted(set(baseline["workloads"]) - seen)
     require(not missing, f"no output for workloads {missing}")
