@@ -6,7 +6,10 @@
 //!
 //! * a batch queue driven by a [`SchedulingPolicy`],
 //! * core accounting with conservative walltime enforcement,
-//! * a background-workload feed that keeps the machine realistically busy,
+//! * a background-workload feed that keeps the machine realistically busy;
+//!   the jobs it generates leave the job table when they end, so the
+//!   table holds the live jobs plus the ids [`Cluster::submit`] handed
+//!   out,
 //! * the introspection surface the Bundle abstraction queries (metrics,
 //!   queue composition, start-time estimation, wait history).
 

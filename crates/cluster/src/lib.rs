@@ -7,14 +7,17 @@
 //! "outside user and middleware control" (§IV-B). This crate reproduces
 //! that machinery:
 //!
-//! * [`job`] — batch-job lifecycle (queued → running → completed/killed).
+//! * [`job`] — batch-job lifecycle (queued → running →
+//!   completed/killed/cancelled).
 //! * [`profile`] — core-availability profiles over future time, the
 //!   engine behind bundle-level queue-wait prediction.
 //! * [`policy`] — scheduling policies: FCFS and EASY backfill (the
 //!   production standard; Tsafrir et al. \[25\] in the paper).
 //! * [`cluster`] — the simulated resource: submission, dispatch, walltime
 //!   enforcement, cancellation, background-load feeding, and the metrics
-//!   that the Bundle abstraction queries.
+//!   that the Bundle abstraction queries. Its job table holds the live
+//!   jobs and the ids `Cluster::submit` handed out; background jobs the
+//!   cluster generates itself leave it when they end.
 //! * [`catalog`] — the five paper resources with heterogeneous sizes,
 //!   loads, policies, and submission latencies.
 //!
