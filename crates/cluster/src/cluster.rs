@@ -318,7 +318,8 @@ impl ClusterState {
                 self.accrue_busy(now);
                 self.forget_release(id);
                 self.free_cores += cores;
-                self.running.remove(&id)
+                let ev = self.running.remove(&id);
+                Some(ev.expect("running job has its completion event"))
             }
             state => unreachable!("{id} already ended {state:?}"),
         };
