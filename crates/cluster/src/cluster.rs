@@ -24,6 +24,8 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
 
+mod warmup;
+
 /// One named submission queue of a resource. Real batch systems expose
 /// several (e.g. `normal`, `debug`, `large`) with different priorities and
 /// walltime ceilings; pilots are routed to a queue like any job.
