@@ -11,7 +11,7 @@ use crate::journal::{JournalEvent, RunJournal, Verdict};
 use crate::recorder::{FlightRecorder, DEFAULT_RECORDER_CAPACITY};
 use crate::ttc::{decompose, interval_union, salvage_split, TtcBreakdown};
 use aimes_bundle::{Bundle, InfoChannel, InfoConfig, InfoDisposition};
-use aimes_cluster::{Cluster, ClusterConfig};
+use aimes_cluster::{warm_up, Cluster, ClusterConfig};
 use aimes_fault::{
     DetectionSpec, FaultSchedule, FaultSpec, InfoOutcome, OutageKind, RecoveryPolicy,
 };
@@ -658,7 +658,6 @@ impl<'a> RunWorld<'a> {
         let mut clusters: Vec<Cluster> = Vec::new();
         for cfg in resources {
             let cluster = Cluster::new(cfg.clone());
-            cluster.install(&mut sim);
             session.add_resource(&sim, cluster.clone());
             bundle.add(cluster.clone());
             clusters.push(cluster);
@@ -692,12 +691,12 @@ impl<'a> RunWorld<'a> {
         let app = SkeletonApp::generate(app_config, &mut sim.fork_rng("skeleton"))
             .map_err(|e| RunError::Skeleton(e.to_string()))?;
 
-        // Let the resource pool evolve to the submission instant. The
-        // marker event pins the clock there even if the pool is idle.
-        sim.schedule_at(options.submit_at, |_| {});
-        sim.run_until(options.submit_at);
-        let submitted = options.submit_at.max(sim.now());
-        debug_assert_eq!(submitted, sim.now());
+        // Let the resource pool evolve to the submission instant. Nothing
+        // but the clusters' own events exists before it, so they run off
+        // the engine; the clock ends at the submission instant even if
+        // the pool is idle.
+        warm_up(&mut sim, &clusters, options.submit_at);
+        let submitted = sim.now();
 
         let world = RunWorld {
             options,

@@ -102,7 +102,9 @@ fn fnv(bytes: &[u8]) -> String {
 /// `--quick --reps 2 --seed 42`, captured before the four sweeps shared
 /// one campaign driver. A refactor of the sweep plumbing must leave
 /// every one of them unchanged; a deliberate output change re-pins them
-/// and says why.
+/// and says why. The profile digests moved when the clusters' warm-up
+/// left the engine: fewer `engine.dispatch` calls and a new
+/// `cluster.warmup` label.
 const PARENT_DIGESTS: [(&str, [&str; 4]); 4] = [
     (
         "ablation-faults",
@@ -110,7 +112,7 @@ const PARENT_DIGESTS: [(&str, [&str; 4]); 4] = [
             "04d2120e942adb18",
             "cbf29ce484222325",
             "f79ec488eaa74a46",
-            "b04b7596390d54ef",
+            "55d23a46a0f7b6e3",
         ],
     ),
     (
@@ -119,7 +121,7 @@ const PARENT_DIGESTS: [(&str, [&str; 4]); 4] = [
             "11fb8eb031c9229d",
             "cbf29ce484222325",
             "409e2023a45c02ba",
-            "d5d1054600a69697",
+            "eb597641ab9d6811",
         ],
     ),
     (
@@ -128,7 +130,7 @@ const PARENT_DIGESTS: [(&str, [&str; 4]); 4] = [
             "5321ff7cdec4d547",
             "cbf29ce484222325",
             "7b52bf186f0cd376",
-            "50a42a5cf5f23884",
+            "9ec8616b87afeadf",
         ],
     ),
     (
@@ -137,7 +139,7 @@ const PARENT_DIGESTS: [(&str, [&str; 4]); 4] = [
             "a07c662629dacda1",
             "cbf29ce484222325",
             "35fc560a85d69ebf",
-            "45c5c377bd3f4de3",
+            "f00f491779b4783c",
         ],
     ),
 ];

@@ -22,9 +22,13 @@ use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 mod warmup;
+
+pub use warmup::warm_up;
+use warmup::WarmQueue;
 
 /// One named submission queue of a resource. Real batch systems expose
 /// several (e.g. `normal`, `debug`, `large`) with different priorities and
@@ -161,6 +165,40 @@ struct EstCache {
     results: HashMap<(u32, u64), Option<SimDuration>>,
 }
 
+/// Hashes a [`JobId`] with one multiply. The cluster hands its ids out
+/// itself and never iterates the maps keyed by them, so neither flooding
+/// nor iteration order is a concern, and SipHash's cost buys nothing.
+#[derive(Default)]
+struct JobIdHasher(u64);
+
+impl Hasher for JobIdHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a JobId hashes as one u64");
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by job id, hashed by [`JobIdHasher`].
+type JobMap<V> = HashMap<JobId, V, BuildHasherDefault<JobIdHasher>>;
+
+/// What a cluster schedules for itself: the next background arrival, a
+/// deferred dispatch pass and a running job's completion.
+/// [`Cluster::fire`] runs each, whether the engine or a pre-submission
+/// [`warm_up`] carries it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum ClusterEvent {
+    Arrival,
+    Dispatch,
+    Completion(JobId),
+}
+
 /// A job in the table, with where it came from.
 struct Tracked {
     job: Job,
@@ -174,13 +212,14 @@ struct ClusterState {
     config: ClusterConfig,
     /// The live jobs, and every job [`Cluster::submit`] handed an id out
     /// for; generated jobs leave at their terminal transition.
-    jobs: HashMap<JobId, Tracked>,
+    jobs: JobMap<Tracked>,
     /// Queued jobs in scheduler order (see [`QueueKey`]), each with the
     /// policy's view of it, so a pass walks the queue in place.
     queue: BTreeMap<QueueKey, QueuedJobView>,
     /// Running job ids (iteration is JobId-sorted, hence deterministic)
-    /// with their scheduled completion events.
-    running: BTreeMap<JobId, EventId>,
+    /// with their completion events on the engine; `None` while the
+    /// completion sits on a warm-up queue.
+    running: BTreeMap<JobId, Option<EventId>>,
     /// The running jobs' cores keyed by walltime deadline (ties broken by
     /// id): when each allocation comes back at the latest, in the order a
     /// pass needs it.
@@ -194,7 +233,7 @@ struct ClusterState {
     // Recent job-start records for predictive bundle queries.
     wait_history: VecDeque<WaitRecord>,
     // Per-job state-change subscribers (the SAGA layer registers here).
-    watchers: HashMap<JobId, Rc<Observers<JobState>>>,
+    watchers: JobMap<Rc<Observers<JobState>>>,
     // Coalesces same-instant dispatch requests into one event.
     dispatch_scheduled: bool,
     // Fault injection: no job starts before this instant (outage/drain
@@ -213,6 +252,10 @@ struct ClusterState {
     queued_cores: u64,
     /// `estimate_wait` memo; invalidated by epoch/instant mismatch.
     est_cache: Option<EstCache>,
+    /// While a [`warm_up`] runs: the pool's warm-up queue and this
+    /// cluster's index in the pool. [`Cluster::post`] queues there
+    /// instead of on the engine.
+    warming: Option<(Rc<RefCell<WarmQueue>>, usize)>,
 }
 
 impl ClusterState {
@@ -306,7 +349,9 @@ impl ClusterState {
     /// job to the terminal state `end` at `now` and give back what it
     /// held — its queue slot and queued cores, or its cores, release
     /// entry and completion event. Returns a running job's completion
-    /// event; the caller cancels it unless it is the one firing.
+    /// event; the caller cancels it unless it is the one firing. Only a
+    /// completion ends a job during a warm-up, so a running job settled
+    /// by anything else always has its event on the engine.
     fn settle(&mut self, id: JobId, end: JobState, now: SimTime) -> Option<EventId> {
         let cores = self.job(id).request.cores;
         let completion = match self.job(id).state {
@@ -320,8 +365,9 @@ impl ClusterState {
                 self.accrue_busy(now);
                 self.forget_release(id);
                 self.free_cores += cores;
-                let ev = self.running.remove(&id);
-                Some(ev.expect("running job has its completion event"))
+                self.running
+                    .remove(&id)
+                    .expect("running job is in the running set")
             }
             state => unreachable!("{id} already ended {state:?}"),
         };
@@ -453,7 +499,7 @@ impl Cluster {
         let state = ClusterState {
             free_cores: config.total_cores,
             config,
-            jobs: HashMap::new(),
+            jobs: JobMap::default(),
             queue: BTreeMap::new(),
             running: BTreeMap::new(),
             next_job_id: 0,
@@ -461,7 +507,7 @@ impl Cluster {
             busy_core_secs: 0.0,
             last_change: SimTime::ZERO,
             wait_history: VecDeque::new(),
-            watchers: HashMap::new(),
+            watchers: JobMap::default(),
             dispatch_scheduled: false,
             down_until: None,
             sched_epoch: 1,
@@ -469,6 +515,7 @@ impl Cluster {
             releases: BTreeMap::new(),
             queued_cores: 0,
             est_cache: None,
+            warming: None,
         };
         Cluster {
             inner: Rc::new(RefCell::new(state)),
@@ -573,23 +620,47 @@ impl Cluster {
         if arrival > horizon {
             return;
         }
+        let at = arrival.max(sim.now());
+        self.post(sim, at, ClusterEvent::Arrival);
+    }
+
+    /// Schedule `ev` at `at`: on the pool's queue while a [`warm_up`]
+    /// runs, on the engine otherwise. Returns the engine's handle, which
+    /// a completion keeps so that a kill or cancel can revoke it.
+    fn post(&self, sim: &mut Simulation, at: SimTime, ev: ClusterEvent) -> Option<EventId> {
+        if let Some((queue, index)) = &self.inner.borrow().warming {
+            queue.borrow_mut().push(at, *index, ev);
+            return None;
+        }
         let this = self.clone();
-        sim.schedule_at(arrival.max(sim.now()), move |sim| {
-            let job = {
-                let mut st = this.inner.borrow_mut();
-                st.background
-                    .as_mut()
-                    .expect("background exists")
-                    .next_job()
-            };
-            let req = this.clamp_to_default_queue(JobRequest::background(
-                job.cores,
-                job.runtime,
-                job.walltime_request,
-            ));
-            this.enter(sim, req, true);
-            this.schedule_next_background(sim);
-        });
+        Some(sim.schedule_at(at, move |sim| this.fire(sim, ev)))
+    }
+
+    /// Run one of the cluster's own events.
+    fn fire(&self, sim: &mut Simulation, ev: ClusterEvent) {
+        match ev {
+            ClusterEvent::Arrival => {
+                let job = {
+                    let mut st = self.inner.borrow_mut();
+                    st.background
+                        .as_mut()
+                        .expect("background exists")
+                        .next_job()
+                };
+                let req = self.clamp_to_default_queue(JobRequest::background(
+                    job.cores,
+                    job.runtime,
+                    job.walltime_request,
+                ));
+                self.enter(sim, req, true);
+                self.schedule_next_background(sim);
+            }
+            ClusterEvent::Dispatch => {
+                self.inner.borrow_mut().dispatch_scheduled = false;
+                self.dispatch(sim);
+            }
+            ClusterEvent::Completion(id) => self.on_completion(sim, id),
+        }
     }
 
     /// Submit a job. Panics if the request exceeds the machine (real batch
@@ -713,11 +784,8 @@ impl Cluster {
             }
             st.dispatch_scheduled = true;
         }
-        let this = self.clone();
-        sim.schedule_now(move |sim| {
-            this.inner.borrow_mut().dispatch_scheduled = false;
-            this.dispatch(sim);
-        });
+        let now = sim.now();
+        self.post(sim, now, ClusterEvent::Dispatch);
     }
 
     /// Run the scheduling policy and start whatever it selects.
@@ -797,8 +865,7 @@ impl Cluster {
         };
         for (id, end) in starts {
             sim.emit(&ClusterFact::Job(&self.inner.borrow(), id));
-            let this = self.clone();
-            let ev = sim.schedule_at(end, move |sim| this.on_completion(sim, id));
+            let ev = self.post(sim, end, ClusterEvent::Completion(id));
             {
                 let mut st = self.inner.borrow_mut();
                 st.running.insert(id, ev);

@@ -1,9 +1,108 @@
 //! Pre-submission warm-up of a resource pool.
+//!
+//! Until the application is submitted, the only events in a run are the
+//! clusters' own: background arrivals, deferred dispatch passes and
+//! completions. [`warm_up`] runs them in one typed loop off the engine,
+//! through the same [`Cluster::fire`] handlers the engine path uses, and
+//! hands the events still pending at the submission instant to the
+//! engine.
+
+use super::{Cluster, ClusterEvent};
+use aimes_sim::{SimTime, Simulation};
+use std::cell::RefCell;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::rc::Rc;
+
+/// The pending events of a warm-up, for the whole pool: (time, posting
+/// sequence, cluster index, event), earliest first. One sequence across
+/// the pool resolves same-instant ties, across clusters too, in posting
+/// order, exactly as the engine would.
+#[derive(Default)]
+pub(super) struct WarmQueue {
+    heap: BinaryHeap<Reverse<(SimTime, u64, usize, ClusterEvent)>>,
+    next_seq: u64,
+}
+
+impl WarmQueue {
+    pub(super) fn push(&mut self, at: SimTime, cluster: usize, ev: ClusterEvent) {
+        self.heap.push(Reverse((at, self.next_seq, cluster, ev)));
+        self.next_seq += 1;
+    }
+
+    /// The earliest event if it fires at or before `until`.
+    fn pop_until(&mut self, until: SimTime) -> Option<(SimTime, usize, ClusterEvent)> {
+        let Reverse((at, ..)) = self.heap.peek()?;
+        if *at > until {
+            return None;
+        }
+        let Reverse((at, _, cluster, ev)) = self.heap.pop()?;
+        Some((at, cluster, ev))
+    }
+}
+
+/// Install every cluster of a fresh pool and run its events from the
+/// current instant up to `until` inclusive, off the engine; then post
+/// what is still pending to the engine in (time, sequence) order and
+/// leave the clock at `until`. Returns the number of events run.
+///
+/// The pool ends in exactly the state `install` on each cluster, a marker
+/// event at `until` and [`Simulation::run_until`] leave it in, having run
+/// one event fewer (the marker) on the engine than that path. Gauges and
+/// facts are stamped at each event's own instant.
+///
+/// Panics if a cluster is not fresh (installed, holding a job or a
+/// watcher) or if an engine event is pending before `until`: both would
+/// interleave with the warm-up.
+pub fn warm_up(sim: &mut Simulation, clusters: &[Cluster], until: SimTime) -> u64 {
+    let queue = Rc::new(RefCell::new(WarmQueue::default()));
+    for (index, cluster) in clusters.iter().enumerate() {
+        let mut st = cluster.inner.borrow_mut();
+        assert!(
+            st.background.is_none() && st.next_job_id == 0 && st.watchers.is_empty(),
+            "warm-up needs a fresh cluster; {} is not",
+            st.config.name
+        );
+        st.warming = Some((Rc::clone(&queue), index));
+    }
+    let mut ran = 0;
+    {
+        let _prof = sim.profiler().scope("cluster.warmup");
+        for cluster in clusters {
+            cluster.install(sim);
+        }
+        loop {
+            let next = queue.borrow_mut().pop_until(until);
+            let Some((at, index, ev)) = next else {
+                break;
+            };
+            sim.advance_to(at);
+            clusters[index].fire(sim, ev);
+            ran += 1;
+        }
+    }
+    sim.advance_to(until);
+    for cluster in clusters {
+        cluster.inner.borrow_mut().warming = None;
+    }
+    let left = std::mem::take(&mut queue.borrow_mut().heap).into_sorted_vec();
+    // Sorted ascending by `Reverse`, so latest first.
+    for Reverse((at, _, index, ev)) in left.into_iter().rev() {
+        let cluster = &clusters[index];
+        let handle = cluster.post(sim, at, ev);
+        if let ClusterEvent::Completion(id) = ev {
+            let old = cluster.inner.borrow_mut().running.insert(id, handle);
+            assert_eq!(old, Some(None), "{id} completes once, while running");
+        }
+    }
+    ran
+}
 
 #[cfg(test)]
 mod tests {
     use super::super::*;
     use crate::catalog::paper_testbed;
+    use proptest::prelude::*;
     use std::fmt::Write;
 
     /// 64-bit FNV-1a.
@@ -139,18 +238,165 @@ mod tests {
         }
     }
 
+    /// The warm-up path: [`warm_up`] on fresh clusters. Returns the
+    /// clusters and the number of events the warm-up ran.
+    fn warm_path(
+        sim: &mut Simulation,
+        configs: &[ClusterConfig],
+        until: SimTime,
+    ) -> (Vec<Cluster>, u64) {
+        let clusters: Vec<Cluster> = configs.iter().cloned().map(Cluster::new).collect();
+        let ran = warm_up(sim, &clusters, until);
+        assert_eq!(sim.now(), until);
+        assert_eq!(sim.events_processed(), 0, "the warm-up ran on the engine");
+        (clusters, ran)
+    }
+
     #[test]
     fn pool_state_at_submission_is_pinned() {
         let mut moved = Vec::new();
         for (name, seed, hours, want) in PINS {
             let until = SimTime::from_secs(hours * 3600.0);
             let mut sim = Simulation::with_tracer(seed, aimes_sim::Tracer::disabled());
-            let (clusters, _) = engine_path(&mut sim, &pool(name), until);
+            let (clusters, events) = engine_path(&mut sim, &pool(name), until);
             let got = fnv(pool_snapshot(&clusters, until).as_bytes());
             if got != want {
                 moved.push(format!("({name:?}, {seed}, {hours:?}, {got:?})"));
             }
+            let mut warm = Simulation::with_tracer(seed, aimes_sim::Tracer::disabled());
+            let (clusters, ran) = warm_path(&mut warm, &pool(name), until);
+            let got = fnv(pool_snapshot(&clusters, until).as_bytes());
+            assert_eq!(got, want, "warm-up of {name} seed {seed} at {hours} h");
+            // Every warm-up event ran exactly once; the engine path also
+            // ran its marker.
+            assert_eq!(events, ran + 1, "{name} seed {seed} at {hours} h");
+            assert_eq!(warm.pending_events(), sim.pending_events());
         }
         assert!(moved.is_empty(), "pins moved:\n{}", moved.join("\n"));
+    }
+
+    /// Both paths to `until`, then the same public submission at `until`
+    /// on every cluster and `hours_after` more hours on the engine.
+    /// Returns each path's pool snapshot at `until` and at the end, its
+    /// engine events after submission, and its metrics.
+    fn both_paths_and_beyond(
+        configs: &[ClusterConfig],
+        seed: u64,
+        until: SimTime,
+        hours_after: f64,
+    ) -> [(String, String, u64, String); 2] {
+        let end = until + SimDuration::from_hours(hours_after);
+        [true, false].map(|warm| {
+            let mut sim = Simulation::with_tracer(seed, aimes_sim::Tracer::disabled());
+            let metrics = aimes_sim::MetricsRegistry::new();
+            sim.attach_metrics(metrics.clone());
+            let (clusters, _) = if warm {
+                warm_path(&mut sim, configs, until)
+            } else {
+                engine_path(&mut sim, configs, until)
+            };
+            let at_submission = pool_snapshot(&clusters, until);
+            let before = sim.events_processed();
+            for c in &clusters {
+                let cores = c.inner.borrow().config.total_cores / 4;
+                let req = JobRequest::pilot(cores, SimDuration::from_hours(1.0), "pilot.w");
+                c.submit(&mut sim, req);
+            }
+            sim.schedule_at(end, |_| {});
+            sim.run_until(end);
+            let summary = metrics.summary();
+            let rendered = format!("{:?}\n{:?}", metrics.gauge_series(), summary.counters);
+            (
+                at_submission,
+                pool_snapshot(&clusters, end),
+                sim.events_processed() - before,
+                rendered,
+            )
+        })
+    }
+
+    #[test]
+    fn warm_up_hands_off_to_the_engine_mid_stream() {
+        for (name, seed, hours) in [("testbed", 3, 5.0), ("saturated", 5, 2.5)] {
+            let until = SimTime::from_secs(hours * 3600.0);
+            let [warm, engine] = both_paths_and_beyond(&pool(name), seed, until, 3.0);
+            assert_eq!(warm.0, engine.0, "{name}: state at submission");
+            assert_eq!(warm.1, engine.1, "{name}: state three hours on");
+            assert_eq!(warm.2, engine.2, "{name}: events after submission");
+            // Gauges carry each event's own instant on both paths, and
+            // the per-job counters tick alike.
+            assert_eq!(warm.3, engine.3, "{name}: metrics");
+        }
+    }
+
+    #[test]
+    fn an_idle_pool_only_moves_the_clock() {
+        let mut sim = Simulation::new(1);
+        let until = SimTime::from_secs(600.0);
+        let (clusters, ran) = warm_path(&mut sim, &[ClusterConfig::test("idle", 64)], until);
+        assert_eq!((ran, sim.pending_events()), (0, 0));
+        assert_eq!(clusters[0].metrics(until).free_cores, 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a fresh cluster")]
+    fn warm_up_refuses_an_installed_cluster() {
+        let mut sim = Simulation::new(1);
+        let c = Cluster::new(saturated_pool().remove(0));
+        c.install(&mut sim);
+        warm_up(&mut sim, &[c], SimTime::from_secs(60.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "would skip the event")]
+    fn warm_up_refuses_to_jump_an_engine_event() {
+        let mut sim = Simulation::new(1);
+        sim.schedule_at(SimTime::from_secs(30.0), |_| {});
+        let c = Cluster::new(saturated_pool().remove(0));
+        warm_up(&mut sim, &[c], SimTime::from_secs(60.0));
+    }
+
+    /// A small pool of 1–3 clusters with random sizes, loads, backlogs
+    /// and policies.
+    fn small_pool() -> impl Strategy<Value = Vec<ClusterConfig>> {
+        let cluster = (3u32..=9, 0.3f64..1.2, 0.0f64..2.5, any::<bool>(), 0u32..=4);
+        proptest::collection::vec(cluster, 1..=3).prop_map(|specs| {
+            specs
+                .into_iter()
+                .enumerate()
+                .map(|(i, (exp, util, backlog, easy, hi_exp))| {
+                    let mut cfg = ClusterConfig::test(&format!("c{i}"), 1 << exp);
+                    if !easy {
+                        cfg.policy = SchedulingPolicy::Fcfs;
+                    }
+                    let mut load = WorkloadConfig::production_like();
+                    load.target_utilization = util;
+                    load.size_dist = aimes_workload::Distribution::PowerOfTwo {
+                        lo_exp: 0,
+                        hi_exp: hi_exp.min(exp),
+                    };
+                    cfg.workload = Some(load);
+                    cfg.initial_backlog_factor = backlog;
+                    cfg
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The warm-up agrees with the engine path at submission and
+        /// after it, on random pools, seeds and submission instants.
+        #[test]
+        fn prop_warm_up_matches_the_engine_path(
+            configs in small_pool(),
+            seed in any::<u64>(),
+            minutes in 0u32..=600,
+        ) {
+            let until = SimTime::from_secs(f64::from(minutes) * 60.0);
+            let [warm, engine] = both_paths_and_beyond(&configs, seed, until, 1.0);
+            prop_assert_eq!(warm, engine);
+        }
     }
 }

@@ -32,7 +32,7 @@ pub mod policy;
 pub mod profile;
 
 pub use catalog::{paper_testbed, testbed_resource, ResourceSpec};
-pub use cluster::{Cluster, ClusterConfig, ClusterMetrics, QueueConfig, QueueSnapshot};
+pub use cluster::{warm_up, Cluster, ClusterConfig, ClusterMetrics, QueueConfig, QueueSnapshot};
 pub use job::{Job, JobId, JobOwner, JobRequest, JobState};
 pub use policy::SchedulingPolicy;
 pub use profile::AvailabilityProfile;

@@ -239,6 +239,27 @@ impl Simulation {
         self.schedule_at(self.now, callback)
     }
 
+    /// Move the clock to `t` without dispatching anything. This is for a
+    /// component that runs its own events off the queue (a resource
+    /// pool's pre-submission warm-up) and wants what they emit stamped at
+    /// their own instants. Panics if `t` is in the past or an engine
+    /// event is pending before `t`: skipping it would break causality.
+    pub fn advance_to(&mut self, t: SimTime) {
+        assert!(
+            t >= self.now,
+            "cannot move the clock back: now={:?}, to={:?}",
+            self.now,
+            t
+        );
+        if let Some(next) = self.queue.peek_time() {
+            assert!(
+                next >= t,
+                "advancing to {t:?} would skip the event pending at {next:?}"
+            );
+        }
+        self.now = t;
+    }
+
     /// Cancel a pending event. Returns true if it had not yet fired.
     pub fn cancel(&mut self, id: EventId) -> bool {
         self.queue.cancel(id)
@@ -439,6 +460,35 @@ mod tests {
             s.schedule_at(t(1.0), |_| {});
         });
         sim.run_to_completion();
+    }
+
+    #[test]
+    fn advance_to_moves_the_clock_up_to_the_next_event() {
+        let mut sim = Simulation::new(1);
+        sim.advance_to(t(2.0));
+        assert_eq!(sim.now(), t(2.0));
+        sim.schedule_at(t(5.0), |_| {});
+        sim.advance_to(t(5.0));
+        assert_eq!(sim.now(), t(5.0));
+        assert_eq!(sim.events_processed(), 0);
+        assert_eq!(sim.run_to_completion(), RunOutcome::Drained);
+        assert_eq!(sim.events_processed(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "would skip the event")]
+    fn advance_to_refuses_to_skip_a_pending_event() {
+        let mut sim = Simulation::new(1);
+        sim.schedule_at(t(3.0), |_| {});
+        sim.advance_to(t(4.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot move the clock back")]
+    fn advance_to_refuses_to_go_back() {
+        let mut sim = Simulation::new(1);
+        sim.advance_to(t(4.0));
+        sim.advance_to(t(3.0));
     }
 
     #[test]
