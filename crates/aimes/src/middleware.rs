@@ -149,6 +149,10 @@ pub enum RunError {
     /// The unit-manager config derived for this run is unusable (zero
     /// attempts, inverted retry cap).
     InvalidUnitConfig(String),
+    /// A resource's config would make the cluster panic or hang (no cores,
+    /// no queue, a repeated queue name, a negative or non-finite initial
+    /// backlog); the message names the resource.
+    InvalidClusterConfig(String),
     /// A resource's background-load config cannot be sampled (a
     /// utilization or diurnal amplitude out of range, a distribution
     /// `Distribution::validate` refuses); the message names the resource.
@@ -202,6 +206,7 @@ impl std::fmt::Display for RunError {
             RunError::InvalidUnitConfig(msg) => {
                 write!(f, "invalid unit-manager config: {msg}")
             }
+            RunError::InvalidClusterConfig(msg) => write!(f, "invalid cluster config: {msg}"),
             RunError::InvalidWorkloadConfig(msg) => {
                 write!(f, "invalid background workload config: {msg}")
             }
@@ -257,6 +262,7 @@ impl RunError {
             RunError::InvalidRecorderConfig(_) => "invalid_recorder_config",
             RunError::InvalidRecoveryPolicy(_) => "invalid_recovery_policy",
             RunError::InvalidUnitConfig(_) => "invalid_unit_config",
+            RunError::InvalidClusterConfig(_) => "invalid_cluster_config",
             RunError::InvalidWorkloadConfig(_) => "invalid_workload_config",
             RunError::DeadlineExceeded { .. } => "deadline_exceeded",
             RunError::PilotsDrained { .. } => "pilots_drained",
@@ -637,6 +643,8 @@ impl<'a> RunWorld<'a> {
     ) -> Result<Self, RunError> {
         let log = Rc::new(validate(options)?);
         for cfg in resources {
+            cfg.validate()
+                .map_err(|e| RunError::InvalidClusterConfig(format!("{}: {e}", cfg.name)))?;
             if let Some(workload) = &cfg.workload {
                 workload
                     .validate()
@@ -1574,6 +1582,53 @@ mod tests {
             err.to_string(),
             "invalid background workload config: c: runtime_dist: gamma shape 0 must be positive"
         );
+    }
+
+    /// Run `run_application` on the idle pool with resource `b` edited.
+    fn run_with_bad_cluster(edit: impl FnOnce(&mut ClusterConfig)) -> RunError {
+        let mut pool = idle_pool();
+        edit(&mut pool[1]);
+        let err = run_application(
+            &pool,
+            &paper_bag(8, TaskDurationSpec::Uniform15Min),
+            &ExecutionStrategy::paper_early(),
+            &RunOptions::default(),
+        )
+        .unwrap_err();
+        assert_eq!(err.kind(), "invalid_cluster_config");
+        err
+    }
+
+    #[test]
+    fn zero_core_cluster_is_a_typed_error() {
+        let err = run_with_bad_cluster(|c| c.total_cores = 0);
+        assert_eq!(
+            err.to_string(),
+            "invalid cluster config: b: total_cores must be positive"
+        );
+    }
+
+    #[test]
+    fn queueless_cluster_is_a_typed_error() {
+        let err = run_with_bad_cluster(|c| c.queues.clear());
+        assert!(err.contains("b: needs at least one queue"), "{err}");
+    }
+
+    #[test]
+    fn duplicate_queue_name_is_a_typed_error() {
+        let err = run_with_bad_cluster(|c| c.queues.push(c.queues[0].clone()));
+        assert!(err.contains("`normal` repeats"), "{err}");
+    }
+
+    #[test]
+    fn infinite_backlog_is_a_typed_error_not_a_hang() {
+        let err = run_with_bad_cluster(|c| {
+            c.workload = Some(aimes_workload::WorkloadConfig::production_like());
+            c.initial_backlog_factor = f64::INFINITY;
+        });
+        assert!(err.contains("initial_backlog_factor inf"), "{err}");
+        let err = run_with_bad_cluster(|c| c.initial_backlog_factor = -1.0);
+        assert!(err.contains("initial_backlog_factor -1"), "{err}");
     }
 
     #[test]

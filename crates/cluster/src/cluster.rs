@@ -114,6 +114,35 @@ impl ClusterConfig {
             transfer_latency: SimDuration::from_secs(1.0),
         }
     }
+
+    /// Reject a config the cluster would panic or hang on: zero
+    /// `total_cores`, no queue, two queues of one name, or a negative or
+    /// non-finite `initial_backlog_factor` (an infinite one asks for an
+    /// unbounded initial backlog). A deserialized config reaches
+    /// [`Cluster::new`] unchecked otherwise.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.total_cores == 0 {
+            return Err("total_cores must be positive".into());
+        }
+        if self.queues.is_empty() {
+            return Err("needs at least one queue".into());
+        }
+        for (i, queue) in self.queues.iter().enumerate() {
+            if self.queues[..i].iter().any(|q| q.name == queue.name) {
+                return Err(format!(
+                    "queue names must be distinct; `{}` repeats",
+                    queue.name
+                ));
+            }
+        }
+        let backlog = self.initial_backlog_factor;
+        if !(backlog.is_finite() && backlog >= 0.0) {
+            return Err(format!(
+                "initial_backlog_factor {backlog} must be finite and non-negative"
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Point-in-time resource metrics (the Bundle's on-demand view).
@@ -479,22 +508,11 @@ impl std::fmt::Debug for Cluster {
 
 impl Cluster {
     /// Create a cluster. Call [`Cluster::install`] to attach its background
-    /// load to a simulation.
+    /// load to a simulation. Panics on a config
+    /// [`ClusterConfig::validate`] rejects.
     pub fn new(config: ClusterConfig) -> Self {
-        assert!(config.total_cores > 0);
-        assert!(
-            !config.queues.is_empty(),
-            "cluster needs at least one queue"
-        );
-        {
-            let mut names: Vec<&str> = config.queues.iter().map(|q| q.name.as_str()).collect();
-            names.sort_unstable();
-            names.dedup();
-            assert_eq!(
-                names.len(),
-                config.queues.len(),
-                "queue names must be distinct"
-            );
+        if let Err(e) = config.validate() {
+            panic!("invalid cluster config for {}: {e}", config.name);
         }
         let state = ClusterState {
             free_cores: config.total_cores,
@@ -1639,6 +1657,54 @@ mod tests {
         let mut cfg = ClusterConfig::test("dup", 8);
         cfg.queues = vec![QueueConfig::normal(), QueueConfig::normal()];
         let _ = Cluster::new(cfg);
+    }
+
+    fn rejects(cfg: ClusterConfig, want: &str) {
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains(want), "{err}");
+    }
+
+    #[test]
+    fn validate_accepts_the_shipped_configs() {
+        assert_eq!(ClusterConfig::test("ok", 8).validate(), Ok(()));
+        for spec in crate::catalog::paper_testbed() {
+            assert_eq!(spec.config.validate(), Ok(()), "{}", spec.config.name);
+        }
+    }
+
+    #[test]
+    fn validate_rejects_zero_cores() {
+        rejects(
+            ClusterConfig::test("none", 0),
+            "total_cores must be positive",
+        );
+    }
+
+    #[test]
+    fn validate_rejects_an_empty_queue_list() {
+        let mut cfg = ClusterConfig::test("noq", 8);
+        cfg.queues.clear();
+        rejects(cfg, "at least one queue");
+    }
+
+    #[test]
+    fn validate_rejects_duplicate_queue_names() {
+        let mut cfg = ClusterConfig::test("dup", 8);
+        cfg.queues = vec![
+            QueueConfig::normal(),
+            QueueConfig::debug(d(60.0), 4),
+            QueueConfig::normal(),
+        ];
+        rejects(cfg, "`normal` repeats");
+    }
+
+    #[test]
+    fn validate_rejects_a_negative_or_non_finite_backlog() {
+        for backlog in [-0.5, f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let mut cfg = ClusterConfig::test("backlog", 8);
+            cfg.initial_backlog_factor = backlog;
+            rejects(cfg, "initial_backlog_factor");
+        }
     }
 
     #[test]
