@@ -9,7 +9,7 @@
 //!
 //! * [`job`] — batch-job lifecycle (queued → running →
 //!   completed/killed/cancelled).
-//! * [`profile`] — core-availability profiles over future time, the
+//! * `profile` (crate-private) — core-availability profiles over future time, the
 //!   engine behind bundle-level queue-wait prediction.
 //! * [`policy`] — scheduling policies: FCFS and EASY backfill (the
 //!   production standard; Tsafrir et al. \[25\] in the paper).
@@ -29,10 +29,9 @@ pub mod catalog;
 pub mod cluster;
 pub mod job;
 pub mod policy;
-pub mod profile;
+mod profile;
 
 pub use catalog::{paper_testbed, testbed_resource, ResourceSpec};
 pub use cluster::{warm_up, Cluster, ClusterConfig, ClusterMetrics, QueueConfig, QueueSnapshot};
 pub use job::{Job, JobId, JobOwner, JobRequest, JobState};
 pub use policy::SchedulingPolicy;
-pub use profile::AvailabilityProfile;

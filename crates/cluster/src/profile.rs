@@ -17,7 +17,7 @@ use aimes_sim::{SimDuration, SimTime};
 /// infinity. Segment `i` spans `[times[i], times[i+1])`; the last segment
 /// extends forever.
 #[derive(Clone, Debug, PartialEq)]
-pub struct AvailabilityProfile {
+pub(crate) struct AvailabilityProfile {
     times: Vec<SimTime>,
     free: Vec<u32>,
 }
@@ -60,6 +60,7 @@ impl AvailabilityProfile {
     }
 
     /// Free cores at instant `t` (clamped to the origin).
+    #[cfg(test)]
     pub fn free_at(&self, t: SimTime) -> u32 {
         let idx = match self.times.binary_search(&t) {
             Ok(i) => i,
@@ -70,6 +71,7 @@ impl AvailabilityProfile {
     }
 
     /// Minimum free cores over `[start, start + duration)`.
+    #[cfg(test)]
     pub fn min_free_over(&self, start: SimTime, duration: SimDuration) -> u32 {
         let end = start + duration;
         // Segments overlapping the window: the one containing `start`
@@ -131,8 +133,8 @@ impl AvailabilityProfile {
 
     /// Subtract `cores` over `[start, start + duration)` — a reservation.
     /// Panics if the reservation exceeds availability anywhere in the
-    /// window; callers must check with [`Self::min_free_over`] first (the
-    /// policies always do, via [`Self::earliest_fit`]).
+    /// window; callers must check availability first (every caller does,
+    /// via [`Self::earliest_fit`]).
     pub fn reserve(&mut self, start: SimTime, duration: SimDuration, cores: u32) {
         let end = start + duration;
         self.split_at(start);
@@ -168,6 +170,7 @@ impl AvailabilityProfile {
     }
 
     /// Number of segments (diagnostics).
+    #[cfg(test)]
     pub fn segments(&self) -> usize {
         self.times.len()
     }
