@@ -92,8 +92,9 @@ pub struct RunOptions {
     pub run_tag: Option<String>,
     /// Engine self-profiler (a cheap shared handle, like
     /// [`RunOptions::tracer`]): when set, the run attributes host wall
-    /// time to engine dispatch, the cluster scheduler, pilot/unit
-    /// managers, SAGA session, info plane, and middleware planning, and
+    /// time to engine dispatch, the pre-submission warm-up, the cluster
+    /// scheduler, pilot/unit managers, SAGA session, info plane, and
+    /// middleware planning, and
     /// snapshots the engine's queue-health counters at every exit.
     /// Strictly passive — journals, traces, and results are bit-identical
     /// with or without it. `None` (the default) costs one branch per

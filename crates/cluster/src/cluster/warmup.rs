@@ -330,6 +330,32 @@ mod tests {
     }
 
     #[test]
+    fn same_instant_leftovers_keep_their_order() {
+        // Two identical machines whose initial running sets all end at
+        // t = 1 h: the hand-off at t = 30 min leaves every one of those
+        // completions pending at one instant, on both clusters. Each
+        // completion samples the gauges, so an order change shows.
+        let configs: Vec<ClusterConfig> = ["tie-a", "tie-b"]
+            .iter()
+            .map(|name| {
+                let mut cfg = ClusterConfig::test(name, 64);
+                let mut load = WorkloadConfig::production_like();
+                load.size_dist = aimes_workload::Distribution::PowerOfTwo {
+                    lo_exp: 0,
+                    hi_exp: 3,
+                };
+                load.runtime_dist = aimes_workload::Distribution::constant(3600.0);
+                load.overestimate_dist = aimes_workload::Distribution::constant(2.0);
+                cfg.workload = Some(load);
+                cfg
+            })
+            .collect();
+        let until = SimTime::from_secs(1800.0);
+        let [warm, engine] = both_paths_and_beyond(&configs, 9, until, 2.0);
+        assert_eq!(warm, engine);
+    }
+
+    #[test]
     fn an_idle_pool_only_moves_the_clock() {
         let mut sim = Simulation::new(1);
         let until = SimTime::from_secs(600.0);
