@@ -11,7 +11,9 @@
 //!   table holds the live jobs plus the ids [`Cluster::submit`] handed
 //!   out,
 //! * the introspection surface the Bundle abstraction queries (metrics,
-//!   queue composition, start-time estimation, wait history).
+//!   queue composition, start-time estimation, wait history),
+//! * [`warm_up`], which runs a fresh pool's own events up to the
+//!   submission instant off the engine and hands the rest to it.
 
 use crate::job::{Job, JobId, JobOwner, JobRequest, JobState};
 use crate::policy::{select_starts, QueuedJobView, SchedulingPolicy};

@@ -17,7 +17,8 @@
 //!   enforcement, cancellation, background-load feeding, and the metrics
 //!   that the Bundle abstraction queries. Its job table holds the live
 //!   jobs and the ids `Cluster::submit` handed out; background jobs the
-//!   cluster generates itself leave it when they end.
+//!   cluster generates itself leave it when they end. `warm_up` brings
+//!   a fresh pool to the submission instant off the engine.
 //! * [`catalog`] — the five paper resources with heterogeneous sizes,
 //!   loads, policies, and submission latencies.
 //!
