@@ -206,7 +206,11 @@ impl<T> EventQueue<T> {
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
+    use super::oracle::OracleQueue;
     use super::*;
     use crate::time::SimTime;
     use proptest::prelude::*;
@@ -390,6 +394,100 @@ mod tests {
                 got.push(ev.payload);
             }
             prop_assert_eq!(got, expect);
+        }
+    }
+
+    /// One step of a random queue workload.
+    #[derive(Clone, Debug)]
+    enum Op {
+        /// Schedule at this whole second; 12 instants force many ties.
+        Schedule(u8),
+        /// Cancel the id issued at this position (modulo the issue count):
+        /// pending, fired or already cancelled.
+        Cancel(usize),
+        /// Cancel an id neither queue ever issued.
+        CancelUnknown(u32),
+        Pop,
+        Peek,
+    }
+
+    /// Weighted draw: schedules 5, cancels 3, unknown cancels 1, pops 3,
+    /// peeks 1 (out of 13).
+    fn op() -> impl Strategy<Value = Op> {
+        (0u32..13, any::<usize>()).prop_map(|(k, x)| match k {
+            0..=4 => Op::Schedule((x % 12) as u8),
+            5..=7 => Op::Cancel(x),
+            8 => Op::CancelUnknown((x % 4) as u32),
+            9..=11 => Op::Pop,
+            _ => Op::Peek,
+        })
+    }
+
+    /// Shallow by default so `cargo test` stays fast; the chaos-smoke CI
+    /// job sets `AIMES_FULL_PROPTEST=1` for the full-depth sweep.
+    fn oracle_cases() -> u32 {
+        match std::env::var("AIMES_FULL_PROPTEST") {
+            Ok(v) if !v.is_empty() && v != "0" => 4096,
+            _ => 256,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(oracle_cases()))]
+
+        /// The queue and the oracle agree on everything observable after
+        /// every step: pop order (ties included), cancel results, peeks,
+        /// lengths, the tombstone backlog and every lifetime counter.
+        #[test]
+        fn queue_matches_oracle(ops in proptest::collection::vec(op(), 0..400)) {
+            let mut q = EventQueue::new();
+            let mut o = OracleQueue::new();
+            // Issue order: (queue id, oracle id), indexed by payload.
+            let mut issued: Vec<(EventId, EventId)> = Vec::new();
+            for op in ops {
+                match op {
+                    Op::Schedule(at) => {
+                        let n = issued.len();
+                        issued.push((q.schedule(t(f64::from(at)), n), o.schedule(t(f64::from(at)), n)));
+                    }
+                    Op::Cancel(i) if !issued.is_empty() => {
+                        let (qi, oi) = issued[i % issued.len()];
+                        prop_assert_eq!(q.cancel(qi), o.cancel(oi));
+                    }
+                    Op::Cancel(_) => {}
+                    Op::CancelUnknown(k) => {
+                        let id = EventId(u64::from(u32::MAX - k));
+                        prop_assert!(!q.cancel(id));
+                        prop_assert!(!o.cancel(id));
+                    }
+                    Op::Pop => match (q.pop(), o.pop()) {
+                        (Some(a), Some(b)) => {
+                            prop_assert_eq!(a.time, b.time);
+                            prop_assert_eq!(a.payload, b.payload);
+                            prop_assert_eq!((a.id, b.id), issued[a.payload]);
+                        }
+                        (None, None) => {}
+                        (a, b) => prop_assert!(false, "pop diverged: {:?} vs {:?}", a, b),
+                    },
+                    Op::Peek => prop_assert_eq!(q.peek_time(), o.peek_time()),
+                }
+                prop_assert_eq!(q.len(), o.len());
+                prop_assert_eq!(q.is_empty(), o.is_empty());
+                prop_assert_eq!(q.raw_len(), o.raw_len());
+                prop_assert_eq!(q.cancelled_len(), o.cancelled_len());
+                prop_assert_eq!(q.high_water_mark(), o.high_water_mark());
+                prop_assert_eq!(q.compactions(), o.compactions());
+                prop_assert_eq!(q.scheduled_total(), o.scheduled_total());
+                prop_assert_eq!(q.cancelled_total(), o.cancelled_total());
+            }
+            // Drain: whatever is left pops in the same order.
+            loop {
+                match (q.pop(), o.pop()) {
+                    (Some(a), Some(b)) => prop_assert_eq!((a.time, a.payload), (b.time, b.payload)),
+                    (None, None) => break,
+                    (a, b) => prop_assert!(false, "drain diverged: {:?} vs {:?}", a, b),
+                }
+            }
         }
     }
 }
