@@ -5,14 +5,37 @@
 //! the order they were scheduled, regardless of heap internals. Each event
 //! therefore carries a monotonically increasing sequence number that breaks
 //! ties.
+//!
+//! Liveness is a slab, not a set: each pending event owns a slot, and its
+//! [`EventId`] records the slot's generation at scheduling time. Firing or
+//! cancelling bumps the generation and frees the slot, so an id is live
+//! exactly while its generation matches — one indexed compare, no hashing.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// Opaque handle identifying a scheduled event; used for cancellation.
+///
+/// Packs the event's slot (low 32 bits) and that slot's generation when
+/// the event was scheduled (high 32 bits). Ids are unique until one slot
+/// is reused 2^32 times.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct EventId(pub(crate) u64);
+
+impl EventId {
+    fn new(slot: u32, generation: u32) -> Self {
+        EventId(u64::from(generation) << 32 | u64::from(slot))
+    }
+
+    fn slot(self) -> usize {
+        self.0 as u32 as usize
+    }
+
+    fn generation(self) -> u32 {
+        (self.0 >> 32) as u32
+    }
+}
 
 /// An event in the queue: a firing time plus an arbitrary payload.
 #[derive(Debug)]
@@ -48,19 +71,20 @@ impl<T> PartialOrd for ScheduledEvent<T> {
 
 /// Time-ordered event queue with lazy cancellation.
 ///
-/// Cancelled events stay in the heap but are skipped on pop; the set of
-/// cancelled ids is pruned as they surface. This keeps cancellation O(log n)
-/// amortized without heap surgery.
+/// A cancelled event stays in the heap as a tombstone (its id no longer
+/// live) and is skipped when it surfaces. This keeps cancellation O(1)
+/// plus amortized compaction, without heap surgery.
 #[derive(Debug)]
 pub struct EventQueue<T> {
     heap: BinaryHeap<ScheduledEvent<T>>,
-    /// Ids of pending (scheduled, not yet fired or cancelled) events.
-    /// Bounded by the heap size; the O(1) source of truth for liveness,
-    /// which tombstone compaction would otherwise erase.
-    live: HashSet<EventId>,
-    cancelled: HashSet<EventId>,
+    /// Current generation of each slot; an id is live while it matches.
+    generations: Vec<u32>,
+    /// Slots whose event fired or was cancelled, ready for reuse.
+    free: Vec<u32>,
+    /// Number of live pending events.
+    len: usize,
+    /// Sequence number of the next event: also the total ever scheduled.
     next_seq: u64,
-    next_id: u64,
     /// High-water mark of live pending events (queue-pressure diagnostic).
     hwm: usize,
     /// Number of eager heap compactions performed.
@@ -80,10 +104,10 @@ impl<T> EventQueue<T> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            live: HashSet::new(),
-            cancelled: HashSet::new(),
+            generations: Vec::new(),
+            free: Vec::new(),
+            len: 0,
             next_seq: 0,
-            next_id: 0,
             hwm: 0,
             compactions: 0,
             cancels: 0,
@@ -93,14 +117,17 @@ impl<T> EventQueue<T> {
     /// Schedule `payload` to fire at `time`. Returns a handle usable with
     /// [`EventQueue::cancel`].
     pub fn schedule(&mut self, time: SimTime, payload: T) -> EventId {
-        let id = EventId(self.next_id);
-        self.next_id += 1;
+        let slot = self.free.pop().unwrap_or_else(|| {
+            let slot =
+                u32::try_from(self.generations.len()).expect("fewer than 2^32 pending events");
+            self.generations.push(0);
+            slot
+        });
+        let id = EventId::new(slot, self.generations[slot as usize]);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.live.insert(id);
-        if self.live.len() > self.hwm {
-            self.hwm = self.live.len();
-        }
+        self.len += 1;
+        self.hwm = self.hwm.max(self.len);
         self.heap.push(ScheduledEvent {
             time,
             id,
@@ -110,55 +137,67 @@ impl<T> EventQueue<T> {
         id
     }
 
+    fn is_live(&self, id: EventId) -> bool {
+        self.generations.get(id.slot()) == Some(&id.generation())
+    }
+
+    /// End a live event's life (fired or cancelled): bump its slot's
+    /// generation and free the slot. False if `id` was not live.
+    fn release(&mut self, id: EventId) -> bool {
+        match self.generations.get_mut(id.slot()) {
+            Some(generation) if *generation == id.generation() => {
+                *generation = generation.wrapping_add(1);
+                self.free.push(id.slot() as u32);
+                self.len -= 1;
+                true
+            }
+            _ => false,
+        }
+    }
+
     /// Cancel a previously scheduled event. Returns true if the event was
     /// still pending (i.e., not yet fired or cancelled).
     pub fn cancel(&mut self, id: EventId) -> bool {
-        if !self.live.remove(&id) {
+        if !self.release(id) {
             return false;
         }
         self.cancels += 1;
-        self.cancelled.insert(id);
-        // Eager compaction: once cancelled entries outnumber live ones,
-        // rebuild the heap without them. O(n) here, amortized O(1) per
+        // Eager compaction: once tombstones outnumber live events, rebuild
+        // the heap without them. O(n) here, amortized O(1) per
         // cancellation, and it bounds the garbage pop/peek must skip —
-        // the invariant cancelled.len() * 2 <= heap.len() holds on exit.
-        if self.cancelled.len() * 2 > self.heap.len() {
+        // the invariant cancelled_len() * 2 <= raw_len() holds on exit.
+        if self.cancelled_len() * 2 > self.heap.len() {
             self.compact();
         }
         true
     }
 
-    /// Rebuild the heap without cancelled events, draining the cancelled
-    /// set of every id that was actually still in the heap.
+    /// Rebuild the heap without tombstones.
     fn compact(&mut self) {
         self.compactions += 1;
-        let mut events = std::mem::take(&mut self.heap).into_vec();
-        events.retain(|ev| !self.cancelled.remove(&ev.id));
-        self.heap = BinaryHeap::from(events);
+        let generations = &self.generations;
+        self.heap
+            .retain(|ev| generations.get(ev.id.slot()) == Some(&ev.id.generation()));
     }
 
-    /// Remove and return the earliest live event, skipping cancelled ones.
+    /// Remove and return the earliest live event, skipping tombstones.
     pub fn pop(&mut self) -> Option<ScheduledEvent<T>> {
         while let Some(ev) = self.heap.pop() {
-            if self.cancelled.remove(&ev.id) {
-                continue;
+            if self.release(ev.id) {
+                return Some(ev);
             }
-            self.live.remove(&ev.id);
-            return Some(ev);
         }
         None
     }
 
     /// Firing time of the earliest live event without removing it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        // Prune cancelled events at the head so the reported time is live.
+        // Prune tombstones at the head so the reported time is live.
         while let Some(ev) = self.heap.peek() {
-            if self.cancelled.contains(&ev.id) {
-                let ev = self.heap.pop().expect("peeked event exists");
-                self.cancelled.remove(&ev.id);
-                continue;
+            if self.is_live(ev.id) {
+                return Some(ev.time);
             }
-            return Some(ev.time);
+            self.heap.pop();
         }
         None
     }
@@ -170,18 +209,18 @@ impl<T> EventQueue<T> {
 
     /// Number of live (non-cancelled) pending events.
     pub fn len(&self) -> usize {
-        self.live.len()
+        self.len
     }
 
     /// True if no live events are pending.
     pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
+        self.len == 0
     }
 
     /// Number of not-yet-pruned cancelled events still in the heap
     /// (diagnostics; the compaction bound keeps this ≤ `raw_len` / 2).
     pub fn cancelled_len(&self) -> usize {
-        self.cancelled.len()
+        self.heap.len() - self.len
     }
 
     /// High-water mark of live pending events over the queue's lifetime.
@@ -196,7 +235,7 @@ impl<T> EventQueue<T> {
 
     /// Total events ever scheduled (fired, pending, or cancelled).
     pub fn scheduled_total(&self) -> u64 {
-        self.next_id
+        self.next_seq
     }
 
     /// Total successful cancellations over the queue's lifetime.
