@@ -21,8 +21,8 @@ use aimes_pilot::{
 };
 use aimes_saga::{BreakerConfig, JobService, Session};
 use aimes_sim::{
-    Fact, MetricsSummary, Profiler, SimDuration, SimRng, SimTime, Simulation, Span, Telemetry,
-    TraceLine, Tracer,
+    Fact, MetricsSummary, Profiler, RunOutcome, SimDuration, SimRng, SimTime, Simulation, Span,
+    Telemetry, TraceLine, Tracer,
 };
 use aimes_skeleton::{SkeletonApp, SkeletonConfig};
 use aimes_strategy::{ExecutionManager, ExecutionPlan, ExecutionStrategy, ResourceSelection};
@@ -181,6 +181,12 @@ pub enum RunError {
         at: SimTime,
         stats: UnitManagerStats,
     },
+    /// The engine's event budget ran out with units still unfinished: a
+    /// scheduling loop, or a budget set too low for the run.
+    EventBudgetExhausted {
+        at: SimTime,
+        stats: UnitManagerStats,
+    },
     /// A resumed run replayed differently from the interrupted journal it
     /// was given: the journal does not describe this (seed, app,
     /// strategy, fault) combination, and resuming would fabricate
@@ -231,6 +237,9 @@ impl std::fmt::Display for RunError {
             RunError::Interrupted { at, stats } => {
                 write!(f, "run interrupted at {at:?} ({stats:?})")
             }
+            RunError::EventBudgetExhausted { at, stats } => {
+                write!(f, "event budget exhausted at {at:?} ({stats:?})")
+            }
             RunError::JournalDiverged { seq, detail } => {
                 write!(
                     f,
@@ -269,6 +278,7 @@ impl RunError {
             RunError::PilotsDrained { .. } => "pilots_drained",
             RunError::ResourceLost { .. } => "resource_lost",
             RunError::Interrupted { .. } => "interrupted",
+            RunError::EventBudgetExhausted { .. } => "event_budget_exhausted",
             RunError::JournalDiverged { .. } => "journal_diverged",
             RunError::Panicked { .. } => "panicked",
         }
@@ -1280,8 +1290,9 @@ impl<'a> RunWorld<'a> {
         }
     }
 
-    /// Phase 6 — run until the application completes, the deadline
-    /// passes, the interrupt fires or the queue drains. One exit: engine
+    /// Phase 6 — run until the application completes, the interrupt
+    /// fires, the deadline passes, the event budget runs out or the queue
+    /// drains, checked in that order. One exit: engine
     /// queue-health counters are published on every exit (passive on
     /// both sinks), and a death leaves a post-mortem dump named after its
     /// reason before its typed error is returned.
@@ -1292,40 +1303,43 @@ impl<'a> RunWorld<'a> {
     ) -> Result<SimTime, RunError> {
         let deadline = self.submitted + self.options.deadline;
         let interrupt_at = self.options.interrupt_at.map(|d| self.submitted + d);
-        let outcome: Result<SimTime, (String, RunError)> = loop {
-            if let Some(t) = crew.finished.get() {
-                break Ok(t);
-            }
-            let at = self.sim.now();
+        let halted = |at: SimTime| {
+            crew.finished.get().is_some() || interrupt_at.is_some_and(|t| at >= t) || at > deadline
+        };
+        let run = self.sim.run_while(|sim| !halted(sim.now()));
+        let at = self.sim.now();
+        let stats = crew.um.stats();
+        let outcome: Result<SimTime, (String, RunError)> = match crew.finished.get() {
+            Some(t) => Ok(t),
             // Simulated middleware crash: stop dead. Whatever the journal
             // holds now is exactly what a crashed writer would have
             // persisted.
-            if interrupt_at.is_some_and(|t| at >= t) {
-                let stats = crew.um.stats();
-                break Err(("interrupted".into(), RunError::Interrupted { at, stats }));
+            None if interrupt_at.is_some_and(|t| at >= t) => {
+                Err(("interrupted".into(), RunError::Interrupted { at, stats }))
             }
-            if at > deadline {
+            None if at > deadline => {
                 let err = RunError::DeadlineExceeded {
                     n_tasks: self.n_tasks,
                     strategy_label: self.strategy.label(),
                     at,
-                    stats: crew.um.stats(),
+                    stats,
                 };
-                break Err(("deadline-exceeded".into(), err));
+                Err(("deadline-exceeded".into(), err))
             }
-            if !self.sim.step() {
-                let stats = crew.um.stats();
-                break Err(match ledger.borrow().lost.first() {
-                    Some(resource) => (
-                        format!("resource-lost-{resource}"),
-                        RunError::ResourceLost {
-                            resource: resource.clone(),
-                            stats,
-                        },
-                    ),
-                    None => ("pilots-drained".into(), RunError::PilotsDrained { stats }),
-                });
-            }
+            None if run == RunOutcome::BudgetExhausted => Err((
+                "event-budget-exhausted".into(),
+                RunError::EventBudgetExhausted { at, stats },
+            )),
+            None => Err(match ledger.borrow().lost.first() {
+                Some(resource) => (
+                    format!("resource-lost-{resource}"),
+                    RunError::ResourceLost {
+                        resource: resource.clone(),
+                        stats,
+                    },
+                ),
+                None => ("pilots-drained".into(), RunError::PilotsDrained { stats }),
+            }),
         };
         self.sim.publish_engine_stats();
         outcome.map_err(|(reason, err)| {
@@ -1878,5 +1892,30 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("qualify"), "{err}");
+    }
+
+    #[test]
+    fn drive_reports_a_spent_event_budget_as_such() {
+        let app = paper_bag(16, TaskDurationSpec::Gaussian);
+        let strategy = ExecutionStrategy::paper_late(2);
+        let opts = RunOptions {
+            seed: 7,
+            submit_at: SimTime::from_secs(50.0),
+            ..Default::default()
+        };
+        let mut world = RunWorld::build(&idle_pool(), &app, &strategy, &opts).unwrap();
+        let plan = world.plan().unwrap();
+        let crew = world.enact(&plan).unwrap();
+        let ledger = world.arm_recovery(&crew);
+        // A few events past submission: the pilots are not even active.
+        let budget = world.sim.events_processed() + 3;
+        world.sim.set_event_budget(budget);
+        let err = world.drive(&crew, &ledger).unwrap_err();
+        assert!(
+            matches!(err, RunError::EventBudgetExhausted { .. }),
+            "{err}"
+        );
+        assert_eq!(err.kind(), "event_budget_exhausted");
+        assert_eq!(world.sim.events_processed(), budget);
     }
 }

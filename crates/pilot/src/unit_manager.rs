@@ -12,7 +12,7 @@ use crate::pilot::{PilotId, PilotState};
 use crate::pilot_manager::{dwell_metric, PilotManager};
 use crate::scheduler::{assign, Binding, PilotView, UnitScheduler, UnitView};
 use crate::unit::{ComputeUnit, UnitId, UnitState, UnitWork};
-use aimes_sim::{EventId, Fact, Observers, SimDuration, SimTime, Simulation, TraceLine};
+use aimes_sim::{EventId, Fact, HandlerId, Observers, SimDuration, SimTime, Simulation, TraceLine};
 use aimes_skeleton::TaskSpec;
 use std::cell::{Ref, RefCell};
 use std::collections::{BTreeMap, VecDeque};
@@ -231,6 +231,18 @@ impl UnitManagerStats {
 /// Callback fired once when every unit reaches a terminal state.
 type CompletionCallback = Box<dyn FnOnce(&mut Simulation)>;
 
+/// The engine handlers of the manager's per-unit events, registered on
+/// its simulation the first time it schedules one (see
+/// [`UnitManager::hooks`]). Each is called with a unit id; the schedule
+/// pass ignores it.
+#[derive(Clone, Copy)]
+struct Hooks {
+    staged: HandlerId,
+    executed: HandlerId,
+    done: HandlerId,
+    schedule: HandlerId,
+}
+
 struct UmState {
     config: UmConfig,
     units: Vec<ComputeUnit>,
@@ -258,6 +270,8 @@ struct UmState {
     on_all_done: Vec<CompletionCallback>,
     schedule_pending: bool,
     completion_fired: bool,
+    /// Set on first contact with the simulation; a manager serves one.
+    hooks: Option<Hooks>,
 }
 
 /// Reverse dependency edges in one flat table: the dependents of unit `u`
@@ -345,6 +359,7 @@ impl UnitManager {
                 on_all_done: Vec::new(),
                 schedule_pending: false,
                 completion_fired: false,
+                hooks: None,
             })),
             obs: Rc::default(),
             pm: pm.clone(),
@@ -658,6 +673,31 @@ impl UnitManager {
         }
     }
 
+    /// The handlers of the manager's hot events on `sim`, registered the
+    /// first time it asks. Those events are one or more per unit, so they
+    /// go through [`Simulation::call_at`] with the unit id and allocate
+    /// nothing; the rare ones (faults, backoff re-queues) stay closures.
+    fn hooks(&self, sim: &mut Simulation) -> Hooks {
+        if let Some(hooks) = self.inner.borrow().hooks {
+            return hooks;
+        }
+        let mut on = |handle: fn(&UnitManager, &mut Simulation, UnitId)| {
+            let this = self.clone();
+            sim.register_handler(move |sim, uid| handle(&this, sim, UnitId(uid)))
+        };
+        let hooks = Hooks {
+            staged: on(Self::on_input_staged),
+            executed: on(Self::on_executed),
+            done: on(Self::on_done),
+            schedule: on(|this, sim, _| {
+                this.inner.borrow_mut().schedule_pending = false;
+                this.do_schedule(sim);
+            }),
+        };
+        self.inner.borrow_mut().hooks = Some(hooks);
+        hooks
+    }
+
     /// Request a (coalesced) scheduling pass.
     fn request_schedule(&self, sim: &mut Simulation) {
         {
@@ -667,11 +707,8 @@ impl UnitManager {
             }
             st.schedule_pending = true;
         }
-        let this = self.clone();
-        sim.schedule_now(move |sim| {
-            this.inner.borrow_mut().schedule_pending = false;
-            this.do_schedule(sim);
-        });
+        let pass = self.hooks(sim).schedule;
+        sim.call_at(sim.now(), pass, 0);
     }
 
     fn do_schedule(&self, sim: &mut Simulation) {
@@ -750,8 +787,8 @@ impl UnitManager {
         };
         let placed = UnitDetail::Placed(pid, &resource);
         self.transition(sim, uid, UnitState::StagingInput, placed);
-        let this = self.clone();
-        let ev = sim.schedule_at(staging_end, move |sim| this.on_input_staged(sim, uid));
+        let staged = self.hooks(sim).staged;
+        let ev = sim.call_at(staging_end, staged, uid.0);
         self.inner.borrow_mut().inflight[uid.0 as usize] = Some(ev);
     }
 
@@ -794,12 +831,15 @@ impl UnitManager {
         }
         let detail = resumed_from.map_or(UnitDetail::Plain, UnitDetail::Resumed);
         self.transition(sim, uid, UnitState::Executing, detail);
-        let this = self.clone();
         let ev = match fault {
             Some((at, permanent)) => {
+                let this = self.clone();
                 sim.schedule_in(at, move |sim| this.on_unit_fault(sim, uid, permanent))
             }
-            None => sim.schedule_in(duration, move |sim| this.on_executed(sim, uid)),
+            None => {
+                let executed = self.hooks(sim).executed;
+                sim.call_at(sim.now() + duration, executed, uid.0)
+            }
         };
         self.inner.borrow_mut().inflight[uid.0 as usize] = Some(ev);
     }
@@ -853,8 +893,8 @@ impl UnitManager {
             out_end
         };
         self.transition(sim, uid, UnitState::StagingOutput, UnitDetail::Plain);
-        let this = self.clone();
-        sim.schedule_at(out_end, move |sim| this.on_done(sim, uid));
+        let done = self.hooks(sim).done;
+        sim.call_at(out_end, done, uid.0);
         self.request_schedule(sim);
     }
 

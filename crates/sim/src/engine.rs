@@ -1,11 +1,17 @@
 //! The simulation engine: virtual clock + event loop.
 //!
-//! Components register callbacks; the engine pops the earliest event,
+//! Components schedule callbacks; the engine pops the earliest event,
 //! advances the clock to its time, and invokes the callback with mutable
 //! access to the engine (so it can schedule follow-up events, fork RNG
 //! streams, and record trace events). Components themselves live in
 //! `Rc<RefCell<_>>` cells captured by the callbacks — the engine is
 //! strictly single-threaded by design (see crate docs).
+//!
+//! An event carries one of two payloads. The general one is a boxed
+//! one-shot closure ([`Simulation::schedule_at`]). A component whose
+//! events are hot registers a handler once
+//! ([`Simulation::register_handler`]) and then schedules calls to it with
+//! a 32-bit argument ([`Simulation::call_at`]), which allocates nothing.
 
 use crate::event::{EventId, EventQueue, ScheduledEvent};
 use crate::profile::{EngineStats, ProfileLabel, Profiler};
@@ -13,9 +19,31 @@ use crate::rng::SimRng;
 use crate::telemetry::MetricsRegistry;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Fact, Tracer};
+use std::rc::Rc;
 
 /// Callback invoked when an event fires.
 pub type Callback = Box<dyn FnOnce(&mut Simulation)>;
+
+/// A handler registered with [`Simulation::register_handler`], called
+/// with the argument its event was scheduled with.
+type Handler = Rc<dyn Fn(&mut Simulation, u32)>;
+
+/// Handle to a handler registered with one [`Simulation`]; meaningless
+/// to any other.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct HandlerId(u32);
+
+/// What an event does when it fires.
+enum Payload {
+    /// A one-shot closure: the general case.
+    Boxed(Callback),
+    /// A registered handler and its argument: no allocation.
+    Call(HandlerId, u32),
+}
+
+// `Call` fits in the `Box`'s non-null niche, so a queue entry stays at
+// five words: time, id, sequence number and a two-word payload.
+const _: () = assert!(std::mem::size_of::<ScheduledEvent<Payload>>() <= 40);
 
 /// Outcome of running the event loop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -26,6 +54,8 @@ pub enum RunOutcome {
     HorizonReached,
     /// The safety event budget was exhausted (likely a scheduling loop).
     BudgetExhausted,
+    /// The [`Simulation::run_while`] predicate asked to stop.
+    Stopped,
 }
 
 /// Deterministic discrete-event simulation.
@@ -47,7 +77,8 @@ pub enum RunOutcome {
 /// ```
 pub struct Simulation {
     now: SimTime,
-    queue: EventQueue<Callback>,
+    queue: EventQueue<Payload>,
+    handlers: Vec<Handler>,
     rng: SimRng,
     tracer: Tracer,
     metrics: MetricsRegistry,
@@ -75,6 +106,7 @@ impl Simulation {
         Simulation {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
+            handlers: Vec::new(),
             rng: SimRng::new(seed),
             tracer,
             metrics: MetricsRegistry::disabled(),
@@ -198,7 +230,9 @@ impl Simulation {
     }
 
     /// Limit the total number of events this simulation may process
-    /// (safety valve for tests).
+    /// (safety valve for tests). Every driver stops at it: the run loops
+    /// return [`RunOutcome::BudgetExhausted`] and [`Simulation::step`]
+    /// returns false.
     pub fn set_event_budget(&mut self, budget: u64) {
         self.event_budget = budget;
     }
@@ -221,7 +255,38 @@ impl Simulation {
             self.now,
             at
         );
-        self.queue.schedule(at, Box::new(callback))
+        self.queue.schedule(at, Payload::Boxed(Box::new(callback)))
+    }
+
+    /// Register `handler` for [`Simulation::call_at`]. Register once per
+    /// kind of event, where the component first meets this simulation,
+    /// and keep the id: it names the handler on this simulation only.
+    /// Worth it for a component that schedules one event per task or
+    /// job; a rare event is simpler as a closure.
+    pub fn register_handler(
+        &mut self,
+        handler: impl Fn(&mut Simulation, u32) + 'static,
+    ) -> HandlerId {
+        let id = u32::try_from(self.handlers.len()).expect("fewer than 2^32 handlers");
+        self.handlers.push(Rc::new(handler));
+        HandlerId(id)
+    }
+
+    /// Schedule a call of `handler` with `arg` at absolute time `at`:
+    /// [`Simulation::schedule_at`] without a boxed closure. Events of
+    /// both kinds share one queue and fire in schedule order at a tie.
+    pub fn call_at(&mut self, at: SimTime, handler: HandlerId, arg: u32) -> EventId {
+        assert!(
+            at >= self.now,
+            "cannot schedule event in the past: now={:?}, at={:?}",
+            self.now,
+            at
+        );
+        debug_assert!(
+            (handler.0 as usize) < self.handlers.len(),
+            "unregistered handler"
+        );
+        self.queue.schedule(at, Payload::Call(handler, arg))
     }
 
     /// Schedule `callback` to fire `delay` from now.
@@ -266,12 +331,15 @@ impl Simulation {
     }
 
     /// Process a single event, if any. Returns false when the queue is
-    /// drained.
+    /// drained or the event budget is spent.
     ///
-    /// External single-step drivers (the middleware's interruptible run
-    /// loop) pay one instrumentation branch per event here; the batch run
-    /// loops below hoist that branch out via monomorphization.
+    /// Single-step drivers pay one instrumentation branch per event here;
+    /// the batch run loops below hoist that branch out via
+    /// monomorphization.
     pub fn step(&mut self) -> bool {
+        if self.events_processed >= self.event_budget {
+            return false;
+        }
         match self.queue.pop() {
             Some(ev) => {
                 if self.profiled {
@@ -294,7 +362,19 @@ impl Simulation {
     const PROFILE_STRIDE: u64 = 8;
 
     #[inline(always)]
-    fn dispatch<const PROFILED: bool>(&mut self, ev: ScheduledEvent<Callback>) {
+    fn fire(&mut self, payload: Payload) {
+        match payload {
+            Payload::Boxed(callback) => callback(self),
+            Payload::Call(handler, arg) => {
+                // A handler may register more handlers while it runs.
+                let handler = Rc::clone(&self.handlers[handler.0 as usize]);
+                handler(self, arg);
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn dispatch<const PROFILED: bool>(&mut self, ev: ScheduledEvent<Payload>) {
         debug_assert!(ev.time >= self.now, "event queue yielded past event");
         self.now = ev.time;
         self.events_processed += 1;
@@ -302,9 +382,9 @@ impl Simulation {
             // The guard holds its own handle to the profiler state, so the
             // borrow of `self` ends before the callback takes `&mut self`.
             let _scope = self.profiler.enter(self.dispatch_label);
-            (ev.payload)(self);
+            self.fire(ev.payload);
         } else {
-            (ev.payload)(self);
+            self.fire(ev.payload);
         }
     }
 
@@ -314,11 +394,11 @@ impl Simulation {
     /// 1/STRIDE of a clock read — a small fraction of the per-event cost
     /// of the guard-based path `step()` takes.
     #[inline(always)]
-    fn dispatch_marked(&mut self, ev: ScheduledEvent<Callback>, mark: &mut u64, pending: &mut u64) {
+    fn dispatch_marked(&mut self, ev: ScheduledEvent<Payload>, mark: &mut u64, pending: &mut u64) {
         debug_assert!(ev.time >= self.now, "event queue yielded past event");
         self.now = ev.time;
         self.events_processed += 1;
-        (ev.payload)(self);
+        self.fire(ev.payload);
         *pending += 1;
         if *pending == Self::PROFILE_STRIDE {
             self.profiler.finish_root_n(mark, Self::PROFILE_STRIDE);
@@ -334,13 +414,30 @@ impl Simulation {
     /// code in the dispatch path at all) and an instrumented one.
     pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
         if self.profiled {
-            self.run_until_impl::<true>(horizon)
+            self.run_impl::<true>(horizon, |_| true)
         } else {
-            self.run_until_impl::<false>(horizon)
+            self.run_impl::<false>(horizon, |_| true)
         }
     }
 
-    fn run_until_impl<const PROFILED: bool>(&mut self, horizon: SimTime) -> RunOutcome {
+    /// Run while `pred` holds. It is checked before each event, and once
+    /// more after the last, and sees the clock of the last event that
+    /// fired. Returns [`RunOutcome::Stopped`] when it fails, unless the
+    /// queue drains or the budget runs out first.
+    pub fn run_while(&mut self, pred: impl FnMut(&Simulation) -> bool) -> RunOutcome {
+        let horizon = SimTime::from_secs(f64::INFINITY);
+        if self.profiled {
+            self.run_impl::<true>(horizon, pred)
+        } else {
+            self.run_impl::<false>(horizon, pred)
+        }
+    }
+
+    fn run_impl<const PROFILED: bool>(
+        &mut self,
+        horizon: SimTime,
+        mut pred: impl FnMut(&Simulation) -> bool,
+    ) -> RunOutcome {
         let mut mark = 0;
         let mut pending = 0;
         if PROFILED {
@@ -348,6 +445,9 @@ impl Simulation {
             self.profiler.open_root(self.dispatch_label);
         }
         let outcome = loop {
+            if !pred(self) {
+                break RunOutcome::Stopped;
+            }
             if self.events_processed >= self.event_budget {
                 break RunOutcome::BudgetExhausted;
             }
@@ -515,6 +615,100 @@ mod tests {
     }
 
     #[test]
+    fn step_stops_at_the_event_budget() {
+        let mut sim = Simulation::new(1);
+        fn reschedule(s: &mut Simulation) {
+            s.schedule_in(SimDuration::from_secs(1.0), reschedule);
+        }
+        sim.schedule_now(reschedule);
+        sim.set_event_budget(5);
+        let mut steps = 0;
+        while sim.step() {
+            steps += 1;
+        }
+        assert_eq!(steps, 5);
+        assert_eq!(sim.events_processed(), 5);
+        assert_eq!(sim.pending_events(), 1, "the next event is left pending");
+    }
+
+    #[test]
+    fn boxed_and_typed_events_at_one_instant_fire_in_schedule_order() {
+        let mut sim = Simulation::new(1);
+        let order = Rc::new(RefCell::new(vec![]));
+        let o = order.clone();
+        let typed = sim.register_handler(move |_, arg| o.borrow_mut().push(arg));
+        for i in 0..6u32 {
+            if i % 2 == 0 {
+                sim.call_at(t(1.0), typed, i);
+            } else {
+                let o = order.clone();
+                sim.schedule_at(t(1.0), move |_| o.borrow_mut().push(i));
+            }
+        }
+        assert_eq!(sim.run_to_completion(), RunOutcome::Drained);
+        assert_eq!(*order.borrow(), (0..6).collect::<Vec<_>>());
+        assert_eq!(sim.engine_stats().events_processed, 6);
+    }
+
+    #[test]
+    fn a_cancelled_typed_event_never_fires() {
+        let mut sim = Simulation::new(1);
+        let hits = Rc::new(RefCell::new(vec![]));
+        let h = hits.clone();
+        let typed = sim.register_handler(move |s, arg| h.borrow_mut().push((s.now(), arg)));
+        let doomed = sim.call_at(t(1.0), typed, 7);
+        sim.call_at(t(2.0), typed, 8);
+        assert!(sim.cancel(doomed));
+        assert!(!sim.cancel(doomed), "a cancelled call is no longer pending");
+        sim.run_to_completion();
+        assert_eq!(*hits.borrow(), vec![(t(2.0), 8)]);
+        assert_eq!(sim.engine_stats().events_cancelled, 1);
+    }
+
+    #[test]
+    fn handlers_can_schedule_calls_and_register_handlers() {
+        let mut sim = Simulation::new(1);
+        let seen = Rc::new(RefCell::new(vec![]));
+        let s2 = seen.clone();
+        let countdown = sim.register_handler(move |s, arg| {
+            s2.borrow_mut().push(arg);
+            if arg > 0 {
+                let me = HandlerId(0);
+                s.call_at(s.now() + d(1.0), me, arg - 1);
+            } else {
+                s.register_handler(|_, _| {});
+            }
+        });
+        assert_eq!(countdown, HandlerId(0));
+        sim.call_at(t(0.0), countdown, 3);
+        sim.run_to_completion();
+        assert_eq!(*seen.borrow(), vec![3, 2, 1, 0]);
+        assert_eq!(sim.now(), t(3.0));
+    }
+
+    #[test]
+    fn run_while_stops_where_its_predicate_fails() {
+        let mut sim = Simulation::new(1);
+        for at in [1.0, 2.0, 3.0, 4.0] {
+            sim.schedule_at(t(at), |_| {});
+        }
+        let mut seen = vec![];
+        let outcome = sim.run_while(|s| {
+            seen.push(s.now().as_secs());
+            s.now() < t(2.0)
+        });
+        assert_eq!(outcome, RunOutcome::Stopped);
+        // Checked before each event with the clock of the last one fired.
+        assert_eq!(seen, vec![0.0, 1.0, 2.0]);
+        assert_eq!(sim.events_processed(), 2);
+        assert_eq!(sim.run_while(|_| true), RunOutcome::Drained);
+        assert_eq!(sim.events_processed(), 4);
+        sim.schedule_in(d(1.0), |_| {});
+        sim.set_event_budget(4);
+        assert_eq!(sim.run_while(|_| true), RunOutcome::BudgetExhausted);
+    }
+
+    #[test]
     fn same_time_events_fire_in_schedule_order() {
         let mut sim = Simulation::new(1);
         let order = Rc::new(RefCell::new(vec![]));
@@ -544,8 +738,9 @@ mod tests {
         for at in [1.0, 2.0, 3.0] {
             sim.schedule_at(t(at), |_| {});
         }
-        // Mix batch and single-step drivers: both must attribute dispatches.
-        sim.run_until(t(2.0));
+        // Mix batch and single-step drivers: all must attribute dispatches.
+        sim.run_until(t(1.0));
+        sim.run_while(|s| s.now() < t(2.0));
         while sim.step() {}
         sim.publish_engine_stats();
         let report = sim.profiler().report();

@@ -34,7 +34,7 @@ pub mod telemetry;
 pub mod time;
 pub mod trace;
 
-pub use engine::Simulation;
+pub use engine::{HandlerId, RunOutcome, Simulation};
 pub use event::{EventId, EventQueue, ScheduledEvent};
 pub use observers::Observers;
 pub use profile::{EngineStats, LabelProfile, ProfileGuard, ProfileLabel, ProfileReport, Profiler};
