@@ -84,7 +84,7 @@ pub struct Simulation {
     metrics: MetricsRegistry,
     profiler: Profiler,
     /// Cached `profiler.is_enabled()`: the run loops branch on this once
-    /// per run and the single-step path once per event.
+    /// per run.
     profiled: bool,
     /// Pre-interned dispatch label so the hot loop skips the name lookup.
     dispatch_label: ProfileLabel,
@@ -331,26 +331,13 @@ impl Simulation {
     }
 
     /// Process a single event, if any. Returns false when the queue is
-    /// drained or the event budget is spent.
-    ///
-    /// Single-step drivers pay one instrumentation branch per event here;
-    /// the batch run loops below hoist that branch out via
-    /// monomorphization.
+    /// drained or the event budget is spent. One pass of
+    /// [`Simulation::run_while`], so it shares that loop's dispatch and
+    /// budget check.
     pub fn step(&mut self) -> bool {
-        if self.events_processed >= self.event_budget {
-            return false;
-        }
-        match self.queue.pop() {
-            Some(ev) => {
-                if self.profiled {
-                    self.dispatch::<true>(ev);
-                } else {
-                    self.dispatch::<false>(ev);
-                }
-                true
-            }
-            None => false,
-        }
+        let before = self.events_processed;
+        self.run_while(|s| s.events_processed == before);
+        self.events_processed > before
     }
 
     /// How many dispatched events share one clock read in the profiled
@@ -374,25 +361,18 @@ impl Simulation {
     }
 
     #[inline(always)]
-    fn dispatch<const PROFILED: bool>(&mut self, ev: ScheduledEvent<Payload>) {
+    fn dispatch(&mut self, ev: ScheduledEvent<Payload>) {
         debug_assert!(ev.time >= self.now, "event queue yielded past event");
         self.now = ev.time;
         self.events_processed += 1;
-        if PROFILED {
-            // The guard holds its own handle to the profiler state, so the
-            // borrow of `self` ends before the callback takes `&mut self`.
-            let _scope = self.profiler.enter(self.dispatch_label);
-            self.fire(ev.payload);
-        } else {
-            self.fire(ev.payload);
-        }
+        self.fire(ev.payload);
     }
 
     /// The batch-loop profiled dispatch: the dispatch frame opened once
     /// by the run loop is settled in place every `PROFILE_STRIDE` events,
     /// so the steady-state per-event cost is a counter increment plus
     /// 1/STRIDE of a clock read — a small fraction of the per-event cost
-    /// of the guard-based path `step()` takes.
+    /// of a scope guard per event.
     #[inline(always)]
     fn dispatch_marked(&mut self, ev: ScheduledEvent<Payload>, mark: &mut u64, pending: &mut u64) {
         debug_assert!(ev.time >= self.now, "event queue yielded past event");
@@ -459,7 +439,7 @@ impl Simulation {
                     if PROFILED {
                         self.dispatch_marked(ev, &mut mark, &mut pending);
                     } else {
-                        self.dispatch::<false>(ev);
+                        self.dispatch(ev);
                     }
                 }
             }
