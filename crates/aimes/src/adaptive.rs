@@ -81,7 +81,7 @@ pub fn run_adaptive(
     let mut world = RunWorld::build(resources, app_config, &config.base, options)?;
     let plan = world.plan()?;
     let crew = world.enact(&plan)?;
-    let ledger = world.arm_recovery(&crew);
+    world.arm_recovery();
 
     // The adaptation loop: periodic patience checks.
     let reinforcer = Rc::new(Reinforcer {
@@ -95,8 +95,8 @@ pub fn run_adaptive(
     });
     schedule_patience_check(&mut world.sim, reinforcer.clone());
 
-    let finished_at = world.drive(&crew, &ledger)?;
-    let run = world.assemble(&crew, &ledger, plan.resources, finished_at);
+    let finished_at = world.drive()?;
+    let run = world.assemble(plan.resources, finished_at);
     Ok(AdaptiveRunResult {
         breakdown: run.breakdown,
         initial_resources: run.resources_used,

@@ -10,14 +10,14 @@
 use crate::journal::{JournalEvent, RunJournal, Verdict};
 use crate::recorder::{FlightRecorder, DEFAULT_RECORDER_CAPACITY};
 use crate::ttc::{decompose, interval_union, salvage_split, TtcBreakdown};
-use aimes_bundle::{Bundle, InfoChannel, InfoConfig, InfoDisposition};
+use aimes_bundle::{Bundle, InfoChannel, InfoConfig, InfoDecision, InfoDisposition};
 use aimes_cluster::{warm_up, Cluster, ClusterConfig};
 use aimes_fault::{
-    DetectionSpec, FaultSchedule, FaultSpec, InfoOutcome, OutageKind, RecoveryPolicy,
+    DetectionSpec, DomainSpec, FaultSchedule, FaultSpec, InfoOutcome, OutageKind, RecoveryPolicy,
 };
 use aimes_pilot::{
     ComputeUnit, DetectionMode, DetectionPolicy, DetectorEvent, Pilot, PilotId, PilotManager,
-    PilotRecovery, PilotState, SalvageEvent, UnitManager, UnitManagerStats, UnitState,
+    PilotRecovery, PilotState, SalvageEvent, UnitId, UnitManager, UnitManagerStats, UnitState,
 };
 use aimes_saga::{BreakerConfig, JobService, Session};
 use aimes_sim::{
@@ -27,8 +27,8 @@ use aimes_sim::{
 use aimes_skeleton::{SkeletonApp, SkeletonConfig};
 use aimes_strategy::{ExecutionManager, ExecutionPlan, ExecutionStrategy, ResourceSelection};
 use serde::{Deserialize, Serialize};
-use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::cell::{Cell, OnceCell, RefCell};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::PathBuf;
 use std::rc::Rc;
 
@@ -401,10 +401,10 @@ pub fn run_application(
 ) -> Result<RunResult, RunError> {
     let mut world = RunWorld::build(resources, app_config, strategy, options)?;
     let plan = world.plan()?;
-    let crew = world.enact(&plan)?;
-    let ledger = world.arm_recovery(&crew);
-    let finished_at = world.drive(&crew, &ledger)?;
-    Ok(world.assemble(&crew, &ledger, plan.resources, finished_at))
+    world.enact(&plan)?;
+    world.arm_recovery();
+    let finished_at = world.drive()?;
+    Ok(world.assemble(plan.resources, finished_at))
 }
 
 /// What the middleware itself decides. A re-plan, domain alarm or
@@ -559,6 +559,11 @@ fn validate(options: &RunOptions) -> Result<RunLog, RunError> {
     })
 }
 
+/// The detection layer, when the recovery policy configures one.
+fn detection(options: &RunOptions) -> Option<&DetectionSpec> {
+    options.recovery.as_ref()?.detection.as_ref()
+}
+
 /// Each cluster's SAGA job service, in pool order.
 fn services<'s>(
     clusters: &'s [Cluster],
@@ -567,17 +572,16 @@ fn services<'s>(
     clusters.iter().filter_map(|c| session.service(&c.name()))
 }
 
-/// The managers a plan is enacted through, and when they finished.
+/// The managers a plan is enacted through.
 #[derive(Clone)]
 pub(crate) struct Crew {
     pub(crate) pm: PilotManager,
     pub(crate) um: UnitManager,
-    finished: Rc<Cell<Option<SimTime>>>,
 }
 
 /// What the recovery machinery did, read back when the run ends.
 #[derive(Default)]
-pub(crate) struct Ledger {
+struct Ledger {
     /// Resources permanently lost, in loss order (error classification).
     lost: Vec<String>,
     replans: u64,
@@ -587,12 +591,336 @@ pub(crate) struct Ledger {
     evacuation_lead_secs: Option<f64>,
 }
 
-type SharedLedger = Rc<RefCell<Ledger>>;
-/// Re-derive the strategy after losing `resource`, rebuilding capacity
-/// for `doomed` pilots.
-type Replan = Rc<dyn Fn(&mut Simulation, &str, usize)>;
-/// Resources already re-planned around (one re-plan per resource).
-type Replanned = Rc<RefCell<HashSet<String>>>;
+/// Proactive evacuation: enough failure signals inside one declared
+/// failure domain within the alarm window predict a cascade. The alarmed
+/// domain's surviving pilots are drained and their capacity rebuilt on
+/// unaffected domains, instead of waiting for each pilot to be
+/// individually declared dead.
+struct Evacuation {
+    /// Detector verdicts, not pilot deaths, are the failure signals.
+    detection: bool,
+    domains: Vec<DomainSpec>,
+    window: SimDuration,
+    threshold: usize,
+    /// Per-domain failure-signal times inside the alarm window.
+    signals: RefCell<HashMap<String, Vec<SimTime>>>,
+    /// Domains already alarmed (one alarm per domain is enough).
+    alarmed: RefCell<HashSet<String>>,
+    /// Pilots drained by an alarm, awaiting their Canceled transition
+    /// (the drain goes through SAGA, so it lands later).
+    draining: RefCell<HashMap<PilotId, (String, String)>>,
+}
+
+impl Evacuation {
+    /// Present only when the fault model declares domains AND the
+    /// recovery policy opts in.
+    fn new(options: &RunOptions) -> Option<Self> {
+        let spec = options.recovery.as_ref()?.evacuation?;
+        Some(Evacuation {
+            detection: detection(options).is_some(),
+            domains: options.faults.as_ref()?.cascade.as_ref()?.domains.clone(),
+            window: SimDuration::from_secs(spec.alarm_window_secs),
+            threshold: spec.alarm_threshold as usize,
+            signals: RefCell::default(),
+            alarmed: RefCell::default(),
+            draining: RefCell::default(),
+        })
+    }
+
+    /// Count one failure signal from `domain` at `now`; true when it
+    /// raises the domain's alarm.
+    fn alarm(&self, domain: &str, now: SimTime) -> bool {
+        if self.alarmed.borrow().contains(domain) {
+            return false;
+        }
+        let mut signals = self.signals.borrow_mut();
+        let times = signals.entry(domain.to_string()).or_default();
+        times.push(now);
+        times.retain(|&t| now.since(t) <= self.window);
+        times.len() >= self.threshold && self.alarmed.borrow_mut().insert(domain.to_string())
+    }
+}
+
+/// The listener's recovery half: what a re-plan re-derives the strategy
+/// from, and the evacuation state.
+struct Recovery {
+    /// The recovery policy re-plans on resource loss.
+    replan: bool,
+    bundle: Rc<RefCell<Bundle>>,
+    rng: RefCell<SimRng>,
+    app: Rc<SkeletonApp>,
+    strategy: ExecutionStrategy,
+    /// The whole pool, in order; a re-plan keeps what is not blacklisted.
+    names: Vec<String>,
+    evacuation: Option<Evacuation>,
+}
+
+/// The middleware's one listener: each component signal reaches it
+/// through one subscription, and each `on_*` method journals the fact,
+/// then reacts. The recovery half stays inert until
+/// [`RunWorld::arm_recovery`] arms it.
+struct Listener {
+    log: RunLog,
+    /// The managers, once `enact` has built them.
+    crew: OnceCell<Crew>,
+    /// When the last unit reached a terminal state.
+    finished: Cell<Option<SimTime>>,
+    ledger: RefCell<Ledger>,
+    /// Resources already re-planned around. A tripped breaker, a
+    /// blacklist and a domain alarm can condemn the same resource; one
+    /// re-plan per resource is enough.
+    replanned: RefCell<HashSet<String>>,
+    recovery: OnceCell<Recovery>,
+}
+
+impl Listener {
+    fn crew(&self) -> &Crew {
+        self.crew.get().expect("the plan is enacted")
+    }
+
+    fn on_pilot(&self, sim: &mut Simulation, &(pilot, state): &(PilotId, PilotState)) {
+        let pm = &self.crew().pm;
+        {
+            let desc = &pm.pilot_ref(pilot).description;
+            let entry = JournalEvent::PilotTransition {
+                pilot: pilot.0,
+                state,
+                resource: desc.resource.clone(),
+                cores: desc.cores,
+            };
+            self.log.emit(sim.now(), entry);
+        }
+        let Some(evac) = self.recovery.get().and_then(|r| r.evacuation.as_ref()) else {
+            return;
+        };
+        match state {
+            // Without detection, pilot deaths are the alarm's failure
+            // signals (the oracle path). Never both: a DeclaredDead pilot
+            // also transitions to Failed, and one death is one signal.
+            PilotState::Failed if !evac.detection => {
+                let resource = pm.pilot_ref(pilot).description.resource.clone();
+                self.on_signal(sim, evac, &resource);
+            }
+            PilotState::Canceled => self.on_drained(sim, evac, pilot),
+            _ => {}
+        }
+    }
+
+    fn on_unit(&self, sim: &mut Simulation, &(unit, state): &(UnitId, UnitState)) {
+        let u = self.crew().um.unit_ref(unit);
+        self.log.emit(
+            sim.now(),
+            JournalEvent::UnitTransition {
+                unit: unit.0,
+                state,
+                pilot: u.pilot.map(|p| p.0),
+                cores: u.work.cores,
+            },
+        );
+    }
+
+    fn on_salvage(&self, sim: &mut Simulation, &(unit, ev): &(UnitId, SalvageEvent)) {
+        let event = match ev {
+            SalvageEvent::Checkpoint { progress_secs } => JournalEvent::Checkpoint {
+                unit: unit.0,
+                progress_secs,
+            },
+            SalvageEvent::Resume { salvaged_secs } => JournalEvent::ResumeFromCheckpoint {
+                unit: unit.0,
+                salvaged_secs,
+            },
+        };
+        self.log.emit(sim.now(), event);
+    }
+
+    fn on_all_done(&self, sim: &mut Simulation) {
+        self.finished.set(Some(sim.now()));
+        self.crew().pm.cancel_all(sim);
+    }
+
+    fn on_detector(&self, sim: &mut Simulation, ev: &DetectorEvent) {
+        self.log.emit(sim.now(), detector_entry(ev));
+        // A Declared-Dead verdict is a death certificate: snapshot the
+        // tail now, while the evidence is still in the ring.
+        if let DetectorEvent::DeclaredDead { resource, .. } = ev {
+            self.log.dump(&format!("declared-dead-{resource}"));
+        }
+        // With detection on, its verdicts feed the alarm.
+        if let Some(evac) = self.recovery.get().and_then(|r| r.evacuation.as_ref()) {
+            if let DetectorEvent::Suspected { resource, .. }
+            | DetectorEvent::DeclaredDead { resource, .. } = ev
+            {
+                self.on_signal(sim, evac, resource);
+            }
+        }
+    }
+
+    /// A resource blacklisted for eating launches is as gone as a
+    /// decommissioned one, but arrives through the pilot manager, not the
+    /// outage schedule — and with re-planning enabled the pilot layer
+    /// deliberately skips rerouting. Re-plan here too, or nobody recovers
+    /// and the pool drains.
+    fn on_blacklist(&self, sim: &mut Simulation, resource: &str) {
+        let name = resource.to_string();
+        self.log
+            .emit(sim.now(), JournalEvent::Blacklist { resource: name });
+        if self.recovery.get().is_some() {
+            self.condemn(sim, resource, false);
+        }
+    }
+
+    /// Breaker-driven recovery: breakers only run with detection on, where
+    /// an open breaker IS the verdict that a resource eats every request.
+    /// Stop routing to it and rebuild the lost capacity over the survivors
+    /// — no peeking at the outage schedule.
+    fn on_breaker_trip(&self, sim: &mut Simulation, resource: &str) {
+        let name = resource.to_string();
+        self.log
+            .emit(sim.now(), JournalEvent::BreakerTrip { resource: name });
+        if self.recovery.get().is_some() {
+            self.condemn(sim, resource, true);
+        }
+    }
+
+    fn on_info_fallback(&self, at: SimTime, d: &InfoDecision) {
+        self.log.emit(
+            at,
+            JournalEvent::InfoFallback {
+                resource: d.resource.clone(),
+                class: d.class.label().to_string(),
+                rung: d.rung.label().to_string(),
+                age_secs: d.age.as_secs(),
+                wait_secs: d.wait.map(|w| w.as_secs()),
+            },
+        );
+    }
+
+    /// Re-plan around a resource a signal condemned, once: any pilot
+    /// still alive there is doomed; rebuild at least one elsewhere (the
+    /// trigger pilot is already terminal).
+    fn condemn(&self, sim: &mut Simulation, resource: &str, blacklist: bool) {
+        if !self.replanned.borrow_mut().insert(resource.to_string()) {
+            return;
+        }
+        let pm = &self.crew().pm;
+        let doomed = pm.live_on(resource).len().max(1);
+        if blacklist {
+            pm.blacklist(resource);
+        }
+        self.replan(sim, resource, doomed);
+    }
+
+    /// Re-derive the strategy over the resources the pilot manager can
+    /// still route to, rebuilding capacity for `doomed` pilots after
+    /// losing `resource` — shared by every way a resource drops out. A
+    /// no-op unless the recovery policy re-plans on resource loss.
+    fn replan(&self, sim: &mut Simulation, resource: &str, doomed: usize) {
+        let Some(r) = self.recovery.get().filter(|r| r.replan && doomed > 0) else {
+            return;
+        };
+        let pm = &self.crew().pm;
+        let blacklisted = pm.blacklisted();
+        let survivors: Vec<String> = r
+            .names
+            .iter()
+            .filter(|n| !blacklisted.contains(n))
+            .cloned()
+            .collect();
+        if survivors.is_empty() {
+            let why = "no surviving resources";
+            return sim.emit(&MiddlewareFact::ReplanFailed(why));
+        }
+        let mut replan_strategy = r.strategy.clone();
+        replan_strategy.pilot_count = (doomed as u32).min(survivors.len() as u32).max(1);
+        replan_strategy.selection = ResourceSelection::Fixed(survivors.clone());
+        let _prof = sim.profiler().scope("middleware.plan");
+        let plan = ExecutionManager::default().derive_plan_with_rng(
+            sim.now(),
+            &r.app,
+            &mut r.bundle.borrow_mut(),
+            &replan_strategy,
+            &mut r.rng.borrow_mut(),
+        );
+        let plan = match plan {
+            Ok(plan) => plan,
+            Err(why) => return sim.emit(&MiddlewareFact::ReplanFailed(&why)),
+        };
+        let entry = JournalEvent::Replan {
+            resource: resource.to_string(),
+            pilots: plan.pilots.len() as u32,
+        };
+        self.log.decide(sim, entry, &survivors);
+        pm.submit(sim, plan.pilots);
+        self.ledger.borrow_mut().replans += 1;
+    }
+
+    /// One failure signal from `resource`: when it raises its domain's
+    /// alarm, blacklist every member, drain their live pilots and rebuild
+    /// the capacity elsewhere.
+    fn on_signal(&self, sim: &mut Simulation, evac: &Evacuation, resource: &str) {
+        let Some(DomainSpec { name, members }) = evac
+            .domains
+            .iter()
+            .find(|d| d.members.iter().any(|m| m == resource))
+        else {
+            return;
+        };
+        if !evac.alarm(name, sim.now()) {
+            return;
+        }
+        let mut ledger = self.ledger.borrow_mut();
+        ledger.domain_alarms += 1;
+        ledger.first_alarm.get_or_insert(sim.now());
+        drop(ledger);
+        let entry = JournalEvent::DomainAlarm {
+            domain: name.clone(),
+            members: members.clone(),
+        };
+        self.log.decide(sim, entry, &[]);
+        // A cascade verdict is a death certificate for the whole domain:
+        // snapshot now, with the alarmed domain and its members in the
+        // header.
+        self.log.dump(&format!(
+            "domain-alarm-{name} members={}",
+            members.join(",")
+        ));
+        let pm = &self.crew().pm;
+        for member in members {
+            // Mark as handled first so a breaker trip or blacklist does
+            // not re-plan the same loss again.
+            self.replanned.borrow_mut().insert(member.clone());
+            let doomed = pm.live_on(member);
+            pm.blacklist(member);
+            for &pid in &doomed {
+                let entry = (name.clone(), member.clone());
+                evac.draining.borrow_mut().insert(pid, entry);
+                pm.cancel(sim, pid);
+            }
+            self.replan(sim, member, doomed.len());
+        }
+    }
+
+    /// An evacuated pilot reaching Canceled is the evacuation taking
+    /// effect: journal it and measure the alarm → first-drain lead.
+    fn on_drained(&self, sim: &mut Simulation, evac: &Evacuation, pilot: PilotId) {
+        let Some((domain, resource)) = evac.draining.borrow_mut().remove(&pilot) else {
+            return;
+        };
+        let entry = JournalEvent::Evacuation {
+            domain,
+            resource,
+            pilot: pilot.0,
+        };
+        self.log.decide(sim, entry, &[]);
+        let mut ledger = self.ledger.borrow_mut();
+        ledger.evacuations += 1;
+        if ledger.evacuation_lead_secs.is_none() {
+            if let Some(alarm_at) = ledger.first_alarm {
+                ledger.evacuation_lead_secs = Some(sim.now().since(alarm_at).as_secs());
+            }
+        }
+    }
+}
 
 /// Everything one middleware run is made of, assembled in named phases
 /// (build, plan, enact, arm recovery, drive, assemble). [`run_application`]
@@ -605,7 +933,7 @@ pub(crate) struct RunWorld<'a> {
     options: &'a RunOptions,
     strategy: &'a ExecutionStrategy,
     pub(crate) sim: Simulation,
-    log: Rc<RunLog>,
+    listener: Rc<Listener>,
     clusters: Vec<Cluster>,
     session: Rc<Session>,
     /// Shared with the re-planner and the adaptive patience check.
@@ -620,15 +948,13 @@ pub(crate) struct RunWorld<'a> {
     app: Rc<SkeletonApp>,
     n_tasks: u32,
     submitted: SimTime,
-    /// The managers, once `enact` has built them.
-    crew: Option<Crew>,
 }
 
 /// Teardown runs after the last event, so no stream moves, and in the
 /// run's outermost frame, where no borrow is held, so it cannot panic.
 impl Drop for RunWorld<'_> {
     fn drop(&mut self) {
-        if let Some(crew) = &self.crew {
+        if let Some(crew) = self.listener.crew.get() {
             crew.pm.clear_callbacks();
             crew.um.clear_callbacks();
         }
@@ -652,7 +978,7 @@ impl<'a> RunWorld<'a> {
         strategy: &'a ExecutionStrategy,
         options: &'a RunOptions,
     ) -> Result<Self, RunError> {
-        let log = Rc::new(validate(options)?);
+        let log = validate(options)?;
         for cfg in resources {
             cfg.validate()
                 .map_err(|e| RunError::InvalidClusterConfig(format!("{}: {e}", cfg.name)))?;
@@ -717,11 +1043,19 @@ impl<'a> RunWorld<'a> {
         warm_up(&mut sim, &clusters, options.submit_at);
         let submitted = sim.now();
 
+        let listener = Rc::new(Listener {
+            log,
+            crew: OnceCell::new(),
+            finished: Cell::new(None),
+            ledger: RefCell::default(),
+            replanned: RefCell::default(),
+            recovery: OnceCell::new(),
+        });
         let world = RunWorld {
             options,
             strategy,
             sim,
-            log,
+            listener,
             clusters,
             session: Rc::new(session),
             bundle: Rc::new(RefCell::new(bundle)),
@@ -730,10 +1064,9 @@ impl<'a> RunWorld<'a> {
             n_tasks: app.tasks().len() as u32,
             app: Rc::new(app),
             submitted,
-            crew: None,
         };
         world.wire_info_plane();
-        world.log.emit(
+        world.listener.log.emit(
             submitted,
             JournalEvent::RunStarted {
                 seed: options.seed,
@@ -750,19 +1083,10 @@ impl<'a> RunWorld<'a> {
     /// info-fault model, on its own per-resource forked streams so
     /// queries neither consume nor disturb any other stream.
     fn wire_info_plane(&self) {
-        let log = self.log.clone();
-        self.info.borrow_mut().set_sink(Box::new(move |at, d| {
-            log.emit(
-                at,
-                JournalEvent::InfoFallback {
-                    resource: d.resource.clone(),
-                    class: d.class.label().to_string(),
-                    rung: d.rung.label().to_string(),
-                    age_secs: d.age.as_secs(),
-                    wait_secs: d.wait.map(|w| w.as_secs()),
-                },
-            );
-        }));
+        let listener = self.listener.clone();
+        self.info
+            .borrow_mut()
+            .set_sink(Box::new(move |at, d| listener.on_info_fallback(at, d)));
         let info_faults = self.schedule.as_ref().map(|s| &s.info);
         let Some(info_faults) = info_faults.filter(|i| !i.is_noop()).cloned() else {
             return;
@@ -784,11 +1108,6 @@ impl<'a> RunWorld<'a> {
             }));
     }
 
-    /// The detection layer, when the recovery policy configures one.
-    fn detection(&self) -> Option<&'a DetectionSpec> {
-        self.options.recovery.as_ref()?.detection.as_ref()
-    }
-
     /// Phase 3 — steps 1–4 of Figure 1: derive the plan at submission
     /// time.
     pub(crate) fn plan(&mut self) -> Result<ExecutionPlan, RunError> {
@@ -806,7 +1125,7 @@ impl<'a> RunWorld<'a> {
     }
 
     /// Phase 4 — steps 5–6: thread fault chances and recovery knobs into
-    /// the managers, wire the log, submit.
+    /// the managers, subscribe the listener, submit.
     pub(crate) fn enact(&mut self, plan: &ExecutionPlan) -> Result<Crew, RunError> {
         let recovery = self.options.recovery.as_ref();
         let mut um_config = plan.um_config.clone();
@@ -837,7 +1156,7 @@ impl<'a> RunWorld<'a> {
         // suspects and declares, and each resource's SAGA service trips a
         // circuit breaker on repeated transient failures. Injection ground
         // truth stops feeding recovery.
-        if let Some(det) = self.detection() {
+        if let Some(det) = detection(self.options) {
             let mode = match det.phi {
                 Some(phi) => DetectionMode::PhiAccrual {
                     suspect_phi: phi.suspect_phi,
@@ -861,364 +1180,59 @@ impl<'a> RunWorld<'a> {
             }
         }
         let um = UnitManager::new(pm.clone(), um_config);
-        let finished = Rc::new(Cell::new(None));
-        let (pm2, fin) = (pm.clone(), finished.clone());
-        um.on_all_done(move |sim| {
-            fin.set(Some(sim.now()));
-            pm2.cancel_all(sim);
-        });
-        let crew = Crew { pm, um, finished };
-        self.crew = Some(crew.clone());
-        self.wire_log(&crew);
-        crew.pm.submit(&mut self.sim, plan.pilots.clone());
-        crew.um.submit_units(&mut self.sim, self.app.tasks());
-        Ok(crew)
-    }
-
-    /// Journal + flight-recorder wiring: subscribe before anything is
-    /// submitted so the very first transitions are captured. Entry order
-    /// within one instant is fixed by subscription order, hence
-    /// deterministic.
-    fn wire_log(&self, crew: &Crew) {
-        let (pm, um) = (&crew.pm, &crew.um);
-        let (log, pm2) = (self.log.clone(), pm.clone());
-        pm.subscribe(move |sim, &(pilot, state)| {
-            let desc = &pm2.pilot_ref(pilot).description;
-            log.emit(
-                sim.now(),
-                JournalEvent::PilotTransition {
-                    pilot: pilot.0,
-                    state,
-                    resource: desc.resource.clone(),
-                    cores: desc.cores,
-                },
-            );
-        });
-        let (log, um2) = (self.log.clone(), um.clone());
-        um.subscribe(move |sim, &(unit, state)| {
-            let u = um2.unit_ref(unit);
-            log.emit(
-                sim.now(),
-                JournalEvent::UnitTransition {
-                    unit: unit.0,
-                    state,
-                    pilot: u.pilot.map(|p| p.0),
-                    cores: u.work.cores,
-                },
-            );
-        });
-        let log = self.log.clone();
-        um.on_salvage(move |sim, &(unit, ev)| {
-            let event = match ev {
-                SalvageEvent::Checkpoint { progress_secs } => JournalEvent::Checkpoint {
-                    unit: unit.0,
-                    progress_secs,
-                },
-                SalvageEvent::Resume { salvaged_secs } => JournalEvent::ResumeFromCheckpoint {
-                    unit: unit.0,
-                    salvaged_secs,
-                },
-            };
-            log.emit(sim.now(), event);
-        });
-        let log = self.log.clone();
-        pm.on_detector_event(move |sim, ev| {
-            log.emit(sim.now(), detector_entry(ev));
-            // A Declared-Dead verdict is a death certificate: snapshot
-            // the tail now, while the evidence is still in the ring.
-            if let DetectorEvent::DeclaredDead { resource, .. } = ev {
-                log.dump(&format!("declared-dead-{resource}"));
-            }
-        });
-        let log = self.log.clone();
-        pm.on_blacklist(move |sim, resource| {
-            let resource = resource.to_string();
-            log.emit(sim.now(), JournalEvent::Blacklist { resource });
-        });
+        let Crew { pm, um } = self.listener.crew.get_or_init(|| Crew { pm, um });
+        // One subscription per signal, before anything is submitted so the
+        // first transitions are journaled. The unit manager subscribed to
+        // pilot transitions in `UnitManager::new`, so it reacts first.
+        let l = self.listener.clone();
+        pm.subscribe(move |sim, ev| l.on_pilot(sim, ev));
+        let l = self.listener.clone();
+        pm.on_blacklist(move |sim, resource| l.on_blacklist(sim, resource));
+        let l = self.listener.clone();
+        pm.on_detector_event(move |sim, ev| l.on_detector(sim, ev));
         for svc in services(&self.clusters, &self.session) {
-            let log = self.log.clone();
-            svc.on_breaker_trip(move |sim, resource| {
-                let resource = resource.to_string();
-                log.emit(sim.now(), JournalEvent::BreakerTrip { resource });
-            });
+            let l = self.listener.clone();
+            svc.on_breaker_trip(move |sim, resource| l.on_breaker_trip(sim, resource));
         }
+        let l = self.listener.clone();
+        um.subscribe(move |sim, ev| l.on_unit(sim, ev));
+        let l = self.listener.clone();
+        um.on_salvage(move |sim, ev| l.on_salvage(sim, ev));
+        let l = self.listener.clone();
+        um.on_all_done(move |sim| l.on_all_done(sim));
+        pm.submit(&mut self.sim, plan.pilots.clone());
+        um.submit_units(&mut self.sim, self.app.tasks());
+        Ok(self.listener.crew().clone())
     }
 
     /// Phase 5 — arm the fault schedule and the recovery machinery. All
-    /// times are relative to submission. The re-plan support is shared by
-    /// the scheduled fault model and the signal-driven path (breaker
-    /// trips), so it sits outside the schedule gate; a fault-free,
-    /// detection-free run skips all of it and replays the legacy event
-    /// stream exactly.
-    pub(crate) fn arm_recovery(&mut self, crew: &Crew) -> SharedLedger {
-        let ledger = SharedLedger::default();
-        if self.schedule.is_none() && self.detection().is_none() {
-            return ledger;
-        }
-        let replan = self.replanner(crew, &ledger);
-        // Two signal-driven triggers can condemn the same resource (a
-        // tripped breaker and manager-initiated blacklisting); one
-        // re-plan per resource is enough.
-        let replanned = Replanned::default();
-        // Re-plan around a resource a signal condemned, once: any pilot
-        // still alive there is doomed; rebuild at least one elsewhere
-        // (the trigger pilot is already terminal).
-        let condemn = {
-            let (pm, replan, replanned) = (crew.pm.clone(), replan.clone(), replanned.clone());
-            Rc::new(
-                move |sim: &mut Simulation, resource: &str, blacklist: bool| {
-                    if replanned.borrow_mut().insert(resource.to_string()) {
-                        let doomed = pm.live_on(resource).len().max(1);
-                        if blacklist {
-                            pm.blacklist(resource);
-                        }
-                        replan(sim, resource, doomed);
-                    }
-                },
-            )
-        };
-        // A resource blacklisted for eating launches is as gone as a
-        // decommissioned one, but arrives through the pilot manager, not
-        // the outage schedule — and with re-planning enabled the pilot
-        // layer deliberately skips rerouting. Re-plan here too, or nobody
-        // recovers and the pool drains.
-        let condemned = condemn.clone();
-        crew.pm
-            .on_blacklist(move |sim, resource| condemned(sim, resource, false));
-        // Breaker-driven recovery: with detection on, an open breaker IS
-        // the verdict that a resource eats every request. Stop routing
-        // to it and rebuild the lost capacity over the survivors — no
-        // peeking at the outage schedule.
-        if self.detection().is_some() {
-            for svc in services(&self.clusters, &self.session) {
-                let condemned = condemn.clone();
-                svc.on_breaker_trip(move |sim, resource| condemned(sim, resource, true));
-            }
-        }
-        self.arm_evacuation(crew, &replan, &replanned, &ledger);
-        self.arm_schedule(crew, &replan, &ledger);
-        ledger
-    }
-
-    /// Re-derive the strategy over the resources the pilot manager can
-    /// still route to, rebuilding capacity for `doomed` pilots — shared by
-    /// every way a resource drops out. A no-op unless the recovery policy
-    /// re-plans on resource loss.
-    fn replanner(&self, crew: &Crew, ledger: &SharedLedger) -> Replan {
-        let context = self
-            .options
-            .recovery
-            .as_ref()
-            .filter(|r| r.replan_on_resource_loss)
-            .map(|_| {
-                (
-                    self.bundle.clone(),
-                    RefCell::new(self.sim.fork_rng("replan")),
-                    self.app.clone(),
-                    self.strategy.clone(),
-                )
-            });
-        let all_names: Vec<String> = self.clusters.iter().map(|c| c.name()).collect();
-        let (pm, ledger, log) = (crew.pm.clone(), ledger.clone(), self.log.clone());
-        Rc::new(move |sim: &mut Simulation, resource: &str, doomed: usize| {
-            let Some((bundle, rng, app, strategy)) = &context else {
-                return;
-            };
-            if doomed == 0 {
-                return;
-            }
-            let blacklisted = pm.blacklisted();
-            let survivors: Vec<String> = all_names
-                .iter()
-                .filter(|n| !blacklisted.contains(n))
-                .cloned()
-                .collect();
-            if survivors.is_empty() {
-                let why = "no surviving resources";
-                return sim.emit(&MiddlewareFact::ReplanFailed(why));
-            }
-            let mut replan_strategy = strategy.clone();
-            replan_strategy.pilot_count = (doomed as u32).min(survivors.len() as u32).max(1);
-            replan_strategy.selection = ResourceSelection::Fixed(survivors.clone());
-            let _prof = sim.profiler().scope("middleware.plan");
-            let plan = ExecutionManager::default().derive_plan_with_rng(
-                sim.now(),
-                app,
-                &mut bundle.borrow_mut(),
-                &replan_strategy,
-                &mut rng.borrow_mut(),
-            );
-            let plan = match plan {
-                Ok(plan) => plan,
-                Err(why) => return sim.emit(&MiddlewareFact::ReplanFailed(&why)),
-            };
-            let entry = JournalEvent::Replan {
-                resource: resource.to_string(),
-                pilots: plan.pilots.len() as u32,
-            };
-            log.decide(sim, entry, &survivors);
-            pm.submit(sim, plan.pilots);
-            ledger.borrow_mut().replans += 1;
-        })
-    }
-
-    /// Proactive evacuation: enough failure signals inside one declared
-    /// failure domain within the alarm window predict a cascade. The
-    /// alarmed domain's surviving pilots are drained and their capacity
-    /// rebuilt on unaffected domains, instead of waiting for each pilot
-    /// to be individually declared dead. Armed only when the fault model
-    /// declares domains AND the recovery policy opts in.
-    fn arm_evacuation(
-        &self,
-        crew: &Crew,
-        replan: &Replan,
-        replanned: &Replanned,
-        ledger: &SharedLedger,
-    ) {
-        let evac_spec = self.options.recovery.as_ref().and_then(|r| r.evacuation);
-        let domains = self
-            .options
-            .faults
-            .as_ref()
-            .and_then(|f| f.cascade.as_ref());
-        let (Some(espec), Some(cascade)) = (evac_spec, domains) else {
+    /// times are relative to submission. Re-planning is shared by the
+    /// scheduled fault model and the signal-driven path (breaker trips,
+    /// blacklists, domain alarms), so it is armed outside the schedule
+    /// gate; a fault-free, detection-free run arms nothing and replays the
+    /// legacy event stream exactly.
+    pub(crate) fn arm_recovery(&mut self) {
+        if self.schedule.is_none() && detection(self.options).is_none() {
             return;
-        };
-        let domain_of: HashMap<String, String> = cascade
-            .domains
-            .iter()
-            .flat_map(|d| d.members.iter().map(move |m| (m.clone(), d.name.clone())))
-            .collect();
-        let members_of: HashMap<String, Vec<String>> = cascade
-            .domains
-            .iter()
-            .map(|d| (d.name.clone(), d.members.clone()))
-            .collect();
-        let window = SimDuration::from_secs(espec.alarm_window_secs);
-        let threshold = espec.alarm_threshold as usize;
-        // Pilots drained by an alarm, awaiting their Canceled transition
-        // (the drain goes through SAGA, so it lands later).
-        let evacuating: Rc<RefCell<HashMap<PilotId, (String, String)>>> = Default::default();
-        // Per-domain sliding window of failure-signal times + the domains
-        // already alarmed (one alarm per domain is enough).
-        type AlarmState = (HashMap<String, VecDeque<SimTime>>, HashSet<String>);
-        let alarm_state = RefCell::<AlarmState>::default();
-        let on_signal = {
-            let (pm, replan, replanned) = (crew.pm.clone(), replan.clone(), replanned.clone());
-            let (evacuating, log, ledger) = (evacuating.clone(), self.log.clone(), ledger.clone());
-            move |sim: &mut Simulation, resource: &str| {
-                let Some(domain) = domain_of.get(resource) else {
-                    return;
-                };
-                let fire = {
-                    let mut st = alarm_state.borrow_mut();
-                    let (windows, alarmed) = &mut *st;
-                    if alarmed.contains(domain) {
-                        return;
-                    }
-                    let q = windows.entry(domain.clone()).or_default();
-                    q.push_back(sim.now());
-                    while let Some(&t) = q.front() {
-                        if sim.now().since(t) > window {
-                            q.pop_front();
-                        } else {
-                            break;
-                        }
-                    }
-                    q.len() >= threshold && alarmed.insert(domain.clone())
-                };
-                if !fire {
-                    return;
-                }
-                let members = members_of.get(domain).cloned().unwrap_or_default();
-                {
-                    let mut ledger = ledger.borrow_mut();
-                    ledger.domain_alarms += 1;
-                    ledger.first_alarm.get_or_insert(sim.now());
-                }
-                let entry = JournalEvent::DomainAlarm {
-                    domain: domain.clone(),
-                    members: members.clone(),
-                };
-                log.decide(sim, entry, &[]);
-                // A cascade verdict is a death certificate for the whole
-                // domain: snapshot now, with the alarmed domain and its
-                // members in the header.
-                log.dump(&format!(
-                    "domain-alarm-{domain} members={}",
-                    members.join(",")
-                ));
-                for member in &members {
-                    // Mark as handled first so the generic breaker/
-                    // blacklist hooks don't replan the same loss again.
-                    replanned.borrow_mut().insert(member.clone());
-                    let doomed = pm.live_on(member);
-                    pm.blacklist(member);
-                    for pid in &doomed {
-                        evacuating
-                            .borrow_mut()
-                            .insert(*pid, (domain.clone(), member.clone()));
-                    }
-                    for pid in &doomed {
-                        pm.cancel(sim, *pid);
-                    }
-                    replan(sim, member, doomed.len());
-                }
-            }
-        };
-        // Feed the alarm from the failure signals this run actually has:
-        // detector verdicts when detection is on, pilot deaths (the oracle
-        // path) otherwise. Never both — a DeclaredDead pilot also
-        // transitions to Failed, and one death is one signal.
-        if self.detection().is_some() {
-            crew.pm.on_detector_event(move |sim, ev| {
-                if let DetectorEvent::Suspected { resource, .. }
-                | DetectorEvent::DeclaredDead { resource, .. } = ev
-                {
-                    on_signal(sim, resource);
-                }
-            });
-        } else {
-            let pm = crew.pm.clone();
-            crew.pm.subscribe(move |sim, &(pilot, state)| {
-                if state == PilotState::Failed {
-                    let resource = pm.pilot_ref(pilot).description.resource.clone();
-                    on_signal(sim, &resource);
-                }
-            });
         }
-        // The drain watcher: an evacuated pilot reaching Canceled is the
-        // evacuation taking effect — journal it and measure the alarm →
-        // first-drain lead.
-        let (log, ledger) = (self.log.clone(), ledger.clone());
-        crew.pm.subscribe(move |sim, &(pilot, state)| {
-            if state != PilotState::Canceled {
-                return;
-            }
-            let Some((domain, resource)) = evacuating.borrow_mut().remove(&pilot) else {
-                return;
-            };
-            let entry = JournalEvent::Evacuation {
-                domain,
-                resource,
-                pilot: pilot.0,
-            };
-            log.decide(sim, entry, &[]);
-            let mut ledger = ledger.borrow_mut();
-            ledger.evacuations += 1;
-            if ledger.evacuation_lead_secs.is_none() {
-                if let Some(alarm_at) = ledger.first_alarm {
-                    ledger.evacuation_lead_secs = Some(sim.now().since(alarm_at).as_secs());
-                }
-            }
+        let policy = self.options.recovery.as_ref();
+        self.listener.recovery.get_or_init(|| Recovery {
+            replan: policy.is_some_and(|r| r.replan_on_resource_loss),
+            bundle: self.bundle.clone(),
+            rng: RefCell::new(self.sim.fork_rng("replan")),
+            app: self.app.clone(),
+            strategy: self.strategy.clone(),
+            names: self.clusters.iter().map(|c| c.name()).collect(),
+            evacuation: Evacuation::new(self.options),
         });
+        self.arm_schedule();
     }
 
     /// The compiled schedule's timed faults: the staging bandwidth dip,
     /// heartbeat-delay windows and outages.
-    fn arm_schedule(&mut self, crew: &Crew, replan: &Replan, ledger: &SharedLedger) {
+    fn arm_schedule(&mut self) {
         let Some(sched) = &self.schedule else { return };
-        let submitted = self.submitted;
+        let (submitted, crew) = (self.submitted, self.listener.crew());
         if let Some(sf) = sched.staging.filter(|s| s.duration_secs > 0.0) {
             let start = submitted + SimDuration::from_secs(sf.at_secs.max(0.0));
             let factor = sf.bandwidth_factor.clamp(0.001, 1.0);
@@ -1243,7 +1257,7 @@ impl<'a> RunWorld<'a> {
                 SimDuration::from_secs(hd.delay_secs),
             );
         }
-        let oracle = self.detection().is_none();
+        let oracle = detection(self.options).is_none();
         for o in &sched.outages {
             let Some(cluster) = self
                 .clusters
@@ -1255,7 +1269,7 @@ impl<'a> RunWorld<'a> {
             };
             let at = submitted + SimDuration::from_secs(o.at.as_secs().max(0.0));
             let (kill, duration) = (o.kind == OutageKind::Outage, o.duration);
-            let (resource, ledger) = (o.resource.clone(), ledger.clone());
+            let (resource, listener) = (o.resource.clone(), self.listener.clone());
             match o.kind {
                 OutageKind::Outage | OutageKind::Drain => {
                     self.sim.schedule_at(at, move |sim| {
@@ -1269,12 +1283,12 @@ impl<'a> RunWorld<'a> {
                 OutageKind::Permanent if !oracle => {
                     self.sim.schedule_at(at, move |sim| {
                         cluster.decommission(sim);
-                        ledger.borrow_mut().lost.push(resource);
+                        listener.ledger.borrow_mut().lost.push(resource);
                     });
                 }
                 OutageKind::Permanent => {
-                    let (pm, replan) = (crew.pm.clone(), replan.clone());
                     self.sim.schedule_at(at, move |sim| {
+                        let pm = &listener.crew().pm;
                         // Count live pilots before the axe falls so the
                         // re-plan knows how much capacity to rebuild.
                         let doomed = pm.live_on(&resource).len();
@@ -1282,8 +1296,8 @@ impl<'a> RunWorld<'a> {
                         // the kills below must not resubmit to a corpse.
                         pm.blacklist(&resource);
                         cluster.decommission(sim);
-                        ledger.borrow_mut().lost.push(resource.clone());
-                        replan(sim, &resource, doomed);
+                        listener.ledger.borrow_mut().lost.push(resource.clone());
+                        listener.replan(sim, &resource, doomed);
                     });
                 }
             }
@@ -1296,20 +1310,17 @@ impl<'a> RunWorld<'a> {
     /// queue-health counters are published on every exit (passive on
     /// both sinks), and a death leaves a post-mortem dump named after its
     /// reason before its typed error is returned.
-    pub(crate) fn drive(
-        &mut self,
-        crew: &Crew,
-        ledger: &SharedLedger,
-    ) -> Result<SimTime, RunError> {
+    pub(crate) fn drive(&mut self) -> Result<SimTime, RunError> {
         let deadline = self.submitted + self.options.deadline;
         let interrupt_at = self.options.interrupt_at.map(|d| self.submitted + d);
+        let (listener, finished) = (&self.listener, &self.listener.finished);
         let halted = |at: SimTime| {
-            crew.finished.get().is_some() || interrupt_at.is_some_and(|t| at >= t) || at > deadline
+            finished.get().is_some() || interrupt_at.is_some_and(|t| at >= t) || at > deadline
         };
         let run = self.sim.run_while(|sim| !halted(sim.now()));
         let at = self.sim.now();
-        let stats = crew.um.stats();
-        let outcome: Result<SimTime, (String, RunError)> = match crew.finished.get() {
+        let stats = listener.crew().um.stats();
+        let outcome: Result<SimTime, (String, RunError)> = match finished.get() {
             Some(t) => Ok(t),
             // Simulated middleware crash: stop dead. Whatever the journal
             // holds now is exactly what a crashed writer would have
@@ -1330,7 +1341,7 @@ impl<'a> RunWorld<'a> {
                 "event-budget-exhausted".into(),
                 RunError::EventBudgetExhausted { at, stats },
             )),
-            None => Err(match ledger.borrow().lost.first() {
+            None => Err(match listener.ledger.borrow().lost.first() {
                 Some(resource) => (
                     format!("resource-lost-{resource}"),
                     RunError::ResourceLost {
@@ -1343,7 +1354,7 @@ impl<'a> RunWorld<'a> {
         };
         self.sim.publish_engine_stats();
         outcome.map_err(|(reason, err)| {
-            self.log.dump(&reason);
+            listener.log.dump(&reason);
             err
         })
     }
@@ -1352,13 +1363,9 @@ impl<'a> RunWorld<'a> {
     /// accounting (§V: charged = active pilot spans, used = task
     /// execution core time), recovery and info-plane counters, and the
     /// telemetry summary with its pilot/unit spans.
-    pub(crate) fn assemble(
-        self,
-        crew: &Crew,
-        ledger: &SharedLedger,
-        resources_used: Vec<String>,
-        finished_at: SimTime,
-    ) -> RunResult {
+    pub(crate) fn assemble(self, resources_used: Vec<String>, finished_at: SimTime) -> RunResult {
+        let listener = self.listener.clone();
+        let crew = listener.crew();
         let stats = crew.um.stats();
         // Borrowed views: nothing below fires a manager callback.
         let units = crew.um.units_ref();
@@ -1369,7 +1376,8 @@ impl<'a> RunWorld<'a> {
         // unit/pilot timestamps.
         breakdown.td = interval_union(crew.pm.detection_windows());
         let ttc_secs = breakdown.ttc.as_secs();
-        self.log
+        listener
+            .log
             .emit(finished_at, JournalEvent::RunFinished { ttc_secs });
         let charged_core_hours: f64 = pilots
             .iter()
@@ -1392,7 +1400,7 @@ impl<'a> RunWorld<'a> {
         });
         let info_stats = self.info.borrow().stats();
         let (wasted, salvaged) = salvage_split(&units);
-        let ledger = ledger.borrow();
+        let ledger = listener.ledger.borrow();
         RunResult {
             metrics,
             info_fallbacks: info_stats.info_fallbacks(),
@@ -1905,12 +1913,12 @@ mod tests {
         };
         let mut world = RunWorld::build(&idle_pool(), &app, &strategy, &opts).unwrap();
         let plan = world.plan().unwrap();
-        let crew = world.enact(&plan).unwrap();
-        let ledger = world.arm_recovery(&crew);
+        world.enact(&plan).unwrap();
+        world.arm_recovery();
         // A few events past submission: the pilots are not even active.
         let budget = world.sim.events_processed() + 3;
         world.sim.set_event_budget(budget);
-        let err = world.drive(&crew, &ledger).unwrap_err();
+        let err = world.drive().unwrap_err();
         assert!(
             matches!(err, RunError::EventBudgetExhausted { .. }),
             "{err}"

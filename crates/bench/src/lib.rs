@@ -1,10 +1,12 @@
-//! # aimes-bench — experiment regeneration and micro-benchmarks
+//! # aimes-bench — experiment regeneration
 //!
 //! The `experiments` binary regenerates every table and figure of the
 //! paper's evaluation section (see `cargo run -p aimes-bench --release
-//! --bin experiments -- help`); the Criterion benches measure the
-//! simulation substrate itself (event engine, batch scheduler, end-to-end
-//! middleware runs).
+//! --bin experiments -- help`). This library holds what it shares with
+//! its tests: the campaign observatory, the counting allocator, the
+//! named journal scenarios and the flag parsers. The simulation
+//! substrate itself is measured by the benchmark of record,
+//! `examples/benchmark`.
 
 /// Default repetitions per (experiment, size) point for figure-quality
 /// output. The paper ran "more than 20,000 runs" over a year; eight

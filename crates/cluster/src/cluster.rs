@@ -160,17 +160,6 @@ pub struct ClusterMetrics {
     pub utilization: f64,
 }
 
-/// Queue composition detail (the Bundle's "queue state, queue composition,
-/// and types of jobs already scheduled" view, §III-E).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct QueueSnapshot {
-    /// (cores, requested walltime seconds) per queued job, in queue order.
-    pub queued: Vec<(u32, f64)>,
-    /// (cores, remaining walltime seconds) per running job, soonest
-    /// walltime deadline first.
-    pub running: Vec<(u32, f64)>,
-}
-
 /// One historical record of a job start (for predictive queries).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct WaitRecord {
@@ -1097,22 +1086,6 @@ impl Cluster {
             queued_jobs: st.queue.len(),
             queued_cores: st.queued_cores,
             utilization: st.utilization(now),
-        }
-    }
-
-    /// Detailed queue composition.
-    pub fn queue_snapshot(&self, now: SimTime) -> QueueSnapshot {
-        let st = self.inner.borrow();
-        QueueSnapshot {
-            queued: st
-                .queue
-                .values()
-                .map(|j| (j.cores, j.walltime.as_secs()))
-                .collect(),
-            running: st
-                .release_iter()
-                .map(|(deadline, cores)| (cores, deadline.saturating_since(now).as_secs()))
-                .collect(),
         }
     }
 

@@ -33,6 +33,6 @@ pub mod policy;
 mod profile;
 
 pub use catalog::{paper_testbed, testbed_resource, ResourceSpec};
-pub use cluster::{warm_up, Cluster, ClusterConfig, ClusterMetrics, QueueConfig, QueueSnapshot};
+pub use cluster::{warm_up, Cluster, ClusterConfig, ClusterMetrics, QueueConfig};
 pub use job::{Job, JobId, JobOwner, JobRequest, JobState};
 pub use policy::SchedulingPolicy;

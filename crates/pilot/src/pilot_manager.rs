@@ -233,11 +233,6 @@ impl PilotManager {
         self.inner.borrow_mut().detector = Some(SuspicionDetector::new(policy));
     }
 
-    /// Is signal-based detection armed?
-    pub fn detection_enabled(&self) -> bool {
-        self.inner.borrow().detector.is_some()
-    }
-
     /// Subscribe to detector events (suspicions, recoveries,
     /// declarations, stale signals).
     pub fn on_detector_event(&self, cb: impl FnMut(&mut Simulation, &DetectorEvent) + 'static) {

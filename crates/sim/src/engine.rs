@@ -219,11 +219,6 @@ impl Simulation {
         self.rng.fork(label)
     }
 
-    /// Fork an indexed RNG stream (per entity).
-    pub fn fork_rng_indexed(&self, label: &str, index: u64) -> SimRng {
-        self.rng.fork_indexed(label, index)
-    }
-
     /// Number of events processed so far.
     pub fn events_processed(&self) -> u64 {
         self.events_processed

@@ -2,7 +2,8 @@
 //! resource the workload was planned on; proactive evacuation plus
 //! checkpointed salvage must beat reactive-only recovery on paired
 //! seeds, every alarm/evacuation/checkpoint/resume must be journaled,
-//! and a fixed-seed cascade must replay byte-identically.
+//! a fixed-seed cascade must replay byte-identically, and the oracle
+//! path (no detection) must evacuate and journal what it traces.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -11,8 +12,8 @@ use aimes_repro::cluster::ClusterConfig;
 use aimes_repro::fault::{
     CascadeSpec, DomainSpec, EvacuationSpec, FaultSpec, OutageKind, OutageSpec, RecoveryPolicy,
 };
-use aimes_repro::middleware::{run_application, RunJournal, RunOptions, RunResult};
-use aimes_repro::sim::{SimDuration, SimTime};
+use aimes_repro::middleware::{run_application, JournalEvent, RunJournal, RunOptions, RunResult};
+use aimes_repro::sim::{SimDuration, SimTime, Tracer};
 use aimes_repro::skeleton::{paper_bag, TaskDurationSpec};
 use aimes_repro::strategy::{ExecutionStrategy, ResourceSelection, WalltimePolicy};
 
@@ -168,4 +169,66 @@ fn salvage_split_partitions_wasted_core_hours_in_the_result() {
     let (plain, _) = run_arm(2016, true, 0.0);
     // With checkpointing off nothing is salvaged.
     assert_eq!(plain.salvaged_core_hours, 0.0);
+}
+
+#[test]
+fn oracle_path_evacuation_journals_every_traced_pilot_transition() {
+    // No detection: pilot deaths feed the alarm, and its re-plan submits
+    // pilots from inside the pilot manager's transition callback.
+    for seed in 1..=3 {
+        let recovery = RecoveryPolicy {
+            evacuation: Some(EvacuationSpec::default()),
+            ..RecoveryPolicy::default()
+        };
+        let journal = Rc::new(RefCell::new(RunJournal::new()));
+        let tracer = Tracer::new();
+        let r = run_application(
+            &pool(),
+            &paper_bag(16, TaskDurationSpec::Uniform15Min),
+            &strategy(),
+            &RunOptions {
+                seed,
+                submit_at: SimTime::from_secs(600.0),
+                faults: Some(cascade_faults()),
+                recovery: Some(recovery),
+                journal: Some(journal.clone()),
+                tracer: Some(tracer.clone()),
+                ..Default::default()
+            },
+        )
+        .expect("the oracle path survives the cascade");
+        // Every unit ends; without checkpoints a few may use up their
+        // attempts on the dying domain before the alarm.
+        assert_eq!(r.units_done + r.units_failed, 16, "seed {seed}");
+        assert!(r.units_done >= 14, "seed {seed}: {} done", r.units_done);
+        assert_eq!(r.domain_alarms, 1, "seed {seed}");
+        assert!(r.evacuations >= 1, "seed {seed}: no completed drain");
+
+        // (pilot, state, instant) of every pilot transition, sorted: the
+        // trace and the journal record one instant's entries in
+        // different orders.
+        let mut traced: Vec<(String, String, u64)> = tracer
+            .snapshot()
+            .into_iter()
+            .filter(|t| t.component.starts_with("pilot.") && t.event != "WentSilent")
+            .map(|t| (t.component, t.event, t.time.as_secs().to_bits()))
+            .collect();
+        let mut journaled: Vec<(String, String, u64)> = journal
+            .borrow()
+            .entries()
+            .iter()
+            .filter_map(|e| match &e.event {
+                JournalEvent::PilotTransition { pilot, state, .. } => Some((
+                    format!("pilot.{pilot}"),
+                    state.name().to_string(),
+                    e.at_secs.to_bits(),
+                )),
+                _ => None,
+            })
+            .collect();
+        traced.sort();
+        journaled.sort();
+        assert!(traced.len() > 16, "seed {seed}: {} traced", traced.len());
+        assert_eq!(journaled, traced, "seed {seed}");
+    }
 }
