@@ -1308,8 +1308,10 @@ impl<'a> RunWorld<'a> {
     /// fires, the deadline passes, the event budget runs out or the queue
     /// drains, checked in that order. One exit: engine
     /// queue-health counters are published on every exit (passive on
-    /// both sinks), and a death leaves a post-mortem dump named after its
-    /// reason before its typed error is returned.
+    /// both sinks), then the events still pending are dropped unrun, so
+    /// `assemble` does not hold the queue's storage, and a death leaves a
+    /// post-mortem dump named after its reason before its typed error is
+    /// returned.
     pub(crate) fn drive(&mut self) -> Result<SimTime, RunError> {
         let deadline = self.submitted + self.options.deadline;
         let interrupt_at = self.options.interrupt_at.map(|d| self.submitted + d);
@@ -1353,6 +1355,7 @@ impl<'a> RunWorld<'a> {
             }),
         };
         self.sim.publish_engine_stats();
+        self.sim.discard_pending();
         outcome.map_err(|(reason, err)| {
             listener.log.dump(&reason);
             err
@@ -1516,15 +1519,11 @@ fn add_spans(telemetry: &Telemetry, pilots: &[Pilot], units: &[ComputeUnit], fin
         };
         // A restarted unit has several Executing entries; each window
         // closes at the next transition (or run end if interrupted).
-        for (i, &(state, start)) in u.timestamps.iter().enumerate() {
+        for (i, (state, start)) in u.timestamps.iter().enumerate() {
             if state != UnitState::Executing {
                 continue;
             }
-            let end = u
-                .timestamps
-                .get(i + 1)
-                .map(|&(_, t)| t)
-                .unwrap_or(finished_at);
+            let end = u.timestamps.get(i + 1).map_or(finished_at, |(_, t)| t);
             telemetry.add_span(Span {
                 track: pilot.description.resource.clone(),
                 lane: u.id.to_string(),

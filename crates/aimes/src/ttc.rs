@@ -73,12 +73,12 @@ pub fn wasted_core_hours(units: &[ComputeUnit]) -> f64 {
     for u in units {
         let ts = &u.timestamps;
         for (i, (state, time)) in ts.iter().enumerate() {
-            if *state != UnitState::Executing {
+            if state != UnitState::Executing {
                 continue;
             }
             if let Some((next, end)) = ts.get(i + 1) {
-                if *next != UnitState::StagingOutput {
-                    total += f64::from(u.work.cores) * end.since(*time).as_secs() / 3600.0;
+                if next != UnitState::StagingOutput {
+                    total += f64::from(u.work.cores) * end.since(time).as_secs() / 3600.0;
                 }
             }
         }
@@ -100,12 +100,12 @@ pub fn salvage_split(units: &[ComputeUnit]) -> (f64, f64) {
         let ts = &u.timestamps;
         let mut aborted_secs = 0.0;
         for (i, (state, time)) in ts.iter().enumerate() {
-            if *state != UnitState::Executing {
+            if state != UnitState::Executing {
                 continue;
             }
             if let Some((next, end)) = ts.get(i + 1) {
-                if *next != UnitState::StagingOutput {
-                    aborted_secs += end.since(*time).as_secs();
+                if next != UnitState::StagingOutput {
+                    aborted_secs += end.since(time).as_secs();
                 }
             }
         }
@@ -150,16 +150,17 @@ pub fn decompose(
     for u in units {
         let ts = &u.timestamps;
         let mut pending_seen = false;
-        for (i, &(state, start)) in ts.iter().enumerate() {
-            let next = ts.get(i + 1).map(|&(_, t)| (start, t));
+        for (i, (state, start)) in ts.iter().enumerate() {
+            let next = ts.get(i + 1).map(|(_, t)| (start, t));
             match state {
                 UnitState::Executing => exec.extend(next),
                 UnitState::StagingInput | UnitState::StagingOutput => staging.extend(next),
                 UnitState::PendingExecution if pending_seen => {
-                    let end = ts[i + 1..]
+                    let end = ts
                         .iter()
-                        .find(|(s, _)| *s == UnitState::Executing || s.is_terminal())
-                        .map_or(finished, |&(_, t)| t);
+                        .skip(i + 1)
+                        .find(|&(s, _)| s == UnitState::Executing || s.is_terminal())
+                        .map_or(finished, |(_, t)| t);
                     recovery.push((start, end));
                 }
                 UnitState::PendingExecution => pending_seen = true,
@@ -177,15 +178,43 @@ pub fn decompose(
     }
 }
 
-/// The per-unit `Vec`-returning decomposition [`decompose`] replaced,
-/// kept as its differential oracle.
+/// The unit history and the TTC walks as they were before the history
+/// moved inside the unit: a `Vec` of entries, its two lookups, and the
+/// per-unit `Vec`-returning decomposition [`decompose`] replaced. Kept as
+/// the differential oracle of both.
 #[cfg(test)]
 mod oracle {
     use super::*;
 
+    /// What the walks read of a unit, with its history in a `Vec`.
+    pub(super) struct Unit {
+        pub cores: u32,
+        pub state: UnitState,
+        pub salvaged: SimDuration,
+        pub timestamps: Vec<(UnitState, SimTime)>,
+    }
+
+    impl Unit {
+        /// Time of the *latest* occurrence of `state`.
+        pub(super) fn last_time_of(&self, state: UnitState) -> Option<SimTime> {
+            self.timestamps
+                .iter()
+                .rev()
+                .find(|(s, _)| *s == state)
+                .map(|(_, t)| *t)
+        }
+
+        /// Wall time spent executing in the successful attempt.
+        pub(super) fn execution_span(&self) -> Option<SimDuration> {
+            let start = self.last_time_of(UnitState::Executing)?;
+            let end = self.last_time_of(UnitState::StagingOutput)?;
+            (end >= start).then(|| end.since(start))
+        }
+    }
+
     /// Successive state-pair intervals of a unit, restart-aware: pairs
     /// each occurrence of `from` with the next transition after it.
-    fn unit_intervals(unit: &ComputeUnit, from: UnitState) -> Vec<(SimTime, SimTime)> {
+    fn unit_intervals(unit: &Unit, from: UnitState) -> Vec<(SimTime, SimTime)> {
         let ts = &unit.timestamps;
         let mut out = Vec::new();
         for (i, (state, time)) in ts.iter().enumerate() {
@@ -202,7 +231,7 @@ mod oracle {
     /// (a restart) opens a window that closes when the unit next
     /// executes, or at its terminal transition, or — if neither
     /// happened — at `finished`.
-    fn recovery_intervals(unit: &ComputeUnit, finished: SimTime) -> Vec<(SimTime, SimTime)> {
+    fn recovery_intervals(unit: &Unit, finished: SimTime) -> Vec<(SimTime, SimTime)> {
         let ts = &unit.timestamps;
         let mut out = Vec::new();
         let mut pending_seen = 0u32;
@@ -222,8 +251,54 @@ mod oracle {
         out
     }
 
+    pub(super) fn wasted_core_hours(units: &[Unit]) -> f64 {
+        let mut total = 0.0;
+        for u in units {
+            let ts = &u.timestamps;
+            for (i, (state, time)) in ts.iter().enumerate() {
+                if *state != UnitState::Executing {
+                    continue;
+                }
+                if let Some((next, end)) = ts.get(i + 1) {
+                    if *next != UnitState::StagingOutput {
+                        total += f64::from(u.cores) * end.since(*time).as_secs() / 3600.0;
+                    }
+                }
+            }
+        }
+        total
+    }
+
+    pub(super) fn salvage_split(units: &[Unit]) -> (f64, f64) {
+        let mut wasted = 0.0;
+        let mut salvaged = 0.0;
+        for u in units {
+            let ts = &u.timestamps;
+            let mut aborted_secs = 0.0;
+            for (i, (state, time)) in ts.iter().enumerate() {
+                if *state != UnitState::Executing {
+                    continue;
+                }
+                if let Some((next, end)) = ts.get(i + 1) {
+                    if *next != UnitState::StagingOutput {
+                        aborted_secs += end.since(*time).as_secs();
+                    }
+                }
+            }
+            let salvaged_secs = if u.state == UnitState::Done {
+                u.salvaged.as_secs().min(aborted_secs)
+            } else {
+                0.0
+            };
+            let cores = f64::from(u.cores);
+            salvaged += cores * salvaged_secs / 3600.0;
+            wasted += cores * (aborted_secs - salvaged_secs) / 3600.0;
+        }
+        (wasted, salvaged)
+    }
+
     pub(super) fn decompose(
-        units: &[ComputeUnit],
+        units: &[Unit],
         pilots: &[Pilot],
         submitted: SimTime,
         finished: SimTime,
@@ -259,7 +334,7 @@ mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aimes_pilot::{PilotDescription, PilotId, UnitId, UnitWork};
+    use aimes_pilot::{PilotDescription, PilotId, UnitHistory, UnitId, UnitWork};
     use proptest::prelude::*;
 
     fn t(s: f64) -> SimTime {
@@ -299,23 +374,20 @@ mod tests {
             input_mb: 1.0,
             output_mb: 0.002,
         };
-        // Construct through the public-ish surface: replay transitions.
-        let mut unit = ComputeUnit {
+        let mut timestamps = UnitHistory::new(UnitState::New, t(0.0));
+        for &(state, at) in events {
+            timestamps.push(state, t(at));
+        }
+        ComputeUnit {
             id: UnitId(id),
             work,
-            state: events.last().map(|(s, _)| *s).unwrap_or(UnitState::New),
+            state: timestamps.last().0,
             pilot: Some(PilotId(0)),
             attempts: 1,
             checkpointed: SimDuration::ZERO,
             salvaged: SimDuration::ZERO,
-            timestamps: {
-                let mut v = vec![(UnitState::New, t(0.0))];
-                v.extend(events.iter().map(|(s, tt)| (*s, t(*tt))));
-                v
-            },
-        };
-        unit.state = unit.timestamps.last().unwrap().0;
-        unit
+            timestamps,
+        }
     }
 
     fn mk_pilot(active_at: f64) -> Pilot {
@@ -534,8 +606,17 @@ mod tests {
         assert!((s - 30.0 / 3600.0).abs() < 1e-12);
         assert!((w + s - wasted_core_hours(&[unit.clone()])).abs() < 1e-12);
         // A unit that never completed forfeits its checkpoints.
-        unit.timestamps.truncate(5); // ends at the restart
-        unit.state = UnitState::PendingExecution;
+        let restarted = &[
+            (UnitState::PendingExecution, 0.0),
+            (UnitState::StagingInput, 1.0),
+            (UnitState::Executing, 2.0),
+            (UnitState::PendingExecution, 50.0),
+        ];
+        let unit = ComputeUnit {
+            checkpointed: d(30.0),
+            salvaged: d(30.0),
+            ..mk_unit(0, restarted)
+        };
         let (w, s) = salvage_split(&[unit]);
         assert!((w - 48.0 / 3600.0).abs() < 1e-12);
         assert_eq!(s, 0.0);
@@ -567,26 +648,79 @@ mod tests {
         out
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(512))]
+    /// Shallow by default so `cargo test` stays fast; the chaos-smoke CI
+    /// job sets `AIMES_FULL_PROPTEST=1` for the full-depth sweep.
+    fn oracle_cases() -> u32 {
+        match std::env::var("AIMES_FULL_PROPTEST") {
+            Ok(v) if !v.is_empty() && v != "0" => 4096,
+            _ => 512,
+        }
+    }
 
-        /// The single-pass decomposition matches the per-unit `Vec` one
-        /// it replaced, bit for bit.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(oracle_cases()))]
+
+        /// The inline history reads back like the `Vec` it replaced, past
+        /// six entries too (a restart moves it to the heap), and the
+        /// single-pass walks over it match the per-unit `Vec` ones bit for
+        /// bit.
         #[test]
-        fn prop_decompose_matches_oracle(
+        fn prop_history_matches_oracle(
             histories in proptest::collection::vec(
-                proptest::collection::vec((any::<u8>(), any::<u8>()), 0..16),
+                (
+                    proptest::collection::vec((any::<u8>(), any::<u8>()), 0..24),
+                    1u32..5,
+                    0.0f64..60.0,
+                ),
                 0..12,
             ),
             active in proptest::collection::vec(proptest::option::of(0.0f64..50.0), 0..3),
             submitted in 0.0f64..10.0,
             tail in 0.0f64..20.0,
         ) {
-            let units: Vec<ComputeUnit> = histories
-                .iter()
-                .enumerate()
-                .map(|(i, steps)| mk_unit(i as u32, &random_history(steps)))
-                .collect();
+            let mut units = Vec::new();
+            let mut oracles = Vec::new();
+            for (i, (steps, cores, salvaged)) in histories.iter().enumerate() {
+                let events = random_history(steps);
+                let mut unit = mk_unit(i as u32, &events);
+                unit.work.cores = *cores;
+                unit.salvaged = d(*salvaged);
+                let mut timestamps = vec![(UnitState::New, t(0.0))];
+                timestamps.extend(events.iter().map(|&(s, at)| (s, t(at))));
+                let oracle = oracle::Unit {
+                    cores: *cores,
+                    state: unit.state,
+                    salvaged: unit.salvaged,
+                    timestamps,
+                };
+                let h = &unit.timestamps;
+                let v = &oracle.timestamps;
+                prop_assert_eq!(h.len(), v.len());
+                prop_assert!(!h.is_empty());
+                for i in 0..=v.len() {
+                    prop_assert_eq!(h.get(i), v.get(i).copied());
+                }
+                prop_assert_eq!(h.iter().collect::<Vec<_>>(), v.clone());
+                let reversed: Vec<_> = v.iter().rev().copied().collect();
+                prop_assert_eq!(h.iter().rev().collect::<Vec<_>>(), reversed);
+                prop_assert_eq!(Some(h.first()), v.first().copied());
+                prop_assert_eq!(Some(h.last()), v.last().copied());
+                for state in [
+                    UnitState::New,
+                    UnitState::PendingExecution,
+                    UnitState::StagingInput,
+                    UnitState::Executing,
+                    UnitState::StagingOutput,
+                    UnitState::Done,
+                    UnitState::Failed,
+                    UnitState::Canceled,
+                ] {
+                    prop_assert_eq!(unit.last_time_of(state), oracle.last_time_of(state));
+                }
+                prop_assert_eq!(unit.execution_span(), oracle.execution_span());
+                units.push(unit);
+                oracles.push(oracle);
+            }
             let pilots: Vec<Pilot> = active
                 .iter()
                 .map(|at| {
@@ -599,14 +733,20 @@ mod tests {
                 .collect();
             let last = units
                 .iter()
-                .filter_map(|u| u.timestamps.last())
-                .map(|&(_, at)| at.as_secs())
+                .map(|u| u.timestamps.last().1.as_secs())
                 .fold(submitted, f64::max);
             let finished = t(last + tail);
             prop_assert_eq!(
                 decompose(&units, &pilots, t(submitted), finished),
-                oracle::decompose(&units, &pilots, t(submitted), finished)
+                oracle::decompose(&oracles, &pilots, t(submitted), finished)
             );
+            prop_assert_eq!(
+                wasted_core_hours(&units).to_bits(),
+                oracle::wasted_core_hours(&oracles).to_bits()
+            );
+            let (w, s) = salvage_split(&units);
+            let (ow, os) = oracle::salvage_split(&oracles);
+            prop_assert_eq!((w.to_bits(), s.to_bits()), (ow.to_bits(), os.to_bits()));
         }
     }
 

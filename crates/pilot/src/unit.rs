@@ -122,9 +122,103 @@ impl UnitWork {
     }
 }
 
-/// States a unit passes through on a run without restarts: New,
-/// PendingExecution, StagingInput, Executing, StagingOutput and Done.
-const HAPPY_PATH_STATES: usize = 6;
+/// Entries a history holds inline: the states a unit passes through on a
+/// run without restarts (New, PendingExecution, StagingInput, Executing,
+/// StagingOutput and Done).
+const INLINE: usize = 6;
+
+/// A unit's instrumented transitions, oldest first: each state the unit
+/// entered and when. The first entry is the unit's creation (`New`), so a
+/// history is never empty.
+///
+/// The first six entries live inside the unit, so a unit that never
+/// restarts allocates nothing for its history. A seventh entry (only a
+/// restart makes one) moves the whole history to one heap buffer, where
+/// it stays.
+#[derive(Clone, Debug)]
+pub struct UnitHistory(Entries);
+
+#[derive(Clone, Debug)]
+enum Entries {
+    Inline {
+        len: u8,
+        states: [UnitState; INLINE],
+        times: [SimTime; INLINE],
+    },
+    Spilled(Vec<(UnitState, SimTime)>),
+}
+
+impl UnitHistory {
+    /// A history whose first entry is `state` at `at`.
+    pub fn new(state: UnitState, at: SimTime) -> Self {
+        UnitHistory(Entries::Inline {
+            len: 1,
+            states: [state; INLINE],
+            times: [at; INLINE],
+        })
+    }
+
+    /// Append the entry of a transition to `state` at `at`.
+    pub fn push(&mut self, state: UnitState, at: SimTime) {
+        match &mut self.0 {
+            Entries::Inline { len, states, times } if usize::from(*len) < INLINE => {
+                let i = usize::from(*len);
+                (states[i], times[i]) = (state, at);
+                *len += 1;
+            }
+            Entries::Inline { states, times, .. } => {
+                let mut spilled = Vec::with_capacity(2 * INLINE);
+                spilled.extend(states.iter().copied().zip(times.iter().copied()));
+                spilled.push((state, at));
+                self.0 = Entries::Spilled(spilled);
+            }
+            Entries::Spilled(spilled) => spilled.push((state, at)),
+        }
+    }
+
+    /// Number of entries (at least 1).
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            Entries::Inline { len, .. } => usize::from(*len),
+            Entries::Spilled(spilled) => spilled.len(),
+        }
+    }
+
+    /// Always false: a history begins at its unit's creation.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The `i`-th entry; panics past the end.
+    fn at(&self, i: usize) -> (UnitState, SimTime) {
+        match &self.0 {
+            Entries::Inline { states, times, .. } => (states[i], times[i]),
+            Entries::Spilled(spilled) => spilled[i],
+        }
+    }
+
+    /// The `i`-th entry, if there are more than `i`.
+    pub fn get(&self, i: usize) -> Option<(UnitState, SimTime)> {
+        (i < self.len()).then(|| self.at(i))
+    }
+
+    /// The entries, oldest first.
+    pub fn iter(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = (UnitState, SimTime)> + ExactSizeIterator + '_ {
+        (0..self.len()).map(|i| self.at(i))
+    }
+
+    /// The unit's creation.
+    pub fn first(&self) -> (UnitState, SimTime) {
+        self.at(0)
+    }
+
+    /// The latest transition: the current state and when it was entered.
+    pub fn last(&self) -> (UnitState, SimTime) {
+        self.at(self.len() - 1)
+    }
+}
 
 /// A unit tracked by the unit manager.
 #[derive(Clone, Debug)]
@@ -143,13 +237,15 @@ pub struct ComputeUnit {
     /// aborted work that did *not* have to be redone.
     pub salvaged: SimDuration,
     /// Instrumented transitions.
-    pub timestamps: Vec<(UnitState, SimTime)>,
+    pub timestamps: UnitHistory,
 }
+
+// The history's inline entries keep a unit within 136 bytes; a `Vec`
+// would hold the same six entries on the heap behind 24.
+const _: () = assert!(std::mem::size_of::<ComputeUnit>() <= 136);
 
 impl ComputeUnit {
     pub(crate) fn new(id: UnitId, work: UnitWork, now: SimTime) -> Self {
-        let mut timestamps = Vec::with_capacity(HAPPY_PATH_STATES);
-        timestamps.push((UnitState::New, now));
         ComputeUnit {
             id,
             work,
@@ -158,7 +254,7 @@ impl ComputeUnit {
             attempts: 0,
             checkpointed: SimDuration::ZERO,
             salvaged: SimDuration::ZERO,
-            timestamps,
+            timestamps: UnitHistory::new(UnitState::New, now),
         }
     }
 
@@ -171,7 +267,7 @@ impl ComputeUnit {
             self.id
         );
         self.state = next;
-        self.timestamps.push((next, now));
+        self.timestamps.push(next, now);
     }
 
     /// Time of the *latest* occurrence of `state` (restarts repeat states).
@@ -179,8 +275,8 @@ impl ComputeUnit {
         self.timestamps
             .iter()
             .rev()
-            .find(|(s, _)| *s == state)
-            .map(|(_, t)| *t)
+            .find(|&(s, _)| s == state)
+            .map(|(_, t)| t)
     }
 
     /// Wall time spent executing in the successful attempt.
@@ -230,8 +326,11 @@ mod tests {
         u.transition(UnitState::StagingOutput, t(912.0));
         u.transition(UnitState::Done, t(913.0));
         assert_eq!(u.execution_span(), Some(SimDuration::from_secs(900.0)));
-        assert_eq!(u.timestamps.len(), HAPPY_PATH_STATES);
-        assert_eq!(u.timestamps.capacity(), HAPPY_PATH_STATES);
+        assert_eq!(u.timestamps.len(), INLINE);
+        assert!(matches!(u.timestamps.0, Entries::Inline { .. }));
+        assert_eq!(u.timestamps.first(), (UnitState::New, t(0.0)));
+        assert_eq!(u.timestamps.last(), (UnitState::Done, t(913.0)));
+        assert_eq!(u.timestamps.get(INLINE), None);
     }
 
     #[test]
@@ -249,10 +348,16 @@ mod tests {
         let executing: Vec<SimTime> = u
             .timestamps
             .iter()
-            .filter(|(s, _)| *s == UnitState::Executing)
-            .map(|(_, at)| *at)
+            .filter(|&(s, _)| s == UnitState::Executing)
+            .map(|(_, at)| at)
             .collect();
         assert_eq!(executing, [t(4.0), t(202.0)]);
+        // The seventh entry moved the history to the heap, in order.
+        assert!(matches!(u.timestamps.0, Entries::Spilled(_)));
+        assert_eq!(u.timestamps.len(), 9);
+        assert_eq!(u.timestamps.get(3), Some((UnitState::Executing, t(4.0))));
+        assert_eq!(u.timestamps.get(6), Some((UnitState::Executing, t(202.0))));
+        assert_eq!(u.timestamps.last(), (UnitState::Done, t(1103.0)));
         assert_eq!(u.execution_span(), Some(SimDuration::from_secs(900.0)));
     }
 

@@ -467,11 +467,10 @@ impl UnitManager {
         {
             let mut st = self.inner.borrow_mut();
             let unit = &mut st.units[uid.0 as usize];
-            if let Some(&(prev, entered)) = unit.timestamps.last() {
-                let dwell = now.saturating_since(entered);
-                sim.metrics()
-                    .observe(dwell.as_secs(), || dwell_metric("unit", prev.name()));
-            }
+            let (prev, entered) = unit.timestamps.last();
+            let dwell = now.saturating_since(entered);
+            sim.metrics()
+                .observe(dwell.as_secs(), || dwell_metric("unit", prev.name()));
             unit.transition(next, now);
         }
         sim.emit(&UnitFact::Unit {
@@ -607,11 +606,7 @@ impl UnitManager {
             // progress to bank; a StagingInput victim keeps whatever an
             // earlier attempt already checkpointed.
             let checkpoint = if !interval.is_zero() && unit.state == UnitState::Executing {
-                let entered = unit
-                    .timestamps
-                    .last()
-                    .map(|&(_, t)| t)
-                    .unwrap_or_else(|| sim.now());
+                let (_, entered) = unit.timestamps.last();
                 let elapsed = sim.now().saturating_since(entered).as_secs();
                 let total =
                     (unit.checkpointed.as_secs() + elapsed).min(unit.work.duration.as_secs());

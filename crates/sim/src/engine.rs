@@ -320,6 +320,16 @@ impl Simulation {
         self.now = t;
     }
 
+    /// Drop every pending event without running it and release the
+    /// queue's storage: for a driver that is done with the simulation but
+    /// still reads what it built. A dropped event's id is dead, so
+    /// [`Simulation::cancel`] on it returns false, yet it is not counted
+    /// as cancelled: no [`EngineStats`] total moves. Events scheduled
+    /// afterwards run as usual.
+    pub fn discard_pending(&mut self) {
+        self.queue.discard();
+    }
+
     /// Cancel a pending event. Returns true if it had not yet fired.
     pub fn cancel(&mut self, id: EventId) -> bool {
         self.queue.cancel(id)
@@ -745,6 +755,46 @@ mod tests {
         assert_eq!(stats.events_processed, 2);
         assert_eq!(stats.pending_events_hwm, 6);
         assert!(stats.compactions >= 1);
+    }
+
+    #[test]
+    fn discard_pending_drops_events_and_keeps_the_counters() {
+        let mut sim = Simulation::new(1);
+        let hits = Rc::new(RefCell::new(vec![]));
+        let ids: Vec<_> = (0..8)
+            .map(|i| {
+                let h = hits.clone();
+                sim.schedule_at(t(f64::from(i)), move |_| h.borrow_mut().push(i))
+            })
+            .collect();
+        // Fire one, cancel five (compacting the heap), leave two pending.
+        assert!(sim.step());
+        for id in &ids[1..6] {
+            assert!(sim.cancel(*id));
+        }
+        let before = sim.engine_stats();
+        assert!(before.compactions >= 1);
+        assert_eq!(sim.pending_events(), 2);
+
+        sim.discard_pending();
+        assert_eq!(sim.pending_events(), 0);
+        assert_eq!(sim.engine_stats(), before);
+        for id in &ids {
+            assert!(!sim.cancel(*id), "a dropped or spent id is dead");
+        }
+        assert_eq!(sim.engine_stats(), before);
+
+        // The queue still works, and its new ids never revive old ones.
+        let h = hits.clone();
+        let late = sim.schedule_at(t(10.0), move |_| h.borrow_mut().push(10));
+        assert!(!ids.contains(&late));
+        assert!(!sim.cancel(ids[0]));
+        assert_eq!(sim.run_to_completion(), RunOutcome::Drained);
+        assert_eq!(*hits.borrow(), vec![0, 10]);
+        let after = sim.engine_stats();
+        assert_eq!(after.events_scheduled, before.events_scheduled + 1);
+        assert_eq!(after.events_processed, before.events_processed + 1);
+        assert_eq!(after.events_cancelled, before.events_cancelled);
     }
 
     #[test]

@@ -81,6 +81,9 @@ pub struct EventQueue<T> {
     generations: Vec<u32>,
     /// Slots whose event fired or was cancelled, ready for reuse.
     free: Vec<u32>,
+    /// Generation a new slot starts at: above every id issued before the
+    /// last [`EventQueue::discard`], so none of those comes back to life.
+    fresh_generation: u32,
     /// Number of live pending events.
     len: usize,
     /// Sequence number of the next event: also the total ever scheduled.
@@ -106,6 +109,7 @@ impl<T> EventQueue<T> {
             heap: BinaryHeap::new(),
             generations: Vec::new(),
             free: Vec::new(),
+            fresh_generation: 0,
             len: 0,
             next_seq: 0,
             hwm: 0,
@@ -120,7 +124,7 @@ impl<T> EventQueue<T> {
         let slot = self.free.pop().unwrap_or_else(|| {
             let slot =
                 u32::try_from(self.generations.len()).expect("fewer than 2^32 pending events");
-            self.generations.push(0);
+            self.generations.push(self.fresh_generation);
             slot
         });
         let id = EventId::new(slot, self.generations[slot as usize]);
@@ -178,6 +182,20 @@ impl<T> EventQueue<T> {
         let generations = &self.generations;
         self.heap
             .retain(|ev| generations.get(ev.id.slot()) == Some(&ev.id.generation()));
+    }
+
+    /// Drop every pending event without returning it, and free the
+    /// heap and the slot tables. Every id issued so far is dead from here
+    /// on. No counter moves: a dropped event was neither fired nor
+    /// cancelled.
+    pub fn discard(&mut self) {
+        if let Some(&newest) = self.generations.iter().max() {
+            self.fresh_generation = newest.wrapping_add(1);
+        }
+        self.heap = BinaryHeap::new();
+        self.generations = Vec::new();
+        self.free = Vec::new();
+        self.len = 0;
     }
 
     /// Remove and return the earliest live event, skipping tombstones.
