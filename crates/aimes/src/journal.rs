@@ -14,10 +14,36 @@
 //! does not describe the run it claims to, and resuming would fabricate
 //! history.
 
+use aimes_bundle::InfoClass;
 use aimes_sim::SimTime;
 use serde::{Deserialize, Serialize};
 
+pub use aimes_bundle::FallbackRung;
 pub use aimes_pilot::{PilotState, UnitState};
+
+/// How the information behind a fallback answer classified, as
+/// journaled: an [`InfoClass`] without the stale entry's age (the
+/// journal entry carries the age beside it). Serialized as the class's
+/// [`InfoClass::label`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "kebab-case")]
+pub enum InfoGrade {
+    Fresh,
+    Stale,
+    Corrupt,
+    Unavailable,
+}
+
+impl From<InfoClass> for InfoGrade {
+    fn from(class: InfoClass) -> Self {
+        match class {
+            InfoClass::Fresh => InfoGrade::Fresh,
+            InfoClass::Stale(_) => InfoGrade::Stale,
+            InfoClass::Corrupt => InfoGrade::Corrupt,
+            InfoClass::Unavailable => InfoGrade::Unavailable,
+        }
+    }
+}
 
 /// A suspicion-detector verdict as journaled.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -92,8 +118,8 @@ pub enum JournalEvent {
     /// (`None` = "does not fit"). Never emitted on a healthy channel.
     InfoFallback {
         resource: String,
-        class: String,
-        rung: String,
+        class: InfoGrade,
+        rung: FallbackRung,
         age_secs: f64,
         wait_secs: Option<f64>,
     },
@@ -285,6 +311,35 @@ mod tests {
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)
+    }
+
+    #[test]
+    fn info_fallback_writes_the_labels() {
+        use aimes_sim::SimDuration;
+        let classes = [
+            InfoClass::Fresh,
+            InfoClass::Stale(SimDuration::from_secs(5.0)),
+            InfoClass::Corrupt,
+            InfoClass::Unavailable,
+        ];
+        for class in classes {
+            let grade = InfoGrade::from(class);
+            let wire = serde_json::to_string(&grade).unwrap();
+            assert_eq!(wire, format!("\"{}\"", class.label()));
+            assert_eq!(serde_json::from_str::<InfoGrade>(&wire).unwrap(), grade);
+        }
+        let rungs = [
+            FallbackRung::Live,
+            FallbackRung::CacheHit,
+            FallbackRung::StaleCache,
+            FallbackRung::Predictor,
+            FallbackRung::StaticDefault,
+        ];
+        for rung in rungs {
+            let wire = serde_json::to_string(&rung).unwrap();
+            assert_eq!(wire, format!("\"{}\"", rung.label()));
+            assert_eq!(serde_json::from_str::<FallbackRung>(&wire).unwrap(), rung);
+        }
     }
 
     fn sample() -> RunJournal {

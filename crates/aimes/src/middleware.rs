@@ -787,8 +787,8 @@ impl Listener {
             at,
             JournalEvent::InfoFallback {
                 resource: d.resource.clone(),
-                class: d.class.label().to_string(),
-                rung: d.rung.label().to_string(),
+                class: d.class.into(),
+                rung: d.rung,
                 age_secs: d.age.as_secs(),
                 wait_secs: d.wait.map(|w| w.as_secs()),
             },

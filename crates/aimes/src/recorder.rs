@@ -266,7 +266,7 @@ impl RecorderSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::{PilotState, UnitState, Verdict};
+    use crate::journal::{FallbackRung, InfoGrade, PilotState, UnitState, Verdict};
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)
@@ -314,8 +314,8 @@ mod tests {
             },
             JournalEvent::InfoFallback {
                 resource: "one".into(),
-                class: "stale".into(),
-                rung: "last-known".into(),
+                class: InfoGrade::Stale,
+                rung: FallbackRung::StaleCache,
                 age_secs: 12.25,
                 wait_secs: None,
             },

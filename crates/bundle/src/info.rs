@@ -63,8 +63,10 @@ impl InfoClass {
     }
 }
 
-/// Which rung of the fallback ladder produced the answer.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// Which rung of the fallback ladder produced the answer. Serialized as
+/// its [`FallbackRung::label`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[serde(rename_all = "kebab-case")]
 pub enum FallbackRung {
     /// A live measurement against the resource.
     Live,

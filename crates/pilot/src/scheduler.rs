@@ -53,65 +53,72 @@ pub struct UnitView {
     pub bound_to: Option<PilotId>,
 }
 
-/// Compute assignments for this scheduling pass. `units` is in queue
-/// order; `pilots` lists *active* pilots only. Returns `(unit, pilot)`
-/// pairs in `units` order, each unit at most once: a subsequence of the
-/// queue, which the unit manager removes with one cursor. Unassigned
-/// units simply stay queued for the next pass.
+/// Compute assignments for this scheduling pass. `units` yields the
+/// ready queue's views in queue order and is pulled only as far as the
+/// pass needs; `pilots` lists *active* pilots only, in pilot-id order,
+/// the order ties break in. Returns `(unit, pilot)` pairs in `units`
+/// order, each unit at most once: a subsequence of the queue, which the
+/// unit manager removes with one cursor. Unassigned units simply stay
+/// queued for the next pass.
+///
+/// Every unit needs at least one core, so once no pilot has a free core
+/// nothing more can be placed: the scan stops there, and the views of
+/// the rest of the queue are never built. The round-robin cursor moves
+/// only when a unit is placed, so stopping early leaves it where a full
+/// scan would.
 pub fn assign(
     scheduler: UnitScheduler,
-    units: &[UnitView],
-    pilots: &[PilotView],
+    units: impl IntoIterator<Item = UnitView>,
+    mut pilots: Vec<PilotView>,
     rr_cursor: &mut usize,
 ) -> Vec<(UnitId, PilotId)> {
-    let mut free: Vec<PilotView> = pilots.to_vec();
-    // Deterministic pilot order.
-    free.sort_by_key(|p| p.id);
+    debug_assert!(
+        pilots.windows(2).all(|w| w[0].id < w[1].id),
+        "pilots in id order"
+    );
     let mut out = Vec::new();
-    match scheduler {
-        UnitScheduler::Direct => {
-            for u in units {
+    // Pilots with a free core; the pass ends when none is left.
+    let mut open = pilots.iter().filter(|p| p.free_cores > 0).count();
+    if open == 0 {
+        return out;
+    }
+    let mut take = |p: &mut PilotView, u: &UnitView| {
+        debug_assert!(u.cores > 0, "a unit needs a core");
+        p.free_cores -= u.cores;
+        if p.free_cores == 0 {
+            open -= 1;
+        }
+        out.push((u.id, p.id));
+        open > 0
+    };
+    let n = pilots.len();
+    for u in units {
+        let more = match scheduler {
+            UnitScheduler::Direct => {
                 let Some(target) = u.bound_to else { continue };
-                if let Some(p) = free.iter_mut().find(|p| p.id == target) {
-                    if p.free_cores >= u.cores {
-                        p.free_cores -= u.cores;
-                        out.push((u.id, p.id));
-                    }
+                match pilots.iter_mut().find(|p| p.id == target) {
+                    Some(p) if p.free_cores >= u.cores => take(p, &u),
+                    _ => continue,
                 }
             }
-        }
-        UnitScheduler::RoundRobin => {
-            if free.is_empty() {
-                return out;
-            }
-            for u in units {
-                let n = free.len();
-                // Find the next pilot (cyclically) with room.
-                let mut placed = false;
-                for k in 0..n {
-                    let idx = (*rr_cursor + k) % n;
-                    if free[idx].free_cores >= u.cores {
-                        free[idx].free_cores -= u.cores;
-                        out.push((u.id, free[idx].id));
-                        *rr_cursor = (idx + 1) % n;
-                        placed = true;
-                        break;
-                    }
-                }
-                if !placed {
-                    // No pilot has room; later (equal-core) units won't
-                    // fit either for the paper's uniform single-core bags,
-                    // but heterogeneous units might — keep scanning.
+            UnitScheduler::RoundRobin => {
+                // The next pilot (cyclically) with room.
+                let Some(idx) = (0..n)
+                    .map(|k| (*rr_cursor + k) % n)
+                    .find(|&idx| pilots[idx].free_cores >= u.cores)
+                else {
+                    // No pilot has room for this unit; a smaller one
+                    // behind it might still fit.
                     continue;
-                }
+                };
+                *rr_cursor = (idx + 1) % n;
+                take(&mut pilots[idx], &u)
             }
-        }
-        UnitScheduler::Backfill => {
-            for u in units {
+            UnitScheduler::Backfill => {
                 // Among pilots that fit both cores and remaining walltime,
                 // pick the one with the most remaining walltime (leaves
                 // tight pilots for short units); ties by id.
-                let best = free
+                let best = pilots
                     .iter_mut()
                     .filter(|p| p.free_cores >= u.cores && p.remaining_walltime >= u.est_duration)
                     .max_by(|a, b| {
@@ -119,15 +126,21 @@ pub fn assign(
                             .cmp(&b.remaining_walltime)
                             .then_with(|| b.id.cmp(&a.id))
                     });
-                if let Some(p) = best {
-                    p.free_cores -= u.cores;
-                    out.push((u.id, p.id));
+                match best {
+                    Some(p) => take(p, &u),
+                    None => continue,
                 }
             }
+        };
+        if !more {
+            break;
         }
     }
     out
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -153,6 +166,16 @@ mod tests {
         }
     }
 
+    /// `assign` over slices, as the tests hold their views.
+    fn run(
+        scheduler: UnitScheduler,
+        units: &[UnitView],
+        pilots: &[PilotView],
+        cursor: &mut usize,
+    ) -> Vec<(UnitId, PilotId)> {
+        assign(scheduler, units.iter().copied(), pilots.to_vec(), cursor)
+    }
+
     #[test]
     fn direct_respects_binding() {
         let pilots = [pv(0, 2, 1000.0), pv(1, 2, 1000.0)];
@@ -164,7 +187,7 @@ mod tests {
             uv(4, 1, 100.0, None),    // unbound: direct ignores it
         ];
         let mut cur = 0;
-        let a = assign(UnitScheduler::Direct, &units, &pilots, &mut cur);
+        let a = run(UnitScheduler::Direct, &units, &pilots, &mut cur);
         assert_eq!(
             a,
             vec![
@@ -181,7 +204,7 @@ mod tests {
         let pilots = [pv(0, 8, 1000.0)];
         let units = [uv(0, 1, 100.0, Some(3))];
         let mut cur = 0;
-        assert!(assign(UnitScheduler::Direct, &units, &pilots, &mut cur).is_empty());
+        assert!(run(UnitScheduler::Direct, &units, &pilots, &mut cur).is_empty());
     }
 
     #[test]
@@ -189,7 +212,7 @@ mod tests {
         let pilots = [pv(0, 2, 1000.0), pv(1, 2, 1000.0), pv(2, 2, 1000.0)];
         let units: Vec<_> = (0..6).map(|i| uv(i, 1, 100.0, None)).collect();
         let mut cur = 0;
-        let a = assign(UnitScheduler::RoundRobin, &units, &pilots, &mut cur);
+        let a = run(UnitScheduler::RoundRobin, &units, &pilots, &mut cur);
         let targets: Vec<u32> = a.iter().map(|(_, p)| p.0).collect();
         assert_eq!(targets, vec![0, 1, 2, 0, 1, 2]);
     }
@@ -201,7 +224,7 @@ mod tests {
         let pilots = [pv(0, 4, 10.0)];
         let units = [uv(0, 1, 1000.0, None)];
         let mut cur = 0;
-        let a = assign(UnitScheduler::RoundRobin, &units, &pilots, &mut cur);
+        let a = run(UnitScheduler::RoundRobin, &units, &pilots, &mut cur);
         assert_eq!(a.len(), 1);
     }
 
@@ -210,7 +233,7 @@ mod tests {
         let pilots = [pv(0, 4, 10.0), pv(1, 4, 2000.0)];
         let units = [uv(0, 1, 1000.0, None), uv(1, 1, 5.0, None)];
         let mut cur = 0;
-        let a = assign(UnitScheduler::Backfill, &units, &pilots, &mut cur);
+        let a = run(UnitScheduler::Backfill, &units, &pilots, &mut cur);
         // Long unit only fits pilot 1; short unit prefers the pilot with
         // the most remaining walltime (1) if it still has room.
         assert!(a.contains(&(UnitId(0), PilotId(1))));
@@ -222,7 +245,7 @@ mod tests {
         let pilots = [pv(0, 4, 50.0)];
         let units = [uv(0, 1, 100.0, None), uv(1, 8, 10.0, None)];
         let mut cur = 0;
-        let a = assign(UnitScheduler::Backfill, &units, &pilots, &mut cur);
+        let a = run(UnitScheduler::Backfill, &units, &pilots, &mut cur);
         assert!(a.is_empty());
     }
 
@@ -234,8 +257,8 @@ mod tests {
             UnitScheduler::RoundRobin,
             UnitScheduler::Backfill,
         ] {
-            assert!(assign(s, &[], &[pv(0, 4, 100.0)], &mut cur).is_empty());
-            assert!(assign(s, &[uv(0, 1, 1.0, None)], &[], &mut cur).is_empty());
+            assert!(run(s, &[], &[pv(0, 4, 100.0)], &mut cur).is_empty());
+            assert!(run(s, &[uv(0, 1, 1.0, None)], &[], &mut cur).is_empty());
         }
     }
 
@@ -265,7 +288,7 @@ mod tests {
                     Some((i % pilots.len()) as u32)))
                 .collect();
             let mut cur = 0;
-            let a = assign(scheduler, &units, &pilots, &mut cur);
+            let a = run(scheduler, &units, &pilots, &mut cur);
             // Each unit at most once, in queue order (ids are queue
             // positions here).
             for w in a.windows(2) {
@@ -299,11 +322,101 @@ mod tests {
                 .map(|(i, t)| uv(i as u32, 1, *t, None))
                 .collect();
             let mut cur = 0;
-            let a = assign(UnitScheduler::Backfill, &units, &pilots, &mut cur);
+            let a = run(UnitScheduler::Backfill, &units, &pilots, &mut cur);
             for (u, p) in a {
                 let unit = &units[u.0 as usize];
                 let pilot = pilots.iter().find(|x| x.id == p).unwrap();
                 prop_assert!(pilot.remaining_walltime >= unit.est_duration);
+            }
+        }
+    }
+
+    #[test]
+    fn scan_stops_once_every_pilot_is_full() {
+        let pilots = [pv(0, 2, 1000.0), pv(1, 0, 1000.0), pv(2, 1, 1000.0)];
+        for s in [
+            UnitScheduler::Direct,
+            UnitScheduler::RoundRobin,
+            UnitScheduler::Backfill,
+        ] {
+            let mut pulled = 0;
+            let units = (0..100).map(|i| {
+                pulled += 1;
+                uv(i, 1, 10.0, Some([0, 2][i as usize % 2]))
+            });
+            let mut cur = 0;
+            let a = assign(s, units, pilots.to_vec(), &mut cur);
+            assert_eq!(a.len(), 3, "{s:?}");
+            assert_eq!(pulled, a.len(), "{s:?} pulled past the last free core");
+        }
+        // No free core at all: not one view is built.
+        let mut pulled = 0;
+        let units = std::iter::from_fn(|| {
+            pulled += 1;
+            Some(uv(0, 1, 10.0, None))
+        });
+        let full = vec![pv(0, 0, 1000.0), pv(1, 0, 1000.0)];
+        assert!(assign(UnitScheduler::RoundRobin, units, full, &mut 0).is_empty());
+        assert_eq!(pulled, 0);
+    }
+
+    /// Shallow by default so `cargo test` stays fast; the chaos-smoke CI
+    /// job sets `AIMES_FULL_PROPTEST=1` for the full-depth sweep.
+    fn oracle_cases() -> u32 {
+        match std::env::var("AIMES_FULL_PROPTEST") {
+            Ok(v) if !v.is_empty() && v != "0" => 4096,
+            _ => 256,
+        }
+    }
+
+    /// A random pass: pilots in id order (ids with gaps, some with no
+    /// free core, some with little walltime left) and units of mixed
+    /// core counts and durations, some bound to a pilot, present or not.
+    fn pass() -> impl Strategy<Value = (Vec<PilotView>, Vec<UnitView>)> {
+        let pilots = proptest::collection::vec((1u32..4, 0u32..9, 0u32..4), 0..6).prop_map(|ps| {
+            let mut id = 0;
+            ps.into_iter()
+                .map(|(gap, free, rem)| {
+                    id += gap;
+                    // Remaining walltime: none, short, medium or ample.
+                    pv(id, free, [0.0, 30.0, 600.0, 1e5][rem as usize])
+                })
+                .collect::<Vec<_>>()
+        });
+        let units =
+            proptest::collection::vec((1u32..5, 1u32..1200, 0u32..16), 0..60).prop_map(|us| {
+                us.into_iter()
+                    .enumerate()
+                    .map(|(i, (cores, dur, bind))| {
+                        // Five in 16 unbound; the rest bound to ids 0..10, some
+                        // of which no pilot has.
+                        let bound = (bind >= 5).then(|| bind - 5);
+                        uv(i as u32, cores, f64::from(dur), bound)
+                    })
+                    .collect::<Vec<_>>()
+            });
+        (pilots, units)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(oracle_cases()))]
+
+        /// The lazy `assign` places exactly what the slice-based oracle
+        /// places, in the same order, and leaves the round-robin cursor
+        /// where the oracle does, for every scheduler and start cursor.
+        #[test]
+        fn prop_assign_matches_oracle(case in pass(), start in 0usize..8) {
+            let (pilots, units) = case;
+            for s in [
+                UnitScheduler::Direct,
+                UnitScheduler::RoundRobin,
+                UnitScheduler::Backfill,
+            ] {
+                let (mut lazy, mut slice) = (start, start);
+                let got = run(s, &units, &pilots, &mut lazy);
+                let want = oracle::assign_oracle(s, &units, &pilots, &mut slice);
+                prop_assert_eq!(&got, &want, "{:?}", s);
+                prop_assert_eq!(lazy, slice, "{:?} cursor", s);
             }
         }
     }

@@ -268,10 +268,76 @@ struct UmState {
     rr_cursor: usize,
     stats: UnitManagerStats,
     on_all_done: Vec<CompletionCallback>,
+    /// A scheduling pass is posted and has not run yet.
     schedule_pending: bool,
+    /// Debug builds: a unit was queued, a core freed or an agent added
+    /// since the last pass looked (see [`UnitManager::check_pass_rule`]).
+    #[cfg(debug_assertions)]
+    unsettled: bool,
     completion_fired: bool,
     /// Set on first contact with the simulation; a manager serves one.
     hooks: Option<Hooks>,
+}
+
+impl UmState {
+    /// Whether a pass might place a unit: one is ready and some agent
+    /// has a free core. Every unit needs a core, so otherwise a pass
+    /// would place nothing.
+    fn could_place(&self) -> bool {
+        !self.ready.is_empty() && self.agents.values().any(|a| a.free_cores > 0)
+    }
+
+    /// Note a change that can make a unit placeable: a unit queued, a
+    /// core freed or an agent added. The caller requests a pass after it.
+    fn unsettle(&mut self) {
+        #[cfg(debug_assertions)]
+        {
+            self.unsettled = true;
+        }
+    }
+
+    /// The scheduler's view of the active pilots, in pilot-id order (the
+    /// agents are a `BTreeMap`).
+    fn pilot_views(&self, now: SimTime) -> Vec<PilotView> {
+        self.agents
+            .values()
+            .map(|a| PilotView {
+                id: a.pilot,
+                free_cores: a.free_cores,
+                remaining_walltime: a.remaining_walltime(now),
+            })
+            .collect()
+    }
+
+    /// The scheduler's view of the ready units, in queue order, built
+    /// lazily: `assign` stops pulling once the pilots are full.
+    fn unit_views(&self) -> impl Iterator<Item = UnitView> + '_ {
+        self.ready.iter().map(|&id| {
+            let work = &self.units[id.0 as usize].work;
+            UnitView {
+                id,
+                cores: work.cores,
+                est_duration: work.duration,
+                bound_to: self.bound.get(id.0 as usize).copied().flatten(),
+            }
+        })
+    }
+
+    /// Queue `uid` behind the ready units.
+    fn push_ready(&mut self, uid: UnitId) {
+        self.ready.push_back(uid);
+        self.unsettle();
+    }
+
+    /// Hand `uid`'s cores back to its pilot's agent, if it still has one.
+    fn release_cores(&mut self, uid: UnitId) {
+        let unit = &self.units[uid.0 as usize];
+        let cores = unit.work.cores;
+        if let Some(agent) = unit.pilot.and_then(|pid| self.agents.get_mut(&pid)) {
+            agent.release(cores);
+            self.unsettle();
+        }
+    }
 }
 
 /// Reverse dependency edges in one flat table: the dependents of unit `u`
@@ -358,6 +424,8 @@ impl UnitManager {
                 stats: UnitManagerStats::default(),
                 on_all_done: Vec::new(),
                 schedule_pending: false,
+                #[cfg(debug_assertions)]
+                unsettled: false,
                 completion_fired: false,
                 hooks: None,
             })),
@@ -416,6 +484,9 @@ impl UnitManager {
             let mut roots = 0;
             for (i, task) in tasks.iter().enumerate() {
                 assert_eq!(task.id.0 as usize, i, "task ids must be dense and in order");
+                // A pass stops once no pilot has a free core, which is
+                // exact only if every unit needs one.
+                assert!(task.cores > 0, "task {i} needs at least one core");
                 let uid = UnitId(i as u32);
                 st.units
                     .push(ComputeUnit::new(uid, UnitWork::of(task), now));
@@ -455,7 +526,7 @@ impl UnitManager {
     }
 
     fn make_ready(&self, sim: &mut Simulation, uid: UnitId) {
-        self.inner.borrow_mut().ready.push_back(uid);
+        self.inner.borrow_mut().push_ready(uid);
         self.transition(sim, uid, UnitState::PendingExecution, UnitDetail::Plain);
     }
 
@@ -506,7 +577,11 @@ impl UnitManager {
                         p.description.walltime,
                     )
                 };
-                self.inner.borrow_mut().agents.insert(pilot, agent);
+                {
+                    let mut st = self.inner.borrow_mut();
+                    st.agents.insert(pilot, agent);
+                    st.unsettle();
+                }
                 self.request_schedule(sim);
             }
             s if s.is_terminal() => self.on_pilot_death(sim, pilot),
@@ -630,7 +705,7 @@ impl UnitManager {
             if !retract {
                 st.stats.restarts += 1;
                 if backoff.is_zero() {
-                    st.ready.push_back(uid);
+                    st.push_ready(uid);
                 }
             }
             (backoff, checkpoint)
@@ -661,9 +736,10 @@ impl UnitManager {
                     {
                         return;
                     }
-                    st.ready.push_back(uid);
+                    st.push_ready(uid);
                 }
                 this.request_schedule(sim);
+                this.check_pass_rule();
             });
         }
     }
@@ -678,7 +754,10 @@ impl UnitManager {
         }
         let mut on = |handle: fn(&UnitManager, &mut Simulation, UnitId)| {
             let this = self.clone();
-            sim.register_handler(move |sim, uid| handle(&this, sim, UnitId(uid)))
+            sim.register_handler(move |sim, uid| {
+                handle(&this, sim, UnitId(uid));
+                this.check_pass_rule();
+            })
         };
         let hooks = Hooks {
             staged: on(Self::on_input_staged),
@@ -693,11 +772,15 @@ impl UnitManager {
         hooks
     }
 
-    /// Request a (coalesced) scheduling pass.
+    /// Request a (coalesced) scheduling pass at this instant, posted only
+    /// if it could place a unit ([`UmState::could_place`]). Every path
+    /// that queues a unit, frees a core or adds an agent calls this after
+    /// it, so a request declined here is repeated by the change that
+    /// makes a unit placeable.
     fn request_schedule(&self, sim: &mut Simulation) {
         {
             let mut st = self.inner.borrow_mut();
-            if st.schedule_pending {
+            if st.schedule_pending || !st.could_place() {
                 return;
             }
             st.schedule_pending = true;
@@ -706,38 +789,46 @@ impl UnitManager {
         sim.call_at(sim.now(), pass, 0);
     }
 
+    /// Debug builds, at the exit of each engine event the manager
+    /// handles: if a unit was queued, a core freed or an agent added
+    /// since the last pass, and a unit is now placeable, a pass is
+    /// pending. A path that changes what can be placed without
+    /// requesting a pass fails here.
+    fn check_pass_rule(&self) {
+        #[cfg(debug_assertions)]
+        {
+            let st = self.inner.borrow();
+            assert!(
+                st.schedule_pending || !st.unsettled || !st.could_place(),
+                "a unit is placeable and no scheduling pass is pending"
+            );
+        }
+    }
+
     fn do_schedule(&self, sim: &mut Simulation) {
         let _prof = sim.profiler().scope("unit.manager");
         let now = sim.now();
         let assignments = {
             let mut st = self.inner.borrow_mut();
             let st = &mut *st;
-            if st.ready.is_empty() || st.agents.is_empty() {
+            #[cfg(debug_assertions)]
+            {
+                st.unsettled = false;
+            }
+            // The backstop of `request_schedule`'s rule: the state may
+            // have changed since the pass was posted.
+            if !st.could_place() {
                 return;
             }
-            let pilots: Vec<PilotView> = st
-                .agents
-                .values()
-                .map(|a| PilotView {
-                    id: a.pilot,
-                    free_cores: a.free_cores,
-                    remaining_walltime: a.remaining_walltime(now),
-                })
-                .collect();
-            let units: Vec<UnitView> = st
-                .ready
-                .iter()
-                .map(|uid| {
-                    let u = &st.units[uid.0 as usize];
-                    UnitView {
-                        id: *uid,
-                        cores: u.work.cores,
-                        est_duration: u.work.duration,
-                        bound_to: st.bound.get(uid.0 as usize).copied().flatten(),
-                    }
-                })
-                .collect();
-            assign(st.config.scheduler, &units, &pilots, &mut st.rr_cursor)
+            let mut cursor = st.rr_cursor;
+            let placed = assign(
+                st.config.scheduler,
+                st.unit_views(),
+                st.pilot_views(now),
+                &mut cursor,
+            );
+            st.rr_cursor = cursor;
+            placed
         };
         if assignments.is_empty() {
             return;
@@ -829,7 +920,10 @@ impl UnitManager {
         let ev = match fault {
             Some((at, permanent)) => {
                 let this = self.clone();
-                sim.schedule_in(at, move |sim| this.on_unit_fault(sim, uid, permanent))
+                sim.schedule_in(at, move |sim| {
+                    this.on_unit_fault(sim, uid, permanent);
+                    this.check_pass_rule();
+                })
             }
             None => {
                 let executed = self.hooks(sim).executed;
@@ -847,13 +941,7 @@ impl UnitManager {
             let mut st = self.inner.borrow_mut();
             let st = &mut *st;
             st.inflight[uid.0 as usize] = None;
-            let unit = &st.units[uid.0 as usize];
-            let cores = unit.work.cores;
-            if let Some(pid) = unit.pilot {
-                if let Some(agent) = st.agents.get_mut(&pid) {
-                    agent.release(cores);
-                }
-            }
+            st.release_cores(uid);
         }
         sim.emit(&UnitFact::Fault { uid, permanent });
         if permanent {
@@ -874,16 +962,10 @@ impl UnitManager {
             let mut st = self.inner.borrow_mut();
             let st = &mut *st;
             st.inflight[uid.0 as usize] = None;
-            let unit = &st.units[uid.0 as usize];
             // Execution done: the core goes back to the pilot; output
             // staging runs over the wide-area channel, off the core.
-            let cores = unit.work.cores;
-            let out_mb = unit.work.output_mb;
-            if let Some(pid) = unit.pilot {
-                if let Some(agent) = st.agents.get_mut(&pid) {
-                    agent.release(cores);
-                }
-            }
+            st.release_cores(uid);
+            let out_mb = st.units[uid.0 as usize].work.output_mb;
             let (_t0, out_end) = st.origin_channel.enqueue(now, out_mb);
             out_end
         };
@@ -1128,6 +1210,156 @@ mod tests {
         assert_eq!(um.stats().done, 8);
         // Two waves of 900 s on 4 cores: at least 1800 s.
         assert!(sim.now().as_secs() >= 1800.0);
+    }
+
+    /// Whether a pass now would place a unit: `assign` over the ready
+    /// queue, on a copy of the round-robin cursor.
+    fn placeable(um: &UnitManager, now: SimTime) -> bool {
+        let st = um.inner.borrow();
+        let mut cursor = st.rr_cursor;
+        let views = st.unit_views();
+        !assign(st.config.scheduler, views, st.pilot_views(now), &mut cursor).is_empty()
+    }
+
+    /// At least one agent, and none with a free core.
+    fn every_pilot_full(um: &UnitManager) -> bool {
+        let st = um.inner.borrow();
+        !st.agents.is_empty() && st.agents.values().all(|a| a.free_cores == 0)
+    }
+
+    /// Run `sim` to the end one event at a time, asserting after each
+    /// that a pass is pending whenever a unit is placeable, and never
+    /// while every pilot is full. Returns how many events left a unit
+    /// ready with every pilot full.
+    fn run_checking_pass_rule(sim: &mut Simulation, um: &UnitManager) -> usize {
+        let mut waited = 0;
+        while sim.step() {
+            let (pending, ready) = {
+                let st = um.inner.borrow();
+                (st.schedule_pending, !st.ready.is_empty())
+            };
+            assert!(
+                pending || !placeable(um, sim.now()),
+                "a unit is placeable at {} with no pass pending",
+                sim.now()
+            );
+            if every_pilot_full(um) {
+                assert!(
+                    !pending,
+                    "a pass is pending at {} with every pilot full",
+                    sim.now()
+                );
+                waited += usize::from(ready);
+            }
+        }
+        waited
+    }
+
+    #[test]
+    fn no_event_is_posted_while_every_pilot_is_full() {
+        let (mut sim, pm) = setup(&[("stampede", 64)]);
+        let um = UnitManager::new(
+            pm.clone(),
+            UmConfig::new(Binding::Late, UnitScheduler::Backfill),
+        );
+        pm.submit(
+            &mut sim,
+            vec![PilotDescription::new("stampede", 2, d(8000.0))],
+        );
+        um.submit_units(&mut sim, &bag_tasks(6));
+        // No agent yet: the submission posts no pass.
+        assert!(!um.inner.borrow().schedule_pending);
+        let mut quiet_dones = 0;
+        loop {
+            let full = every_pilot_full(&um);
+            let (done, posted) = (um.stats().done, sim.engine_stats().events_scheduled);
+            if !sim.step() {
+                break;
+            }
+            // A unit finishing its output staging frees no core: with
+            // every pilot full before and after, it posts nothing.
+            if um.stats().done > done && full && every_pilot_full(&um) {
+                assert_eq!(
+                    sim.engine_stats().events_scheduled,
+                    posted,
+                    "at {}",
+                    sim.now()
+                );
+                quiet_dones += 1;
+            }
+        }
+        assert!(quiet_dones > 0, "no unit finished while the pilot was full");
+        assert_eq!(um.stats().done, 6);
+    }
+
+    #[test]
+    fn restart_while_every_pilot_is_full_waits_for_a_core() {
+        let (mut sim, pm) = setup(&[("stampede", 64), ("gordon", 64)]);
+        let um = UnitManager::new(
+            pm.clone(),
+            UmConfig::new(Binding::Late, UnitScheduler::RoundRobin),
+        );
+        // Pilot 0 dies mid-task; its units restart at once (no backoff)
+        // while pilot 1 is busy, and wait for pilot 1's cores.
+        pm.submit(
+            &mut sim,
+            vec![PilotDescription::new("stampede", 2, d(400.0))],
+        );
+        pm.submit(
+            &mut sim,
+            vec![PilotDescription::new("gordon", 2, d(20_000.0))],
+        );
+        um.submit_units(&mut sim, &bag_tasks(4));
+        let pm2 = pm.clone();
+        um.on_all_done(move |sim| pm2.cancel_all(sim));
+        let waited = run_checking_pass_rule(&mut sim, &um);
+        assert!(waited > 0, "no restarted unit waited on full pilots");
+        let stats = um.stats();
+        assert_eq!((stats.done, stats.restarts), (4, 2), "{stats:?}");
+    }
+
+    #[test]
+    fn a_pilot_activating_after_units_are_ready_gets_a_pass() {
+        let (mut sim, pm) = setup(&[("stampede", 64), ("gordon", 64)]);
+        let um = UnitManager::new(
+            pm.clone(),
+            UmConfig::new(Binding::Late, UnitScheduler::Backfill),
+        );
+        um.submit_units(&mut sim, &bag_tasks(6));
+        assert!(!um.inner.borrow().schedule_pending);
+        assert_eq!(sim.pending_events(), 0, "no pilot, no pass");
+        for r in ["stampede", "gordon"] {
+            pm.submit(&mut sim, vec![PilotDescription::new(r, 2, d(8000.0))]);
+        }
+        let pm2 = pm.clone();
+        um.on_all_done(move |sim| pm2.cancel_all(sim));
+        run_checking_pass_rule(&mut sim, &um);
+        assert_eq!(um.stats().done, 6);
+    }
+
+    #[test]
+    fn early_binding_keeps_the_pass_rule() {
+        let (mut sim, pm) = setup(&[("stampede", 64), ("gordon", 64)]);
+        let um = UnitManager::new(
+            pm.clone(),
+            UmConfig::new(Binding::Early, UnitScheduler::Direct),
+        );
+        pm.submit(
+            &mut sim,
+            vec![PilotDescription::new("stampede", 2, d(8000.0))],
+        );
+        pm.submit(
+            &mut sim,
+            vec![PilotDescription::new("gordon", 4, d(8000.0))],
+        );
+        // Bound 4 to stampede and 8 to gordon: each pilot's units wait on
+        // its own cores while the other pilot may have some free.
+        um.submit_units(&mut sim, &bag_tasks(12));
+        let pm2 = pm.clone();
+        um.on_all_done(move |sim| pm2.cancel_all(sim));
+        let waited = run_checking_pass_rule(&mut sim, &um);
+        assert!(waited > 0);
+        assert_eq!(um.stats().done, 12);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! ([`Simulation::register_handler`]) and then schedules calls to it with
 //! a 32-bit argument ([`Simulation::call_at`]), which allocates nothing.
 
-use crate::event::{EventId, EventQueue, ScheduledEvent};
+use crate::event::{Entry, EventId, EventQueue, ScheduledEvent};
 use crate::profile::{EngineStats, ProfileLabel, Profiler};
 use crate::rng::SimRng;
 use crate::telemetry::MetricsRegistry;
@@ -42,8 +42,9 @@ enum Payload {
 }
 
 // `Call` fits in the `Box`'s non-null niche, so a queue entry stays at
-// five words: time, id, sequence number and a two-word payload.
-const _: () = assert!(std::mem::size_of::<ScheduledEvent<Payload>>() <= 40);
+// four words: time key, id (sequence number and slot) and a two-word
+// payload.
+const _: () = assert!(std::mem::size_of::<Entry<Payload>>() <= 32);
 
 /// Outcome of running the event loop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -436,17 +437,16 @@ impl Simulation {
             if self.events_processed >= self.event_budget {
                 break RunOutcome::BudgetExhausted;
             }
-            match self.queue.peek_time() {
-                None => break RunOutcome::Drained,
-                Some(t) if t > horizon => break RunOutcome::HorizonReached,
-                Some(_) => {
-                    let ev = self.queue.pop().expect("peeked event exists");
+            match self.queue.pop_until(horizon) {
+                Some(ev) => {
                     if PROFILED {
                         self.dispatch_marked(ev, &mut mark, &mut pending);
                     } else {
                         self.dispatch(ev);
                     }
                 }
+                None if self.queue.is_empty() => break RunOutcome::Drained,
+                None => break RunOutcome::HorizonReached,
             }
         };
         if PROFILED {

@@ -6,84 +6,147 @@
 //! therefore carries a monotonically increasing sequence number that breaks
 //! ties.
 //!
-//! Liveness is a slab, not a set: each pending event owns a slot, and its
-//! [`EventId`] records the slot's generation at scheduling time. Firing or
-//! cancelling bumps the generation and frees the slot, so an id is live
-//! exactly while its generation matches — one indexed compare, no hashing.
+//! A heap entry is 32 bytes for a two-word payload: an order-preserving
+//! `u64` key of its time, an [`EventId`] that packs the sequence number
+//! with a slot, and the payload. Entries compare as one integer, key then
+//! sequence number. Liveness is a slab, not a set: each pending event owns
+//! a slot, and the slot holds the sequence number of the event that owns
+//! it. Firing or cancelling frees the slot, so an entry or id is live
+//! exactly while its sequence number is its slot's — one indexed compare,
+//! no hashing.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+/// Bits of an [`EventId`] that hold the slot; the sequence number takes
+/// the other 40.
+const SLOT_BITS: u32 = 24;
+/// One past the largest sequence number an id can hold.
+const SEQ_LIMIT: u64 = 1 << (64 - SLOT_BITS);
+/// Set in a slot's tag when its event was scheduled at `-0.0`, the one
+/// time whose key (shared with `+0.0`, so the two tie) loses its sign.
+const NEG_ZERO: u64 = 1 << 63;
+/// Set in the tag of a free slot, whose low 32 bits then link to the
+/// next free slot. No sequence number has it, so a free slot matches no
+/// id.
+const FREE: u64 = 1 << 62;
+/// The end of the free list.
+const NO_SLOT: u32 = u32::MAX;
+
 /// Opaque handle identifying a scheduled event; used for cancellation.
 ///
-/// Packs the event's slot (low 32 bits) and that slot's generation when
-/// the event was scheduled (high 32 bits). Ids are unique until one slot
-/// is reused 2^32 times.
+/// Packs the event's sequence number (high 40 bits) and its slot (low 24
+/// bits). Sequence numbers are never reused, so an id names one event for
+/// the queue's whole life.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct EventId(pub(crate) u64);
 
 impl EventId {
-    fn new(slot: u32, generation: u32) -> Self {
-        EventId(u64::from(generation) << 32 | u64::from(slot))
+    fn new(seq: u64, slot: u32) -> Self {
+        EventId(seq << SLOT_BITS | u64::from(slot))
     }
 
     fn slot(self) -> usize {
-        self.0 as u32 as usize
+        (self.0 & ((1 << SLOT_BITS) - 1)) as usize
     }
 
-    fn generation(self) -> u32 {
-        (self.0 >> 32) as u32
+    fn seq(self) -> u64 {
+        self.0 >> SLOT_BITS
     }
 }
 
-/// An event in the queue: a firing time plus an arbitrary payload.
+/// Order-preserving key of a time: `a < b` as `f64` iff `key(a) <
+/// key(b)`, and `-0.0` keys as `+0.0` so the two zeros tie, as they do
+/// under `f64` comparison. NaN never reaches here ([`SimTime`] rejects it).
+fn time_key(time: SimTime) -> u64 {
+    // Adding `+0.0` turns `-0.0` into `+0.0` and leaves any other value.
+    let bits = (time.as_secs() + 0.0).to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// The time a key was made from, but for the sign of a zero.
+fn key_time(key: u64) -> f64 {
+    if key >> 63 == 1 {
+        f64::from_bits(key & !(1 << 63))
+    } else {
+        f64::from_bits(!key)
+    }
+}
+
+/// The tag of `id`'s slot in `slots` if `id` is live.
+fn live_tag(slots: &[u64], id: EventId) -> Option<u64> {
+    slots
+        .get(id.slot())
+        .copied()
+        .filter(|tag| tag & !NEG_ZERO == id.seq())
+}
+
+/// A heap entry: the time key, the id and the payload.
 #[derive(Debug)]
-pub struct ScheduledEvent<T> {
-    pub time: SimTime,
-    pub id: EventId,
-    seq: u64,
-    pub payload: T,
+pub(crate) struct Entry<T> {
+    key: u64,
+    id: EventId,
+    payload: T,
 }
 
-impl<T> PartialEq for ScheduledEvent<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+impl<T> Entry<T> {
+    /// Key then sequence number; the id's high bits are its sequence
+    /// number, which is unique, so its low bits never decide.
+    #[inline]
+    fn rank(&self) -> u128 {
+        u128::from(self.key) << 64 | u128::from(self.id.0)
     }
 }
-impl<T> Eq for ScheduledEvent<T> {}
+
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.rank() == other.rank()
+    }
+}
+impl<T> Eq for Entry<T> {}
 
 // BinaryHeap is a max-heap; invert the ordering so the earliest event (and
 // among equals, the earliest-scheduled) pops first.
-impl<T> Ord for ScheduledEvent<T> {
+impl<T> Ord for Entry<T> {
     fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.rank().cmp(&self.rank())
     }
 }
-impl<T> PartialOrd for ScheduledEvent<T> {
+impl<T> PartialOrd for Entry<T> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
+/// An event taken off the queue: its firing time, exactly as scheduled,
+/// its id and its payload.
+#[derive(Debug)]
+pub struct ScheduledEvent<T> {
+    pub time: SimTime,
+    pub id: EventId,
+    pub payload: T,
+}
+
 /// Time-ordered event queue with lazy cancellation.
 ///
-/// A cancelled event stays in the heap as a tombstone (its id no longer
-/// live) and is skipped when it surfaces. This keeps cancellation O(1)
-/// plus amortized compaction, without heap surgery.
+/// A cancelled event stays in the heap as a tombstone (its slot freed or
+/// owned by a later event) and is skipped when it surfaces. This keeps
+/// cancellation O(1) plus amortized compaction, without heap surgery.
 #[derive(Debug)]
 pub struct EventQueue<T> {
-    heap: BinaryHeap<ScheduledEvent<T>>,
-    /// Current generation of each slot; an id is live while it matches.
-    generations: Vec<u32>,
-    /// Slots whose event fired or was cancelled, ready for reuse.
-    free: Vec<u32>,
-    /// Generation a new slot starts at: above every id issued before the
-    /// last [`EventQueue::discard`], so none of those comes back to life.
-    fresh_generation: u32,
+    heap: BinaryHeap<Entry<T>>,
+    /// Per slot: the sequence number of the event that owns it (plus the
+    /// [`NEG_ZERO`] flag), or, for a slot whose event fired or was
+    /// cancelled, [`FREE`] and the next free slot.
+    slots: Vec<u64>,
+    /// The most recently freed slot, the head of the free list threaded
+    /// through `slots`; [`NO_SLOT`] if none is free.
+    free_head: u32,
     /// Number of live pending events.
     len: usize,
     /// Sequence number of the next event: also the total ever scheduled.
@@ -107,9 +170,8 @@ impl<T> EventQueue<T> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            generations: Vec::new(),
-            free: Vec::new(),
-            fresh_generation: 0,
+            slots: Vec::new(),
+            free_head: NO_SLOT,
             len: 0,
             next_seq: 0,
             hwm: 0,
@@ -119,50 +181,72 @@ impl<T> EventQueue<T> {
     }
 
     /// Schedule `payload` to fire at `time`. Returns a handle usable with
-    /// [`EventQueue::cancel`].
+    /// [`EventQueue::cancel`]. Panics past 2^40 events scheduled or 2^24
+    /// pending.
     pub fn schedule(&mut self, time: SimTime, payload: T) -> EventId {
-        let slot = self.free.pop().unwrap_or_else(|| {
-            let slot =
-                u32::try_from(self.generations.len()).expect("fewer than 2^32 pending events");
-            self.generations.push(self.fresh_generation);
-            slot
-        });
-        let id = EventId::new(slot, self.generations[slot as usize]);
         let seq = self.next_seq;
+        assert!(seq < SEQ_LIMIT, "event sequence numbers exhausted (2^40)");
+        let slot = if self.free_head == NO_SLOT {
+            let slot = self.slots.len();
+            assert!(slot < 1 << SLOT_BITS, "fewer than 2^24 pending events");
+            self.slots.push(FREE);
+            slot as u32
+        } else {
+            let slot = self.free_head;
+            self.free_head = self.slots[slot as usize] as u32;
+            slot
+        };
+        let neg_zero = time.as_secs().to_bits() == (-0.0f64).to_bits();
+        self.slots[slot as usize] = if neg_zero { seq | NEG_ZERO } else { seq };
+        let id = EventId::new(seq, slot);
         self.next_seq += 1;
         self.len += 1;
         self.hwm = self.hwm.max(self.len);
-        self.heap.push(ScheduledEvent {
-            time,
+        self.heap.push(Entry {
+            key: time_key(time),
             id,
-            seq,
             payload,
         });
         id
     }
 
-    fn is_live(&self, id: EventId) -> bool {
-        self.generations.get(id.slot()) == Some(&id.generation())
+    /// End a live event's life (fired or cancelled): free its slot.
+    /// Returns the slot's tag, or `None` if `id` was not live.
+    fn release(&mut self, id: EventId) -> Option<u64> {
+        let tag = live_tag(&self.slots, id)?;
+        self.free_slot(id);
+        Some(tag)
     }
 
-    /// End a live event's life (fired or cancelled): bump its slot's
-    /// generation and free the slot. False if `id` was not live.
-    fn release(&mut self, id: EventId) -> bool {
-        match self.generations.get_mut(id.slot()) {
-            Some(generation) if *generation == id.generation() => {
-                *generation = generation.wrapping_add(1);
-                self.free.push(id.slot() as u32);
-                self.len -= 1;
-                true
-            }
-            _ => false,
+    /// Free the slot of `id`, which is live.
+    fn free_slot(&mut self, id: EventId) {
+        self.slots[id.slot()] = FREE | u64::from(self.free_head);
+        self.free_head = id.slot() as u32;
+        self.len -= 1;
+    }
+
+    /// The time `key` was scheduled at, bit for bit, given its slot's tag.
+    fn time_of(key: u64, tag: u64) -> SimTime {
+        SimTime::from_secs(if tag & NEG_ZERO != 0 {
+            -0.0
+        } else {
+            key_time(key)
+        })
+    }
+
+    /// A popped entry as the event it was, given its slot's tag.
+    fn fired(e: Entry<T>, tag: u64) -> ScheduledEvent<T> {
+        ScheduledEvent {
+            time: Self::time_of(e.key, tag),
+            id: e.id,
+            payload: e.payload,
         }
     }
 
     /// Cancel a previously scheduled event. Returns true if the event was
     /// still pending (i.e., not yet fired or cancelled).
     pub fn cancel(&mut self, id: EventId) -> bool {
-        if !self.release(id) {
+        if self.release(id).is_none() {
             return false;
         }
         self.cancels += 1;
@@ -179,41 +263,58 @@ impl<T> EventQueue<T> {
     /// Rebuild the heap without tombstones.
     fn compact(&mut self) {
         self.compactions += 1;
-        let generations = &self.generations;
-        self.heap
-            .retain(|ev| generations.get(ev.id.slot()) == Some(&ev.id.generation()));
+        let slots = &self.slots;
+        self.heap.retain(|e| live_tag(slots, e.id).is_some());
     }
 
     /// Drop every pending event without returning it, and free the
-    /// heap and the slot tables. Every id issued so far is dead from here
-    /// on. No counter moves: a dropped event was neither fired nor
-    /// cancelled.
+    /// heap and the slot table. Every id issued so far is dead from here
+    /// on: sequence numbers are never reused. No counter moves: a dropped
+    /// event was neither fired nor cancelled.
     pub fn discard(&mut self) {
-        if let Some(&newest) = self.generations.iter().max() {
-            self.fresh_generation = newest.wrapping_add(1);
-        }
         self.heap = BinaryHeap::new();
-        self.generations = Vec::new();
-        self.free = Vec::new();
+        self.slots = Vec::new();
+        self.free_head = NO_SLOT;
         self.len = 0;
     }
 
     /// Remove and return the earliest live event, skipping tombstones.
     pub fn pop(&mut self) -> Option<ScheduledEvent<T>> {
-        while let Some(ev) = self.heap.pop() {
-            if self.release(ev.id) {
-                return Some(ev);
+        while let Some(e) = self.heap.pop() {
+            if let Some(tag) = self.release(e.id) {
+                return Some(Self::fired(e, tag));
             }
         }
         None
     }
 
+    /// Remove and return the earliest live event if it fires at or before
+    /// `until`: [`EventQueue::peek_time`] and [`EventQueue::pop`] in one
+    /// pass, which prunes the same tombstones and checks the head's
+    /// liveness once.
+    pub fn pop_until(&mut self, until: SimTime) -> Option<ScheduledEvent<T>> {
+        let limit = time_key(until);
+        loop {
+            let head = self.heap.peek()?;
+            let Some(tag) = live_tag(&self.slots, head.id) else {
+                self.heap.pop();
+                continue;
+            };
+            if head.key > limit {
+                return None;
+            }
+            let e = self.heap.pop().expect("peeked entry exists");
+            self.free_slot(e.id);
+            return Some(Self::fired(e, tag));
+        }
+    }
+
     /// Firing time of the earliest live event without removing it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         // Prune tombstones at the head so the reported time is live.
-        while let Some(ev) = self.heap.peek() {
-            if self.is_live(ev.id) {
-                return Some(ev.time);
+        while let Some(e) = self.heap.peek() {
+            if let Some(tag) = live_tag(&self.slots, e.id) {
+                return Some(Self::time_of(e.key, tag));
             }
             self.heap.pop();
         }
@@ -454,28 +555,62 @@ mod tests {
         }
     }
 
+    /// Times the oracle workload schedules at: twelve whole seconds, so
+    /// many events tie, and the edges of the time key's order (negative
+    /// times, both zeros at one instant, the smallest subnormals, the
+    /// infinities and neighbouring doubles).
+    const INSTANTS: [f64; 24] = [
+        0.0,
+        1.0,
+        2.0,
+        3.0,
+        4.0,
+        5.0,
+        6.0,
+        7.0,
+        8.0,
+        9.0,
+        10.0,
+        11.0,
+        -0.0,
+        -1.0,
+        -1e300,
+        -5e-324,
+        5e-324,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MAX,
+        f64::MIN,
+        1.0 + f64::EPSILON,
+        1.0 - f64::EPSILON / 2.0,
+        -1.0 - f64::EPSILON,
+    ];
+
     /// One step of a random queue workload.
     #[derive(Clone, Debug)]
     enum Op {
-        /// Schedule at this whole second; 12 instants force many ties.
-        Schedule(u8),
+        /// Schedule at `INSTANTS[i]`.
+        Schedule(usize),
         /// Cancel the id issued at this position (modulo the issue count):
         /// pending, fired or already cancelled.
         Cancel(usize),
         /// Cancel an id neither queue ever issued.
         CancelUnknown(u32),
         Pop,
+        /// Pop if the head fires at or before `INSTANTS[i]`.
+        PopUntil(usize),
         Peek,
     }
 
     /// Weighted draw: schedules 5, cancels 3, unknown cancels 1, pops 3,
-    /// peeks 1 (out of 13).
+    /// bounded pops 2, peeks 1 (out of 15).
     fn op() -> impl Strategy<Value = Op> {
-        (0u32..13, any::<usize>()).prop_map(|(k, x)| match k {
-            0..=4 => Op::Schedule((x % 12) as u8),
+        (0u32..15, any::<usize>()).prop_map(|(k, x)| match k {
+            0..=4 => Op::Schedule(x % INSTANTS.len()),
             5..=7 => Op::Cancel(x),
             8 => Op::CancelUnknown((x % 4) as u32),
             9..=11 => Op::Pop,
+            12..=13 => Op::PopUntil(x % INSTANTS.len()),
             _ => Op::Peek,
         })
     }
@@ -493,22 +628,24 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(oracle_cases()))]
 
         /// The queue and the oracle agree on everything observable after
-        /// every step: pop order (ties included), cancel results, peeks,
-        /// lengths, the tombstone backlog and every lifetime counter.
+        /// every step: pop order (ties, and the two zeros, broken by
+        /// sequence number), popped and peeked times bit for bit, cancel
+        /// results, lengths, the tombstone backlog and every lifetime
+        /// counter.
         #[test]
         fn queue_matches_oracle(ops in proptest::collection::vec(op(), 0..400)) {
             let mut q = EventQueue::new();
             let mut o = OracleQueue::new();
-            // Issue order: (queue id, oracle id), indexed by payload.
-            let mut issued: Vec<(EventId, EventId)> = Vec::new();
+            // Issue order: (queue id, oracle id, time), indexed by payload.
+            let mut issued: Vec<(EventId, EventId, f64)> = Vec::new();
             for op in ops {
                 match op {
-                    Op::Schedule(at) => {
-                        let n = issued.len();
-                        issued.push((q.schedule(t(f64::from(at)), n), o.schedule(t(f64::from(at)), n)));
+                    Op::Schedule(i) => {
+                        let (n, at) = (issued.len(), INSTANTS[i]);
+                        issued.push((q.schedule(t(at), n), o.schedule(t(at), n), at));
                     }
                     Op::Cancel(i) if !issued.is_empty() => {
-                        let (qi, oi) = issued[i % issued.len()];
+                        let (qi, oi, _) = issued[i % issued.len()];
                         prop_assert_eq!(q.cancel(qi), o.cancel(oi));
                     }
                     Op::Cancel(_) => {}
@@ -517,16 +654,37 @@ mod tests {
                         prop_assert!(!q.cancel(id));
                         prop_assert!(!o.cancel(id));
                     }
+                    Op::PopUntil(i) => {
+                        let until = t(INSTANTS[i]);
+                        let want = match o.peek_time() {
+                            Some(at) if at <= until => o.pop(),
+                            _ => None,
+                        };
+                        match (q.pop_until(until), want) {
+                            (Some(a), Some(b)) => {
+                                prop_assert_eq!(a.payload, b.payload);
+                                let at = issued[a.payload].2;
+                                prop_assert_eq!(a.time.as_secs().to_bits(), at.to_bits());
+                            }
+                            (None, None) => {}
+                            (a, b) => prop_assert!(false, "pop_until diverged: {:?} vs {:?}", a, b),
+                        }
+                    }
                     Op::Pop => match (q.pop(), o.pop()) {
                         (Some(a), Some(b)) => {
-                            prop_assert_eq!(a.time, b.time);
                             prop_assert_eq!(a.payload, b.payload);
-                            prop_assert_eq!((a.id, b.id), issued[a.payload]);
+                            let (qi, oi, at) = issued[a.payload];
+                            prop_assert_eq!((a.id, b.id), (qi, oi));
+                            prop_assert_eq!(a.time.as_secs().to_bits(), at.to_bits());
+                            prop_assert_eq!(b.time.as_secs().to_bits(), at.to_bits());
                         }
                         (None, None) => {}
                         (a, b) => prop_assert!(false, "pop diverged: {:?} vs {:?}", a, b),
                     },
-                    Op::Peek => prop_assert_eq!(q.peek_time(), o.peek_time()),
+                    Op::Peek => prop_assert_eq!(
+                        q.peek_time().map(|t| t.as_secs().to_bits()),
+                        o.peek_time().map(|t| t.as_secs().to_bits())
+                    ),
                 }
                 prop_assert_eq!(q.len(), o.len());
                 prop_assert_eq!(q.is_empty(), o.is_empty());
@@ -537,14 +695,84 @@ mod tests {
                 prop_assert_eq!(q.scheduled_total(), o.scheduled_total());
                 prop_assert_eq!(q.cancelled_total(), o.cancelled_total());
             }
-            // Drain: whatever is left pops in the same order.
+            // Drain: whatever is left pops in the same order, at the same
+            // times bit for bit.
             loop {
                 match (q.pop(), o.pop()) {
-                    (Some(a), Some(b)) => prop_assert_eq!((a.time, a.payload), (b.time, b.payload)),
+                    (Some(a), Some(b)) => prop_assert_eq!(
+                        (a.time.as_secs().to_bits(), a.payload),
+                        (b.time.as_secs().to_bits(), b.payload)
+                    ),
                     (None, None) => break,
                     (a, b) => prop_assert!(false, "drain diverged: {:?} vs {:?}", a, b),
                 }
             }
         }
+    }
+
+    #[test]
+    fn time_key_orders_like_f64() {
+        let mut sorted = INSTANTS;
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        for pair in sorted.windows(2) {
+            let (a, b) = (time_key(t(pair[0])), time_key(t(pair[1])));
+            assert_eq!(
+                a.cmp(&b),
+                pair[0].partial_cmp(&pair[1]).unwrap(),
+                "{pair:?}"
+            );
+        }
+        for x in INSTANTS {
+            assert_eq!(key_time(time_key(t(x))).to_bits(), (x + 0.0).to_bits());
+        }
+    }
+
+    #[test]
+    fn both_zeros_tie_and_keep_their_sign() {
+        let mut q = EventQueue::new();
+        q.schedule(t(0.0), "plus");
+        q.schedule(t(-0.0), "minus");
+        q.schedule(t(0.0), "plus again");
+        assert_eq!(q.peek_time().unwrap().as_secs().to_bits(), 0);
+        for (sign, name) in [(false, "plus"), (true, "minus"), (false, "plus again")] {
+            let ev = q.pop().unwrap();
+            assert_eq!(ev.payload, name);
+            assert_eq!(ev.time.as_secs().is_sign_negative(), sign, "{name}");
+        }
+    }
+
+    #[test]
+    fn id_packs_sequence_and_slot() {
+        let mut q = EventQueue::new();
+        let a = q.schedule(t(1.0), ());
+        let b = q.schedule(t(1.0), ());
+        assert_eq!((a.seq(), a.slot()), (0, 0));
+        assert_eq!((b.seq(), b.slot()), (1, 1));
+        q.pop();
+        // The freed slot is reused under a new sequence number, and the
+        // fired id stays dead.
+        let c = q.schedule(t(2.0), ());
+        assert_eq!((c.seq(), c.slot()), (2, 0));
+        assert!(!q.cancel(a));
+        assert!(q.cancel(c));
+    }
+
+    #[test]
+    fn last_sequence_number_is_usable() {
+        let mut q = EventQueue::new();
+        q.next_seq = SEQ_LIMIT - 1;
+        let id = q.schedule(t(0.0), ());
+        assert_eq!(id.seq(), SEQ_LIMIT - 1);
+        assert_eq!(q.pop().unwrap().id, id);
+    }
+
+    #[test]
+    #[should_panic(expected = "sequence numbers exhausted")]
+    fn sequence_overflow_is_caught() {
+        // A 41st bit would fall off the id; the queue refuses to issue
+        // it.
+        let mut q = EventQueue::new();
+        q.next_seq = SEQ_LIMIT;
+        q.schedule(t(0.0), ());
     }
 }

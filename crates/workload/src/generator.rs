@@ -115,6 +115,12 @@ pub struct BackgroundWorkload {
     total_cores: u32,
     rng: SimRng,
     next_arrival: SimTime,
+    /// `config.mean_interarrival(total_cores)` in seconds: fixed for the
+    /// generator's life, so drawn once.
+    base_secs: f64,
+    /// Peak arrival rate, the thinning envelope:
+    /// `(1 + diurnal_amplitude) / base_secs`.
+    peak_rate: f64,
 }
 
 impl BackgroundWorkload {
@@ -127,11 +133,15 @@ impl BackgroundWorkload {
             "target_utilization must be in (0, 1.5)"
         );
         assert!((0.0..1.0).contains(&config.diurnal_amplitude));
+        let base_secs = config.mean_interarrival(total_cores).as_secs();
+        let peak_rate = (1.0 + config.diurnal_amplitude) / base_secs;
         let mut gen = BackgroundWorkload {
             config,
             total_cores,
             rng,
             next_arrival: SimTime::ZERO,
+            base_secs,
+            peak_rate,
         };
         gen.next_arrival = gen.draw_next_arrival(SimTime::ZERO);
         gen
@@ -154,13 +164,12 @@ impl BackgroundWorkload {
     /// Draw the next arrival strictly after `t` using thinning: sample at
     /// the peak rate, accept with probability rate(t)/peak.
     fn draw_next_arrival(&mut self, t: SimTime) -> SimTime {
-        let base = self.config.mean_interarrival(self.total_cores);
-        let peak_rate = (1.0 + self.config.diurnal_amplitude) / base.as_secs();
+        let peak_rate = self.peak_rate;
         let mut cur = t;
         loop {
             let gap = -((1.0 - self.rng.uniform01()).ln()) / peak_rate;
             cur += SimDuration::from_secs(gap);
-            let accept = self.rate_multiplier(cur) / (peak_rate * base.as_secs());
+            let accept = self.rate_multiplier(cur) / (peak_rate * self.base_secs);
             if self.rng.chance(accept) {
                 return cur;
             }

@@ -188,7 +188,7 @@ fn metrics_summary_golden_digest() {
     let summary = serde_json::to_string(&telemetry.summary()).expect("summary serializes");
     let digest = fnv(summary.as_bytes());
     println!("metrics summary digest: {digest} ({} bytes)", summary.len());
-    assert_eq!(digest, "11c5362fd96a8450");
+    assert_eq!(digest, "245a77711c7a61fb");
 }
 
 /// Every fact that both ticks a counter and writes a trace line, as

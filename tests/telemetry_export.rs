@@ -209,7 +209,7 @@ fn chrome_trace_golden_digest() {
     telemetry.write_chrome_trace(&mut buf).expect("writes");
     let digest = fnv(&buf);
     println!("chrome trace digest: {digest}");
-    assert_eq!(digest, "48058fe95e986534");
+    assert_eq!(digest, "d98fb89aadb2af05");
 }
 
 #[test]
