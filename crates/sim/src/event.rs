@@ -234,15 +234,6 @@ impl<T> EventQueue<T> {
         })
     }
 
-    /// A popped entry as the event it was, given its slot's tag.
-    fn fired(e: Entry<T>, tag: u64) -> ScheduledEvent<T> {
-        ScheduledEvent {
-            time: Self::time_of(e.key, tag),
-            id: e.id,
-            payload: e.payload,
-        }
-    }
-
     /// Cancel a previously scheduled event. Returns true if the event was
     /// still pending (i.e., not yet fired or cancelled).
     pub fn cancel(&mut self, id: EventId) -> bool {
@@ -280,17 +271,12 @@ impl<T> EventQueue<T> {
 
     /// Remove and return the earliest live event, skipping tombstones.
     pub fn pop(&mut self) -> Option<ScheduledEvent<T>> {
-        while let Some(e) = self.heap.pop() {
-            if let Some(tag) = self.release(e.id) {
-                return Some(Self::fired(e, tag));
-            }
-        }
-        None
+        // Every key is at most `+inf`'s (NaN never reaches the queue).
+        self.pop_until(SimTime::from_secs(f64::INFINITY))
     }
 
     /// Remove and return the earliest live event if it fires at or before
-    /// `until`: [`EventQueue::peek_time`] and [`EventQueue::pop`] in one
-    /// pass, which prunes the same tombstones and checks the head's
+    /// `until`, pruning tombstones at the head and checking the head's
     /// liveness once.
     pub fn pop_until(&mut self, until: SimTime) -> Option<ScheduledEvent<T>> {
         let limit = time_key(until);
@@ -305,7 +291,11 @@ impl<T> EventQueue<T> {
             }
             let e = self.heap.pop().expect("peeked entry exists");
             self.free_slot(e.id);
-            return Some(Self::fired(e, tag));
+            return Some(ScheduledEvent {
+                time: Self::time_of(e.key, tag),
+                id: e.id,
+                payload: e.payload,
+            });
         }
     }
 
