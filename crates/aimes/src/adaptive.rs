@@ -41,6 +41,7 @@ pub struct AdaptiveConfig {
 impl AdaptiveConfig {
     /// A sensible default: start with `k` pilots, after 15 minutes of no
     /// activation add one pilot per round, up to two rounds.
+    #[cfg(test)]
     pub fn patient(base: ExecutionStrategy) -> Self {
         AdaptiveConfig {
             base,

@@ -301,11 +301,6 @@ impl Clone for CampaignSender {
 }
 
 impl CampaignSender {
-    /// Whether volatile wall-clock fields should be recorded.
-    pub fn timing_enabled(&self) -> bool {
-        self.timing
-    }
-
     /// Seconds since the campaign recorder was created — the epoch for
     /// [`RunTiming`] wall offsets.
     pub fn elapsed_secs(&self) -> f64 {
@@ -690,7 +685,6 @@ mod tests {
         let meta = CampaignMeta::new("t", 7, 1);
         let recorder = CampaignRecorder::create(&path, &meta, true).unwrap();
         let sender = recorder.sender();
-        assert!(sender.timing_enabled());
         let rec = dummy_run(0).with_timing(RunTiming {
             worker: 0,
             wall_start_secs: 0.0,

@@ -98,16 +98,6 @@ pub struct ExperimentResult {
     pub points: Vec<ExperimentPoint>,
 }
 
-impl ExperimentResult {
-    /// The TTC series `(n_tasks, mean_ttc_secs)` — one Fig. 2 line.
-    pub fn ttc_series(&self) -> Vec<(u32, f64)> {
-        self.points
-            .iter()
-            .map(|p| (p.n_tasks, p.ttc.mean))
-            .collect()
-    }
-}
-
 const EMPTY_SUMMARY: Summary = Summary {
     n: 0,
     mean: f64::NAN,
@@ -351,9 +341,7 @@ mod tests {
             assert!(p.tx.mean <= p.ttc.mean);
             assert!(p.ts.mean <= p.ttc.mean);
         }
-        let series = result.ttc_series();
-        assert_eq!(series.len(), 2);
-        assert_eq!(series[0].0, 8);
+        assert_eq!(result.points[0].n_tasks, 8);
     }
 
     #[test]

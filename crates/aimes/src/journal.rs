@@ -77,24 +77,20 @@ pub enum JournalEvent {
     /// A pilot changed state. `resource` / `cores` identify where the
     /// pilot is placed and how big it is, so post-mortem analytics can
     /// reconstruct per-resource timelines and core-utilization from the
-    /// journal alone. Both default for journals written before they
-    /// existed.
+    /// journal alone.
     PilotTransition {
         pilot: u32,
         state: PilotState,
-        #[serde(default)]
         resource: String,
-        #[serde(default)]
         cores: u32,
     },
     /// A unit changed state; `pilot` is its binding at transition time, so
     /// the `StagingInput` entries double as the binding-decision log.
-    /// `cores` is the task's core request (defaults for old journals).
+    /// `cores` is the task's core request.
     UnitTransition {
         unit: u32,
         state: UnitState,
         pilot: Option<u32>,
-        #[serde(default)]
         cores: u32,
     },
     /// A suspicion-detector verdict with the silence that justified it.
@@ -421,27 +417,15 @@ mod tests {
     }
 
     #[test]
-    fn old_schema_journals_still_parse() {
-        // Lines written before `resource`/`cores` existed must round-trip
-        // through serde defaults. The CRC below is over the *old* payload,
-        // so we re-derive it the way a pre-upgrade writer would have.
-        let event = serde_json::from_str::<JournalEvent>(
+    fn old_schema_lines_no_longer_parse() {
+        // Lines written before `resource`/`cores` existed lack fields every
+        // writer now emits; they are malformed, not defaulted.
+        for old in [
             r#"{"type":"PilotTransition","pilot":1,"state":"Active"}"#,
-        )
-        .expect("old-schema event parses");
-        match event {
-            JournalEvent::PilotTransition {
-                pilot,
-                state,
-                ref resource,
-                cores,
-            } => {
-                assert_eq!(pilot, 1);
-                assert_eq!(state, PilotState::Active);
-                assert_eq!(resource, "");
-                assert_eq!(cores, 0);
-            }
-            ref other => panic!("wrong variant: {other:?}"),
+            r#"{"type":"UnitTransition","unit":3,"state":"Done","pilot":1}"#,
+        ] {
+            let err = serde_json::from_str::<JournalEvent>(old).unwrap_err();
+            assert!(err.to_string().contains("missing field"), "{err}");
         }
     }
 

@@ -130,8 +130,9 @@ pub struct RecorderSnapshot {
 }
 
 /// FNV-1a 64 over a byte string — the same dependency-free digest the
-/// golden-journal tests use.
-fn fnv1a64(bytes: &[u8]) -> u64 {
+/// golden-journal tests use. The analytics crate's critical-path digest
+/// uses it too.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);

@@ -106,56 +106,6 @@ pub fn fig4_table(result: &ExperimentResult) -> String {
     )
 }
 
-/// Recovery summary: one row per run with the self-healing counters and
-/// overhead metrics (restarts, replacements, re-plans, recovery TTC
-/// component Tr, detection TTC component Td, wasted vs checkpoint-salvaged
-/// core-hours, mean
-/// time-to-recovery, mean time-to-detection, and the information-plane
-/// degradation counters: fallback decisions served below the fresh path
-/// and the total staleness behind them).
-pub fn recovery_table(runs: &[crate::middleware::RunResult]) -> String {
-    let rows: Vec<Vec<String>> = runs
-        .iter()
-        .map(|r| {
-            vec![
-                r.strategy_label.clone(),
-                r.n_tasks.to_string(),
-                format!("{}/{}", r.units_done, r.n_tasks),
-                r.restarts.to_string(),
-                r.replacements.to_string(),
-                r.replans.to_string(),
-                format!("{:.0}", r.breakdown.tr.as_secs()),
-                format!("{:.0}", r.breakdown.td.as_secs()),
-                format!("{:.2}", r.wasted_core_hours),
-                format!("{:.2}", r.salvaged_core_hours),
-                format!("{:.0}", r.mean_recovery_secs),
-                format!("{:.0}", r.mean_detection_secs),
-                r.info_fallbacks.to_string(),
-                format!("{:.0}", r.stale_decision_secs),
-            ]
-        })
-        .collect();
-    markdown_table(
-        &[
-            "Strategy",
-            "#Tasks",
-            "Done",
-            "Restarts",
-            "Replacements",
-            "Replans",
-            "Tr(s)",
-            "Td(s)",
-            "Wasted(ch)",
-            "Salvaged(ch)",
-            "MeanRec(s)",
-            "MeanTd(s)",
-            "InfoFB",
-            "Stale(s)",
-        ],
-        &rows,
-    )
-}
-
 /// Telemetry summary block: three markdown tables (counters, gauge
 /// timelines, dwell histograms), metric names sorted — the rendering of
 /// [`RunResult::metrics`](crate::middleware::RunResult::metrics).
@@ -487,47 +437,6 @@ mod tests {
         let chart = fig2_chart(&[&r1, &r3]);
         assert!(chart.contains("TTC vs #tasks"));
         assert!(chart.contains("1 = exp1"));
-    }
-
-    #[test]
-    fn recovery_table_lists_healing_counters() {
-        let run = crate::middleware::RunResult {
-            strategy_label: "late-backfill-3p".into(),
-            n_tasks: 16,
-            breakdown: crate::ttc::TtcBreakdown {
-                tr: aimes_sim::SimDuration::from_secs(120.0),
-                td: aimes_sim::SimDuration::from_secs(60.0),
-                ..Default::default()
-            },
-            resources_used: vec!["a".into()],
-            units_done: 16,
-            units_failed: 0,
-            restarts: 3,
-            pilot_setup_secs: vec![],
-            charged_core_hours: 10.0,
-            used_core_hours: 8.0,
-            replacements: 2,
-            replans: 1,
-            wasted_core_hours: 0.75,
-            salvaged_core_hours: 0.25,
-            mean_recovery_secs: 90.0,
-            mean_detection_secs: 45.0,
-            false_suspicions: 1,
-            info_fallbacks: 4,
-            stale_decision_secs: 1800.0,
-            domain_alarms: 1,
-            evacuations: 2,
-            evacuation_lead_secs: Some(42.0),
-            metrics: None,
-        };
-        let t = recovery_table(&[run]);
-        assert!(t.contains("Replacements"));
-        assert!(t.contains("Td(s)"));
-        assert!(t.contains("InfoFB"));
-        assert!(t.contains("Salvaged(ch)"));
-        assert!(t.contains(
-            "| late-backfill-3p | 16 | 16/16 | 3 | 2 | 1 | 120 | 60 | 0.75 | 0.25 | 90 | 45 | 4 | 1800 |"
-        ));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Summary statistics for experiment repetitions.
 
+use aimes_workload::trace_model;
 use serde::{Deserialize, Serialize};
 
 /// Summary of a sample of measurements.
@@ -19,9 +20,7 @@ pub struct Summary {
 impl Summary {
     /// Summarize a sample. Returns `None` for an empty sample.
     pub fn of(values: &[f64]) -> Option<Summary> {
-        if values.is_empty() {
-            return None;
-        }
+        let sorted = sorted_copy(values)?;
         let n = values.len();
         let mean = values.iter().sum::<f64>() / n as f64;
         let var = if n > 1 {
@@ -30,8 +29,6 @@ impl Summary {
             0.0
         };
         let stdev = var.sqrt();
-        let mut sorted = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite measurements"));
         let median = if n % 2 == 1 {
             sorted[n / 2]
         } else {
@@ -62,37 +59,25 @@ impl Summary {
 /// between closest ranks (type-7 estimator, the numpy/R default).
 /// Returns `None` for an empty sample.
 pub fn percentile(values: &[f64], q: f64) -> Option<f64> {
-    if values.is_empty() {
-        return None;
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite measurements"));
-    let q = q.clamp(0.0, 1.0);
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    if lo == hi {
-        Some(sorted[lo])
-    } else {
-        let frac = pos - lo as f64;
-        Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
-    }
+    let sorted = sorted_copy(values)?;
+    Some(trace_model::percentile(&sorted, q.clamp(0.0, 1.0)))
 }
 
 /// Median / tail quantiles in one pass: `(p50, p95, p99)`.
 pub fn p50_p95_p99(values: &[f64]) -> Option<(f64, f64, f64)> {
+    let sorted = sorted_copy(values)?;
+    let pick = |q| trace_model::percentile(&sorted, q);
+    Some((pick(0.50), pick(0.95), pick(0.99)))
+}
+
+/// An ascending copy of a non-empty sample.
+fn sorted_copy(values: &[f64]) -> Option<Vec<f64>> {
     if values.is_empty() {
         return None;
     }
     let mut sorted = values.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite measurements"));
-    let pick = |q: f64| {
-        let pos = q * (sorted.len() - 1) as f64;
-        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
-        let frac = pos - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-    };
-    Some((pick(0.50), pick(0.95), pick(0.99)))
+    Some(sorted)
 }
 
 #[cfg(test)]
@@ -214,7 +199,74 @@ mod tests {
         assert_eq!(percentile(&values, 1.5), Some(3.0));
     }
 
+    /// `percentile`'s body before it called the shared kernel.
+    fn percentile_oracle(values: &[f64], q: f64) -> Option<f64> {
+        if values.is_empty() {
+            return None;
+        }
+        let mut sorted = values.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite measurements"));
+        let q = q.clamp(0.0, 1.0);
+        let pos = q * (sorted.len() - 1) as f64;
+        let lo = pos.floor() as usize;
+        let hi = pos.ceil() as usize;
+        if lo == hi {
+            Some(sorted[lo])
+        } else {
+            let frac = pos - lo as f64;
+            Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
+        }
+    }
+
+    /// `p50_p95_p99`'s body before it called the shared kernel.
+    fn p50_p95_p99_oracle(values: &[f64]) -> Option<(f64, f64, f64)> {
+        if values.is_empty() {
+            return None;
+        }
+        let mut sorted = values.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite measurements"));
+        let pick = |q: f64| {
+            let pos = q * (sorted.len() - 1) as f64;
+            let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+            let frac = pos - lo as f64;
+            sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        };
+        Some((pick(0.50), pick(0.95), pick(0.99)))
+    }
+
+    /// A finite value: moderate magnitudes, signed zeros, repeats, and
+    /// raw bit patterns over the whole finite range.
+    fn finite() -> impl Strategy<Value = f64> {
+        (0u8..6, any::<u64>(), -1e6f64..1e6).prop_map(|(kind, bits, x)| match kind {
+            0 => 0.0,
+            1 => -0.0,
+            2 => (x / 1e5).round(),
+            3 => Some(f64::from_bits(bits))
+                .filter(|v| v.is_finite())
+                .unwrap_or(x),
+            _ => x,
+        })
+    }
+
     proptest! {
+        /// Bit-identical to the two bodies the kernel replaced, for any
+        /// finite sample, at the quantiles that land on ranks and at any
+        /// finite `q` (clamped as before).
+        #[test]
+        fn prop_percentiles_match_oracles(
+            values in proptest::collection::vec(finite(), 0..40),
+            q in -2.0f64..2.0,
+        ) {
+            let bits = |p: Option<f64>| p.map(f64::to_bits);
+            for q in [q, 0.0, 0.25, 0.5, 0.75, 0.95, 0.99, 1.0] {
+                prop_assert_eq!(bits(percentile(&values, q)), bits(percentile_oracle(&values, q)));
+            }
+            let triple = |t: Option<(f64, f64, f64)>| {
+                t.map(|(a, b, c)| (a.to_bits(), b.to_bits(), c.to_bits()))
+            };
+            prop_assert_eq!(triple(p50_p95_p99(&values)), triple(p50_p95_p99_oracle(&values)));
+        }
+
         #[test]
         fn prop_percentile_within_bounds(
             values in proptest::collection::vec(-1e6f64..1e6, 1..100),

@@ -20,6 +20,7 @@
 
 use crate::timeline::{SessionTimelines, UnitTimeline};
 use aimes::journal::UnitState;
+use aimes::recorder::fnv1a64;
 use serde::{Deserialize, Serialize};
 
 /// One attributed span of the critical path, in time order.
@@ -54,15 +55,6 @@ pub struct CriticalPath {
     /// FNV-1a 64 digest over the segments' canonical encoding; stable for
     /// a fixed seed.
     pub digest: String,
-}
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn digest_of(segments: &[Segment]) -> String {

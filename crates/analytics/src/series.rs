@@ -44,16 +44,6 @@ impl StepSeries {
         }
         total
     }
-
-    /// The step value at time `t` (0 before the first point).
-    pub fn value_at(&self, t: f64) -> f64 {
-        self.points
-            .iter()
-            .take_while(|p| p.t_secs <= t)
-            .last()
-            .map(|p| p.value)
-            .unwrap_or(0.0)
-    }
 }
 
 /// Build a step series from `(time, delta)` edges. Edges at the same time
@@ -171,8 +161,6 @@ mod tests {
         );
         assert_eq!(s.peak(), 2.0);
         assert!((s.integral(9.0) - 18.0).abs() < 1e-12);
-        assert_eq!(s.value_at(4.0), 2.0);
-        assert_eq!(s.value_at(10.0), 0.0);
     }
 
     #[test]

@@ -101,13 +101,6 @@ impl PilotTimeline {
             .find(|iv| iv.phase == PilotState::Active)
             .map(|iv| iv.start_secs)
     }
-
-    /// True if the pilot is `Active` at time `t`.
-    pub fn is_active_at(&self, t: f64) -> bool {
-        self.intervals
-            .iter()
-            .any(|iv| iv.phase == PilotState::Active && iv.start_secs <= t && t < iv.end_secs)
-    }
 }
 
 /// One failure-detector suspicion window on a pilot.
@@ -545,8 +538,6 @@ mod tests {
         assert_eq!(p.resource, "alpha");
         assert_eq!(p.cores, 8);
         assert_eq!(p.active_at(), Some(10.0));
-        assert!(p.is_active_at(30.0));
-        assert!(!p.is_active_at(5.0));
     }
 
     #[test]

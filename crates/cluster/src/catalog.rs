@@ -154,22 +154,6 @@ pub fn testbed_resource(name: &str) -> Option<ResourceSpec> {
     paper_testbed().into_iter().find(|s| s.config.name == name)
 }
 
-/// Group resource specs by failure domain: `(domain, member names)` pairs
-/// sorted by domain name, unassigned (empty-domain) specs omitted. The
-/// shape a correlated-failure cascade spec wants for its domain list.
-pub fn failure_domains(specs: &[ResourceSpec]) -> Vec<(String, Vec<String>)> {
-    let mut by_domain: std::collections::BTreeMap<String, Vec<String>> = Default::default();
-    for s in specs {
-        if !s.domain.is_empty() {
-            by_domain
-                .entry(s.domain.clone())
-                .or_default()
-                .push(s.config.name.clone());
-        }
-    }
-    by_domain.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,21 +212,17 @@ mod tests {
         for s in &tb {
             assert!(!s.domain.is_empty(), "{} has no domain", s.config.name);
         }
-        let domains = failure_domains(&tb);
+        let domains: std::collections::BTreeSet<_> = tb.iter().map(|s| &s.domain).collect();
         assert_eq!(domains.len(), 4, "four sites back the five resources");
-        let sdsc = domains
+        let sdsc: Vec<_> = tb
             .iter()
-            .find(|(d, _)| d == "sdsc")
-            .expect("shared-site domain");
-        assert_eq!(sdsc.1, vec!["gordon".to_string(), "trestles".to_string()]);
-        // Legacy specs without a domain key still load and are omitted
-        // from the grouping.
-        let legacy: ResourceSpec =
+            .filter(|s| s.domain == "sdsc")
+            .map(|s| s.config.name.as_str())
+            .collect();
+        assert_eq!(sdsc, ["gordon", "trestles"]);
+        let round_trip: ResourceSpec =
             serde_json::from_str(&serde_json::to_string(&tb[0]).unwrap()).unwrap();
-        assert_eq!(legacy.domain, "tacc");
-        let mut unassigned = tb[0].clone();
-        unassigned.domain.clear();
-        assert!(failure_domains(&[unassigned]).is_empty());
+        assert_eq!(round_trip.domain, "tacc");
     }
 
     #[test]

@@ -992,6 +992,7 @@ impl Cluster {
     }
 
     /// Is the resource inside an outage/drain window at `now`?
+    #[cfg(test)]
     pub fn is_down(&self, now: SimTime) -> bool {
         self.inner
             .borrow()

@@ -688,7 +688,8 @@ pub struct RecoveryPolicy {
     /// First replacement backoff; doubles per generation.
     #[serde(default = "default_backoff")]
     pub replacement_backoff: SimDuration,
-    /// Cap on the exponential replacement backoff.
+    /// Cap on the exponential replacement backoff, and on the unit
+    /// retry backoff too.
     #[serde(default = "default_backoff_cap")]
     pub replacement_backoff_cap: SimDuration,
     /// Blacklist a resource after this many consecutive launch failures.
@@ -789,6 +790,16 @@ impl RecoveryPolicy {
                 self.replacement_backoff.as_secs()
             ));
         }
+        if !self.unit_retry_backoff.is_zero()
+            && self.replacement_backoff_cap < self.unit_retry_backoff
+        {
+            return Err(format!(
+                "replacement_backoff_cap {:.0}s < unit_retry_backoff {:.0}s: inverted cap \
+                 (the replacement cap also caps unit retries)",
+                self.replacement_backoff_cap.as_secs(),
+                self.unit_retry_backoff.as_secs()
+            ));
+        }
         if self.blacklist_after == 0 {
             return Err(
                 "blacklist_after 0: every resource would be blacklisted before \
@@ -811,24 +822,6 @@ impl RecoveryPolicy {
             return Err("checkpoint_interval: must be finite".into());
         }
         Ok(())
-    }
-
-    /// Backoff before replacement generation `generation` (0-based):
-    /// `base * 2^generation`, capped.
-    pub fn replacement_delay(&self, generation: u32) -> SimDuration {
-        let factor = 2.0f64.powi(generation.min(20) as i32);
-        (self.replacement_backoff * factor).min(self.replacement_backoff_cap)
-    }
-
-    /// Backoff before retry number `attempt` (1-based count of attempts
-    /// already made): `base * 2^(attempt-1)`, capped at the replacement
-    /// cap as a shared ceiling.
-    pub fn unit_retry_delay(&self, attempt: u32) -> SimDuration {
-        if self.unit_retry_backoff.is_zero() {
-            return SimDuration::ZERO;
-        }
-        let factor = 2.0f64.powi(attempt.saturating_sub(1).min(20) as i32);
-        (self.unit_retry_backoff * factor).min(self.replacement_backoff_cap)
     }
 }
 
@@ -990,25 +983,6 @@ mod tests {
         assert_eq!(sched.launch_transient_chance, 0.95);
         assert_eq!(sched.launch_permanent_chance, 0.0);
         assert_eq!(sched.unit_failure_chance, 1.0);
-    }
-
-    #[test]
-    fn recovery_backoffs_double_and_cap() {
-        let p = RecoveryPolicy {
-            replacement_backoff: SimDuration::from_secs(10.0),
-            replacement_backoff_cap: SimDuration::from_secs(35.0),
-            unit_retry_backoff: SimDuration::from_secs(2.0),
-            ..RecoveryPolicy::default()
-        };
-        assert_eq!(p.replacement_delay(0), SimDuration::from_secs(10.0));
-        assert_eq!(p.replacement_delay(1), SimDuration::from_secs(20.0));
-        assert_eq!(p.replacement_delay(2), SimDuration::from_secs(35.0)); // capped
-        assert_eq!(p.unit_retry_delay(1), SimDuration::from_secs(2.0));
-        assert_eq!(p.unit_retry_delay(3), SimDuration::from_secs(8.0));
-        assert_eq!(
-            RecoveryPolicy::disabled().unit_retry_delay(5),
-            SimDuration::ZERO
-        );
     }
 
     #[test]
@@ -1346,6 +1320,19 @@ mod tests {
         };
         assert!(inverted.validate().unwrap_err().contains("inverted cap"));
 
+        // The replacement cap is the unit retry cap as well; a retry base
+        // above it is refused here, naming the policy's own fields, not
+        // after the warm-up as the unit manager's derived config.
+        let slow_retry = RecoveryPolicy {
+            unit_retry_backoff: SimDuration::from_secs(1000.0),
+            ..RecoveryPolicy::default()
+        };
+        assert_eq!(
+            slow_retry.validate().unwrap_err(),
+            "replacement_backoff_cap 900s < unit_retry_backoff 1000s: inverted cap \
+             (the replacement cap also caps unit retries)"
+        );
+
         let zero_blacklist = RecoveryPolicy {
             blacklist_after: 0,
             ..RecoveryPolicy::default()
@@ -1375,51 +1362,5 @@ mod tests {
             ..RecoveryPolicy::default()
         };
         assert!(bad_window.validate().unwrap_err().contains("empty window"));
-    }
-
-    proptest::proptest! {
-        /// Replacement backoff is monotone in generation, saturates at
-        /// the cap, and never overflows — even at generations far past
-        /// any real replacement budget.
-        #[test]
-        fn prop_replacement_delay_monotone_and_capped(
-            base in 1.0f64..600.0,
-            cap_factor in 1.0f64..64.0,
-            gen in 0u32..10_000,
-        ) {
-            let p = RecoveryPolicy {
-                replacement_backoff: SimDuration::from_secs(base),
-                replacement_backoff_cap: SimDuration::from_secs(base * cap_factor),
-                ..RecoveryPolicy::default()
-            };
-            p.validate().unwrap();
-            let d = p.replacement_delay(gen);
-            let next = p.replacement_delay(gen.saturating_add(1));
-            proptest::prop_assert!(d.as_secs().is_finite());
-            proptest::prop_assert!(next >= d, "monotone in generation");
-            proptest::prop_assert!(d <= p.replacement_backoff_cap, "capped");
-            proptest::prop_assert!(d >= p.replacement_backoff.min(p.replacement_backoff_cap));
-            // Saturation: far past the cap the delay is exactly the cap.
-            proptest::prop_assert_eq!(p.replacement_delay(40), p.replacement_backoff_cap);
-        }
-
-        /// Unit-retry backoff is monotone in attempt and saturates at the
-        /// shared replacement cap without overflow at attempts >= 30.
-        #[test]
-        fn prop_unit_retry_delay_monotone_and_capped(
-            base in 0.5f64..120.0,
-            attempt in 1u32..10_000,
-        ) {
-            let p = RecoveryPolicy {
-                unit_retry_backoff: SimDuration::from_secs(base),
-                ..RecoveryPolicy::default()
-            };
-            let d = p.unit_retry_delay(attempt);
-            let next = p.unit_retry_delay(attempt.saturating_add(1));
-            proptest::prop_assert!(d.as_secs().is_finite());
-            proptest::prop_assert!(next >= d, "monotone in attempt");
-            proptest::prop_assert!(d <= p.replacement_backoff_cap, "capped at the shared ceiling");
-            proptest::prop_assert_eq!(p.unit_retry_delay(30), p.unit_retry_delay(100_000));
-        }
     }
 }

@@ -125,8 +125,7 @@ impl PilotRecovery {
     /// Backoff before replacing generation `generation` (0-based):
     /// `backoff * 2^generation`, capped.
     pub fn delay(&self, generation: u32) -> SimDuration {
-        let factor = 2.0_f64.powi(generation.min(30) as i32);
-        (self.backoff * factor).min(self.backoff_cap)
+        self.backoff.backoff(generation, self.backoff_cap)
     }
 }
 
@@ -1221,5 +1220,28 @@ mod tests {
             &mut sim,
             vec![PilotDescription::new("nonexistent", 8, d(60.0))],
         );
+    }
+
+    proptest::proptest! {
+        /// Bit-identical to the body `delay` had before it became a call
+        /// to [`SimDuration::backoff`], for any base, cap and generation.
+        #[test]
+        fn prop_delay_matches_oracle(
+            base in 0.0f64..1e290,
+            cap in 0.0f64..1e300,
+            generation in proptest::prelude::any::<u32>(),
+        ) {
+            let policy = PilotRecovery {
+                backoff: d(base),
+                backoff_cap: d(cap),
+                ..PilotRecovery::default()
+            };
+            let factor = 2.0_f64.powi(generation.min(30) as i32);
+            let oracle = (policy.backoff * factor).min(policy.backoff_cap);
+            proptest::prop_assert_eq!(
+                policy.delay(generation).as_secs().to_bits(),
+                oracle.as_secs().to_bits()
+            );
+        }
     }
 }

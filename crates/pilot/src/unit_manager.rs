@@ -178,9 +178,8 @@ impl UmConfig {
         if self.retry_backoff.is_zero() {
             return SimDuration::ZERO;
         }
-        let exp = attempts.saturating_sub(1).min(30);
-        let delay = self.retry_backoff * 2.0_f64.powi(exp as i32);
-        delay.min(self.retry_backoff_cap)
+        self.retry_backoff
+            .backoff(attempts.saturating_sub(1), self.retry_backoff_cap)
     }
 }
 
@@ -1582,6 +1581,30 @@ mod tests {
             // Saturation: far past the cap crossover, the delay is pinned.
             proptest::prop_assert_eq!(cfg.retry_delay(40), cfg.retry_delay(100_000));
             proptest::prop_assert_eq!(cfg.retry_delay(40), cfg.retry_backoff_cap);
+        }
+
+        /// Bit-identical to the body `retry_delay` had before it became a
+        /// call to [`SimDuration::backoff`], for any base and cap a
+        /// config can hold (inverted caps included) and any attempt.
+        #[test]
+        fn prop_retry_delay_matches_oracle(
+            base in 0.0f64..1e290,
+            cap in 0.0f64..1e300,
+            attempts in proptest::prelude::any::<u32>(),
+        ) {
+            let mut cfg = UmConfig::new(Binding::Late, UnitScheduler::Backfill);
+            cfg.retry_backoff = d(base);
+            cfg.retry_backoff_cap = d(cap);
+            let oracle = if cfg.retry_backoff.is_zero() {
+                SimDuration::ZERO
+            } else {
+                let exp = attempts.saturating_sub(1).min(30);
+                (cfg.retry_backoff * 2.0_f64.powi(exp as i32)).min(cfg.retry_backoff_cap)
+            };
+            proptest::prop_assert_eq!(
+                cfg.retry_delay(attempts).as_secs().to_bits(),
+                oracle.as_secs().to_bits()
+            );
         }
     }
 

@@ -8,7 +8,7 @@
 //! mechanism the pilot layer builds its own state model on.
 
 use crate::adaptor::{adaptor_for, BatchAdaptor};
-use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
+use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::error::{SagaError, SagaOp};
 use crate::job_api::{JobDescription, SagaJobId, SagaJobState};
 use aimes_cluster::{Cluster, JobId as BackendJobId, JobRequest, JobState};
@@ -87,8 +87,10 @@ const BACKOFF_CAP_SECS: f64 = 120.0;
 /// jitter inside the latency draw means retry paths consume exactly one
 /// RNG draw, the same shape as the original linear backoff.
 fn backoff(lat: SimDuration, attempts: u32) -> SimDuration {
-    let factor = f64::from(2u32.saturating_pow(attempts.saturating_sub(1)).min(1 << 16));
-    (lat * factor).min(SimDuration::from_secs(BACKOFF_CAP_SECS))
+    lat.backoff(
+        attempts.saturating_sub(1),
+        SimDuration::from_secs(BACKOFF_CAP_SECS),
+    )
 }
 
 struct JobRecord {
@@ -174,7 +176,8 @@ impl JobService {
     }
 
     /// Current breaker state, if one is armed.
-    pub fn breaker_state(&self) -> Option<BreakerState> {
+    #[cfg(test)]
+    pub fn breaker_state(&self) -> Option<crate::BreakerState> {
         self.inner.borrow().breaker.as_ref().map(|b| b.state())
     }
 
@@ -605,6 +608,7 @@ impl JobService {
     }
 
     /// The backend job id, once submitted.
+    #[cfg(test)]
     pub fn backend_job(&self, id: SagaJobId) -> Option<BackendJobId> {
         self.inner.borrow().jobs.get(&id).and_then(|r| r.backend)
     }
@@ -1086,6 +1090,27 @@ mod tests {
         assert!(retries > 0, "expected some cancel retries at 5 %");
         for id in &ids {
             assert_eq!(svc.state(*id), Some(SagaJobState::Canceled));
+        }
+    }
+
+    /// The session's own backoff body before it became a call to
+    /// [`SimDuration::backoff`]; kept as the oracle.
+    fn backoff_oracle(lat: SimDuration, attempts: u32) -> SimDuration {
+        let factor = f64::from(2u32.saturating_pow(attempts.saturating_sub(1)).min(1 << 16));
+        (lat * factor).min(SimDuration::from_secs(BACKOFF_CAP_SECS))
+    }
+
+    proptest::proptest! {
+        /// Bit-identical to the oracle on every attempt a retry can
+        /// carry (`max_attempts` is 4) and any latency whose doubling
+        /// stays finite.
+        #[test]
+        fn prop_backoff_matches_oracle(lat in 0.0f64..1e300, attempts in 1u32..=4) {
+            let lat = SimDuration::from_secs(lat);
+            proptest::prop_assert_eq!(
+                backoff(lat, attempts).as_secs().to_bits(),
+                backoff_oracle(lat, attempts).as_secs().to_bits()
+            );
         }
     }
 }

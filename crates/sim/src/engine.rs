@@ -296,6 +296,7 @@ impl Simulation {
 
     /// Schedule `callback` to fire immediately after currently queued
     /// same-time events.
+    #[cfg(test)]
     pub fn schedule_now(&mut self, callback: impl FnOnce(&mut Simulation) + 'static) -> EventId {
         self.schedule_at(self.now, callback)
     }

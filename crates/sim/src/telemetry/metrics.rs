@@ -304,8 +304,8 @@ pub fn csv_field(raw: &str) -> String {
 }
 
 /// Parse one RFC-4180 CSV record into its fields — the inverse of
-/// [`csv_field`] joined with commas. Used by the round-trip tests and by
-/// downstream consumers of [`MetricsRegistry::write_csv`] output.
+/// [`csv_field`] joined with commas. The round-trip tests use it.
+#[cfg(test)]
 pub fn parse_csv_record(line: &str) -> Vec<String> {
     let mut fields = Vec::new();
     let mut field = String::new();

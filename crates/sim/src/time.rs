@@ -156,6 +156,13 @@ impl SimDuration {
     pub fn is_zero(self) -> bool {
         self.0 == 0.0
     }
+
+    /// Capped exponential backoff: `self · 2^min(n, 30)`, at most `cap`.
+    /// The exponent clamp bounds the factor for any `n`.
+    #[inline]
+    pub fn backoff(self, n: u32, cap: SimDuration) -> SimDuration {
+        (self * 2f64.powi(n.min(30) as i32)).min(cap)
+    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -389,5 +396,35 @@ mod tests {
         let db = SimDuration::from_secs(2.0);
         assert_eq!(da.max(db), db);
         assert_eq!(da.min(db), da);
+    }
+
+    #[test]
+    fn backoff_doubles_and_caps() {
+        let base = SimDuration::from_secs(10.0);
+        let cap = SimDuration::from_secs(35.0);
+        assert_eq!(base.backoff(0, cap), SimDuration::from_secs(10.0));
+        assert_eq!(base.backoff(1, cap), SimDuration::from_secs(20.0));
+        assert_eq!(base.backoff(2, cap), cap);
+        assert_eq!(SimDuration::ZERO.backoff(5, cap), SimDuration::ZERO);
+    }
+
+    proptest::proptest! {
+        /// Monotone in `n`, between the base and the cap, and exactly the
+        /// cap far past it — even at exponents no caller reaches.
+        #[test]
+        fn prop_backoff_monotone_and_capped(
+            base in 0.5f64..600.0,
+            cap_factor in 1.0f64..64.0,
+            n in 0u32..10_000,
+        ) {
+            let base = SimDuration::from_secs(base);
+            let cap = base * cap_factor;
+            let d = base.backoff(n, cap);
+            proptest::prop_assert!(d.as_secs().is_finite());
+            proptest::prop_assert!(base.backoff(n.saturating_add(1), cap) >= d);
+            proptest::prop_assert!(d <= cap && d >= base);
+            proptest::prop_assert_eq!(base.backoff(40, cap), cap);
+            proptest::prop_assert_eq!(base.backoff(u32::MAX, cap), cap);
+        }
     }
 }

@@ -198,15 +198,6 @@ impl SkeletonApp {
             .unwrap_or(0)
     }
 
-    /// Total external input volume (files not produced by another task).
-    pub fn external_input_mb(&self) -> f64 {
-        self.tasks
-            .iter()
-            .filter(|t| t.is_root())
-            .map(|t| t.input_mb)
-            .sum()
-    }
-
     /// Total final output volume (files not consumed by another task).
     pub fn final_output_mb(&self) -> f64 {
         let mut consumed = vec![false; self.tasks.len()];
@@ -480,7 +471,8 @@ mod tests {
         assert_eq!(app.stage_count(), 1);
         assert!(app.tasks().iter().all(|t| t.is_root()));
         assert!(app.tasks().iter().all(|t| t.duration.as_mins() == 15.0));
-        assert!((app.external_input_mb() - 16.0).abs() < 1e-9);
+        let input_mb: f64 = app.tasks().iter().map(|t| t.input_mb).sum();
+        assert!((input_mb - 16.0).abs() < 1e-9);
         assert!((app.final_output_mb() - 16.0 * 0.002).abs() < 1e-9);
         assert_eq!(app.total_work(), SimDuration::from_mins(16.0 * 15.0));
         assert_eq!(app.critical_path(), SimDuration::from_mins(15.0));

@@ -185,6 +185,7 @@ impl Distribution {
     }
 
     /// Draw `n` samples.
+    #[cfg(test)]
     pub fn sample_n(&self, rng: &mut SimRng, n: usize) -> Vec<f64> {
         (0..n).map(|_| self.sample(rng)).collect()
     }

@@ -62,20 +62,19 @@ pub fn summarize(jobs: &[BackgroundJob]) -> Option<WorkloadSummary> {
     })
 }
 
-/// Linear-interpolated percentile of a pre-sorted slice. `q` in [0, 1].
+/// Linear-interpolated percentile of a pre-sorted slice (type-7
+/// estimator, the numpy/R default). `q` in [0, 1]. A quantile that falls
+/// on a rank is that order statistic exactly.
 pub fn percentile(sorted: &[f64], q: f64) -> f64 {
     assert!(!sorted.is_empty(), "percentile of empty slice");
     assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
-    if sorted.len() == 1 {
-        return sorted[0];
-    }
     let pos = q * (sorted.len() - 1) as f64;
     let idx = pos.floor() as usize;
     let frac = pos - idx as f64;
-    if idx + 1 < sorted.len() {
-        sorted[idx] * (1.0 - frac) + sorted[idx + 1] * frac
-    } else {
+    if frac == 0.0 {
         sorted[idx]
+    } else {
+        sorted[idx] * (1.0 - frac) + sorted[idx + 1] * frac
     }
 }
 

@@ -212,6 +212,17 @@ fn invalid_fault_spec_is_rejected_up_front() {
         run_application(&pool(), &app, &pinned_strategy(), &opts(1, faults, None)).unwrap_err();
     assert!(matches!(err, RunError::InvalidFaultSpec(_)), "{err}");
     assert!(err.contains("invalid fault spec"), "{err}");
+
+    // The replacement cap also caps unit retries: a retry base above it
+    // is the policy's error, found before the warm-up runs.
+    let slow_retry = RecoveryPolicy {
+        unit_retry_backoff: SimDuration::from_secs(1000.0),
+        ..RecoveryPolicy::default()
+    };
+    let options = opts(1, FaultSpec::none(), Some(slow_retry));
+    let err = run_application(&pool(), &app, &pinned_strategy(), &options).unwrap_err();
+    assert_eq!(err.kind(), "invalid_recovery_policy", "{err}");
+    assert!(err.contains("unit_retry_backoff 1000s"), "{err}");
 }
 
 #[test]
