@@ -164,6 +164,29 @@ fn outside_sweep_ablation_outputs_match_pinned_digests() {
     }
 }
 
+/// Stdout digests of Table I, the three figures and the four ablations
+/// built on Table I's experiment configurations, at `--quick --reps 2
+/// --seed 42`, captured while they still ran through their own
+/// per-experiment loop.
+const EXPERIMENT_DIGESTS: [(&str, &str); 8] = [
+    ("table1", "0335b59389ade0cd"),
+    ("fig2", "9270dd1c6a082bd0"),
+    ("fig3", "4c5635b2ef39a77a"),
+    ("fig4", "212527d8d41add64"),
+    ("ablation-pilots", "abff4ade9fcaeaf2"),
+    ("ablation-sched", "cc22e877d7ba06b2"),
+    ("ablation-select", "cd59a0374d0f45f6"),
+    ("ablation-throughput", "e49368a81a4618cf"),
+];
+
+#[test]
+fn experiment_outputs_match_pinned_digests() {
+    for (command, want) in EXPERIMENT_DIGESTS {
+        let (out, _) = run_sweep(command, "1");
+        assert_eq!(fnv(out.as_bytes()), want, "{command}: stdout digest moved");
+    }
+}
+
 /// Stdout digests (with a line each table renders) of the sweeps that ran
 /// their own sequential loops before they moved onto the shared campaign
 /// driver, at `--quick --reps 2 --seed 42`, captured before the move.
