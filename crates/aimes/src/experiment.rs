@@ -62,6 +62,75 @@ impl ExperimentConfig {
         let (lo, hi) = self.submit_window_hours;
         SimTime::from_secs(rng.uniform(lo * 3600.0, hi * 3600.0))
     }
+
+    /// One campaign arm per application size, in `task_counts` order.
+    pub fn arms(&self) -> Vec<(u32, SkeletonConfig)> {
+        self.task_counts
+            .iter()
+            .map(|&n| (n, self.skeleton(n)))
+            .collect()
+    }
+
+    /// One (size, repetition) run as a campaign job, arm `{id}/{n_tasks}`:
+    /// its seed is [`run_seed`](Self::run_seed) and its submission
+    /// instant [`submit_instant`](Self::submit_instant).
+    pub fn job<'a>(&'a self, n_tasks: u32, app: &'a SkeletonConfig, rep: usize) -> CampaignJob<'a> {
+        let seed = self.run_seed(n_tasks, rep);
+        CampaignJob {
+            arm: format!("{}/{n_tasks}", self.id),
+            resources: &self.resources,
+            app,
+            strategy: &self.strategy,
+            options: RunOptions {
+                seed,
+                submit_at: self.submit_instant(seed),
+                ..Default::default()
+            },
+        }
+    }
+
+    /// Fold the campaign outcomes of [`arms`](Self::arms), one `Vec` per
+    /// size in order, into the experiment's result: completed runs and
+    /// their component summaries, failures as messages.
+    pub fn result(
+        &self,
+        outcomes: impl IntoIterator<Item = Vec<JobOutcome<RunResult>>>,
+    ) -> ExperimentResult {
+        let points = self
+            .task_counts
+            .iter()
+            .zip(outcomes)
+            .map(|(n, outcomes)| {
+                let mut runs = Vec::with_capacity(outcomes.len());
+                let mut errors = Vec::new();
+                for out in outcomes {
+                    match out.result {
+                        Ok(r) => runs.push(r),
+                        Err(e) => errors.push(e.to_string()),
+                    }
+                }
+                let summarize = |f: &dyn Fn(&RunResult) -> f64| {
+                    Summary::of(&runs.iter().map(f).collect::<Vec<_>>()).unwrap_or(EMPTY_SUMMARY)
+                };
+                ExperimentPoint {
+                    n_tasks: *n,
+                    ttc: summarize(&|r| r.breakdown.ttc.as_secs()),
+                    tw: summarize(&|r| r.breakdown.tw.as_secs()),
+                    tx: summarize(&|r| r.breakdown.tx.as_secs()),
+                    ts: summarize(&|r| r.breakdown.ts.as_secs()),
+                    runs,
+                    errors,
+                }
+            })
+            .collect();
+        ExperimentResult {
+            id: self.id.clone(),
+            description: self.description.clone(),
+            strategy_label: self.strategy.label(),
+            duration_label: self.duration_spec.label().to_string(),
+            points,
+        }
+    }
 }
 
 /// Stable per-run seed, independent of execution order.
@@ -240,70 +309,18 @@ pub fn run_campaign<'a, A: Sync, T: Send>(
 }
 
 /// Run every (size × repetition) combination in parallel: one campaign
-/// arm per application size, every arm labelled with the experiment id.
+/// arm per application size.
 pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
-    let sizes: Vec<(u32, SkeletonConfig)> = config
-        .task_counts
-        .iter()
-        .map(|&n| (n, config.skeleton(n)))
-        .collect();
+    let arms = config.arms();
     let outcomes = run_campaign(
         CampaignHooks::default(),
         &config.id,
-        &sizes,
+        &arms,
         config.repetitions,
-        |(n, skeleton), rep| {
-            let seed = config.run_seed(*n, rep);
-            CampaignJob {
-                arm: config.id.clone(),
-                resources: &config.resources,
-                app: skeleton,
-                strategy: &config.strategy,
-                options: RunOptions {
-                    seed,
-                    submit_at: config.submit_instant(seed),
-                    ..Default::default()
-                },
-            }
-        },
+        |(n, app), rep| config.job(*n, app, rep),
         |r, _| r,
     );
-
-    let points = config
-        .task_counts
-        .iter()
-        .zip(outcomes)
-        .map(|(n, outcomes)| {
-            let mut runs = Vec::with_capacity(outcomes.len());
-            let mut errors = Vec::new();
-            for out in outcomes {
-                match out.result {
-                    Ok(r) => runs.push(r),
-                    Err(e) => errors.push(e.to_string()),
-                }
-            }
-            let summarize = |f: &dyn Fn(&RunResult) -> f64| {
-                Summary::of(&runs.iter().map(f).collect::<Vec<_>>()).unwrap_or(EMPTY_SUMMARY)
-            };
-            ExperimentPoint {
-                n_tasks: *n,
-                ttc: summarize(&|r| r.breakdown.ttc.as_secs()),
-                tw: summarize(&|r| r.breakdown.tw.as_secs()),
-                tx: summarize(&|r| r.breakdown.tx.as_secs()),
-                ts: summarize(&|r| r.breakdown.ts.as_secs()),
-                runs,
-                errors,
-            }
-        })
-        .collect();
-
-    ExperimentResult {
-        id: config.id.clone(),
-        description: config.description.clone(),
-        strategy_label: config.strategy.label(),
-        duration_label: config.duration_spec.label().to_string(),
-        points,
-    }
+    config.result(outcomes)
 }
 
 #[cfg(test)]

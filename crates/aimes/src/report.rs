@@ -53,55 +53,59 @@ pub fn fig2_table(results: &[&ExperimentResult]) -> String {
     markdown_table(&header_refs, &rows)
 }
 
+/// One table column: its header and the cell it renders for a row.
+pub type Column<'a, R> = (&'a str, &'a dyn Fn(&R) -> String);
+
+/// Render `rows` through `columns` as a [`markdown_table`], so each
+/// header is written beside the code that formats its cells.
+pub fn table<R>(rows: &[R], columns: &[Column<R>]) -> String {
+    let headers: Vec<&str> = columns.iter().map(|(header, _)| *header).collect();
+    let cells: Vec<Vec<String>> = rows
+        .iter()
+        .map(|row| columns.iter().map(|(_, cell)| cell(row)).collect())
+        .collect();
+    markdown_table(&headers, &cells)
+}
+
 /// Figure 3 (one panel): TTC, Tw, Tx, Ts per application size for one
 /// experiment.
 pub fn fig3_table(result: &ExperimentResult) -> String {
-    let rows: Vec<Vec<String>> = result
-        .points
-        .iter()
-        .map(|p| {
-            vec![
-                p.n_tasks.to_string(),
-                format!("{:.0}", p.ttc.mean),
-                format!("{:.0}", p.tw.mean),
-                format!("{:.0}", p.tx.mean),
-                format!("{:.0}", p.ts.mean),
-            ]
-        })
-        .collect();
+    let mean = |s: &crate::stats::Summary| format!("{:.0}", s.mean);
     format!(
         "{} ({} {})\n{}",
         result.id,
         result.strategy_label,
         result.duration_label,
-        markdown_table(&["#Tasks", "TTC(s)", "Tw(s)", "Tx(s)", "Ts(s)"], &rows)
+        table(
+            &result.points,
+            &[
+                ("#Tasks", &|p| p.n_tasks.to_string()),
+                ("TTC(s)", &|p| mean(&p.ttc)),
+                ("Tw(s)", &|p| mean(&p.tw)),
+                ("Tx(s)", &|p| mean(&p.tx)),
+                ("Ts(s)", &|p| mean(&p.ts)),
+            ]
+        )
     )
 }
 
 /// Figure 4 (one panel): TTC mean ± stdev (the error bars) per size.
 pub fn fig4_table(result: &ExperimentResult) -> String {
-    let rows: Vec<Vec<String>> = result
-        .points
-        .iter()
-        .map(|p| {
-            vec![
-                p.n_tasks.to_string(),
-                format!("{:.0}", p.ttc.mean),
-                format!("{:.0}", p.ttc.stdev),
-                format!("{:.0}", p.ttc.min),
-                format!("{:.0}", p.ttc.max),
-                format!("{:.2}", p.ttc.cv()),
-            ]
-        })
-        .collect();
     format!(
         "{} ({} {})\n{}",
         result.id,
         result.strategy_label,
         result.duration_label,
-        markdown_table(
-            &["#Tasks", "TTC mean(s)", "TTC stdev(s)", "min", "max", "CV"],
-            &rows
+        table(
+            &result.points,
+            &[
+                ("#Tasks", &|p| p.n_tasks.to_string()),
+                ("TTC mean(s)", &|p| format!("{:.0}", p.ttc.mean)),
+                ("TTC stdev(s)", &|p| format!("{:.0}", p.ttc.stdev)),
+                ("min", &|p| format!("{:.0}", p.ttc.min)),
+                ("max", &|p| format!("{:.0}", p.ttc.max)),
+                ("CV", &|p| format!("{:.2}", p.ttc.cv())),
+            ]
         )
     )
 }
@@ -115,63 +119,53 @@ pub fn metrics_table(summary: &MetricsSummary) -> String {
         return "(no metrics recorded)\n".into();
     }
     if !summary.counters.is_empty() {
-        let rows: Vec<Vec<String>> = summary
-            .counters
-            .iter()
-            .map(|(name, v)| vec![name.clone(), v.to_string()])
-            .collect();
+        let rows: Vec<_> = summary.counters.iter().collect();
         let _ = writeln!(
             out,
             "#### Counters\n\n{}",
-            markdown_table(&["Metric", "Count"], &rows)
+            table(
+                &rows,
+                &[
+                    ("Metric", &|(name, _)| name.to_string()),
+                    ("Count", &|(_, v)| v.to_string()),
+                ]
+            )
         );
     }
     if !summary.gauges.is_empty() {
-        let rows: Vec<Vec<String>> = summary
-            .gauges
-            .iter()
-            .map(|(name, g)| {
-                vec![
-                    name.clone(),
-                    g.samples.to_string(),
-                    format!("{:.2}", g.min),
-                    format!("{:.2}", g.max),
-                    format!("{:.2}", g.time_weighted_mean),
-                    format!("{:.2}", g.last),
-                ]
-            })
-            .collect();
+        let rows: Vec<_> = summary.gauges.iter().collect();
         let _ = writeln!(
             out,
             "#### Gauge timelines\n\n{}",
-            markdown_table(
-                &["Metric", "Samples", "Min", "Max", "TW-mean", "Last"],
-                &rows
+            table(
+                &rows,
+                &[
+                    ("Metric", &|(name, _)| name.to_string()),
+                    ("Samples", &|(_, g)| g.samples.to_string()),
+                    ("Min", &|(_, g)| format!("{:.2}", g.min)),
+                    ("Max", &|(_, g)| format!("{:.2}", g.max)),
+                    ("TW-mean", &|(_, g)| format!("{:.2}", g.time_weighted_mean)),
+                    ("Last", &|(_, g)| format!("{:.2}", g.last)),
+                ]
             )
         );
     }
     if !summary.histograms.is_empty() {
-        let rows: Vec<Vec<String>> = summary
-            .histograms
-            .iter()
-            .map(|(name, h)| {
-                vec![
-                    name.clone(),
-                    h.count.to_string(),
-                    format!("{:.2}", h.mean),
-                    format!("{:.2}", h.p50),
-                    format!("{:.2}", h.p95),
-                    format!("{:.2}", h.p99),
-                    format!("{:.2}", h.max),
-                ]
-            })
-            .collect();
+        let rows: Vec<_> = summary.histograms.iter().collect();
         let _ = writeln!(
             out,
             "#### Histograms (seconds)\n\n{}",
-            markdown_table(
-                &["Metric", "Count", "Mean", "p50", "p95", "p99", "Max"],
-                &rows
+            table(
+                &rows,
+                &[
+                    ("Metric", &|(name, _)| name.to_string()),
+                    ("Count", &|(_, h)| h.count.to_string()),
+                    ("Mean", &|(_, h)| format!("{:.2}", h.mean)),
+                    ("p50", &|(_, h)| format!("{:.2}", h.p50)),
+                    ("p95", &|(_, h)| format!("{:.2}", h.p95)),
+                    ("p99", &|(_, h)| format!("{:.2}", h.p99)),
+                    ("Max", &|(_, h)| format!("{:.2}", h.max)),
+                ]
             )
         );
     }

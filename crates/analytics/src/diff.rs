@@ -18,11 +18,22 @@ pub struct ComponentDelta {
     pub regressed: bool,
 }
 
+/// One compared recovery counter.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct CountDelta {
+    pub name: String,
+    pub a: u32,
+    pub b: u32,
+    pub regressed: bool,
+}
+
 /// The full comparison.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct DiffReport {
     pub threshold: f64,
     pub deltas: Vec<ComponentDelta>,
+    /// The recovery counters, compared by the same rule as the seconds.
+    pub counts: Vec<CountDelta>,
     /// Names of regressed quantities, in display order.
     pub regressions: Vec<String>,
     /// True when either input failed its closure check — the comparison
@@ -75,6 +86,27 @@ pub fn diff(a: &AnalysisReport, b: &AnalysisReport, threshold: f64) -> DiffRepor
         a.critical_path.total_secs,
         b.critical_path.total_secs,
     );
+    let counts = [
+        ("restarts", a.restarts, b.restarts),
+        ("replans", a.replans, b.replans),
+        ("domain-alarms", a.domain_alarms, b.domain_alarms),
+        ("evacuations", a.evacuations, b.evacuations),
+        ("checkpoints", a.checkpoints, b.checkpoints),
+        ("resumes", a.resumes, b.resumes),
+    ]
+    .map(|(name, a, b)| {
+        let regressed = regressed(f64::from(a), f64::from(b), threshold);
+        if regressed {
+            regressions.push(name.to_string());
+        }
+        CountDelta {
+            name: name.into(),
+            a,
+            b,
+            regressed,
+        }
+    })
+    .to_vec();
 
     let closure_broken = [a, b]
         .iter()
@@ -82,6 +114,7 @@ pub fn diff(a: &AnalysisReport, b: &AnalysisReport, threshold: f64) -> DiffRepor
     DiffReport {
         threshold,
         deltas,
+        counts,
         regressions,
         closure_broken,
     }
@@ -161,6 +194,19 @@ mod tests {
         let a = report(100.0, 50.0);
         let b = report(60.0, 10.0);
         assert!(!diff(&a, &b, 0.10).is_regression());
+    }
+
+    #[test]
+    fn one_more_evacuation_is_flagged() {
+        let a = report(100.0, 50.0);
+        let mut b = a.clone();
+        b.evacuations += 1;
+        let d = diff(&a, &b, 0.10);
+        assert!(d.is_regression());
+        assert_eq!(d.regressions, ["evacuations"]);
+        let mut fewer = a.clone();
+        fewer.restarts = 3;
+        assert!(!diff(&fewer, &a, 0.10).is_regression());
     }
 
     #[test]

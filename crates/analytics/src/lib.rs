@@ -36,7 +36,7 @@ use serde::{Deserialize, Serialize};
 
 pub use critical_path::CriticalPath;
 pub use decompose::{ClosureCheck, ExclusiveTtc};
-pub use diff::DiffReport;
+pub use diff::{CountDelta, DiffReport};
 pub use series::StepSeries;
 pub use stragglers::{tukey_upper_fence, Straggler};
 pub use timeline::{ReconstructError, SessionTimelines};
@@ -73,19 +73,14 @@ pub struct AnalysisReport {
     pub restarts: u32,
     pub replans: u32,
     /// Correlated-failure alarms raised on failure domains.
-    #[serde(default)]
     pub domain_alarms: u32,
     /// Pilots proactively drained out of alarmed domains.
-    #[serde(default)]
     pub evacuations: u32,
     /// Checkpoint boundaries recorded on aborted attempts.
-    #[serde(default)]
     pub checkpoints: u32,
     /// Attempts resumed from a checkpoint instead of from scratch.
-    #[serde(default)]
     pub resumes: u32,
     /// Seconds from the first domain alarm to the first completed drain.
-    #[serde(default)]
     pub evacuation_lead_secs: Option<f64>,
 }
 

@@ -4,7 +4,7 @@
 
 use crate::diff::DiffReport;
 use crate::AnalysisReport;
-use aimes::report::markdown_table;
+use aimes::report::table;
 use std::fmt::Write;
 
 fn pct(part: f64, whole: f64) -> String {
@@ -60,13 +60,14 @@ pub fn render(r: &AnalysisReport) -> String {
 
     let total = r.ttc.sum_secs();
     let _ = writeln!(out, "\n## Exclusive TTC decomposition\n");
-    let rows: Vec<Vec<String>> = r
-        .ttc
-        .components()
-        .iter()
-        .map(|(name, secs)| vec![(*name).to_string(), format!("{secs:.3}"), pct(*secs, total)])
-        .collect();
-    out.push_str(&markdown_table(&["component", "seconds", "share"], &rows));
+    out.push_str(&table(
+        &r.ttc.components(),
+        &[
+            ("component", &|(name, _)| name.to_string()),
+            ("seconds", &|(_, secs)| format!("{secs:.3}")),
+            ("share", &|(_, secs)| pct(*secs, total)),
+        ],
+    ));
 
     let _ = writeln!(
         out,
@@ -82,66 +83,44 @@ pub fn render(r: &AnalysisReport) -> String {
         "\n## Critical path ({:.3} s, digest {})\n",
         r.critical_path.total_secs, r.critical_path.digest
     );
-    let rows: Vec<Vec<String>> = r
+    let segments: Vec<_> = r
         .critical_path
         .segments
         .iter()
         .filter(|s| s.dwell_secs() > 0.0)
-        .map(|s| {
-            vec![
-                format!("{:.3}", s.start_secs),
-                format!("{:.3}", s.dwell_secs()),
-                s.component.clone(),
-                s.entity.clone(),
+        .collect();
+    out.push_str(&table(
+        &segments,
+        &[
+            ("start", &|s| format!("{:.3}", s.start_secs)),
+            ("dwell", &|s| format!("{:.3}", s.dwell_secs())),
+            ("component", &|s| s.component.clone()),
+            ("entity", &|s| s.entity.clone()),
+            ("resource", &|s| {
                 if s.resource.is_empty() {
                     "-".into()
                 } else {
                     s.resource.clone()
-                },
-                s.detail.clone(),
-            ]
-        })
-        .collect();
-    out.push_str(&markdown_table(
-        &[
-            "start",
-            "dwell",
-            "component",
-            "entity",
-            "resource",
-            "detail",
+                }
+            }),
+            ("detail", &|s| s.detail.clone()),
         ],
-        &rows,
     ));
 
     let _ = writeln!(out, "\n## Stragglers\n");
     if r.stragglers.is_empty() {
         let _ = writeln!(out, "none");
     } else {
-        let rows: Vec<Vec<String>> = r
-            .stragglers
-            .iter()
-            .map(|s| {
-                vec![
-                    format!("unit {}", s.unit),
-                    s.state.clone(),
-                    s.component.clone(),
-                    format!("{:.3}", s.dwell_secs),
-                    format!("{:.3}", s.bound_secs),
-                    format!("{:.3}", s.median_secs),
-                ]
-            })
-            .collect();
-        out.push_str(&markdown_table(
+        out.push_str(&table(
+            &r.stragglers,
             &[
-                "unit",
-                "state",
-                "component",
-                "dwell s",
-                "fence s",
-                "median s",
+                ("unit", &|s| format!("unit {}", s.unit)),
+                ("state", &|s| s.state.clone()),
+                ("component", &|s| s.component.clone()),
+                ("dwell s", &|s| format!("{:.3}", s.dwell_secs)),
+                ("fence s", &|s| format!("{:.3}", s.bound_secs)),
+                ("median s", &|s| format!("{:.3}", s.median_secs)),
             ],
-            &rows,
         ));
     }
     out
@@ -155,25 +134,30 @@ pub fn render_diff(d: &DiffReport) -> String {
         "# Run comparison (threshold +{:.0}%)\n",
         100.0 * d.threshold
     );
-    let rows: Vec<Vec<String>> = d
-        .deltas
-        .iter()
-        .map(|c| {
-            vec![
-                c.name.clone(),
-                format!("{:.3}", c.a_secs),
-                format!("{:.3}", c.b_secs),
-                format!("{:+.3}", c.delta_secs),
-                format!("{:+.1}%", 100.0 * c.rel_change),
-                if c.regressed { "**REGRESSED**" } else { "ok" }.into(),
-            ]
-        })
-        .collect();
-    out.push_str(&markdown_table(
+    let verdict = |regressed: bool| if regressed { "**REGRESSED**" } else { "ok" }.to_string();
+    out.push_str(&table(
+        &d.deltas,
         &[
-            "quantity", "run A s", "run B s", "delta", "relative", "verdict",
+            ("quantity", &|c| c.name.clone()),
+            ("run A s", &|c| format!("{:.3}", c.a_secs)),
+            ("run B s", &|c| format!("{:.3}", c.b_secs)),
+            ("delta", &|c| format!("{:+.3}", c.delta_secs)),
+            ("relative", &|c| format!("{:+.1}%", 100.0 * c.rel_change)),
+            ("verdict", &|c| verdict(c.regressed)),
         ],
-        &rows,
+    ));
+    out.push('\n');
+    out.push_str(&table(
+        &d.counts,
+        &[
+            ("recovery counter", &|c| c.name.clone()),
+            ("run A", &|c| c.a.to_string()),
+            ("run B", &|c| c.b.to_string()),
+            ("delta", &|c| {
+                format!("{:+}", i64::from(c.b) - i64::from(c.a))
+            }),
+            ("verdict", &|c| verdict(c.regressed)),
+        ],
     ));
     if d.closure_broken {
         let _ = writeln!(

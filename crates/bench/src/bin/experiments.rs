@@ -46,18 +46,22 @@
 //! `--quick` restricts sizes to {8, 64, 512} and 3 repetitions for a fast
 //! shape check.
 //!
-//! The sweeps — `ablation-data`, `-crossover`, `-hetero`, `-walltime`,
-//! `-queue`, `-faults`, `-detection`, `-info` and `-cascade` — fan their
-//! (arm × rep) runs out through one campaign driver. `--jobs N` caps the
-//! worker pool they and the figure experiments run on (default: all
-//! cores; every run owns its seed and results aggregate in job order, so
-//! output is byte-identical at any worker count). `--fail-on-error` makes
-//! a sweep exit non-zero if a gated run fails — every arm except
-//! `ablation-faults`' unhealed one and all of `ablation-walltime`, whose
-//! failures are their result — the chaos-smoke CI gate; `--dump-dir DIR`
-//! leaves flight-recorder snapshots of their failed runs there.
+//! Every multi-run command opens one campaign: its (arm × rep) runs fan
+//! out through one sweep driver. The figures and `ablation-pilots`,
+//! `-sched`, `-select` and `-throughput` make one arm per (experiment,
+//! size) of Table I's experiment configurations, seeded as
+//! `run_experiment` seeds them; the other sweeps build their own arms.
+//! Two ablations stay outside the driver: `ablation-adaptive` runs its own
+//! runner and `ablation-predictor` runs no middleware. `--jobs N` caps the
+//! worker pool (default: all cores; every run owns its seed and results
+//! aggregate in job order, so output is byte-identical at any worker
+//! count). `--fail-on-error` makes a campaign exit non-zero if a gated run
+//! fails — every arm except `ablation-faults`' unhealed one and all of
+//! `ablation-walltime`, whose failures are their result — the chaos-smoke
+//! CI gate; `--dump-dir DIR` leaves flight-recorder snapshots of failed
+//! runs there.
 //!
-//! Campaign observability, for one sweep at a time (any other command,
+//! Campaign observability, for one campaign at a time (any other command,
 //! `all` included, exits 2 on these flags; `profile` writes its own
 //! document to `--profile-out`): `--campaign-out PATH` writes a
 //! `campaign.jsonl` manifest with one record per run (arm, rep, seed,
@@ -67,7 +71,7 @@
 //! fields (worker index, per-phase wall split, a pool record) — useful,
 //! but worker-count dependent. `--progress` draws an opt-in live status
 //! line on stderr. `--profile-out PATH` attaches a per-run engine
-//! profiler to every run of the sweep and writes the merged
+//! profiler to every run of the campaign and writes the merged
 //! `aimes-profile-v1` document — scope counts and engine counters
 //! always, host timing and allocator sections only with
 //! `--campaign-timing`, so the default document is byte-identical at any
@@ -81,15 +85,15 @@
 //! `--trace-out <path>` streams the full event trace as JSON.
 
 use aimes::experiment::{
-    run_campaign, run_experiment, CampaignJob, ExperimentConfig, ExperimentResult, JobOutcome,
+    run_campaign, CampaignJob, ExperimentConfig, ExperimentPoint, ExperimentResult, JobOutcome,
 };
 use aimes::middleware::{run_application, RunError, RunOptions, RunResult};
 use aimes::paper;
-use aimes::profile::{self, AllocSection, ProfileDoc, TimingInputs};
-use aimes::report;
+use aimes::profile;
+use aimes::report::{self, table};
 use aimes::stats::Summary;
-use aimes_bench::alloc::{self as heap, CountingAlloc};
-use aimes_bench::observatory::{CampaignFlags, Observatory};
+use aimes_bench::alloc::CountingAlloc;
+use aimes_bench::observatory::{write_profile, CampaignFlags, Observatory, Stopwatch};
 use aimes_bench::{flag_parse, flag_value};
 use aimes_sim::{EngineStats, Profiler, SimRng, SimTime};
 use aimes_skeleton::{bag_of_tasks, SkeletonConfig, TaskDurationSpec};
@@ -121,15 +125,15 @@ struct Options {
     /// Positional file arguments after the command (journal/analysis
     /// paths for `analyze` and `analytics-diff`).
     files: Vec<std::path::PathBuf>,
-    /// Flight-recorder dump directory for the sweeps: failed runs leave
-    /// checksummed post-mortem snapshots here for CI to collect as
+    /// Flight-recorder dump directory for the campaigns: failed runs
+    /// leave checksummed post-mortem snapshots here for CI to collect as
     /// artifacts.
     dump_dir: Option<std::path::PathBuf>,
-    /// Worker-pool size for the sweeps (default: all cores).
+    /// Worker-pool size for the campaigns (default: all cores).
     jobs: Option<usize>,
-    /// Campaign observability for the sweeps. Its
-    /// `--profile-out` is also where the `profile` command writes its
-    /// document instead of stdout.
+    /// Campaign observability for the campaigns. Its `--profile-out` is
+    /// also where the `profile` command writes its document instead of
+    /// stdout.
     campaign: CampaignFlags,
 }
 
@@ -152,17 +156,39 @@ const USAGE: &str = "commands: table1 | fig2 | fig3 | fig4 | ablation-pilots | \
 /// A command's entry point.
 type Command = fn(&Options);
 
-/// The commands that run through [`sweep`], and so open a campaign.
-const SWEEPS: [(&str, Command); 9] = [
-    ("ablation-data", ablation_data),
-    ("ablation-crossover", ablation_crossover),
-    ("ablation-hetero", ablation_hetero),
-    ("ablation-walltime", ablation_walltime),
-    ("ablation-queue", ablation_queue),
-    ("ablation-faults", ablation_faults),
-    ("ablation-detection", ablation_detection),
-    ("ablation-info", ablation_info),
-    ("ablation-cascade", ablation_cascade),
+/// Every command, and whether it runs one campaign through [`sweep`] (and
+/// so takes the campaign flags). Two multi-run ablations stay outside
+/// the driver: `ablation-adaptive` runs `run_adaptive`, its own runner,
+/// which `run_campaign` could only take as a second runner behind a
+/// branch; `ablation-predictor` runs no middleware.
+const COMMANDS: [(&str, Command, bool); 27] = [
+    ("table1", table1, false),
+    ("fig2", |o| figure(o, "fig2", &[1, 2, 3, 4], fig2), true),
+    ("fig3", |o| figure(o, "fig3", &[1, 2, 3, 4], fig3), true),
+    ("fig4", |o| figure(o, "fig4", &[1, 3], fig4), true),
+    ("ablation-pilots", ablation_pilots, true),
+    ("ablation-sched", ablation_sched, true),
+    ("ablation-select", ablation_select, true),
+    ("ablation-data", ablation_data, true),
+    ("ablation-crossover", ablation_crossover, true),
+    ("ablation-throughput", ablation_throughput, true),
+    ("ablation-hetero", ablation_hetero, true),
+    ("ablation-adaptive", ablation_adaptive, false),
+    ("ablation-walltime", ablation_walltime, true),
+    ("ablation-queue", ablation_queue, true),
+    ("ablation-predictor", ablation_predictor, false),
+    ("ablation-faults", ablation_faults, true),
+    ("ablation-detection", ablation_detection, true),
+    ("ablation-info", ablation_info, true),
+    ("ablation-cascade", ablation_cascade, true),
+    ("telemetry", telemetry_run, false),
+    ("profile", profile_cmd, false),
+    ("journal", journal_cmd, false),
+    ("analyze", analyze_cmd, false),
+    ("analytics-diff", analytics_diff_cmd, false),
+    ("campaign-report", campaign_report_cmd, false),
+    ("all", all, false),
+    ("help", |_| println!("{USAGE}"), false),
 ];
 
 fn parse_args(args: Vec<String>) -> (String, Options) {
@@ -219,7 +245,7 @@ fn parse_args(args: Vec<String>) -> (String, Options) {
     }
     // Campaign flags describe one campaign: on any other command they
     // would be ignored, or under `all` recreate the manifest once per
-    // sweep. `profile` writes its own document to `--profile-out`.
+    // campaign. `profile` writes its own document to `--profile-out`.
     let c = &opts.campaign;
     let profile_out = c.profile_out.is_some() && command != "profile";
     let stray = [
@@ -228,8 +254,10 @@ fn parse_args(args: Vec<String>) -> (String, Options) {
         ("--progress", c.progress),
         ("--profile-out", profile_out),
     ];
-    let is_sweep = SWEEPS.iter().any(|(name, _)| *name == command);
-    if let Some((flag, _)) = stray.iter().find(|(_, set)| *set && !is_sweep) {
+    let runs_campaign = COMMANDS
+        .iter()
+        .any(|&(name, _, campaign)| campaign && name == command);
+    if let Some((flag, _)) = stray.iter().find(|(_, set)| *set && !runs_campaign) {
         eprintln!("`{flag}` needs a command that runs one sweep; `{command}` does not");
         std::process::exit(2);
     }
@@ -280,194 +308,174 @@ fn idle_pool(names: &[&str]) -> Vec<aimes_cluster::ClusterConfig> {
         .collect()
 }
 
-fn run(cfg: &ExperimentConfig) -> ExperimentResult {
-    eprintln!(
-        "running {} ({} sizes x {} reps) ...",
-        cfg.id,
-        cfg.task_counts.len(),
-        cfg.repetitions
-    );
-    let start = std::time::Instant::now();
-    let result = run_experiment(cfg);
-    eprintln!("  {} done in {:.1}s", cfg.id, start.elapsed().as_secs_f64());
-    for p in &result.points {
-        if !p.errors.is_empty() {
-            eprintln!(
-                "  WARNING {}@{}: {}/{} runs failed: {}",
-                cfg.id,
-                p.n_tasks,
-                p.errors.len(),
-                p.errors.len() + p.runs.len(),
-                p.errors[0]
-            );
-        }
-    }
-    result
-}
-
-fn table1() {
+fn table1(_: &Options) {
     println!("## Table I — skeleton applications and execution strategies\n");
-    let rows = paper::table1_rows();
-    let rows: Vec<Vec<String>> = rows.into_iter().map(|r| r.to_vec()).collect();
+    let cell = |i: usize| move |row: &[String; 8]| row[i].clone();
     println!(
         "{}",
-        report::markdown_table(
+        table(
+            &paper::table1_rows(),
             &[
-                "Experiment",
-                "#Tasks",
-                "Task duration",
-                "Binding",
-                "Scheduler",
-                "#Pilots",
-                "Pilot size",
-                "Pilot walltime"
-            ],
-            &rows
+                ("Experiment", &cell(0)),
+                ("#Tasks", &cell(1)),
+                ("Task duration", &cell(2)),
+                ("Binding", &cell(3)),
+                ("Scheduler", &cell(4)),
+                ("#Pilots", &cell(5)),
+                ("Pilot size", &cell(6)),
+                ("Pilot walltime", &cell(7)),
+            ]
         )
     );
 }
 
-fn experiments_1_to_4(opts: &Options) -> Vec<ExperimentResult> {
-    (1..=4)
-        .map(|id| run(&paper::experiment(id, opts.reps, opts.seed, sizes(opts))))
+/// Experiments as one campaign named `name`: one arm per (experiment,
+/// size), each run seeded as `run_experiment` seeds it. Results come back
+/// in `configs` order, with the failure count for [`exit_on_failures`].
+fn run_experiments(
+    opts: &Options,
+    name: &str,
+    configs: &[ExperimentConfig],
+) -> (Vec<ExperimentResult>, usize) {
+    let arms: Vec<(&ExperimentConfig, u32, SkeletonConfig)> = configs
+        .iter()
+        .flat_map(|cfg| cfg.arms().into_iter().map(move |(n, app)| (cfg, n, app)))
+        .collect();
+    let (outcomes, failures) = sweep(
+        opts,
+        name,
+        &arms,
+        |_| true,
+        |(cfg, n, app), rep| cfg.job(*n, app, rep),
+        |r, _| r,
+    );
+    let mut outcomes = outcomes.into_iter();
+    let results = configs
+        .iter()
+        .map(|cfg| cfg.result(outcomes.by_ref().take(cfg.task_counts.len())))
+        .collect();
+    (results, failures)
+}
+
+/// Every point of `results`, keyed by the arm key of its experiment.
+fn keyed_points<K: Copy>(
+    keys: impl IntoIterator<Item = K>,
+    results: &[ExperimentResult],
+) -> Vec<(K, &ExperimentPoint)> {
+    keys.into_iter()
+        .zip(results)
+        .flat_map(|(key, r)| r.points.iter().map(move |p| (key, p)))
         .collect()
 }
 
-fn fig2(opts: &Options) {
-    let results = experiments_1_to_4(opts);
-    println!("## Figure 2 — TTC comparison, experiments 1-4\n");
-    let refs: Vec<&ExperimentResult> = results.iter().collect();
-    println!("{}", report::fig2_table(&refs));
-    println!("```\n{}```\n", report::fig2_chart(&refs));
-    println!("### CSV\n```\n{}```", report::csv_export(&refs));
+/// Table I's experiments `ids` at the figure sizes.
+fn paper_experiments(opts: &Options, ids: &[u32]) -> Vec<ExperimentConfig> {
+    ids.iter()
+        .map(|&id| paper::experiment(id, opts.reps, opts.seed, sizes(opts)))
+        .collect()
 }
 
-fn fig3(opts: &Options) {
-    let results = experiments_1_to_4(opts);
+/// One figure command: Table I's experiments `ids` as one campaign,
+/// rendered by `render`, then the shared `--fail-on-error` exit.
+fn figure(opts: &Options, name: &str, ids: &[u32], render: fn(&[&ExperimentResult])) {
+    let (results, failures) = run_experiments(opts, name, &paper_experiments(opts, ids));
+    render(&results.iter().collect::<Vec<_>>());
+    exit_on_failures(opts, name, failures);
+}
+
+/// Figure 2 from experiments 1-4.
+fn fig2(results: &[&ExperimentResult]) {
+    println!("## Figure 2 — TTC comparison, experiments 1-4\n");
+    println!("{}", report::fig2_table(results));
+    println!("```\n{}```\n", report::fig2_chart(results));
+    println!("### CSV\n```\n{}```", report::csv_export(results));
+}
+
+/// Figure 3's four panels from experiments 1-4.
+fn fig3(results: &[&ExperimentResult]) {
     println!("## Figure 3 — TTC decomposition (Tw, Tx, Ts) per experiment\n");
-    for (panel, r) in ["(a)", "(b)", "(c)", "(d)"].iter().zip(&results) {
+    for (panel, r) in ["(a)", "(b)", "(c)", "(d)"].iter().zip(results) {
         println!("### {panel} {}", report::fig3_table(r));
     }
 }
 
-fn fig4(opts: &Options) {
-    let e1 = run(&paper::experiment(1, opts.reps, opts.seed, sizes(opts)));
-    let e3 = run(&paper::experiment(3, opts.reps, opts.seed, sizes(opts)));
+/// Figure 4's two panels from experiments 1 and 3.
+fn fig4(results: &[&ExperimentResult]) {
     println!("## Figure 4 — TTC error bars: early (a) vs late (b)\n");
-    println!("### (a) {}", report::fig4_table(&e1));
-    println!("### (b) {}", report::fig4_table(&e3));
+    for (panel, r) in ["(a)", "(b)"].iter().zip(results) {
+        println!("### {panel} {}", report::fig4_table(r));
+    }
 }
 
 fn ablation_pilots(opts: &Options) {
     println!("## Ablation — late-binding pilot-count sweep\n");
-    let sizes = sizes(opts).unwrap_or_else(|| vec![256, 1024]);
-    let mut rows = Vec::new();
-    for k in 1..=5u32 {
-        let r = run(&paper::pilot_count_ablation(
-            k,
-            opts.reps,
-            opts.seed,
-            Some(sizes.clone()),
-        ));
-        for p in &r.points {
-            rows.push(vec![
-                k.to_string(),
-                p.n_tasks.to_string(),
-                format!("{:.0}", p.ttc.mean),
-                format!("{:.0}", p.ttc.stdev),
-                format!("{:.0}", p.tw.mean),
-                format!("{:.0}", p.tw.stdev),
-            ]);
-        }
-    }
+    let configs: Vec<_> = (1..=5)
+        .map(|k| paper::pilot_count_ablation(k, opts.reps, opts.seed, sizes(opts)))
+        .collect();
+    let (results, failures) = run_experiments(opts, "ablation-pilots", &configs);
     println!(
         "{}",
-        report::markdown_table(
+        table(
+            &keyed_points(1..=5u32, &results),
             &[
-                "#Pilots",
-                "#Tasks",
-                "TTC mean(s)",
-                "TTC stdev",
-                "Tw mean(s)",
-                "Tw stdev"
-            ],
-            &rows
+                ("#Pilots", &|(k, _)| k.to_string()),
+                ("#Tasks", &|(_, p)| p.n_tasks.to_string()),
+                ("TTC mean(s)", &|(_, p)| format!("{:.0}", p.ttc.mean)),
+                ("TTC stdev", &|(_, p)| format!("{:.0}", p.ttc.stdev)),
+                ("Tw mean(s)", &|(_, p)| format!("{:.0}", p.tw.mean)),
+                ("Tw stdev", &|(_, p)| format!("{:.0}", p.tw.stdev)),
+            ]
         )
     );
+    exit_on_failures(opts, "ablation-pilots", failures);
 }
 
 fn ablation_sched(opts: &Options) {
     println!("## Ablation — late-binding scheduler: backfill vs round robin\n");
-    let sizes = sizes(opts).unwrap_or_else(|| vec![256, 1024]);
-    let mut rows = Vec::new();
-    for backfill in [true, false] {
-        let r = run(&paper::scheduler_ablation(
-            backfill,
-            opts.reps,
-            opts.seed,
-            Some(sizes.clone()),
-        ));
-        for p in &r.points {
-            let restarts: f64 =
-                p.runs.iter().map(|x| x.restarts as f64).sum::<f64>() / p.runs.len().max(1) as f64;
-            rows.push(vec![
-                if backfill { "backfill" } else { "round-robin" }.to_string(),
-                p.n_tasks.to_string(),
-                format!("{:.0}", p.ttc.mean),
-                format!("{:.0}", p.ttc.stdev),
-                format!("{restarts:.1}"),
-            ]);
-        }
-    }
+    let arms = [("backfill", true), ("round-robin", false)];
+    let configs = arms.map(|(_, backfill)| {
+        paper::scheduler_ablation(backfill, opts.reps, opts.seed, sizes(opts))
+    });
+    let (results, failures) = run_experiments(opts, "ablation-sched", &configs);
     println!(
         "{}",
-        report::markdown_table(
+        table(
+            &keyed_points(arms.map(|(label, _)| label), &results),
             &[
-                "Scheduler",
-                "#Tasks",
-                "TTC mean(s)",
-                "TTC stdev",
-                "mean restarts/run"
-            ],
-            &rows
+                ("Scheduler", &|(label, _)| label.to_string()),
+                ("#Tasks", &|(_, p)| p.n_tasks.to_string()),
+                ("TTC mean(s)", &|(_, p)| format!("{:.0}", p.ttc.mean)),
+                ("TTC stdev", &|(_, p)| format!("{:.0}", p.ttc.stdev)),
+                ("mean restarts/run", &|(_, p)| {
+                    let restarts: f64 = p.runs.iter().map(|x| x.restarts as f64).sum();
+                    format!("{:.1}", restarts / p.runs.len().max(1) as f64)
+                }),
+            ]
         )
     );
+    exit_on_failures(opts, "ablation-sched", failures);
 }
 
 fn ablation_select(opts: &Options) {
     println!("## Ablation — resource selection: bundle-ranked vs random\n");
-    let sizes = sizes(opts).unwrap_or_else(|| vec![256, 1024]);
-    let mut rows = Vec::new();
-    for ranked in [false, true] {
-        let r = run(&paper::selection_ablation(
-            ranked,
-            opts.reps,
-            opts.seed,
-            Some(sizes.clone()),
-        ));
-        for p in &r.points {
-            rows.push(vec![
-                if ranked { "ranked-by-wait" } else { "random" }.to_string(),
-                p.n_tasks.to_string(),
-                format!("{:.0}", p.ttc.mean),
-                format!("{:.0}", p.tw.mean),
-                format!("{:.0}", p.tw.stdev),
-            ]);
-        }
-    }
+    let arms = [("random", false), ("ranked-by-wait", true)];
+    let configs = arms
+        .map(|(_, ranked)| paper::selection_ablation(ranked, opts.reps, opts.seed, sizes(opts)));
+    let (results, failures) = run_experiments(opts, "ablation-select", &configs);
     println!(
         "{}",
-        report::markdown_table(
+        table(
+            &keyed_points(arms.map(|(label, _)| label), &results),
             &[
-                "Selection",
-                "#Tasks",
-                "TTC mean(s)",
-                "Tw mean(s)",
-                "Tw stdev"
-            ],
-            &rows
+                ("Selection", &|(label, _)| label.to_string()),
+                ("#Tasks", &|(_, p)| p.n_tasks.to_string()),
+                ("TTC mean(s)", &|(_, p)| format!("{:.0}", p.ttc.mean)),
+                ("Tw mean(s)", &|(_, p)| format!("{:.0}", p.tw.mean)),
+                ("Tw stdev", &|(_, p)| format!("{:.0}", p.tw.stdev)),
+            ]
         )
     );
+    exit_on_failures(opts, "ablation-select", failures);
 }
 
 /// Per-task input sizes of the data-heavy sweep, in MB.
@@ -504,22 +512,28 @@ fn ablation_data(opts: &Options) {
             (ttc, r.breakdown.ts.as_secs() / ttc)
         },
     );
-    let mut rows = Vec::new();
-    for ((input_mb, _), runs) in arms.iter().zip(&outcomes) {
-        let done = completed(runs);
-        let ttc = summary_of(&done, |r| r.0).expect("runs succeeded");
-        let frac = summary_of(&done, |r| r.1).expect("runs succeeded");
-        rows.push(vec![
-            format!("{input_mb:.0}"),
-            format!("{:.0}", ttc.mean),
-            format!("{:.2}", frac.mean),
-        ]);
-    }
+    let rows: Vec<(f64, Vec<&(f64, f64)>)> = arms
+        .iter()
+        .zip(&outcomes)
+        .map(|((input_mb, _), runs)| (*input_mb, completed(runs)))
+        .collect();
+    let mean = |done: &[&(f64, f64)], f: fn(&(f64, f64)) -> f64| {
+        summary_of(done, f).expect("runs succeeded").mean
+    };
     println!(
         "{}",
-        report::markdown_table(
-            &["Input MB/task", "TTC mean(s)", "Ts fraction of TTC"],
-            &rows
+        table(
+            &rows,
+            &[
+                ("Input MB/task", &|(mb, _)| format!("{mb:.0}")),
+                ("TTC mean(s)", &|(_, done)| format!(
+                    "{:.0}",
+                    mean(done, |r| r.0)
+                )),
+                ("Ts fraction of TTC", &|(_, done)| {
+                    format!("{:.2}", mean(done, |r| r.1))
+                }),
+            ]
         )
     );
     exit_on_failures(opts, "ablation-data", failures);
@@ -557,23 +571,24 @@ fn ablation_crossover(opts: &Options) {
         },
         |r, _| r.breakdown.ttc.as_secs(),
     );
-    let mut rows = Vec::new();
-    for ((task_mins, label, _, _), runs) in arms.iter().zip(&outcomes) {
-        if let Some(s) = summary_of(&completed(runs), |&ttc| ttc) {
-            rows.push(vec![
-                format!("{task_mins:.0}"),
-                label.to_string(),
-                format!("{:.0}", s.mean),
-                format!("{:.0}", s.stdev),
-                s.n.to_string(),
-            ]);
-        }
-    }
+    let rows: Vec<(f64, &str, Summary)> = arms
+        .iter()
+        .zip(&outcomes)
+        .filter_map(|((task_mins, label, _, _), runs)| {
+            summary_of(&completed(runs), |&ttc| ttc).map(|s| (*task_mins, *label, s))
+        })
+        .collect();
     println!(
         "{}",
-        report::markdown_table(
-            &["Task mins", "Strategy", "TTC mean(s)", "TTC stdev", "runs"],
-            &rows
+        table(
+            &rows,
+            &[
+                ("Task mins", &|(mins, _, _)| format!("{mins:.0}")),
+                ("Strategy", &|(_, label, _)| label.to_string()),
+                ("TTC mean(s)", &|(_, _, s)| format!("{:.0}", s.mean)),
+                ("TTC stdev", &|(_, _, s)| format!("{:.0}", s.stdev)),
+                ("runs", &|(_, _, s)| s.n.to_string()),
+            ]
         )
     );
     exit_on_failures(opts, "ablation-crossover", failures);
@@ -584,48 +599,40 @@ fn ablation_crossover(opts: &Options) {
 fn ablation_throughput(opts: &Options) {
     println!("## Ablation — throughput (tasks/hour) per strategy\n");
     let sizes = sizes(opts).unwrap_or_else(|| vec![256, 1024]);
-    let mut rows = Vec::new();
-    for id in 1..=4u32 {
-        let r = run(&paper::experiment(
-            id,
-            opts.reps,
-            opts.seed,
-            Some(sizes.clone()),
-        ));
-        for p in &r.points {
-            if p.ttc.n == 0 {
-                continue;
-            }
+    let configs: Vec<_> = (1..=4)
+        .map(|id| paper::experiment(id, opts.reps, opts.seed, Some(sizes.clone())))
+        .collect();
+    let (results, failures) = run_experiments(opts, "ablation-throughput", &configs);
+    // Per completed point: tasks/hour and allocation efficiency.
+    let rows: Vec<(&str, u32, Summary, Summary)> = results
+        .iter()
+        .flat_map(|r| r.points.iter().map(move |p| (r.id.as_str(), p)))
+        .filter(|(_, p)| p.ttc.n > 0)
+        .map(|(id, p)| {
             let tput: Vec<f64> = p
                 .runs
                 .iter()
                 .map(|x| f64::from(x.n_tasks) / (x.breakdown.ttc.as_secs() / 3600.0))
                 .collect();
             let eff: Vec<f64> = p.runs.iter().map(|x| x.allocation_efficiency()).collect();
-            let s = Summary::of(&tput).expect("non-empty");
-            let e = Summary::of(&eff).expect("non-empty");
-            rows.push(vec![
-                r.id.clone(),
-                p.n_tasks.to_string(),
-                format!("{:.0}", s.mean),
-                format!("{:.0}", s.stdev),
-                format!("{:.2}", e.mean),
-            ]);
-        }
-    }
+            let of = |v: &[f64]| Summary::of(v).expect("non-empty");
+            (id, p.n_tasks, of(&tput), of(&eff))
+        })
+        .collect();
     println!(
         "{}",
-        report::markdown_table(
+        table(
+            &rows,
             &[
-                "Experiment",
-                "#Tasks",
-                "tasks/hour mean",
-                "stdev",
-                "alloc efficiency"
-            ],
-            &rows
+                ("Experiment", &|(id, ..)| id.to_string()),
+                ("#Tasks", &|(_, n, ..)| n.to_string()),
+                ("tasks/hour mean", &|(_, _, s, _)| format!("{:.0}", s.mean)),
+                ("stdev", &|(_, _, s, _)| format!("{:.0}", s.stdev)),
+                ("alloc efficiency", &|(.., e)| format!("{:.2}", e.mean)),
+            ]
         )
     );
+    exit_on_failures(opts, "ablation-throughput", failures);
 }
 
 /// Heterogeneous task sizes (§V: "distributed applications comprised of
@@ -675,20 +682,24 @@ fn ablation_hetero(opts: &Options) {
         },
         |r, _| r.breakdown.ttc.as_secs(),
     );
-    let mut rows = Vec::new();
-    for ((label, _), runs) in arms.iter().zip(&outcomes) {
-        if let Some(s) = summary_of(&completed(runs), |&ttc| ttc) {
-            rows.push(vec![
-                label.to_string(),
-                format!("{:.0}", s.mean),
-                format!("{:.0}", s.stdev),
-                s.n.to_string(),
-            ]);
-        }
-    }
+    let rows: Vec<(&str, Summary)> = arms
+        .iter()
+        .zip(&outcomes)
+        .filter_map(|((label, _), runs)| {
+            summary_of(&completed(runs), |&ttc| ttc).map(|s| (*label, s))
+        })
+        .collect();
     println!(
         "{}",
-        report::markdown_table(&["Duration mix", "TTC mean(s)", "TTC stdev", "runs"], &rows)
+        table(
+            &rows,
+            &[
+                ("Duration mix", &|(label, _)| label.to_string()),
+                ("TTC mean(s)", &|(_, s)| format!("{:.0}", s.mean)),
+                ("TTC stdev", &|(_, s)| format!("{:.0}", s.stdev)),
+                ("runs", &|(_, s)| s.n.to_string()),
+            ]
+        )
     );
     exit_on_failures(opts, "ablation-hetero", failures);
 }
@@ -732,28 +743,21 @@ fn ablation_adaptive(opts: &Options) {
             }
         }
         if let Some(s) = Summary::of(&ttcs) {
-            rows.push(vec![
-                label.to_string(),
-                format!("{:.0}", s.mean),
-                format!("{:.0}", s.stdev),
-                format!("{:.0}", s.max),
-                rescued.to_string(),
-                s.n.to_string(),
-            ]);
+            rows.push((label, s, rescued));
         }
     }
     println!(
         "{}",
-        report::markdown_table(
+        table(
+            &rows,
             &[
-                "Mode",
-                "TTC mean(s)",
-                "stdev",
-                "max",
-                "runs reinforced",
-                "runs"
-            ],
-            &rows
+                ("Mode", &|(label, ..)| label.to_string()),
+                ("TTC mean(s)", &|(_, s, _)| format!("{:.0}", s.mean)),
+                ("stdev", &|(_, s, _)| format!("{:.0}", s.stdev)),
+                ("max", &|(_, s, _)| format!("{:.0}", s.max)),
+                ("runs reinforced", &|(.., rescued)| rescued.to_string()),
+                ("runs", &|(_, s, _)| s.n.to_string()),
+            ]
         )
     );
 }
@@ -798,36 +802,41 @@ fn ablation_walltime(opts: &Options) {
         },
         |r, _| (r.breakdown.ttc.as_secs(), r.restarts, r.units_failed > 0),
     );
-    let mut rows = Vec::new();
-    for ((secs, scheduler, _), runs) in arms.iter().zip(&outcomes) {
-        let done = completed(runs);
-        let degraded = done.iter().filter(|r| r.2).count();
-        let restarts: u64 = done.iter().map(|r| r.1).sum();
-        let (mean, n) = match summary_of(&done, |r| r.0) {
-            Some(s) => (format!("{:.0}", s.mean), s.n),
-            None => ("-".into(), 0),
-        };
-        rows.push(vec![
-            secs.to_string(),
-            format!("{scheduler:?}"),
-            mean,
-            n.to_string(),
-            (runs.len() - done.len() + degraded).to_string(),
-            restarts.to_string(),
-        ]);
-    }
+    // Per arm: the TTC of its completed runs, its failed or degraded
+    // runs, and its unit restarts.
+    let rows: Vec<(u64, UnitScheduler, Option<Summary>, usize, u64)> = arms
+        .iter()
+        .zip(&outcomes)
+        .map(|((secs, scheduler, _), runs)| {
+            let done = completed(runs);
+            let degraded = done.iter().filter(|r| r.2).count();
+            let restarts = done.iter().map(|r| r.1).sum();
+            let ttc = summary_of(&done, |r| r.0);
+            (
+                *secs,
+                *scheduler,
+                ttc,
+                runs.len() - done.len() + degraded,
+                restarts,
+            )
+        })
+        .collect();
     println!(
         "{}",
-        report::markdown_table(
+        table(
+            &rows,
             &[
-                "Walltime(s)",
-                "Scheduler",
-                "TTC mean(s)",
-                "ok runs",
-                "degraded/failed",
-                "restarts"
-            ],
-            &rows
+                ("Walltime(s)", &|(secs, ..)| secs.to_string()),
+                ("Scheduler", &|(_, scheduler, ..)| format!("{scheduler:?}")),
+                ("TTC mean(s)", &|(_, _, ttc, ..)| {
+                    ttc.map_or("-".into(), |s| format!("{:.0}", s.mean))
+                }),
+                ("ok runs", &|(_, _, ttc, ..)| ttc
+                    .map_or(0, |s| s.n)
+                    .to_string()),
+                ("degraded/failed", &|(.., failed, _)| failed.to_string()),
+                ("restarts", &|(.., restarts)| restarts.to_string()),
+            ]
         )
     );
 }
@@ -863,38 +872,36 @@ fn ablation_queue(opts: &Options) {
         },
         |r, _| (r.breakdown.ttc.as_secs(), r.breakdown.tw.as_secs()),
     );
-    let mut rows = Vec::new();
-    for ((queue, _), runs) in arms.iter().zip(&outcomes) {
-        let done = completed(runs);
-        if let (Some(t), Some(w)) = (summary_of(&done, |r| r.0), summary_of(&done, |r| r.1)) {
-            rows.push(vec![
-                queue.to_string(),
-                format!("{:.0}", t.mean),
-                format!("{:.0}", t.max),
-                format!("{:.0}", w.mean),
-                format!("{:.0}", w.max),
-                t.n.to_string(),
-            ]);
-        }
-    }
+    let rows: Vec<(&str, Summary, Summary)> = arms
+        .iter()
+        .zip(&outcomes)
+        .filter_map(|((queue, _), runs)| {
+            let done = completed(runs);
+            Some((
+                *queue,
+                summary_of(&done, |r| r.0)?,
+                summary_of(&done, |r| r.1)?,
+            ))
+        })
+        .collect();
     println!(
         "{}",
-        report::markdown_table(
+        table(
+            &rows,
             &[
-                "Queue",
-                "TTC mean(s)",
-                "TTC max",
-                "Tw mean(s)",
-                "Tw max",
-                "runs"
-            ],
-            &rows
+                ("Queue", &|(queue, ..)| queue.to_string()),
+                ("TTC mean(s)", &|(_, t, _)| format!("{:.0}", t.mean)),
+                ("TTC max", &|(_, t, _)| format!("{:.0}", t.max)),
+                ("Tw mean(s)", &|(.., w)| format!("{:.0}", w.mean)),
+                ("Tw max", &|(.., w)| format!("{:.0}", w.max)),
+                ("runs", &|(_, t, _)| t.n.to_string()),
+            ]
         )
     );
     exit_on_failures(opts, "ablation-queue", failures);
 }
 
-/// Fan a sweep's (arm × rep) jobs across the worker pool through the
+/// Fan a campaign's (arm × rep) jobs across the worker pool through the
 /// shared campaign driver, under the observatory the campaign flags ask
 /// for. Every run leaves its flight-recorder dumps in `--dump-dir`, tagged
 /// `{name}-{arm}-r{rep}` because paired arms share seeds. Once the pool is
@@ -937,8 +944,8 @@ fn sweep<'a, A: Sync, T: Send>(
     (outcomes, failures)
 }
 
-/// The shared `--fail-on-error` exit, taken after the sweep has printed
-/// its table.
+/// The shared `--fail-on-error` exit, taken after the campaign has
+/// printed its table.
 fn exit_on_failures(opts: &Options, label: &str, failures: usize) {
     if opts.fail_on_error && failures > 0 {
         eprintln!("{failures} {label} run(s) failed under --fail-on-error");
@@ -987,15 +994,38 @@ fn error_classes<T>(runs: &[JobOutcome<T>]) -> BTreeMap<String, usize> {
     classes
 }
 
+/// `{completed}/{reps}`, the "Completed" cell of the chaos sweeps.
+fn completed_cell(completed: usize, reps: usize) -> String {
+    format!("{completed}/{reps}")
+}
+
+/// A mean TTC cell: `-` when no run completed.
+fn ttc_cell(completed: usize, ttc: f64) -> String {
+    if completed == 0 {
+        "-".into()
+    } else {
+        format!("{ttc:.0}")
+    }
+}
+
+/// The `### JSON` block a sweep prints after its table, from the same
+/// per-arm records the table renders.
+fn print_json<P: serde::Serialize>(points: &[P]) {
+    println!(
+        "\n### JSON\n```json\n{}\n```",
+        serde_json::to_string_pretty(points).expect("sweep points serialize")
+    );
+}
+
 /// Fault sweep: failure rate on the x-axis, measuring what self-healing
 /// costs and what it saves. Each rate drives both the per-unit fault
 /// chance and the expected random-outage count per resource; every
 /// schedule is replayed three ways — oracle recovery (reacts at the
 /// injection instant), detection-driven recovery (reacts only to missed
 /// heartbeats and tripped breakers), and no recovery. Emits the markdown
-/// table plus a JSON block for downstream plotting. With
-/// `--fail-on-error`, any failed run in a healing arm (oracle or detect)
-/// exits non-zero — the chaos-smoke CI gate.
+/// table plus a JSON block for downstream plotting, both from one record
+/// per arm. With `--fail-on-error`, any failed run in a healing arm
+/// (oracle or detect) exits non-zero — the chaos-smoke CI gate.
 fn ablation_faults(opts: &Options) {
     use aimes_fault::{FaultSpec, RecoveryPolicy};
 
@@ -1071,74 +1101,52 @@ fn ablation_faults(opts: &Options) {
         |r, _| r,
     );
 
-    let mut rows = Vec::new();
-    let mut points: Vec<SweepPoint> = Vec::new();
-    for (&(rate, mode), runs) in arms.iter().zip(&outcomes) {
-        let done = completed(runs);
-        let ttc = mean_of(&done, |r| r.breakdown.ttc.as_secs());
-        let tr = mean_of(&done, |r| r.breakdown.tr.as_secs());
-        let td = mean_of(&done, |r| r.breakdown.td.as_secs());
-        let wasted = mean_of(&done, |r| r.wasted_core_hours);
-        let restarts: u64 = done.iter().map(|r| r.restarts).sum();
-        let replacements: u64 = done.iter().map(|r| r.replacements).sum();
-        let replans: u64 = done.iter().map(|r| r.replans).sum();
-        let false_suspicions: u64 = done.iter().map(|r| r.false_suspicions).sum();
-        rows.push(vec![
-            format!("{rate:.2}"),
-            mode.to_string(),
-            format!("{}/{}", done.len(), opts.reps),
-            if done.is_empty() {
-                "-".into()
-            } else {
-                format!("{ttc:.0}")
-            },
-            format!("{tr:.0}"),
-            format!("{td:.0}"),
-            format!("{wasted:.2}"),
-            restarts.to_string(),
-            replacements.to_string(),
-            replans.to_string(),
-            false_suspicions.to_string(),
-        ]);
-        points.push(SweepPoint {
-            failure_rate: rate,
-            recovery: mode.to_string(),
-            reps: opts.reps,
-            completed: done.len(),
-            ttc_mean_secs: ttc,
-            tr_mean_secs: tr,
-            td_mean_secs: td,
-            wasted_core_hours_mean: wasted,
-            restarts,
-            replacements,
-            replans,
-            false_suspicions,
-            errors: error_classes(runs),
-        });
-    }
+    let points: Vec<SweepPoint> = arms
+        .iter()
+        .zip(&outcomes)
+        .map(|(&(rate, mode), runs)| {
+            let done = completed(runs);
+            let sum = |f: fn(&RunResult) -> u64| done.iter().map(|r| f(r)).sum();
+            SweepPoint {
+                failure_rate: rate,
+                recovery: mode.to_string(),
+                reps: opts.reps,
+                completed: done.len(),
+                ttc_mean_secs: mean_of(&done, |r| r.breakdown.ttc.as_secs()),
+                tr_mean_secs: mean_of(&done, |r| r.breakdown.tr.as_secs()),
+                td_mean_secs: mean_of(&done, |r| r.breakdown.td.as_secs()),
+                wasted_core_hours_mean: mean_of(&done, |r| r.wasted_core_hours),
+                restarts: sum(|r| r.restarts),
+                replacements: sum(|r| r.replacements),
+                replans: sum(|r| r.replans),
+                false_suspicions: sum(|r| r.false_suspicions),
+                errors: error_classes(runs),
+            }
+        })
+        .collect();
     println!(
         "{}",
-        report::markdown_table(
+        table(
+            &points,
             &[
-                "Rate",
-                "Recovery",
-                "Completed",
-                "TTC mean(s)",
-                "Tr mean(s)",
-                "Td mean(s)",
-                "Wasted(ch)",
-                "Restarts",
-                "Replacements",
-                "Replans",
-                "FalseSusp"
-            ],
-            &rows
+                ("Rate", &|p| format!("{:.2}", p.failure_rate)),
+                ("Recovery", &|p| p.recovery.clone()),
+                ("Completed", &|p| completed_cell(p.completed, p.reps)),
+                ("TTC mean(s)", &|p| ttc_cell(p.completed, p.ttc_mean_secs)),
+                ("Tr mean(s)", &|p| format!("{:.0}", p.tr_mean_secs)),
+                ("Td mean(s)", &|p| format!("{:.0}", p.td_mean_secs)),
+                ("Wasted(ch)", &|p| format!(
+                    "{:.2}",
+                    p.wasted_core_hours_mean
+                )),
+                ("Restarts", &|p| p.restarts.to_string()),
+                ("Replacements", &|p| p.replacements.to_string()),
+                ("Replans", &|p| p.replans.to_string()),
+                ("FalseSusp", &|p| p.false_suspicions.to_string()),
+            ]
         )
     );
-    println!(
-        "\n### JSON\n```json\n{}\n```",
-        serde_json::to_string_pretty(&points).expect("sweep points serialize")
-    );
+    print_json(&points);
     exit_on_failures(opts, "ablation-faults healing-arm", healing_errors);
 }
 
@@ -1152,6 +1160,7 @@ fn ablation_faults(opts: &Options) {
 /// With `--fail-on-error`, any failed run exits non-zero — the cascade
 /// arm of the chaos-smoke CI gate.
 fn ablation_cascade(opts: &Options) {
+    use aimes_analytics::timeline::SessionTimelines;
     use aimes_fault::{
         CascadeSpec, DomainSpec, EvacuationSpec, FaultSpec, OutageKind, OutageSpec, RecoveryPolicy,
     };
@@ -1254,78 +1263,61 @@ fn ablation_cascade(opts: &Options) {
         },
     );
 
-    let mut rows = Vec::new();
-    let mut points: Vec<SweepPoint> = Vec::new();
-    for (arm, runs) in arms.iter().zip(&outcomes) {
-        let done = completed(runs);
-        let ttc = mean_of(&done, |(r, _)| r.breakdown.ttc.as_secs());
-        let wasted = mean_of(&done, |(r, _)| r.wasted_core_hours);
-        let salvaged = mean_of(&done, |(r, _)| r.salvaged_core_hours);
-        let leads: Vec<f64> = done
-            .iter()
-            .filter_map(|(_, tl)| tl.evacuation_lead_secs)
-            .collect();
-        let lead_mean = (!leads.is_empty()).then(|| mean(&leads));
-        let count = |f: fn(&aimes_analytics::timeline::SessionTimelines) -> u32| -> u64 {
-            done.iter().map(|(_, tl)| u64::from(f(tl))).sum()
-        };
-        let domain_alarms = count(|tl| tl.domain_alarms);
-        let evacuations = count(|tl| tl.evacuations);
-        let checkpoints = count(|tl| tl.checkpoints);
-        let resumes = count(|tl| tl.resumes);
-        rows.push(vec![
-            arm.to_string(),
-            format!("{}/{}", done.len(), opts.reps),
-            if done.is_empty() {
-                "-".into()
-            } else {
-                format!("{ttc:.0}")
-            },
-            format!("{wasted:.2}"),
-            format!("{salvaged:.2}"),
-            lead_mean.map_or("-".into(), |l| format!("{l:.0}")),
-            domain_alarms.to_string(),
-            evacuations.to_string(),
-            checkpoints.to_string(),
-            resumes.to_string(),
-        ]);
-        points.push(SweepPoint {
-            arm: arm.to_string(),
-            reps: opts.reps,
-            completed: done.len(),
-            ttc_mean_secs: ttc,
-            wasted_core_hours_mean: wasted,
-            salvaged_core_hours_mean: salvaged,
-            evacuation_lead_mean_secs: lead_mean,
-            domain_alarms,
-            evacuations,
-            checkpoints,
-            resumes,
-            errors: error_classes(runs),
-        });
-    }
+    let points: Vec<SweepPoint> = arms
+        .iter()
+        .zip(&outcomes)
+        .map(|(arm, runs)| {
+            let done = completed(runs);
+            let leads: Vec<f64> = done
+                .iter()
+                .filter_map(|(_, tl)| tl.evacuation_lead_secs)
+                .collect();
+            let count = |f: fn(&SessionTimelines) -> u32| -> u64 {
+                done.iter().map(|(_, tl)| u64::from(f(tl))).sum()
+            };
+            SweepPoint {
+                arm: arm.to_string(),
+                reps: opts.reps,
+                completed: done.len(),
+                ttc_mean_secs: mean_of(&done, |(r, _)| r.breakdown.ttc.as_secs()),
+                wasted_core_hours_mean: mean_of(&done, |(r, _)| r.wasted_core_hours),
+                salvaged_core_hours_mean: mean_of(&done, |(r, _)| r.salvaged_core_hours),
+                evacuation_lead_mean_secs: (!leads.is_empty()).then(|| mean(&leads)),
+                domain_alarms: count(|tl| tl.domain_alarms),
+                evacuations: count(|tl| tl.evacuations),
+                checkpoints: count(|tl| tl.checkpoints),
+                resumes: count(|tl| tl.resumes),
+                errors: error_classes(runs),
+            }
+        })
+        .collect();
     println!(
         "{}",
-        report::markdown_table(
+        table(
+            &points,
             &[
-                "Arm",
-                "Completed",
-                "TTC mean(s)",
-                "Wasted(ch)",
-                "Salvaged(ch)",
-                "EvacLead(s)",
-                "Alarms",
-                "Evacuations",
-                "Checkpoints",
-                "Resumes"
-            ],
-            &rows
+                ("Arm", &|p| p.arm.clone()),
+                ("Completed", &|p| completed_cell(p.completed, p.reps)),
+                ("TTC mean(s)", &|p| ttc_cell(p.completed, p.ttc_mean_secs)),
+                ("Wasted(ch)", &|p| format!(
+                    "{:.2}",
+                    p.wasted_core_hours_mean
+                )),
+                ("Salvaged(ch)", &|p| {
+                    format!("{:.2}", p.salvaged_core_hours_mean)
+                }),
+                ("EvacLead(s)", &|p| {
+                    p.evacuation_lead_mean_secs
+                        .map_or("-".into(), |l| format!("{l:.0}"))
+                }),
+                ("Alarms", &|p| p.domain_alarms.to_string()),
+                ("Evacuations", &|p| p.evacuations.to_string()),
+                ("Checkpoints", &|p| p.checkpoints.to_string()),
+                ("Resumes", &|p| p.resumes.to_string()),
+            ]
         )
     );
-    println!(
-        "\n### JSON\n```json\n{}\n```",
-        serde_json::to_string_pretty(&points).expect("sweep points serialize")
-    );
+    print_json(&points);
     exit_on_failures(opts, "ablation-cascade", arm_errors);
 }
 
@@ -1421,76 +1413,57 @@ fn ablation_info(opts: &Options) {
         |r, _| r,
     );
 
-    let mut rows = Vec::new();
-    let mut points = Vec::new();
-    for ((arm, _, _), runs) in arms.iter().zip(&outcomes) {
-        let done = completed(runs);
-        let info_fallbacks: u64 = done.iter().map(|r| r.info_fallbacks).sum();
-        let stale_secs = done.iter().fold(0.0, |acc, r| acc + r.stale_decision_secs);
-        let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-        for (name, v) in done
-            .iter()
-            .flat_map(|r| r.metrics.iter())
-            .flat_map(|summary| summary.counters.iter())
-        {
-            if let Some(short) = name.strip_prefix("bundle.info.") {
-                *counters.entry(short.to_string()).or_insert(0) += v;
+    let points: Vec<InfoPoint> = arms
+        .iter()
+        .zip(&outcomes)
+        .map(|((arm, _, _), runs)| {
+            let done = completed(runs);
+            let mut counters: BTreeMap<String, u64> = BTreeMap::new();
+            for (name, v) in done
+                .iter()
+                .flat_map(|r| r.metrics.iter())
+                .flat_map(|summary| summary.counters.iter())
+            {
+                if let Some(short) = name.strip_prefix("bundle.info.") {
+                    *counters.entry(short.to_string()).or_insert(0) += v;
+                }
             }
-        }
-        let (mean, max) = match summary_of(&done, |r| r.breakdown.ttc.as_secs()) {
-            Some(s) => (s.mean, s.max),
-            None => (0.0, 0.0),
-        };
-        let c = |k: &str| counters.get(k).copied().unwrap_or(0);
-        rows.push(vec![
-            arm.to_string(),
-            format!("{}/{}", done.len(), opts.reps),
-            format!("{mean:.0}"),
-            format!("{max:.0}"),
-            c("fresh").to_string(),
-            c("cache_hit").to_string(),
-            (c("corrupt") + c("unavailable")).to_string(),
-            c("fallback_stale_cache").to_string(),
-            c("fallback_predictor").to_string(),
-            c("fallback_static").to_string(),
-            info_fallbacks.to_string(),
-            format!("{stale_secs:.0}"),
-        ]);
-        points.push(InfoPoint {
-            arm: arm.to_string(),
-            reps: opts.reps,
-            completed: done.len(),
-            ttc_mean_secs: mean,
-            ttc_max_secs: max,
-            info_fallbacks,
-            stale_decision_secs: stale_secs,
-            counters,
-        });
-    }
+            let ttc = summary_of(&done, |r| r.breakdown.ttc.as_secs());
+            InfoPoint {
+                arm: arm.to_string(),
+                reps: opts.reps,
+                completed: done.len(),
+                ttc_mean_secs: ttc.map_or(0.0, |s| s.mean),
+                ttc_max_secs: ttc.map_or(0.0, |s| s.max),
+                info_fallbacks: done.iter().map(|r| r.info_fallbacks).sum(),
+                stale_decision_secs: done.iter().fold(0.0, |acc, r| acc + r.stale_decision_secs),
+                counters,
+            }
+        })
+        .collect();
+    let c = |p: &InfoPoint, k: &str| p.counters.get(k).copied().unwrap_or(0);
     println!(
         "{}",
-        report::markdown_table(
+        table(
+            &points,
             &[
-                "Arm",
-                "Completed",
-                "TTC mean(s)",
-                "TTC max(s)",
-                "Fresh",
-                "CacheHit",
-                "Degraded",
-                "StaleFB",
-                "PredFB",
-                "StaticFB",
-                "InfoFB",
-                "Stale(s)"
-            ],
-            &rows
+                ("Arm", &|p| p.arm.clone()),
+                ("Completed", &|p| completed_cell(p.completed, p.reps)),
+                ("TTC mean(s)", &|p| format!("{:.0}", p.ttc_mean_secs)),
+                ("TTC max(s)", &|p| format!("{:.0}", p.ttc_max_secs)),
+                ("Fresh", &|p| c(p, "fresh").to_string()),
+                ("CacheHit", &|p| c(p, "cache_hit").to_string()),
+                ("Degraded", &|p| (c(p, "corrupt") + c(p, "unavailable"))
+                    .to_string()),
+                ("StaleFB", &|p| c(p, "fallback_stale_cache").to_string()),
+                ("PredFB", &|p| c(p, "fallback_predictor").to_string()),
+                ("StaticFB", &|p| c(p, "fallback_static").to_string()),
+                ("InfoFB", &|p| p.info_fallbacks.to_string()),
+                ("Stale(s)", &|p| format!("{:.0}", p.stale_decision_secs)),
+            ]
         )
     );
-    println!(
-        "\n### JSON\n```json\n{}\n```",
-        serde_json::to_string_pretty(&points).expect("info points serialize")
-    );
+    print_json(&points);
     println!(
         "\nEvery arm must complete every run: degraded information descends \
          the fallback ladder (stale cache, predictor, static floor) and \
@@ -1580,37 +1553,44 @@ fn ablation_detection(opts: &Options) {
         |r, _| r,
     );
 
-    let mut rows = Vec::new();
-    for ((label, _), runs) in configs.iter().zip(&outcomes) {
-        let done = completed(runs);
-        rows.push(vec![
-            label.to_string(),
-            format!("{}/{}", done.len(), opts.reps),
-            format!("{:.0}", mean_of(&done, |r| r.breakdown.ttc.as_secs())),
-            format!("{:.0}", mean_of(&done, |r| r.breakdown.tr.as_secs())),
-            format!("{:.0}", mean_of(&done, |r| r.breakdown.td.as_secs())),
-            format!("{:.0}", mean_of(&done, |r| r.mean_detection_secs)),
-            done.iter().map(|r| r.replans).sum::<u64>().to_string(),
-            done.iter()
-                .map(|r| r.false_suspicions)
-                .sum::<u64>()
-                .to_string(),
-        ]);
-    }
+    let rows: Vec<(&str, Vec<&RunResult>)> = configs
+        .iter()
+        .zip(&outcomes)
+        .map(|((label, _), runs)| (*label, completed(runs)))
+        .collect();
+    let mean_cell =
+        |done: &[&RunResult], f: fn(&RunResult) -> f64| format!("{:.0}", mean_of(done, f));
+    let sum_cell = |done: &[&RunResult], f: fn(&RunResult) -> u64| {
+        done.iter().map(|r| f(r)).sum::<u64>().to_string()
+    };
     println!(
         "{}",
-        report::markdown_table(
+        table(
+            &rows,
             &[
-                "Detector",
-                "Completed",
-                "TTC mean(s)",
-                "Tr mean(s)",
-                "Td mean(s)",
-                "MeanTd(s)",
-                "Replans",
-                "FalseSusp"
-            ],
-            &rows
+                ("Detector", &|(label, _)| label.to_string()),
+                ("Completed", &|(_, done)| completed_cell(
+                    done.len(),
+                    opts.reps
+                )),
+                ("TTC mean(s)", &|(_, done)| mean_cell(done, |r| r
+                    .breakdown
+                    .ttc
+                    .as_secs())),
+                ("Tr mean(s)", &|(_, done)| mean_cell(done, |r| r
+                    .breakdown
+                    .tr
+                    .as_secs())),
+                ("Td mean(s)", &|(_, done)| mean_cell(done, |r| r
+                    .breakdown
+                    .td
+                    .as_secs())),
+                ("MeanTd(s)", &|(_, done)| mean_cell(done, |r| r
+                    .mean_detection_secs)),
+                ("Replans", &|(_, done)| sum_cell(done, |r| r.replans)),
+                ("FalseSusp", &|(_, done)| sum_cell(done, |r| r
+                    .false_suspicions)),
+            ]
         )
     );
     println!(
@@ -1623,7 +1603,8 @@ fn ablation_detection(opts: &Options) {
 
 /// Predictor evaluation: the Bundle's predictive machinery (QBETS-style
 /// quantile bound, exponential smoothing, conservative queue replay)
-/// scored against realized pilot waits on a saturated machine.
+/// scored against realized pilot waits on a saturated machine. It runs
+/// no middleware, so it stays outside the campaign driver.
 fn ablation_predictor(opts: &Options) {
     use aimes_bundle::{ExpSmoothing, QuantileBound, WaitPredictor};
     use aimes_cluster::{Cluster, JobRequest};
@@ -1678,46 +1659,44 @@ fn ablation_predictor(opts: &Options) {
     sim.run_until(SimTime::from_secs(10.0 * 24.0 * 3600.0));
 
     let obs = observations.borrow();
-    let score = |name: &str, pick: &dyn Fn(&Obs) -> Option<f64>, bound: bool| -> Vec<String> {
+    // One row per predictor: its name, whether it is a bound (so its
+    // coverage means something), and its (MAE, bias, coverage) over the
+    // probes it predicted, with that probe count.
+    let score = |name: &'static str, pick: fn(&Obs) -> Option<f64>, bound: bool| {
         let pairs: Vec<(f64, f64)> = obs
             .iter()
             .filter_map(|o| pick(o).map(|p| (p, o.3)))
             .collect();
-        if pairs.is_empty() {
-            return vec![name.into(), "-".into(), "-".into(), "-".into(), "0".into()];
-        }
         let n = pairs.len() as f64;
-        let mae = pairs.iter().map(|(p, r)| (p - r).abs()).sum::<f64>() / n;
-        let bias = pairs.iter().map(|(p, r)| p - r).sum::<f64>() / n;
-        let coverage = pairs.iter().filter(|(p, r)| r <= p).count() as f64 / n;
-        vec![
-            name.into(),
-            format!("{mae:.0}"),
-            format!("{bias:+.0}"),
-            if bound {
-                format!("{:.0} %", coverage * 100.0)
-            } else {
-                "-".into()
-            },
-            pairs.len().to_string(),
-        ]
+        let stats = (!pairs.is_empty()).then(|| {
+            let mae = pairs.iter().map(|(p, r)| (p - r).abs()).sum::<f64>() / n;
+            let bias = pairs.iter().map(|(p, r)| p - r).sum::<f64>() / n;
+            let coverage = pairs.iter().filter(|(p, r)| r <= p).count() as f64 / n;
+            (mae, bias, coverage)
+        });
+        (name, bound, stats, pairs.len())
     };
-    let rows = vec![
-        score("qbets-95/95", &|o: &Obs| o.0, true),
-        score("exp-smoothing", &|o: &Obs| o.1, false),
-        score("queue-replay", &|o: &Obs| o.2, true),
+    let rows = [
+        score("qbets-95/95", |o| o.0, true),
+        score("exp-smoothing", |o| o.1, false),
+        score("queue-replay", |o| o.2, true),
     ];
     println!(
         "{}",
-        report::markdown_table(
+        table(
+            &rows,
             &[
-                "Predictor",
-                "MAE(s)",
-                "bias(s)",
-                "coverage (bound)",
-                "probes"
-            ],
-            &rows
+                ("Predictor", &|(name, ..)| name.to_string()),
+                ("MAE(s)", &|(_, _, s, _)| s
+                    .map_or("-".into(), |s| format!("{:.0}", s.0))),
+                ("bias(s)", &|(_, _, s, _)| s
+                    .map_or("-".into(), |s| format!("{:+.0}", s.1))),
+                ("coverage (bound)", &|(_, bound, s, _)| match s {
+                    Some(s) if *bound => format!("{:.0} %", s.2 * 100.0),
+                    _ => "-".into(),
+                }),
+                ("probes", &|(.., n)| n.to_string()),
+            ]
         )
     );
     println!(
@@ -2076,29 +2055,18 @@ fn profile_cmd(opts: &Options) {
         cfg.repetitions
     );
     let prof = Profiler::new();
-    let alloc_before = heap::snapshot();
+    let stopwatch = Stopwatch::start();
     let mut run_walls: Vec<f64> = Vec::new();
     let mut engine = EngineStats::default();
-    let wall_started = std::time::Instant::now();
     {
         let _harness = prof.scope("harness");
-        for n in &cfg.task_counts {
+        for (n, app) in &cfg.arms() {
             for rep in 0..cfg.repetitions {
-                let seed = cfg.run_seed(*n, rep);
-                let submit_at = cfg.submit_instant(seed);
+                let mut job = cfg.job(*n, app, rep);
+                job.options.profiler = Some(prof.clone());
                 let t_run = std::time::Instant::now();
-                run_application(
-                    &cfg.resources,
-                    &cfg.skeleton(*n),
-                    &cfg.strategy,
-                    &RunOptions {
-                        seed,
-                        submit_at,
-                        profiler: Some(prof.clone()),
-                        ..Default::default()
-                    },
-                )
-                .unwrap_or_else(|e| panic!("profile run failed: {e}"));
+                run_application(job.resources, job.app, job.strategy, &job.options)
+                    .unwrap_or_else(|e| panic!("profile run failed: {e}"));
                 run_walls.push(t_run.elapsed().as_secs_f64());
                 // The engine handle overwrites its counters at each run's
                 // exit; fold them here so the document sums every run.
@@ -2106,56 +2074,53 @@ fn profile_cmd(opts: &Options) {
             }
         }
     }
-    let total_wall = wall_started.elapsed().as_secs_f64();
+    let runs = run_walls.len() as u64;
+    let timing = stopwatch.timing(engine.events_processed, true, run_walls);
     let mut report = prof.report();
     report.engine = engine;
-    let delta = heap::snapshot().since(&alloc_before);
-    let events = engine.events_processed;
-    let alloc = AllocSection {
-        allocs: delta.allocs,
-        bytes_allocated: delta.bytes_allocated,
-        peak_bytes: delta.peak_bytes,
-        allocs_per_event: if events > 0 {
-            delta.allocs as f64 / events as f64
-        } else {
-            0.0
-        },
-    };
-    let doc = ProfileDoc::build(
+    let path = opts.campaign.profile_out.as_ref().or(opts.out.as_ref());
+    let doc = write_profile(
+        path.map(|p| p.as_path()),
         "profile",
         opts.seed,
-        run_walls.len() as u64,
+        runs,
         &report,
-        Some(TimingInputs {
-            total_wall_secs: total_wall,
-            sequential: true,
-            run_walls,
-            alloc: Some(alloc),
-        }),
+        Some(timing),
     );
-    if let Err(e) = doc.validate() {
-        eprintln!("internal error: produced invalid profile doc: {e}");
-        std::process::exit(2);
-    }
     println!("```\n{}```\n", profile::self_time_table(&report, 16));
-    let coverage = doc.timing.as_ref().and_then(|t| t.coverage).unwrap_or(0.0);
+    let (timing, alloc) = (doc.timing.expect("timed"), doc.alloc.expect("timed"));
     println!(
-        "wall {total_wall:.3} s | attributed {:.3} s | coverage {:.1}% | \
-         {events} events | {:.1} allocs/event",
-        report.attributed_secs(),
-        100.0 * coverage,
+        "wall {:.3} s | attributed {:.3} s | coverage {:.1}% | \
+         {} events | {:.1} allocs/event",
+        timing.total_wall_secs,
+        timing.attributed_secs,
+        100.0 * timing.coverage.unwrap_or(0.0),
+        engine.events_processed,
         alloc.allocs_per_event
     );
-    let json = serde_json::to_string_pretty(&doc).expect("profile doc serializes");
-    match opts.campaign.profile_out.as_ref().or(opts.out.as_ref()) {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, format!("{json}\n")) {
-                eprintln!("cannot write profile doc {}: {e}", path.display());
-                std::process::exit(2);
-            }
-            eprintln!("wrote profile doc {}", path.display());
+    if path.is_none() {
+        let json = serde_json::to_string_pretty(&doc).expect("profile doc serializes");
+        println!("\n### JSON\n```json\n{json}\n```");
+    }
+}
+
+/// Every table and figure: Table I, the three figures rendered from one
+/// campaign of experiments 1-4, then every ablation. Its stdout is the
+/// concatenated stdouts of `table1`, `fig2`, `fig3`, `fig4` and the
+/// ablation commands, in that order.
+fn all(opts: &Options) {
+    table1(opts);
+    let (results, failures) =
+        run_experiments(opts, "figures", &paper_experiments(opts, &[1, 2, 3, 4]));
+    let results: Vec<&ExperimentResult> = results.iter().collect();
+    fig2(&results);
+    fig3(&results);
+    fig4(&[results[0], results[2]]);
+    exit_on_failures(opts, "figures", failures);
+    for (name, run, _) in &COMMANDS {
+        if name.starts_with("ablation-") {
+            run(opts);
         }
-        None => println!("\n### JSON\n```json\n{json}\n```"),
     }
 }
 
@@ -2167,61 +2132,10 @@ fn main() {
             .build_global()
             .expect("configure worker pool");
     }
-    if let Some((_, sweep)) = SWEEPS.iter().find(|(name, _)| *name == command) {
-        return sweep(&opts);
-    }
-    match command.as_str() {
-        "table1" => table1(),
-        "fig2" => fig2(&opts),
-        "fig3" => fig3(&opts),
-        "fig4" => fig4(&opts),
-        "ablation-pilots" => ablation_pilots(&opts),
-        "ablation-sched" => ablation_sched(&opts),
-        "ablation-select" => ablation_select(&opts),
-        "ablation-throughput" => ablation_throughput(&opts),
-        "ablation-adaptive" => ablation_adaptive(&opts),
-        "ablation-predictor" => ablation_predictor(&opts),
-        "telemetry" => telemetry_run(&opts),
-        "profile" => profile_cmd(&opts),
-        "journal" => journal_cmd(&opts),
-        "analyze" => analyze_cmd(&opts),
-        "analytics-diff" => analytics_diff_cmd(&opts),
-        "campaign-report" => campaign_report_cmd(&opts),
-        "all" => {
-            table1();
-            // Run experiments 1-4 once and render both figures from them.
-            let results = experiments_1_to_4(&opts);
-            let refs: Vec<&ExperimentResult> = results.iter().collect();
-            println!("## Figure 2 — TTC comparison, experiments 1-4\n");
-            println!("{}", report::fig2_table(&refs));
-            println!("```\n{}```\n", report::fig2_chart(&refs));
-            println!("## Figure 3 — TTC decomposition per experiment\n");
-            for (panel, r) in ["(a)", "(b)", "(c)", "(d)"].iter().zip(&results) {
-                println!("### {panel} {}", report::fig3_table(r));
-            }
-            println!("## Figure 4 — TTC error bars\n");
-            println!("### (a) {}", report::fig4_table(&results[0]));
-            println!("### (b) {}", report::fig4_table(&results[2]));
-            println!("### CSV\n```\n{}```", report::csv_export(&refs));
-            ablation_pilots(&opts);
-            ablation_sched(&opts);
-            ablation_select(&opts);
-            ablation_data(&opts);
-            ablation_crossover(&opts);
-            ablation_throughput(&opts);
-            ablation_hetero(&opts);
-            ablation_adaptive(&opts);
-            ablation_walltime(&opts);
-            ablation_queue(&opts);
-            ablation_predictor(&opts);
-            ablation_faults(&opts);
-            ablation_detection(&opts);
-            ablation_info(&opts);
-            ablation_cascade(&opts);
-        }
-        "help" => println!("{USAGE}"),
-        other => {
-            eprintln!("unknown command `{other}`\n{USAGE}");
+    match COMMANDS.iter().find(|(name, ..)| *name == command) {
+        Some((_, run, _)) => run(&opts),
+        None => {
+            eprintln!("unknown command `{command}`\n{USAGE}");
             std::process::exit(2);
         }
     }

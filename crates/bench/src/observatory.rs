@@ -1,11 +1,13 @@
 //! Campaign observability for the `experiments` sweeps: the four campaign
-//! flags and the [`Observatory`] that opens and closes what they ask for.
+//! flags, the [`Observatory`] that opens and closes what they ask for, and
+//! the one writer of `aimes-profile-v1` documents.
 
 use crate::alloc as heap;
 use aimes::campaign::{CampaignMeta, CampaignRecorder, CampaignSender, PoolRecord, Progress};
 use aimes::experiment::CampaignHooks;
 use aimes::profile::{AllocSection, ProfileAccumulator, ProfileDoc, TimingInputs};
-use std::path::PathBuf;
+use aimes_sim::ProfileReport;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// `--campaign-out PATH --campaign-timing --progress --profile-out PATH`.
@@ -57,8 +59,7 @@ pub struct Observatory {
     profile: Option<(PathBuf, ProfileAccumulator)>,
     command: String,
     seed: u64,
-    alloc_before: heap::AllocSnapshot,
-    wall_started: Instant,
+    stopwatch: Stopwatch,
 }
 
 impl Observatory {
@@ -91,8 +92,7 @@ impl Observatory {
                 .map(|path| (path.clone(), ProfileAccumulator::new())),
             command: command.to_string(),
             seed,
-            alloc_before: heap::snapshot(),
-            wall_started: Instant::now(),
+            stopwatch: Stopwatch::start(),
         }
     }
 
@@ -130,34 +130,83 @@ impl Observatory {
         // and host dependent), so they are gated exactly like the
         // manifest's wall-clock fields: only present in timing mode.
         let timing = self.timing.then(|| {
-            let delta = heap::snapshot().since(&self.alloc_before);
-            let events = merged.engine.events_processed;
-            TimingInputs {
-                total_wall_secs: self.wall_started.elapsed().as_secs_f64(),
-                sequential: false,
-                run_walls: Vec::new(),
-                alloc: Some(AllocSection {
-                    allocs: delta.allocs,
-                    bytes_allocated: delta.bytes_allocated,
-                    peak_bytes: delta.peak_bytes,
-                    allocs_per_event: if events > 0 {
-                        delta.allocs as f64 / events as f64
-                    } else {
-                        0.0
-                    },
-                }),
-            }
+            self.stopwatch
+                .timing(merged.engine.events_processed, false, Vec::new())
         });
-        let doc = ProfileDoc::build(&self.command, self.seed, acc.runs(), &merged, timing);
-        if let Err(e) = doc.validate() {
-            eprintln!("internal error: produced invalid profile doc: {e}");
-            std::process::exit(2);
+        write_profile(
+            Some(&path),
+            &self.command,
+            self.seed,
+            acc.runs(),
+            &merged,
+            timing,
+        );
+    }
+}
+
+/// The start of a profiled stretch: the wall clock and the allocator
+/// counters its document's volatile sections are measured from.
+pub struct Stopwatch {
+    wall: Instant,
+    heap: heap::AllocSnapshot,
+}
+
+impl Stopwatch {
+    pub fn start() -> Stopwatch {
+        Stopwatch {
+            wall: Instant::now(),
+            heap: heap::snapshot(),
         }
+    }
+
+    /// The host timing since the start, with the allocator section over
+    /// `events` engine events. `sequential` marks a single-threaded
+    /// harness, whose attributed time tiles the wall clock.
+    pub fn timing(&self, events: u64, sequential: bool, run_walls: Vec<f64>) -> TimingInputs {
+        let total_wall_secs = self.wall.elapsed().as_secs_f64();
+        let delta = heap::snapshot().since(&self.heap);
+        TimingInputs {
+            total_wall_secs,
+            sequential,
+            run_walls,
+            alloc: Some(AllocSection {
+                allocs: delta.allocs,
+                bytes_allocated: delta.bytes_allocated,
+                peak_bytes: delta.peak_bytes,
+                allocs_per_event: if events > 0 {
+                    delta.allocs as f64 / events as f64
+                } else {
+                    0.0
+                },
+            }),
+        }
+    }
+}
+
+/// Build the `aimes-profile-v1` document of `report` over `runs` runs,
+/// validate it, and write it to `path` (when given), reporting the write
+/// on stderr. Without `timing` the document is deterministic. An invalid
+/// document or a failed write exits 2.
+pub fn write_profile(
+    path: Option<&Path>,
+    command: &str,
+    seed: u64,
+    runs: u64,
+    report: &ProfileReport,
+    timing: Option<TimingInputs>,
+) -> ProfileDoc {
+    let doc = ProfileDoc::build(command, seed, runs, report, timing);
+    if let Err(e) = doc.validate() {
+        eprintln!("internal error: produced invalid profile doc: {e}");
+        std::process::exit(2);
+    }
+    if let Some(path) = path {
         let json = serde_json::to_string_pretty(&doc).expect("profile doc serializes");
-        if let Err(e) = std::fs::write(&path, format!("{json}\n")) {
+        if let Err(e) = std::fs::write(path, format!("{json}\n")) {
             eprintln!("cannot write profile doc {}: {e}", path.display());
             std::process::exit(2);
         }
         eprintln!("wrote profile doc {}", path.display());
     }
+    doc
 }

@@ -1,8 +1,9 @@
 //! The experiments CLI rejects mistakes with exit status 2 and a message
 //! on stderr instead of panicking or passing silently: a misspelled
 //! command, a value flag without its value, zero repetitions, and a
-//! campaign flag on a command that runs no single sweep. Running
-//! with no command (or `help`) still prints the usage and succeeds.
+//! campaign flag on a command that runs no single campaign. Running
+//! with no command (or `help`) still prints the usage and succeeds, and
+//! every multi-run command that runs a campaign takes the campaign flags.
 
 use std::process::{Command, Output};
 
@@ -66,7 +67,7 @@ fn campaign_flags_without_a_campaign_exit_2() {
         &["all", "--quick", "--campaign-out", manifest],
         "`--campaign-out` needs a command that runs one sweep; `all` does not",
     );
-    assert_rejected(&["fig2", "--campaign-timing"], "`--campaign-timing`");
+    assert_rejected(&["table1", "--campaign-timing"], "`--campaign-timing`");
     assert_rejected(&["ablation-adaptive", "--progress"], "`--progress`");
     assert_rejected(&["telemetry", "--profile-out", manifest], "`--profile-out`");
     assert_rejected(&["profile", "--progress"], "`--progress`");
@@ -74,4 +75,33 @@ fn campaign_flags_without_a_campaign_exit_2() {
         !std::path::Path::new(manifest).exists(),
         "no manifest written"
     );
+}
+
+#[test]
+fn figure_commands_write_a_campaign_manifest() {
+    let dir = std::env::temp_dir().join(format!("aimes-cli-fig2-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let manifest = dir.join("m.jsonl");
+    let manifest = manifest.to_str().unwrap();
+    let out = experiments(&["fig2", "--quick", "--reps", "2", "--campaign-out", manifest]);
+    assert!(
+        out.status.success(),
+        "fig2 --campaign-out: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(manifest).expect("manifest written");
+    let m = aimes::campaign::read_manifest(&text).expect("manifest parses");
+    m.validate().expect("manifest validates");
+    assert_eq!(m.meta.command, "fig2");
+    // Four experiments x three quick sizes x two repetitions.
+    assert_eq!(m.meta.total_jobs, 4 * 3 * 2);
+    assert_eq!(m.runs.len(), 4 * 3 * 2);
+    let report = experiments(&["campaign-report", manifest]);
+    assert_eq!(
+        report.status.code(),
+        Some(0),
+        "campaign-report: {}",
+        String::from_utf8_lossy(&report.stderr)
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -86,15 +86,10 @@ fn ablation_info_output_is_byte_identical_across_jobs() {
     assert_jobs_invariant("ablation-info", "### JSON");
 }
 
-/// FNV-1a 64 over arbitrary bytes (the digest the golden-journal suite
-/// uses).
+/// FNV-1a 64 over arbitrary bytes, as hex (the digest the golden-journal
+/// suite uses).
 fn fnv(bytes: &[u8]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{h:016x}")
+    format!("{:016x}", aimes::recorder::fnv1a64(bytes))
 }
 
 /// Digests of each sweep's stdout, stderr (both at default flags), its
@@ -185,6 +180,47 @@ fn experiment_outputs_match_pinned_digests() {
         let (out, _) = run_sweep(command, "1");
         assert_eq!(fnv(out.as_bytes()), want, "{command}: stdout digest moved");
     }
+}
+
+#[test]
+fn experiment_outputs_are_byte_identical_across_jobs() {
+    for (command, _) in EXPERIMENT_DIGESTS {
+        assert_jobs_invariant(command, "| #Tasks");
+    }
+}
+
+/// `all` renders Table I, the figures and the ablations through the same
+/// code as their own commands, so its stdout is theirs, concatenated in
+/// its order.
+#[test]
+fn all_prints_its_commands_in_order() {
+    let commands = [
+        "table1",
+        "fig2",
+        "fig3",
+        "fig4",
+        "ablation-pilots",
+        "ablation-sched",
+        "ablation-select",
+        "ablation-data",
+        "ablation-crossover",
+        "ablation-throughput",
+        "ablation-hetero",
+        "ablation-adaptive",
+        "ablation-walltime",
+        "ablation-queue",
+        "ablation-predictor",
+        "ablation-faults",
+        "ablation-detection",
+        "ablation-info",
+        "ablation-cascade",
+    ];
+    let concatenated: String = commands.iter().map(|c| run_sweep(c, "2").0).collect();
+    let (all, _) = run_sweep("all", "2");
+    assert!(
+        all == concatenated,
+        "all's stdout is not its commands' stdouts"
+    );
 }
 
 /// Stdout digests (with a line each table renders) of the sweeps that ran

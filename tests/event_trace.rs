@@ -19,14 +19,9 @@ use aimes_repro::sim::{SimDuration, SimTime, Telemetry, TraceRecord, Tracer};
 use aimes_repro::skeleton::{paper_bag, TaskDurationSpec};
 use aimes_repro::strategy::{ExecutionStrategy, ResourceSelection, WalltimePolicy};
 
-/// FNV-1a 64 (the digest the golden-journal suite uses).
+/// FNV-1a 64, as hex (the digest the golden-journal suite uses).
 fn fnv(bytes: &[u8]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{h:016x}")
+    format!("{:016x}", aimes_repro::middleware::recorder::fnv1a64(bytes))
 }
 
 /// Run a 16-task bag under `strategy` on `pool` with a tracer and a

@@ -338,12 +338,7 @@ fn zero_recorder_capacity_is_rejected_before_the_run_starts() {
 
 /// FNV-1a 64 over a dump's full text, as hex.
 fn fnv(bytes: &[u8]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{h:016x}")
+    format!("{:016x}", aimes_repro::middleware::recorder::fnv1a64(bytes))
 }
 
 /// Read a dump, check it round-trips through the parser, and digest it.

@@ -52,12 +52,10 @@ fn pool() -> Vec<ClusterConfig> {
 /// FNV-1a 64 over the journal's JSONL serialization (same as
 /// `golden_journal.rs`).
 fn digest(journal: &RunJournal) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in journal.to_jsonl().as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{h:016x}")
+    format!(
+        "{:016x}",
+        aimes_repro::middleware::recorder::fnv1a64(journal.to_jsonl().as_bytes())
+    )
 }
 
 #[test]

@@ -13,14 +13,9 @@ use aimes_repro::skeleton::{map_reduce, paper_bag, profiles, SkeletonApp, Skelet
 use aimes_repro::skeleton::{TaskDurationSpec, TaskId};
 use aimes_repro::workload::Distribution;
 
-/// FNV-1a 64 (the digest the golden-journal suite uses).
+/// FNV-1a 64, as hex (the digest the golden-journal suite uses).
 fn fnv(bytes: &[u8]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{h:016x}")
+    format!("{:016x}", aimes_repro::middleware::recorder::fnv1a64(bytes))
 }
 
 /// A three-round map-reduce: 12 maps fanning into 4 reduces many-to-one;

@@ -21,15 +21,10 @@ fn pool() -> Vec<ClusterConfig> {
     ]
 }
 
-/// FNV-1a 64 over arbitrary bytes (same digest as the golden-journal
-/// suite uses for JSONL).
+/// FNV-1a 64 over arbitrary bytes, as hex (same digest as the
+/// golden-journal suite uses for JSONL).
 fn fnv(bytes: &[u8]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{h:016x}")
+    format!("{:016x}", aimes_repro::middleware::recorder::fnv1a64(bytes))
 }
 
 /// The fixed-seed mini-run every test in this file looks at.
