@@ -23,6 +23,7 @@ use aimes_workload::{BackgroundWorkload, WorkloadConfig};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
@@ -276,6 +277,13 @@ struct ClusterState {
     /// cluster's index in the pool. [`Cluster::post`] queues there
     /// instead of on the engine.
     warming: Option<(Rc<RefCell<WarmQueue>>, usize)>,
+    // --- dispatch-pass buffers, cleared and reused by every pass ---
+    /// The policy's start ids.
+    starts: Vec<JobId>,
+    /// EASY backfill's phase-1 ends.
+    ends: Vec<(SimTime, u32)>,
+    /// The jobs a pass started, with their completion instants.
+    started: Vec<(JobId, SimTime)>,
 }
 
 impl ClusterState {
@@ -297,15 +305,6 @@ impl ClusterState {
 
     fn job(&self, id: JobId) -> &Job {
         &self.jobs[&id].job
-    }
-
-    fn job_mut(&mut self, id: JobId) -> &mut Job {
-        &mut self.jobs.get_mut(&id).expect("job exists").job
-    }
-
-    /// Queue-order key for a job already stored in `jobs`.
-    fn queue_key(&self, id: JobId) -> QueueKey {
-        (Reverse(self.job(id).queue_priority), id.0)
     }
 
     /// Mark a scheduling-relevant state change: bumps the epoch, so
@@ -343,28 +342,6 @@ impl ClusterState {
         assert_eq!(ids, want, "pass diverged from the profile oracle");
     }
 
-    /// Drop a running job's entry from the release index.
-    fn forget_release(&mut self, id: JobId) {
-        let deadline = self
-            .job(id)
-            .walltime_deadline()
-            .expect("running job has start");
-        self.releases
-            .remove(&(deadline, id))
-            .expect("running job has a release");
-    }
-
-    fn transition(&mut self, id: JobId, next: JobState) {
-        let job = self.job_mut(id);
-        assert!(
-            job.state.can_transition_to(next),
-            "illegal job transition {:?} -> {:?} for {id}",
-            job.state,
-            next
-        );
-        job.state = next;
-    }
-
     /// First half of a job's retirement, under the borrow: move a live
     /// job to the terminal state `end` at `now` and give back what it
     /// held — its queue slot and queued cores, or its cores, release
@@ -373,26 +350,36 @@ impl ClusterState {
     /// completion ends a job during a warm-up, so a running job settled
     /// by anything else always has its event on the engine.
     fn settle(&mut self, id: JobId, end: JobState, now: SimTime) -> Option<EventId> {
-        let cores = self.job(id).request.cores;
-        let completion = match self.job(id).state {
+        let job = &mut self.jobs.get_mut(&id).expect("job exists").job;
+        assert!(
+            job.state.can_transition_to(end),
+            "illegal job transition {:?} -> {end:?} for {id}",
+            job.state
+        );
+        let was = std::mem::replace(&mut job.state, end);
+        job.end_time = Some(now);
+        let cores = job.request.cores;
+        let completion = match was {
             JobState::Queued => {
-                let key = self.queue_key(id);
-                self.queue.remove(&key).expect("queued job is in the queue");
+                self.queue
+                    .remove(&(Reverse(job.queue_priority), id.0))
+                    .expect("queued job is in the queue");
                 self.queued_cores -= u64::from(cores);
                 None
             }
             JobState::Running => {
+                let deadline = job.walltime_deadline().expect("running job has start");
                 self.accrue_busy(now);
-                self.forget_release(id);
+                self.releases
+                    .remove(&(deadline, id))
+                    .expect("running job has a release");
                 self.free_cores += cores;
                 self.running
                     .remove(&id)
                     .expect("running job is in the running set")
             }
-            state => unreachable!("{id} already ended {state:?}"),
+            _ => unreachable!("only a live job may end"),
         };
-        self.transition(id, end);
-        self.job_mut(id).end_time = Some(now);
         self.touch();
         completion
     }
@@ -525,6 +512,9 @@ impl Cluster {
             queued_cores: 0,
             est_cache: None,
             warming: None,
+            starts: Vec::new(),
+            ends: Vec::new(),
+            started: Vec::new(),
         };
         Cluster {
             inner: Rc::new(RefCell::new(state)),
@@ -777,8 +767,11 @@ impl Cluster {
         sim.emit(&ClusterFact::Job(&self.inner.borrow(), id));
         self.notify(sim, id, end);
         let mut st = self.inner.borrow_mut();
-        if st.jobs[&id].generated {
-            st.jobs.remove(&id);
+        let Entry::Occupied(tracked) = st.jobs.entry(id) else {
+            unreachable!("{id} stays in the table until it is announced");
+        };
+        if tracked.get().generated {
+            tracked.remove();
         }
     }
 
@@ -803,11 +796,13 @@ impl Cluster {
     /// since the last completed pass, the queue is empty, or no cores are
     /// free (no policy can start a job on zero free cores) — returns
     /// without consulting the policy. Otherwise the policy walks the queue
-    /// and the release index in place.
+    /// and the release index in place. The pass's lists live in the
+    /// state's reused buffers, so a pass allocates nothing once they have
+    /// grown.
     fn dispatch(&self, sim: &mut Simulation) {
         let _prof = sim.profiler().scope("cluster.scheduler");
         let now = sim.now();
-        let starts: Vec<(JobId, SimTime)> = {
+        let started = {
             let mut st = self.inner.borrow_mut();
             if st.down_until.is_some_and(|until| now < until) {
                 // Outage/drain window: the scheduler is paused. A dispatch
@@ -824,13 +819,18 @@ impl Cluster {
                 return;
             }
             let st = &mut *st;
-            let ids = select_starts(
+            let mut ids = std::mem::take(&mut st.starts);
+            let mut ends = std::mem::take(&mut st.ends);
+            select_starts(
                 st.config.policy,
                 now,
                 st.free_cores,
                 st.release_iter(),
                 st.queue.values(),
+                &mut ids,
+                &mut ends,
             );
+            st.ends = ends;
             #[cfg(test)]
             st.check_against_oracle(now, &ids);
             if ids.is_empty() {
@@ -838,29 +838,37 @@ impl Cluster {
                 // nothing to start; until something changes, every further
                 // dispatch is a no-op.
                 st.last_dispatch_epoch = st.sched_epoch;
+                st.starts = ids;
                 return;
             }
             // Starts mutate the state (epoch moves on), so the next
             // dispatch re-runs the policy — which is correct: it will be
-            // triggered only by a further state change.
-            let mut started = Vec::with_capacity(ids.len());
-            for id in ids {
-                st.accrue_busy(now);
-                let cores = st.job(id).request.cores;
+            // triggered only by a further state change. Every start is at
+            // `now`, so one accrual covers them all.
+            st.accrue_busy(now);
+            let mut started = std::mem::take(&mut st.started);
+            started.clear();
+            for &id in &ids {
+                let job = &mut st.jobs.get_mut(&id).expect("started job exists").job;
+                let cores = job.request.cores;
                 assert!(st.free_cores >= cores, "policy oversubscribed cores");
                 st.free_cores -= cores;
-                let key = st.queue_key(id);
-                st.queue.remove(&key).expect("started job was queued");
+                st.queue
+                    .remove(&(Reverse(job.queue_priority), id.0))
+                    .expect("started job was queued");
                 st.queued_cores -= u64::from(cores);
-                st.transition(id, JobState::Running);
-                let job = st.job_mut(id);
+                assert!(
+                    job.state.can_transition_to(JobState::Running),
+                    "illegal job transition {:?} -> Running for {id}",
+                    job.state
+                );
+                job.state = JobState::Running;
                 job.start_time = Some(now);
                 let deadline = job.walltime_deadline().expect("just started");
                 let end = now + job.occupancy();
-                let wait = job.queue_wait(now);
                 st.wait_history.push_back(WaitRecord {
                     started_at: now,
-                    wait,
+                    wait: job.queue_wait(now),
                     cores,
                 });
                 if st.wait_history.len() > 1024 {
@@ -870,9 +878,10 @@ impl Cluster {
                 st.touch();
                 started.push((id, end));
             }
+            st.starts = ids;
             started
         };
-        for (id, end) in starts {
+        for &(id, end) in &started {
             sim.emit(&ClusterFact::Job(&self.inner.borrow(), id));
             let ev = self.post(sim, end, ClusterEvent::Completion(id));
             {
@@ -882,6 +891,7 @@ impl Cluster {
             }
             self.notify(sim, id, JobState::Running);
         }
+        self.inner.borrow_mut().started = started;
         self.record_usage_gauges(sim);
     }
 

@@ -11,33 +11,90 @@ use super::{Cluster, ClusterEvent};
 use aimes_sim::{SimTime, Simulation};
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::rc::Rc;
 
-/// The pending events of a warm-up, for the whole pool: (time, posting
-/// sequence, cluster index, event), earliest first. One sequence across
-/// the pool resolves same-instant ties, across clusters too, in posting
-/// order, exactly as the engine would.
-#[derive(Default)]
+/// An event the warm-up hands on or runs: (time, cluster index, event).
+type Pending = (SimTime, usize, ClusterEvent);
+
+/// The pending events of a warm-up, for the whole pool, earliest first.
+/// One posting sequence across the pool resolves same-instant ties,
+/// across clusters too, in posting order, exactly as the engine would.
+///
+/// A deferred dispatch pass is always posted at the current instant, so
+/// those wait in a FIFO lane of (sequence, cluster index) beside the
+/// (time, sequence) heap of everything else, and a pop takes the lane's
+/// front when its (instant, sequence) comes before the heap's top. Half
+/// of a warm-up's events are dispatch passes; the lane spares each a
+/// heap push and pop.
 pub(super) struct WarmQueue {
     heap: BinaryHeap<Reverse<(SimTime, u64, usize, ClusterEvent)>>,
+    lane: VecDeque<(u64, usize)>,
+    /// The current instant, that of the last event popped: every lane
+    /// entry waits at it, since the lane drains before time moves on.
+    now: SimTime,
     next_seq: u64,
 }
 
 impl WarmQueue {
+    fn new(now: SimTime) -> Self {
+        WarmQueue {
+            heap: BinaryHeap::new(),
+            lane: VecDeque::new(),
+            now,
+            next_seq: 0,
+        }
+    }
+
     pub(super) fn push(&mut self, at: SimTime, cluster: usize, ev: ClusterEvent) {
-        self.heap.push(Reverse((at, self.next_seq, cluster, ev)));
+        let seq = self.next_seq;
         self.next_seq += 1;
+        if ev == ClusterEvent::Dispatch {
+            assert_eq!(
+                at, self.now,
+                "a dispatch pass is posted at the current instant"
+            );
+            self.lane.push_back((seq, cluster));
+        } else {
+            self.heap.push(Reverse((at, seq, cluster, ev)));
+        }
     }
 
     /// The earliest event if it fires at or before `until`.
-    fn pop_until(&mut self, until: SimTime) -> Option<(SimTime, usize, ClusterEvent)> {
-        let Reverse((at, ..)) = self.heap.peek()?;
-        if *at > until {
+    fn pop_until(&mut self, until: SimTime) -> Option<Pending> {
+        let top = self.heap.peek().map(|Reverse((at, seq, ..))| (*at, *seq));
+        if let Some(&(seq, cluster)) = self.lane.front() {
+            if top.is_none_or(|top| (self.now, seq) < top) {
+                if self.now > until {
+                    return None;
+                }
+                self.lane.pop_front();
+                return Some((self.now, cluster, ClusterEvent::Dispatch));
+            }
+        }
+        if top?.0 > until {
             return None;
         }
         let Reverse((at, _, cluster, ev)) = self.heap.pop()?;
+        self.now = at;
         Some((at, cluster, ev))
+    }
+
+    /// Empty the queue: every pending event in (time, sequence) order,
+    /// the lane's merged into the heap's.
+    fn drain(&mut self) -> Vec<Pending> {
+        let now = self.now;
+        let lane = self.lane.drain(..);
+        self.heap.extend(
+            lane.map(|(seq, cluster)| Reverse((now, seq, cluster, ClusterEvent::Dispatch))),
+        );
+        // Sorted ascending by `Reverse`, so latest first.
+        let sorted = std::mem::take(&mut self.heap).into_sorted_vec();
+        sorted
+            .into_iter()
+            .rev()
+            .map(|Reverse((at, _, cluster, ev))| (at, cluster, ev))
+            .collect()
     }
 }
 
@@ -55,7 +112,7 @@ impl WarmQueue {
 /// watcher) or if an engine event is pending before `until`: both would
 /// interleave with the warm-up.
 pub fn warm_up(sim: &mut Simulation, clusters: &[Cluster], until: SimTime) -> u64 {
-    let queue = Rc::new(RefCell::new(WarmQueue::default()));
+    let queue = Rc::new(RefCell::new(WarmQueue::new(sim.now())));
     for (index, cluster) in clusters.iter().enumerate() {
         let mut st = cluster.inner.borrow_mut();
         assert!(
@@ -85,9 +142,8 @@ pub fn warm_up(sim: &mut Simulation, clusters: &[Cluster], until: SimTime) -> u6
     for cluster in clusters {
         cluster.inner.borrow_mut().warming = None;
     }
-    let left = std::mem::take(&mut queue.borrow_mut().heap).into_sorted_vec();
-    // Sorted ascending by `Reverse`, so latest first.
-    for Reverse((at, _, index, ev)) in left.into_iter().rev() {
+    let left = queue.borrow_mut().drain();
+    for (at, index, ev) in left {
         let cluster = &clusters[index];
         let handle = cluster.post(sim, at, ev);
         if let ClusterEvent::Completion(id) = ev {
@@ -101,9 +157,139 @@ pub fn warm_up(sim: &mut Simulation, clusters: &[Cluster], until: SimTime) -> u6
 #[cfg(test)]
 mod tests {
     use super::super::*;
+    use super::{Pending, WarmQueue};
     use crate::catalog::paper_testbed;
     use proptest::prelude::*;
+    use std::collections::BinaryHeap;
     use std::fmt::Write;
+
+    /// The warm-up queue without the dispatch lane: one (time, sequence)
+    /// heap of every pending event, the reference [`WarmQueue`] is
+    /// checked against.
+    #[derive(Default)]
+    struct PlainQueue {
+        heap: BinaryHeap<Reverse<(SimTime, u64, usize, ClusterEvent)>>,
+        next_seq: u64,
+    }
+
+    impl PlainQueue {
+        fn push(&mut self, at: SimTime, cluster: usize, ev: ClusterEvent) {
+            self.heap.push(Reverse((at, self.next_seq, cluster, ev)));
+            self.next_seq += 1;
+        }
+
+        fn pop_until(&mut self, until: SimTime) -> Option<Pending> {
+            let Reverse((at, ..)) = self.heap.peek()?;
+            if *at > until {
+                return None;
+            }
+            let Reverse((at, _, cluster, ev)) = self.heap.pop()?;
+            Some((at, cluster, ev))
+        }
+
+        fn drain(&mut self) -> Vec<Pending> {
+            let sorted = std::mem::take(&mut self.heap).into_sorted_vec();
+            let events = sorted.into_iter().rev();
+            events
+                .map(|Reverse((at, _, cluster, ev))| (at, cluster, ev))
+                .collect()
+        }
+    }
+
+    /// One step of a warm-up queue's driver.
+    #[derive(Clone, Debug)]
+    enum Step {
+        /// Post an event `delay` seconds after the current instant: a
+        /// background arrival, or with `Some(id)` job `id`'s completion.
+        Post {
+            cluster: usize,
+            delay: u32,
+            job: Option<u64>,
+        },
+        /// Dispatch passes at the current instant, one per listed
+        /// cluster, in this order.
+        Dispatches(Vec<usize>),
+        /// Pop the next event if it fires within `ahead` seconds of the
+        /// current instant, and move the current instant to it.
+        Pop { ahead: u32 },
+    }
+
+    /// Weighted draw: arrivals 1, completions 1, dispatch bursts 1,
+    /// pops 3 (out of 6).
+    fn step() -> impl Strategy<Value = Step> {
+        let burst = proptest::collection::vec(0usize..4, 1..=4);
+        (0u32..6, 0usize..4, 0u32..=3, 0u64..64, burst).prop_map(
+            |(kind, cluster, delay, id, burst)| match kind {
+                0 => Step::Post {
+                    cluster,
+                    delay,
+                    job: None,
+                },
+                1 => Step::Post {
+                    cluster,
+                    delay,
+                    job: Some(id),
+                },
+                2 => Step::Dispatches(burst),
+                _ => Step::Pop { ahead: delay },
+            },
+        )
+    }
+
+    /// Shallow by default so `cargo test` stays fast; the chaos-smoke CI
+    /// job sets `AIMES_FULL_PROPTEST=1` for the full-depth sweep.
+    fn queue_cases() -> u32 {
+        match std::env::var("AIMES_FULL_PROPTEST") {
+            Ok(v) if !v.is_empty() && v != "0" => 4096,
+            _ => 256,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(queue_cases()))]
+
+        /// The heap-and-lane queue and the plain heap pop the same
+        /// (time, cluster, event) sequence and hand off the same
+        /// leftovers, under random posts of all three kinds on whole
+        /// seconds (so instants tie often), same-instant dispatch bursts
+        /// across clusters, posts between pops at the popped instant and
+        /// bounded pops.
+        #[test]
+        fn prop_warm_queue_matches_the_plain_heap(
+            start in 0u32..=5,
+            steps in proptest::collection::vec(step(), 0..=200),
+        ) {
+            let secs = |s: u32| SimDuration::from_secs(f64::from(s));
+            let mut now = SimTime::ZERO + secs(start);
+            let mut queue = WarmQueue::new(now);
+            let mut plain = PlainQueue::default();
+            for step in steps {
+                match step {
+                    Step::Post { cluster, delay, job } => {
+                        let ev = job.map_or(ClusterEvent::Arrival, |id| {
+                            ClusterEvent::Completion(JobId(id))
+                        });
+                        queue.push(now + secs(delay), cluster, ev);
+                        plain.push(now + secs(delay), cluster, ev);
+                    }
+                    Step::Dispatches(clusters) => {
+                        for cluster in clusters {
+                            queue.push(now, cluster, ClusterEvent::Dispatch);
+                            plain.push(now, cluster, ClusterEvent::Dispatch);
+                        }
+                    }
+                    Step::Pop { ahead } => {
+                        let popped = queue.pop_until(now + secs(ahead));
+                        prop_assert_eq!(popped, plain.pop_until(now + secs(ahead)));
+                        if let Some((at, ..)) = popped {
+                            now = at;
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(queue.drain(), plain.drain());
+        }
+    }
 
     /// 64-bit FNV-1a.
     fn fnv(bytes: &[u8]) -> String {

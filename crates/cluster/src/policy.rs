@@ -40,22 +40,33 @@ pub struct QueuedJobView {
 
 /// Decide which queued jobs start *now*. `releases` are the running jobs'
 /// `(walltime deadline, cores)` in non-decreasing deadline order; `queue`
-/// is in priority order. Returns ids in start order.
+/// is in priority order. Fills `starts` with the ids to start, in start
+/// order; `ends` is EASY's scratch list of the phase-1 starts' ends. Both
+/// are cleared first, so a caller reuses them across passes.
 pub fn select_starts<'q>(
     policy: SchedulingPolicy,
     now: SimTime,
     free_cores: u32,
     releases: impl IntoIterator<Item = (SimTime, u32)>,
     queue: impl IntoIterator<Item = &'q QueuedJobView>,
-) -> Vec<JobId> {
+    starts: &mut Vec<JobId>,
+    ends: &mut Vec<(SimTime, u32)>,
+) {
+    starts.clear();
+    ends.clear();
     match policy {
-        SchedulingPolicy::Fcfs => fcfs(free_cores, queue),
-        SchedulingPolicy::EasyBackfill => easy_backfill(now, free_cores, releases, queue),
+        SchedulingPolicy::Fcfs => fcfs(free_cores, queue, starts),
+        SchedulingPolicy::EasyBackfill => {
+            easy_backfill(now, free_cores, releases, queue, starts, ends)
+        }
     }
 }
 
-fn fcfs<'q>(mut free: u32, queue: impl IntoIterator<Item = &'q QueuedJobView>) -> Vec<JobId> {
-    let mut starts = Vec::new();
+fn fcfs<'q>(
+    mut free: u32,
+    queue: impl IntoIterator<Item = &'q QueuedJobView>,
+    starts: &mut Vec<JobId>,
+) {
     for job in queue {
         if job.cores <= free {
             free -= job.cores;
@@ -64,7 +75,6 @@ fn fcfs<'q>(mut free: u32, queue: impl IntoIterator<Item = &'q QueuedJobView>) -
             break; // strict: no overtaking
         }
     }
-    starts
 }
 
 fn easy_backfill<'q>(
@@ -72,7 +82,9 @@ fn easy_backfill<'q>(
     free: u32,
     releases: impl IntoIterator<Item = (SimTime, u32)>,
     queue: impl IntoIterator<Item = &'q QueuedJobView>,
-) -> Vec<JobId> {
+    starts: &mut Vec<JobId>,
+    ends: &mut Vec<(SimTime, u32)>,
+) {
     let mut releases = releases.into_iter().peekable();
     let mut queue = queue.into_iter();
     // Releases at or before `now` are due at this instant: their cores
@@ -81,14 +93,12 @@ fn easy_backfill<'q>(
     while let Some((_, cores)) = releases.next_if(|&(at, _)| at <= now) {
         free_now += cores;
     }
-    let mut starts = Vec::new();
-    let mut ends = Vec::new();
 
     // Phase 1: start the queue head while it fits right now. Every start
     // holds its cores at `now`, whatever its length.
     let head = loop {
         let Some(job) = queue.next() else {
-            return starts;
+            return;
         };
         if job.cores > free_now {
             break job;
@@ -102,7 +112,7 @@ fn easy_backfill<'q>(
     // spare then. A head that never fits, or whose reservation is empty,
     // holds nothing back.
     ends.sort_unstable_by_key(|&(at, _)| at);
-    let mut ends = ends.into_iter().peekable();
+    let mut ends = ends.iter().copied().peekable();
     let mut avail = free_now;
     let mut hold = None;
     loop {
@@ -149,7 +159,6 @@ fn easy_backfill<'q>(
             starts.push(job.id);
         }
     }
-    starts
 }
 
 /// The profile-based passes that [`select_starts`] is checked against:
@@ -250,6 +259,7 @@ mod tests {
     use super::*;
     use crate::profile::AvailabilityProfile;
     use proptest::prelude::*;
+    use std::cell::RefCell;
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)
@@ -268,18 +278,41 @@ mod tests {
         (t(deadline), cores)
     }
 
+    /// A pass's start ids and EASY's phase-1 ends.
+    type Buffers = (Vec<JobId>, Vec<(SimTime, u32)>);
+
+    thread_local! {
+        /// The one pair of pass buffers each test thread runs every pass
+        /// through, so that each call finds the last call's output there.
+        static BUFFERS: RefCell<Buffers> = RefCell::default();
+    }
+
+    /// [`select_starts`] through this thread's reused buffers.
+    fn select<'q>(
+        policy: SchedulingPolicy,
+        now: SimTime,
+        free: u32,
+        releases: impl IntoIterator<Item = (SimTime, u32)>,
+        queue: impl IntoIterator<Item = &'q QueuedJobView>,
+    ) -> Vec<JobId> {
+        BUFFERS.with_borrow_mut(|(starts, ends)| {
+            select_starts(policy, now, free, releases, queue, starts, ends);
+            starts.clone()
+        })
+    }
+
     #[test]
     fn fcfs_starts_prefix_only() {
         let queue = [q(1, 4, 10.0), q(2, 8, 10.0), q(3, 1, 10.0)];
         // 6 free: job 1 fits, job 2 doesn't; job 3 must NOT overtake.
-        let starts = select_starts(SchedulingPolicy::Fcfs, t(0.0), 6, [], &queue);
+        let starts = select(SchedulingPolicy::Fcfs, t(0.0), 6, [], &queue);
         assert_eq!(starts, vec![JobId(1)]);
     }
 
     #[test]
     fn fcfs_starts_all_when_room() {
         let queue = [q(1, 2, 10.0), q(2, 2, 10.0)];
-        let starts = select_starts(SchedulingPolicy::Fcfs, t(0.0), 8, [], &queue);
+        let starts = select(SchedulingPolicy::Fcfs, t(0.0), 8, [], &queue);
         assert_eq!(starts, vec![JobId(1), JobId(2)]);
     }
 
@@ -289,7 +322,7 @@ mod tests {
         // Job 2 (2 cores, 50 s) ends at 50 < 100: backfills.
         let running = [r(4, 100.0)];
         let queue = [q(1, 10, 1000.0), q(2, 2, 50.0)];
-        let starts = select_starts(SchedulingPolicy::EasyBackfill, t(0.0), 6, running, &queue);
+        let starts = select(SchedulingPolicy::EasyBackfill, t(0.0), 6, running, &queue);
         assert_eq!(starts, vec![JobId(2)]);
     }
 
@@ -300,7 +333,7 @@ mod tests {
         // only 4 for the head → must NOT backfill.
         let running = [r(4, 100.0)];
         let queue = [q(1, 10, 1000.0), q(2, 6, 200.0)];
-        let starts = select_starts(SchedulingPolicy::EasyBackfill, t(0.0), 6, running, &queue);
+        let starts = select(SchedulingPolicy::EasyBackfill, t(0.0), 6, running, &queue);
         assert!(starts.is_empty());
     }
 
@@ -312,7 +345,7 @@ mod tests {
         // the shadow time.
         let running = [r(4, 100.0)];
         let queue = [q(1, 10, 1000.0), q(2, 2, 10_000.0)];
-        let starts = select_starts(SchedulingPolicy::EasyBackfill, t(0.0), 8, running, &queue);
+        let starts = select(SchedulingPolicy::EasyBackfill, t(0.0), 8, running, &queue);
         assert_eq!(starts, vec![JobId(2)]);
     }
 
@@ -326,21 +359,21 @@ mod tests {
             q(4, 2, 50.0),    // also fits
             q(5, 4, 50.0),    // only 2 cores left now → no
         ];
-        let starts = select_starts(SchedulingPolicy::EasyBackfill, t(0.0), 6, running, &queue);
+        let starts = select(SchedulingPolicy::EasyBackfill, t(0.0), 6, running, &queue);
         assert_eq!(starts, vec![JobId(3), JobId(4)]);
     }
 
     #[test]
     fn head_starts_immediately_when_it_fits() {
         let queue = [q(1, 4, 10.0), q(2, 4, 10.0), q(3, 4, 10.0)];
-        let starts = select_starts(SchedulingPolicy::EasyBackfill, t(0.0), 8, [], &queue);
+        let starts = select(SchedulingPolicy::EasyBackfill, t(0.0), 8, [], &queue);
         assert_eq!(starts, vec![JobId(1), JobId(2)]);
     }
 
     #[test]
     fn empty_queue_no_starts() {
         for p in [SchedulingPolicy::Fcfs, SchedulingPolicy::EasyBackfill] {
-            assert!(select_starts(p, t(0.0), 100, [], &[]).is_empty());
+            assert!(select(p, t(0.0), 100, [], &[]).is_empty());
         }
     }
 
@@ -349,7 +382,7 @@ mod tests {
         let queue = [q(1, 1, 10.0)];
         let running = [r(8, 50.0)];
         for p in [SchedulingPolicy::Fcfs, SchedulingPolicy::EasyBackfill] {
-            assert!(select_starts(p, t(0.0), 0, running, &queue).is_empty());
+            assert!(select(p, t(0.0), 0, running, &queue).is_empty());
         }
     }
 
@@ -365,7 +398,7 @@ mod tests {
         let mut running: Vec<(SimTime, u32)> = releases.iter().map(|&(dl, c)| r(c, dl)).collect();
         let oracle = oracle::select_starts(policy, t(now), free, &running, queue);
         running.sort_by_key(|&(at, _)| at);
-        (select_starts(policy, t(now), free, running, queue), oracle)
+        (select(policy, t(now), free, running, queue), oracle)
     }
 
     /// EASY starts, asserting that the pass and the oracle agree.
@@ -439,6 +472,9 @@ mod tests {
     /// intended divergence (it made the profile pass oversubscribe).
     type Pass = (u32, u32, Vec<(u32, u32)>, Vec<(u32, u32)>);
 
+    /// Both policies' passes against the oracle. Every case of a proptest
+    /// runs on one thread, so each pass fills the buffers the previous
+    /// case's pass left its output in: a stale start or end shows.
     fn check_pass((now, free, releases, queue): Pass) -> Result<(), String> {
         let releases: Vec<(f64, u32)> =
             releases.iter().map(|&(dl, c)| (f64::from(dl), c)).collect();
@@ -530,7 +566,7 @@ mod tests {
                 .enumerate()
                 .map(|(i, (c, w))| q(i as u64, *c, *w))
                 .collect();
-            let starts = select_starts(
+            let starts = select(
                 SchedulingPolicy::EasyBackfill, now, free, running.iter().copied(), &queue);
             // Identify the first *non-started* job: the effective head.
             let started: std::collections::HashSet<JobId> =
@@ -575,7 +611,7 @@ mod tests {
                 .map(|(i, (c, w))| q(i as u64, *c, *w))
                 .collect();
             for p in [SchedulingPolicy::Fcfs, SchedulingPolicy::EasyBackfill] {
-                let starts = select_starts(p, t(0.0), free, [], &queue);
+                let starts = select(p, t(0.0), free, [], &queue);
                 let used: u32 = queue
                     .iter()
                     .filter(|j| starts.contains(&j.id))
