@@ -25,7 +25,9 @@ use aimes_sim::{
     Telemetry, TraceLine, Tracer,
 };
 use aimes_skeleton::{SkeletonApp, SkeletonConfig};
-use aimes_strategy::{ExecutionManager, ExecutionPlan, ExecutionStrategy, ResourceSelection};
+use aimes_strategy::{
+    AppInfo, ExecutionManager, ExecutionPlan, ExecutionStrategy, ResourceSelection,
+};
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -648,7 +650,7 @@ struct Recovery {
     replan: bool,
     bundle: Rc<RefCell<Bundle>>,
     rng: RefCell<SimRng>,
-    app: Rc<SkeletonApp>,
+    app: AppInfo,
     strategy: ExecutionStrategy,
     /// The whole pool, in order; a re-plan keeps what is not blacklisted.
     names: Vec<String>,
@@ -836,7 +838,7 @@ impl Listener {
         let _prof = sim.profiler().scope("middleware.plan");
         let plan = ExecutionManager::default().derive_plan_with_rng(
             sim.now(),
-            &r.app,
+            r.app,
             &mut r.bundle.borrow_mut(),
             &replan_strategy,
             &mut r.rng.borrow_mut(),
@@ -944,9 +946,12 @@ pub(crate) struct RunWorld<'a> {
     /// gated on it, so a fault-free run replays the exact event and RNG
     /// streams of a build without fault support.
     schedule: Option<FaultSchedule>,
-    /// Shared with the re-planner, which re-derives plans for it.
-    app: Rc<SkeletonApp>,
-    n_tasks: u32,
+    /// What planning reads of the application; the re-planner keeps a
+    /// copy.
+    app: AppInfo,
+    /// The generated application, until `enact` hands its tasks to the
+    /// unit manager: from then on the units are the only task table.
+    skeleton: Option<SkeletonApp>,
     submitted: SimTime,
 }
 
@@ -1033,8 +1038,9 @@ impl<'a> RunWorld<'a> {
 
         // Generate the application (same seed → same workload across
         // strategies with the same experiment seed).
-        let app = SkeletonApp::generate(app_config, &mut sim.fork_rng("skeleton"))
+        let skeleton = SkeletonApp::generate(app_config, &mut sim.fork_rng("skeleton"))
             .map_err(|e| RunError::Skeleton(e.to_string()))?;
+        let app = AppInfo::from_skeleton(&skeleton);
 
         // Let the resource pool evolve to the submission instant. Nothing
         // but the clusters' own events exists before it, so they run off
@@ -1061,8 +1067,8 @@ impl<'a> RunWorld<'a> {
             bundle: Rc::new(RefCell::new(bundle)),
             info,
             schedule,
-            n_tasks: app.tasks().len() as u32,
-            app: Rc::new(app),
+            app,
+            skeleton: Some(skeleton),
             submitted,
         };
         world.wire_info_plane();
@@ -1071,7 +1077,7 @@ impl<'a> RunWorld<'a> {
             JournalEvent::RunStarted {
                 seed: options.seed,
                 strategy: strategy.label(),
-                n_tasks: world.n_tasks,
+                n_tasks: app.n_tasks,
             },
         );
         Ok(world)
@@ -1116,7 +1122,7 @@ impl<'a> RunWorld<'a> {
         ExecutionManager::default()
             .derive_plan_with_rng(
                 self.submitted,
-                &self.app,
+                self.app,
                 &mut self.bundle.borrow_mut(),
                 self.strategy,
                 &mut selection_rng,
@@ -1201,7 +1207,8 @@ impl<'a> RunWorld<'a> {
         let l = self.listener.clone();
         um.on_all_done(move |sim| l.on_all_done(sim));
         pm.submit(&mut self.sim, plan.pilots.clone());
-        um.submit_units(&mut self.sim, self.app.tasks());
+        let skeleton = self.skeleton.take().expect("a world is enacted once");
+        um.submit_units(&mut self.sim, skeleton.tasks());
         Ok(self.listener.crew().clone())
     }
 
@@ -1220,7 +1227,7 @@ impl<'a> RunWorld<'a> {
             replan: policy.is_some_and(|r| r.replan_on_resource_loss),
             bundle: self.bundle.clone(),
             rng: RefCell::new(self.sim.fork_rng("replan")),
-            app: self.app.clone(),
+            app: self.app,
             strategy: self.strategy.clone(),
             names: self.clusters.iter().map(|c| c.name()).collect(),
             evacuation: Evacuation::new(self.options),
@@ -1332,7 +1339,7 @@ impl<'a> RunWorld<'a> {
             }
             None if at > deadline => {
                 let err = RunError::DeadlineExceeded {
-                    n_tasks: self.n_tasks,
+                    n_tasks: self.app.n_tasks,
                     strategy_label: self.strategy.label(),
                     at,
                     stats,
@@ -1402,7 +1409,7 @@ impl<'a> RunWorld<'a> {
             telemetry.summary()
         });
         let info_stats = self.info.borrow().stats();
-        let (wasted, salvaged) = salvage_split(&units);
+        let (wasted, salvaged) = salvage_split(&units, &crew.um.checkpoints_ref());
         let ledger = listener.ledger.borrow();
         RunResult {
             metrics,
@@ -1421,7 +1428,7 @@ impl<'a> RunWorld<'a> {
             mean_detection_secs: mean_secs(&crew.pm.detection_times()),
             false_suspicions: crew.pm.false_suspicions(),
             strategy_label: self.strategy.label(),
-            n_tasks: self.n_tasks,
+            n_tasks: self.app.n_tasks,
             breakdown,
             resources_used,
             units_done: stats.done,

@@ -14,9 +14,10 @@
 //! intervals (they overlap during execution, hence
 //! `TTC < Tw + Tx + Ts` once the pipeline is full — the Fig. 3 caption).
 
-use aimes_pilot::{ComputeUnit, Pilot, PilotState, UnitState};
+use aimes_pilot::{Checkpoint, ComputeUnit, Pilot, PilotState, UnitId, UnitState};
 use aimes_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Measured decomposition of one run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -91,9 +92,15 @@ pub fn wasted_core_hours(units: &[ComputeUnit]) -> f64 {
 /// progress was carried forward instead of redone, so that share of its
 /// aborted execution time did real work. Units that never completed
 /// forfeit their checkpoints — everything aborted counts as wasted.
-/// Returns `(wasted, salvaged)`; the pair always sums to
-/// `wasted_core_hours` and salvaged is zero when checkpointing is off.
-pub fn salvage_split(units: &[ComputeUnit]) -> (f64, f64) {
+/// `checkpoints` holds what checkpointing banked per unit
+/// ([`aimes_pilot::UnitManager::checkpoints_ref`]); a unit without an
+/// entry salvaged nothing. Returns `(wasted, salvaged)`; the pair always
+/// sums to `wasted_core_hours` and salvaged is zero when checkpointing is
+/// off.
+pub fn salvage_split(
+    units: &[ComputeUnit],
+    checkpoints: &BTreeMap<UnitId, Checkpoint>,
+) -> (f64, f64) {
     let mut wasted = 0.0;
     let mut salvaged = 0.0;
     for u in units {
@@ -110,7 +117,10 @@ pub fn salvage_split(units: &[ComputeUnit]) -> (f64, f64) {
             }
         }
         let salvaged_secs = if u.state == UnitState::Done {
-            u.salvaged.as_secs().min(aborted_secs)
+            let banked = checkpoints
+                .get(&u.id)
+                .map_or(SimDuration::ZERO, |c| c.salvaged);
+            banked.as_secs().min(aborted_secs)
         } else {
             0.0
         };
@@ -334,7 +344,7 @@ mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aimes_pilot::{PilotDescription, PilotId, UnitHistory, UnitId, UnitWork};
+    use aimes_pilot::{PilotDescription, PilotId, UnitHistory, UnitWork};
     use proptest::prelude::*;
 
     fn t(s: f64) -> SimTime {
@@ -384,8 +394,6 @@ mod tests {
             state: timestamps.last().0,
             pilot: Some(PilotId(0)),
             attempts: 1,
-            checkpointed: SimDuration::ZERO,
-            salvaged: SimDuration::ZERO,
             timestamps,
         }
     }
@@ -581,7 +589,7 @@ mod tests {
     #[test]
     fn salvage_split_partitions_the_aborted_time() {
         // One restart: [2,50] aborted (48 s), second attempt delivers.
-        let mut unit = mk_unit(
+        let unit = mk_unit(
             0,
             &[
                 (UnitState::PendingExecution, 0.0),
@@ -595,16 +603,20 @@ mod tests {
             ],
         );
         // No checkpointing: the whole aborted interval is wasted.
-        let (w, s) = salvage_split(std::slice::from_ref(&unit));
+        let mut checkpoints = BTreeMap::new();
+        let (w, s) = salvage_split(std::slice::from_ref(&unit), &checkpoints);
         assert!((w - 48.0 / 3600.0).abs() < 1e-12);
         assert_eq!(s, 0.0);
         // 30 s banked at a checkpoint boundary: that share did real work.
-        unit.checkpointed = d(30.0);
-        unit.salvaged = d(30.0);
-        let (w, s) = salvage_split(std::slice::from_ref(&unit));
+        let banked = Checkpoint {
+            progress: d(30.0),
+            salvaged: d(30.0),
+        };
+        checkpoints.insert(unit.id, banked);
+        let (w, s) = salvage_split(std::slice::from_ref(&unit), &checkpoints);
         assert!((w - 18.0 / 3600.0).abs() < 1e-12);
         assert!((s - 30.0 / 3600.0).abs() < 1e-12);
-        assert!((w + s - wasted_core_hours(&[unit.clone()])).abs() < 1e-12);
+        assert!((w + s - wasted_core_hours(&[unit])).abs() < 1e-12);
         // A unit that never completed forfeits its checkpoints.
         let restarted = &[
             (UnitState::PendingExecution, 0.0),
@@ -612,12 +624,7 @@ mod tests {
             (UnitState::Executing, 2.0),
             (UnitState::PendingExecution, 50.0),
         ];
-        let unit = ComputeUnit {
-            checkpointed: d(30.0),
-            salvaged: d(30.0),
-            ..mk_unit(0, restarted)
-        };
-        let (w, s) = salvage_split(&[unit]);
+        let (w, s) = salvage_split(&[mk_unit(0, restarted)], &checkpoints);
         assert!((w - 48.0 / 3600.0).abs() < 1e-12);
         assert_eq!(s, 0.0);
     }
@@ -679,18 +686,23 @@ mod tests {
             tail in 0.0f64..20.0,
         ) {
             let mut units = Vec::new();
+            let mut checkpoints = BTreeMap::new();
             let mut oracles = Vec::new();
             for (i, (steps, cores, salvaged)) in histories.iter().enumerate() {
                 let events = random_history(steps);
                 let mut unit = mk_unit(i as u32, &events);
                 unit.work.cores = *cores;
-                unit.salvaged = d(*salvaged);
+                let banked = Checkpoint {
+                    progress: d(*salvaged),
+                    salvaged: d(*salvaged),
+                };
+                checkpoints.insert(unit.id, banked);
                 let mut timestamps = vec![(UnitState::New, t(0.0))];
                 timestamps.extend(events.iter().map(|&(s, at)| (s, t(at))));
                 let oracle = oracle::Unit {
                     cores: *cores,
                     state: unit.state,
-                    salvaged: unit.salvaged,
+                    salvaged: banked.salvaged,
                     timestamps,
                 };
                 let h = &unit.timestamps;
@@ -744,7 +756,7 @@ mod tests {
                 wasted_core_hours(&units).to_bits(),
                 oracle::wasted_core_hours(&oracles).to_bits()
             );
-            let (w, s) = salvage_split(&units);
+            let (w, s) = salvage_split(&units, &checkpoints);
             let (ow, os) = oracle::salvage_split(&oracles);
             prop_assert_eq!((w.to_bits(), s.to_bits()), (ow.to_bits(), os.to_bits()));
         }

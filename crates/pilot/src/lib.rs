@@ -46,5 +46,5 @@ pub use detector::{
 pub use pilot::{Pilot, PilotId, PilotState};
 pub use pilot_manager::{PilotManager, PilotRecovery};
 pub use scheduler::{Binding, UnitScheduler};
-pub use unit::{ComputeUnit, UnitHistory, UnitId, UnitState, UnitWork};
+pub use unit::{Checkpoint, ComputeUnit, UnitHistory, UnitId, UnitState, UnitWork};
 pub use unit_manager::{SalvageEvent, UmConfig, UnitManager, UnitManagerStats};

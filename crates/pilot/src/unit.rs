@@ -230,19 +230,27 @@ pub struct ComputeUnit {
     pub pilot: Option<PilotId>,
     /// Execution attempts so far (1 = first try).
     pub attempts: u32,
-    /// Checkpointed execution progress: the last boundary an aborted
-    /// attempt can resume from. Zero unless checkpointing is enabled.
-    pub checkpointed: SimDuration,
-    /// Total execution time carried across attempts via checkpoints —
-    /// aborted work that did *not* have to be redone.
-    pub salvaged: SimDuration,
     /// Instrumented transitions.
     pub timestamps: UnitHistory,
 }
 
-// The history's inline entries keep a unit within 136 bytes; a `Vec`
-// would hold the same six entries on the heap behind 24.
-const _: () = assert!(std::mem::size_of::<ComputeUnit>() <= 136);
+// The history's inline entries keep a unit within 112 bytes; a `Vec`
+// would hold the same six entries on the heap behind 24. Checkpointed
+// progress, zero unless checkpointing is on, is kept by the manager.
+const _: () = assert!(std::mem::size_of::<ComputeUnit>() <= 112);
+
+/// What checkpointing banked for one unit. The unit manager keeps one
+/// only for a unit whose checkpointed attempt aborted with progress, so a
+/// run without checkpointing keeps none.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct Checkpoint {
+    /// Checkpointed execution progress: the last boundary an aborted
+    /// attempt can resume from.
+    pub progress: SimDuration,
+    /// Total execution time carried across attempts via checkpoints —
+    /// aborted work that did *not* have to be redone.
+    pub salvaged: SimDuration,
+}
 
 impl ComputeUnit {
     pub(crate) fn new(id: UnitId, work: UnitWork, now: SimTime) -> Self {
@@ -252,8 +260,6 @@ impl ComputeUnit {
             state: UnitState::New,
             pilot: None,
             attempts: 0,
-            checkpointed: SimDuration::ZERO,
-            salvaged: SimDuration::ZERO,
             timestamps: UnitHistory::new(UnitState::New, now),
         }
     }

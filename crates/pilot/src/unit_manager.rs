@@ -11,7 +11,7 @@ use crate::agent::{Agent, StagingChannel};
 use crate::pilot::{PilotId, PilotState};
 use crate::pilot_manager::{dwell_metric, PilotManager};
 use crate::scheduler::{assign, Binding, PilotView, UnitScheduler, UnitView};
-use crate::unit::{ComputeUnit, UnitId, UnitState, UnitWork};
+use crate::unit::{Checkpoint, ComputeUnit, UnitId, UnitState, UnitWork};
 use aimes_sim::{EventId, Fact, HandlerId, Observers, SimDuration, SimTime, Simulation, TraceLine};
 use aimes_skeleton::TaskSpec;
 use std::cell::{Ref, RefCell};
@@ -245,9 +245,13 @@ struct Hooks {
 struct UmState {
     config: UmConfig,
     units: Vec<ComputeUnit>,
-    /// Unresolved dependency count per unit.
+    /// What checkpointing banked, per unit whose checkpointed attempt
+    /// aborted with progress; empty unless checkpointing is on.
+    checkpoints: BTreeMap<UnitId, Checkpoint>,
+    /// Unresolved dependency count per unit; empty when every unit is a
+    /// root, as in a bag.
     dep_count: Vec<u32>,
-    /// Reverse dependency edges.
+    /// Reverse dependency edges; empty when every unit is a root.
     dependents: Dependents,
     /// Eligible-but-unscheduled units, FIFO.
     ready: VecDeque<UnitId>,
@@ -341,7 +345,7 @@ impl UmState {
 
 /// Reverse dependency edges in one flat table: the dependents of unit `u`
 /// are `edges[offsets[u]..offsets[u + 1]]`, in id order. A bag has no
-/// edges and costs one offset per unit.
+/// edges and keeps no table: an empty one has no dependents for any unit.
 #[derive(Default)]
 struct Dependents {
     offsets: Vec<u32>,
@@ -380,7 +384,10 @@ impl Dependents {
 
     fn of(&self, uid: UnitId) -> &[UnitId] {
         let u = uid.0 as usize;
-        &self.edges[self.offsets[u] as usize..self.offsets[u + 1] as usize]
+        match self.offsets.get(u..u + 2) {
+            Some(&[start, end]) => &self.edges[start as usize..end as usize],
+            _ => &[],
+        }
     }
 }
 
@@ -411,6 +418,7 @@ impl UnitManager {
                 ),
                 config,
                 units: Vec::new(),
+                checkpoints: BTreeMap::new(),
                 dep_count: Vec::new(),
                 dependents: Dependents::default(),
                 ready: VecDeque::new(),
@@ -477,7 +485,6 @@ impl UnitManager {
             assert!(st.units.is_empty(), "submit_units may be called once");
             let n = tasks.len();
             st.units.reserve(n);
-            st.dep_count = Vec::with_capacity(n);
             st.inflight = vec![None; n];
             st.stats.total = n;
             let mut roots = 0;
@@ -489,10 +496,15 @@ impl UnitManager {
                 let uid = UnitId(i as u32);
                 st.units
                     .push(ComputeUnit::new(uid, UnitWork::of(task), now));
-                st.dep_count.push(task.dependencies().len() as u32);
                 roots += usize::from(task.is_root());
             }
-            st.dependents = Dependents::new(tasks);
+            if roots < n {
+                st.dep_count = tasks
+                    .iter()
+                    .map(|t| t.dependencies().len() as u32)
+                    .collect();
+                st.dependents = Dependents::new(tasks);
+            }
             st.ready.reserve(roots);
             if st.config.binding == Binding::Early {
                 st.bound = vec![None; n];
@@ -673,8 +685,9 @@ impl UnitManager {
         let retract = live == Some(None);
         let (backoff, checkpoint) = {
             let mut st = self.inner.borrow_mut();
+            let st = &mut *st;
             let interval = st.config.checkpoint_interval;
-            let unit = &mut st.units[uid.0 as usize];
+            let unit = &st.units[uid.0 as usize];
             // Checkpoint salvage: bank the aborted attempt's progress at
             // the last interval boundary. Only an Executing abort has
             // progress to bank; a StagingInput victim keeps whatever an
@@ -682,13 +695,16 @@ impl UnitManager {
             let checkpoint = if !interval.is_zero() && unit.state == UnitState::Executing {
                 let (_, entered) = unit.timestamps.last();
                 let elapsed = sim.now().saturating_since(entered).as_secs();
-                let total =
-                    (unit.checkpointed.as_secs() + elapsed).min(unit.work.duration.as_secs());
+                let banked = st.checkpoints.get(&uid).copied().unwrap_or_default();
+                let total = (banked.progress.as_secs() + elapsed).min(unit.work.duration.as_secs());
                 let boundary = (total / interval.as_secs()).floor() * interval.as_secs();
-                if boundary > unit.checkpointed.as_secs() {
-                    let delta = boundary - unit.checkpointed.as_secs();
-                    unit.checkpointed = SimDuration::from_secs(boundary);
-                    unit.salvaged += SimDuration::from_secs(delta);
+                if boundary > banked.progress.as_secs() {
+                    let delta = boundary - banked.progress.as_secs();
+                    let banked = Checkpoint {
+                        progress: SimDuration::from_secs(boundary),
+                        salvaged: banked.salvaged + SimDuration::from_secs(delta),
+                    };
+                    st.checkpoints.insert(uid, banked);
                     Some(boundary)
                 } else {
                     None
@@ -882,16 +898,16 @@ impl UnitManager {
         let (duration, fault, resumed_from) = {
             let mut st = self.inner.borrow_mut();
             let st = &mut *st;
-            let unit = &st.units[uid.0 as usize];
+            let work = &st.units[uid.0 as usize].work;
             // Resume from the last checkpoint boundary: only the
-            // remaining work runs. With checkpointing off, `checkpointed`
-            // is always zero and this is exactly the task duration.
-            let duration = if unit.checkpointed.is_zero() {
-                unit.work.duration
-            } else {
-                unit.work.duration.saturating_sub(unit.checkpointed)
+            // remaining work runs. A unit with nothing banked (every unit
+            // with checkpointing off) runs exactly the task duration.
+            let banked = st.checkpoints.get(&uid).map(|c| c.progress);
+            let duration = match banked {
+                Some(progress) => work.duration.saturating_sub(progress),
+                None => work.duration,
             };
-            let resumed_from = (!unit.checkpointed.is_zero()).then(|| unit.checkpointed.as_secs());
+            let resumed_from = banked.map(SimDuration::as_secs);
             // Fault draw happens up front so the failure instant is part
             // of the deterministic schedule, not a race with completion.
             let fault = if st.config.unit_fault_chance > 0.0 {
@@ -1038,6 +1054,12 @@ impl UnitManager {
     /// [`UnitManager::unit_ref`] applies.
     pub fn units_ref(&self) -> Ref<'_, [ComputeUnit]> {
         Ref::map(self.inner.borrow(), |st| st.units.as_slice())
+    }
+
+    /// A borrowed view of what checkpointing banked, per unit that has a
+    /// checkpoint; the same rule as [`UnitManager::unit_ref`] applies.
+    pub fn checkpoints_ref(&self) -> Ref<'_, BTreeMap<UnitId, Checkpoint>> {
+        Ref::map(self.inner.borrow(), |st| &st.checkpoints)
     }
 
     /// The pilot manager this unit manager feeds.
@@ -1638,23 +1660,26 @@ mod tests {
             assert_eq!(stats.done, 8, "{stats:?}");
             assert!(stats.restarts > 0, "short pilot must interrupt units");
             let events = salvage.borrow().clone();
-            let units = um.units_ref().to_vec();
-            (sim.now(), units, events)
+            let checkpoints = um.checkpoints_ref().clone();
+            (sim.now(), checkpoints, events)
         };
-        let (plain_ttc, plain_units, plain_events) = run(0.0);
-        assert!(plain_units.iter().all(|u| u.salvaged.is_zero()));
+        let (plain_ttc, plain_checkpoints, plain_events) = run(0.0);
+        assert!(
+            plain_checkpoints.is_empty(),
+            "nothing banked with checkpointing off"
+        );
         assert!(plain_events.is_empty(), "no events with checkpointing off");
 
-        let (ck_ttc, ck_units, ck_events) = run(60.0);
-        let salvaged: f64 = ck_units.iter().map(|u| u.salvaged.as_secs()).sum();
+        let (ck_ttc, ck_checkpoints, ck_events) = run(60.0);
+        let salvaged: f64 = ck_checkpoints.values().map(|c| c.salvaged.as_secs()).sum();
         assert!(salvaged > 0.0, "interrupted units must bank progress");
-        for u in &ck_units {
-            let b = u.checkpointed.as_secs();
+        for c in ck_checkpoints.values() {
+            let b = c.progress.as_secs();
             assert!(
-                (b / 60.0 - (b / 60.0).round()).abs() < 1e-9,
+                b > 0.0 && (b / 60.0 - (b / 60.0).round()).abs() < 1e-9,
                 "checkpoint {b}s is not on a 60 s boundary"
             );
-            assert_eq!(u.checkpointed, u.salvaged, "single-resume accounting");
+            assert_eq!(c.progress, c.salvaged, "single-resume accounting");
         }
         // Every banked checkpoint was followed by a resume carrying it.
         let checkpoints: Vec<_> = ck_events

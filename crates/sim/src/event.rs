@@ -18,6 +18,7 @@
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::num::NonZeroU64;
 
 /// Bits of an [`EventId`] that hold the slot; the sequence number takes
 /// the other 40.
@@ -37,22 +38,39 @@ const NO_SLOT: u32 = u32::MAX;
 /// Opaque handle identifying a scheduled event; used for cancellation.
 ///
 /// Packs the event's sequence number (high 40 bits) and its slot (low 24
-/// bits). Sequence numbers are never reused, so an id names one event for
-/// the queue's whole life.
+/// bits), and stores the packed value plus one, so that it is never zero
+/// and an `Option<EventId>` is 8 bytes. Adding one keeps the order, so
+/// ids still rank by sequence number. Sequence numbers are never reused,
+/// so an id names one event for the queue's whole life.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
-pub struct EventId(pub(crate) u64);
+pub struct EventId(NonZeroU64);
+
+const _: () = assert!(std::mem::size_of::<Option<EventId>>() == 8);
 
 impl EventId {
+    /// The id of event `seq` in `slot`. The last sequence number in the
+    /// last slot is the one packed value with no successor; it is refused
+    /// as an exhausted sequence, like every number past it.
     fn new(seq: u64, slot: u32) -> Self {
-        EventId(seq << SLOT_BITS | u64::from(slot))
+        let packed = (seq << SLOT_BITS | u64::from(slot)).checked_add(1);
+        EventId(
+            packed
+                .and_then(NonZeroU64::new)
+                .expect("event sequence numbers exhausted (2^40)"),
+        )
+    }
+
+    /// The packed sequence number and slot.
+    fn packed(self) -> u64 {
+        self.0.get() - 1
     }
 
     fn slot(self) -> usize {
-        (self.0 & ((1 << SLOT_BITS) - 1)) as usize
+        (self.packed() & ((1 << SLOT_BITS) - 1)) as usize
     }
 
     fn seq(self) -> u64 {
-        self.0 >> SLOT_BITS
+        self.packed() >> SLOT_BITS
     }
 }
 
@@ -96,10 +114,11 @@ pub(crate) struct Entry<T> {
 
 impl<T> Entry<T> {
     /// Key then sequence number; the id's high bits are its sequence
-    /// number, which is unique, so its low bits never decide.
+    /// number, which is unique, so its low bits never decide. The id's
+    /// stored value is its packed value plus one, which orders alike.
     #[inline]
     fn rank(&self) -> u128 {
-        u128::from(self.key) << 64 | u128::from(self.id.0)
+        u128::from(self.key) << 64 | u128::from(self.id.0.get())
     }
 }
 
@@ -409,9 +428,34 @@ mod tests {
     }
 
     #[test]
+    fn ids_round_trip_their_sequence_number_and_slot_at_the_extremes() {
+        let last_slot = (1 << SLOT_BITS) - 1;
+        let first = EventId::new(0, 0);
+        assert_eq!((first.seq(), first.slot()), (0, 0));
+        let last = EventId::new(SEQ_LIMIT - 1, last_slot - 1);
+        assert_eq!(
+            (last.seq(), last.slot()),
+            (SEQ_LIMIT - 1, last_slot as usize - 1)
+        );
+        let before = EventId::new(SEQ_LIMIT - 2, last_slot);
+        assert_eq!(
+            (before.seq(), before.slot()),
+            (SEQ_LIMIT - 2, last_slot as usize)
+        );
+        // Ids rank by sequence number, then slot, as their packed values.
+        assert!(first < before && before < last);
+    }
+
+    #[test]
+    #[should_panic(expected = "event sequence numbers exhausted")]
+    fn the_last_sequence_number_in_the_last_slot_is_refused() {
+        EventId::new(SEQ_LIMIT - 1, (1 << SLOT_BITS) - 1);
+    }
+
+    #[test]
     fn cancel_unknown_id_is_false() {
         let mut q: EventQueue<()> = EventQueue::new();
-        assert!(!q.cancel(EventId(99)));
+        assert!(!q.cancel(EventId::new(0, 99)));
     }
 
     #[test]
@@ -640,7 +684,7 @@ mod tests {
                     }
                     Op::Cancel(_) => {}
                     Op::CancelUnknown(k) => {
-                        let id = EventId(u64::from(u32::MAX - k));
+                        let id = EventId::new(255, (1 << SLOT_BITS) - 1 - k);
                         prop_assert!(!q.cancel(id));
                         prop_assert!(!o.cancel(id));
                     }

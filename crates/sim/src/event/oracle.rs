@@ -63,7 +63,7 @@ impl<T> OracleQueue<T> {
     }
 
     pub fn schedule(&mut self, time: SimTime, payload: T) -> EventId {
-        let id = EventId(self.next_id);
+        let id = EventId::new(self.next_id, 0);
         self.next_id += 1;
         let seq = self.next_seq;
         self.next_seq += 1;

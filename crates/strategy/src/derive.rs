@@ -66,6 +66,12 @@ impl AppInfo {
     }
 }
 
+impl From<&SkeletonApp> for AppInfo {
+    fn from(app: &SkeletonApp) -> Self {
+        AppInfo::from_skeleton(app)
+    }
+}
+
 /// Steps 3–4 output: everything the middleware needs to enact a strategy.
 #[derive(Clone, Debug)]
 pub struct ExecutionPlan {
@@ -97,8 +103,9 @@ impl Default for ExecutionManager {
 }
 
 impl ExecutionManager {
-    /// Derive the plan for one strategy (steps 1–4). `rng` is only drawn
-    /// from under [`ResourceSelection::Random`].
+    /// Derive the plan for one strategy (steps 1–4). `app` is the
+    /// application's summary, or a skeleton to summarize. `rng` is only
+    /// drawn from under [`ResourceSelection::Random`].
     ///
     /// Degraded-information contract: every on-demand wait estimate used
     /// here flows through the bundle's information plane
@@ -111,12 +118,12 @@ impl ExecutionManager {
     pub fn derive_plan_with_rng(
         &self,
         now: SimTime,
-        app: &SkeletonApp,
+        app: impl Into<AppInfo>,
         bundle: &mut Bundle,
         strategy: &ExecutionStrategy,
         rng: &mut aimes_sim::SimRng,
     ) -> Result<ExecutionPlan, String> {
-        let info = AppInfo::from_skeleton(app);
+        let info: AppInfo = app.into();
         let est_app = info.as_estimate();
         let cores = strategy.pilot_cores(info.n_tasks);
         // First-cut walltime (no Tw): what we ask the batch system for.
@@ -253,7 +260,7 @@ impl ExecutionManager {
     pub fn derive_plan(
         &self,
         now: SimTime,
-        app: &SkeletonApp,
+        app: impl Into<AppInfo>,
         bundle: &mut Bundle,
         strategy: &ExecutionStrategy,
     ) -> Result<ExecutionPlan, String> {
@@ -267,10 +274,11 @@ impl ExecutionManager {
     pub fn rank_strategies(
         &self,
         now: SimTime,
-        app: &SkeletonApp,
+        app: impl Into<AppInfo>,
         bundle: &mut Bundle,
         space: &StrategySpace,
     ) -> Vec<ExecutionPlan> {
+        let app = app.into();
         let mut plans: Vec<ExecutionPlan> = enumerate_strategies(space)
             .iter()
             .filter_map(|s| self.derive_plan(now, app, bundle, s).ok())
