@@ -1040,7 +1040,7 @@ impl<'a> RunWorld<'a> {
         // strategies with the same experiment seed).
         let skeleton = SkeletonApp::generate(app_config, &mut sim.fork_rng("skeleton"))
             .map_err(|e| RunError::Skeleton(e.to_string()))?;
-        let app = AppInfo::from_skeleton(&skeleton);
+        let app = AppInfo::from(&skeleton);
 
         // Let the resource pool evolve to the submission instant. Nothing
         // but the clusters' own events exists before it, so they run off

@@ -36,9 +36,9 @@ pub struct AppInfo {
     pub max_concurrent_cores: u64,
 }
 
-impl AppInfo {
+impl From<&SkeletonApp> for AppInfo {
     /// Gather application information (Figure 1, step 1).
-    pub fn from_skeleton(app: &SkeletonApp) -> Self {
+    fn from(app: &SkeletonApp) -> Self {
         let tasks = app.tasks();
         assert!(!tasks.is_empty(), "application has no tasks");
         let max = tasks
@@ -54,7 +54,9 @@ impl AppInfo {
             max_concurrent_cores: app.max_concurrent_cores(),
         }
     }
+}
 
+impl AppInfo {
     /// The estimator's view of this application.
     pub fn as_estimate(&self) -> AppEstimate {
         AppEstimate {
@@ -63,12 +65,6 @@ impl AppInfo {
             mean_task_duration: self.mean_task_duration,
             total_staging_mb: self.total_staging_mb,
         }
-    }
-}
-
-impl From<&SkeletonApp> for AppInfo {
-    fn from(app: &SkeletonApp) -> Self {
-        AppInfo::from_skeleton(app)
     }
 }
 
@@ -318,7 +314,7 @@ mod tests {
 
     #[test]
     fn app_info_from_skeleton() {
-        let info = AppInfo::from_skeleton(&bag(64));
+        let info = AppInfo::from(&bag(64));
         assert_eq!(info.n_tasks, 64);
         assert_eq!(info.max_task_duration, SimDuration::from_mins(15.0));
         assert_eq!(info.mean_task_duration, SimDuration::from_mins(15.0));

@@ -13,7 +13,7 @@ use aimes_repro::strategy::{AppInfo, ExecutionManager, ExecutionStrategy};
 fn app_info_matches_generated_application() {
     let cfg = paper_bag(128, TaskDurationSpec::Gaussian);
     let app = SkeletonApp::generate(&cfg, &mut aimes_repro::sim::SimRng::new(5)).unwrap();
-    let info = AppInfo::from_skeleton(&app);
+    let info = AppInfo::from(&app);
     assert_eq!(info.n_tasks, 128);
     assert_eq!(info.max_concurrent_cores, 128);
     // The info's mean must equal the actual sample mean.

@@ -35,9 +35,13 @@ impl PeakAlloc {
     }
 }
 
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged and only updates counters, so `System`'s guarantees carry
+// over.
 unsafe impl GlobalAlloc for PeakAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
             Self::grow(layout.size());
         }
@@ -45,7 +49,8 @@ unsafe impl GlobalAlloc for PeakAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        let p = unsafe { System.alloc_zeroed(layout) };
         if !p.is_null() {
             Self::grow(layout.size());
         }
@@ -53,12 +58,14 @@ unsafe impl GlobalAlloc for PeakAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
+        // SAFETY: `ptr` came from this allocator with this `layout`.
+        unsafe { System.dealloc(ptr, layout) };
         Self::shrink(layout.size());
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = System.realloc(ptr, layout, new_size);
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
         if !p.is_null() {
             if new_size >= layout.size() {
                 Self::grow(new_size - layout.size());
