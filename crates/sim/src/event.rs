@@ -52,12 +52,8 @@ impl EventId {
     /// last slot is the one packed value with no successor; it is refused
     /// as an exhausted sequence, like every number past it.
     fn new(seq: u64, slot: u32) -> Self {
-        let packed = (seq << SLOT_BITS | u64::from(slot)).checked_add(1);
-        EventId(
-            packed
-                .and_then(NonZeroU64::new)
-                .expect("event sequence numbers exhausted (2^40)"),
-        )
+        let stored = (seq << SLOT_BITS | u64::from(slot)).wrapping_add(1);
+        EventId(NonZeroU64::new(stored).expect("event sequence numbers exhausted (2^40)"))
     }
 
     /// The packed sequence number and slot.
